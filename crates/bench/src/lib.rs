@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 use dca_benchmarks::{Benchmark, SuiteConfig};
 use dca_core::batch::{BatchReport, PairOutcome};
 use dca_core::{DiffCostSolver, InvariantTier};
+use dca_serve::json::{escape, Value};
 
 /// One reproduced row of Table 1.
 #[derive(Debug, Clone)]
@@ -330,11 +331,6 @@ pub fn format_table(rows: &[TableRow]) -> String {
 /// each row carries the benchmark name, the documented tight threshold, the computed
 /// threshold (`null` on failure), the degree/tier that produced it, its status
 /// (`"tight" | "loose" | "failed"`) and the wall time in seconds.
-/// JSON string escaping shared by [`format_json`] and [`format_history_line`].
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 pub fn format_json(run: &SuiteRun) -> String {
     fn opt_f64(v: Option<f64>) -> String {
         v.map(|v| format!("{v:.4}")).unwrap_or_else(|| "null".to_string())
@@ -553,26 +549,17 @@ pub fn parse_baseline_cpu_seconds(json: &str) -> Vec<(String, f64)> {
     parse_baseline_field(json, "cpu_seconds")
 }
 
-/// Extracts per-row `(name, value)` pairs for one numeric `key` from the hand-rolled
-/// BENCH json schema. The key is matched with its leading quote (`"key": `), so
-/// `"seconds"` never accidentally matches inside `"cpu_seconds"`.
+/// Extracts per-row `(name, value)` pairs for one numeric `key` from a BENCH json
+/// document's `"rows"` array. Rows without a numeric `key` are skipped; a document
+/// that does not parse yields no pairs (the gates then run without a baseline).
 fn parse_baseline_field(json: &str, key: &str) -> Vec<(String, f64)> {
-    let needle = format!("\"{key}\": ");
-    let mut out = Vec::new();
-    for chunk in json.split("{\"name\": \"").skip(1) {
-        let Some(name_end) = chunk.find('"') else { continue };
-        let name = chunk[..name_end].to_string();
-        let Some(position) = chunk.find(&needle) else { continue };
-        let rest = &chunk[position + needle.len()..];
-        let number: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(value) = number.parse::<f64>() {
-            out.push((name, value));
-        }
-    }
-    out
+    let Ok(document) = Value::parse(json) else { return Vec::new() };
+    let Some(Value::Arr(rows)) = document.get("rows") else { return Vec::new() };
+    rows.iter()
+        .filter_map(|row| {
+            Some((row.get("name")?.as_str()?.to_string(), row.get(key)?.as_f64()?))
+        })
+        .collect()
 }
 
 // ----- Table 2 (generated corpus) ---------------------------------------------------
@@ -819,7 +806,52 @@ mod tests {
         let cpu_baseline = parse_baseline_cpu_seconds(&json);
         assert_eq!(cpu_baseline, vec![("Example".to_string(), 1.4)]);
         // A pre-cpu_seconds baseline parses as empty, triggering the wall fallback.
-        assert!(parse_baseline_cpu_seconds("{\"name\": \"X\", \"seconds\": 1.0}").is_empty());
+        let legacy = "{\"rows\": [{\"name\": \"X\", \"seconds\": 1.0}]}";
+        assert_eq!(parse_baseline_seconds(legacy), vec![("X".to_string(), 1.0)]);
+        assert!(parse_baseline_cpu_seconds(legacy).is_empty());
+    }
+
+    /// The committed Table-1 baseline parses to exactly the pairs the string
+    /// scanner this parser replaced extracted (kept here as the reference).
+    #[test]
+    fn committed_baseline_parses_like_the_legacy_scanner() {
+        fn legacy_scan(json: &str, key: &str) -> Vec<(String, f64)> {
+            let needle = format!("\"{key}\": ");
+            let mut out = Vec::new();
+            for chunk in json.split("{\"name\": \"").skip(1) {
+                let Some(name_end) = chunk.find('"') else { continue };
+                let Some(position) = chunk.find(&needle) else { continue };
+                let number: String = chunk[position + needle.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+                    .collect();
+                if let Ok(value) = number.parse::<f64>() {
+                    out.push((chunk[..name_end].to_string(), value));
+                }
+            }
+            out
+        }
+        let json = include_str!("../../../BENCH_table1.json");
+        let seconds = parse_baseline_seconds(json);
+        assert_eq!(seconds.len(), 20, "Table 1 is 19 rows plus the running example");
+        assert_eq!(seconds, legacy_scan(json, "seconds"));
+        assert_eq!(parse_baseline_cpu_seconds(json), legacy_scan(json, "cpu_seconds"));
+    }
+
+    #[test]
+    fn escape_covers_control_characters() {
+        let row = format_history_line(
+            &SuiteRun {
+                rows: Vec::new(),
+                wall_clock: Duration::ZERO,
+                cpu_time: Duration::ZERO,
+                jobs: 1,
+            },
+            "2026-01-01",
+            "tab\there \"quoted\"\n",
+        );
+        assert!(row.contains("\"commit\": \"tab\\there \\\"quoted\\\"\\n\""), "{row}");
+        assert!(Value::parse(&row).is_ok(), "a history line is valid JSON: {row}");
     }
 
     #[test]

@@ -234,10 +234,6 @@ impl DifferentialVerdict {
 /// integer thresholds must match *exactly*; presolve only rewrites the LP, so the
 /// no-presolve solve must match too. Any disagreement is a soundness or completeness
 /// bug in one of the configurations.
-///
-/// Note: presolve is toggled through the process-global `DCA_LP_NO_PRESOLVE`
-/// environment variable, so this function must not race with concurrent solves —
-/// callers run it from a single thread (the bins) or behind a lock (tests).
 pub fn differential_verdicts(pair: &GeneratedPair, budget: Option<Duration>) -> DifferentialVerdict {
     let base = table2_options(pair);
     let with_budget = |mut options: AnalysisOptions| {
@@ -252,14 +248,7 @@ pub fn differential_verdicts(pair: &GeneratedPair, budget: Option<Duration>) -> 
 
     let certified = solve(with_budget(base));
     let exact = solve(with_budget(AnalysisOptions { backend: LpBackend::Exact, ..base }));
-    let no_presolve = {
-        // SAFETY: single-threaded by contract (see doc comment) — the env var is
-        // process-global and read by every LP solve.
-        std::env::set_var("DCA_LP_NO_PRESOLVE", "1");
-        let result = solve(with_budget(base));
-        std::env::remove_var("DCA_LP_NO_PRESOLVE");
-        result
-    };
+    let no_presolve = solve(with_budget(base.without_presolve()));
 
     let mut disagreements = Vec::new();
     if certified != exact {

@@ -17,7 +17,7 @@
 //! options for diff/bound:
 //!   --degree D          template degree d = K (default 2)
 //!   --max-products K    Handelman product bound K, overriding K = D
-//!   --backend certified|f64|exact LP backend (default certified)
+//!   --backend certified|exact LP backend (default certified)
 //!   --invariant-tier T  invariant precision: 0 baseline, 1 hull, 2 relational (default 0)
 //!   --escalate          discover degree and invariant tier automatically
 //!                       (tiers climb first, then degrees 1 -> 2 -> 3)
@@ -78,12 +78,9 @@ fn parse_options(args: &[String]) -> Result<AnalysisOptions, String> {
     };
     let backend = match flag_value(args, "--backend")? {
         Some("certified") | None => LpBackend::Certified,
-        Some("f64") => LpBackend::F64,
         Some("exact") => LpBackend::Exact,
         Some(other) => {
-            return Err(format!(
-                "invalid --backend {other} (expected certified, f64 or exact)"
-            ))
+            return Err(format!("invalid --backend {other} (expected certified or exact)"))
         }
     };
     Ok(AnalysisOptions {
@@ -99,7 +96,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = "usage: dca <diff old new | bound program | show program | suite \
                  | serve | query old new> \
-                 [--degree D] [--max-products K] [--backend certified|f64|exact] \
+                 [--degree D] [--max-products K] [--backend certified|exact] \
                  [--invariant-tier 0|1|2] [--escalate] [--jobs N] [--timeout SECS] \
                  [--stdio] [--listen ADDR] [--addr ADDR] [--timeout-ms N] [--stream]";
     let Some(command) = args.first() else {

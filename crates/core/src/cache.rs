@@ -49,24 +49,24 @@ pub fn pair_fingerprint(new: &AnalyzedProgram, old: &AnalyzedProgram) -> u64 {
 /// A fingerprint of every [`AnalysisOptions`] field that changes the synthesized LP
 /// (and hence the result): two solves agree whenever their pair and options
 /// fingerprints agree. The time budget is excluded — it bounds the solve, it does
-/// not select the answer (and only certified results are cached).
+/// not select the answer (and only certified results are cached). The `presolve`
+/// and `row_generation` switches are folded in although they never change a
+/// verdict: they change the solve statistics a cache hit replays.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let backend = match options.backend {
         LpBackend::Certified => 0u8,
-        LpBackend::F64 => 1,
-        LpBackend::Exact => 2,
+        LpBackend::Exact => 1,
     };
     let encoded = [
         options.degree.to_le_bytes(),
         options.max_products.to_le_bytes(),
         options.invariant_tier.index().to_le_bytes(),
-        u32::from_le_bytes([
+        [
             u8::from(options.include_cost_in_template),
             u8::from(options.phase_split),
             backend,
-            0,
-        ])
-        .to_le_bytes(),
+            u8::from(options.presolve) | u8::from(options.row_generation) << 1,
+        ],
     ]
     .concat();
     fnv1a_extend(fnv1a(b"options:"), &encoded)
@@ -428,6 +428,8 @@ mod tests {
         assert_ne!(fp, options_fingerprint(&base.exact()));
         assert_ne!(fp, options_fingerprint(&base.with_invariant_tier(InvariantTier::Hull)));
         assert_ne!(fp, options_fingerprint(&base.without_phase_split()));
+        assert_ne!(fp, options_fingerprint(&base.without_presolve()));
+        assert_ne!(fp, options_fingerprint(&base.without_row_generation()));
         // The time budget does not change what is computed, only how long it may take.
         assert_eq!(
             fp,

@@ -13,10 +13,6 @@ pub enum LpBackend {
     /// (the QSopt_ex-style precision-boosting scheme; see `dca_lp`'s `certify`
     /// module).
     Certified,
-    /// Floating-point simplex (mirrors the paper's use of a real-valued LP solver;
-    /// verdicts are tolerance-guarded `f64`, with an exact fallback only on
-    /// non-convergence).
-    F64,
     /// Exact rational simplex from scratch (slowest; useful for cross-checking).
     Exact,
 }
@@ -74,10 +70,17 @@ pub struct AnalysisOptions {
     /// [`crate::AnalyzedProgram`] was produced.
     pub invariant_tier: InvariantTier,
     /// Whether the solver may apply loop-phase splitting (`dca_ir::split_phases`)
-    /// and keep the better of the split and unsplit answers. On by default; the
-    /// `DCA_NO_SPLIT=1` environment variable disables it process-wide regardless
-    /// of this flag (the A/B escape hatch mirroring `DCA_LP_NO_ROWGEN`).
+    /// and keep the better of the split and unsplit answers. On by default.
     pub phase_split: bool,
+    /// Whether the LP runs its presolve pass. On by default; presolve only rewrites
+    /// the LP, so turning it off is the A/B reference of the presolve soundness
+    /// tests, never a change of answer.
+    pub presolve: bool,
+    /// Whether the certified backend generates degree-≥-2 Handelman product
+    /// columns lazily (delayed column generation with exact pricing). On by
+    /// default; off solves every column eagerly, with a bit-identical verdict. The
+    /// `Exact` backend always solves eagerly.
+    pub row_generation: bool,
 }
 
 impl Default for AnalysisOptions {
@@ -90,6 +93,8 @@ impl Default for AnalysisOptions {
             time_budget: None,
             invariant_tier: InvariantTier::Baseline,
             phase_split: true,
+            presolve: true,
+            row_generation: true,
         }
     }
 }
@@ -161,6 +166,19 @@ impl AnalysisOptions {
         self.phase_split = false;
         self
     }
+
+    /// Disables the LP presolve pass for this solve.
+    pub fn without_presolve(mut self) -> AnalysisOptions {
+        self.presolve = false;
+        self
+    }
+
+    /// Disables lazy row generation: every Handelman product column is solved
+    /// eagerly.
+    pub fn without_row_generation(mut self) -> AnalysisOptions {
+        self.row_generation = false;
+        self
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +193,8 @@ mod tests {
         assert!(!options.include_cost_in_template);
         assert_eq!(options.backend, LpBackend::Certified);
         assert!(options.phase_split);
+        assert!(options.presolve);
+        assert!(options.row_generation);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::constraints::{
 use crate::options::{AnalysisOptions, LpBackend};
 use crate::potential::PotentialFunction;
 use crate::program::AnalyzedProgram;
+use crate::verify::bound_var;
 
 /// Errors produced by the solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +28,7 @@ pub enum AnalysisError {
     NoThresholdFound,
     /// The LP is unbounded (should not happen for well-formed inputs with bounded Θ0).
     Unbounded,
-    /// The floating-point simplex hit its iteration limit.
+    /// The simplex hit its iteration limit.
     IterationLimit,
     /// The candidate threshold could not be refuted with the given inputs.
     RefutationFailed,
@@ -119,8 +120,7 @@ pub struct SolveStats {
     /// bracket the unreachable optimum and their difference is the anytime gap.
     pub lp_dual_bound: Option<f64>,
     /// `true` when the reported LP answer carries an exact-rational certificate
-    /// (always under the `Certified` and `Exact` backends; `false` under plain
-    /// `F64`, whose verdicts are tolerance-guarded floats).
+    /// (always, under both backends; recorded for the audit trail).
     pub lp_certified: bool,
     /// Certification rounds the float-first driver performed.
     pub lp_certify_rounds: usize,
@@ -144,8 +144,8 @@ pub struct SolveStats {
     /// sides (see `dca_ir::split_phases`). When non-zero, a second solve ran on
     /// the split system(s) and the reported result is the better of the two;
     /// when zero — no split detected, or splitting disabled via
-    /// [`crate::AnalysisOptions::phase_split`] / `DCA_NO_SPLIT=1` — the result
-    /// is bit-identical to the plain unsplit solve.
+    /// [`crate::AnalysisOptions::phase_split`] — the result is bit-identical to
+    /// the plain unsplit solve.
     pub phases_split: usize,
     /// Lazy row-generation candidate columns (degree-≥-2 Handelman multipliers)
     /// that survived LP presolve. 0 when row generation did not run.
@@ -202,10 +202,8 @@ pub struct DiffCostResult {
 /// degradation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveOutcome {
-    /// The LP solved to proven optimality within budget. Under the default
-    /// `Certified` and the `Exact` backends the threshold carries an exact-rational
-    /// certificate ([`SolveStats::lp_certified`]); under the explicitly-requested
-    /// `F64` backend it is the tolerance-guarded float optimum.
+    /// The LP solved to proven optimality within budget: the threshold carries an
+    /// exact-rational certificate ([`SolveStats::lp_certified`]).
     Certified {
         /// The optimal threshold.
         threshold: f64,
@@ -431,7 +429,7 @@ impl DiffCostSolver {
     /// two answers is reported, with [`SolveStats::phases_split`] recording how many
     /// splits were analyzed. The returned warm-start basis is always the *unsplit*
     /// solve's basis: split systems rename locations, so their unknowns cannot seed
-    /// a later unsplit rung. `DCA_NO_SPLIT=1` disables splitting process-wide.
+    /// a later unsplit rung.
     ///
     /// The returned basis is stamped with the pair's structural fingerprint
     /// ([`crate::cache::pair_fingerprint`]), and an *incoming* stamped basis whose
@@ -467,7 +465,7 @@ impl DiffCostSolver {
         warm: Option<&LpBasis>,
     ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
         let (base_result, base_basis) = self.solve_unsplit(new, old, warm);
-        if !self.options.phase_split || std::env::var("DCA_NO_SPLIT").is_ok() {
+        if !self.options.phase_split {
             return (base_result, base_basis);
         }
         let tier = self.options.invariant_tier;
@@ -834,6 +832,7 @@ impl DiffCostSolver {
         // part of the budget — it is anchored at the caller's start time) and carries
         // the shared cancel flag, so an external cancellation stops the LP loops too.
         lp.set_deadline(deadline.clone());
+        lp.set_presolve(self.options.presolve);
         let lp_vars: Vec<LpVar> = factory
             .iter()
             .map(|u| {
@@ -885,116 +884,72 @@ impl DiffCostSolver {
         if let Some(objective) = objective {
             lp.set_objective(vec![(lp_vars[objective.index()], Rational::one())]);
         }
-        if std::env::var("DCA_LP_DEBUG").is_ok() {
-            eprintln!(
-                "[solver] LP: {} rows raw -> {} after dedup, {} variables",
-                raw_rows,
-                lp.num_constraints(),
-                lp.num_vars()
-            );
-        }
 
-        let stats = |duration, info: dca_lp::LpSolveInfo| SolveStats {
-            lp_variables: lp.num_vars(),
-            lp_constraints: lp.num_constraints(),
-            lp_constraints_raw: raw_rows,
-            lp_iterations: info.iterations,
-            lp_float_iterations: info.float_iterations,
-            lp_exact_iterations: info.exact_iterations,
-            lp_truncated: info.truncated,
-            lp_dual_bound: None,
-            lp_certified: info.certified,
-            lp_certify_rounds: info.certify_rounds,
-            lp_presolve_time: info.presolve_time,
-            lp_float_time: info.float_time,
-            lp_certify_time: info.certify_time,
-            lp_repair_time: info.repair_time,
-            presolve_rows_removed: info.presolve_rows_removed,
-            presolve_cols_removed: info.presolve_cols_removed,
-            // Filled in by the callers that know their program pair (pruning happens
-            // during constraint collection, and phase splitting around whole solves —
-            // both before/outside the LP).
-            transitions_pruned: 0,
-            phases_split: 0,
-            lp_products_total: info.products_total,
-            lp_products_generated: info.products_generated,
-            lp_separation_rounds: info.separation_rounds,
-            lp_lu_updates: info.lu_updates,
-            lp_lu_refactorizations: info.lu_refactorizations,
-            lp_warm_rejected: false,
-            duration,
-        };
-        // Shared interpretation of an exact-rational solve outcome (the `Exact`
-        // backend and the float-first `Certified` driver produce the same shape).
-        let rational_attempt = |solution: dca_lp::LpResult<Rational>| -> LpAttempt {
-            let basis = Some(solution.basis.clone());
-            let result = match solution.status {
-                LpStatus::Optimal => {
-                    let assignment: BTreeMap<UnknownId, Rational> = factory
-                        .iter()
-                        .map(|u| (u, solution.values[u.index()].clone()))
-                        .collect();
-                    let objective_value = solution
-                        .objective
-                        .as_ref()
-                        .map(Rational::to_f64)
-                        .unwrap_or(0.0);
-                    let mut stats = stats(start.elapsed(), solution.info);
-                    stats.lp_dual_bound =
-                        solution.dual_bound.as_ref().map(Rational::to_f64);
-                    Ok((objective_value, assignment, stats))
-                }
-                LpStatus::Infeasible => Err(AnalysisError::NoThresholdFound),
-                LpStatus::Unbounded => Err(AnalysisError::Unbounded),
-                LpStatus::IterationLimit => Err(AnalysisError::IterationLimit),
-                // The thread-local phase marker names the LP stage that was running
-                // when the deadline fired (the certified driver enters each stage).
-                LpStatus::TimedOut => {
-                    Err(AnalysisError::Timeout { phase: fault::current_phase() })
-                }
-            };
-            LpAttempt { result, basis }
-        };
-        let solve_exact = |lp: &LpProblem| -> LpAttempt { rational_attempt(lp.solve_exact()) };
-        match self.options.backend {
+        let solution = match self.options.backend {
             LpBackend::Certified => {
-                // Only the certified driver understands lazy row generation; the
-                // plain backends below always solve the eager encoding. The lazy
-                // set names Handelman multiplier columns the driver may defer and
-                // separate on demand — the verdict is proven identical to the
-                // eager one before it is accepted (see `dca_lp::certify`).
-                let lazy_names: Vec<String> =
-                    lazy.iter().map(|&u| factory.name(u).to_string()).collect();
-                rational_attempt(lp.solve_certified_lazy(warm, &lazy_names))
-            }
-            LpBackend::F64 => {
-                let solution = lp.solve_f64_warm(warm);
-                let basis = Some(solution.basis.clone());
-                let result = match solution.status {
-                    LpStatus::Optimal => {
-                        let assignment: BTreeMap<UnknownId, Rational> = factory
-                            .iter()
-                            .map(|u| (u, Rational::from_f64(solution.values[u.index()])))
-                            .collect();
-                        let objective_value = solution.objective.unwrap_or(0.0);
-                        Ok((objective_value, assignment, stats(start.elapsed(), solution.info)))
-                    }
-                    LpStatus::Infeasible => Err(AnalysisError::NoThresholdFound),
-                    // Spurious unboundedness / stalling can occur in floating point on
-                    // badly conditioned instances; fall back to the exact backend before
-                    // giving up.
-                    LpStatus::Unbounded | LpStatus::IterationLimit => return solve_exact(&lp),
-                    // A timeout is a genuine budget exhaustion: no fallback. The F64
-                    // backend does not mark LP sub-stages, so the phase is whatever
-                    // boundary was last crossed (the encode phase).
-                    LpStatus::TimedOut => {
-                        Err(AnalysisError::Timeout { phase: fault::current_phase() })
-                    }
+                // The lazy set names Handelman multiplier columns the driver may
+                // defer and separate on demand — the verdict is proven identical to
+                // the eager one before it is accepted (see `dca_lp::certify`). With
+                // row generation off the set is empty: an eager solve.
+                let lazy_names: Vec<String> = if self.options.row_generation {
+                    lazy.iter().map(|&u| factory.name(u).to_string()).collect()
+                } else {
+                    Vec::new()
                 };
-                LpAttempt { result, basis }
+                lp.solve_certified_lazy(warm, &lazy_names)
             }
-            LpBackend::Exact => solve_exact(&lp),
-        }
+            LpBackend::Exact => lp.solve_exact(),
+        };
+        let basis = Some(solution.basis.clone());
+        let result = match solution.status {
+            LpStatus::Optimal => {
+                let assignment: BTreeMap<UnknownId, Rational> = factory
+                    .iter()
+                    .map(|u| (u, solution.values[u.index()].clone()))
+                    .collect();
+                let objective_value =
+                    solution.objective.as_ref().map(Rational::to_f64).unwrap_or(0.0);
+                let info = solution.info;
+                let stats = SolveStats {
+                    lp_variables: lp.num_vars(),
+                    lp_constraints: lp.num_constraints(),
+                    lp_constraints_raw: raw_rows,
+                    lp_iterations: info.iterations,
+                    lp_float_iterations: info.float_iterations,
+                    lp_exact_iterations: info.exact_iterations,
+                    lp_truncated: info.truncated,
+                    lp_dual_bound: solution.dual_bound.as_ref().map(Rational::to_f64),
+                    lp_certified: info.certified,
+                    lp_certify_rounds: info.certify_rounds,
+                    lp_presolve_time: info.presolve_time,
+                    lp_float_time: info.float_time,
+                    lp_certify_time: info.certify_time,
+                    lp_repair_time: info.repair_time,
+                    presolve_rows_removed: info.presolve_rows_removed,
+                    presolve_cols_removed: info.presolve_cols_removed,
+                    // Filled in by the callers that know their program pair (pruning
+                    // happens during constraint collection, and phase splitting
+                    // around whole solves — both before/outside the LP).
+                    transitions_pruned: 0,
+                    phases_split: 0,
+                    lp_products_total: info.products_total,
+                    lp_products_generated: info.products_generated,
+                    lp_separation_rounds: info.separation_rounds,
+                    lp_lu_updates: info.lu_updates,
+                    lp_lu_refactorizations: info.lu_refactorizations,
+                    lp_warm_rejected: false,
+                    duration: start.elapsed(),
+                };
+                Ok((objective_value, assignment, stats))
+            }
+            LpStatus::Infeasible => Err(AnalysisError::NoThresholdFound),
+            LpStatus::Unbounded => Err(AnalysisError::Unbounded),
+            LpStatus::IterationLimit => Err(AnalysisError::IterationLimit),
+            // The thread-local phase marker names the LP stage that was running when
+            // the deadline fired (the certified driver enters each stage).
+            LpStatus::TimedOut => Err(AnalysisError::Timeout { phase: fault::current_phase() }),
+        };
+        LpAttempt { result, basis }
     }
 }
 
@@ -1044,8 +999,8 @@ fn default_corner_inputs(program: &AnalyzedProgram) -> Vec<IntValuation> {
     let data_vars = program.ts.data_vars();
     let mut bounds: Vec<(VarId, i64, i64)> = Vec::new();
     for var in &data_vars {
-        let lower = optimize_var(theta0, *var, true).unwrap_or(0);
-        let upper = optimize_var(theta0, *var, false).unwrap_or(lower.max(0));
+        let lower = bound_var(theta0, *var, true).unwrap_or(0);
+        let upper = bound_var(theta0, *var, false).unwrap_or(lower.max(0));
         bounds.push((*var, lower, upper));
     }
     let mut corners = Vec::new();
@@ -1065,33 +1020,6 @@ fn default_corner_inputs(program: &AnalyzedProgram) -> Vec<IntValuation> {
         corner.insert(program.ts.cost_var(), 0);
     }
     corners
-}
-
-/// Minimizes (or maximizes) a single variable over the Θ0 polytope.
-fn optimize_var(theta0: &[LinExpr], var: VarId, minimize: bool) -> Option<i64> {
-    let mut vars: Vec<VarId> = theta0.iter().flat_map(LinExpr::vars).collect();
-    vars.push(var);
-    vars.sort();
-    vars.dedup();
-    let mut lp = LpProblem::new();
-    let lp_vars: BTreeMap<VarId, LpVar> = vars
-        .iter()
-        .map(|&v| (v, lp.add_var(format!("x{}", v.0), VarKind::Free)))
-        .collect();
-    for constraint in theta0 {
-        let terms: Vec<_> = constraint
-            .iter()
-            .map(|(v, c)| (lp_vars[v], c.clone()))
-            .collect();
-        lp.add_constraint(terms, ConstraintOp::Ge, -constraint.constant_term().clone());
-    }
-    let sign = if minimize { Rational::one() } else { Rational::from_int(-1) };
-    lp.set_objective(vec![(lp_vars[&var], sign)]);
-    let solution = lp.solve_f64();
-    if solution.status != LpStatus::Optimal {
-        return None;
-    }
-    Some(solution.values[lp_vars[&var].index()].round() as i64)
 }
 
 #[cfg(test)]

@@ -70,7 +70,9 @@ pub fn input_box(program: &AnalyzedProgram) -> Vec<(VarId, i64, i64)> {
         .collect()
 }
 
-fn bound_var(theta0: &[LinExpr], var: VarId, minimize: bool) -> Option<i64> {
+/// Minimizes (or maximizes) a single variable over the Θ0 polytope, rounded to the
+/// nearest integer; `None` when the LP has no optimum (unbounded or infeasible).
+pub(crate) fn bound_var(theta0: &[LinExpr], var: VarId, minimize: bool) -> Option<i64> {
     let mut vars: Vec<VarId> = theta0.iter().flat_map(LinExpr::vars).collect();
     vars.push(var);
     vars.sort();

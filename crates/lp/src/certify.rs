@@ -24,58 +24,20 @@
 //! simplex). The `f64` phase only ever influences *which basis* the exact machinery
 //! looks at first, never what it concludes.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dca_numeric::Rational;
 
 use crate::deadline::Deadline;
 use crate::fault::{self, FaultKind, SolvePhase};
 use crate::lu::factorize_markowitz;
-use crate::presolve::presolve;
-use crate::problem::LpStatus;
+use crate::presolve::{identity, presolve};
+use crate::problem::{LpSolveInfo, LpStatus};
 use crate::revised::Columns;
 use crate::scalar::Scalar;
 use crate::simplex::{
     solve_standard_form_inner, RawSolution, StandardForm, PERTURBATION, PERTURB_ROWS_THRESHOLD,
 };
-
-/// Per-phase effort accounting of one float-first solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PhaseStats {
-    /// Wall-clock spent in presolve.
-    pub presolve_time: Duration,
-    /// Wall-clock spent in the `f64` simplex phase.
-    pub float_time: Duration,
-    /// Wall-clock spent factorizing and pricing in the exact certifier.
-    pub certify_time: Duration,
-    /// Wall-clock spent in exact repair pivoting.
-    pub repair_time: Duration,
-    /// Pivots performed by the `f64` phase.
-    pub float_iterations: usize,
-    /// Pivots performed by the exact simplex (repair + fallback).
-    pub exact_iterations: usize,
-    /// `true` when the reported result carries an exact-rational certificate (always
-    /// the case for terminal verdicts of this driver; recorded for the audit trail).
-    pub certified: bool,
-    /// Certification rounds performed (0 = the float phase never produced a
-    /// candidate, 1 = first candidate accepted, …).
-    pub certify_rounds: usize,
-    /// Lazy row-generation candidate columns (Handelman product multipliers the
-    /// caller marked deferrable) that survived presolve. 0 on the eager path.
-    pub products_total: usize,
-    /// Lazy candidate columns actually activated by separation (present in the
-    /// final solve). 0 on the eager path.
-    pub products_generated: usize,
-    /// Row-generation solve rounds (1 = the initial core sufficed). 0 on the
-    /// eager path.
-    pub separation_rounds: usize,
-    /// Exact simplex pivots absorbed as incremental rank-1 eta updates of the
-    /// rational LU (exact backend only; the f64 phase reports 0 here).
-    pub lu_updates: usize,
-    /// Full Markowitz refactorizations performed mid-run by the exact simplex
-    /// (growth-triggered rebuilds; the initial warm-start build is not counted).
-    pub lu_refactorizations: usize,
-}
 
 /// Exact certificate for an accepted basis.
 struct Certificate {
@@ -248,33 +210,30 @@ fn phase1_farkas(
 ///
 /// `lazy_cols` (also original indices) marks columns eligible for delayed
 /// generation: the solve starts without them and brings them in only as exact
-/// pricing demands ([`solve_with_row_generation`]). Passing an empty slice — or
-/// setting `DCA_LP_NO_ROWGEN=1` — solves every column eagerly; either way the
-/// verdict is identical.
+/// pricing demands ([`solve_with_row_generation`]). An empty slice solves every
+/// column eagerly; either way the verdict is identical.
 pub(crate) fn solve_float_first(
     form: &StandardForm<Rational>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
     lazy_cols: &[usize],
+    use_presolve: bool,
 ) -> RawSolution<Rational> {
-    let debug = std::env::var("DCA_LP_DEBUG").is_ok();
     let num_original_cols = form.costs.len();
-    let mut phases = PhaseStats::default();
+    // Every terminal verdict below comes out of exact arithmetic: exact presolve, the
+    // certifier, the exact repair, or the exact fallback. (A truncated anytime answer
+    // is exactly feasible — its bound is sound — but not a proven optimum.)
+    let mut info = LpSolveInfo { certified: true, ..LpSolveInfo::default() };
 
     // Exact presolve (the rational pass may conclude infeasibility outright).
     let presolve_start = Instant::now();
-    let pre = if std::env::var("DCA_LP_NO_PRESOLVE").is_ok() {
-        crate::presolve::identity(form)
-    } else {
-        presolve(form)
-    };
-    phases.presolve_time = presolve_start.elapsed();
+    let pre = if use_presolve { presolve(form) } else { identity(form) };
+    info.presolve_time = presolve_start.elapsed();
+    info.presolve_rows_removed = pre.rows_removed;
+    info.presolve_cols_removed = pre.cols_removed;
     if let Some(status) = pre.verdict {
         let mut solution = RawSolution::bare(status);
-        solution.presolve_rows_removed = pre.rows_removed;
-        solution.presolve_cols_removed = pre.cols_removed;
-        phases.certified = true; // the verdict is exact-rational by construction
-        solution.phases = phases;
+        solution.info = info;
         return solution;
     }
     if pre.form.matrix.is_empty() {
@@ -286,59 +245,15 @@ pub(crate) fn solve_float_first(
             solution.values =
                 pre.restore(&vec![Rational::zero(); pre.kept_cols.len()], num_original_cols);
         }
-        solution.presolve_rows_removed = pre.rows_removed;
-        solution.presolve_cols_removed = pre.cols_removed;
-        phases.certified = true;
-        solution.phases = phases;
+        solution.info = info;
         return solution;
     }
     let warm_reduced: Option<Vec<usize>> = warm.map(|w| pre.map_cols(w));
-
-    // `DCA_LP_NO_FLOAT=1` skips the f64 phase entirely (A/B switch: pure exact path
-    // with the caller's warm start, same certificates, no float influence at all).
-    if std::env::var("DCA_LP_NO_FLOAT").is_ok() {
-        let repair_start = Instant::now();
-        let mut solution = solve_standard_form_inner::<Rational>(
-            &pre.form,
-            deadline,
-            0.0,
-            warm_reduced.as_deref(),
-            None,
-        );
-        phases.repair_time = repair_start.elapsed();
-        phases.exact_iterations = solution.iterations;
-        phases.lu_updates = solution.phases.lu_updates;
-        phases.lu_refactorizations = solution.phases.lu_refactorizations;
-        if solution.status == LpStatus::Optimal {
-            solution.values = pre.restore(&solution.values, num_original_cols);
-        }
-        solution.basis = solution.basis.iter().map(|&col| pre.kept_cols[col]).collect();
-        solution.presolve_rows_removed = pre.rows_removed;
-        solution.presolve_cols_removed = pre.cols_removed;
-        phases.certified = true;
-        solution.phases = phases;
-        return solution;
-    }
-
-    // `DCA_LP_NO_ROWGEN=1` is the row-generation A/B switch: the eager path below
-    // solves every column up front (the pre-row-generation behavior, bit-identical
-    // verdicts by the separation argument in `solve_with_row_generation`).
-    let lazy_reduced: Vec<usize> = if std::env::var("DCA_LP_NO_ROWGEN").is_ok() {
-        Vec::new()
-    } else {
-        pre.map_cols(lazy_cols)
-    };
+    let lazy_reduced = pre.map_cols(lazy_cols);
 
     let mut solution = if lazy_reduced.is_empty() {
-        let (solution, _) = certified_core(
-            &pre.form,
-            deadline,
-            warm_reduced.as_deref(),
-            &mut phases,
-            debug,
-            false,
-            true,
-        );
+        let (solution, _) =
+            certified_core(&pre.form, deadline, warm_reduced.as_deref(), &mut info, false, true);
         solution
     } else {
         solve_with_row_generation(
@@ -346,8 +261,7 @@ pub(crate) fn solve_float_first(
             deadline,
             warm_reduced.as_deref(),
             &lazy_reduced,
-            &mut phases,
-            debug,
+            &mut info,
         )
     };
 
@@ -366,14 +280,11 @@ pub(crate) fn solve_float_first(
         solution.dual_bound = Some(bound.add(&offset));
     }
     solution.basis = solution.basis.iter().map(|&col| pre.kept_cols[col]).collect();
-    solution.presolve_rows_removed = pre.rows_removed;
-    solution.presolve_cols_removed = pre.cols_removed;
-    solution.iterations = phases.float_iterations + phases.exact_iterations;
-    // Every terminal verdict above came out of exact arithmetic: the certifier, the
-    // exact repair, or the exact fallback. (A truncated anytime answer is exactly
-    // feasible — its bound is sound — but not a proven optimum.)
-    phases.certified = true;
-    solution.phases = phases;
+    solution.info = LpSolveInfo {
+        iterations: info.float_iterations + info.exact_iterations,
+        truncated: solution.info.truncated,
+        ..info
+    };
     solution
 }
 
@@ -382,7 +293,7 @@ pub(crate) fn solve_float_first(
 ///
 /// `form` is solved as-is — no presolve; the caller already reduced it — and
 /// `warm` carries preferred columns in `form`'s own index space. Effort is
-/// *accumulated* into `phases` so the row-generation driver can call this once
+/// *accumulated* into `info` so the row-generation driver can call this once
 /// per round and keep a single whole-solve account.
 ///
 /// With `want_dual`, an exact optimal dual vector accompanies an `Optimal`
@@ -394,8 +305,7 @@ fn certified_core(
     form: &StandardForm<Rational>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
-    phases: &mut PhaseStats,
-    debug: bool,
+    info: &mut LpSolveInfo,
     want_dual: bool,
     mut use_float: bool,
 ) -> (RawSolution<Rational>, Option<Vec<Rational>>) {
@@ -446,20 +356,10 @@ fn certified_core(
             if float_form.matrix.len() >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
         let float =
             solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm, None);
-        phases.float_time += float_start.elapsed();
-        phases.float_iterations += float.iterations;
-        if debug {
-            eprintln!(
-                "[lp] float-first: f64 phase {:?} in {:.2}s ({} pivots, {} rows, {} cols)",
-                float.status,
-                float_start.elapsed().as_secs_f64(),
-                float.iterations,
-                form.matrix.len(),
-                form.costs.len()
-            );
-        }
+        info.float_time += float_start.elapsed();
+        info.float_iterations += float.info.iterations;
         candidate = float.basis;
-        float_optimal = float.status == LpStatus::Optimal && !float.truncated;
+        float_optimal = float.status == LpStatus::Optimal && !float.info.truncated;
     }
 
     // ---- Certify / repair loop. ----------------------------------------------------
@@ -467,7 +367,7 @@ fn certified_core(
     // repair warm-started from it and try again. After the capped rounds the exact
     // simplex runs uncapped (self-certifying).
     if float_optimal {
-        for (round, cap) in REPAIR_CAPS.iter().enumerate() {
+        for cap in REPAIR_CAPS {
             let force_reject = match fault::enter(SolvePhase::LpCertify) {
                 Some(FaultKind::Deadline) => {
                     deadline.cancel();
@@ -485,8 +385,8 @@ fn certified_core(
             } else {
                 certify_basis(form, &columns, &candidate, deadline)
             };
-            phases.certify_time += certify_start.elapsed();
-            phases.certify_rounds += 1;
+            info.certify_time += certify_start.elapsed();
+            info.certify_rounds += 1;
             let certificate = match certified {
                 Certified::Accepted(certificate) => Some(certificate),
                 Certified::Rejected { dual_bound } => {
@@ -500,25 +400,12 @@ fn certified_core(
                 }
             };
             if let Some(certificate) = certificate {
-                if debug {
-                    eprintln!(
-                        "[lp] float-first: certified in round {} ({:.3}s certify)",
-                        round + 1,
-                        phases.certify_time.as_secs_f64()
-                    );
-                }
                 let mut solution = RawSolution::bare(LpStatus::Optimal);
                 solution.values = certificate.values;
                 solution.basis = certificate.basis;
                 dual = Some(certificate.dual);
                 result = Some(solution);
                 break;
-            }
-            if debug {
-                eprintln!(
-                    "[lp] float-first: round {} rejected; exact repair (cap {cap})",
-                    round + 1
-                );
             }
             // Deadline faults at the repair boundary exercise the real
             // cancellation path; a numeric fault has nothing to reject here.
@@ -531,12 +418,12 @@ fn certified_core(
                 deadline,
                 0.0,
                 Some(&candidate),
-                Some(*cap),
+                Some(cap),
             );
-            phases.repair_time += repair_start.elapsed();
-            phases.exact_iterations += repaired.iterations;
-            phases.lu_updates += repaired.phases.lu_updates;
-            phases.lu_refactorizations += repaired.phases.lu_refactorizations;
+            info.repair_time += repair_start.elapsed();
+            info.exact_iterations += repaired.info.iterations;
+            info.lu_updates += repaired.info.lu_updates;
+            info.lu_refactorizations += repaired.info.lu_refactorizations;
             match repaired.status {
                 // The capped exact run converged: its answer is exact and final.
                 LpStatus::Optimal | LpStatus::Infeasible | LpStatus::Unbounded => {
@@ -569,18 +456,10 @@ fn certified_core(
                 if !candidate.is_empty() { Some(&candidate) } else { warm };
             let repair_start = Instant::now();
             let exact = solve_standard_form_inner::<Rational>(form, deadline, 0.0, warm_exact, None);
-            phases.repair_time += repair_start.elapsed();
-            phases.exact_iterations += exact.iterations;
-            phases.lu_updates += exact.phases.lu_updates;
-            phases.lu_refactorizations += exact.phases.lu_refactorizations;
-            if debug {
-                eprintln!(
-                    "[lp] float-first: exact fallback {:?} in {:.2}s ({} pivots)",
-                    exact.status,
-                    phases.repair_time.as_secs_f64(),
-                    exact.iterations
-                );
-            }
+            info.repair_time += repair_start.elapsed();
+            info.exact_iterations += exact.info.iterations;
+            info.lu_updates += exact.info.lu_updates;
+            info.lu_refactorizations += exact.info.lu_refactorizations;
             exact
         }
     };
@@ -594,10 +473,11 @@ fn certified_core(
     // Last resort: certify the basis once more when the caller needs a dual. The
     // pass can only confirm — the exact simplex terminated on this basis — or run
     // out of time.
-    if want_dual && dual.is_none() && solution.status == LpStatus::Optimal && !solution.truncated {
+    let proven_optimum = solution.status == LpStatus::Optimal && !solution.info.truncated;
+    if want_dual && dual.is_none() && proven_optimum {
         let certify_start = Instant::now();
         let certified = certify_basis(form, &columns, &solution.basis, deadline);
-        phases.certify_time += certify_start.elapsed();
+        info.certify_time += certify_start.elapsed();
         dual = match certified {
             Certified::Accepted(certificate) => Some(certificate.dual),
             Certified::Rejected { .. } => None,
@@ -605,7 +485,7 @@ fn certified_core(
     }
     // A truncated anytime answer carries the best exact lower bound seen, so the
     // caller can bracket the unproven optimum: `dual_bound ≤ optimum ≤ objective`.
-    if solution.truncated && solution.dual_bound.is_none() {
+    if solution.info.truncated && solution.dual_bound.is_none() {
         solution.dual_bound = best_lower;
     }
     // Defensive: a solution whose basis failed dual recovery must not silently claim
@@ -646,8 +526,7 @@ fn solve_with_row_generation(
     deadline: &Deadline,
     warm: Option<&[usize]>,
     lazy: &[usize],
-    phases: &mut PhaseStats,
-    debug: bool,
+    info: &mut LpSolveInfo,
 ) -> RawSolution<Rational> {
     let n = form.costs.len();
     let mut is_lazy = vec![false; n];
@@ -663,12 +542,12 @@ fn solve_with_row_generation(
             active[col] = true;
         }
     }
-    phases.products_total = lazy.len();
+    info.products_total = lazy.len();
     let full_columns = Columns::from_form(form);
     let mut warm_full: Option<Vec<usize>> = warm.map(<[usize]>::to_vec);
 
     let (mut sub, sub_cols, basis_full) = loop {
-        phases.separation_rounds += 1;
+        info.separation_rounds += 1;
         // Deadline faults at the separation boundary exercise the real
         // cancellation path; a numeric fault has nothing to reject here.
         if fault::enter(SolvePhase::LpRowGen) == Some(FaultKind::Deadline) {
@@ -695,56 +574,32 @@ fn solve_with_row_generation(
         let warm_sub: Option<Vec<usize>> = warm_full.as_ref().map(|warm| {
             warm.iter().filter(|&&j| sub_of[j] != usize::MAX).map(|&j| sub_of[j]).collect()
         });
-        if debug {
-            eprintln!(
-                "[lp] rowgen round {}: {}/{} columns active",
-                phases.separation_rounds,
-                sub_cols.len(),
-                n
-            );
-        }
         // The f64 phase only pays off on the first round: later rounds re-solve the
         // same rows with a strictly larger column set, where the previous optimal
         // basis (primal feasible by construction) makes warm-started exact pricing
         // the fastest path to the new optimum.
-        let use_float = phases.separation_rounds == 1;
-        let (mut sub, dual) = certified_core(
-            &sub_form,
-            deadline,
-            warm_sub.as_deref(),
-            phases,
-            debug,
-            true,
-            use_float,
-        );
+        let use_float = info.separation_rounds == 1;
+        let (mut sub, dual) =
+            certified_core(&sub_form, deadline, warm_sub.as_deref(), info, true, use_float);
         let basis_full: Vec<usize> = sub.basis.iter().map(|&j| sub_cols[j]).collect();
         warm_full = Some(basis_full.clone());
 
         let excluded = || (0..n).filter(|&j| is_lazy[j] && !active[j]);
         match sub.status {
-            LpStatus::Optimal if !sub.truncated => {
+            LpStatus::Optimal if !sub.info.truncated => {
                 let Some(dual) = dual else {
                     // Deadline before the dual could be certified: the restricted
                     // optimum is still exactly feasible for the full problem, so
                     // report it with anytime semantics rather than claiming a
                     // proven optimum the separation check never confirmed.
-                    if debug {
-                        eprintln!("[lp] rowgen: no dual for restricted optimum; anytime");
-                    }
-                    sub.truncated = true;
+                    sub.info.truncated = true;
                     break (sub, sub_cols, basis_full);
                 };
                 let violated: Vec<usize> = excluded()
                     .filter(|&j| form.costs[j].sub(&full_columns.dot(&dual, j)).is_negative())
                     .collect();
                 if violated.is_empty() {
-                    if debug {
-                        eprintln!("[lp] rowgen: no excluded column prices negative; optimal");
-                    }
                     break (sub, sub_cols, basis_full);
-                }
-                if debug {
-                    eprintln!("[lp] rowgen: activating {} violated columns", violated.len());
                 }
                 for j in violated {
                     active[j] = true;
@@ -754,7 +609,7 @@ fn solve_with_row_generation(
                 let sub_columns = Columns::from_form(&sub_form);
                 let certify_start = Instant::now();
                 let farkas = phase1_farkas(&sub_form, &sub_columns, &sub.basis, deadline);
-                phases.certify_time += certify_start.elapsed();
+                info.certify_time += certify_start.elapsed();
                 match farkas {
                     Some(farkas) => {
                         // Phase-1 structural costs are 0, so an excluded column
@@ -766,19 +621,13 @@ fn solve_with_row_generation(
                         if violated.is_empty() {
                             break (sub, sub_cols, basis_full);
                         }
-                        if debug {
-                            eprintln!(
-                                "[lp] rowgen: {} columns may break the Farkas certificate",
-                                violated.len()
-                            );
-                        }
                         for j in violated {
                             active[j] = true;
                         }
                     }
                     None if deadline.expired() => {
                         sub.status = LpStatus::TimedOut;
-                        sub.truncated = true;
+                        sub.info.truncated = true;
                         break (sub, sub_cols, basis_full);
                     }
                     None => {
@@ -786,11 +635,6 @@ fn solve_with_row_generation(
                         // basis (Markowitz re-pivoting landed elsewhere). Activate
                         // everything: the next round solves the full column set,
                         // whose verdict needs no separation argument.
-                        if debug {
-                            eprintln!(
-                                "[lp] rowgen: Farkas recovery failed; falling back to eager"
-                            );
-                        }
                         if excluded().next().is_none() {
                             break (sub, sub_cols, basis_full);
                         }
@@ -806,7 +650,7 @@ fn solve_with_row_generation(
         }
     };
 
-    phases.products_generated = lazy.iter().filter(|&&j| active[j]).count();
+    info.products_generated = lazy.iter().filter(|&&j| active[j]).count();
     // A dual bound certified against the *restricted* column set only bounds the
     // restricted optimum (which is ≥ the full optimum), so it survives only when
     // every lazy column ended up active.
@@ -850,11 +694,11 @@ mod tests {
             costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
             model_columns: Vec::new(),
         };
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[], true);
         assert_eq!(solution.status, LpStatus::Optimal);
-        assert!(solution.phases.certified);
-        assert!(solution.phases.certify_rounds >= 1, "the certifier must have run");
-        assert_eq!(solution.phases.exact_iterations, 0, "no exact repair needed");
+        assert!(solution.info.certified);
+        assert!(solution.info.certify_rounds >= 1, "the certifier must have run");
+        assert_eq!(solution.info.exact_iterations, 0, "no exact repair needed");
         let total = solution.values[0].clone() + solution.values[1].clone();
         assert_eq!(total, r(4, 1));
     }
@@ -867,7 +711,7 @@ mod tests {
             costs: vec![r(0, 1)],
             model_columns: Vec::new(),
         };
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[], true);
         assert_eq!(solution.status, LpStatus::Infeasible);
     }
 

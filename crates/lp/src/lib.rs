@@ -6,24 +6,28 @@
 //! (singleton-row substitution, forcing-row and fixed/empty-column elimination,
 //! redundant-row drop) followed by a *sparse revised* two-phase simplex that keeps the
 //! constraint matrix in column-major form and maintains an eta-file basis
-//! factorization with periodic reinversion. Two numeric backends share the algorithm:
+//! factorization with periodic reinversion. The simplex is generic over its scalar,
+//! and three entry points share it:
 //!
-//! * the default [`LpProblem::solve_f64`] backend mirrors the paper's real-valued LP
-//!   and is fast enough for the full benchmark suite (the crate's original dense
-//!   tableau remains as its non-convergence rescue path);
-//! * the exact [`LpProblem::solve_exact`] backend runs over
-//!   [`Rational`](dca_numeric::Rational) arithmetic with Bland’s rule and is used by
-//!   the test-suite to cross-check small instances.
+//! * [`LpProblem::solve_certified`] is the analysis's LP path: the `f64` simplex
+//!   proposes a candidate optimal basis, an exact-rational certifier accepts it or
+//!   repairs it with a warm-started exact simplex, and every verdict is produced by
+//!   exact arithmetic. [`LpProblem::solve_certified_lazy`] adds delayed generation
+//!   of Handelman product columns, priced exactly before any verdict is accepted;
+//! * [`LpProblem::solve_exact`] runs the exact [`Rational`](dca_numeric::Rational)
+//!   simplex from scratch (the cross-checking reference);
+//! * [`LpProblem::solve_f64`] is the plain floating-point solve the invariant engine
+//!   uses as a prescreen for its small box LPs.
 //!
 //! Solves can be *warm-started* from the final basis of a previous related problem
-//! ([`LpProblem::solve_f64_warm`], [`LpBasis`]): basic columns are matched by name, so
-//! the basis survives into a structurally different LP — the escalation ladder in
-//! `dca_core` threads it through consecutive `(degree, tier)` attempts. Because name
-//! matching alone cannot tell two *programs* apart, a basis can additionally carry a
-//! provenance fingerprint ([`LpBasis::fingerprint`]): consumers replaying cached
-//! bases refuse a stamped basis from a different origin unless it is explicitly
-//! [`rebadged`](LpBasis::rebadged) (warm starts affect only the pivot path, never the
-//! verdict, so the opt-in is sound — but it must be an opt-in).
+//! ([`LpProblem::solve_certified_warm`], [`LpBasis`]): basic columns are matched by
+//! name, so the basis survives into a structurally different LP — the escalation
+//! ladder in `dca_core` threads it through consecutive `(degree, tier)` attempts.
+//! Because name matching alone cannot tell two *programs* apart, a basis can
+//! additionally carry a provenance fingerprint ([`LpBasis::fingerprint`]): consumers
+//! replaying cached bases refuse a stamped basis from a different origin unless it is
+//! explicitly [`rebadged`](LpBasis::rebadged) (warm starts affect only the pivot
+//! path, never the verdict, so the opt-in is sound — but it must be an opt-in).
 //!
 //! # Example
 //!
@@ -53,6 +57,8 @@
 
 mod certify;
 mod deadline;
+#[cfg(test)]
+mod dense;
 pub mod fault;
 mod lu;
 mod presolve;

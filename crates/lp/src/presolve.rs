@@ -93,7 +93,8 @@ struct Row<S> {
 }
 
 /// The identity presolve: keeps every row and column (used when presolve is disabled
-/// with `DCA_LP_NO_PRESOLVE=1`, e.g. by the A/B soundness tests).
+/// per problem with [`crate::LpProblem::set_presolve`], e.g. by the A/B soundness
+/// tests).
 pub(crate) fn identity<S: Scalar>(form: &StandardForm<S>) -> Presolved<S> {
     Presolved {
         form: form.clone(),
@@ -943,7 +944,8 @@ mod tests {
         assert_eq!(pre.rows_removed, 1);
         assert_eq!(pre.form.rhs[0], r(2, 1), "the x ≥ 2 row survives");
         // The reduced LP still has the right optimum: x = 2.
-        let solution = crate::simplex::solve_standard_form(&f, &crate::deadline::Deadline::unlimited(), None);
+        let deadline = crate::deadline::Deadline::unlimited();
+        let solution = crate::simplex::solve_standard_form(&f, &deadline, None, true);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert_eq!(solution.values[0], r(2, 1));
     }
@@ -1082,7 +1084,8 @@ mod tests {
         assert_eq!(pre.verdict, None);
         assert_eq!(pre.form.matrix.len(), 2, "no row may be dropped");
         // The reduced LP still solves to the true optimum x = 1, y = 0.
-        let solution = crate::simplex::solve_standard_form(&f, &crate::deadline::Deadline::unlimited(), None);
+        let deadline = crate::deadline::Deadline::unlimited();
+        let solution = crate::simplex::solve_standard_form(&f, &deadline, None, true);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert_eq!(solution.values[0], r(1, 1));
     }

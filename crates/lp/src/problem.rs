@@ -260,6 +260,8 @@ pub struct LpProblem {
     constraints: Vec<LpConstraint>,
     objective: Vec<(LpVar, Rational)>,
     deadline: Deadline,
+    /// `true` when [`LpProblem::set_presolve`] switched the presolve pass off.
+    presolve_disabled: bool,
 }
 
 impl LpProblem {
@@ -301,6 +303,14 @@ impl LpProblem {
         self.deadline = deadline;
     }
 
+    /// Enables (the default) or disables the presolve pass for subsequent solves.
+    ///
+    /// Presolve only rewrites the LP — it never changes a verdict — so switching it
+    /// off is an A/B reference for soundness tests, not a tuning knob.
+    pub fn set_presolve(&mut self, enabled: bool) {
+        self.presolve_disabled = !enabled;
+    }
+
     /// Number of model variables.
     pub fn num_vars(&self) -> usize {
         self.var_names.len()
@@ -329,20 +339,8 @@ impl LpProblem {
     /// feasible, and silently accepting it would be unsound. Such solves are downgraded
     /// to [`LpStatus::IterationLimit`] so callers can fall back to the exact backend.
     pub fn solve_f64(&self) -> LpResult<f64> {
-        self.solve_f64_warm(None)
-    }
-
-    /// Like [`LpProblem::solve_f64`], seeding the simplex with a warm-start basis from
-    /// a previous (related) solve. See [`LpBasis`] for the matching semantics.
-    pub fn solve_f64_warm(&self, warm: Option<&LpBasis>) -> LpResult<f64> {
-        let mut result = self.solve_generic::<f64>(warm);
+        let mut result = self.solve_generic::<f64>();
         if result.status == LpStatus::Optimal && !self.roughly_feasible_f64(&result.values) {
-            if std::env::var("DCA_LP_DEBUG").is_ok() {
-                eprintln!(
-                    "[lp] optimal solution failed the model-level feasibility re-check                      (truncated = {}); downgrading to IterationLimit",
-                    result.info.truncated
-                );
-            }
             result.status = LpStatus::IterationLimit;
             result.objective = None;
             result.values = Vec::new();
@@ -378,7 +376,7 @@ impl LpProblem {
 
     /// Solves with the exact rational backend (slower; used for cross-checking).
     pub fn solve_exact(&self) -> LpResult<Rational> {
-        let mut result = self.solve_generic::<Rational>(None);
+        let mut result = self.solve_generic::<Rational>();
         result.info.certified = true;
         result.info.exact_iterations = result.info.iterations;
         result
@@ -419,8 +417,8 @@ impl LpProblem {
     /// non-improving (or, for infeasibility, proven unable to break the exact
     /// Farkas certificate) before anything is reported. Names that are unknown
     /// or not `NonNegative` are ignored (a `Free` variable's split column pair
-    /// must never be separated independently). `DCA_LP_NO_ROWGEN=1` disables
-    /// the mechanism (A/B switch: full eager solve, identical verdicts).
+    /// must never be separated independently). An empty `lazy_names` is the
+    /// full eager solve, with identical verdicts.
     ///
     /// The returned basis names any activated lazy columns, so threading it into
     /// the next related solve (as the escalation ladder does) also seeds that
@@ -454,19 +452,12 @@ impl LpProblem {
                 .filter(|col| !free_split.contains(col))
                 .collect()
         };
-        if std::env::var("DCA_LP_DEBUG").is_ok() {
-            eprintln!(
-                "[lp] certified solve: {} cols, {} lazy names -> {} lazy cols",
-                col_names.len(),
-                lazy_names.len(),
-                lazy_cols.len()
-            );
-        }
         let raw = crate::certify::solve_float_first(
             &standard,
             &self.deadline,
             warm_cols.as_deref(),
             &lazy_cols,
+            !self.presolve_disabled,
         );
         self.assemble_result(raw, &col_names)
     }
@@ -542,25 +533,6 @@ impl LpProblem {
                 .collect(),
             fingerprint: None,
         };
-        let info = LpSolveInfo {
-            iterations: raw.iterations,
-            float_iterations: raw.phases.float_iterations,
-            exact_iterations: raw.phases.exact_iterations,
-            presolve_rows_removed: raw.presolve_rows_removed,
-            presolve_cols_removed: raw.presolve_cols_removed,
-            truncated: raw.truncated,
-            certified: raw.phases.certified,
-            certify_rounds: raw.phases.certify_rounds,
-            presolve_time: raw.phases.presolve_time,
-            float_time: raw.phases.float_time,
-            certify_time: raw.phases.certify_time,
-            repair_time: raw.phases.repair_time,
-            products_total: raw.phases.products_total,
-            products_generated: raw.phases.products_generated,
-            separation_rounds: raw.phases.separation_rounds,
-            lu_updates: raw.phases.lu_updates,
-            lu_refactorizations: raw.phases.lu_refactorizations,
-        };
         match raw.status {
             LpStatus::Optimal => {
                 let values = self.recover_values::<S>(&raw.values);
@@ -576,7 +548,7 @@ impl LpProblem {
                     values,
                     basis,
                     dual_bound: raw.dual_bound,
-                    info,
+                    info: raw.info,
                 }
             }
             status => LpResult {
@@ -585,17 +557,16 @@ impl LpProblem {
                 values: Vec::new(),
                 basis,
                 dual_bound: raw.dual_bound,
-                info,
+                info: raw.info,
             },
         }
     }
 
-    fn solve_generic<S: Scalar>(&self, warm: Option<&LpBasis>) -> LpResult<S> {
+    fn solve_generic<S: Scalar>(&self) -> LpResult<S> {
         let standard = self.to_standard_form::<S>();
-        let col_names = self.standard_col_names();
-        let warm_cols = self.warm_to_cols(warm, &col_names);
-        let raw = solve_standard_form(&standard, &self.deadline, warm_cols.as_deref());
-        self.assemble_result(raw, &col_names)
+        let raw =
+            solve_standard_form(&standard, &self.deadline, None, !self.presolve_disabled);
+        self.assemble_result(raw, &self.standard_col_names())
     }
 
     /// Standard form: minimize c'y subject to Ay = b, y >= 0, b >= 0.

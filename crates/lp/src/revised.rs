@@ -29,8 +29,6 @@
 //! `(degree, tier)` rungs, whose constraint systems share most of their structure —
 //! phase 1 collapses to a handful of pivots.
 
-use std::time::Instant;
-
 use crate::deadline::Deadline;
 use crate::problem::LpStatus;
 use crate::scalar::{abs, Scalar};
@@ -397,7 +395,6 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
 
     let mut state = State::new(&columns, form, warm);
     let max_iters = iter_cap.unwrap_or(200 * (m + n) + 2000);
-    let debug = std::env::var("DCA_LP_DEBUG").is_ok();
 
     // Phase 1: minimize the sum of the artificial values.
     let needs_phase1 = state
@@ -407,19 +404,7 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
         .zip(&state.x_basic)
         .any(|(&col, value)| col >= n && value.is_positive());
     if needs_phase1 {
-        let phase1_start = Instant::now();
-        let status = state.optimize(Phase::One, max_iters, deadline);
-        if debug {
-            eprintln!(
-                "[lp] revised phase1: {:?} in {:.2}s ({} rows, {} cols, {} iters)",
-                status,
-                phase1_start.elapsed().as_secs_f64(),
-                m,
-                n,
-                state.iterations
-            );
-        }
-        match status {
+        match state.optimize(Phase::One, max_iters, deadline) {
             LpStatus::Optimal => {}
             // Phase 1's objective is bounded below by zero, so an `Unbounded` verdict
             // can only be numerical noise; report non-convergence instead of letting a
@@ -445,15 +430,11 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
             infeasibility > phase1_noise_floor
         };
         if infeasible {
-            if debug {
-                eprintln!("[lp] revised phase1 positive: {infeasibility:e} (floor {phase1_noise_floor:e})");
-            }
             return state.outcome(LpStatus::Infeasible, n);
         }
     }
 
     // Phase 2: original costs; artificials stay out of the entering pool.
-    let phase2_start = Instant::now();
     let mut status = state.optimize(Phase::Two, max_iters, deadline);
     // Anytime semantics: a deadline hit during phase 2 leaves a primal-feasible
     // vertex in hand — phase 2 never leaves the feasible region — whose objective is
@@ -492,25 +473,6 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
         if residual > phase1_noise_floor.max(1e-7) {
             status = LpStatus::IterationLimit;
         }
-    }
-    if debug {
-        eprintln!(
-            "[lp] revised phase2: {:?}{} in {:.2}s ({} iters total, {} eta updates, \
-             {} refactorizations, {} sweeps, {} queue-served, {} degenerate; \
-             btran {:.2}s, reinvert {:.2}s, sweep {:.2}s)",
-            status,
-            if truncated { " (anytime-truncated)" } else { "" },
-            phase2_start.elapsed().as_secs_f64(),
-            state.iterations,
-            state.lu_updates,
-            state.lu_refactorizations,
-            state.pricing_sweeps,
-            state.queue_served,
-            state.degenerate_pivots,
-            state.btran_time.as_secs_f64(),
-            state.reinvert_time.as_secs_f64(),
-            state.sweep_time.as_secs_f64()
-        );
     }
     let mut outcome = state.outcome(status, n);
     outcome.truncated = truncated;
@@ -556,20 +518,6 @@ struct State<'a, S> {
     lu_updates: usize,
     /// Mid-run full refactorizations (see [`RevisedOutcome::lu_refactorizations`]).
     lu_refactorizations: usize,
-    /// Full pricing sweeps over all columns (exact backend; each is `O(n · nnz)` in
-    /// rational arithmetic — the dominant per-pivot cost when the candidate queue
-    /// starves on degenerate streaks).
-    pricing_sweeps: usize,
-    /// Pivots whose entering column came straight from the candidate queue.
-    queue_served: usize,
-    /// Zero-step (degenerate) pivots.
-    degenerate_pivots: usize,
-    /// Exact backend: time in the per-pivot pricing BTRAN (`y = c_B B⁻¹`).
-    btran_time: std::time::Duration,
-    /// Exact backend: time in mid-run Markowitz refactorizations.
-    reinvert_time: std::time::Duration,
-    /// Exact backend: time in pricing sweeps (prescreen + exact verification).
-    sweep_time: std::time::Duration,
     /// `true` when the last reinversion had to replace a (near-)dependent basis
     /// column with an artificial — the factorization then describes a *different*
     /// basis than the pivot sequence built, so verdicts are suspect.
@@ -617,12 +565,6 @@ impl<'a, S: Scalar> State<'a, S> {
             base_fill,
             lu_updates: 0,
             lu_refactorizations: 0,
-            pricing_sweeps: 0,
-            queue_served: 0,
-            degenerate_pivots: 0,
-            btran_time: std::time::Duration::ZERO,
-            reinvert_time: std::time::Duration::ZERO,
-            sweep_time: std::time::Duration::ZERO,
             degraded: false,
         }
     }
@@ -661,9 +603,6 @@ impl<'a, S: Scalar> State<'a, S> {
         let (mut factor, mut fallback, growth) =
             build_factorization(self.columns, &preferred, PIVOT_EPS);
         if !S::IS_EXACT && growth > GROWTH_LIMIT {
-            if std::env::var("DCA_LP_DEBUG").is_ok() {
-                eprintln!("[lp] reinvert growth {growth:e}; retrying with strict pivots");
-            }
             let strict = Factorization::reinvert(self.columns, &preferred, 1e-4);
             factor = strict.0;
             fallback = strict.1;
@@ -673,9 +612,6 @@ impl<'a, S: Scalar> State<'a, S> {
         self.in_basis = vec![false; n + self.columns.rows];
         for &col in &self.factor.basis {
             self.in_basis[col] = true;
-        }
-        if !fallback.is_empty() && std::env::var("DCA_LP_DEBUG").is_ok() {
-            eprintln!("[lp] reinvert degraded: {} rows fell back to artificials", fallback.len());
         }
         self.degraded = !fallback.is_empty();
         self.x_basic = self.form.rhs.clone();
@@ -798,9 +734,7 @@ impl<'a, S: Scalar> State<'a, S> {
                 self.etas_since_reinvert >= REINVERT_EVERY
             };
             if wants_reinvert {
-                let reinvert_start = Instant::now();
                 self.reinvert();
-                self.reinvert_time += reinvert_start.elapsed();
                 banned.iter_mut().for_each(|b| *b = false);
                 ban_active = false;
                 // The dual `y = c_B B⁻¹` depends only on the basis, which a rebuild
@@ -812,12 +746,10 @@ impl<'a, S: Scalar> State<'a, S> {
             // Pricing dual: y = c_B B⁻¹, r_j = c_j − y · A_j. Recomputed from a
             // dense BTRAN when stale (f64: every iteration; exact: see `y_valid`).
             if !S::IS_EXACT || !y_valid {
-                let btran_start = Instant::now();
                 for (pos, value) in y.iter_mut().enumerate() {
                     *value = self.cost(&phase, self.factor.basis[pos]);
                 }
                 self.factor.btran(&mut y);
-                self.btran_time += btran_start.elapsed();
                 y_valid = true;
                 if S::IS_EXACT {
                     // Every row is considered touched: the rebuild may have degraded
@@ -860,16 +792,11 @@ impl<'a, S: Scalar> State<'a, S> {
                     if negative {
                         entering = Some((j, reduced.to_f64()));
                         entering_reduced = Some(reduced);
-                        self.queue_served += 1;
                         break;
                     }
                 }
             }
             if entering.is_none() {
-                let sweep_start = Instant::now();
-                if S::IS_EXACT {
-                    self.pricing_sweeps += 1;
-                }
                 let mut queued = 0usize;
                 for j in 0..n {
                     if self.in_basis[j] || banned[j] {
@@ -949,7 +876,6 @@ impl<'a, S: Scalar> State<'a, S> {
                         Some(_) => {}
                     }
                 }
-                self.sweep_time += sweep_start.elapsed();
             }
             let Some((entering, _)) = entering else {
                 // Apparent optimality. For the floating-point backend, confirm on a
@@ -986,22 +912,12 @@ impl<'a, S: Scalar> State<'a, S> {
                     // residual at the 1e-6 scale (equilibrated data) is numerical
                     // dust, not infeasibility — clamp it and accept. Anything larger
                     // means the basis cannot be trusted: report non-convergence so
-                    // the caller can fall back (perturbed retry, dense path, exact
-                    // backend). The model-level `solve_f64` re-checks the recovered
-                    // solution against the *original* constraints either way, so an
-                    // over-eager clamp cannot smuggle in an unsound optimum.
+                    // the caller can fall back (perturbed retry, exact backend). The
+                    // model-level `solve_f64` re-checks the recovered solution against
+                    // the *original* constraints either way, so an over-eager clamp
+                    // cannot smuggle in an unsound optimum.
                     const FEAS_EPS: f64 = 1e-6;
                     if self.x_basic.iter().any(|v| v.to_f64() < -FEAS_EPS) {
-                        if std::env::var("DCA_LP_DEBUG").is_ok() {
-                            let min = self
-                                .x_basic
-                                .iter()
-                                .map(Scalar::to_f64)
-                                .fold(f64::INFINITY, f64::min);
-                            eprintln!(
-                                "[lp] revised: basis infeasible at optimum (min x = {min:e}), giving up"
-                            );
-                        }
                         return LpStatus::IterationLimit;
                     }
                     for value in &mut self.x_basic {
@@ -1010,53 +926,16 @@ impl<'a, S: Scalar> State<'a, S> {
                         }
                     }
                 }
-                if std::env::var("DCA_LP_CHECK").is_ok() {
-                    // Independent consistency audit of the claimed optimum: check
-                    // B·x_B = b directly against the column data (no eta file).
-                    let mut residual = vec![S::zero(); m];
-                    for (pos, &col) in self.factor.basis.iter().enumerate() {
-                        if self.x_basic[pos].is_exactly_zero() {
-                            continue;
-                        }
-                        if col < n {
-                            for (row, value) in &self.columns.cols[col] {
-                                residual[*row] =
-                                    residual[*row].add(&value.mul(&self.x_basic[pos]));
-                            }
-                        } else {
-                            residual[col - n] =
-                                residual[col - n].add(&self.x_basic[pos]);
-                        }
+                // The verdict was priced against the *incrementally maintained*
+                // dual: it must agree exactly with a fresh dense BTRAN of `c_B`.
+                debug_assert!(!S::IS_EXACT || {
+                    let mut fresh = vec![S::zero(); m];
+                    for (pos, value) in fresh.iter_mut().enumerate() {
+                        *value = self.cost(&phase, self.factor.basis[pos]);
                     }
-                    let max_residual = residual
-                        .iter()
-                        .zip(&self.form.rhs)
-                        .map(|(lhs, rhs)| (lhs.to_f64() - rhs.to_f64()).abs())
-                        .fold(0.0f64, f64::max);
-                    let min_reduced = (0..n)
-                        .filter(|&j| !self.in_basis[j])
-                        .map(|j| self.cost(&phase, j).sub(&self.columns.dot(&y, j)).to_f64())
-                        .fold(f64::INFINITY, f64::min);
-                    // Exact backend: the verdict was priced against the
-                    // *incrementally maintained* dual — audit it against a fresh
-                    // dense BTRAN of c_B (the two must agree exactly).
-                    let mut dual_drift = 0usize;
-                    if S::IS_EXACT {
-                        let mut fresh = vec![S::zero(); m];
-                        for (pos, value) in fresh.iter_mut().enumerate() {
-                            *value = self.cost(&phase, self.factor.basis[pos]);
-                        }
-                        self.factor.btran(&mut fresh);
-                        dual_drift = fresh
-                            .iter()
-                            .zip(&y)
-                            .filter(|(a, b)| !a.sub(b).is_exactly_zero())
-                            .count();
-                    }
-                    eprintln!(
-                        "[lp] optimality audit: max |Bx-b| = {max_residual:e}, min reduced cost = {min_reduced:e}, dual drift rows = {dual_drift}"
-                    );
-                }
+                    self.factor.btran(&mut fresh);
+                    fresh.iter().zip(&y).all(|(a, b)| a.sub(b).is_exactly_zero())
+                });
                 return LpStatus::Optimal;
             };
             // FTRAN the entering column and run the ratio test.
@@ -1210,25 +1089,6 @@ impl<'a, S: Scalar> State<'a, S> {
                         continue;
                     }
                 }
-                if std::env::var("DCA_LP_CHECK").is_ok() {
-                    // Cross-check pricing against the transformed column: the reduced
-                    // cost must equal c_q − c_B·d up to round-off.
-                    let priced = self.cost(&phase, entering).sub(&self.columns.dot(&y, entering));
-                    let direct: f64 = self.cost(&phase, entering).to_f64()
-                        - self
-                            .factor
-                            .basis
-                            .iter()
-                            .zip(&d)
-                            .map(|(&col, di)| self.cost(&phase, col).to_f64() * di.to_f64())
-                            .sum::<f64>();
-                    let dmax = d.iter().map(Scalar::to_f64).fold(f64::NEG_INFINITY, f64::max);
-                    eprintln!(
-                        "[lp] unbounded claim: col {entering}, r(BTRAN) = {:e}, r(FTRAN) = {direct:e}, max d = {dmax:e}, etas = {}",
-                        priced.to_f64(),
-                        self.factor.etas.len()
-                    );
-                }
                 return LpStatus::Unbounded;
             };
             // Devex weight update (Forrest–Goldfarb reference framework, simplified):
@@ -1264,7 +1124,6 @@ impl<'a, S: Scalar> State<'a, S> {
             let theta = self.x_basic[leaving].div(&d[leaving]);
             if theta.to_f64().abs() <= 1e-12 {
                 consecutive_degenerate += 1;
-                self.degenerate_pivots += 1;
             } else {
                 consecutive_degenerate = 0;
             }
@@ -1286,9 +1145,9 @@ impl<'a, S: Scalar> State<'a, S> {
             // ρ_r·A_{B(i)} = (e_r)_i = 0, so y'·A_{B(i)} = c_{B(i)} unchanged; for
             // the entering column, ρ_r·A_q = d_r = α_r, so y'·A_q = (c_q − d̄_q) +
             // d̄_q = c_q. Exact arithmetic means no drift — the verdict sweep can
-            // trust the maintained dual outright (and `DCA_LP_CHECK` audits it).
+            // trust the maintained dual outright (debug builds audit it at every
+            // exact optimum).
             if S::IS_EXACT {
-                let btran_start = Instant::now();
                 let mut rho = vec![S::zero(); m];
                 rho[leaving] = S::one();
                 self.factor.btran(&mut rho);
@@ -1310,7 +1169,6 @@ impl<'a, S: Scalar> State<'a, S> {
                         y64[row] = value.to_f64();
                     }
                 }
-                self.btran_time += btran_start.elapsed();
             }
             self.in_basis[self.factor.basis[leaving]] = false;
             self.in_basis[entering] = true;

@@ -1,19 +1,10 @@
 //! A/B soundness check for the LP presolve layer: for a fixed subset of Table-1
 //! synthesis LPs, solving with presolve enabled (the default) and disabled
-//! (`DCA_LP_NO_PRESOLVE=1`) must agree on the feasibility verdict and on the optimal
-//! threshold within the scalar tolerance.
-//!
-//! This lives in its own integration-test binary because the switch is a process-wide
-//! environment variable; sharing a binary with other tests would race — and the two
-//! tests *in* this binary serialize on [`ENV_LOCK`] for the same reason.
-
-use std::sync::Mutex;
+//! ([`AnalysisOptions::without_presolve`]) must agree on the feasibility verdict and
+//! on the optimal threshold within the scalar tolerance.
 
 use diffcost::benchmarks::all_benchmarks;
-
-/// Guards every section that toggles `DCA_LP_NO_PRESOLVE` (cargo runs the tests of
-/// one binary on parallel threads by default).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+use diffcost::prelude::*;
 
 /// Small, fast rows covering the three outcomes presolve must preserve: a non-zero
 /// tight threshold, a zero threshold on an equivalent pair, and a pair whose first
@@ -22,13 +13,12 @@ const SUBSET: [&str; 3] = ["SimpleSingle", "sum", "ddec modified"];
 
 #[test]
 fn presolved_and_unpresolved_solves_agree() {
-    let _guard = ENV_LOCK.lock().unwrap();
     for name in SUBSET {
         let benchmark = all_benchmarks().into_iter().find(|b| b.name == name).unwrap();
-        let with_presolve = benchmark.solve();
-        std::env::set_var("DCA_LP_NO_PRESOLVE", "1");
-        let without_presolve = benchmark.solve();
-        std::env::remove_var("DCA_LP_NO_PRESOLVE");
+        let (new, old) = (benchmark.new_program(), benchmark.old_program());
+        let solve = |options: AnalysisOptions| DiffCostSolver::new(options).solve(&new, &old);
+        let with_presolve = solve(benchmark.options());
+        let without_presolve = solve(benchmark.options().without_presolve());
         match (&with_presolve, &without_presolve) {
             (Ok(a), Ok(b)) => {
                 assert!(
@@ -58,8 +48,6 @@ fn presolved_and_unpresolved_solves_agree() {
 /// tier) must stay infeasible with and without presolve.
 #[test]
 fn presolve_preserves_infeasibility_verdicts() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    use diffcost::prelude::*;
     let old = AnalyzedProgram::from_source(
         "proc f(a, b) { assume(a >= 1 && b >= 1); i = 0; while (i < a) { j = 0; \
          while (j < b) { tick(1); j = j + 1; } i = i + 1; } }",
@@ -70,11 +58,9 @@ fn presolve_preserves_infeasibility_verdicts() {
          while (j < a) { tick(1); j = j + 1; } i = i + 1; } }",
     )
     .unwrap();
-    let solver = DiffCostSolver::new(AnalysisOptions::with_degree(1));
-    let with_presolve = solver.solve(&new, &old);
-    std::env::set_var("DCA_LP_NO_PRESOLVE", "1");
-    let without_presolve = solver.solve(&new, &old);
-    std::env::remove_var("DCA_LP_NO_PRESOLVE");
+    let options = AnalysisOptions::with_degree(1);
+    let with_presolve = DiffCostSolver::new(options).solve(&new, &old);
+    let without_presolve = DiffCostSolver::new(options.without_presolve()).solve(&new, &old);
     assert!(matches!(with_presolve, Err(AnalysisError::NoThresholdFound)), "{with_presolve:?}");
     assert!(
         matches!(without_presolve, Err(AnalysisError::NoThresholdFound)),

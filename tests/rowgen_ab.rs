@@ -1,24 +1,14 @@
 //! A/B equivalence check for lazy Handelman row generation: solving with the
-//! separation loop enabled (the default) and disabled (`DCA_LP_NO_ROWGEN=1`, which
-//! activates every product multiplier eagerly) must produce *bit-identical*
-//! thresholds and identical certification status. Row generation is a pure
-//! performance device — the final certificate is priced against the full product
-//! set, so any divergence is a separation bug, not a tolerance issue.
-//!
-//! This lives in its own integration-test binary because the switch is a
-//! process-wide environment variable; sharing a binary with other tests would race —
-//! and the tests *in* this binary serialize on [`ENV_LOCK`] for the same reason
-//! (same pattern as `tests/presolve_ab.rs`).
-
-use std::sync::Mutex;
+//! separation loop enabled (the default) and disabled
+//! ([`AnalysisOptions::without_row_generation`], which activates every product
+//! multiplier eagerly) must produce *bit-identical* thresholds and identical
+//! certification status. Row generation is a pure performance device — the final
+//! certificate is priced against the full product set, so any divergence is a
+//! separation bug, not a tolerance issue.
 
 use diffcost::benchmarks::table2::{table2_manifest, table2_options};
 use diffcost::benchmarks::{all_benchmarks, running_example, Benchmark};
 use diffcost::prelude::*;
-
-/// Guards every section that toggles `DCA_LP_NO_ROWGEN` (cargo runs the tests of
-/// one binary on parallel threads by default).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// The observable outcome the A/B must preserve: the threshold's exact bits, its
 /// integer rounding, and whether the LP answer carried an exact certificate.
@@ -40,16 +30,17 @@ fn outcome(result: &Result<DiffCostResult, AnalysisError>) -> Outcome {
     }
 }
 
-/// Runs one closure with row generation on, then off, and demands identical
-/// outcomes. The caller holds [`ENV_LOCK`].
-fn assert_rowgen_invariant<F>(name: &str, solve: F)
-where
-    F: Fn() -> Result<DiffCostResult, AnalysisError>,
-{
-    let with_rowgen = outcome(&solve());
-    std::env::set_var("DCA_LP_NO_ROWGEN", "1");
-    let eager = outcome(&solve());
-    std::env::remove_var("DCA_LP_NO_ROWGEN");
+/// Solves one pair with row generation on, then off, and demands identical
+/// outcomes.
+fn assert_rowgen_invariant(
+    name: &str,
+    options: AnalysisOptions,
+    new: &AnalyzedProgram,
+    old: &AnalyzedProgram,
+) {
+    let solve = |options: AnalysisOptions| outcome(&DiffCostSolver::new(options).solve(new, old));
+    let with_rowgen = solve(options);
+    let eager = solve(options.without_row_generation());
     assert_eq!(
         with_rowgen, eager,
         "{name}: row generation changed the verdict (lazy {with_rowgen:?} vs eager {eager:?})"
@@ -63,26 +54,27 @@ fn check_benchmark(benchmark: &Benchmark) {
     // (threshold + certified flag), exactly as `BENCH_table1.json` records it.
     let options =
         benchmark.options().with_time_budget(std::time::Duration::from_secs(240));
-    assert_rowgen_invariant(benchmark.name, || {
-        DiffCostSolver::new(options)
-            .solve(&benchmark.new_program(), &benchmark.old_program())
-    });
+    assert_rowgen_invariant(
+        benchmark.name,
+        options,
+        &benchmark.new_program(),
+        &benchmark.old_program(),
+    );
 }
 
 fn check_table2_pair(pair: &diffcost::ir::GeneratedPair) {
     let new = AnalyzedProgram::from_source(&pair.source_new).expect("generated source");
     let old = AnalyzedProgram::from_source(&pair.source_old).expect("generated source");
-    assert_rowgen_invariant(&pair.name, || {
-        DiffCostSolver::new(table2_options(pair)).solve(&new, &old)
-    });
+    assert_rowgen_invariant(&pair.name, table2_options(pair), &new, &old);
 }
 
-/// Fast smoke slice: a few Table-1 rows spanning zero / non-zero / infeasible-rung
-/// verdicts plus a strided handful of generated pairs. Runs on every `cargo test`.
+/// Fast smoke slice: every row of the smoke bench's Table-1 subset (zero /
+/// non-zero / infeasible-rung verdicts) plus a strided handful of generated pairs.
+/// Runs on every `cargo test`.
 #[test]
 fn rowgen_and_eager_agree_on_fast_pairs() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    const SUBSET: [&str; 4] = ["SimpleSingle", "SimpleSingle2", "sum", "ddec modified"];
+    const SUBSET: [&str; 6] =
+        ["SimpleSingle", "SimpleSingle2", "Dis2", "sum", "ddec", "ddec modified"];
     for name in SUBSET {
         let benchmark = all_benchmarks().into_iter().find(|b| b.name == name).unwrap();
         check_benchmark(&benchmark);
@@ -98,7 +90,6 @@ fn rowgen_and_eager_agree_on_fast_pairs() {
 #[test]
 #[ignore = "slow: eager nested solve takes minutes; run with -- --ignored"]
 fn rowgen_and_eager_agree_on_all_table1_pairs() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let mut benchmarks = all_benchmarks();
     benchmarks.push(running_example());
     assert_eq!(benchmarks.len(), 20, "Table 1 is 19 rows plus the running example");
@@ -112,7 +103,6 @@ fn rowgen_and_eager_agree_on_all_table1_pairs() {
 #[test]
 #[ignore = "slow: 50 pairs x 2 solves; run with -- --ignored"]
 fn rowgen_and_eager_agree_on_table2_sample() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let manifest = table2_manifest();
     assert!(manifest.len() >= 50);
     for pair in manifest.iter().step_by(manifest.len() / 50).take(50) {

@@ -1,24 +1,15 @@
 //! A/B check for loop-phase splitting: on pairs with *no detectable phase
 //! structure*, solving with splitting enabled (the default) and disabled
-//! (`DCA_NO_SPLIT=1`) must produce bit-identical outcomes — the solver promises
-//! the split machinery is a strict no-op unless the detector fires. On pairs
-//! where it does fire, the split answer may only ever *improve* (the solver
-//! keeps the better of the two), and `DCA_NO_SPLIT=1` must verifiably disable
-//! the pass (`SolveStats::phases_split == 0`).
-//!
-//! Own integration-test binary because the switch is a process-wide environment
-//! variable; the tests serialize on [`ENV_LOCK`] (same pattern as
-//! `tests/rowgen_ab.rs` / `tests/presolve_ab.rs`).
-
-use std::sync::Mutex;
+//! ([`AnalysisOptions::without_phase_split`]) must produce bit-identical outcomes —
+//! the solver promises the split machinery is a strict no-op unless the detector
+//! fires. On pairs where it does fire, the split answer may only ever *improve* (the
+//! solver keeps the better of the two), and disabling the pass must verifiably keep
+//! it off (`SolveStats::phases_split == 0`).
 
 use diffcost::benchmarks::table2::{table2_manifest, table2_options};
 use diffcost::benchmarks::{all_benchmarks, running_example, Benchmark};
 use diffcost::ir::detect_phase_splits;
 use diffcost::prelude::*;
-
-/// Guards every section that toggles `DCA_NO_SPLIT`.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// The observable outcome: exact threshold bits, integer rounding, certification.
 #[derive(Debug, PartialEq)]
@@ -38,22 +29,21 @@ fn outcome(result: &Result<DiffCostResult, AnalysisError>) -> Outcome {
     }
 }
 
-/// Solves one pair with splitting on and off and checks the contract. The
-/// caller holds [`ENV_LOCK`]. Returns `true` when the split path fired.
-fn assert_split_invariant<F>(name: &str, splittable: bool, solve: F) -> bool
-where
-    F: Fn() -> Result<DiffCostResult, AnalysisError>,
-{
-    let with_split = solve();
-    std::env::set_var("DCA_NO_SPLIT", "1");
-    let without_split = solve();
-    std::env::remove_var("DCA_NO_SPLIT");
+/// Solves one pair with splitting on and off and checks the contract. Returns
+/// `true` when the split path fired.
+fn assert_split_invariant(
+    name: &str,
+    options: AnalysisOptions,
+    new: &AnalyzedProgram,
+    old: &AnalyzedProgram,
+) -> bool {
+    let with_split = DiffCostSolver::new(options).solve(new, old);
+    let without_split = DiffCostSolver::new(options.without_phase_split()).solve(new, old);
     if let Ok(r) = &without_split {
-        assert_eq!(
-            r.stats.phases_split, 0,
-            "{name}: DCA_NO_SPLIT=1 must disable the pass"
-        );
+        assert_eq!(r.stats.phases_split, 0, "{name}: without_phase_split must disable the pass");
     }
+    let splittable =
+        !detect_phase_splits(&new.ts).is_empty() || !detect_phase_splits(&old.ts).is_empty();
     if !splittable {
         assert_eq!(
             outcome(&with_split),
@@ -75,37 +65,38 @@ where
     with_split.map(|r| r.stats.phases_split > 0).unwrap_or(false)
 }
 
-/// Whether the detector fires on either side of a pair — the solver applies the
-/// pass to both programs, so either suffices to take the split path.
-fn splittable(new: &AnalyzedProgram, old: &AnalyzedProgram) -> bool {
-    !detect_phase_splits(&new.ts).is_empty() || !detect_phase_splits(&old.ts).is_empty()
-}
-
 fn check_benchmark(benchmark: &Benchmark) -> bool {
-    let new = benchmark.new_program();
-    let old = benchmark.old_program();
     let options =
         benchmark.options().with_time_budget(std::time::Duration::from_secs(240));
-    assert_split_invariant(benchmark.name, splittable(&new, &old), || {
-        DiffCostSolver::new(options).solve(&new, &old)
-    })
+    assert_split_invariant(
+        benchmark.name,
+        options,
+        &benchmark.new_program(),
+        &benchmark.old_program(),
+    )
 }
 
 fn check_table2_pair(pair: &diffcost::ir::GeneratedPair) -> bool {
     let new = AnalyzedProgram::from_source(&pair.source_new).expect("generated source");
     let old = AnalyzedProgram::from_source(&pair.source_old).expect("generated source");
-    assert_split_invariant(&pair.name, splittable(&new, &old), || {
-        DiffCostSolver::new(table2_options(pair)).solve(&new, &old)
-    })
+    assert_split_invariant(&pair.name, table2_options(pair), &new, &old)
 }
 
-/// Fast slice: unsplittable Table-1 rows (bit-identity), `NestedSingle` (the row
-/// the pass exists for), and a strided mix of generated pairs including the
-/// phase-flip cells at the manifest tail.
+/// Fast slice: every row of the smoke bench's Table-1 subset (bit-identity where
+/// no split fires; `ddec` splits), `NestedSingle` (the row the pass exists for),
+/// and a strided mix of generated pairs including the phase-flip cells at the
+/// manifest tail.
 #[test]
 fn split_toggle_respects_the_ab_contract_on_fast_pairs() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    const SUBSET: [&str; 4] = ["SimpleSingle", "SimpleSingle2", "sum", "NestedSingle"];
+    const SUBSET: [&str; 7] = [
+        "SimpleSingle",
+        "SimpleSingle2",
+        "Dis2",
+        "sum",
+        "ddec",
+        "ddec modified",
+        "NestedSingle",
+    ];
     let mut fired = 0usize;
     for name in SUBSET {
         let benchmark = all_benchmarks().into_iter().find(|b| b.name == name).unwrap();
@@ -131,7 +122,6 @@ fn split_toggle_respects_the_ab_contract_on_fast_pairs() {
 #[test]
 #[ignore = "slow: solves every Table-1 row twice; run with -- --ignored"]
 fn split_toggle_respects_the_ab_contract_on_all_table1_pairs() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let mut benchmarks = all_benchmarks();
     benchmarks.push(running_example());
     assert_eq!(benchmarks.len(), 20, "Table 1 is 19 rows plus the running example");
@@ -143,7 +133,6 @@ fn split_toggle_respects_the_ab_contract_on_all_table1_pairs() {
 #[test]
 #[ignore = "slow: 40 pairs x 2 solves; run with -- --ignored"]
 fn split_toggle_respects_the_ab_contract_on_table2_sample() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let manifest = table2_manifest();
     let mut fired = 0usize;
     for pair in manifest.iter().step_by(manifest.len() / 40).take(40) {
