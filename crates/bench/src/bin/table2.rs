@@ -15,9 +15,9 @@
 //! harness). The full corpus (≥200 pairs) is the default and is what the committed
 //! `BENCH_table2.json` records. Every solved pair is (a) interpreter-sampled to check
 //! the reported bound is never violated on concrete runs, and (b) unless
-//! `--no-differential`, re-solved under the exact backend and with LP presolve
-//! disabled, asserting verdict agreement (`--timeout` also bounds those re-solves, so
-//! a timeout there surfaces as a loud disagreement rather than a silent pass).
+//! `--no-differential`, re-solved under the exact backend, asserting verdict
+//! agreement (`--timeout` also bounds that re-solve, so a timeout there surfaces as a
+//! loud disagreement rather than a silent pass).
 //!
 //! Exit code 0 requires: every pair solved, 100% sampled-sound, 100% differential
 //! agreement (when run), ≥90% of pairs proven tight *and* lp-certified, and no

@@ -47,11 +47,9 @@ pub struct TableRow {
     pub lp_truncated: bool,
     /// `true` when the LP answer carries an exact-rational certificate.
     pub lp_certified: bool,
-    /// Seconds the LP spent in presolve / f64 pivoting / exact certification / exact
-    /// repair (the float-first driver's phase split; all 0.0 on failure).
-    pub phase_seconds: (f64, f64, f64, f64),
-    /// Rows and columns the LP presolve removed (0 on failure).
-    pub presolve_removed: (usize, usize),
+    /// Seconds the LP spent in f64 pivoting / exact certification / exact repair
+    /// (the float-first driver's phase split; all 0.0 on failure).
+    pub phase_seconds: (f64, f64, f64),
     /// Handelman product multipliers eligible for lazy generation (0 when the
     /// encoding has no degree-≥-2 products or row generation is disabled).
     pub products_total: usize,
@@ -113,17 +111,12 @@ impl TableRow {
                 .stats()
                 .map(|s| {
                     (
-                        s.lp_presolve_time.as_secs_f64(),
                         s.lp_float_time.as_secs_f64(),
                         s.lp_certify_time.as_secs_f64(),
                         s.lp_repair_time.as_secs_f64(),
                     )
                 })
-                .unwrap_or((0.0, 0.0, 0.0, 0.0)),
-            presolve_removed: outcome
-                .stats()
-                .map(|s| (s.presolve_rows_removed, s.presolve_cols_removed))
-                .unwrap_or((0, 0)),
+                .unwrap_or((0.0, 0.0, 0.0)),
             products_total: outcome.stats().map(|s| s.lp_products_total).unwrap_or(0),
             products_generated: outcome
                 .stats()
@@ -185,14 +178,9 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
             lp_truncated: result.stats.lp_truncated,
             lp_certified: result.stats.lp_certified,
             phase_seconds: (
-                result.stats.lp_presolve_time.as_secs_f64(),
                 result.stats.lp_float_time.as_secs_f64(),
                 result.stats.lp_certify_time.as_secs_f64(),
                 result.stats.lp_repair_time.as_secs_f64(),
-            ),
-            presolve_removed: (
-                result.stats.presolve_rows_removed,
-                result.stats.presolve_cols_removed,
             ),
             products_total: result.stats.lp_products_total,
             products_generated: result.stats.lp_products_generated,
@@ -223,8 +211,7 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
             lp_exact_iterations: 0,
             lp_truncated: false,
             lp_certified: false,
-            phase_seconds: (0.0, 0.0, 0.0, 0.0),
-            presolve_removed: (0, 0),
+            phase_seconds: (0.0, 0.0, 0.0),
             products_total: 0,
             products_generated: 0,
             separation_rounds: 0,
@@ -358,9 +345,7 @@ pub fn format_json(run: &SuiteRun) -> String {
                     "\"lp_variables\": {}, \"lp_constraints\": {}, ",
                     "\"lp_iterations\": {}, \"lp_float_pivots\": {}, \"lp_exact_pivots\": {}, ",
                     "\"lp_truncated\": {}, \"lp_certified\": {}, ",
-                    "\"presolve_s\": {:.3}, \"float_s\": {:.3}, ",
-                    "\"certify_s\": {:.3}, \"repair_s\": {:.3}, ",
-                    "\"presolve_rows_removed\": {}, \"presolve_cols_removed\": {}, ",
+                    "\"float_s\": {:.3}, \"certify_s\": {:.3}, \"repair_s\": {:.3}, ",
                     "\"products_total\": {}, \"products_generated\": {}, ",
                     "\"separation_rounds\": {}, \"lu_updates\": {}, ",
                     "\"lu_refactorizations\": {}, ",
@@ -388,9 +373,6 @@ pub fn format_json(run: &SuiteRun) -> String {
                 row.phase_seconds.0,
                 row.phase_seconds.1,
                 row.phase_seconds.2,
-                row.phase_seconds.3,
-                row.presolve_removed.0,
-                row.presolve_removed.1,
                 row.products_total,
                 row.products_generated,
                 row.separation_rounds,
@@ -576,8 +558,8 @@ pub struct Table2Row {
     /// Interpreter-sampled soundness: `Some(true)` = no sampled run violated the
     /// reported bound; `None` = not checked (failed solves have no bound to check).
     pub sound: Option<bool>,
-    /// Cross-backend/presolve agreement: `Some(true)` = certified, exact and
-    /// no-presolve solves all produced the same verdict; `None` = not run.
+    /// Cross-backend agreement: `Some(true)` = certified and exact solves produced
+    /// the same verdict; `None` = not run.
     pub agree: Option<bool>,
     /// Transitions pruned as vacuous (infeasible premise) during encoding.
     pub pruned: usize,
@@ -614,17 +596,12 @@ pub fn table2_row(
             .stats()
             .map(|s| {
                 (
-                    s.lp_presolve_time.as_secs_f64(),
                     s.lp_float_time.as_secs_f64(),
                     s.lp_certify_time.as_secs_f64(),
                     s.lp_repair_time.as_secs_f64(),
                 )
             })
-            .unwrap_or((0.0, 0.0, 0.0, 0.0)),
-        presolve_removed: outcome
-            .stats()
-            .map(|s| (s.presolve_rows_removed, s.presolve_cols_removed))
-            .unwrap_or((0, 0)),
+            .unwrap_or((0.0, 0.0, 0.0)),
         products_total: outcome.stats().map(|s| s.lp_products_total).unwrap_or(0),
         products_generated: outcome
             .stats()
@@ -772,8 +749,7 @@ mod tests {
             lp_exact_iterations: 2,
             lp_truncated: false,
             lp_certified: true,
-            phase_seconds: (0.01, 1.2, 0.1, 0.2),
-            presolve_removed: (3, 7),
+            phase_seconds: (1.2, 0.1, 0.2),
             products_total: 12,
             products_generated: 5,
             separation_rounds: 2,
@@ -901,8 +877,7 @@ mod tests {
             lp_exact_iterations: 0,
             lp_truncated: false,
             lp_certified: true,
-            phase_seconds: (0.0, 0.1, 0.1, 0.0),
-            presolve_removed: (1, 1),
+            phase_seconds: (0.1, 0.1, 0.0),
             products_total: 0,
             products_generated: 0,
             separation_rounds: 0,
@@ -972,8 +947,7 @@ mod tests {
             lp_exact_iterations: 2,
             lp_truncated: false,
             lp_certified: true,
-            phase_seconds: (0.01, 1.2, 0.1, 0.2),
-            presolve_removed: (3, 7),
+            phase_seconds: (1.2, 0.1, 0.2),
             products_total: 12,
             products_generated: 5,
             separation_rounds: 2,
@@ -1006,8 +980,7 @@ mod tests {
             lp_exact_iterations: 0,
             lp_truncated: false,
             lp_certified: false,
-            phase_seconds: (0.0, 0.0, 0.0, 0.0),
-            presolve_removed: (0, 0),
+            phase_seconds: (0.0, 0.0, 0.0),
             products_total: 0,
             products_generated: 0,
             separation_rounds: 0,

@@ -14,9 +14,8 @@
 //!   reference interpreter/explorer and checks the reported threshold is never
 //!   violated (the observed `CostSup_new − CostInf_old` under-approximates the true
 //!   supremum, so any violation it finds is real);
-//! * [`differential_verdicts`]: re-solves under the exact backend and with LP presolve
-//!   disabled, asserting all three configurations agree on the verdict and (for
-//!   certified-vs-exact) on the threshold itself.
+//! * [`differential_verdicts`]: re-solves under the exact backend, asserting the
+//!   certified and exact backends agree on the verdict and the threshold.
 
 use std::time::Duration;
 
@@ -207,33 +206,29 @@ pub fn check_sampled_soundness(
     }
 }
 
-/// Cross-backend / presolve-toggle verdicts for one pair.
+/// Cross-backend verdicts for one pair.
 #[derive(Debug, Clone)]
 pub struct DifferentialVerdict {
     /// Threshold from the certified (default) backend, `None` on failure.
     pub certified: Option<f64>,
     /// Threshold from the exact rational backend, `None` on failure.
     pub exact: Option<f64>,
-    /// Threshold from the certified backend with LP presolve disabled.
-    pub no_presolve: Option<f64>,
-    /// Human-readable disagreements (empty = all configurations agree).
+    /// Human-readable disagreements (empty = both backends agree).
     pub disagreements: Vec<String>,
 }
 
 impl DifferentialVerdict {
-    /// `true` when every configuration produced the same verdict and threshold.
+    /// `true` when both backends produced the same verdict and threshold.
     pub fn agree(&self) -> bool {
         self.disagreements.is_empty()
     }
 }
 
-/// Solves one pair under `certified` vs `exact` backends and with presolve on/off,
-/// and cross-checks the verdicts.
+/// Solves one pair under the `certified` and the `exact` backend and cross-checks the
+/// verdicts.
 ///
-/// Both the certified and the exact backend prove exact rational optima, so their
-/// integer thresholds must match *exactly*; presolve only rewrites the LP, so the
-/// no-presolve solve must match too. Any disagreement is a soundness or completeness
-/// bug in one of the configurations.
+/// Both backends prove exact rational optima, so their integer thresholds must match
+/// *exactly*. Any disagreement is a soundness or completeness bug in one of them.
 pub fn differential_verdicts(pair: &GeneratedPair, budget: Option<Duration>) -> DifferentialVerdict {
     let base = table2_options(pair);
     let with_budget = |mut options: AnalysisOptions| {
@@ -248,7 +243,6 @@ pub fn differential_verdicts(pair: &GeneratedPair, budget: Option<Duration>) -> 
 
     let certified = solve(with_budget(base));
     let exact = solve(with_budget(AnalysisOptions { backend: LpBackend::Exact, ..base }));
-    let no_presolve = solve(with_budget(base.without_presolve()));
 
     let mut disagreements = Vec::new();
     if certified != exact {
@@ -257,16 +251,9 @@ pub fn differential_verdicts(pair: &GeneratedPair, budget: Option<Duration>) -> 
             pair.name
         ));
     }
-    if certified != no_presolve {
-        disagreements.push(format!(
-            "{}: presolve-on computed {certified:?} but presolve-off computed {no_presolve:?}",
-            pair.name
-        ));
-    }
     DifferentialVerdict {
         certified: certified.map(|t| t as f64),
         exact: exact.map(|t| t as f64),
-        no_presolve: no_presolve.map(|t| t as f64),
         disagreements,
     }
 }

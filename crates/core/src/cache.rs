@@ -49,9 +49,9 @@ pub fn pair_fingerprint(new: &AnalyzedProgram, old: &AnalyzedProgram) -> u64 {
 /// A fingerprint of every [`AnalysisOptions`] field that changes the synthesized LP
 /// (and hence the result): two solves agree whenever their pair and options
 /// fingerprints agree. The time budget is excluded — it bounds the solve, it does
-/// not select the answer (and only certified results are cached). The `presolve`
-/// and `row_generation` switches are folded in although they never change a
-/// verdict: they change the solve statistics a cache hit replays.
+/// not select the answer (and only certified results are cached). The
+/// `row_generation` switch is folded in although it never changes a verdict: it
+/// changes the solve statistics a cache hit replays.
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let backend = match options.backend {
         LpBackend::Certified => 0u8,
@@ -65,7 +65,7 @@ pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
             u8::from(options.include_cost_in_template),
             u8::from(options.phase_split),
             backend,
-            u8::from(options.presolve) | u8::from(options.row_generation) << 1,
+            u8::from(options.row_generation),
         ],
     ]
     .concat();
@@ -428,7 +428,6 @@ mod tests {
         assert_ne!(fp, options_fingerprint(&base.exact()));
         assert_ne!(fp, options_fingerprint(&base.with_invariant_tier(InvariantTier::Hull)));
         assert_ne!(fp, options_fingerprint(&base.without_phase_split()));
-        assert_ne!(fp, options_fingerprint(&base.without_presolve()));
         assert_ne!(fp, options_fingerprint(&base.without_row_generation()));
         // The time budget does not change what is computed, only how long it may take.
         assert_eq!(

@@ -72,10 +72,6 @@ pub struct AnalysisOptions {
     /// Whether the solver may apply loop-phase splitting (`dca_ir::split_phases`)
     /// and keep the better of the split and unsplit answers. On by default.
     pub phase_split: bool,
-    /// Whether the LP runs its presolve pass. On by default; presolve only rewrites
-    /// the LP, so turning it off is the A/B reference of the presolve soundness
-    /// tests, never a change of answer.
-    pub presolve: bool,
     /// Whether the certified backend generates degree-≥-2 Handelman product
     /// columns lazily (delayed column generation with exact pricing). On by
     /// default; off solves every column eagerly, with a bit-identical verdict. The
@@ -93,7 +89,6 @@ impl Default for AnalysisOptions {
             time_budget: None,
             invariant_tier: InvariantTier::Baseline,
             phase_split: true,
-            presolve: true,
             row_generation: true,
         }
     }
@@ -167,12 +162,6 @@ impl AnalysisOptions {
         self
     }
 
-    /// Disables the LP presolve pass for this solve.
-    pub fn without_presolve(mut self) -> AnalysisOptions {
-        self.presolve = false;
-        self
-    }
-
     /// Disables lazy row generation: every Handelman product column is solved
     /// eagerly.
     pub fn without_row_generation(mut self) -> AnalysisOptions {
@@ -193,7 +182,6 @@ mod tests {
         assert!(!options.include_cost_in_template);
         assert_eq!(options.backend, LpBackend::Certified);
         assert!(options.phase_split);
-        assert!(options.presolve);
         assert!(options.row_generation);
     }
 

@@ -18,7 +18,7 @@ use crate::constraints::{
 use crate::options::{AnalysisOptions, LpBackend};
 use crate::potential::PotentialFunction;
 use crate::program::AnalyzedProgram;
-use crate::verify::bound_var;
+use crate::verify::{bound_var, satisfies_theta0};
 
 /// Errors produced by the solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,9 +102,8 @@ pub struct SolveStats {
     /// Number of constraint rows the Handelman encoding emitted before duplicate and
     /// trivially-satisfied rows were removed.
     pub lp_constraints_raw: usize,
-    /// Simplex iterations of the final LP solve across both backends (0 when
-    /// presolve decided it); `lp_float_iterations + lp_exact_iterations` under the
-    /// float-first driver.
+    /// Simplex iterations of the final LP solve across both backends;
+    /// `lp_float_iterations + lp_exact_iterations` under the float-first driver.
     pub lp_iterations: usize,
     /// Pivots performed by the `f64` phase of the float-first driver.
     pub lp_float_iterations: usize,
@@ -124,7 +123,8 @@ pub struct SolveStats {
     pub lp_certified: bool,
     /// Certification rounds the float-first driver performed.
     pub lp_certify_rounds: usize,
-    /// Wall-clock the LP spent in presolve.
+    /// Always zero: the LP solves its standard form without a presolve pass. Kept
+    /// because the `diffbench` harness reads it as its `lp.presolve_s` layer.
     pub lp_presolve_time: Duration,
     /// Wall-clock the LP spent pivoting in `f64`.
     pub lp_float_time: Duration,
@@ -132,10 +132,6 @@ pub struct SolveStats {
     pub lp_certify_time: Duration,
     /// Wall-clock the LP spent in exact repair pivoting.
     pub lp_repair_time: Duration,
-    /// Constraint rows removed by the LP presolve pass.
-    pub presolve_rows_removed: usize,
-    /// Standard-form columns removed by the LP presolve pass.
-    pub presolve_cols_removed: usize,
     /// Transitions skipped before encoding because their premise `I(ℓ) ∧ G` is
     /// infeasible (vacuous implications; pruning is sound and keeps
     /// contradictory-premise Handelman products away from the simplex).
@@ -147,8 +143,8 @@ pub struct SolveStats {
     /// [`crate::AnalysisOptions::phase_split`] — the result is bit-identical to
     /// the plain unsplit solve.
     pub phases_split: usize,
-    /// Lazy row-generation candidate columns (degree-≥-2 Handelman multipliers)
-    /// that survived LP presolve. 0 when row generation did not run.
+    /// Lazy row-generation candidate columns (degree-≥-2 Handelman multipliers).
+    /// 0 when row generation did not run.
     pub lp_products_total: usize,
     /// Lazy candidate columns actually activated by separation. 0 when row
     /// generation did not run.
@@ -528,7 +524,7 @@ impl DiffCostSolver {
         let mut factory = UnknownFactory::new();
         let threshold = factory.fresh("t", UnknownKind::Free);
         let (templates_new, templates_old, mut set, collected) =
-            self.collect_both(new, old, &mut factory);
+            self.collect_both(new, old, BOUND_ROLES, &mut factory);
         let mut lazy = collected.lazy_multipliers;
 
         // Differential constraint: Θ0 ⟹ t − (φ_new(ℓ0,x) − χ_old(ℓ0,x)) ≥ 0.
@@ -581,7 +577,7 @@ impl DiffCostSolver {
         let (new, old) = (new.as_ref(), old.as_ref());
         let mut factory = UnknownFactory::new();
         let (templates_new, templates_old, mut set, collected) =
-            self.collect_both(new, old, &mut factory);
+            self.collect_both(new, old, BOUND_ROLES, &mut factory);
         let mut lazy = collected.lazy_multipliers;
         let (phi0, chi0, theta0) = self.initial_difference(new, old, &templates_new, &templates_old);
         let poly = &(&TemplatePolynomial::from_polynomial(bound) - &phi0) + &chi0;
@@ -611,7 +607,7 @@ impl DiffCostSolver {
     ///
     /// Candidate inputs are taken from `candidate_inputs` (variable name → value, over the
     /// new program's inputs); if empty, corner points of the input box implied by Θ0 are
-    /// tried.
+    /// tried. Candidates that violate Θ0 are skipped.
     ///
     /// # Errors
     ///
@@ -627,48 +623,11 @@ impl DiffCostSolver {
         let (new, old) = (self.at_option_tier(new), self.at_option_tier(old));
         let (new, old) = (new.as_ref(), old.as_ref());
         let mut factory = UnknownFactory::new();
-        // Roles are swapped relative to `solve`: lower bound on new, upper bound on old.
-        let templates_new = ProgramTemplates::allocate(
-            &new.ts,
-            self.options.degree,
-            self.options.include_cost_in_template,
-            &mut factory,
-            "chi_new",
-        );
-        let templates_old = ProgramTemplates::allocate(
-            &old.ts,
-            self.options.degree,
-            self.options.include_cost_in_template,
-            &mut factory,
-            "phi_old",
-        );
-        let mut set = ConstraintSet::new();
-        let mut lazy = collect_program_constraints(
-            &new.ts,
-            &new.invariants,
-            &templates_new,
-            TemplateRole::AntiPotential,
-            self.options.max_products,
-            &mut factory,
-            &mut set,
-        )
-        .lazy_multipliers;
-        lazy.extend(
-            collect_program_constraints(
-                &old.ts,
-                &old.invariants,
-                &templates_old,
-                TemplateRole::Potential,
-                self.options.max_products,
-                &mut factory,
-                &mut set,
-            )
-            .lazy_multipliers,
-        );
-
-        let mapping = variable_mapping(old, new);
-        let chi0_new = templates_new.at(new.ts.initial()).clone();
-        let phi0_old = remap_template_vars(templates_old.at(old.ts.initial()), &mapping);
+        let (templates_new, templates_old, set, collected) =
+            self.collect_both(new, old, REFUTATION_ROLES, &mut factory);
+        let lazy = collected.lazy_multipliers;
+        let (chi0_new, phi0_old, theta0) =
+            self.initial_difference(new, old, &templates_new, &templates_old);
 
         let candidates = if candidate_inputs.is_empty() {
             default_corner_inputs(new)
@@ -686,7 +645,11 @@ impl DiffCostSolver {
                 .collect()
         };
 
-        for candidate in candidates {
+        // A witness outside Θ0 refutes nothing: the synthesized bounds only hold on
+        // Θ0, so at an input outside it the LP can make the difference exceed any
+        // threshold. Candidates are checked in exact arithmetic, like the sampled
+        // inputs of `verify_threshold`.
+        for candidate in candidates.into_iter().filter(|c| satisfies_theta0(&theta0, c)) {
             // χ_new(ℓ0, x*) − φ_old(ℓ0, x*) ≥ t + 1 at the concrete input x*.
             let valuation: dca_poly::Valuation = candidate
                 .iter()
@@ -737,32 +700,37 @@ impl DiffCostSolver {
 
     // ----- internal helpers -------------------------------------------------------------
 
+    /// Allocates one template per program and collects both programs' constraints
+    /// into one set. `roles` gives the `(name prefix, role)` of the new and the old
+    /// program's template, in that order.
     fn collect_both(
         &self,
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
+        roles: [(&str, TemplateRole); 2],
         factory: &mut UnknownFactory,
     ) -> (ProgramTemplates, ProgramTemplates, ConstraintSet, CollectOutcome) {
+        let [(new_prefix, new_role), (old_prefix, old_role)] = roles;
         let templates_new = ProgramTemplates::allocate(
             &new.ts,
             self.options.degree,
             self.options.include_cost_in_template,
             factory,
-            "phi_new",
+            new_prefix,
         );
         let templates_old = ProgramTemplates::allocate(
             &old.ts,
             self.options.degree,
             self.options.include_cost_in_template,
             factory,
-            "chi_old",
+            old_prefix,
         );
         let mut set = ConstraintSet::new();
         let mut outcome = collect_program_constraints(
             &new.ts,
             &new.invariants,
             &templates_new,
-            TemplateRole::Potential,
+            new_role,
             self.options.max_products,
             factory,
             &mut set,
@@ -771,7 +739,7 @@ impl DiffCostSolver {
             &old.ts,
             &old.invariants,
             &templates_old,
-            TemplateRole::AntiPotential,
+            old_role,
             self.options.max_products,
             factory,
             &mut set,
@@ -781,8 +749,10 @@ impl DiffCostSolver {
         (templates_new, templates_old, set, outcome)
     }
 
-    /// Builds `φ_new(ℓ0)`, the remapped `χ_old(ℓ0)` and the shared Θ0 over the new
-    /// program's variable space.
+    /// Builds the new template at `ℓ0`, the remapped old template at `ℓ0` and the
+    /// shared Θ0, all over the new program's variable space. Under [`BOUND_ROLES`]
+    /// the templates are `φ_new` and `χ_old`; under [`REFUTATION_ROLES`], `χ_new`
+    /// and `φ_old`.
     fn initial_difference(
         &self,
         new: &AnalyzedProgram,
@@ -832,7 +802,6 @@ impl DiffCostSolver {
         // part of the budget — it is anchored at the caller's start time) and carries
         // the shared cancel flag, so an external cancellation stops the LP loops too.
         lp.set_deadline(deadline.clone());
-        lp.set_presolve(self.options.presolve);
         let lp_vars: Vec<LpVar> = factory
             .iter()
             .map(|u| {
@@ -921,12 +890,10 @@ impl DiffCostSolver {
                     lp_dual_bound: solution.dual_bound.as_ref().map(Rational::to_f64),
                     lp_certified: info.certified,
                     lp_certify_rounds: info.certify_rounds,
-                    lp_presolve_time: info.presolve_time,
+                    lp_presolve_time: Duration::ZERO,
                     lp_float_time: info.float_time,
                     lp_certify_time: info.certify_time,
                     lp_repair_time: info.repair_time,
-                    presolve_rows_removed: info.presolve_rows_removed,
-                    presolve_cols_removed: info.presolve_cols_removed,
                     // Filled in by the callers that know their program pair (pruning
                     // happens during constraint collection, and phase splitting
                     // around whole solves — both before/outside the LP).
@@ -952,6 +919,17 @@ impl DiffCostSolver {
         LpAttempt { result, basis }
     }
 }
+
+/// Template roles of a bound proof (the threshold and symbolic-bound analyses): a
+/// potential (upper bound) for the new program and an anti-potential (lower bound)
+/// for the old one.
+const BOUND_ROLES: [(&str, TemplateRole); 2] =
+    [("phi_new", TemplateRole::Potential), ("chi_old", TemplateRole::AntiPotential)];
+
+/// Template roles of a refutation (Theorem 4.3), swapped relative to
+/// [`BOUND_ROLES`]: a lower bound on the new program, an upper bound on the old one.
+const REFUTATION_ROLES: [(&str, TemplateRole); 2] =
+    [("chi_new", TemplateRole::AntiPotential), ("phi_old", TemplateRole::Potential)];
 
 /// Outcome of one LP assembly-and-solve: the analysis-level result plus the final
 /// simplex basis, which warm-starts the next related solve even when this one failed

@@ -111,7 +111,7 @@ pub fn sample_inputs(program: &AnalyzedProgram, config: &VerifyConfig) -> Vec<In
     for corner in [lower, upper] {
         if dca_ir::IntValuation::is_empty(&corner)
             || samples.contains(&corner)
-            || !corner_satisfies(program, &corner)
+            || !satisfies_theta0(program.ts.theta0(), &corner)
         {
             continue;
         }
@@ -123,16 +123,14 @@ pub fn sample_inputs(program: &AnalyzedProgram, config: &VerifyConfig) -> Vec<In
     samples
 }
 
-fn corner_satisfies(program: &AnalyzedProgram, corner: &IntValuation) -> bool {
-    program.ts.theta0().iter().all(|c| {
-        let value = c.eval(
-            &corner
-                .iter()
-                .map(|(&v, &x)| (v, Rational::from_int(x)))
-                .collect(),
-        );
-        // `cost` is absent from the corner; constraints mentioning it are checked later.
-        !c.vars().iter().all(|v| corner.contains_key(v)) || !value.is_negative()
+/// `true` when `point` satisfies, in exact arithmetic, every constraint of `theta0`
+/// whose variables it assigns.
+pub(crate) fn satisfies_theta0(theta0: &[LinExpr], point: &IntValuation) -> bool {
+    let valuation = point.iter().map(|(&v, &x)| (v, Rational::from_int(x))).collect();
+    theta0.iter().all(|c| {
+        // A constraint over a variable the point leaves out (e.g. `cost` on a sampled
+        // corner) is not decided here.
+        !c.vars().iter().all(|v| point.contains_key(v)) || !c.eval(&valuation).is_negative()
     })
 }
 

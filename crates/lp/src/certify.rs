@@ -31,7 +31,6 @@ use dca_numeric::Rational;
 use crate::deadline::Deadline;
 use crate::fault::{self, FaultKind, SolvePhase};
 use crate::lu::factorize_markowitz;
-use crate::presolve::{identity, presolve};
 use crate::problem::{LpSolveInfo, LpStatus};
 use crate::revised::Columns;
 use crate::scalar::Scalar;
@@ -205,81 +204,29 @@ fn phase1_farkas(
 /// Solves a standard-form problem with the float-first / exact-repair loop.
 ///
 /// The returned solution is always exact ([`Rational`]); see the module docs for the
-/// soundness argument. `warm` carries preferred structural columns in original
-/// (pre-presolve) indices, exactly like [`crate::simplex::solve_standard_form`].
+/// soundness argument. `warm` carries preferred structural columns, exactly like
+/// [`crate::simplex::solve_standard_form`].
 ///
-/// `lazy_cols` (also original indices) marks columns eligible for delayed
-/// generation: the solve starts without them and brings them in only as exact
-/// pricing demands ([`solve_with_row_generation`]). An empty slice solves every
-/// column eagerly; either way the verdict is identical.
+/// `lazy_cols` marks columns eligible for delayed generation: the solve starts
+/// without them and brings them in only as exact pricing demands
+/// ([`solve_with_row_generation`]). An empty slice solves every column eagerly;
+/// either way the verdict is identical.
 pub(crate) fn solve_float_first(
     form: &StandardForm<Rational>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
     lazy_cols: &[usize],
-    use_presolve: bool,
 ) -> RawSolution<Rational> {
-    let num_original_cols = form.costs.len();
-    // Every terminal verdict below comes out of exact arithmetic: exact presolve, the
-    // certifier, the exact repair, or the exact fallback. (A truncated anytime answer
-    // is exactly feasible — its bound is sound — but not a proven optimum.)
+    // Every terminal verdict below comes out of exact arithmetic: the certifier, the
+    // exact repair, or the exact fallback. (A truncated anytime answer is exactly
+    // feasible — its bound is sound — but not a proven optimum.)
     let mut info = LpSolveInfo { certified: true, ..LpSolveInfo::default() };
-
-    // Exact presolve (the rational pass may conclude infeasibility outright).
-    let presolve_start = Instant::now();
-    let pre = if use_presolve { presolve(form) } else { identity(form) };
-    info.presolve_time = presolve_start.elapsed();
-    info.presolve_rows_removed = pre.rows_removed;
-    info.presolve_cols_removed = pre.cols_removed;
-    if let Some(status) = pre.verdict {
-        let mut solution = RawSolution::bare(status);
-        solution.info = info;
-        return solution;
-    }
-    if pre.form.matrix.is_empty() {
-        // Presolve resolved every constraint exactly; see `solve_standard_form`.
-        let unbounded = pre.form.costs.iter().any(Scalar::is_negative);
-        let mut solution =
-            RawSolution::bare(if unbounded { LpStatus::Unbounded } else { LpStatus::Optimal });
-        if !unbounded {
-            solution.values =
-                pre.restore(&vec![Rational::zero(); pre.kept_cols.len()], num_original_cols);
-        }
-        solution.info = info;
-        return solution;
-    }
-    let warm_reduced: Option<Vec<usize>> = warm.map(|w| pre.map_cols(w));
-    let lazy_reduced = pre.map_cols(lazy_cols);
-
-    let mut solution = if lazy_reduced.is_empty() {
-        let (solution, _) =
-            certified_core(&pre.form, deadline, warm_reduced.as_deref(), &mut info, false, true);
+    let mut solution = if lazy_cols.is_empty() {
+        let (solution, _) = certified_core(form, deadline, warm, &mut info, false, true);
         solution
     } else {
-        solve_with_row_generation(
-            &pre.form,
-            deadline,
-            warm_reduced.as_deref(),
-            &lazy_reduced,
-            &mut info,
-        )
+        solve_with_row_generation(form, deadline, warm, lazy_cols, &mut info)
     };
-
-    // Map the reduced solution back to the original column space.
-    if solution.status == LpStatus::Optimal {
-        solution.values = pre.restore(&solution.values, num_original_cols);
-    }
-    if let Some(bound) = solution.dual_bound.take() {
-        // The bound was certified on the presolved problem; presolve only ever
-        // fixes eliminated columns to constants, so the original objective differs
-        // from the reduced one by exactly Σ c_j·v_j over the fixed columns.
-        let offset = pre
-            .fixed
-            .iter()
-            .fold(Rational::zero(), |acc, (col, value)| acc.add(&form.costs[*col].mul(value)));
-        solution.dual_bound = Some(bound.add(&offset));
-    }
-    solution.basis = solution.basis.iter().map(|&col| pre.kept_cols[col]).collect();
     solution.info = LpSolveInfo {
         iterations: info.float_iterations + info.exact_iterations,
         truncated: solution.info.truncated,
@@ -291,8 +238,8 @@ pub(crate) fn solve_float_first(
 /// The float-first / certify / exact-repair pipeline on one (possibly
 /// column-restricted) problem.
 ///
-/// `form` is solved as-is — no presolve; the caller already reduced it — and
-/// `warm` carries preferred columns in `form`'s own index space. Effort is
+/// `form` is solved as-is and `warm` carries preferred columns in `form`'s own
+/// index space. Effort is
 /// *accumulated* into `info` so the row-generation driver can call this once
 /// per round and keep a single whole-solve account.
 ///
@@ -342,7 +289,6 @@ fn certified_core(
                 .collect(),
             rhs: form.rhs.iter().map(Rational::to_f64).collect(),
             costs: form.costs.iter().map(Rational::to_f64).collect(),
-            model_columns: form.model_columns.clone(),
         };
         // The float phase only proposes a basis; cap its budget so the exact phases
         // keep most of the wall-clock (they are the sound anytime fallback). The
@@ -559,8 +505,7 @@ fn solve_with_row_generation(
             sub_of[j] = sub_j;
         }
         // All rows are kept, so the sub-problem's duals are directly usable for
-        // pricing full-form columns. `model_columns` is presolve metadata and the
-        // sub-form never passes through presolve, so it stays empty.
+        // pricing full-form columns.
         let sub_form = StandardForm {
             matrix: form
                 .matrix
@@ -569,7 +514,6 @@ fn solve_with_row_generation(
                 .collect(),
             rhs: form.rhs.clone(),
             costs: sub_cols.iter().map(|&j| form.costs[j].clone()).collect(),
-            model_columns: Vec::new(),
         };
         let warm_sub: Option<Vec<usize>> = warm_full.as_ref().map(|warm| {
             warm.iter().filter(|&&j| sub_of[j] != usize::MAX).map(|&j| sub_of[j]).collect()
@@ -692,9 +636,8 @@ mod tests {
             matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
             rhs: vec![r(4, 1)],
             costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-            model_columns: Vec::new(),
         };
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[], true);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert!(solution.info.certified);
         assert!(solution.info.certify_rounds >= 1, "the certifier must have run");
@@ -709,9 +652,8 @@ mod tests {
             matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
             rhs: vec![r(2, 1), r(3, 1)],
             costs: vec![r(0, 1)],
-            model_columns: Vec::new(),
         };
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[], true);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
         assert_eq!(solution.status, LpStatus::Infeasible);
     }
 
@@ -723,7 +665,6 @@ mod tests {
             matrix: vec![vec![r(1, 1), r(1, 1)]],
             rhs: vec![r(1, 1)],
             costs: vec![r(1, 1), r(0, 1)],
-            model_columns: Vec::new(),
         };
         let columns = Columns::from_form(&form);
         assert!(
@@ -742,7 +683,6 @@ mod tests {
             matrix: vec![vec![r(1, 1), r(-1, 1)]],
             rhs: vec![r(1, 1)],
             costs: vec![r(0, 1), r(0, 1)],
-            model_columns: Vec::new(),
         };
         let columns = Columns::from_form(&form);
         assert!(accepted(certify_basis(&form, &columns, &[1], &Deadline::unlimited())).is_none());
@@ -767,7 +707,6 @@ mod tests {
             matrix: vec![vec![r(1, 1), r(-1, 1)]],
             rhs: vec![r(1, 1)],
             costs: vec![r(2, 1), r(1, 1)],
-            model_columns: Vec::new(),
         };
         let columns = Columns::from_form(&form);
         match certify_basis(&form, &columns, &[1], &Deadline::unlimited()) {

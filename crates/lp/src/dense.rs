@@ -475,7 +475,7 @@ mod tests {
             let rhs: Vec<Rational> = (0..m).map(|_| r((next() % 5) as i64, 1)).collect();
             let costs: Vec<Rational> = (0..n).map(|_| r((next() % 7) as i64 - 3, 1)).collect();
             let form =
-                StandardForm { matrix, rhs, costs: costs.clone(), model_columns: Vec::new() };
+                StandardForm { matrix, rhs, costs: costs.clone() };
             let objective = |values: &[Rational]| -> Rational {
                 values
                     .iter()
@@ -521,7 +521,7 @@ mod tests {
                 .collect();
             let costs: Vec<f64> = (0..n).map(|_| ((next() % 7) as i64 - 3) as f64).collect();
             let form =
-                StandardForm { matrix, rhs, costs: costs.clone(), model_columns: Vec::new() };
+                StandardForm { matrix, rhs, costs: costs.clone() };
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
@@ -580,7 +580,7 @@ mod tests {
                 .collect();
             let costs: Vec<f64> = (0..n).map(|_| ((next() % 9) as i64 - 4) as f64).collect();
             let form =
-                StandardForm { matrix, rhs, costs: costs.clone(), model_columns: Vec::new() };
+                StandardForm { matrix, rhs, costs: costs.clone() };
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };

@@ -2,12 +2,12 @@
 //!
 //! Step 4 of the paper's algorithm solves a single linear program — "minimize the
 //! threshold `t` subject to all collected linear constraints" — with an off-the-shelf
-//! solver (the paper uses Gurobi). This crate provides that substrate: a presolve pass
-//! (singleton-row substitution, forcing-row and fixed/empty-column elimination,
-//! redundant-row drop) followed by a *sparse revised* two-phase simplex that keeps the
-//! constraint matrix in column-major form and maintains an eta-file basis
-//! factorization with periodic reinversion. The simplex is generic over its scalar,
-//! and three entry points share it:
+//! solver (the paper uses Gurobi). This crate provides that substrate: a *sparse
+//! revised* two-phase simplex that keeps the constraint matrix in column-major form
+//! and maintains an eta-file basis factorization with periodic reinversion. Every
+//! solve runs on the standard form exactly as [`LpProblem`] builds it, with no
+//! reduction pass in front. The simplex is generic over its scalar, and three entry
+//! points share it:
 //!
 //! * [`LpProblem::solve_certified`] is the analysis's LP path: the `f64` simplex
 //!   proposes a candidate optimal basis, an exact-rational certifier accepts it or
@@ -61,7 +61,6 @@ mod deadline;
 mod dense;
 pub mod fault;
 mod lu;
-mod presolve;
 mod problem;
 mod revised;
 mod scalar;

@@ -327,7 +327,6 @@ mod tests {
             matrix,
             rhs: vec![Rational::zero(); rows],
             costs: vec![Rational::zero(); n],
-            model_columns: Vec::new(),
         };
         Columns::from_form(&form)
     }

@@ -163,19 +163,14 @@ impl LpBasis {
 /// Size and effort statistics of one solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpSolveInfo {
-    /// Simplex iterations across both phases and backends (0 when presolve decided
-    /// the problem). For the float-first driver this is `float_iterations +
-    /// exact_iterations`.
+    /// Simplex iterations across both phases and backends. For the float-first
+    /// driver this is `float_iterations + exact_iterations`.
     pub iterations: usize,
     /// Pivots performed by the `f64` simplex (float-first driver only).
     pub float_iterations: usize,
     /// Pivots performed by the exact rational simplex (float-first driver only:
     /// repair rounds plus the uncapped fallback).
     pub exact_iterations: usize,
-    /// Constraint rows removed by presolve.
-    pub presolve_rows_removed: usize,
-    /// Standard-form columns removed by presolve.
-    pub presolve_cols_removed: usize,
     /// `true` when the solve hit its deadline during phase 2 and the reported
     /// optimum is the last feasible iterate — a sound but possibly loose bound
     /// (anytime semantics).
@@ -188,16 +183,14 @@ pub struct LpSolveInfo {
     /// Certification rounds the float-first driver performed (0 when the float phase
     /// produced no candidate and the exact fallback ran directly).
     pub certify_rounds: usize,
-    /// Wall-clock spent in presolve (float-first driver only).
-    pub presolve_time: Duration,
     /// Wall-clock spent in the `f64` pivot phase (float-first driver only).
     pub float_time: Duration,
     /// Wall-clock spent in exact basis certification (float-first driver only).
     pub certify_time: Duration,
     /// Wall-clock spent in exact repair pivoting (float-first driver only).
     pub repair_time: Duration,
-    /// Lazy row-generation candidate columns that survived presolve (certified
-    /// driver with a non-empty lazy set only; 0 on the eager path).
+    /// Lazy row-generation candidate columns (certified driver with a non-empty
+    /// lazy set only; 0 on the eager path).
     pub products_total: usize,
     /// Lazy candidate columns activated by separation — present in the final
     /// certified solve (0 on the eager path).
@@ -230,7 +223,7 @@ pub struct LpResult<S> {
     /// solves, where `objective` is an upper bound: together they bracket the
     /// optimum (`dual_bound ≤ optimum ≤ objective`).
     pub dual_bound: Option<S>,
-    /// Presolve and iteration statistics.
+    /// Size and effort statistics.
     pub info: LpSolveInfo,
 }
 
@@ -260,8 +253,6 @@ pub struct LpProblem {
     constraints: Vec<LpConstraint>,
     objective: Vec<(LpVar, Rational)>,
     deadline: Deadline,
-    /// `true` when [`LpProblem::set_presolve`] switched the presolve pass off.
-    presolve_disabled: bool,
 }
 
 impl LpProblem {
@@ -301,14 +292,6 @@ impl LpProblem {
     /// the solve within one polling stride.
     pub fn set_deadline(&mut self, deadline: Deadline) {
         self.deadline = deadline;
-    }
-
-    /// Enables (the default) or disables the presolve pass for subsequent solves.
-    ///
-    /// Presolve only rewrites the LP — it never changes a verdict — so switching it
-    /// off is an A/B reference for soundness tests, not a tuning knob.
-    pub fn set_presolve(&mut self, enabled: bool) {
-        self.presolve_disabled = !enabled;
     }
 
     /// Number of model variables.
@@ -457,7 +440,6 @@ impl LpProblem {
             &self.deadline,
             warm_cols.as_deref(),
             &lazy_cols,
-            !self.presolve_disabled,
         );
         self.assemble_result(raw, &col_names)
     }
@@ -564,8 +546,7 @@ impl LpProblem {
 
     fn solve_generic<S: Scalar>(&self) -> LpResult<S> {
         let standard = self.to_standard_form::<S>();
-        let raw =
-            solve_standard_form(&standard, &self.deadline, None, !self.presolve_disabled);
+        let raw = solve_standard_form(&standard, &self.deadline, None);
         self.assemble_result(raw, &self.standard_col_names())
     }
 
@@ -575,21 +556,7 @@ impl LpProblem {
     /// maps to one column, a `Free` variable to a pair of columns (positive and negative
     /// parts). Inequality rows receive one slack/surplus column each.
     fn to_standard_form<S: Scalar>(&self) -> StandardForm<S> {
-        // Column layout per model variable.
-        let mut columns: Vec<(usize, Option<usize>)> = Vec::with_capacity(self.num_vars());
-        let mut num_cols = 0usize;
-        for kind in &self.var_kinds {
-            match kind {
-                VarKind::NonNegative => {
-                    columns.push((num_cols, None));
-                    num_cols += 1;
-                }
-                VarKind::Free => {
-                    columns.push((num_cols, Some(num_cols + 1)));
-                    num_cols += 2;
-                }
-            }
-        }
+        let (columns, num_cols) = self.model_columns();
         let num_slacks = self
             .constraints
             .iter()
@@ -643,10 +610,13 @@ impl LpProblem {
             }
         }
 
-        StandardForm { matrix, rhs, costs, model_columns: columns }
+        StandardForm { matrix, rhs, costs }
     }
 
-    fn recover_values<S: Scalar>(&self, standard_values: &[S]) -> Vec<S> {
+    /// Standard-form column layout per model variable (the positive column and, for
+    /// a `Free` variable, the column of its negative part), plus the number of
+    /// model columns.
+    fn model_columns(&self) -> (Vec<(usize, Option<usize>)>, usize) {
         let mut columns: Vec<(usize, Option<usize>)> = Vec::with_capacity(self.num_vars());
         let mut num_cols = 0usize;
         for kind in &self.var_kinds {
@@ -661,9 +631,14 @@ impl LpProblem {
                 }
             }
         }
-        columns
-            .iter()
-            .map(|&(pos, neg)| match neg {
+        (columns, num_cols)
+    }
+
+    fn recover_values<S: Scalar>(&self, standard_values: &[S]) -> Vec<S> {
+        self.model_columns()
+            .0
+            .into_iter()
+            .map(|(pos, neg)| match neg {
                 None => standard_values[pos].clone(),
                 Some(neg) => standard_values[pos].sub(&standard_values[neg]),
             })
@@ -765,8 +740,8 @@ mod tests {
     }
 
     /// A variable no constraint mentions, with a negative objective coefficient:
-    /// unbounded when the rest is feasible, infeasible when it is not — presolve
-    /// must leave the call to the simplex (it cannot prove feasibility itself).
+    /// unbounded when the rest is feasible, infeasible when it is not — only phase 1
+    /// can tell the two apart.
     #[test]
     fn unconstrained_negative_cost_column_resolves_by_feasibility() {
         let mut lp = LpProblem::new();
@@ -785,6 +760,133 @@ mod tests {
         lp.set_objective(vec![(free, r(-1))]);
         assert_eq!(lp.solve_exact().status, LpStatus::Infeasible);
         assert_eq!(lp.solve_f64().status, LpStatus::Infeasible);
+    }
+
+    /// Small LPs with the structures a reduction pass would exploit — singleton,
+    /// forcing and duplicate rows, all-zero columns, difference bounds — solved as
+    /// built. Each must reach the same status and exact optimum under the exact and
+    /// the certified solve, and the same status under `f64`.
+    #[test]
+    fn structured_lps_solve_without_reduction() {
+        use ConstraintOp::{Eq, Ge, Le};
+        type Terms = &'static [(usize, i64)];
+        type Row = (Terms, ConstraintOp, i64);
+        // (name, variables, rows, objective, status, optimum); all variables ≥ 0.
+        type Case = (&'static str, usize, &'static [Row], Terms, LpStatus, Option<i64>);
+        let cases: [Case; 11] = [
+            ("negative singleton", 1, &[(&[(0, 1)], Eq, -1)], &[], LpStatus::Infeasible, None),
+            (
+                "conflicting fixes",
+                1,
+                &[(&[(0, 1)], Eq, 2), (&[(0, 1)], Eq, 3)],
+                &[(0, 1)],
+                LpStatus::Infeasible,
+                None,
+            ),
+            (
+                "singleton substitution",
+                2,
+                &[(&[(0, 2)], Eq, 6), (&[(0, 1), (1, 1)], Eq, 5)],
+                &[(1, 1)],
+                LpStatus::Optimal,
+                Some(2),
+            ),
+            (
+                "forcing row",
+                3,
+                &[(&[(0, 1), (1, 2)], Eq, 0), (&[(0, 1), (2, 1)], Eq, 4)],
+                &[(2, 1)],
+                LpStatus::Optimal,
+                Some(4),
+            ),
+            (
+                "duplicate rows",
+                3,
+                &[
+                    (&[(0, 1), (1, 1), (2, 1)], Eq, 4),
+                    (&[(0, 1), (1, 1), (2, 1)], Eq, 4),
+                    (&[(0, 1), (1, 1), (2, 1)], Eq, 4),
+                ],
+                &[(0, 1), (1, 2)],
+                LpStatus::Optimal,
+                Some(0),
+            ),
+            (
+                "empty column, negative cost",
+                3,
+                &[(&[(0, 1), (1, 1)], Eq, 1)],
+                &[(1, 1), (2, -1)],
+                LpStatus::Unbounded,
+                None,
+            ),
+            (
+                "empty column, non-negative cost",
+                3,
+                &[(&[(0, 1), (1, 1)], Eq, 1)],
+                &[(1, 1), (2, 1)],
+                LpStatus::Optimal,
+                Some(0),
+            ),
+            (
+                "zero-cost model column in one row",
+                2,
+                &[(&[(0, 1), (1, 1)], Eq, 10), (&[(0, 2)], Le, 16)],
+                &[(0, -1)],
+                LpStatus::Optimal,
+                Some(-8),
+            ),
+            (
+                "difference-bound negative cycle",
+                2,
+                &[(&[(0, 1), (1, -1)], Le, -1), (&[(0, -1), (1, 1)], Le, -1)],
+                &[(0, 1), (1, 1)],
+                LpStatus::Infeasible,
+                None,
+            ),
+            (
+                "coinciding difference bounds",
+                1,
+                &[(&[(0, 1)], Le, 5), (&[(0, 1)], Ge, 5)],
+                &[(0, 1)],
+                LpStatus::Optimal,
+                Some(5),
+            ),
+            (
+                "difference-bound chain",
+                2,
+                &[(&[(0, 1), (1, -1)], Le, 2), (&[(1, 1)], Le, 3), (&[(0, 1)], Ge, 5)],
+                &[(0, 1), (1, 1)],
+                LpStatus::Optimal,
+                Some(8),
+            ),
+        ];
+        for (name, num_vars, rows, objective, status, optimum) in cases {
+            let mut lp = LpProblem::new();
+            let vars: Vec<LpVar> =
+                (0..num_vars).map(|i| lp.add_var(format!("x{i}"), VarKind::NonNegative)).collect();
+            let terms = |pairs: &[(usize, i64)]| -> Vec<(LpVar, Rational)> {
+                pairs.iter().map(|&(var, coef)| (vars[var], r(coef))).collect()
+            };
+            for &(row, op, rhs) in rows {
+                lp.add_constraint(terms(row), op, r(rhs));
+            }
+            lp.set_objective(terms(objective));
+            let exact_solves = [("exact", lp.solve_exact()), ("certified", lp.solve_certified())];
+            for (solve, solution) in exact_solves {
+                assert_eq!(solution.status, status, "{name} ({solve})");
+                assert_eq!(solution.objective, optimum.map(r), "{name} ({solve})");
+                if status == LpStatus::Optimal {
+                    assert!(
+                        lp.check_feasible_f64(
+                            &solution.values.iter().map(Rational::to_f64).collect::<Vec<_>>(),
+                            0.0
+                        ),
+                        "{name} ({solve}): reported values must satisfy every row"
+                    );
+                }
+            }
+            assert_eq!(lp.solve_f64().status, status, "{name} (f64)");
+        }
     }
 
     #[test]

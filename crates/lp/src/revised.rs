@@ -1074,9 +1074,9 @@ impl<'a, S: Scalar> State<'a, S> {
                     // column (no constraint mentions it) with negative cost is a
                     // genuine ray once phase 1 has established feasibility — that is
                     // exactly how an unconstrained negative-cost variable surfaces
-                    // after presolve declined to call it (the rows might have been
-                    // infeasible). Ban everything else and re-price instead of
-                    // surfacing a false verdict.
+                    // (whether it is a ray depends on the other rows being
+                    // feasible, which only phase 1 can tell). Ban everything else
+                    // and re-price instead of surfacing a false verdict.
                     let structurally_empty = entering < self.columns.cols.len()
                         && self.columns.cols[entering].is_empty();
                     if matches!(phase, Phase::Two) && structurally_empty {
@@ -1236,7 +1236,6 @@ mod tests {
             matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
             rhs: vec![r(4, 1)],
             costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-            model_columns: Vec::new(),
         };
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Optimal);
@@ -1252,7 +1251,6 @@ mod tests {
             matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
             rhs: vec![r(2, 1), r(3, 1)],
             costs: vec![r(0, 1)],
-            model_columns: Vec::new(),
         };
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Infeasible);
@@ -1265,7 +1263,6 @@ mod tests {
             matrix: vec![vec![1.0f64, -1.0]],
             rhs: vec![1.0],
             costs: vec![-1.0, 0.0],
-            model_columns: Vec::new(),
         };
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Unbounded);
@@ -1281,7 +1278,6 @@ mod tests {
             ],
             rhs: vec![4.0, 6.0],
             costs: vec![1.0, 1.0, 0.0, 0.0],
-            model_columns: Vec::new(),
         };
         let cold = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(cold.status, LpStatus::Optimal);
@@ -1401,7 +1397,6 @@ mod tests {
             ],
             rhs: vec![0.0, 0.0, 0.0],
             costs: vec![1.0, 1.0, 1.0, 0.0, 0.0],
-            model_columns: Vec::new(),
         };
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Optimal);

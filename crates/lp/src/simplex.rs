@@ -1,21 +1,20 @@
-//! Standard-form solving: presolve, equilibration and the sparse revised simplex.
+//! Standard-form solving: equilibration and the sparse revised simplex.
 //!
 //! The pipeline for every solve is
 //!
 //! ```text
-//! presolve → equilibrate → (perturb) → revised simplex → map back
+//! equilibrate → (perturb) → revised simplex → unscale
 //! ```
 //!
-//! [`crate::presolve`] shrinks the system where it can (honest finding: the big
-//! Handelman coefficient-matching systems present no singleton/forcing structure and
-//! shed nothing, but the many small box LPs the invariant engine solves are often
-//! decided entirely in presolve), and [`crate::revised`] solves the reduced problem
-//! sparsely with warm-start support. An `f64` run that fails to converge reports
+//! The standard form is solved exactly as [`crate::problem::LpProblem`] builds it.
+//! All-zero columns need no special case: such a column's reduced cost is its own
+//! cost, so phase 2 prices it in only when that cost is negative — and then it is a
+//! genuine unbounded ray. [`crate::revised`] solves the form sparsely with
+//! warm-start support. An `f64` run that fails to converge reports
 //! [`LpStatus::IterationLimit`] and proposes no basis; the float-first driver then
 //! hands the problem to the exact simplex (see [`crate::certify`]).
 
 use crate::deadline::Deadline;
-use crate::presolve::{identity, presolve};
 use crate::problem::{LpSolveInfo, LpStatus};
 use crate::revised::solve_revised_capped;
 use crate::scalar::{abs as abs_scalar, Scalar};
@@ -30,9 +29,6 @@ pub(crate) struct StandardForm<S> {
     pub rhs: Vec<S>,
     /// Objective coefficients.
     pub costs: Vec<S>,
-    /// Column layout of the original model variables (positive column, optional negative
-    /// column for free variables). Carried along for diagnostics.
-    pub model_columns: Vec<(usize, Option<usize>)>,
 }
 
 /// Raw solver output over standard-form columns.
@@ -40,11 +36,11 @@ pub(crate) struct StandardForm<S> {
 pub(crate) struct RawSolution<S> {
     pub status: LpStatus,
     pub values: Vec<S>,
-    /// Basic structural columns at termination, in *original* (pre-presolve)
-    /// standard-form indices; the caller turns these into a reusable warm start.
+    /// Basic structural columns at termination, in standard-form indices; the
+    /// caller turns these into a reusable warm start.
     pub basis: Vec<usize>,
     /// The terminal dual `y = c_B B⁻¹` of a *proven* exact optimum, over the rows
-    /// of the form the simplex actually pivoted on (post-presolve). Only the exact
+    /// of the form the simplex pivoted on. Only the exact
     /// backend fills this in (the `f64` dual certifies nothing), and only for
     /// non-truncated `Optimal`; the row-generation driver prices excluded columns
     /// against it without a separate Markowitz re-derivation.
@@ -54,7 +50,7 @@ pub(crate) struct RawSolution<S> {
     /// Populated only for truncated (anytime) answers, whose objective is an upper
     /// bound: together they bracket the unproven optimum.
     pub dual_bound: Option<S>,
-    /// Size and effort accounting: iterations, presolve reductions, the anytime
+    /// Size and effort accounting: iterations, the anytime
     /// `truncated` flag and, under the float-first driver, the per-phase split.
     pub info: LpSolveInfo,
 }
@@ -72,15 +68,14 @@ impl<S> RawSolution<S> {
     }
 }
 
-/// Solves a standard-form problem: presolve (unless `use_presolve` is off), then the
-/// two-phase revised simplex.
+/// Solves a standard-form problem with the two-phase revised simplex.
 ///
 /// When `deadline` is set, the iteration loops poll the clock and bail out with
 /// [`LpStatus::TimedOut`] once it passes.
 ///
-/// `warm` seeds the initial basis with preferred structural columns (original column
-/// indices); columns eliminated by presolve or dependent in the new system are
-/// silently dropped, so a stale warm start degrades gracefully to a cold one.
+/// `warm` seeds the initial basis with preferred structural columns; columns that
+/// are dependent in the new system are silently dropped, so a stale warm start
+/// degrades gracefully to a cold one.
 ///
 /// A floating-point `Infeasible` verdict is re-examined once on a *perturbed* copy of
 /// the problem: on heavily degenerate systems (the Handelman encodings are almost
@@ -97,65 +92,18 @@ pub(crate) fn solve_standard_form<S: Scalar>(
     form: &StandardForm<S>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
-    use_presolve: bool,
 ) -> RawSolution<S> {
-    let num_original_cols = form.costs.len();
-    let pre = if use_presolve { presolve(form) } else { identity(form) };
-    if let Some(status) = pre.verdict {
-        let mut solution = RawSolution::bare(status);
-        solution.info.presolve_rows_removed = pre.rows_removed;
-        solution.info.presolve_cols_removed = pre.cols_removed;
-        return solution;
-    }
-    if pre.form.matrix.is_empty() {
-        // Presolve resolved every constraint, which certifies feasibility. Surviving
-        // columns are unconstrained: with non-negative costs zero (the `restore`
-        // default) is optimal; a surviving negative-cost column (presolve keeps
-        // those — see `presolve.rs`) is now a genuine unbounded ray.
-        let unbounded = pre.form.costs.iter().any(Scalar::is_negative);
-        let mut solution =
-            RawSolution::bare(if unbounded { LpStatus::Unbounded } else { LpStatus::Optimal });
-        if !unbounded {
-            solution.values =
-                pre.restore(&vec![S::zero(); pre.kept_cols.len()], num_original_cols);
-        }
-        solution.info.presolve_rows_removed = pre.rows_removed;
-        solution.info.presolve_cols_removed = pre.cols_removed;
-        return solution;
-    }
-    let warm_reduced: Option<Vec<usize>> = warm.map(|w| pre.map_cols(w));
-
     // Large Handelman systems are degenerate enough that the stall is the *expected*
     // failure mode — and the stall itself is what burns the time (thousands of
     // zero-progress pivots before the tolerance gives up). Above the row threshold the
     // perturbation is applied from the start instead of after a failed plain solve.
-    let perturb_immediately = !S::IS_EXACT && pre.form.matrix.len() >= PERTURB_ROWS_THRESHOLD;
+    let perturb_immediately = !S::IS_EXACT && form.matrix.len() >= PERTURB_ROWS_THRESHOLD;
     let first_perturbation = if perturb_immediately { PERTURBATION } else { 0.0 };
-    let mut solution = solve_standard_form_inner(
-        &pre.form,
-        deadline,
-        first_perturbation,
-        warm_reduced.as_deref(),
-        None,
-    );
+    let solution = solve_standard_form_inner(form, deadline, first_perturbation, warm, None);
     if !S::IS_EXACT && !perturb_immediately && solution.status == LpStatus::Infeasible {
-        let retry_warm = if solution.basis.is_empty() { warm_reduced } else { Some(solution.basis.clone()) };
-        solution = solve_standard_form_inner(
-            &pre.form,
-            deadline,
-            PERTURBATION,
-            retry_warm.as_deref(),
-            None,
-        );
+        let retry_warm = if solution.basis.is_empty() { warm } else { Some(&solution.basis[..]) };
+        return solve_standard_form_inner(form, deadline, PERTURBATION, retry_warm, None);
     }
-
-    // Map the reduced solution back to the original column space.
-    if solution.status == LpStatus::Optimal {
-        solution.values = pre.restore(&solution.values, num_original_cols);
-    }
-    solution.basis = solution.basis.iter().map(|&col| pre.kept_cols[col]).collect();
-    solution.info.presolve_rows_removed = pre.rows_removed;
-    solution.info.presolve_cols_removed = pre.cols_removed;
     solution
 }
 
@@ -179,7 +127,6 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
 ) -> RawSolution<S> {
     let num_rows = form.matrix.len();
     let num_structural = form.costs.len();
-    let _ = &form.model_columns;
 
     // Equilibration: scale columns and rows so that tableau entries stay near unit
     // magnitude. This matters for the floating-point backend on problems whose raw
@@ -312,9 +259,8 @@ mod tests {
             matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
             rhs: vec![r(4, 1)],
             costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-            model_columns: vec![(0, None), (1, None)],
         };
-        let sol = solve_standard_form(&form, &Deadline::unlimited(), None, true);
+        let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
         let total = sol.values[0].clone() + sol.values[1].clone();
         assert_eq!(total, r(4, 1));
@@ -326,9 +272,8 @@ mod tests {
             matrix: vec![],
             rhs: vec![],
             costs: vec![Rational::one()],
-            model_columns: vec![(0, None)],
         };
-        let sol = solve_standard_form(&form, &Deadline::unlimited(), None, true);
+        let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values, vec![Rational::zero()]);
     }
@@ -340,9 +285,8 @@ mod tests {
             matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
             rhs: vec![r(2, 1), r(2, 1)],
             costs: vec![r(1, 1)],
-            model_columns: vec![(0, None)],
         };
-        let sol = solve_standard_form(&form, &Deadline::unlimited(), None, true);
+        let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values[0], r(2, 1));
     }
@@ -354,9 +298,8 @@ mod tests {
             matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
             rhs: vec![r(2, 1), r(3, 1)],
             costs: vec![r(1, 1)],
-            model_columns: vec![(0, None)],
         };
-        let sol = solve_standard_form(&form, &Deadline::unlimited(), None, true);
+        let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Infeasible);
     }
 }

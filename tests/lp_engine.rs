@@ -150,15 +150,10 @@ fn certified_driver_matches_exact_simplex_on_random_lps() {
     );
 }
 
-/// The solver surfaces presolve shrink and iteration counts in its statistics.
+/// The solver surfaces iteration counts in its statistics.
 #[test]
-fn solve_stats_carry_presolve_and_iteration_counts() {
+fn solve_stats_carry_iteration_counts() {
     let benchmark = benchmark("SimpleSingle");
     let result = benchmark.solve().expect("SimpleSingle must solve");
     assert!(result.stats.lp_iterations > 0, "a non-trivial solve pivots at least once");
-    // The coefficient-matching equalities of this encoding happen to present no
-    // singleton/forcing rows, so presolve legitimately removes nothing here — but the
-    // counters must stay within the raw system's size either way.
-    assert!(result.stats.presolve_rows_removed <= result.stats.lp_constraints);
-    assert!(result.stats.presolve_cols_removed <= result.stats.lp_variables * 2);
 }

@@ -74,6 +74,61 @@ fn refutation_and_bound_agree_on_the_boundary() {
     assert!(solver.refute_threshold(&new, &old, 50, &[]).is_err());
 }
 
+/// A refutation witness must lie in Θ0. Here Θ0 has `n <= m`, so the input-box
+/// corner `n = 100, m = 1` is outside it; a refutation tried there "refutes" the
+/// genuine threshold 100, which is tight at `n = m = 100`.
+#[test]
+fn refutation_witnesses_satisfy_theta0() {
+    let old = program(
+        r#"proc f(n, m) {
+            assume(n >= 1 && n <= m && m <= 100);
+            i = 0;
+            while (i < m) { tick(1); i = i + 1; }
+        }"#,
+    );
+    let new = program(
+        r#"proc f(n, m) {
+            assume(n >= 1 && n <= m && m <= 100);
+            i = 0;
+            while (i < n) { tick(2); i = i + 1; }
+        }"#,
+    );
+    let solver = DiffCostSolver::new(AnalysisOptions::default());
+    let result = solver.solve(&new, &old).expect("threshold exists");
+    assert_eq!(result.threshold_int(), 100);
+    assert!(result.outcome().is_certified());
+    let refuted = solver.refute_threshold(&new, &old, 100, &[]);
+    assert!(
+        matches!(refuted, Err(AnalysisError::RefutationFailed)),
+        "100 is a genuine threshold, got witness {:?}",
+        refuted.map(|r| r.witness_input)
+    );
+    let refutation = solver.refute_threshold(&new, &old, 99, &[]).expect("99 is refutable");
+    let witness = refutation.witness_input;
+    let (n, m) = (new.ts.pool().lookup("n").unwrap(), new.ts.pool().lookup("m").unwrap());
+    let (n, m) = (witness[&n], witness[&m]);
+    assert!(1 <= n && n <= m && m <= 100, "witness n = {n}, m = {m} violates Θ0");
+}
+
+/// A degree-1 rung on a pair that needs a quadratic witness has no threshold, under
+/// both LP backends.
+#[test]
+fn degree_one_rung_of_a_quadratic_pair_is_infeasible() {
+    let old = program(
+        "proc f(a, b) { assume(a >= 1 && b >= 1); i = 0; while (i < a) { j = 0; \
+         while (j < b) { tick(1); j = j + 1; } i = i + 1; } }",
+    );
+    let new = program(
+        "proc f(a, b) { assume(a >= 1 && b >= 1); i = 0; while (i < b) { j = 0; \
+         while (j < a) { tick(1); j = j + 1; } i = i + 1; } }",
+    );
+    let options = AnalysisOptions::with_degree(1);
+    for options in [options, options.exact()] {
+        let result = DiffCostSolver::new(options).solve(&new, &old);
+        assert!(matches!(result, Err(AnalysisError::NoThresholdFound)), "{result:?}");
+    }
+}
+
 #[test]
 fn table1_simple_single_row_reproduces() {
     let benchmark = diffcost::benchmarks::all_benchmarks()
