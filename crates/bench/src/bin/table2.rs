@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use dca_bench::{
     current_commit, format_history_line_tagged, format_table, format_table2_json,
-    parse_baseline_cpu_seconds, parse_baseline_seconds, table2_row, time_regressions,
-    today_utc, SuiteRun, Table2Row,
+    parse_baseline_cpu_seconds, parse_baseline_seconds, peak_rss_mb, table2_row,
+    time_regressions, today_utc, SuiteRun, Table2Row,
 };
 use dca_benchmarks::table2::{
     check_sampled_soundness, differential_verdicts, run_table2, table2_manifest, table2_smoke,
@@ -209,7 +209,13 @@ fn main() {
     if let Some(path) = &json_path {
         std::fs::write(
             path,
-            format_table2_json(&rows, report.wall_clock, report.cpu_time(), report.jobs),
+            format_table2_json(
+                &rows,
+                report.wall_clock,
+                report.cpu_time(),
+                report.jobs,
+                peak_rss_mb(),
+            ),
         )
             .unwrap_or_else(|e| {
                 eprintln!("error: cannot write {path}: {e}");
@@ -224,6 +230,7 @@ fn main() {
                 wall_clock: report.wall_clock,
                 cpu_time: report.cpu_time(),
                 jobs: report.jobs,
+                peak_rss_mb: peak_rss_mb(),
             };
             let line =
                 format_history_line_tagged(&run, &today_utc(), &current_commit(), "table2");

@@ -50,6 +50,9 @@ pub struct TableRow {
     /// Seconds the LP spent in f64 pivoting / exact certification / exact repair
     /// (the float-first driver's phase split; all 0.0 on failure).
     pub phase_seconds: (f64, f64, f64),
+    /// Seconds the LP spent building its sparse standard form, plus each
+    /// row-generation round's restriction (0.0 on failure).
+    pub lp_build_seconds: f64,
     /// Handelman product multipliers eligible for lazy generation (0 when the
     /// encoding has no degree-≥-2 products or row generation is disabled).
     pub products_total: usize,
@@ -117,6 +120,10 @@ impl TableRow {
                     )
                 })
                 .unwrap_or((0.0, 0.0, 0.0)),
+            lp_build_seconds: outcome
+                .stats()
+                .map(|s| s.lp_build_time.as_secs_f64())
+                .unwrap_or(0.0),
             products_total: outcome.stats().map(|s| s.lp_products_total).unwrap_or(0),
             products_generated: outcome
                 .stats()
@@ -182,6 +189,7 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
                 result.stats.lp_certify_time.as_secs_f64(),
                 result.stats.lp_repair_time.as_secs_f64(),
             ),
+            lp_build_seconds: result.stats.lp_build_time.as_secs_f64(),
             products_total: result.stats.lp_products_total,
             products_generated: result.stats.lp_products_generated,
             separation_rounds: result.stats.lp_separation_rounds,
@@ -212,6 +220,7 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
             lp_truncated: false,
             lp_certified: false,
             phase_seconds: (0.0, 0.0, 0.0),
+            lp_build_seconds: 0.0,
             products_total: 0,
             products_generated: 0,
             separation_rounds: 0,
@@ -237,6 +246,23 @@ pub struct SuiteRun {
     pub cpu_time: Duration,
     /// Effective number of worker threads.
     pub jobs: usize,
+    /// Peak resident set size of the process at the end of the run, in MB
+    /// ([`peak_rss_mb`]; `None` where `/proc/self/status` is unavailable).
+    pub peak_rss_mb: Option<f64>,
+}
+
+/// Peak resident set size of this process so far, in MB: the `VmHWM` line of
+/// `/proc/self/status`. `None` where that file or line is unavailable.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    let kb: f64 = line.trim_start_matches("VmHWM:").trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Renders an optional peak RSS as a JSON number with one decimal, or `null`.
+fn json_rss(peak_rss_mb: Option<f64>) -> String {
+    peak_rss_mb.map(|mb| format!("{mb:.1}")).unwrap_or_else(|| "null".to_string())
 }
 
 /// Runs the full 19-pair suite (+ running example) through the parallel batch engine.
@@ -270,6 +296,7 @@ pub fn run_suite_filtered(config: &SuiteConfig, filters: &[String]) -> SuiteRun 
         wall_clock: report.wall_clock,
         cpu_time: report.cpu_time(),
         jobs: report.jobs,
+        peak_rss_mb: peak_rss_mb(),
     }
 }
 
@@ -346,6 +373,7 @@ pub fn format_json(run: &SuiteRun) -> String {
                     "\"lp_iterations\": {}, \"lp_float_pivots\": {}, \"lp_exact_pivots\": {}, ",
                     "\"lp_truncated\": {}, \"lp_certified\": {}, ",
                     "\"float_s\": {:.3}, \"certify_s\": {:.3}, \"repair_s\": {:.3}, ",
+                    "\"lp_build_s\": {:.3}, ",
                     "\"products_total\": {}, \"products_generated\": {}, ",
                     "\"separation_rounds\": {}, \"lu_updates\": {}, ",
                     "\"lu_refactorizations\": {}, ",
@@ -373,6 +401,7 @@ pub fn format_json(run: &SuiteRun) -> String {
                 row.phase_seconds.0,
                 row.phase_seconds.1,
                 row.phase_seconds.2,
+                row.lp_build_seconds,
                 row.products_total,
                 row.products_generated,
                 row.separation_rounds,
@@ -391,10 +420,12 @@ pub fn format_json(run: &SuiteRun) -> String {
         .collect();
     format!(
         "{{\n  \"wall_clock_s\": {:.2},\n  \"cpu_time_s\": {:.2},\n  \"jobs\": {},\n  \
+         \"peak_rss_mb\": {},\n  \
          \"tight\": {},\n  \"total\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
         run.wall_clock.as_secs_f64(),
         run.cpu_time.as_secs_f64(),
         run.jobs,
+        json_rss(run.peak_rss_mb),
         run.rows.iter().filter(|r| r.is_tight()).count(),
         run.rows.len(),
         rows.join(",\n"),
@@ -431,8 +462,8 @@ pub fn format_history_line_tagged(
          \"tight\": {}, \"total\": {}, \
          \"certified\": {}, \"truncated\": {}, \"aborted\": {}, \
          \"transitions_pruned\": {}, \"phases_split\": {}, \
-         \"wall_clock_s\": {:.2}, \"cpu_time_s\": {:.2}, \"row_seconds\": {{{}}}, \
-         \"row_cpu_seconds\": {{{}}}}}",
+         \"wall_clock_s\": {:.2}, \"cpu_time_s\": {:.2}, \"peak_rss_mb\": {}, \
+         \"row_seconds\": {{{}}}, \"row_cpu_seconds\": {{{}}}}}",
         escape(date),
         escape(commit),
         escape(suite),
@@ -446,6 +477,7 @@ pub fn format_history_line_tagged(
         run.rows.iter().map(|r| r.phases_split).sum::<usize>(),
         run.wall_clock.as_secs_f64(),
         run.cpu_time.as_secs_f64(),
+        json_rss(run.peak_rss_mb),
         rows.join(", "),
         cpu_rows.join(", "),
     )
@@ -602,6 +634,7 @@ pub fn table2_row(
                 )
             })
             .unwrap_or((0.0, 0.0, 0.0)),
+        lp_build_seconds: outcome.stats().map(|s| s.lp_build_time.as_secs_f64()).unwrap_or(0.0),
         products_total: outcome.stats().map(|s| s.lp_products_total).unwrap_or(0),
         products_generated: outcome
             .stats()
@@ -637,6 +670,7 @@ pub fn format_table2_json(
     wall_clock: Duration,
     cpu_time: Duration,
     jobs: usize,
+    peak_rss_mb: Option<f64>,
 ) -> String {
     fn opt_f64(v: Option<f64>) -> String {
         v.map(|v| format!("{v:.4}")).unwrap_or_else(|| "null".to_string())
@@ -671,7 +705,7 @@ pub fn format_table2_json(
                     "\"sound\": {}, \"agree\": {}, ",
                     "\"seconds\": {:.2}, \"cpu_seconds\": {:.2}, ",
                     "\"lp_variables\": {}, \"lp_constraints\": {}, ",
-                    "\"lp_certified\": {}, \"lp_truncated\": {}, ",
+                    "\"lp_certified\": {}, \"lp_truncated\": {}, \"lp_build_s\": {:.3}, ",
                     "\"transitions_pruned\": {}, \"phases_split\": {}, ",
                     "\"outcome\": \"{}\", \"aborted_phase\": {}, \"gap\": {}}}"
                 ),
@@ -695,6 +729,7 @@ pub fn format_table2_json(
                 r.table.lp_size.1,
                 r.table.lp_certified,
                 r.table.lp_truncated,
+                r.table.lp_build_seconds,
                 r.pruned,
                 r.table.phases_split,
                 escape(&r.table.outcome),
@@ -709,12 +744,13 @@ pub fn format_table2_json(
         .collect();
     format!(
         "{{\n  \"wall_clock_s\": {:.2},\n  \"cpu_time_s\": {:.2},\n  \"jobs\": {},\n  \
-         \"total\": {},\n  \
+         \"peak_rss_mb\": {},\n  \"total\": {},\n  \
          \"tight\": {},\n  \"loose\": {},\n  \"failed\": {},\n  \"sound\": {},\n  \
          \"agree\": {},\n  \"lp_certified\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
         wall_clock.as_secs_f64(),
         cpu_time.as_secs_f64(),
         jobs,
+        json_rss(peak_rss_mb),
         rows.len(),
         tight,
         loose,
@@ -750,6 +786,7 @@ mod tests {
             lp_truncated: false,
             lp_certified: true,
             phase_seconds: (1.2, 0.1, 0.2),
+            lp_build_seconds: 0.05,
             products_total: 12,
             products_generated: 5,
             separation_rounds: 2,
@@ -766,6 +803,7 @@ mod tests {
             wall_clock: Duration::from_secs_f64(1.6),
             cpu_time: Duration::from_secs_f64(1.6),
             jobs: 1,
+            peak_rss_mb: Some(298.0),
         };
         let line = format_history_line(&run, "2026-07-29", "abc1234");
         assert!(line.contains("\"date\": \"2026-07-29\""));
@@ -773,6 +811,7 @@ mod tests {
         assert!(line.contains("\"cpu_time_s\": 1.60"), "history line reports cpu time");
         assert!(line.contains("\"Example\": 1.50"));
         assert!(line.contains("\"row_cpu_seconds\": {\"Example\": 1.40}"));
+        assert!(line.contains("\"peak_rss_mb\": 298.0"), "history line reports peak memory");
         assert!(!line.contains('\n'), "one line per run");
         // The committed BENCH json parses back into per-row baselines, and the wall
         // and CPU keys never cross-match.
@@ -781,6 +820,9 @@ mod tests {
         assert_eq!(baseline, vec![("Example".to_string(), 1.5)]);
         let cpu_baseline = parse_baseline_cpu_seconds(&json);
         assert_eq!(cpu_baseline, vec![("Example".to_string(), 1.4)]);
+        let document = Value::parse(&json).expect("BENCH json is valid JSON");
+        assert_eq!(document.get("peak_rss_mb").and_then(Value::as_f64), Some(298.0));
+        assert!(json.contains("\"lp_build_s\": 0.050"), "rows attribute LP construction");
         // A pre-cpu_seconds baseline parses as empty, triggering the wall fallback.
         let legacy = "{\"rows\": [{\"name\": \"X\", \"seconds\": 1.0}]}";
         assert_eq!(parse_baseline_seconds(legacy), vec![("X".to_string(), 1.0)]);
@@ -822,6 +864,7 @@ mod tests {
                 wall_clock: Duration::ZERO,
                 cpu_time: Duration::ZERO,
                 jobs: 1,
+                peak_rss_mb: None,
             },
             "2026-01-01",
             "tab\there \"quoted\"\n",
@@ -878,6 +921,7 @@ mod tests {
             lp_truncated: false,
             lp_certified: true,
             phase_seconds: (0.1, 0.1, 0.0),
+            lp_build_seconds: 0.0,
             products_total: 0,
             products_generated: 0,
             separation_rounds: 0,
@@ -901,12 +945,15 @@ mod tests {
             Duration::from_secs_f64(0.3),
             Duration::from_secs_f64(0.25),
             1,
+            None,
         );
         assert!(json.contains("\"cpu_time_s\": 0.25"), "table2 json reports cpu time");
         assert!(json.contains("\"tight\": 1,"), "breakdown counts present");
         assert!(json.contains("\"sound\": 1,"));
         assert!(json.contains("\"agree\": 1,"));
         assert!(json.contains("\"transitions_pruned\": 2"));
+        assert!(json.contains("\"peak_rss_mb\": null"));
+        assert!(json.contains("\"lp_build_s\": 0.000"));
         let baseline = parse_baseline_seconds(&json);
         assert_eq!(baseline, vec![(pair.name.clone(), 0.25)]);
         // The tagged history line distinguishes the suites.
@@ -915,6 +962,7 @@ mod tests {
             wall_clock: Duration::from_secs_f64(0.3),
             cpu_time: Duration::from_secs_f64(0.3),
             jobs: 1,
+            peak_rss_mb: None,
         };
         let line = format_history_line_tagged(&run, "2026-08-08", "abc", "table2");
         assert!(line.contains("\"suite\": \"table2\""));
@@ -948,6 +996,7 @@ mod tests {
             lp_truncated: false,
             lp_certified: true,
             phase_seconds: (1.2, 0.1, 0.2),
+            lp_build_seconds: 0.05,
             products_total: 12,
             products_generated: 5,
             separation_rounds: 2,
@@ -981,6 +1030,7 @@ mod tests {
             lp_truncated: false,
             lp_certified: false,
             phase_seconds: (0.0, 0.0, 0.0),
+            lp_build_seconds: 0.0,
             products_total: 0,
             products_generated: 0,
             separation_rounds: 0,
@@ -1001,6 +1051,7 @@ mod tests {
             wall_clock: Duration::from_secs_f64(1.6),
             cpu_time: Duration::from_secs_f64(1.6),
             jobs: 1,
+            peak_rss_mb: None,
         };
         let json = format_json(&run);
         assert!(json.contains("\"name\": \"Example\""));

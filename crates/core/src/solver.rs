@@ -132,6 +132,9 @@ pub struct SolveStats {
     pub lp_certify_time: Duration,
     /// Wall-clock the LP spent in exact repair pivoting.
     pub lp_repair_time: Duration,
+    /// Wall-clock the LP spent building its sparse standard form, plus each
+    /// row-generation round's restriction to the active columns.
+    pub lp_build_time: Duration,
     /// Transitions skipped before encoding because their premise `I(ℓ) ∧ G` is
     /// infeasible (vacuous implications; pruning is sound and keeps
     /// contradictory-premise Handelman products away from the simplex).
@@ -894,6 +897,7 @@ impl DiffCostSolver {
                     lp_float_time: info.float_time,
                     lp_certify_time: info.certify_time,
                     lp_repair_time: info.repair_time,
+                    lp_build_time: info.build_time,
                     // Filled in by the callers that know their program pair (pruning
                     // happens during constraint collection, and phase splitting
                     // around whole solves — both before/outside the LP).

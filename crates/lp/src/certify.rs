@@ -77,10 +77,10 @@ const FLOAT_BUDGET_FRACTION: f64 = 0.25;
 /// accepted only at exactly zero.
 fn certify_basis(
     form: &StandardForm<Rational>,
-    columns: &Columns<Rational>,
     basis: &[usize],
     deadline: &Deadline,
 ) -> Certified {
+    let columns = &form.columns;
     let m = columns.rows;
     let n = columns.cols.len();
     // Certification is exact work too and must honor the per-attempt budget like
@@ -167,13 +167,13 @@ fn certify_basis(
 /// infeasible.
 fn phase1_farkas(
     form: &StandardForm<Rational>,
-    columns: &Columns<Rational>,
     basis: &[usize],
     deadline: &Deadline,
 ) -> Option<Vec<Rational>> {
     if deadline.expired() {
         return None;
     }
+    let columns = &form.columns;
     let n = columns.cols.len();
     let lu = factorize_markowitz(columns, basis);
     let mut y = vec![Rational::zero(); columns.rows];
@@ -235,6 +235,30 @@ pub(crate) fn solve_float_first(
     solution
 }
 
+/// The `f64` image of an exact form, the float phase's input: every non-zero
+/// mapped with `to_f64`. An entry whose image is `0.0` is dropped, so the float
+/// columns keep the no-zero-entry invariant (`Rational::to_f64` currently maps
+/// every non-zero rational to a non-zero float, so no entry is lost today).
+pub(crate) fn float_image(form: &StandardForm<Rational>) -> StandardForm<f64> {
+    let cols = form
+        .columns
+        .cols
+        .iter()
+        .map(|column| {
+            column
+                .iter()
+                .map(|(row, value)| (*row, value.to_f64()))
+                .filter(|(_, value)| *value != 0.0)
+                .collect()
+        })
+        .collect();
+    StandardForm {
+        columns: Columns { cols, rows: form.num_rows() },
+        rhs: form.rhs.iter().map(Rational::to_f64).collect(),
+        costs: form.costs.iter().map(Rational::to_f64).collect(),
+    }
+}
+
 /// The float-first / certify / exact-repair pipeline on one (possibly
 /// column-restricted) problem.
 ///
@@ -256,7 +280,6 @@ fn certified_core(
     want_dual: bool,
     mut use_float: bool,
 ) -> (RawSolution<Rational>, Option<Vec<Rational>>) {
-    let columns = Columns::from_form(form);
     let mut candidate: Vec<usize> = Vec::new();
     let mut result: Option<RawSolution<Rational>> = None;
     let mut dual: Option<Vec<Rational>> = None;
@@ -281,15 +304,7 @@ fn certified_core(
     // whose basis would displace that warm start.
     if use_float {
         let float_start = Instant::now();
-        let float_form = StandardForm {
-            matrix: form
-                .matrix
-                .iter()
-                .map(|row| row.iter().map(Rational::to_f64).collect())
-                .collect(),
-            rhs: form.rhs.iter().map(Rational::to_f64).collect(),
-            costs: form.costs.iter().map(Rational::to_f64).collect(),
-        };
+        let float_form = float_image(form);
         // The float phase only proposes a basis; cap its budget so the exact phases
         // keep most of the wall-clock (they are the sound anytime fallback). The
         // tightened clone shares the cancel flag, so external cancellation still
@@ -299,7 +314,7 @@ fn certified_core(
             Instant::now() + remaining.mul_f64(FLOAT_BUDGET_FRACTION)
         }));
         let perturbation =
-            if float_form.matrix.len() >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
+            if float_form.num_rows() >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
         let float =
             solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm, None);
         info.float_time += float_start.elapsed();
@@ -329,7 +344,7 @@ fn certified_core(
             let certified = if force_reject {
                 Certified::Rejected { dual_bound: None }
             } else {
-                certify_basis(form, &columns, &candidate, deadline)
+                certify_basis(form, &candidate, deadline)
             };
             info.certify_time += certify_start.elapsed();
             info.certify_rounds += 1;
@@ -422,7 +437,7 @@ fn certified_core(
     let proven_optimum = solution.status == LpStatus::Optimal && !solution.info.truncated;
     if want_dual && dual.is_none() && proven_optimum {
         let certify_start = Instant::now();
-        let certified = certify_basis(form, &columns, &solution.basis, deadline);
+        let certified = certify_basis(form, &solution.basis, deadline);
         info.certify_time += certify_start.elapsed();
         dual = match certified {
             Certified::Accepted(certificate) => Some(certificate.dual),
@@ -489,7 +504,6 @@ fn solve_with_row_generation(
         }
     }
     info.products_total = lazy.len();
-    let full_columns = Columns::from_form(form);
     let mut warm_full: Option<Vec<usize>> = warm.map(<[usize]>::to_vec);
 
     let (mut sub, sub_cols, basis_full) = loop {
@@ -499,22 +513,24 @@ fn solve_with_row_generation(
         if fault::enter(SolvePhase::LpRowGen) == Some(FaultKind::Deadline) {
             deadline.cancel();
         }
+        let restrict_start = Instant::now();
         let sub_cols: Vec<usize> = (0..n).filter(|&j| active[j]).collect();
         let mut sub_of = vec![usize::MAX; n];
         for (sub_j, &j) in sub_cols.iter().enumerate() {
             sub_of[j] = sub_j;
         }
         // All rows are kept, so the sub-problem's duals are directly usable for
-        // pricing full-form columns.
+        // pricing full-form columns. The restriction gathers the active columns'
+        // non-zeros: O(nnz) per round.
         let sub_form = StandardForm {
-            matrix: form
-                .matrix
-                .iter()
-                .map(|row| sub_cols.iter().map(|&j| row[j].clone()).collect())
-                .collect(),
+            columns: Columns {
+                cols: sub_cols.iter().map(|&j| form.columns.cols[j].clone()).collect(),
+                rows: form.num_rows(),
+            },
             rhs: form.rhs.clone(),
             costs: sub_cols.iter().map(|&j| form.costs[j].clone()).collect(),
         };
+        info.build_time += restrict_start.elapsed();
         let warm_sub: Option<Vec<usize>> = warm_full.as_ref().map(|warm| {
             warm.iter().filter(|&&j| sub_of[j] != usize::MAX).map(|&j| sub_of[j]).collect()
         });
@@ -540,7 +556,7 @@ fn solve_with_row_generation(
                     break (sub, sub_cols, basis_full);
                 };
                 let violated: Vec<usize> = excluded()
-                    .filter(|&j| form.costs[j].sub(&full_columns.dot(&dual, j)).is_negative())
+                    .filter(|&j| form.costs[j].sub(&form.columns.dot(&dual, j)).is_negative())
                     .collect();
                 if violated.is_empty() {
                     break (sub, sub_cols, basis_full);
@@ -550,9 +566,8 @@ fn solve_with_row_generation(
                 }
             }
             LpStatus::Infeasible => {
-                let sub_columns = Columns::from_form(&sub_form);
                 let certify_start = Instant::now();
-                let farkas = phase1_farkas(&sub_form, &sub_columns, &sub.basis, deadline);
+                let farkas = phase1_farkas(&sub_form, &sub.basis, deadline);
                 info.certify_time += certify_start.elapsed();
                 match farkas {
                     Some(farkas) => {
@@ -560,7 +575,7 @@ fn solve_with_row_generation(
                         // prices `−y₁·A_j`: only `y₁·A_j > 0` could pull the
                         // artificial sum below its positive optimum.
                         let violated: Vec<usize> = excluded()
-                            .filter(|&j| full_columns.dot(&farkas, j).is_positive())
+                            .filter(|&j| form.columns.dot(&farkas, j).is_positive())
                             .collect();
                         if violated.is_empty() {
                             break (sub, sub_cols, basis_full);
@@ -632,11 +647,11 @@ mod tests {
     /// minimize -x - y  s.t.  x + y + s = 4: optimum -4 at x + y = 4.
     #[test]
     fn float_first_certifies_a_simple_optimum() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
-            rhs: vec![r(4, 1)],
-            costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-        };
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
+            vec![r(4, 1)],
+            vec![r(-1, 1), r(-1, 1), r(0, 1)],
+        );
         let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert!(solution.info.certified);
@@ -648,11 +663,11 @@ mod tests {
 
     #[test]
     fn float_first_agrees_with_exact_on_infeasible() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(3, 1)],
-            costs: vec![r(0, 1)],
-        };
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1)], vec![r(1, 1)]],
+            vec![r(2, 1), r(3, 1)],
+            vec![r(0, 1)],
+        );
         let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
         assert_eq!(solution.status, LpStatus::Infeasible);
     }
@@ -661,17 +676,16 @@ mod tests {
     fn certifier_rejects_a_suboptimal_basis() {
         // minimize x1 with x1 + x2 = 1: optimum picks x2 basic. The basis {x1} is
         // feasible but not optimal, so certification must fail on it.
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1)]],
-            rhs: vec![r(1, 1)],
-            costs: vec![r(1, 1), r(0, 1)],
-        };
-        let columns = Columns::from_form(&form);
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(1, 1)]],
+            vec![r(1, 1)],
+            vec![r(1, 1), r(0, 1)],
+        );
         assert!(
-            accepted(certify_basis(&form, &columns, &[0], &Deadline::unlimited())).is_none(),
+            accepted(certify_basis(&form, &[0], &Deadline::unlimited())).is_none(),
             "x1 basic is not optimal"
         );
-        let certificate = accepted(certify_basis(&form, &columns, &[1], &Deadline::unlimited()))
+        let certificate = accepted(certify_basis(&form, &[1], &Deadline::unlimited()))
             .expect("x2 basic is optimal");
         assert_eq!(certificate.values, vec![r(0, 1), r(1, 1)]);
     }
@@ -679,23 +693,18 @@ mod tests {
     #[test]
     fn certifier_rejects_infeasible_bases_and_nonzero_artificials() {
         // x1 - x2 = 1 with basis {x2}: x2 = -1 < 0 → infeasible basis.
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(-1, 1)]],
-            rhs: vec![r(1, 1)],
-            costs: vec![r(0, 1), r(0, 1)],
-        };
-        let columns = Columns::from_form(&form);
-        assert!(accepted(certify_basis(&form, &columns, &[1], &Deadline::unlimited())).is_none());
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(-1, 1)]],
+            vec![r(1, 1)],
+            vec![r(0, 1), r(0, 1)],
+        );
+        assert!(accepted(certify_basis(&form, &[1], &Deadline::unlimited())).is_none());
         // Empty candidate: the row is covered by an artificial that must be 0 but
         // solves to 1 → reject.
-        assert!(accepted(certify_basis(&form, &columns, &[], &Deadline::unlimited())).is_none());
+        assert!(accepted(certify_basis(&form, &[], &Deadline::unlimited())).is_none());
         // With rhs = 0 the all-artificial basis is exactly feasible and optimal.
         let zero_form = StandardForm { rhs: vec![r(0, 1)], ..form };
-        let zero_columns = Columns::from_form(&zero_form);
-        assert!(
-            accepted(certify_basis(&zero_form, &zero_columns, &[], &Deadline::unlimited()))
-                .is_some()
-        );
+        assert!(accepted(certify_basis(&zero_form, &[], &Deadline::unlimited())).is_some());
     }
 
     /// minimize 2x1 + x2  s.t.  x1 - x2 = 1. Basis {x2} solves to x2 = -1: primal
@@ -703,13 +712,12 @@ mod tests {
     /// rejection must salvage the weak-duality bound y·b = -1 (≤ the optimum 2).
     #[test]
     fn rejected_dual_feasible_basis_yields_an_exact_lower_bound() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(-1, 1)]],
-            rhs: vec![r(1, 1)],
-            costs: vec![r(2, 1), r(1, 1)],
-        };
-        let columns = Columns::from_form(&form);
-        match certify_basis(&form, &columns, &[1], &Deadline::unlimited()) {
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(-1, 1)]],
+            vec![r(1, 1)],
+            vec![r(2, 1), r(1, 1)],
+        );
+        match certify_basis(&form, &[1], &Deadline::unlimited()) {
             Certified::Rejected { dual_bound: Some(bound) } => assert_eq!(bound, r(-1, 1)),
             Certified::Rejected { dual_bound: None } => panic!("bound must be salvaged"),
             Certified::Accepted(_) => panic!("x2 basic is primal infeasible"),

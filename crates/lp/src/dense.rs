@@ -1,5 +1,7 @@
 //! The dense two-phase tableau simplex — the crate's original solver, kept only as
-//! the test oracle of the sparse revised simplex.
+//! the test oracle of the sparse revised simplex — plus the dense-matrix helpers the
+//! unit tests write their fixtures with. This is the one file of the crate where a
+//! dense matrix may appear.
 //!
 //! Production solves never reach this code: the float-first certified driver runs
 //! the revised simplex and, when the `f64` run fails to converge, hands the exact
@@ -9,9 +11,41 @@
 
 use crate::deadline::Deadline;
 use crate::problem::LpStatus;
-use crate::revised::RevisedOutcome;
+use crate::revised::{Columns, RevisedOutcome};
 use crate::scalar::{abs as abs_scalar, Scalar};
 use crate::simplex::StandardForm;
+
+/// The column-major layout of a dense row-major `rows × num_cols` matrix, as
+/// [`crate::problem::LpProblem`] builds it: ascending rows, no exactly-zero entry.
+pub(crate) fn columns_from_dense<S: Scalar>(matrix: &[Vec<S>], num_cols: usize) -> Columns<S> {
+    let mut cols = vec![Vec::new(); num_cols];
+    for (row, cells) in matrix.iter().enumerate() {
+        for (column, cell) in cols.iter_mut().zip(cells) {
+            if !cell.is_exactly_zero() {
+                column.push((row, cell.clone()));
+            }
+        }
+    }
+    Columns { cols, rows: matrix.len() }
+}
+
+/// The dense row-major copy of a form's constraint matrix.
+fn dense_matrix<S: Scalar>(form: &StandardForm<S>) -> Vec<Vec<S>> {
+    let mut matrix = vec![vec![S::zero(); form.costs.len()]; form.num_rows()];
+    for (col, entries) in form.columns.cols.iter().enumerate() {
+        for (row, value) in entries {
+            matrix[*row][col] = value.clone();
+        }
+    }
+    matrix
+}
+
+impl<S: Scalar> StandardForm<S> {
+    /// A standard form from a dense row-major constraint matrix (test fixtures).
+    pub(crate) fn from_dense(matrix: Vec<Vec<S>>, rhs: Vec<S>, costs: Vec<S>) -> StandardForm<S> {
+        StandardForm { columns: columns_from_dense(&matrix, costs.len()), rhs, costs }
+    }
+}
 
 /// Internal simplex state: the tableau `B⁻¹A | B⁻¹b` plus the current basis.
 struct Tableau<S> {
@@ -326,7 +360,7 @@ pub(crate) fn solve_dense<S: Scalar>(
     deadline: &Deadline,
     noise_floor: f64,
 ) -> crate::revised::RevisedOutcome<S> {
-    let num_rows = form.matrix.len();
+    let num_rows = form.num_rows();
     let num_structural = form.costs.len();
     let fail = |status| RevisedOutcome {
         status,
@@ -342,8 +376,7 @@ pub(crate) fn solve_dense<S: Scalar>(
     // Phase 1: add one artificial variable per row and minimize their sum.
     let num_cols = num_structural + num_rows;
     let mut rows = Vec::with_capacity(num_rows);
-    for (i, row) in form.matrix.iter().enumerate() {
-        let mut extended = row.clone();
+    for (i, mut extended) in dense_matrix(form).into_iter().enumerate() {
         extended.resize(num_cols, S::zero());
         extended[num_structural + i] = S::one();
         rows.push(extended);
@@ -474,8 +507,7 @@ mod tests {
                 .collect();
             let rhs: Vec<Rational> = (0..m).map(|_| r((next() % 5) as i64, 1)).collect();
             let costs: Vec<Rational> = (0..n).map(|_| r((next() % 7) as i64 - 3, 1)).collect();
-            let form =
-                StandardForm { matrix, rhs, costs: costs.clone() };
+            let form = StandardForm::from_dense(matrix, rhs, costs.clone());
             let objective = |values: &[Rational]| -> Rational {
                 values
                     .iter()
@@ -520,8 +552,7 @@ mod tests {
                 .map(|_| if next() % 4 == 0 { (next() % 5) as f64 } else { 0.0 })
                 .collect();
             let costs: Vec<f64> = (0..n).map(|_| ((next() % 7) as i64 - 3) as f64).collect();
-            let form =
-                StandardForm { matrix, rhs, costs: costs.clone() };
+            let form = StandardForm::from_dense(matrix, rhs, costs.clone());
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
@@ -579,8 +610,7 @@ mod tests {
                 .map(|_| if next() % 3 == 0 { (next() % 6) as f64 } else { 0.0 })
                 .collect();
             let costs: Vec<f64> = (0..n).map(|_| ((next() % 9) as i64 - 4) as f64).collect();
-            let form =
-                StandardForm { matrix, rhs, costs: costs.clone() };
+            let form = StandardForm::from_dense(matrix, rhs, costs.clone());
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };

@@ -3,11 +3,16 @@
 //! Step 4 of the paper's algorithm solves a single linear program — "minimize the
 //! threshold `t` subject to all collected linear constraints" — with an off-the-shelf
 //! solver (the paper uses Gurobi). This crate provides that substrate: a *sparse
-//! revised* two-phase simplex that keeps the constraint matrix in column-major form
-//! and maintains an eta-file basis factorization with periodic reinversion. Every
-//! solve runs on the standard form exactly as [`LpProblem`] builds it, with no
-//! reduction pass in front. The simplex is generic over its scalar, and three entry
-//! points share it:
+//! revised* two-phase simplex that maintains an eta-file basis factorization with
+//! periodic reinversion. [`LpProblem`] writes its standard form (`min c·y`,
+//! `Ay = b`, `y ≥ 0`, `b ≥ 0`) once, straight from the constraint terms, as sparse
+//! columns: one list of `(row, value)` non-zeros per column, in ascending row order.
+//! That column-major form is the only representation of the matrix on any solve
+//! path; no dense copy is ever made. Exact solves borrow it as built, the `f64`
+//! backend equilibrates a sparse copy, and each row-generation round gathers its
+//! active columns in time linear in their non-zeros. Every solve runs on the
+//! standard form exactly as built, with no reduction pass in front. The simplex is
+//! generic over its scalar, and three entry points share it:
 //!
 //! * [`LpProblem::solve_certified`] is the analysis's LP path: the `f64` simplex
 //!   proposes a candidate optimal basis, an exact-rational certifier accepts it or

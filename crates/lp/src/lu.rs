@@ -313,22 +313,15 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::StandardForm;
+    use crate::dense::columns_from_dense;
     use dca_numeric::Rational;
 
     fn r(n: i64, d: i64) -> Rational {
         Rational::new(n, d)
     }
 
-    fn columns(matrix: Vec<Vec<Rational>>) -> Columns<Rational> {
-        let rows = matrix.len();
-        let n = matrix.first().map_or(0, Vec::len);
-        let form = StandardForm {
-            matrix,
-            rhs: vec![Rational::zero(); rows],
-            costs: vec![Rational::zero(); n],
-        };
-        Columns::from_form(&form)
+    fn columns(matrix: &[Vec<Rational>]) -> Columns<Rational> {
+        columns_from_dense(matrix, matrix.first().map_or(0, Vec::len))
     }
 
     /// `B · ftran(e_i) = e_i` for every basis column: the factorization really is an
@@ -362,7 +355,7 @@ mod tests {
 
     #[test]
     fn factorizes_a_full_rank_basis_exactly() {
-        let cols = columns(vec![
+        let cols = columns(&[
             vec![r(2, 1), r(1, 1), r(0, 1)],
             vec![r(0, 1), r(1, 1), r(3, 1)],
             vec![r(1, 1), r(0, 1), r(1, 1)],
@@ -387,7 +380,7 @@ mod tests {
     fn dependent_columns_drop_and_artificials_pad() {
         // Column 1 = 2 · column 0; only one of them can pivot, the second row falls
         // back to an artificial.
-        let cols = columns(vec![
+        let cols = columns(&[
             vec![r(1, 1), r(2, 1)],
             vec![r(2, 1), r(4, 1)],
         ]);
@@ -411,7 +404,7 @@ mod tests {
             }
             matrix.push(row);
         }
-        let cols = columns(matrix);
+        let cols = columns(&matrix);
         let basis: Vec<usize> = (0..size).collect();
         let lu = factorize_markowitz(&cols, &basis);
         assert!(lu.artificial_rows.is_empty());
@@ -455,7 +448,7 @@ mod tests {
                     }
                 }
             }
-            let cols = columns(matrix);
+            let cols = columns(&matrix);
             // Start from the all-artificial basis (always nonsingular) and walk a
             // random pivot sequence, mirroring the simplex's update exactly:
             // d = B⁻¹·A_entering, replace the basis column at a row where d ≠ 0.
@@ -534,7 +527,7 @@ mod tests {
 
     #[test]
     fn btran_matches_ftran_duality() {
-        let cols = columns(vec![
+        let cols = columns(&[
             vec![r(1, 1), r(1, 1), r(0, 1), r(2, 1)],
             vec![r(0, 1), r(3, 1), r(1, 1), r(0, 1)],
             vec![r(2, 1), r(0, 1), r(0, 1), r(1, 1)],

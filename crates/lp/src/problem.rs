@@ -1,11 +1,12 @@
 //! The user-facing LP model: variables, constraints, objective, and solving entry points.
 
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dca_numeric::Rational;
 
 use crate::deadline::Deadline;
+use crate::revised::Columns;
 use crate::scalar::Scalar;
 use crate::simplex::{solve_standard_form, RawSolution, StandardForm};
 
@@ -189,6 +190,10 @@ pub struct LpSolveInfo {
     pub certify_time: Duration,
     /// Wall-clock spent in exact repair pivoting (float-first driver only).
     pub repair_time: Duration,
+    /// Wall-clock spent building the LP's sparse standard form from its
+    /// constraints, plus (row generation only) gathering each round's restriction
+    /// to the active columns.
+    pub build_time: Duration,
     /// Lazy row-generation candidate columns (certified driver with a non-empty
     /// lazy set only; 0 on the eager path).
     pub products_total: usize,
@@ -411,7 +416,9 @@ impl LpProblem {
         warm: Option<&LpBasis>,
         lazy_names: &[String],
     ) -> LpResult<Rational> {
+        let build_start = Instant::now();
         let standard = self.to_standard_form::<Rational>();
+        let build_time = build_start.elapsed();
         let col_names = self.standard_col_names();
         let warm_cols = self.warm_to_cols(warm, &col_names);
         let lazy_cols: Vec<usize> = if lazy_names.is_empty() {
@@ -435,12 +442,13 @@ impl LpProblem {
                 .filter(|col| !free_split.contains(col))
                 .collect()
         };
-        let raw = crate::certify::solve_float_first(
+        let mut raw = crate::certify::solve_float_first(
             &standard,
             &self.deadline,
             warm_cols.as_deref(),
             &lazy_cols,
         );
+        raw.info.build_time += build_time;
         self.assemble_result(raw, &col_names)
     }
 
@@ -545,8 +553,11 @@ impl LpProblem {
     }
 
     fn solve_generic<S: Scalar>(&self) -> LpResult<S> {
+        let build_start = Instant::now();
         let standard = self.to_standard_form::<S>();
-        let raw = solve_standard_form(&standard, &self.deadline, None);
+        let build_time = build_start.elapsed();
+        let mut raw = solve_standard_form(&standard, &self.deadline, None);
+        raw.info.build_time = build_time;
         self.assemble_result(raw, &self.standard_col_names())
     }
 
@@ -555,62 +566,85 @@ impl LpProblem {
     /// Model variables map to standard-form columns as follows: a `NonNegative` variable
     /// maps to one column, a `Free` variable to a pair of columns (positive and negative
     /// parts). Inequality rows receive one slack/surplus column each.
+    ///
+    /// The columns are written directly from the constraint terms, one row at a
+    /// time, so every column lists its entries in ascending row order. A variable
+    /// repeated within a row has its coefficients summed in term order in `S`; an
+    /// entry that sums to exactly zero is not stored. A row with a negative
+    /// right-hand side is negated, slack included, so that `b ≥ 0`.
     fn to_standard_form<S: Scalar>(&self) -> StandardForm<S> {
-        let (columns, num_cols) = self.model_columns();
+        let (layout, num_cols) = self.model_columns();
         let num_slacks = self
             .constraints
             .iter()
             .filter(|c| c.op != ConstraintOp::Eq)
             .count();
-        let total_cols = num_cols + num_slacks;
-
-        let mut matrix: Vec<Vec<S>> = Vec::with_capacity(self.constraints.len());
-        let mut rhs: Vec<S> = Vec::with_capacity(self.constraints.len());
+        let num_rows = self.constraints.len();
+        let mut cols: Vec<Vec<(usize, S)>> = vec![Vec::new(); num_cols + num_slacks];
+        let mut rhs: Vec<S> = Vec::with_capacity(num_rows);
+        // Columns that received an entry in the current row.
+        let mut touched: Vec<usize> = Vec::new();
         let mut slack_idx = num_cols;
-        for constraint in &self.constraints {
-            let mut row = vec![S::zero(); total_cols];
+        for (row, constraint) in self.constraints.iter().enumerate() {
+            touched.clear();
+            let mut accumulate = |col: usize, c: &S, negative_part: bool| {
+                let column = &mut cols[col];
+                if column.last().is_none_or(|(last, _)| *last != row) {
+                    column.push((row, S::zero()));
+                    touched.push(col);
+                }
+                if let Some((_, value)) = column.last_mut() {
+                    *value = if negative_part { value.sub(c) } else { value.add(c) };
+                }
+            };
             for (var, coef) in &constraint.terms {
                 let c = S::from_rational(coef);
-                let (pos, neg) = columns[var.index()];
-                row[pos] = row[pos].add(&c);
+                let (pos, neg) = layout[var.index()];
+                accumulate(pos, &c, false);
                 if let Some(neg) = neg {
-                    row[neg] = row[neg].sub(&c);
+                    accumulate(neg, &c, true);
                 }
             }
-            match constraint.op {
-                ConstraintOp::Le => {
-                    row[slack_idx] = S::one();
-                    slack_idx += 1;
-                }
-                ConstraintOp::Ge => {
-                    row[slack_idx] = S::one().neg();
-                    slack_idx += 1;
-                }
-                ConstraintOp::Eq => {}
+            let slack = match constraint.op {
+                ConstraintOp::Le => Some(S::one()),
+                ConstraintOp::Ge => Some(S::one().neg()),
+                ConstraintOp::Eq => None,
+            };
+            if let Some(slack) = slack {
+                cols[slack_idx].push((row, slack));
+                touched.push(slack_idx);
+                slack_idx += 1;
             }
             let mut b = S::from_rational(&constraint.rhs);
             // Normalize to b >= 0.
-            if b.is_negative() {
-                for cell in &mut row {
-                    *cell = cell.neg();
-                }
+            let negate = b.is_negative();
+            if negate {
                 b = b.neg();
             }
-            matrix.push(row);
+            for &col in &touched {
+                let column = &mut cols[col];
+                if column.last().is_some_and(|(_, value)| value.is_exactly_zero()) {
+                    column.pop();
+                } else if negate {
+                    if let Some((_, value)) = column.last_mut() {
+                        *value = value.neg();
+                    }
+                }
+            }
             rhs.push(b);
         }
 
-        let mut costs = vec![S::zero(); total_cols];
+        let mut costs = vec![S::zero(); num_cols + num_slacks];
         for (var, coef) in &self.objective {
             let c = S::from_rational(coef);
-            let (pos, neg) = columns[var.index()];
+            let (pos, neg) = layout[var.index()];
             costs[pos] = costs[pos].add(&c);
             if let Some(neg) = neg {
                 costs[neg] = costs[neg].sub(&c);
             }
         }
 
-        StandardForm { matrix, rhs, costs }
+        StandardForm { columns: Columns { cols, rows: num_rows }, rhs, costs }
     }
 
     /// Standard-form column layout per model variable (the positive column and, for
@@ -886,6 +920,127 @@ mod tests {
                 }
             }
             assert_eq!(lp.solve_f64().status, status, "{name} (f64)");
+        }
+    }
+
+    /// The sparse builder against the dense layout it replaced: every case's columns
+    /// (ascending rows, exact zeros dropped), right-hand sides and costs must equal
+    /// the column-major form of the hand-written dense standard form, in both
+    /// scalars. The exact form's `f64` image (the certified driver's float input)
+    /// must equal the dense `f64` layout too.
+    #[test]
+    fn standard_form_columns_match_the_dense_layout() {
+        use crate::certify::float_image;
+        use ConstraintOp::{Eq, Ge, Le};
+        use VarKind::{Free, NonNegative as NonNeg};
+        // 2^60 + 1 rounds to 2^60 in `f64`, so `(2^60 + 1)·x − 2^60·x` sums to 1 in
+        // rationals but to exactly 0.0 in `f64`.
+        const BIG: i64 = 1 << 60;
+        type Terms = &'static [(usize, i64)];
+        type Row = (Terms, ConstraintOp, i64);
+        type Dense = &'static [&'static [i64]];
+        // (name, variable kinds, rows, objective, dense A, b, costs, cells of A that
+        // cancel to 0.0 in `f64` only)
+        type Case = (
+            &'static str,
+            &'static [VarKind],
+            &'static [Row],
+            Terms,
+            Dense,
+            &'static [i64],
+            &'static [i64],
+            &'static [(usize, usize)],
+        );
+        let cases: [Case; 5] = [
+            (
+                "repeated variable cancels",
+                &[NonNeg, NonNeg],
+                &[(&[(0, 1), (1, 1), (0, -1)], Eq, 3)],
+                &[(1, 1)],
+                &[&[0, 1]],
+                &[3],
+                &[0, 1],
+                &[],
+            ),
+            (
+                "free variable splits into two columns",
+                &[Free, NonNeg],
+                &[(&[(0, 2), (1, 1)], Le, 4), (&[(0, 1)], Eq, 1)],
+                &[(0, 1), (1, -1)],
+                &[&[2, -2, 1, 1], &[1, -1, 0, 0]],
+                &[4, 1],
+                &[1, -1, -1, 0],
+                &[],
+            ),
+            (
+                "le, ge and eq rows",
+                &[NonNeg, NonNeg],
+                &[(&[(0, 1), (1, 1)], Le, 4), (&[(0, 1), (1, -1)], Ge, 1), (&[(0, 3)], Eq, 6)],
+                &[],
+                &[&[1, 1, 1, 0], &[1, -1, 0, -1], &[3, 0, 0, 0]],
+                &[4, 1, 6],
+                &[0, 0, 0, 0],
+                &[],
+            ),
+            (
+                "negative right-hand sides negate the row, slack included",
+                &[NonNeg, NonNeg],
+                &[(&[(0, 1), (1, -2)], Ge, -3), (&[(1, 1)], Le, -1), (&[(0, 1)], Eq, -2)],
+                &[(0, 1)],
+                &[&[-1, 2, 1, 0], &[0, -1, 0, -1], &[-1, 0, 0, 0]],
+                &[3, 1, 2],
+                &[1, 0, 0, 0],
+                &[],
+            ),
+            (
+                "coefficient that cancels to 0.0 in f64 only",
+                &[NonNeg, NonNeg],
+                &[(&[(0, BIG + 1), (1, 1), (0, -BIG)], Eq, 5)],
+                &[(0, 1)],
+                &[&[1, 1]],
+                &[5],
+                &[1, 0],
+                &[(0, 0)],
+            ),
+        ];
+        for (name, kinds, rows, objective, dense, rhs, costs, f64_zero) in cases {
+            let mut lp = LpProblem::new();
+            let vars: Vec<LpVar> =
+                kinds.iter().enumerate().map(|(i, &kind)| lp.add_var(format!("v{i}"), kind)).collect();
+            let terms = |pairs: &[(usize, i64)]| -> Vec<(LpVar, Rational)> {
+                pairs.iter().map(|&(var, coef)| (vars[var], r(coef))).collect()
+            };
+            for &(row, op, b) in rows {
+                lp.add_constraint(terms(row), op, r(b));
+            }
+            lp.set_objective(terms(objective));
+
+            let exact = lp.to_standard_form::<Rational>();
+            let expected = StandardForm::from_dense(
+                dense.iter().map(|row| row.iter().map(|&v| r(v)).collect()).collect(),
+                rhs.iter().map(|&v| r(v)).collect(),
+                costs.iter().map(|&v| r(v)).collect(),
+            );
+            assert_eq!(exact.columns.rows, expected.columns.rows, "{name}: rows");
+            assert_eq!(exact.columns.cols, expected.columns.cols, "{name}: exact columns");
+            assert_eq!(exact.rhs, expected.rhs, "{name}: exact rhs");
+            assert_eq!(exact.costs, expected.costs, "{name}: exact costs");
+
+            let dense_f64 = |drop: &[(usize, usize)]| {
+                let rows = dense.iter().enumerate().map(|(i, row)| {
+                    let cells = row.iter().enumerate();
+                    cells.map(|(j, &v)| if drop.contains(&(i, j)) { 0.0 } else { v as f64 }).collect()
+                });
+                let as_f64 = |values: &[i64]| values.iter().map(|&v| v as f64).collect();
+                StandardForm::from_dense(rows.collect(), as_f64(rhs), as_f64(costs))
+            };
+            let float = lp.to_standard_form::<f64>();
+            let expected = dense_f64(f64_zero);
+            assert_eq!(float.columns.cols, expected.columns.cols, "{name}: f64 columns");
+            assert_eq!(float.rhs, expected.rhs, "{name}: f64 rhs");
+            assert_eq!(float.costs, expected.costs, "{name}: f64 costs");
+            let image = float_image(&exact);
+            assert_eq!(image.columns.cols, dense_f64(&[]).columns.cols, "{name}: f64 image");
         }
     }
 

@@ -96,31 +96,16 @@ impl<S: Scalar> Eta<S> {
 }
 
 /// The sparse constraint matrix plus the virtual artificial identity columns.
+#[derive(Debug, Clone)]
 pub(crate) struct Columns<S> {
-    /// Structural columns: `cols[j]` is the list of `(row, value)` non-zeros.
+    /// Structural columns: `cols[j]` is the list of `(row, value)` non-zeros, in
+    /// ascending row order, with no exactly-zero entry.
     pub(crate) cols: Vec<Vec<(usize, S)>>,
     /// Number of rows (artificial column `n + r` is the unit vector `e_r`).
     pub(crate) rows: usize,
 }
 
 impl<S: Scalar> Columns<S> {
-    /// Builds the column-major form of a standard-form constraint matrix.
-    pub(crate) fn from_form(form: &StandardForm<S>) -> Columns<S> {
-        Columns {
-            cols: (0..form.costs.len())
-                .map(|j| {
-                    form.matrix
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, row)| !row[j].is_exactly_zero())
-                        .map(|(i, row)| (i, row[j].clone()))
-                        .collect()
-                })
-                .collect(),
-            rows: form.matrix.len(),
-        }
-    }
-
     pub(crate) fn scatter(&self, col: usize, out: &mut [S]) {
         for value in out.iter_mut() {
             *value = S::zero();
@@ -389,11 +374,10 @@ pub(crate) fn solve_revised_capped<S: Scalar>(
     phase1_noise_floor: f64,
     iter_cap: Option<usize>,
 ) -> RevisedOutcome<S> {
-    let m = form.matrix.len();
+    let m = form.num_rows();
     let n = form.costs.len();
-    let columns = Columns::from_form(form);
 
-    let mut state = State::new(&columns, form, warm);
+    let mut state = State::new(form, warm);
     let max_iters = iter_cap.unwrap_or(200 * (m + n) + 2000);
 
     // Phase 1: minimize the sum of the artificial values.
@@ -525,7 +509,8 @@ struct State<'a, S> {
 }
 
 impl<'a, S: Scalar> State<'a, S> {
-    fn new(columns: &'a Columns<S>, form: &'a StandardForm<S>, warm: Option<&[usize]>) -> Self {
+    fn new(form: &'a StandardForm<S>, warm: Option<&[usize]>) -> Self {
+        let columns = &form.columns;
         let m = columns.rows;
         let n = columns.cols.len();
         let build = |preferred: &[usize]| -> (Factorization<S>, Vec<S>) {
@@ -1232,11 +1217,11 @@ mod tests {
     /// minimize -x - y  s.t.  x + y + s = 4: optimum 4 at x + y = 4.
     #[test]
     fn small_exact_lp() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
-            rhs: vec![r(4, 1)],
-            costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-        };
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
+            vec![r(4, 1)],
+            vec![r(-1, 1), r(-1, 1), r(0, 1)],
+        );
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Optimal);
         let total = out.values[0].clone() + out.values[1].clone();
@@ -1247,11 +1232,11 @@ mod tests {
     #[test]
     fn infeasible_exact_lp() {
         // x = 2 and x = 3 (as two equality rows over one column).
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(3, 1)],
-            costs: vec![r(0, 1)],
-        };
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1)], vec![r(1, 1)]],
+            vec![r(2, 1), r(3, 1)],
+            vec![r(0, 1)],
+        );
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Infeasible);
     }
@@ -1259,11 +1244,7 @@ mod tests {
     #[test]
     fn unbounded_f64_lp() {
         // minimize -x s.t. x - s = 1 (x unbounded above).
-        let form = StandardForm {
-            matrix: vec![vec![1.0f64, -1.0]],
-            rhs: vec![1.0],
-            costs: vec![-1.0, 0.0],
-        };
+        let form = StandardForm::from_dense(vec![vec![1.0f64, -1.0]], vec![1.0], vec![-1.0, 0.0]);
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Unbounded);
     }
@@ -1271,14 +1252,14 @@ mod tests {
     #[test]
     fn warm_start_reuses_the_final_basis() {
         // minimize x + y s.t. x + 2y - s1 = 4, 3x + y - s2 = 6.
-        let form = StandardForm {
-            matrix: vec![
+        let form = StandardForm::from_dense(
+            vec![
                 vec![1.0f64, 2.0, -1.0, 0.0],
                 vec![3.0, 1.0, 0.0, -1.0],
             ],
-            rhs: vec![4.0, 6.0],
-            costs: vec![1.0, 1.0, 0.0, 0.0],
-        };
+            vec![4.0, 6.0],
+            vec![1.0, 1.0, 0.0, 0.0],
+        );
         let cold = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(cold.status, LpStatus::Optimal);
         assert!((cold.values[0] - 1.6).abs() < 1e-6);
@@ -1306,40 +1287,26 @@ mod tests {
         for case in 0..200 {
             let m = 2 + (next() % 10) as usize;
             let n = 2 + (next() % 14) as usize;
-            let matrix: Vec<Vec<f64>> = (0..m)
-                .map(|_| {
-                    (0..n)
-                        .map(|_| {
-                            if next() % 2 == 0 {
-                                ((next() % 5) as i64 - 2) as f64
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let columns = Columns {
-                cols: (0..n)
-                    .map(|j| {
-                        matrix
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, row)| row[j] != 0.0)
-                            .map(|(i, row)| (i, row[j]))
-                            .collect()
-                    })
-                    .collect(),
-                rows: m,
-            };
+            // Row-major draw of a sparse m × n matrix, stored column-major.
+            let mut columns = Columns { cols: vec![Vec::new(); n], rows: m };
+            for row in 0..m {
+                for column in &mut columns.cols {
+                    if next() % 2 == 0 {
+                        let value = ((next() % 5) as i64 - 2) as f64;
+                        if value != 0.0 {
+                            column.push((row, value));
+                        }
+                    }
+                }
+            }
             // Preferred list with duplicates and likely-dependent columns.
             let preferred: Vec<usize> = (0..n + 2).map(|_| (next() % n as u64) as usize).collect();
             let (factor, _, _) = Factorization::reinvert(&columns, &preferred, PIVOT_EPS);
             // Check every structural column: multiply B by ftran(A_j) and compare.
-            #[allow(clippy::needless_range_loop)] // j is a column index of `matrix`
             for j in 0..n {
-                let mut d = vec![0.0f64; m];
-                columns.scatter(j, &mut d);
+                let mut original = vec![0.0f64; m];
+                columns.scatter(j, &mut original);
+                let mut d = original.clone();
                 factor.ftran(&mut d);
                 let mut reconstructed = vec![0.0f64; m];
                 for (pos, &col) in factor.basis.iter().enumerate() {
@@ -1354,8 +1321,8 @@ mod tests {
                         reconstructed[col - n] += d[pos];
                     }
                 }
-                for (row, &rebuilt) in reconstructed.iter().enumerate() {
-                    let expected = matrix[row][j];
+                let pairs = reconstructed.iter().zip(&original);
+                for (row, (&rebuilt, &expected)) in pairs.enumerate() {
                     assert!(
                         (rebuilt - expected).abs() <= 1e-6 * (1.0 + expected.abs()),
                         "case {case}: B·ftran(A_{j}) diverges at row {row}: {rebuilt} vs {expected}\nbasis: {:?}",
@@ -1389,15 +1356,15 @@ mod tests {
     #[test]
     fn degenerate_rhs_terminates() {
         // Heavily degenerate: three equality rows with zero rhs over five columns.
-        let form = StandardForm {
-            matrix: vec![
+        let form = StandardForm::from_dense(
+            vec![
                 vec![1.0f64, -1.0, 0.0, 1.0, 0.0],
                 vec![0.0, 1.0, -1.0, 0.0, 1.0],
                 vec![1.0, 0.0, -1.0, 1.0, 1.0],
             ],
-            rhs: vec![0.0, 0.0, 0.0],
-            costs: vec![1.0, 1.0, 1.0, 0.0, 0.0],
-        };
+            vec![0.0, 0.0, 0.0],
+            vec![1.0, 1.0, 1.0, 0.0, 0.0],
+        );
         let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
         assert_eq!(out.status, LpStatus::Optimal);
         assert!(out.values.iter().all(|v| v.abs() < 1e-9));

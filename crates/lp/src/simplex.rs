@@ -1,12 +1,16 @@
 //! Standard-form solving: equilibration and the sparse revised simplex.
 //!
-//! The pipeline for every solve is
+//! A [`StandardForm`] holds its constraint matrix the one way the revised simplex
+//! reads it: sparse and column-major ([`Columns`]), built directly from the
+//! constraint terms by [`crate::problem::LpProblem`]. No dense copy of the matrix
+//! exists on any solve path. The pipeline for every solve is
 //!
 //! ```text
-//! equilibrate → (perturb) → revised simplex → unscale
+//! (f64 only: equilibrate a sparse copy → perturb) → revised simplex → unscale
 //! ```
 //!
-//! The standard form is solved exactly as [`crate::problem::LpProblem`] builds it.
+//! Exact solves borrow the form as built; only the `f64` backend, for which
+//! conditioning matters, scales a sparse copy of it.
 //! All-zero columns need no special case: such a column's reduced cost is its own
 //! cost, so phase 2 prices it in only when that cost is negative — and then it is a
 //! genuine unbounded ray. [`crate::revised`] solves the form sparsely with
@@ -16,19 +20,27 @@
 
 use crate::deadline::Deadline;
 use crate::problem::{LpSolveInfo, LpStatus};
-use crate::revised::solve_revised_capped;
+use crate::revised::{solve_revised_capped, Columns};
 use crate::scalar::{abs as abs_scalar, Scalar};
 
-/// A problem in standard form: minimize `costs · y` subject to `matrix · y = rhs`,
+/// A problem in standard form: minimize `costs · y` subject to `A · y = rhs`,
 /// `y ≥ 0`, with `rhs ≥ 0` componentwise.
 #[derive(Debug, Clone)]
 pub(crate) struct StandardForm<S> {
-    /// Constraint matrix, one row per equality.
-    pub matrix: Vec<Vec<S>>,
-    /// Right-hand sides (all non-negative).
+    /// The constraint matrix `A`, column-major: one sparse column per structural
+    /// variable, entries in ascending row order, no exactly-zero entry.
+    pub columns: Columns<S>,
+    /// Right-hand sides (all non-negative), one per row.
     pub rhs: Vec<S>,
-    /// Objective coefficients.
+    /// Objective coefficients, one per column.
     pub costs: Vec<S>,
+}
+
+impl<S: Scalar> StandardForm<S> {
+    /// Number of constraint rows.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.columns.rows
+    }
 }
 
 /// Raw solver output over standard-form columns.
@@ -97,7 +109,7 @@ pub(crate) fn solve_standard_form<S: Scalar>(
     // failure mode — and the stall itself is what burns the time (thousands of
     // zero-progress pivots before the tolerance gives up). Above the row threshold the
     // perturbation is applied from the start instead of after a failed plain solve.
-    let perturb_immediately = !S::IS_EXACT && form.matrix.len() >= PERTURB_ROWS_THRESHOLD;
+    let perturb_immediately = !S::IS_EXACT && form.num_rows() >= PERTURB_ROWS_THRESHOLD;
     let first_perturbation = if perturb_immediately { PERTURBATION } else { 0.0 };
     let solution = solve_standard_form_inner(form, deadline, first_perturbation, warm, None);
     if !S::IS_EXACT && !perturb_immediately && solution.status == LpStatus::Infeasible {
@@ -118,6 +130,9 @@ pub(crate) const PERTURB_ROWS_THRESHOLD: usize = 384;
 /// The equilibrate → perturb → revised-simplex core shared by the plain driver and
 /// the float-first certification driver; `iter_cap` bounds the revised simplex's
 /// pivots (used for the capped exact repair rounds).
+///
+/// Exact solves run on `form` itself. `f64` solves run on an equilibrated (and, for
+/// a positive `perturbation`, perturbed) sparse copy; see [`scaled_copy`].
 pub(crate) fn solve_standard_form_inner<S: Scalar>(
     form: &StandardForm<S>,
     deadline: &Deadline,
@@ -125,72 +140,21 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     warm: Option<&[usize]>,
     iter_cap: Option<usize>,
 ) -> RawSolution<S> {
-    let num_rows = form.matrix.len();
+    let num_rows = form.num_rows();
     let num_structural = form.costs.len();
-
-    // Equilibration: scale columns and rows so that tableau entries stay near unit
-    // magnitude. This matters for the floating-point backend on problems whose raw
-    // coefficients span several orders of magnitude (the degree-3 Handelman products
-    // such as (100 - n)^3 span six). Column scaling substitutes y_j = s_j * x_j, so
-    // the solution is rescaled at the end; row scaling multiplies an equality by a
-    // positive factor and needs no compensation. The column/row passes are iterated
-    // (Ruiz-style): one pass leaves the opposite dimension unbalanced again, and on
-    // the big degenerate systems the residual imbalance is what drove the basis
-    // factorizations ill-conditioned.
     // Exact arithmetic skips equilibration entirely: conditioning is a floating-point
     // concern, and dividing the (almost always small-integer) Handelman data by
     // max-abs scale factors would only manufacture fraction-heavy rationals — pushing
     // the i128 fast path into gcd-heavy or BigInt territory on every pivot.
-    let equilibration_passes = if S::IS_EXACT { 0 } else { 3 };
-    let mut form = form.clone();
-    let abs = abs_scalar::<S>;
-    let mut column_scales = vec![S::one(); num_structural];
-    for _ in 0..equilibration_passes {
-        for (column, scale) in column_scales.iter_mut().enumerate() {
-            let mut max_abs = S::zero();
-            for row in &form.matrix {
-                let a = abs(&row[column]);
-                if max_abs.lt(&a) {
-                    max_abs = a;
-                }
-            }
-            if !max_abs.is_zero() {
-                *scale = scale.mul(&max_abs);
-                for row in &mut form.matrix {
-                    row[column] = row[column].div(&max_abs);
-                }
-                form.costs[column] = form.costs[column].div(&max_abs);
-            }
-        }
-        for (row, rhs) in form.matrix.iter_mut().zip(form.rhs.iter_mut()) {
-            let mut max_abs = S::zero();
-            for cell in row.iter().chain(std::iter::once(&*rhs)) {
-                let a = abs(cell);
-                if max_abs.lt(&a) {
-                    max_abs = a;
-                }
-            }
-            if max_abs.is_zero() {
-                continue;
-            }
-            for cell in row.iter_mut() {
-                *cell = cell.div(&max_abs);
-            }
-            *rhs = rhs.div(&max_abs);
-        }
-    }
-    // Anti-degeneracy perturbation (see `solve_standard_form`): a small deterministic
-    // positive offset per row, varied across rows so no two ratios tie. Only ever
-    // non-zero on the floating-point retry path.
-    let mut total_perturbation = 0.0f64;
-    if perturbation > 0.0 {
-        for (index, rhs) in form.rhs.iter_mut().enumerate() {
-            let offset = perturbation * (1.0 + ((index * 7919) % 104_729) as f64 / 104_729.0);
-            total_perturbation += offset;
-            *rhs = rhs.add(&S::from_rational(&dca_numeric::Rational::from_f64(offset)));
-        }
-    }
-    let form = &form;
+    debug_assert!(!S::IS_EXACT || perturbation == 0.0, "exact solves are never perturbed");
+    let scaled;
+    let (form, column_scales, total_perturbation) = if S::IS_EXACT {
+        (form, None, 0.0)
+    } else {
+        let (copy, column_scales, total_perturbation) = scaled_copy(form, perturbation);
+        scaled = copy;
+        (&scaled, Some(column_scales), total_perturbation)
+    };
 
     if num_rows == 0 {
         // No constraints: the optimum is 0 unless some cost is negative (unbounded).
@@ -218,12 +182,12 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     }
 
     // Undo the column scaling: x_j = y_j / s_j.
-    if outcome.status == LpStatus::Optimal {
+    if outcome.status != LpStatus::Optimal {
+        outcome.values = Vec::new();
+    } else if let Some(column_scales) = column_scales {
         for (value, scale) in outcome.values.iter_mut().zip(&column_scales) {
             *value = value.div(scale);
         }
-    } else {
-        outcome.values = Vec::new();
     }
     RawSolution {
         status: outcome.status,
@@ -243,6 +207,90 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     }
 }
 
+/// The `f64` backend's working copy of a form: equilibrated, then perturbed.
+///
+/// Equilibration scales columns and rows so that basis entries stay near unit
+/// magnitude. This matters on problems whose raw coefficients span several orders
+/// of magnitude (the degree-3 Handelman products such as (100 - n)^3 span six).
+/// Column scaling substitutes y_j = s_j * x_j, so the solution is rescaled at the
+/// end with the returned per-column factors `s_j`; row scaling multiplies an
+/// equality by a positive factor and needs no compensation. The column/row passes
+/// are iterated (Ruiz-style): one pass leaves the opposite dimension unbalanced
+/// again, and on the big degenerate systems the residual imbalance is what drove the
+/// basis factorizations ill-conditioned. Each pass divides a column by its largest
+/// magnitude, then each row by the largest magnitude among its entries and its
+/// right-hand side. Entries a division underflows to exactly zero leave the copy.
+///
+/// The anti-degeneracy perturbation (see [`solve_standard_form`]) then adds a small
+/// deterministic positive offset per row, varied across rows so no two ratios tie;
+/// the third return value is the sum of the offsets.
+fn scaled_copy<S: Scalar>(
+    form: &StandardForm<S>,
+    perturbation: f64,
+) -> (StandardForm<S>, Vec<S>, f64) {
+    const EQUILIBRATION_PASSES: usize = 3;
+    let abs = abs_scalar::<S>;
+    let mut form = form.clone();
+    let mut column_scales = vec![S::one(); form.costs.len()];
+    let mut row_max = vec![S::zero(); form.num_rows()];
+    for _ in 0..EQUILIBRATION_PASSES {
+        let columns = form.columns.cols.iter_mut().zip(form.costs.iter_mut());
+        for ((column, cost), scale) in columns.zip(column_scales.iter_mut()) {
+            let mut max_abs = S::zero();
+            for (_, value) in column.iter() {
+                let a = abs(value);
+                if max_abs.lt(&a) {
+                    max_abs = a;
+                }
+            }
+            if !max_abs.is_zero() {
+                *scale = scale.mul(&max_abs);
+                for (_, value) in column.iter_mut() {
+                    *value = value.div(&max_abs);
+                }
+                *cost = cost.div(&max_abs);
+            }
+        }
+        row_max.fill(S::zero());
+        for column in &form.columns.cols {
+            for (row, value) in column {
+                let a = abs(value);
+                if row_max[*row].lt(&a) {
+                    row_max[*row] = a;
+                }
+            }
+        }
+        for (max_abs, rhs) in row_max.iter_mut().zip(form.rhs.iter_mut()) {
+            let a = abs(rhs);
+            if max_abs.lt(&a) {
+                *max_abs = a;
+            }
+            if !max_abs.is_zero() {
+                *rhs = rhs.div(max_abs);
+            }
+        }
+        for column in &mut form.columns.cols {
+            for (row, value) in column.iter_mut() {
+                if !row_max[*row].is_zero() {
+                    *value = value.div(&row_max[*row]);
+                }
+            }
+        }
+    }
+    for column in &mut form.columns.cols {
+        column.retain(|(_, value)| !value.is_exactly_zero());
+    }
+    let mut total_perturbation = 0.0f64;
+    if perturbation > 0.0 {
+        for (index, rhs) in form.rhs.iter_mut().enumerate() {
+            let offset = perturbation * (1.0 + ((index * 7919) % 104_729) as f64 / 104_729.0);
+            total_perturbation += offset;
+            *rhs = rhs.add(&S::from_rational(&dca_numeric::Rational::from_f64(offset)));
+        }
+    }
+    (form, column_scales, total_perturbation)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,11 +303,11 @@ mod tests {
     /// minimize -x - y  s.t.  x + y + s = 4  (i.e. x + y <= 4), expects objective -4.
     #[test]
     fn standard_form_direct() {
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
-            rhs: vec![r(4, 1)],
-            costs: vec![r(-1, 1), r(-1, 1), r(0, 1)],
-        };
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(1, 1), r(1, 1)]],
+            vec![r(4, 1)],
+            vec![r(-1, 1), r(-1, 1), r(0, 1)],
+        );
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
         let total = sol.values[0].clone() + sol.values[1].clone();
@@ -268,11 +316,7 @@ mod tests {
 
     #[test]
     fn empty_problem() {
-        let form: StandardForm<Rational> = StandardForm {
-            matrix: vec![],
-            rhs: vec![],
-            costs: vec![Rational::one()],
-        };
+        let form = StandardForm::from_dense(vec![], vec![], vec![Rational::one()]);
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values, vec![Rational::zero()]);
@@ -281,11 +325,11 @@ mod tests {
     #[test]
     fn redundant_equality_rows() {
         // x = 2 stated twice; minimize x.
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(2, 1)],
-            costs: vec![r(1, 1)],
-        };
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1)], vec![r(1, 1)]],
+            vec![r(2, 1), r(2, 1)],
+            vec![r(1, 1)],
+        );
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values[0], r(2, 1));
@@ -294,11 +338,11 @@ mod tests {
     #[test]
     fn infeasible_standard_form() {
         // x = 2 and x = 3 simultaneously.
-        let form = StandardForm {
-            matrix: vec![vec![r(1, 1)], vec![r(1, 1)]],
-            rhs: vec![r(2, 1), r(3, 1)],
-            costs: vec![r(1, 1)],
-        };
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1)], vec![r(1, 1)]],
+            vec![r(2, 1), r(3, 1)],
+            vec![r(1, 1)],
+        );
         let sol = solve_standard_form(&form, &Deadline::unlimited(), None);
         assert_eq!(sol.status, LpStatus::Infeasible);
     }

@@ -3,6 +3,7 @@
 //! in `dca_invariants`) repaired.
 
 use diffcost::benchmarks::all_benchmarks;
+use diffcost::core::SolveStats;
 use diffcost::prelude::*;
 
 fn benchmark(name: &str) -> diffcost::benchmarks::Benchmark {
@@ -156,4 +157,44 @@ fn solve_stats_carry_iteration_counts() {
     let benchmark = benchmark("SimpleSingle");
     let result = benchmark.solve().expect("SimpleSingle must solve");
     assert!(result.stats.lp_iterations > 0, "a non-trivial solve pivots at least once");
+}
+
+/// Pivot-path pin: the cheap smoke rows, solved at the configuration `table1` uses
+/// for them (the paper degree, baseline invariants), must reproduce the pivot,
+/// row-generation and LU counts committed in `BENCH_table1.json`. A refactoring
+/// that is meant to leave the simplex's path unchanged then fails here, not only in
+/// a later benchmark run; a deliberate path change regenerates the baseline.
+#[test]
+fn smoke_rows_reproduce_the_committed_pivot_counts() {
+    use dca_serve::json::Value;
+
+    let committed = include_str!("../BENCH_table1.json");
+    let document = Value::parse(committed).expect("BENCH_table1.json parses");
+    let Some(Value::Arr(rows)) = document.get("rows") else {
+        panic!("BENCH_table1.json has a rows array");
+    };
+    // (JSON key of the committed row, the same count in this solve's statistics)
+    type Count = (&'static str, fn(&SolveStats) -> usize);
+    let counts: [Count; 5] = [
+        ("lp_float_pivots", |s| s.lp_float_iterations),
+        ("lp_exact_pivots", |s| s.lp_exact_iterations),
+        ("separation_rounds", |s| s.lp_separation_rounds),
+        ("lu_updates", |s| s.lp_lu_updates),
+        ("lu_refactorizations", |s| s.lp_lu_refactorizations),
+    ];
+    for name in ["SimpleSingle", "Dis2", "sum", "ddec modified"] {
+        let row = rows
+            .iter()
+            .find(|row| row.get("name").and_then(Value::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} has a committed row"));
+        let stats = benchmark(name).solve().expect("smoke row solves").stats;
+        for (key, count) in counts {
+            let expected = row.get(key).and_then(Value::as_u64);
+            assert_eq!(
+                Some(count(&stats) as u64),
+                expected,
+                "{name}: {key} differs from the committed BENCH_table1.json row"
+            );
+        }
+    }
 }
