@@ -50,15 +50,16 @@ pub struct TableRow {
     /// Seconds the LP spent in f64 pivoting / exact certification / exact repair
     /// (the float-first driver's phase split; all 0.0 on failure).
     pub phase_seconds: (f64, f64, f64),
-    /// Seconds the LP spent building its sparse standard form, plus each
-    /// row-generation round's restriction (0.0 on failure).
+    /// Seconds the LP spent building its sparse standard form, plus the
+    /// row-generation core's column gather (0.0 on failure).
     pub lp_build_seconds: f64,
     /// Handelman product multipliers eligible for lazy generation (0 when the
     /// encoding has no degree-≥-2 products or row generation is disabled).
     pub products_total: usize,
-    /// Lazy product multipliers actually activated by separation (≤ `products_total`).
+    /// Lazy product multipliers in the final solve (≤ `products_total`; all of
+    /// them when the full stage ran).
     pub products_generated: usize,
-    /// Separation rounds of the row-generation loop (0 = plain eager solve).
+    /// Row-generation stages: 1 = core only, 2 = core then full (0 = eager).
     pub separation_rounds: usize,
     /// Exact simplex pivots absorbed as incremental eta updates of the LU factors.
     pub lu_updates: usize,

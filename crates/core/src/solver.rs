@@ -132,8 +132,8 @@ pub struct SolveStats {
     pub lp_certify_time: Duration,
     /// Wall-clock the LP spent in exact repair pivoting.
     pub lp_repair_time: Duration,
-    /// Wall-clock the LP spent building its sparse standard form, plus each
-    /// row-generation round's restriction to the active columns.
+    /// Wall-clock the LP spent building its sparse standard form, plus the
+    /// row-generation core's column gather.
     pub lp_build_time: Duration,
     /// Transitions skipped before encoding because their premise `I(ℓ) ∧ G` is
     /// infeasible (vacuous implications; pruning is sound and keeps
@@ -149,10 +149,12 @@ pub struct SolveStats {
     /// Lazy row-generation candidate columns (degree-≥-2 Handelman multipliers).
     /// 0 when row generation did not run.
     pub lp_products_total: usize,
-    /// Lazy candidate columns actually activated by separation. 0 when row
-    /// generation did not run.
+    /// Lazy candidate columns present in the final solve: those a warm start
+    /// named when the core sufficed, all of them (`lp_products_total`) when the
+    /// full stage ran. 0 when row generation did not run.
     pub lp_products_generated: usize,
-    /// Row-generation solve rounds (1 = the initial core sufficed; 0 = eager).
+    /// Row-generation stages: 1 = the core priced out, 2 = one exact pass over
+    /// the full column set followed; 0 = eager.
     pub lp_separation_rounds: usize,
     /// Exact simplex pivots absorbed as incremental rank-1 eta updates of the
     /// rational LU factorization.

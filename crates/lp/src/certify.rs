@@ -19,6 +19,13 @@
 //!    pivot-capped and re-certified ([`REPAIR_CAPS`] rounds), after which the driver
 //!    falls back to the pure exact path (uncapped), which is self-certifying.
 //!
+//! With lazy product columns ([`solve_float_first`] with a non-empty lazy set) the
+//! driver runs in two stages. The *core stage* runs the three parts above on the
+//! non-lazy columns and prices every excluded column exactly against the core's
+//! dual (or Farkas certificate). If none prices in, the core answer is final.
+//! Otherwise the *full stage* runs the exact simplex once over every column,
+//! warm-started from the core's basis.
+//!
 //! Soundness: every verdict this driver issues — optimal value, infeasible,
 //! unbounded — is produced by exact-rational arithmetic (the certifier or the exact
 //! simplex). The `f64` phase only ever influences *which basis* the exact machinery
@@ -45,8 +52,9 @@ struct Certificate {
     /// The structural basis columns (for warm-starting follow-up solves).
     basis: Vec<usize>,
     /// The exact optimal dual `y = c_B B⁻¹`. Verified dual-feasible over every
-    /// column of the certified problem; the row-generation driver prices lazily
-    /// excluded columns against it to extend the certificate to the full set.
+    /// column of the certified problem; the row-generation core stage prices
+    /// lazily excluded columns against it to extend the certificate to the full
+    /// set.
     dual: Vec<Rational>,
 }
 
@@ -208,7 +216,7 @@ fn phase1_farkas(
 /// [`crate::simplex::solve_standard_form`].
 ///
 /// `lazy_cols` marks columns eligible for delayed generation: the solve starts
-/// without them and brings them in only as exact pricing demands
+/// without them and brings them all in only when exact pricing demands it
 /// ([`solve_with_row_generation`]). An empty slice solves every column eagerly;
 /// either way the verdict is identical.
 pub(crate) fn solve_float_first(
@@ -256,6 +264,7 @@ pub(crate) fn float_image(form: &StandardForm<Rational>) -> StandardForm<f64> {
         columns: Columns { cols, rows: form.num_rows() },
         rhs: form.rhs.iter().map(Rational::to_f64).collect(),
         costs: form.costs.iter().map(Rational::to_f64).collect(),
+        free_pairs: form.free_pairs.clone(),
     }
 }
 
@@ -263,9 +272,10 @@ pub(crate) fn float_image(form: &StandardForm<Rational>) -> StandardForm<f64> {
 /// column-restricted) problem.
 ///
 /// `form` is solved as-is and `warm` carries preferred columns in `form`'s own
-/// index space. Effort is
-/// *accumulated* into `info` so the row-generation driver can call this once
-/// per round and keep a single whole-solve account.
+/// index space. Effort is *accumulated* into `info` so the row-generation driver
+/// can call this once per stage and keep a single whole-solve account. With
+/// `use_float = false` the float phase is skipped and the exact simplex runs
+/// uncapped from `warm`.
 ///
 /// With `want_dual`, an exact optimal dual vector accompanies an `Optimal`
 /// non-truncated solution: taken from the accepted certificate when the
@@ -298,10 +308,10 @@ fn certified_core(
     }
 
     // ---- Float phase: solve the f64 image of the problem. --------------------------
-    // Skipped (`use_float = false`) by the row-generation driver after its first
-    // round: the previous round's optimal basis stays primal feasible when columns
-    // are only *added*, so warm-started exact pricing beats a from-scratch f64 solve
-    // whose basis would displace that warm start.
+    // Skipped (`use_float = false`) by the row-generation full stage: the core's
+    // basis stays primal feasible when columns are only *added*, and on the full
+    // column set the float phase mostly ends `Unbounded` or at its iteration limit
+    // (EXPERIMENTS.md, "Core, then full").
     if use_float {
         let float_start = Instant::now();
         let float_form = float_image(form);
@@ -450,38 +460,38 @@ fn certified_core(
         solution.dual_bound = best_lower;
     }
     // Defensive: a solution whose basis failed dual recovery must not silently claim
-    // proven optimality to the row-generation driver; the driver downgrades it to an
+    // proven optimality to the row-generation core stage, which downgrades it to an
     // anytime answer (see the `None` dual arm there).
     (solution, dual)
 }
 
-/// Delayed column generation over the lazy Handelman-multiplier columns.
+/// Delayed column generation over the lazy Handelman-multiplier columns, in two
+/// stages.
 ///
-/// Starts from the active core — every non-lazy column plus any lazy column the
-/// warm-start basis names — solves the column-restricted sub-problem with the
-/// full float-first pipeline, then *exactly* prices every still-excluded lazy
-/// column against the sub-problem's exact dual:
+/// **Core stage.** The core is every non-lazy column plus any lazy column the
+/// warm-start basis names. It is solved with the full float-first pipeline, and
+/// every excluded lazy column is then priced *exactly*:
 ///
-/// * `Optimal`: a column with negative exact reduced cost `c_j − y·A_j < 0`
-///   could improve the optimum, so it is activated and the solve repeats,
-///   warm-started from the previous basis. When none prices negative, exact
-///   dual feasibility holds over the *full* column set, so the restricted
-///   optimum extended with zeros is a certified optimum of the full problem —
-///   the verdict (status and optimal value) is identical to the eager solve's.
-/// * `Infeasible`: the exact phase-1 Farkas certificate of the restricted
-///   system is re-derived and re-verified ([`phase1_farkas`]); an excluded
-///   column pricing `y₁·A_j > 0` could break it, so it is activated and the
-///   solve repeats. When none can, the same certificate proves the full system
-///   infeasible. If the certificate cannot be recovered in time, every
-///   remaining lazy column is activated and the final round degenerates to the
-///   eager solve — slower, never wrong.
+/// * `Optimal`: against the core's exact dual. When no column prices negative
+///   (`c_j − y·A_j ≥ 0` for all of them), exact dual feasibility holds over the
+///   *full* column set, so the core optimum extended with zeros is a certified
+///   optimum of the full problem — the verdict (status and optimal value) is
+///   identical to the eager solve's.
+/// * `Infeasible`: against the core's exact phase-1 Farkas certificate
+///   ([`phase1_farkas`]). When no excluded column prices `y₁·A_j > 0`, the same
+///   certificate proves the full system infeasible.
 /// * Anything else (unbounded, timeout, anytime-truncated optimum) is returned
-///   as-is: a restricted feasible point is a feasible point of the full
-///   problem, so truncated answers keep their sound-upper-bound meaning, and an
-///   unbounded restricted problem makes the full problem unbounded a fortiori.
+///   as-is: a core feasible point is a feasible point of the full problem, so
+///   truncated answers keep their sound-upper-bound meaning, and an unbounded
+///   core makes the full problem unbounded a fortiori.
 ///
-/// Every non-terminal round strictly grows the active set, so the loop
-/// terminates after at most `lazy.len()` activations.
+/// **Full stage.** Otherwise — some column prices in, or the Farkas certificate
+/// cannot be re-derived — the exact simplex runs once on the full form,
+/// warm-started from the core's final basis. Its verdict needs no separation
+/// argument, and a truncated answer is an anytime answer of the full problem.
+/// Activating only the violated columns and re-solving instead costs more: each
+/// extra round restarts from a warm basis and re-proves dual feasibility, almost
+/// entirely through degenerate pivots (EXPERIMENTS.md, "Core, then full").
 fn solve_with_row_generation(
     form: &StandardForm<Rational>,
     deadline: &Deadline,
@@ -490,143 +500,101 @@ fn solve_with_row_generation(
     info: &mut LpSolveInfo,
 ) -> RawSolution<Rational> {
     let n = form.costs.len();
-    let mut is_lazy = vec![false; n];
+    // Core: everything that is not lazy, plus warm-start columns — a basis threaded
+    // in from a previous escalation rung already names the lazy columns that
+    // mattered there, so row-generation state travels across rungs for free.
+    let mut in_core = vec![true; n];
     for &col in lazy {
-        is_lazy[col] = true;
+        in_core[col] = false;
     }
-    // Active core: everything that is not lazy, plus warm-start columns — a basis
-    // threaded in from a previous escalation rung already names the lazy columns
-    // that mattered there, so row-generation state travels across rungs for free.
-    let mut active: Vec<bool> = is_lazy.iter().map(|&lazy| !lazy).collect();
-    if let Some(warm) = warm {
-        for &col in warm {
-            active[col] = true;
-        }
+    for &col in warm.unwrap_or_default() {
+        in_core[col] = true;
     }
     info.products_total = lazy.len();
-    let mut warm_full: Option<Vec<usize>> = warm.map(<[usize]>::to_vec);
+    info.separation_rounds = 1;
+    enter_rowgen_stage(deadline);
 
-    let (mut sub, sub_cols, basis_full) = loop {
-        info.separation_rounds += 1;
-        // Deadline faults at the separation boundary exercise the real
-        // cancellation path; a numeric fault has nothing to reject here.
-        if fault::enter(SolvePhase::LpRowGen) == Some(FaultKind::Deadline) {
-            deadline.cancel();
-        }
-        let restrict_start = Instant::now();
-        let sub_cols: Vec<usize> = (0..n).filter(|&j| active[j]).collect();
-        let mut sub_of = vec![usize::MAX; n];
-        for (sub_j, &j) in sub_cols.iter().enumerate() {
-            sub_of[j] = sub_j;
-        }
-        // All rows are kept, so the sub-problem's duals are directly usable for
-        // pricing full-form columns. The restriction gathers the active columns'
-        // non-zeros: O(nnz) per round.
-        let sub_form = StandardForm {
-            columns: Columns {
-                cols: sub_cols.iter().map(|&j| form.columns.cols[j].clone()).collect(),
-                rows: form.num_rows(),
-            },
-            rhs: form.rhs.clone(),
-            costs: sub_cols.iter().map(|&j| form.costs[j].clone()).collect(),
-        };
-        info.build_time += restrict_start.elapsed();
-        let warm_sub: Option<Vec<usize>> = warm_full.as_ref().map(|warm| {
-            warm.iter().filter(|&&j| sub_of[j] != usize::MAX).map(|&j| sub_of[j]).collect()
-        });
-        // The f64 phase only pays off on the first round: later rounds re-solve the
-        // same rows with a strictly larger column set, where the previous optimal
-        // basis (primal feasible by construction) makes warm-started exact pricing
-        // the fastest path to the new optimum.
-        let use_float = info.separation_rounds == 1;
-        let (mut sub, dual) =
-            certified_core(&sub_form, deadline, warm_sub.as_deref(), info, true, use_float);
-        let basis_full: Vec<usize> = sub.basis.iter().map(|&j| sub_cols[j]).collect();
-        warm_full = Some(basis_full.clone());
+    let restrict_start = Instant::now();
+    let core_cols: Vec<usize> = (0..n).filter(|&j| in_core[j]).collect();
+    let core_form = form.restricted(&core_cols);
+    info.build_time += restrict_start.elapsed();
+    // `core_cols` is ascending, so a full index maps to its core index by search.
+    let warm_core: Option<Vec<usize>> =
+        warm.map(|warm| warm.iter().filter_map(|j| core_cols.binary_search(j).ok()).collect());
+    let (mut core, dual) =
+        certified_core(&core_form, deadline, warm_core.as_deref(), info, true, true);
 
-        let excluded = || (0..n).filter(|&j| is_lazy[j] && !active[j]);
-        match sub.status {
-            LpStatus::Optimal if !sub.info.truncated => {
-                let Some(dual) = dual else {
-                    // Deadline before the dual could be certified: the restricted
-                    // optimum is still exactly feasible for the full problem, so
-                    // report it with anytime semantics rather than claiming a
-                    // proven optimum the separation check never confirmed.
-                    sub.info.truncated = true;
-                    break (sub, sub_cols, basis_full);
-                };
-                let violated: Vec<usize> = excluded()
-                    .filter(|&j| form.costs[j].sub(&form.columns.dot(&dual, j)).is_negative())
-                    .collect();
-                if violated.is_empty() {
-                    break (sub, sub_cols, basis_full);
-                }
-                for j in violated {
-                    active[j] = true;
-                }
+    let mut excluded = (0..n).filter(|&j| !in_core[j]);
+    let decided = match core.status {
+        LpStatus::Optimal if !core.info.truncated => match dual {
+            Some(dual) => {
+                excluded.all(|j| !form.costs[j].sub(&form.columns.dot(&dual, j)).is_negative())
             }
-            LpStatus::Infeasible => {
-                let certify_start = Instant::now();
-                let farkas = phase1_farkas(&sub_form, &sub.basis, deadline);
-                info.certify_time += certify_start.elapsed();
-                match farkas {
-                    Some(farkas) => {
-                        // Phase-1 structural costs are 0, so an excluded column
-                        // prices `−y₁·A_j`: only `y₁·A_j > 0` could pull the
-                        // artificial sum below its positive optimum.
-                        let violated: Vec<usize> = excluded()
-                            .filter(|&j| form.columns.dot(&farkas, j).is_positive())
-                            .collect();
-                        if violated.is_empty() {
-                            break (sub, sub_cols, basis_full);
-                        }
-                        for j in violated {
-                            active[j] = true;
-                        }
-                    }
-                    None if deadline.expired() => {
-                        sub.status = LpStatus::TimedOut;
-                        sub.info.truncated = true;
-                        break (sub, sub_cols, basis_full);
-                    }
-                    None => {
-                        // The certificate could not be re-derived from the final
-                        // basis (Markowitz re-pivoting landed elsewhere). Activate
-                        // everything: the next round solves the full column set,
-                        // whose verdict needs no separation argument.
-                        if excluded().next().is_none() {
-                            break (sub, sub_cols, basis_full);
-                        }
-                        for j in 0..n {
-                            if is_lazy[j] {
-                                active[j] = true;
-                            }
-                        }
-                    }
-                }
+            None => {
+                // Deadline before the dual could be certified: the core optimum is
+                // still exactly feasible for the full problem, so report it with
+                // anytime semantics rather than claiming a proven optimum the
+                // separation check never confirmed.
+                core.info.truncated = true;
+                true
             }
-            _ => break (sub, sub_cols, basis_full),
+        },
+        LpStatus::Infeasible => {
+            let certify_start = Instant::now();
+            let farkas = phase1_farkas(&core_form, &core.basis, deadline);
+            info.certify_time += certify_start.elapsed();
+            match farkas {
+                // Phase-1 structural costs are 0, so an excluded column prices
+                // `−y₁·A_j`: only `y₁·A_j > 0` could pull the artificial sum below
+                // its positive optimum.
+                Some(farkas) => excluded.all(|j| !form.columns.dot(&farkas, j).is_positive()),
+                None if deadline.expired() => {
+                    core.status = LpStatus::TimedOut;
+                    core.info.truncated = true;
+                    true
+                }
+                // The certificate could not be re-derived from the final basis
+                // (Markowitz re-pivoting landed elsewhere): the full stage decides.
+                None => false,
+            }
         }
+        _ => true,
     };
+    let core_basis: Vec<usize> = core.basis.iter().map(|&j| core_cols[j]).collect();
 
-    info.products_generated = lazy.iter().filter(|&&j| active[j]).count();
-    // A dual bound certified against the *restricted* column set only bounds the
-    // restricted optimum (which is ≥ the full optimum), so it survives only when
-    // every lazy column ended up active.
-    if sub.dual_bound.is_some() && (0..n).any(|j| is_lazy[j] && !active[j]) {
-        sub.dual_bound = None;
-    }
-    // Expand the restricted answer to the full column space: excluded columns sit
-    // at zero (they are nonbasic by construction).
-    if sub.status == LpStatus::Optimal {
-        let mut values = vec![Rational::zero(); n];
-        for (sub_j, value) in sub.values.iter().enumerate() {
-            values[sub_cols[sub_j]] = value.clone();
+    if decided {
+        info.products_generated = lazy.iter().filter(|&&j| in_core[j]).count();
+        // A dual bound certified against the core only bounds the core optimum
+        // (which is ≥ the full optimum).
+        if core_cols.len() < n {
+            core.dual_bound = None;
         }
-        sub.values = values;
+        // Expand the core answer to the full column space: excluded columns sit at
+        // zero (they are nonbasic by construction).
+        if core.status == LpStatus::Optimal {
+            let mut values = vec![Rational::zero(); n];
+            for (value, &j) in core.values.into_iter().zip(&core_cols) {
+                values[j] = value;
+            }
+            core.values = values;
+        }
+        core.basis = core_basis;
+        return core;
     }
-    sub.basis = basis_full;
-    sub
+
+    info.separation_rounds = 2;
+    info.products_generated = lazy.len();
+    enter_rowgen_stage(deadline);
+    let (full, _) = certified_core(form, deadline, Some(&core_basis), info, false, false);
+    full
+}
+
+/// Marks the start of a row-generation stage. Deadline faults here exercise the
+/// real cancellation path; a numeric fault has nothing to reject.
+fn enter_rowgen_stage(deadline: &Deadline) {
+    if fault::enter(SolvePhase::LpRowGen) == Some(FaultKind::Deadline) {
+        deadline.cancel();
+    }
 }
 
 #[cfg(test)]
@@ -722,5 +690,107 @@ mod tests {
             Certified::Rejected { dual_bound: None } => panic!("bound must be salvaged"),
             Certified::Accepted(_) => panic!("x2 basic is primal infeasible"),
         }
+    }
+
+    /// Serializes the row-generation tests: they enter the `LpRowGen` fault point,
+    /// whose hit counter the truncation test arms process-wide.
+    static ROWGEN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn rowgen_lock() -> std::sync::MutexGuard<'static, ()> {
+        ROWGEN_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn objective(form: &StandardForm<Rational>, values: &[Rational]) -> Rational {
+        form.costs.iter().zip(values).fold(Rational::zero(), |acc, (c, x)| acc.add(&c.mul(x)))
+    }
+
+    /// `x0 + x1 + x2 + x3 = 1` with `x1..x3` lazy and costs `[2, c1, 3, 5]`.
+    fn one_row_form(c1: i64) -> StandardForm<Rational> {
+        StandardForm::from_dense(
+            vec![vec![r(1, 1), r(1, 1), r(1, 1), r(1, 1)]],
+            vec![r(1, 1)],
+            vec![r(2, 1), r(c1, 1), r(3, 1), r(5, 1)],
+        )
+    }
+
+    /// Core `{x0}` is optimal at 2 with dual 2; every lazy column prices
+    /// non-negative (`4 − 2`, `3 − 2`, `5 − 2`), so the core answer is final.
+    #[test]
+    fn a_core_that_prices_out_takes_one_round() {
+        let _guard = rowgen_lock();
+        let form = one_row_form(4);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3]);
+        assert_eq!(solution.status, LpStatus::Optimal);
+        assert!(!solution.info.truncated);
+        assert_eq!(solution.info.separation_rounds, 1);
+        assert_eq!(solution.info.products_total, 3);
+        assert_eq!(solution.info.products_generated, 0);
+        assert_eq!(solution.values, vec![r(1, 1), r(0, 1), r(0, 1), r(0, 1)]);
+    }
+
+    /// `x1` prices `1 − 2 < 0` against the core dual: the full stage runs once over
+    /// every column and lands on the eager optimum.
+    #[test]
+    fn a_lazy_column_that_prices_in_runs_the_full_stage() {
+        let _guard = rowgen_lock();
+        let form = one_row_form(1);
+        let lazy = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3]);
+        let eager = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
+        assert_eq!(lazy.status, LpStatus::Optimal);
+        assert!(!lazy.info.truncated);
+        assert_eq!(lazy.info.separation_rounds, 2);
+        assert_eq!(lazy.info.products_generated, lazy.info.products_total);
+        assert_eq!(objective(&form, &lazy.values), objective(&form, &eager.values));
+        assert_eq!(lazy.values, vec![r(0, 1), r(1, 1), r(0, 1), r(0, 1)]);
+    }
+
+    /// `x0 − x1 = 1`, `x0 = 2`: the core `{x0}` is infeasible, and every Farkas
+    /// certificate of it (`y1 > 0`, `y0 + y1 ≤ 0`) prices the lazy `x1` at
+    /// `−y0 > 0`. The full stage finds the feasible optimum `x = (2, 1)`.
+    #[test]
+    fn an_infeasible_core_whose_certificate_breaks_goes_to_the_full_stage() {
+        let _guard = rowgen_lock();
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(-1, 1)], vec![r(1, 1), r(0, 1)]],
+            vec![r(1, 1), r(2, 1)],
+            vec![r(1, 1), r(1, 1)],
+        );
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1]);
+        assert_eq!(solution.status, LpStatus::Optimal);
+        assert_eq!(solution.info.separation_rounds, 2);
+        assert_eq!(solution.info.products_generated, 1);
+        assert_eq!(solution.values, vec![r(2, 1), r(1, 1)]);
+        // Without the lazy column the system stays infeasible.
+        let core_only =
+            solve_float_first(&form.restricted(&[0]), &Deadline::unlimited(), None, &[]);
+        assert_eq!(core_only.status, LpStatus::Infeasible);
+    }
+
+    /// A deadline fault at the full stage's boundary truncates it. The anytime
+    /// answer is the core vertex, exactly feasible for the full problem, so its
+    /// objective is a sound upper bound on the full optimum, and any dual bound
+    /// it reports is a sound lower one.
+    #[test]
+    fn a_deadline_truncated_full_stage_is_a_sound_anytime_answer() {
+        let _guard = rowgen_lock();
+        let form = one_row_form(1);
+        fault::install(Some(fault::FaultSpec {
+            phase: SolvePhase::LpRowGen,
+            kind: FaultKind::Deadline,
+            nth: 2,
+        }));
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3]);
+        let fired = fault::triggered();
+        fault::install(None);
+        assert!(fired, "the full stage must have been entered");
+        assert_eq!(solution.status, LpStatus::Optimal);
+        assert!(solution.info.truncated);
+        assert_eq!(solution.info.separation_rounds, 2);
+        assert_eq!(solution.info.products_generated, 3);
+        let row: Rational = solution.values.iter().fold(Rational::zero(), |acc, x| acc.add(x));
+        assert_eq!(row, r(1, 1), "the anytime point satisfies the full system");
+        let optimum = r(1, 1);
+        assert!(objective(&form, &solution.values) >= optimum);
+        assert!(solution.dual_bound.is_none_or(|bound| bound <= optimum));
     }
 }

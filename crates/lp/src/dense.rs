@@ -43,7 +43,12 @@ fn dense_matrix<S: Scalar>(form: &StandardForm<S>) -> Vec<Vec<S>> {
 impl<S: Scalar> StandardForm<S> {
     /// A standard form from a dense row-major constraint matrix (test fixtures).
     pub(crate) fn from_dense(matrix: Vec<Vec<S>>, rhs: Vec<S>, costs: Vec<S>) -> StandardForm<S> {
-        StandardForm { columns: columns_from_dense(&matrix, costs.len()), rhs, costs }
+        StandardForm {
+            columns: columns_from_dense(&matrix, costs.len()),
+            rhs,
+            costs,
+            free_pairs: Vec::new(),
+        }
     }
 }
 

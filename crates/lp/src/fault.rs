@@ -36,7 +36,7 @@ pub enum SolvePhase {
     LpCertify,
     /// The pivot-capped exact repair loop.
     LpRepair,
-    /// The lazy-column separation (row generation) loop.
+    /// A stage of lazy-column row generation (core, then full).
     LpRowGen,
 }
 

@@ -9,8 +9,8 @@
 //! columns: one list of `(row, value)` non-zeros per column, in ascending row order.
 //! That column-major form is the only representation of the matrix on any solve
 //! path; no dense copy is ever made. Exact solves borrow it as built, the `f64`
-//! backend equilibrates a sparse copy, and each row-generation round gathers its
-//! active columns in time linear in their non-zeros. Every solve runs on the
+//! backend equilibrates a sparse copy, and row generation gathers its core
+//! columns once, in time linear in their non-zeros. Every solve runs on the
 //! standard form exactly as built, with no reduction pass in front. The simplex is
 //! generic over its scalar, and three entry points share it:
 //!
@@ -18,7 +18,9 @@
 //!   proposes a candidate optimal basis, an exact-rational certifier accepts it or
 //!   repairs it with a warm-started exact simplex, and every verdict is produced by
 //!   exact arithmetic. [`LpProblem::solve_certified_lazy`] adds delayed generation
-//!   of Handelman product columns, priced exactly before any verdict is accepted;
+//!   of Handelman product columns: a certified solve of the core without them, an
+//!   exact pricing pass over them, and, only if one prices in, one exact solve
+//!   over every column;
 //! * [`LpProblem::solve_exact`] runs the exact [`Rational`](dca_numeric::Rational)
 //!   simplex from scratch (the cross-checking reference);
 //! * [`LpProblem::solve_f64`] is the plain floating-point solve the invariant engine

@@ -191,17 +191,17 @@ pub struct LpSolveInfo {
     /// Wall-clock spent in exact repair pivoting (float-first driver only).
     pub repair_time: Duration,
     /// Wall-clock spent building the LP's sparse standard form from its
-    /// constraints, plus (row generation only) gathering each round's restriction
-    /// to the active columns.
+    /// constraints, plus (row generation only) gathering the core's columns.
     pub build_time: Duration,
     /// Lazy row-generation candidate columns (certified driver with a non-empty
     /// lazy set only; 0 on the eager path).
     pub products_total: usize,
-    /// Lazy candidate columns activated by separation — present in the final
-    /// certified solve (0 on the eager path).
+    /// Lazy candidate columns present in the final certified solve: those the
+    /// warm start named when the core priced out, all of them when the full
+    /// stage ran (0 on the eager path).
     pub products_generated: usize,
-    /// Row-generation solve rounds (1 = the initial core already priced out;
-    /// 0 = eager solve without row generation).
+    /// Row-generation stages run: 1 = the core already priced out, 2 = the full
+    /// stage ran; 0 = eager solve without row generation.
     pub separation_rounds: usize,
     /// Exact simplex pivots absorbed as incremental rank-1 eta updates of the
     /// rational LU factorization (cheap, O(nnz) each).
@@ -398,17 +398,18 @@ impl LpProblem {
     /// `lazy_names` are display names of `NonNegative` model variables (in
     /// practice: Handelman product multipliers of degree ≥ 2). The driver starts
     /// from the non-lazy core plus any lazy column present in `warm`, solves,
-    /// then *exactly* prices every excluded column against the exact dual; any
-    /// column that could improve the solution is activated and the solve is
-    /// repeated warm-started. The accepted verdict therefore carries the same
-    /// exact certificate as a full eager solve — excluded columns are proven
-    /// non-improving (or, for infeasibility, proven unable to break the exact
-    /// Farkas certificate) before anything is reported. Names that are unknown
+    /// then *exactly* prices every excluded column against the exact dual. If
+    /// any column could improve the solution, one exact solve over every column
+    /// follows, warm-started from the core's basis. The accepted verdict
+    /// therefore carries the same exact certificate as a full eager solve —
+    /// excluded columns are proven non-improving (or, for infeasibility, proven
+    /// unable to break the exact Farkas certificate) before a core answer is
+    /// reported. Names that are unknown
     /// or not `NonNegative` are ignored (a `Free` variable's split column pair
     /// must never be separated independently). An empty `lazy_names` is the
     /// full eager solve, with identical verdicts.
     ///
-    /// The returned basis names any activated lazy columns, so threading it into
+    /// The returned basis names any lazy columns it uses, so threading it into
     /// the next related solve (as the escalation ladder does) also seeds that
     /// solve's active set — row-generation state travels across rungs for free.
     pub fn solve_certified_lazy(
@@ -644,7 +645,8 @@ impl LpProblem {
             }
         }
 
-        StandardForm { columns: Columns { cols, rows: num_rows }, rhs, costs }
+        let free_pairs = layout.iter().filter_map(|&(pos, neg)| Some((pos, neg?))).collect();
+        StandardForm { columns: Columns { cols, rows: num_rows }, rhs, costs, free_pairs }
     }
 
     /// Standard-form column layout per model variable (the positive column and, for
@@ -1042,6 +1044,33 @@ mod tests {
             let image = float_image(&exact);
             assert_eq!(image.columns.cols, dense_f64(&[]).columns.cols, "{name}: f64 image");
         }
+    }
+
+    /// While the positive half of a split `Free` variable is basic, its negative
+    /// twin has exact reduced cost 0, but in `f64` that zero is round-off: here it
+    /// came out negative, and entering the twin followed its direction `−e_r` to
+    /// a false `Unbounded`. Pricing now skips a column whose twin is basic. (Found
+    /// by a random search over small LPs with large costs.)
+    #[test]
+    fn f64_solve_does_not_enter_the_twin_of_a_basic_free_column() {
+        let q = |num: i64, den: i64| Rational::new(num, den);
+        let mut lp = LpProblem::new();
+        let t = lp.add_var("t", VarKind::Free);
+        let y = lp.add_var("y", VarKind::NonNegative);
+        let z = lp.add_var("z", VarKind::NonNegative);
+        lp.add_constraint(vec![(t, r(-3)), (y, q(-1, 5)), (z, q(-4, 7))], ConstraintOp::Ge, r(0));
+        lp.add_constraint(vec![(t, q(-1, 3)), (y, r(3)), (z, q(-1, 7))], ConstraintOp::Eq, r(2));
+        lp.add_constraint(vec![(t, q(-1, 3)), (y, r(4)), (z, r(-1))], ConstraintOp::Ge, q(-2, 3));
+        lp.set_objective(vec![(t, q(-322_304_263, 7)), (y, r(161_633_858)), (z, r(877_426_328))]);
+        assert_eq!(lp.to_standard_form::<f64>().free_pairs, vec![(0, 1)]);
+        let exact = lp.solve_exact();
+        assert_eq!(exact.objective, Some(q(51_881_578_059, 476)));
+        let float = lp.solve_f64();
+        assert_eq!(float.status, LpStatus::Optimal);
+        let optimum = q(51_881_578_059, 476).to_f64();
+        let relative = (float.objective.unwrap() / optimum - 1.0).abs();
+        assert!(relative < 1e-9, "f64 optimum off by {relative}");
+        assert_eq!(lp.solve_certified().objective, exact.objective);
     }
 
     #[test]

@@ -489,6 +489,8 @@ struct State<'a, S> {
     /// Values of the basic variables, by row position.
     x_basic: Vec<S>,
     in_basis: Vec<bool>,
+    /// The split-`Free` twin of each structural column (`usize::MAX`: none).
+    twin: Vec<usize>,
     iterations: usize,
     etas_since_reinvert: usize,
     /// Weighted eta-file size appended since the last rebuild (non-zeros scaled by
@@ -538,12 +540,18 @@ impl<'a, S: Scalar> State<'a, S> {
             in_basis[col] = true;
         }
         let base_fill = factor.eta_nnz();
+        let mut twin = vec![usize::MAX; n];
+        for &(pos, neg) in &form.free_pairs {
+            twin[pos] = neg;
+            twin[neg] = pos;
+        }
         State {
             columns,
             form,
             factor,
             x_basic,
             in_basis,
+            twin,
             iterations: 0,
             etas_since_reinvert: 0,
             eta_nnz_since_reinvert: 0,
@@ -784,7 +792,12 @@ impl<'a, S: Scalar> State<'a, S> {
             if entering.is_none() {
                 let mut queued = 0usize;
                 for j in 0..n {
-                    if self.in_basis[j] || banned[j] {
+                    // A column whose split twin is basic has reduced cost exactly
+                    // `−r(twin) = 0`; in `f64` that zero is round-off of either sign,
+                    // and entering on it follows the ray `−e_r` to a false
+                    // `Unbounded`.
+                    let twin_basic = self.twin[j] != usize::MAX && self.in_basis[self.twin[j]];
+                    if self.in_basis[j] || banned[j] || twin_basic {
                         continue;
                     }
                     let reduced;

@@ -34,12 +34,36 @@ pub(crate) struct StandardForm<S> {
     pub rhs: Vec<S>,
     /// Objective coefficients, one per column.
     pub costs: Vec<S>,
+    /// The `(x⁺, x⁻)` column pairs of split `Free` variables. The twins are exact
+    /// negations of each other (column and cost), so while one is basic the
+    /// other's reduced cost is exactly zero and pricing skips it.
+    pub free_pairs: Vec<(usize, usize)>,
 }
 
 impl<S: Scalar> StandardForm<S> {
     /// Number of constraint rows.
     pub(crate) fn num_rows(&self) -> usize {
         self.columns.rows
+    }
+
+    /// The sub-problem over the ascending column subset `cols`, gathered in
+    /// O(nnz). Every row is kept, so the sub-problem's duals price the full
+    /// form's columns directly.
+    pub(crate) fn restricted(&self, cols: &[usize]) -> StandardForm<S> {
+        let position = |col: usize| cols.binary_search(&col).ok();
+        StandardForm {
+            columns: Columns {
+                cols: cols.iter().map(|&j| self.columns.cols[j].clone()).collect(),
+                rows: self.num_rows(),
+            },
+            rhs: self.rhs.clone(),
+            costs: cols.iter().map(|&j| self.costs[j].clone()).collect(),
+            free_pairs: self
+                .free_pairs
+                .iter()
+                .filter_map(|&(pos, neg)| Some((position(pos)?, position(neg)?)))
+                .collect(),
+        }
     }
 }
 

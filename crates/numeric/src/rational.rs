@@ -78,10 +78,17 @@ fn gcd_i128(a: i128, b: i128) -> Option<i128> {
 enum Repr {
     /// `num/den` with `den > 0` and `gcd(|num|, den) = 1`; zero is `0/1`.
     Small(i128, i128),
-    /// Reduced big fraction with positive denominator. Canonically used **only** when
-    /// the value does not fit `Small` (constructors demote eagerly), so derived
-    /// equality and hashing over the enum are exact.
-    Big(BigInt, BigInt),
+    /// Reduced big fraction `(num, den)` with positive denominator. Canonically used
+    /// **only** when the value does not fit `Small` (constructors demote eagerly), so
+    /// derived equality and hashing over the enum are exact. Boxed, so the rare big
+    /// value does not widen every `Rational` to two inline `BigInt`s.
+    Big(Box<(BigInt, BigInt)>),
+}
+
+impl Repr {
+    fn big(num: BigInt, den: BigInt) -> Repr {
+        Repr::Big(Box::new((num, den)))
+    }
 }
 
 /// An exact rational number `numerator / denominator`.
@@ -131,7 +138,7 @@ impl Rational {
                     // fraction is already reduced, so construct it directly rather
                     // than bouncing through `from_bigints`, which would demote-retry).
                     return Rational {
-                        repr: Repr::Big(-BigInt::from(num), -BigInt::from(den)),
+                        repr: Repr::big(-BigInt::from(num), -BigInt::from(den)),
                     };
                 }
             }
@@ -157,7 +164,7 @@ impl Rational {
                 (Some(num), Some(den)) => Rational { repr: Repr::Small(num, den) },
                 // i128::MIN cannot be negated: the normalized pair needs the big
                 // form (already reduced, so construct it directly).
-                _ => Rational { repr: Repr::Big(-BigInt::from(num), -BigInt::from(den)) },
+                _ => Rational { repr: Repr::big(-BigInt::from(num), -BigInt::from(den)) },
             };
         }
         Rational { repr: Repr::Small(num, den) }
@@ -195,7 +202,7 @@ impl Rational {
         if let (Some(n), Some(d)) = (num.to_i128(), den.to_i128()) {
             return Rational { repr: Repr::Small(n, d) };
         }
-        Rational { repr: Repr::Big(num, den) }
+        Rational { repr: Repr::big(num, den) }
     }
 
     /// Creates a rational equal to the given integer.
@@ -227,7 +234,7 @@ impl Rational {
     pub fn storage_weight(&self) -> usize {
         match &self.repr {
             Repr::Small(..) => 1,
-            Repr::Big(n, d) => 1 + (n.bits() + d.bits()) / 128,
+            Repr::Big(big) => 1 + (big.0.bits() + big.1.bits()) / 128,
         }
     }
 
@@ -235,7 +242,7 @@ impl Rational {
     pub fn numerator(&self) -> BigInt {
         match &self.repr {
             Repr::Small(n, _) => BigInt::from(*n),
-            Repr::Big(n, _) => n.clone(),
+            Repr::Big(big) => big.0.clone(),
         }
     }
 
@@ -243,7 +250,7 @@ impl Rational {
     pub fn denominator(&self) -> BigInt {
         match &self.repr {
             Repr::Small(_, d) => BigInt::from(*d),
-            Repr::Big(_, d) => d.clone(),
+            Repr::Big(big) => big.1.clone(),
         }
     }
 
@@ -251,7 +258,7 @@ impl Rational {
     pub fn is_zero(&self) -> bool {
         match &self.repr {
             Repr::Small(n, _) => *n == 0,
-            Repr::Big(n, _) => n.is_zero(),
+            Repr::Big(big) => big.0.is_zero(),
         }
     }
 
@@ -259,7 +266,7 @@ impl Rational {
     pub fn is_negative(&self) -> bool {
         match &self.repr {
             Repr::Small(n, _) => *n < 0,
-            Repr::Big(n, _) => n.is_negative(),
+            Repr::Big(big) => big.0.is_negative(),
         }
     }
 
@@ -267,7 +274,7 @@ impl Rational {
     pub fn is_positive(&self) -> bool {
         match &self.repr {
             Repr::Small(n, _) => *n > 0,
-            Repr::Big(n, _) => n.is_positive(),
+            Repr::Big(big) => big.0.is_positive(),
         }
     }
 
@@ -275,7 +282,7 @@ impl Rational {
     pub fn is_integer(&self) -> bool {
         match &self.repr {
             Repr::Small(_, d) => *d == 1,
-            Repr::Big(_, d) => *d == BigInt::one(),
+            Repr::Big(big) => big.1 == BigInt::one(),
         }
     }
 
@@ -297,7 +304,7 @@ impl Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
         match &self.repr {
             Repr::Small(n, d) => Rational::small(*d, *n),
-            Repr::Big(n, d) => Rational::from_bigints(d.clone(), n.clone()),
+            Repr::Big(big) => Rational::from_bigints(big.1.clone(), big.0.clone()),
         }
     }
 
@@ -306,7 +313,8 @@ impl Rational {
         match &self.repr {
             // `den > 0`, so Euclidean division is exactly the floor.
             Repr::Small(n, d) => BigInt::from(n.div_euclid(*d)),
-            Repr::Big(n, d) => {
+            Repr::Big(big) => {
+                let (n, d) = &**big;
                 let (q, r) = n.div_rem(d);
                 if r.is_zero() || !n.is_negative() {
                     q
@@ -328,7 +336,8 @@ impl Rational {
                     &BigInt::from(q) + &BigInt::one()
                 }
             }
-            Repr::Big(n, d) => {
+            Repr::Big(big) => {
+                let (n, d) = &**big;
                 let (q, r) = n.div_rem(d);
                 if r.is_zero() || n.is_negative() {
                     q
@@ -353,7 +362,8 @@ impl Rational {
     pub fn to_f64(&self) -> f64 {
         match &self.repr {
             Repr::Small(n, d) => *n as f64 / *d as f64,
-            Repr::Big(num, den) => {
+            Repr::Big(big) => {
+                let (num, den) = &**big;
                 let n = num.to_f64();
                 let d = den.to_f64();
                 if n.is_finite() && d.is_finite() && d != 0.0 {
@@ -437,16 +447,16 @@ impl Rational {
             Repr::Small(n, d) => match (n.checked_pow(exp), d.checked_pow(exp)) {
                 (Some(num), Some(den)) => Rational { repr: Repr::Small(num, den) },
                 _ => Rational {
-                    repr: Repr::Big(BigInt::from(*n).pow(exp), BigInt::from(*d).pow(exp)),
+                    repr: Repr::big(BigInt::from(*n).pow(exp), BigInt::from(*d).pow(exp)),
                 },
             },
-            Repr::Big(n, d) => {
+            Repr::Big(big) => {
                 if exp == 0 {
                     return Rational::one();
                 }
                 // A canonical Big value has a component beyond i128; its power
                 // (exp ≥ 1) is at least as large, so no demotion check is needed.
-                Rational { repr: Repr::Big(n.pow(exp), d.pow(exp)) }
+                Rational { repr: Repr::big(big.0.pow(exp), big.1.pow(exp)) }
             }
         }
     }
@@ -455,7 +465,7 @@ impl Rational {
     fn to_bigint_pair(&self) -> (BigInt, BigInt) {
         match &self.repr {
             Repr::Small(n, d) => (BigInt::from(*n), BigInt::from(*d)),
-            Repr::Big(n, d) => (n.clone(), d.clone()),
+            Repr::Big(big) => (**big).clone(),
         }
     }
 }
@@ -482,7 +492,7 @@ impl From<BigInt> for Rational {
     fn from(v: BigInt) -> Rational {
         match v.to_i128() {
             Some(n) => Rational { repr: Repr::Small(n, 1) },
-            None => Rational { repr: Repr::Big(v, BigInt::one()) },
+            None => Rational { repr: Repr::big(v, BigInt::one()) },
         }
     }
 }
@@ -531,7 +541,8 @@ impl fmt::Display for Rational {
                     write!(f, "{n}/{d}")
                 }
             }
-            Repr::Big(n, d) => {
+            Repr::Big(big) => {
+                let (n, d) = &**big;
                 if self.is_integer() {
                     write!(f, "{n}")
                 } else {
@@ -586,7 +597,10 @@ impl Neg for Rational {
                 Some(n) => Rational { repr: Repr::Small(n, d) },
                 None => Rational::from_bigints(-BigInt::from(n), BigInt::from(d)),
             },
-            Repr::Big(n, d) => Rational::from_bigints(-n, d),
+            Repr::Big(big) => {
+                let (n, d) = *big;
+                Rational::from_bigints(-n, d)
+            }
         }
     }
 }
@@ -1048,5 +1062,13 @@ mod tests {
         assert_eq!(gcd_i128(-48, 36), Some(12));
         assert_eq!(gcd_i128(i128::MIN, 0), None);
         assert_eq!(gcd_i128(i128::MIN, 3), Some(1));
+    }
+
+    /// The exact LP stores every eta entry, column non-zero, dual and reduced-cost
+    /// cache slot as a `Rational`: the boxed big form keeps its size at the inline
+    /// `i128` pair plus the tag.
+    #[test]
+    fn rational_is_no_wider_than_the_inline_pair() {
+        assert!(std::mem::size_of::<Rational>() <= 48);
     }
 }

@@ -188,6 +188,12 @@ fn smoke_rows_reproduce_the_committed_pivot_counts() {
             .find(|row| row.get("name").and_then(Value::as_str) == Some(name))
             .unwrap_or_else(|| panic!("{name} has a committed row"));
         let stats = benchmark(name).solve().expect("smoke row solves").stats;
+        // Row generation is one core stage plus at most one full stage, and the
+        // full stage carries every lazy column.
+        assert!(stats.lp_separation_rounds <= 2, "{name}: more than two rowgen stages");
+        if stats.lp_separation_rounds == 2 {
+            assert_eq!(stats.lp_products_generated, stats.lp_products_total, "{name}");
+        }
         for (key, count) in counts {
             let expected = row.get(key).and_then(Value::as_u64);
             assert_eq!(

@@ -1,5 +1,5 @@
-//! A/B equivalence check for lazy Handelman row generation: solving with the
-//! separation loop enabled (the default) and disabled
+//! A/B equivalence check for lazy Handelman row generation: solving with row
+//! generation enabled (the default) and disabled
 //! ([`AnalysisOptions::without_row_generation`], which activates every product
 //! multiplier eagerly) must produce *bit-identical* thresholds and identical
 //! certification status. Row generation is a pure performance device — the final
