@@ -28,7 +28,6 @@ use dca_bench::{
     time_regressions,
 };
 use dca_benchmarks::SuiteConfig;
-use dca_core::InvariantTier;
 
 /// The subset, by exact name. Every one of these rows is expected `tight`.
 const SUBSET: [&str; 6] =
@@ -37,11 +36,9 @@ const SUBSET: [&str; 6] =
 fn main() {
     let config = SuiteConfig {
         jobs: 1,
-        escalate: false,
-        // Generous per-attempt ceiling; the whole subset solves in seconds. A row
+        // Generous per-solve ceiling; the whole subset solves in seconds. A row
         // that needs anywhere near this long is itself a (performance) regression.
         time_budget: Some(Duration::from_secs(60)),
-        invariant_tier: InvariantTier::Baseline,
     };
     let filters: Vec<String> = SUBSET.iter().map(|s| s.to_string()).collect();
     let run = run_suite_filtered(&config, &filters);

@@ -5,15 +5,13 @@
 //!
 //! ```text
 //! cargo run --release -p dca-bench --bin table1 \
-//!     [--jobs N] [--escalate] [--timeout SECS] [--invariant-tier T] [--json [PATH]] [name ...]
+//!     [--jobs N] [--timeout SECS] [--json [PATH]] [name ...]
 //! ```
 //!
 //! With no name filters every benchmark (including the running example) is analyzed.
-//! `--jobs N` sets the worker-thread count (default: one per CPU); `--escalate` ignores
-//! the per-benchmark paper degrees and lets the escalation ladder discover the rung
-//! (invariant tiers first, then degrees 1 → 2 → 3); `--invariant-tier T` analyzes at
-//! invariant tier `T` (0 = baseline, 1 = hull, 2 = relational); `--timeout SECS` bounds
-//! each solve attempt so pathological LPs report `x` instead of stalling the table;
+//! Every pair is solved at the degree the paper used for it (`d = K = 2`, `nested` at 3).
+//! `--jobs N` sets the worker-thread count (default: one per CPU); `--timeout SECS` bounds
+//! each solve so pathological LPs report `x` instead of stalling the table;
 //! `--json [PATH]` additionally writes the machine-readable run record (default
 //! `BENCH_table1.json`) so the performance trajectory is tracked across PRs.
 
@@ -24,7 +22,6 @@ use dca_bench::{
     today_utc,
 };
 use dca_benchmarks::SuiteConfig;
-use dca_core::InvariantTier;
 
 /// Parses the value following `flag`, exiting with a clear message when the flag is
 /// present but malformed or missing its value (silently falling back to a default
@@ -46,17 +43,17 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A removed or mistyped flag must not silently fall back to a default run.
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !["--jobs", "--timeout", "--json"].contains(&a.as_str()))
+    {
+        eprintln!("error: unknown option {unknown}");
+        exit(2);
+    }
     let jobs: usize = parse_flag(&args, "--jobs").unwrap_or(0);
-    let escalate = args.iter().any(|a| a == "--escalate");
     let time_budget =
         parse_flag::<u64>(&args, "--timeout").map(std::time::Duration::from_secs);
-    let invariant_tier = match parse_flag::<u32>(&args, "--invariant-tier") {
-        None => InvariantTier::Baseline,
-        Some(index) => InvariantTier::from_index(index).unwrap_or_else(|| {
-            eprintln!("error: invalid --invariant-tier {index} (expected 0, 1 or 2)");
-            exit(2);
-        }),
-    };
     // `--json` takes an optional path, consumed only when the next argument ends in
     // `.json` (benchmark-name filters never do, so the grammar stays unambiguous).
     let json_takes_value = |pos: usize| {
@@ -78,7 +75,7 @@ fn main() {
                     skip_next = false;
                     return false;
                 }
-                if ["--jobs", "--timeout", "--invariant-tier"].contains(&a.as_str()) {
+                if ["--jobs", "--timeout"].contains(&a.as_str()) {
                     skip_next = true;
                     return false;
                 }
@@ -92,10 +89,7 @@ fn main() {
             .collect()
     };
 
-    let run = run_suite_filtered(
-        &SuiteConfig { jobs, escalate, time_budget, invariant_tier },
-        &filters,
-    );
+    let run = run_suite_filtered(&SuiteConfig { jobs, time_budget }, &filters);
     if run.rows.is_empty() && !filters.is_empty() {
         // A silently empty run is almost always a mistyped filter (or a `--json` path
         // that does not end in `.json` and fell through to the filters).
@@ -107,11 +101,9 @@ fn main() {
     }
 
     println!(
-        "\nTable 1: tightness of differential thresholds ({} benchmarks, {} worker threads{}, tier {})\n",
+        "\nTable 1: tightness of differential thresholds ({} benchmarks, {} worker threads)\n",
         run.rows.len(),
         run.jobs,
-        if escalate { ", escalation ladder" } else { "" },
-        invariant_tier,
     );
     println!("{}", format_table(&run.rows));
     let tight = run.rows.iter().filter(|r| r.is_tight()).count();

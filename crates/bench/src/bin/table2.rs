@@ -127,7 +127,7 @@ fn main() {
             Ok(result) => {
                 // The interpreter-sampled check: the observed cost difference
                 // under-approximates the true supremum, so any violation is real.
-                match check_sampled_soundness(pair, result.threshold, outcome.tier, samples) {
+                match check_sampled_soundness(pair, result.threshold, samples) {
                     Ok(()) => Some(true),
                     Err(violations) => {
                         for v in violations.iter().take(3) {

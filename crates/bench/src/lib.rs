@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use dca_benchmarks::{Benchmark, SuiteConfig};
 use dca_core::batch::{BatchReport, PairOutcome};
-use dca_core::{DiffCostSolver, InvariantTier};
+use dca_core::DiffCostSolver;
 use dca_serve::json::{escape, Value};
 
 /// One reproduced row of Table 1.
@@ -23,10 +23,8 @@ pub struct TableRow {
     pub computed: Option<f64>,
     /// Computed threshold rounded down to an integer (sound for integer costs).
     pub computed_int: Option<i64>,
-    /// Template degree that produced the result (the chosen degree under escalation).
+    /// Template degree that produced the result.
     pub degree: u32,
-    /// Invariant tier that produced the result (the chosen tier under escalation).
-    pub tier: InvariantTier,
     /// Wall-clock time of the full pipeline (parsing, invariants, LP) in seconds.
     pub seconds: f64,
     /// CPU time (user + system) the solve's thread charged to this row in seconds
@@ -99,7 +97,6 @@ impl TableRow {
             computed: result.map(|r| r.threshold),
             computed_int: result.map(|r| r.threshold_int()),
             degree: outcome.degree,
-            tier: outcome.tier,
             seconds: outcome.duration.as_secs_f64(),
             cpu_seconds: outcome.cpu_duration.as_secs_f64(),
             lp_size: outcome
@@ -176,7 +173,6 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
             computed: Some(result.threshold),
             computed_int: Some(result.threshold_int()),
             degree: benchmark.degree,
-            tier: options.invariant_tier,
             seconds,
             cpu_seconds,
             lp_size: (result.stats.lp_variables, result.stats.lp_constraints),
@@ -211,7 +207,6 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
             computed: None,
             computed_int: None,
             degree: benchmark.degree,
-            tier: options.invariant_tier,
             seconds,
             cpu_seconds,
             lp_size: (0, 0),
@@ -305,10 +300,10 @@ pub fn run_suite_filtered(config: &SuiteConfig, filters: &[String]) -> SuiteRun 
 pub fn format_table(rows: &[TableRow]) -> String {
     let mut out = String::new();
     out.push_str(
-        "benchmark            | tight    | paper    | computed  | int     | d | t | tight? | time (s)\n",
+        "benchmark            | tight    | paper    | computed  | int     | d | tight? | time (s)\n",
     );
     out.push_str(
-        "---------------------+----------+----------+-----------+---------+---+---+--------+---------\n",
+        "---------------------+----------+----------+-----------+---------+---+--------+---------\n",
     );
     for row in rows {
         let paper = row
@@ -324,14 +319,13 @@ pub fn format_table(rows: &[TableRow]) -> String {
             .map(|v| v.to_string())
             .unwrap_or_else(|| "x".to_string());
         out.push_str(&format!(
-            "{:<21}| {:<9}| {:<9}| {:<10}| {:<8}| {} | {} | {:<7}| {:.2}\n",
+            "{:<21}| {:<9}| {:<9}| {:<10}| {:<8}| {} | {:<7}| {:.2}\n",
             row.name,
             row.tight,
             paper,
             computed,
             computed_int,
             row.degree,
-            row.tier.index(),
             if row.is_tight() { "yes" } else { "no" },
             row.seconds
         ));
@@ -344,7 +338,7 @@ pub fn format_table(rows: &[TableRow]) -> String {
 ///
 /// Top level: `{"wall_clock_s", "cpu_time_s", "jobs", "tight", "total", "rows": [...]}`;
 /// each row carries the benchmark name, the documented tight threshold, the computed
-/// threshold (`null` on failure), the degree/tier that produced it, its status
+/// threshold (`null` on failure), the degree that produced it, its status
 /// (`"tight" | "loose" | "failed"`) and the wall time in seconds.
 pub fn format_json(run: &SuiteRun) -> String {
     fn opt_f64(v: Option<f64>) -> String {
@@ -368,7 +362,7 @@ pub fn format_json(run: &SuiteRun) -> String {
                 concat!(
                     "    {{\"name\": \"{}\", \"group\": \"{}\", \"tight\": {}, ",
                     "\"paper\": {}, \"computed\": {}, \"computed_int\": {}, ",
-                    "\"degree\": {}, \"tier\": {}, \"status\": \"{}\", ",
+                    "\"degree\": {}, \"status\": \"{}\", ",
                     "\"seconds\": {:.2}, \"cpu_seconds\": {:.2}, ",
                     "\"lp_variables\": {}, \"lp_constraints\": {}, ",
                     "\"lp_iterations\": {}, \"lp_float_pivots\": {}, \"lp_exact_pivots\": {}, ",
@@ -388,7 +382,6 @@ pub fn format_json(run: &SuiteRun) -> String {
                 opt_f64(row.computed),
                 opt_i64(row.computed_int),
                 row.degree,
-                row.tier.index(),
                 status,
                 row.seconds,
                 row.cpu_seconds,
@@ -613,7 +606,6 @@ pub fn table2_row(
         computed: result.map(|r| r.threshold),
         computed_int: result.map(|r| r.threshold_int()),
         degree: outcome.degree,
-        tier: outcome.tier,
         seconds: outcome.duration.as_secs_f64(),
         cpu_seconds: outcome.cpu_duration.as_secs_f64(),
         lp_size: outcome
@@ -702,7 +694,7 @@ pub fn format_table2_json(
                 concat!(
                     "    {{\"name\": \"{}\", \"shape\": \"{}\", \"seed\": {}, ",
                     "\"tight\": {}, \"computed\": {}, \"computed_int\": {}, ",
-                    "\"degree\": {}, \"tier\": {}, \"status\": \"{}\", ",
+                    "\"degree\": {}, \"status\": \"{}\", ",
                     "\"sound\": {}, \"agree\": {}, ",
                     "\"seconds\": {:.2}, \"cpu_seconds\": {:.2}, ",
                     "\"lp_variables\": {}, \"lp_constraints\": {}, ",
@@ -720,7 +712,6 @@ pub fn format_table2_json(
                     .map(|v| v.to_string())
                     .unwrap_or_else(|| "null".to_string()),
                 r.table.degree,
-                r.table.tier.index(),
                 status,
                 opt_bool(r.sound),
                 opt_bool(r.agree),
@@ -777,7 +768,6 @@ mod tests {
             computed: Some(100.0),
             computed_int: Some(100),
             degree: 2,
-            tier: InvariantTier::Baseline,
             seconds: 1.5,
             cpu_seconds: 1.4,
             lp_size: (10, 20),
@@ -912,7 +902,6 @@ mod tests {
             computed: Some(pair.tight as f64),
             computed_int: Some(pair.tight),
             degree: pair.degree,
-            tier: InvariantTier::Baseline,
             seconds: 0.25,
             cpu_seconds: 0.2,
             lp_size: (5, 9),
@@ -987,7 +976,6 @@ mod tests {
             computed: Some(100.0),
             computed_int: Some(100),
             degree: 2,
-            tier: InvariantTier::Baseline,
             seconds: 1.5,
             cpu_seconds: 1.4,
             lp_size: (10, 20),
@@ -1021,7 +1009,6 @@ mod tests {
             computed: None,
             computed_int: None,
             degree: 3,
-            tier: InvariantTier::Hull,
             seconds: 0.1,
             cpu_seconds: 0.1,
             lp_size: (0, 0),
@@ -1058,7 +1045,6 @@ mod tests {
         assert!(json.contains("\"name\": \"Example\""));
         assert!(json.contains("\"status\": \"tight\""));
         assert!(json.contains("\"status\": \"failed\""));
-        assert!(json.contains("\"tier\": 1"));
         assert!(json.contains("\"tight\": 1,"));
         assert!(json.contains("\"products_total\": 12"));
         assert!(json.contains("\"products_generated\": 5"));

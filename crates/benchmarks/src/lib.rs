@@ -23,37 +23,16 @@ pub mod table2;
 pub use suite::{all_benchmarks, running_example, Benchmark, BenchmarkGroup};
 
 use dca_core::batch::{run_batch, BatchConfig, BatchJob, BatchReport};
-use dca_core::{
-    AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver,
-    InvariantTier,
-};
+use dca_core::{AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver};
 
 /// Configuration for [`run_suite_parallel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SuiteConfig {
     /// Number of worker threads (`0` = one per available CPU).
     pub jobs: usize,
-    /// `true` replaces the per-benchmark paper degrees by the automatic escalation
-    /// ladder (invariant tiers first, then degrees `1 → 2 → 3`), as if neither the
-    /// right degree nor the required invariant strength were known.
-    pub escalate: bool,
-    /// Per-attempt wall-clock budget (`None` = unlimited); pairs whose LP exceeds it
+    /// Per-pair wall-clock budget (`None` = unlimited); pairs whose LP exceeds it
     /// report [`dca_core::AnalysisError::Timeout`] instead of stalling the suite.
     pub time_budget: Option<std::time::Duration>,
-    /// Invariant precision tier every pair is analyzed at (the escalation ladder, when
-    /// enabled, starts climbing from this tier).
-    pub invariant_tier: InvariantTier,
-}
-
-impl Default for SuiteConfig {
-    fn default() -> Self {
-        SuiteConfig {
-            jobs: 0,
-            escalate: false,
-            time_budget: None,
-            invariant_tier: InvariantTier::Baseline,
-        }
-    }
 }
 
 /// The whole evaluation as batch jobs: all 19 Table-1 pairs plus the running example,
@@ -72,9 +51,6 @@ pub fn suite_jobs() -> Vec<BatchJob> {
 /// Translates a [`SuiteConfig`] into the batch engine's configuration.
 fn batch_config(config: &SuiteConfig) -> BatchConfig {
     let mut batch_config = BatchConfig::with_jobs(config.jobs);
-    if config.escalate {
-        batch_config = batch_config.escalating();
-    }
     if let Some(budget) = config.time_budget {
         batch_config = batch_config.with_time_budget(budget);
     }
@@ -102,10 +78,6 @@ pub fn run_suite_filtered(config: &SuiteConfig, filters: &[String]) -> BatchRepo
     let jobs: Vec<BatchJob> = suite_jobs()
         .into_iter()
         .filter(|job| matches_filters(&job.name, filters))
-        .map(|job| {
-            let options = job.options.with_invariant_tier(config.invariant_tier);
-            job.with_options(options)
-        })
         .collect();
     run_batch(&jobs, &batch_config(config))
 }
@@ -266,32 +238,6 @@ mod tests {
         };
         assert_eq!(ints(&serial), vec![Some(100), Some(0), Some(0)]);
         assert_eq!(ints(&serial), ints(&parallel));
-    }
-
-    // Mirrors the paper: `nested` is the one benchmark that needs `d = K = 3`, so the
-    // escalation loop must reject degrees 1 and 2 and settle on 3. This remains an
-    // aspirational red test — the degree-3 LP currently exceeds any practical budget
-    // (see EXPERIMENTS.md, "Known limitations") — so it stays `#[ignore]`d and the
-    // CI step running `--ignored` is non-blocking. Tier escalation is capped and a
-    // per-attempt budget is set so the test fails in bounded time instead of
-    // stalling CI for hours.
-    #[test]
-    #[ignore = "aspirational: the degree-3 `nested` LP exceeds the time budget (see EXPERIMENTS.md)"]
-    fn escalation_discovers_degree_three_for_nested() {
-        use dca_core::escalate::{solve_with_escalation, EscalationPolicy};
-        use dca_core::InvariantTier;
-        let benchmark = all_benchmarks().into_iter().find(|b| b.name == "nested").unwrap();
-        let escalated = solve_with_escalation(
-            &benchmark.new_program(),
-            &benchmark.old_program(),
-            &AnalysisOptions::default()
-                .with_time_budget(std::time::Duration::from_secs(240)),
-            EscalationPolicy::default().with_max_tier(InvariantTier::Baseline),
-        )
-        .expect("degree 3 must witness the nested pair");
-        assert_eq!(escalated.degree, 3);
-        assert_eq!(escalated.attempts.len(), 3);
-        assert_eq!(escalated.result.threshold_int(), benchmark.tight);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use dca_core::batch::{run_batch, BatchConfig, BatchJob, BatchReport};
 use dca_core::verify::{verify_threshold, VerifyConfig};
-use dca_core::{AnalysisOptions, AnalyzedProgram, DiffCostSolver, InvariantTier, LpBackend};
+use dca_core::{AnalysisOptions, AnalyzedProgram, DiffCostSolver, LpBackend};
 use dca_ir::{generate_pair, GeneratedPair, PairKind, ShapeParams};
 
 // Re-exported so harness crates can consume the corpus without a direct `dca_ir`
@@ -151,13 +151,13 @@ pub fn table2_smoke() -> Vec<GeneratedPair> {
 }
 
 /// Analysis options for a generated pair: the generator knows the exact degree its
-/// cost polynomials need, so no degree escalation is required.
+/// cost polynomials need.
 pub fn table2_options(pair: &GeneratedPair) -> AnalysisOptions {
     AnalysisOptions::with_degree(pair.degree)
 }
 
 /// Batch jobs for a set of generated pairs (solved at the generator-declared degree,
-/// baseline invariant tier, certified backend).
+/// certified backend).
 pub fn table2_jobs(pairs: &[GeneratedPair]) -> Vec<BatchJob> {
     pairs
         .iter()
@@ -190,12 +190,11 @@ pub fn run_table2(pairs: &[GeneratedPair], jobs: usize, budget: Option<Duration>
 pub fn check_sampled_soundness(
     pair: &GeneratedPair,
     threshold: f64,
-    tier: InvariantTier,
     samples: usize,
 ) -> Result<(), Vec<String>> {
-    let new = AnalyzedProgram::from_source_at_tier(&pair.source_new, tier)
+    let new = AnalyzedProgram::from_source(&pair.source_new)
         .expect("generated source must compile");
-    let old = AnalyzedProgram::from_source_at_tier(&pair.source_old, tier)
+    let old = AnalyzedProgram::from_source(&pair.source_old)
         .expect("generated source must compile");
     let config = VerifyConfig { samples, seed: pair.seed ^ 0x5EED, ..VerifyConfig::default() };
     let report = verify_threshold(&new, &old, threshold, &config);

@@ -1,6 +1,5 @@
 //! Property test over the Table-2 generated corpus: on 50+ generated pairs, the
-//! certified threshold is never violated by interpreter-sampled concrete executions,
-//! at every invariant tier.
+//! certified threshold is never violated by interpreter-sampled concrete executions.
 //!
 //! The sampling harness under-approximates the true cost-difference supremum
 //! (`CostSup_new − CostInf_old` over the input box, observed on random walks plus the
@@ -8,13 +7,12 @@
 //! real soundness bug — in the generator's oracle, the encoder, or the LP.
 
 use dca_benchmarks::table2::{check_sampled_soundness, run_table2, table2_manifest};
-use dca_core::InvariantTier;
 
 /// How many pairs the property must cover (the satellite's floor).
 const MIN_PAIRS: usize = 50;
 
 #[test]
-fn sampled_costs_never_exceed_the_certified_bound_at_any_tier() {
+fn sampled_costs_never_exceed_the_certified_bound() {
     // The cheap half of the corpus: every degree-1 pair (depth-1, independent
     // bounds) plus single-phase depth-2 pairs, until the floor is comfortably met.
     // Dev-profile solves dominate this test's runtime, so the selection matters.
@@ -37,23 +35,11 @@ fn sampled_costs_never_exceed_the_certified_bound_at_any_tier() {
             .result
             .as_ref()
             .unwrap_or_else(|e| panic!("{}: solve failed: {e}", pair.name));
-        for tier in [
-            InvariantTier::Baseline,
-            InvariantTier::Hull,
-            InvariantTier::Relational,
-        ] {
-            // A handful of walks per tier; the box corners (always included) are
-            // where the generated bounds are attained, so tightness is exercised
-            // even at this sample count.
-            if let Err(found) =
-                check_sampled_soundness(pair, result.threshold, tier, 4)
-            {
-                violations.extend(
-                    found
-                        .into_iter()
-                        .map(|v| format!("{} @ tier {}: {v}", pair.name, tier.index())),
-                );
-            }
+        // A handful of walks; the box corners (always included) are where the
+        // generated bounds are attained, so tightness is exercised even at this
+        // sample count.
+        if let Err(found) = check_sampled_soundness(pair, result.threshold, 4) {
+            violations.extend(found.into_iter().map(|v| format!("{}: {v}", pair.name)));
         }
     }
     assert!(

@@ -5,33 +5,41 @@
 //! ```text
 //! dca diff <old.dca> <new.dca> [options]   compute a differential threshold
 //! dca bound <program.dca> [options]        single-program bounds with precision (Sec. 7)
-//! dca show <program.dca> [--invariant-tier T]
-//!                                          print the lowered transition system
-//! dca suite [--jobs N] [--escalate] [--timeout SECS] [--invariant-tier T]
-//!                                          run the 19 Table-1 pairs + running example
+//! dca show <program.dca>                  print the lowered transition system
+//! dca suite [--jobs N] [--timeout SECS]    run the 19 Table-1 pairs + running example
 //! dca serve [--stdio | --listen ADDR]      run the analysis daemon (line-delimited
 //!                                          JSON; default listens on 127.0.0.1:4158)
-//! dca query <old.dca> <new.dca> [--addr ADDR] [--degree D] [--invariant-tier T]
-//!           [--timeout-ms N] [--stream]    ask a running daemon for a threshold
+//! dca query <old.dca> <new.dca> [--addr ADDR] [--degree D] [--timeout-ms N] [--stream]
+//!                                          ask a running daemon for a threshold
 //!
 //! options for diff/bound:
 //!   --degree D          template degree d = K (default 2)
 //!   --max-products K    Handelman product bound K, overriding K = D
 //!   --backend certified|exact LP backend (default certified)
-//!   --invariant-tier T  invariant precision: 0 baseline, 1 hull, 2 relational (default 0)
-//!   --escalate          discover degree and invariant tier automatically
-//!                       (tiers climb first, then degrees 1 -> 2 -> 3)
 //! ```
 
 use std::process::ExitCode;
 
 use dca_benchmarks::SuiteConfig;
-use dca_core::escalate::{solve_with_escalation, EscalationPolicy};
-use dca_core::{AnalysisOptions, AnalyzedProgram, DiffCostSolver, InvariantTier, LpBackend};
+use dca_core::{AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver, LpBackend};
 
-fn read_program(path: &str, tier: InvariantTier) -> Result<AnalyzedProgram, String> {
+/// Every flag any subcommand reads; anything else starting with `--` is an error.
+const FLAGS: [&str; 10] = [
+    "--degree",
+    "--max-products",
+    "--backend",
+    "--jobs",
+    "--timeout",
+    "--stdio",
+    "--listen",
+    "--addr",
+    "--timeout-ms",
+    "--stream",
+];
+
+fn read_program(path: &str) -> Result<AnalyzedProgram, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    AnalyzedProgram::from_source_at_tier(&source, tier).map_err(|e| format!("{path}: {e}"))
+    AnalyzedProgram::from_source(&source).map_err(|e| format!("{path}: {e}"))
 }
 
 /// The value following `flag`: `Ok(None)` when the flag is absent, an error when it is
@@ -51,22 +59,8 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Parses `--invariant-tier` (0 = baseline, 1 = hull, 2 = relational; default 0).
-fn parse_invariant_tier(args: &[String]) -> Result<InvariantTier, String> {
-    match flag_value(args, "--invariant-tier")? {
-        None => Ok(InvariantTier::Baseline),
-        Some(v) => {
-            let index: u32 =
-                v.parse().map_err(|_| format!("invalid --invariant-tier {v}"))?;
-            InvariantTier::from_index(index)
-                .ok_or_else(|| format!("invalid --invariant-tier {v} (expected 0, 1 or 2)"))
-        }
-    }
-}
-
-/// Builds [`AnalysisOptions`] from the `--degree`, `--max-products`, `--backend` and
-/// `--invariant-tier` flags (defaults: `d = K = 2`, the float-first certified
-/// backend, baseline invariants).
+/// Builds [`AnalysisOptions`] from the `--degree`, `--max-products` and `--backend`
+/// flags (defaults: `d = K = 2`, the float-first certified backend).
 fn parse_options(args: &[String]) -> Result<AnalysisOptions, String> {
     let degree: u32 = match flag_value(args, "--degree")? {
         Some(v) => v.parse().map_err(|_| format!("invalid --degree {v}"))?,
@@ -87,7 +81,6 @@ fn parse_options(args: &[String]) -> Result<AnalysisOptions, String> {
         degree,
         max_products,
         backend,
-        invariant_tier: parse_invariant_tier(args)?,
         ..AnalysisOptions::default()
     })
 }
@@ -97,16 +90,23 @@ fn main() -> ExitCode {
     let usage = "usage: dca <diff old new | bound program | show program | suite \
                  | serve | query old new> \
                  [--degree D] [--max-products K] [--backend certified|exact] \
-                 [--invariant-tier 0|1|2] [--escalate] [--jobs N] [--timeout SECS] \
+                 [--jobs N] [--timeout SECS] \
                  [--stdio] [--listen ADDR] [--addr ADDR] [--timeout-ms N] [--stream]";
     let Some(command) = args.first() else {
         eprintln!("{usage}");
         return ExitCode::FAILURE;
     };
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("error: unknown option {unknown}\n{usage}");
+        return ExitCode::FAILURE;
+    }
     let result = match command.as_str() {
         "diff" if args.len() >= 3 => run_diff(&args[1], &args[2], &args),
         "bound" if args.len() >= 2 => run_bound(&args[1], &args),
-        "show" if args.len() >= 2 => run_show(&args[1], &args),
+        "show" if args.len() >= 2 => run_show(&args[1]),
         "suite" => run_suite_command(&args),
         "serve" => run_serve(&args),
         "query" if args.len() >= 3 => run_query(&args[1], &args[2], &args),
@@ -125,29 +125,21 @@ fn solve_pair(
     new: &AnalyzedProgram,
     old: &AnalyzedProgram,
     args: &[String],
-) -> Result<(dca_core::DiffCostResult, u32, InvariantTier), String> {
+) -> Result<(DiffCostResult, u32), String> {
     let options = parse_options(args)?;
-    if has_flag(args, "--escalate") {
-        let escalated = solve_with_escalation(new, old, &options, EscalationPolicy::default())
-            .map_err(|failure| failure.error.to_string())?;
-        Ok((escalated.result, escalated.degree, escalated.tier))
-    } else {
-        let result = DiffCostSolver::new(options)
-            .solve(new, old)
-            .map_err(|e| e.to_string())?;
-        Ok((result, options.degree, options.invariant_tier))
-    }
+    let result = DiffCostSolver::new(options)
+        .solve(new, old)
+        .map_err(|e| e.to_string())?;
+    Ok((result, options.degree))
 }
 
 fn run_diff(old_path: &str, new_path: &str, args: &[String]) -> Result<(), String> {
-    let tier = parse_invariant_tier(args)?;
-    let old = read_program(old_path, tier)?;
-    let new = read_program(new_path, tier)?;
-    let (result, degree, tier) = solve_pair(&new, &old, args)?;
+    let old = read_program(old_path)?;
+    let new = read_program(new_path)?;
+    let (result, degree) = solve_pair(&new, &old, args)?;
     println!("differential threshold: {:.4}", result.threshold);
     println!("integer threshold:      {}", result.threshold_int());
     println!("template degree:        {degree}");
-    println!("invariant tier:         {tier}");
     println!("LP: {} variables, {} constraints ({} before dedup), {:?}",
         result.stats.lp_variables, result.stats.lp_constraints,
         result.stats.lp_constraints_raw, result.stats.duration);
@@ -167,12 +159,10 @@ fn run_diff(old_path: &str, new_path: &str, args: &[String]) -> Result<(), Strin
 }
 
 fn run_bound(path: &str, args: &[String]) -> Result<(), String> {
-    let tier = parse_invariant_tier(args)?;
-    let program = read_program(path, tier)?;
-    let (result, degree, tier) = solve_pair(&program, &program, args)?;
+    let program = read_program(path)?;
+    let (result, degree) = solve_pair(&program, &program, args)?;
     println!("precision gap: {:.4}", result.threshold);
     println!("template degree: {degree}");
-    println!("invariant tier: {tier}");
     let (ts_upper, ts_lower) = match result.split_systems.as_deref() {
         Some((split_new, split_old)) => (split_new, split_old),
         None => (&program.ts, &program.ts),
@@ -182,11 +172,10 @@ fn run_bound(path: &str, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_show(path: &str, args: &[String]) -> Result<(), String> {
-    let tier = parse_invariant_tier(args)?;
-    let program = read_program(path, tier)?;
+fn run_show(path: &str) -> Result<(), String> {
+    let program = read_program(path)?;
     println!("{}", program.ts.render());
-    println!("invariants ({tier}):\n{}", program.invariants.render(&program.ts));
+    println!("invariants:\n{}", program.invariants.render(&program.ts));
     Ok(())
 }
 
@@ -217,7 +206,6 @@ fn run_query(old_path: &str, new_path: &str, args: &[String]) -> Result<(), Stri
         Some(v) => Some(v.parse().map_err(|_| format!("invalid --degree {v}"))?),
         None => None,
     };
-    request.tier = Some(parse_invariant_tier(args)?.index());
     request.timeout_ms = match flag_value(args, "--timeout-ms")? {
         Some(v) => Some(v.parse().map_err(|_| format!("invalid --timeout-ms {v}"))?),
         None => None,
@@ -257,25 +245,18 @@ fn run_suite_command(args: &[String]) -> Result<(), String> {
         Some(v) => v.parse().map_err(|_| format!("invalid --jobs {v}"))?,
         None => 0,
     };
-    let escalate = has_flag(args, "--escalate");
     let time_budget = match flag_value(args, "--timeout")? {
         Some(v) => Some(std::time::Duration::from_secs(
             v.parse().map_err(|_| format!("invalid --timeout {v}"))?,
         )),
         None => None,
     };
-    let invariant_tier = parse_invariant_tier(args)?;
-    let report = dca_benchmarks::run_suite_parallel(&SuiteConfig {
-        jobs,
-        escalate,
-        time_budget,
-        invariant_tier,
-    });
+    let report = dca_benchmarks::run_suite_parallel(&SuiteConfig { jobs, time_budget });
     println!(
-        "{:<21} | {:>10} | d | t | {:<9} | {:>8}",
+        "{:<21} | {:>10} | d | {:<9} | {:>8}",
         "benchmark", "threshold", "outcome", "time (s)"
     );
-    println!("{:-<21}-+-{:->10}-+---+---+-{:-<9}-+-{:->8}", "", "", "", "");
+    println!("{:-<21}-+-{:->10}-+---+-{:-<9}-+-{:->8}", "", "", "", "");
     for outcome in &report.outcomes {
         let threshold = match &outcome.result {
             Ok(result) => format!("{}", result.threshold_int()),
@@ -286,11 +267,10 @@ fn run_suite_command(args: &[String]) -> Result<(), String> {
             }
         };
         println!(
-            "{:<21} | {:>10} | {} | {} | {:<9} | {:>8.2}",
+            "{:<21} | {:>10} | {} | {:<9} | {:>8.2}",
             outcome.name,
             threshold,
             outcome.degree,
-            outcome.tier.index(),
             outcome.outcome().label(),
             outcome.duration.as_secs_f64()
         );

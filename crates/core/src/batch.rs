@@ -3,8 +3,7 @@
 //! The paper's evaluation (Section 6) runs 19 independent program pairs — an
 //! embarrassingly parallel workload. This module provides the engine for it: a set of
 //! [`BatchJob`]s is fanned out across [`std::thread::scope`] workers pulling from a
-//! shared atomic queue, and each pair is solved either at a fixed degree or through the
-//! automatic degree-escalation loop of [`crate::escalate`].
+//! shared atomic queue, and each pair is solved at its job's degree.
 //!
 //! Results are deterministic: every pair is solved independently of worker scheduling,
 //! and the [`BatchReport`] lists outcomes in input order, so `jobs = 1` and `jobs = N`
@@ -24,7 +23,6 @@ use std::time::{Duration, Instant};
 use dca_lp::fault::{self, FaultKind};
 use dca_lp::{Deadline, SolvePhase};
 
-use crate::escalate::{solve_with_escalation_under, EscalationAttempt, EscalationPolicy};
 use crate::options::AnalysisOptions;
 use crate::program::AnalyzedProgram;
 use crate::solver::{AnalysisError, DiffCostResult, DiffCostSolver, SolveOutcome, SolveStats};
@@ -62,9 +60,7 @@ pub struct BatchJob {
     pub name: String,
     /// The two program versions.
     pub input: PairInput,
-    /// Options for the solve. Under escalation the degree fields act as the fallback
-    /// fixed degree (see [`BatchConfig::escalation`]); backend and template shape are
-    /// always honored.
+    /// Options for the solve.
     pub options: AnalysisOptions,
 }
 
@@ -110,15 +106,11 @@ pub struct BatchConfig {
     /// Number of worker threads. `0` means "one per available CPU"; the effective
     /// count is always clamped to the number of jobs.
     pub jobs: usize,
-    /// `Some(policy)` runs every pair through the degree-escalation loop (the job's
-    /// own `degree` is ignored); `None` solves each pair once at its job's degree.
-    pub escalation: Option<EscalationPolicy>,
-    /// Wall-clock budget applied to *each solve attempt* (`None` = unlimited). A job
-    /// whose own options already carry a budget keeps it. Under escalation every tried
-    /// degree gets its own budget, so a pair costs at most `degrees × budget`.
+    /// Wall-clock budget applied to each solve (`None` = unlimited). A job whose own
+    /// options already carry a budget keeps it.
     pub time_budget: Option<Duration>,
     /// A batch-wide hard deadline (`None` = unlimited). Every job runs under a
-    /// [scoped](Deadline::scoped) child of it, tightened by the per-attempt
+    /// [scoped](Deadline::scoped) child of it, tightened by the per-solve
     /// `time_budget`: when the batch deadline expires or is cancelled, every worker
     /// stops cooperatively at its next poll and the unfinished pairs report
     /// [`AnalysisError::Timeout`].
@@ -127,18 +119,12 @@ pub struct BatchConfig {
 
 
 impl BatchConfig {
-    /// A fixed-degree configuration with the given worker count.
+    /// A configuration with the given worker count.
     pub fn with_jobs(jobs: usize) -> BatchConfig {
         BatchConfig { jobs, ..BatchConfig::default() }
     }
 
-    /// Enables degree escalation with the default `1 → 2 → 3` policy.
-    pub fn escalating(mut self) -> BatchConfig {
-        self.escalation = Some(EscalationPolicy::default());
-        self
-    }
-
-    /// Sets the per-attempt wall-clock budget.
+    /// Sets the per-solve wall-clock budget.
     pub fn with_time_budget(mut self, budget: Duration) -> BatchConfig {
         self.time_budget = Some(budget);
         self
@@ -158,15 +144,9 @@ pub struct PairOutcome {
     pub name: String,
     /// The analysis result, or the error this pair failed with.
     pub result: Result<DiffCostResult, AnalysisError>,
-    /// The degree that produced `result`: the chosen degree under escalation, the
-    /// job's fixed degree otherwise (for failures, the last degree tried).
+    /// The template degree the pair was solved at (the job's degree).
     pub degree: u32,
-    /// The invariant tier that produced `result` (for failures, the last tier tried).
-    pub tier: dca_invariants::InvariantTier,
-    /// The escalation trail (one entry per tried `(degree, tier)` rung); a single
-    /// entry when the batch ran without escalation.
-    pub attempts: Vec<EscalationAttempt>,
-    /// Wall-clock time this pair spent in its worker (compile + all solve attempts).
+    /// Wall-clock time this pair spent in its worker (compile + solve).
     pub duration: Duration,
     /// CPU time (user + system) the worker thread charged to this pair, read from
     /// the scheduler via [`thread_cpu_time`]. Unlike `duration` it is immune to
@@ -291,8 +271,6 @@ pub fn run_batch(jobs: &[BatchJob], config: &BatchConfig) -> BatchReport {
                         message: panic_message(payload.as_ref()),
                     }),
                     degree: job.options.degree,
-                    tier: job.options.invariant_tier,
-                    attempts: Vec::new(),
                     duration: job_start.elapsed(),
                     cpu_duration: Duration::ZERO,
                 });
@@ -326,8 +304,6 @@ pub fn run_batch(jobs: &[BatchJob], config: &BatchConfig) -> BatchReport {
                         message: "worker terminated before recording an outcome".into(),
                     }),
                     degree: job.options.degree,
-                    tier: job.options.invariant_tier,
-                    attempts: Vec::new(),
                     duration: Duration::ZERO,
                     cpu_duration: Duration::ZERO,
                 }
@@ -369,8 +345,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Solves a single job (compile if needed, then fixed-degree or escalated solve)
-/// under a per-job scope of the batch-wide deadline.
+/// Solves a single job (compile if needed, then solve) under a per-job scope of the
+/// batch-wide deadline.
 fn run_one(job: &BatchJob, config: &BatchConfig, batch_deadline: &Deadline) -> PairOutcome {
     let start = Instant::now();
     // A fresh cancel flag per job: a deadline-fault injection (or any other per-job
@@ -384,90 +360,26 @@ fn run_one(job: &BatchJob, config: &BatchConfig, batch_deadline: &Deadline) -> P
     if options.time_budget.is_none() {
         options.time_budget = config.time_budget;
     }
+    let outcome = |result| PairOutcome {
+        name: job.name.clone(),
+        result,
+        degree: options.degree,
+        duration: start.elapsed(),
+        cpu_duration: Duration::ZERO,
+    };
     let compiled = match &job.input {
         PairInput::Analyzed { new, old } => Ok((new.clone(), old.clone())),
-        // Compile directly at the configured tier; compiling at the baseline would
-        // make the solver throw the analysis away and redo it at the right tier.
-        PairInput::Source { new, old } => {
-            AnalyzedProgram::from_source_at_tier(new, options.invariant_tier).and_then(|n| {
-                AnalyzedProgram::from_source_at_tier(old, options.invariant_tier)
-                    .map(|o| (n, o))
-            })
-        }
+        PairInput::Source { new, old } => AnalyzedProgram::from_source(new)
+            .and_then(|n| AnalyzedProgram::from_source(old).map(|o| (n, o))),
     };
     let (new, old) = match compiled {
         Ok(pair) => pair,
-        Err(message) => {
-            return PairOutcome {
-                name: job.name.clone(),
-                result: Err(AnalysisError::InvalidProgram(message)),
-                degree: job.options.degree,
-                tier: job.options.invariant_tier,
-                attempts: Vec::new(),
-                duration: start.elapsed(),
-                cpu_duration: Duration::ZERO,
-            }
-        }
+        Err(message) => return outcome(Err(AnalysisError::InvalidProgram(message))),
     };
     if deadline.expired() {
-        return PairOutcome {
-            name: job.name.clone(),
-            result: Err(AnalysisError::Timeout { phase: SolvePhase::Compile }),
-            degree: job.options.degree,
-            tier: options.invariant_tier,
-            attempts: Vec::new(),
-            duration: start.elapsed(),
-                cpu_duration: Duration::ZERO,
-        };
+        return outcome(Err(AnalysisError::Timeout { phase: SolvePhase::Compile }));
     }
-
-    match config.escalation {
-        Some(policy) => match solve_with_escalation_under(&new, &old, &options, policy, &deadline)
-        {
-            Ok(escalated) => PairOutcome {
-                name: job.name.clone(),
-                result: Ok(escalated.result),
-                degree: escalated.degree,
-                tier: escalated.tier,
-                attempts: escalated.attempts,
-                duration: start.elapsed(),
-                cpu_duration: Duration::ZERO,
-            },
-            Err(failure) => PairOutcome {
-                name: job.name.clone(),
-                result: Err(failure.error),
-                degree: failure.attempts.last().map(|a| a.degree).unwrap_or(policy.max_degree),
-                tier: failure
-                    .attempts
-                    .last()
-                    .map(|a| a.tier)
-                    .unwrap_or(options.invariant_tier),
-                attempts: failure.attempts,
-                duration: start.elapsed(),
-                cpu_duration: Duration::ZERO,
-            },
-        },
-        None => {
-            let attempt_start = Instant::now();
-            let result =
-                DiffCostSolver::new(options).with_deadline(deadline.clone()).solve(&new, &old);
-            let attempt = EscalationAttempt {
-                degree: job.options.degree,
-                tier: options.invariant_tier,
-                error: result.as_ref().err().cloned(),
-                duration: attempt_start.elapsed(),
-            };
-            PairOutcome {
-                name: job.name.clone(),
-                result,
-                degree: job.options.degree,
-                tier: options.invariant_tier,
-                attempts: vec![attempt],
-                duration: start.elapsed(),
-                cpu_duration: Duration::ZERO,
-            }
-        }
-    }
+    outcome(DiffCostSolver::new(options).with_deadline(deadline).solve(&new, &old))
 }
 
 #[cfg(test)]
@@ -531,43 +443,5 @@ mod tests {
             Err(AnalysisError::InvalidProgram(_))
         ));
         assert!(report.outcomes[2].is_solved());
-    }
-
-    #[test]
-    fn escalating_batch_records_chosen_degrees_and_tiers() {
-        // Interchanged nested loops over *unbounded* inputs: the cost difference is
-        // exactly 0 but the witness is bilinear, so no degree-1 rung (at any tier)
-        // succeeds and the ladder must climb to degree 2.
-        let interchange_old = r#"proc f(a, b) {
-            assume(a >= 1 && b >= 1);
-            i = 0;
-            while (i < a) {
-                j = 0;
-                while (j < b) { tick(1); j = j + 1; }
-                i = i + 1;
-            }
-        }"#;
-        let interchange_new = r#"proc f(a, b) {
-            assume(a >= 1 && b >= 1);
-            i = 0;
-            while (i < b) {
-                j = 0;
-                while (j < a) { tick(1); j = j + 1; }
-                i = i + 1;
-            }
-        }"#;
-        let jobs = vec![
-            BatchJob::from_sources("affine", TICK2, TICK1),
-            BatchJob::from_sources("interchange", interchange_new, interchange_old),
-        ];
-        let report = run_batch(&jobs, &BatchConfig::with_jobs(2).escalating());
-        assert_eq!(report.solved(), 2);
-        assert_eq!(report.outcomes[0].degree, 1);
-        assert_eq!(report.outcomes[0].tier, dca_invariants::InvariantTier::Baseline);
-        assert_eq!(report.outcomes[1].degree, 2);
-        assert_eq!(report.outcomes[1].tier, dca_invariants::InvariantTier::Baseline);
-        // The full tier climb at degree 1 precedes the degree bump.
-        assert_eq!(report.outcomes[1].attempts.len(), 4);
-        assert!(report.outcomes[1].attempts[0].error.is_some());
     }
 }

@@ -39,8 +39,7 @@ const SHARDS: usize = 16;
 /// fingerprints folded in order ("new then old" — direction matters, the analysis
 /// is asymmetric). This is also the provenance stamp
 /// [`crate::DiffCostSolver::solve_with_warm_start`] puts on the bases it returns.
-/// Degree and tier are deliberately excluded so the escalation ladder can thread
-/// one basis across rungs; cache layers key on them separately.
+/// The analysis options are excluded; cache layers key on them separately.
 pub fn pair_fingerprint(new: &AnalyzedProgram, old: &AnalyzedProgram) -> u64 {
     let hash = fnv1a_extend(fnv1a(b"pair:"), &new.fingerprint().to_le_bytes());
     fnv1a_extend(hash, &old.fingerprint().to_le_bytes())
@@ -60,7 +59,6 @@ pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let encoded = [
         options.degree.to_le_bytes(),
         options.max_products.to_le_bytes(),
-        options.invariant_tier.index().to_le_bytes(),
         [
             u8::from(options.include_cost_in_template),
             u8::from(options.phase_split),
@@ -272,11 +270,11 @@ fn count_mismatches(a: &[u64], b: &[u64]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x != y).count()
 }
 
-/// One shard's bucket list: `(source, tier index, compiled)` per source hash.
-type ProgramShard = Mutex<HashMap<u64, Vec<(String, u32, AnalyzedProgram)>>>;
+/// One shard's bucket list: `(source, compiled)` per source hash.
+type ProgramShard = Mutex<HashMap<u64, Vec<(String, AnalyzedProgram)>>>;
 
 /// Sharded source-text → [`AnalyzedProgram`] cache (hash-consing of compilation and
-/// invariant analysis). Keyed by `(source hash, tier)`; the source string is stored
+/// invariant analysis). Keyed by the source hash; the source string is stored
 /// and compared on hit, so a hash collision degrades to a recompile.
 #[derive(Debug)]
 pub struct ProgramCache {
@@ -299,25 +297,21 @@ impl ProgramCache {
         }
     }
 
-    /// Compiles (and invariant-analyzes) `source` at `tier`, or returns the cached
+    /// Compiles (and invariant-analyzes) `source`, or returns the cached
     /// program for an identical earlier submission.
     ///
     /// # Errors
     ///
     /// Returns the compiler's human-readable message when `source` does not parse
     /// or lower (compile errors are not cached — they are cheap to reproduce).
-    pub fn get_or_compile(
-        &self,
-        source: &str,
-        tier: dca_invariants::InvariantTier,
-    ) -> Result<AnalyzedProgram, String> {
+    pub fn get_or_compile(&self, source: &str) -> Result<AnalyzedProgram, String> {
         let hash = fnv1a(source.as_bytes());
         let shard = &self.shards[(hash as usize) % SHARDS];
         {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(entries) = shard.get(&hash) {
-                for (cached_source, cached_tier, program) in entries {
-                    if *cached_tier == tier.index() && cached_source == source {
+                for (cached_source, program) in entries {
+                    if cached_source == source {
                         return Ok(program.clone());
                     }
                 }
@@ -325,13 +319,13 @@ impl ProgramCache {
         }
         // Compile outside the shard lock: compilation is the expensive part, and a
         // racing duplicate insert is harmless (last writer wins on identical data).
-        let program = AnalyzedProgram::from_source_at_tier(source, tier)?;
+        let program = AnalyzedProgram::from_source(source)?;
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
         shard
             .entry(hash)
             .or_default()
-            .push((source.to_string(), tier.index(), program.clone()));
+            .push((source.to_string(), program.clone()));
         Ok(program)
     }
 
@@ -345,7 +339,6 @@ impl ProgramCache {
 mod tests {
     use super::*;
     use crate::solver::DiffCostSolver;
-    use dca_invariants::InvariantTier;
 
     fn source(tick: u32) -> String {
         format!(
@@ -357,8 +350,8 @@ mod tests {
     #[test]
     fn solve_cache_round_trips_and_matches_near_repeats() {
         let programs = ProgramCache::new();
-        let old = programs.get_or_compile(&source(1), InvariantTier::Baseline).unwrap();
-        let new = programs.get_or_compile(&source(2), InvariantTier::Baseline).unwrap();
+        let old = programs.get_or_compile(&source(1)).unwrap();
+        let new = programs.get_or_compile(&source(2)).unwrap();
         let options = AnalysisOptions::default();
         let cache = SolveCache::new();
         assert!(cache.lookup(&new, &old, &options).is_none());
@@ -371,7 +364,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
 
         // Repeat query: recompile the same sources, hit the cache bit-identically.
-        let new_again = programs.get_or_compile(&source(2), InvariantTier::Baseline).unwrap();
+        let new_again = programs.get_or_compile(&source(2)).unwrap();
         let hit = cache.lookup(&new_again, &old, &options).expect("repeat must hit");
         assert_eq!(hit.result.threshold.to_bits(), result.threshold.to_bits());
         assert_eq!(cache.hits(), 1);
@@ -382,7 +375,7 @@ mod tests {
 
         // Near-repeat: a one-location edit matches the cached entry's basis and
         // reports how many locations changed.
-        let edited = programs.get_or_compile(&source(3), InvariantTier::Baseline).unwrap();
+        let edited = programs.get_or_compile(&source(3)).unwrap();
         let near = cache.nearest_basis(&edited, &old, &options).expect("edit must near-match");
         assert!(near.changed_locations >= 1);
         assert!(
@@ -408,15 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn program_cache_dedupes_identical_sources_per_tier() {
+    fn program_cache_dedupes_identical_sources() {
         let cache = ProgramCache::new();
-        let a = cache.get_or_compile(&source(1), InvariantTier::Baseline).unwrap();
-        let b = cache.get_or_compile(&source(1), InvariantTier::Baseline).unwrap();
+        let a = cache.get_or_compile(&source(1)).unwrap();
+        let b = cache.get_or_compile(&source(1)).unwrap();
         assert_eq!(cache.compiles(), 1, "second submission must be a hit");
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let _ = cache.get_or_compile(&source(1), InvariantTier::Hull).unwrap();
-        assert_eq!(cache.compiles(), 2, "a different tier is a different entry");
-        assert!(cache.get_or_compile("proc broken {", InvariantTier::Baseline).is_err());
+        assert!(cache.get_or_compile("proc broken {").is_err());
     }
 
     #[test]
@@ -426,7 +417,6 @@ mod tests {
         assert_eq!(fp, options_fingerprint(&base.clone()));
         assert_ne!(fp, options_fingerprint(&AnalysisOptions::with_degree(3)));
         assert_ne!(fp, options_fingerprint(&base.exact()));
-        assert_ne!(fp, options_fingerprint(&base.with_invariant_tier(InvariantTier::Hull)));
         assert_ne!(fp, options_fingerprint(&base.without_phase_split()));
         assert_ne!(fp, options_fingerprint(&base.without_row_generation()));
         // The time budget does not change what is computed, only how long it may take.

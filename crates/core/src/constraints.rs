@@ -324,7 +324,7 @@ mod tests {
         // For `while (i < n) { i++; cost++ }` the function φ(head) = n − i, φ(out) = 0 is a
         // valid potential. Check that it satisfies every collected constraint.
         let ts = counting_loop(1);
-        let invariants = InvariantAnalysis::default().analyze(&ts);
+        let invariants = InvariantAnalysis.analyze(&ts);
         let mut factory = UnknownFactory::new();
         let templates = ProgramTemplates::allocate(&ts, 2, false, &mut factory, "phi");
         let mut set = ConstraintSet::new();
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn constraints_reference_template_unknowns() {
         let ts = counting_loop(1);
-        let invariants = InvariantAnalysis::default().analyze(&ts);
+        let invariants = InvariantAnalysis.analyze(&ts);
         let mut factory = UnknownFactory::new();
         let templates = ProgramTemplates::allocate(&ts, 1, false, &mut factory, "chi");
         let template_unknowns = factory.len();
@@ -425,7 +425,7 @@ mod tests {
         b.add_theta0(LinExpr::var(x));
         b.transition(start, out).update(x, Update::Nondet).finish();
         let ts = b.build().unwrap();
-        let invariants = InvariantAnalysis::default().analyze(&ts);
+        let invariants = InvariantAnalysis.analyze(&ts);
         let mut factory = UnknownFactory::new();
         let templates = ProgramTemplates::allocate(&ts, 1, false, &mut factory, "phi");
         let mut set = ConstraintSet::new();
@@ -471,7 +471,7 @@ mod tests {
             .guard(LinExpr::var(i) - LinExpr::var(n))
             .finish();
         let ts = b.build().unwrap();
-        let invariants = InvariantAnalysis::default().analyze(&ts);
+        let invariants = InvariantAnalysis.analyze(&ts);
         let mut factory = UnknownFactory::new();
         let templates = ProgramTemplates::allocate(&ts, 1, false, &mut factory, "phi");
         let mut set = ConstraintSet::new();

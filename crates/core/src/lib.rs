@@ -52,8 +52,8 @@
 
 pub mod batch;
 pub mod cache;
+mod compat;
 mod constraints;
-pub mod escalate;
 mod options;
 mod potential;
 mod program;
@@ -62,14 +62,10 @@ pub mod verify;
 
 pub use batch::{run_batch, BatchConfig, BatchJob, BatchReport, PairInput, PairOutcome};
 pub use cache::{pair_fingerprint, CachedSolve, NearMatch, ProgramCache, SolveCache};
+pub use compat::InvariantTier;
 pub use constraints::{
     collect_program_constraints, CollectOutcome, ConstraintSet, ProgramTemplates, TemplateRole,
 };
-pub use escalate::{
-    solve_with_escalation, EscalatedResult, EscalationAttempt, EscalationFailure,
-    EscalationPolicy,
-};
-pub use dca_invariants::InvariantTier;
 pub use dca_lp::{Deadline, LpBasis, SolvePhase};
 pub use options::{AnalysisOptions, LpBackend};
 pub use potential::PotentialFunction;

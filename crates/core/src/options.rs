@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use dca_invariants::InvariantTier;
+use crate::compat::InvariantTier;
 
 /// Which LP backend to use for Step 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,12 +24,11 @@ pub enum LpBackend {
 /// templates, and `max_products` is the parameter `K` bounding how many affine
 /// expressions may be multiplied in `Prod_K(Aff)`.
 ///
-/// When the right degree is unknown, pair the options with the escalation loop of
-/// [`crate::escalate`], which retries `d = K = 1, 2, 3` until a witness exists:
+/// The paper fixes `d = K` per benchmark; a solve runs at exactly the configured
+/// degree:
 ///
 /// ```
-/// use dca_core::escalate::{solve_with_escalation, EscalationPolicy};
-/// use dca_core::{AnalysisOptions, AnalyzedProgram};
+/// use dca_core::{AnalysisOptions, AnalyzedProgram, DiffCostSolver};
 ///
 /// let source = |tick: u32| format!(
 ///     "proc f(n) {{ assume(n >= 1 && n <= 10); i = 0; while (i < n) {{ tick({tick}); i = i + 1; }} }}",
@@ -37,15 +36,9 @@ pub enum LpBackend {
 /// let old = AnalyzedProgram::from_source(&source(1)).unwrap();
 /// let new = AnalyzedProgram::from_source(&source(3)).unwrap();
 ///
-/// let escalated = solve_with_escalation(
-///     &new,
-///     &old,
-///     &AnalysisOptions::default(),       // backend/template shape; degree comes from the loop
-///     EscalationPolicy::default(),       // try d = K = 1, then 2, then 3
-/// ).unwrap();
-/// // The difference 2n is affine, so the loop already succeeds at degree 1.
-/// assert_eq!(escalated.degree, 1);
-/// assert_eq!(escalated.result.threshold_int(), 20);
+/// // The difference 2n is affine, so degree 1 already has a witness.
+/// let result = DiffCostSolver::new(AnalysisOptions::with_degree(1)).solve(&new, &old).unwrap();
+/// assert_eq!(result.threshold_int(), 20);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisOptions {
@@ -64,10 +57,8 @@ pub struct AnalysisOptions {
     /// polls a deadline and the solve fails with [`crate::AnalysisError::Timeout`]
     /// instead of stalling a batch run on a pathological instance.
     pub time_budget: Option<Duration>,
-    /// Precision tier of the invariant generator (see [`InvariantTier`]). Programs
-    /// analyzed at a different tier are re-analyzed by the solver before the LP is
-    /// assembled, so the option is honored regardless of how the
-    /// [`crate::AnalyzedProgram`] was produced.
+    /// The invariant engine's precision level. It has a single value and selects
+    /// nothing; it stays for the benchmark harness (see [`InvariantTier`]).
     pub invariant_tier: InvariantTier,
     /// Whether the solver may apply loop-phase splitting (`dca_ir::split_phases`)
     /// and keep the better of the split and unsplit answers. On by default.
@@ -135,18 +126,6 @@ impl AnalysisOptions {
     /// Sets the wall-clock budget for one solve.
     pub fn with_time_budget(mut self, budget: Duration) -> AnalysisOptions {
         self.time_budget = Some(budget);
-        self
-    }
-
-    /// Sets the invariant precision tier.
-    ///
-    /// ```
-    /// use dca_core::{AnalysisOptions, InvariantTier};
-    /// let options = AnalysisOptions::default().with_invariant_tier(InvariantTier::Hull);
-    /// assert_eq!(options.invariant_tier, InvariantTier::Hull);
-    /// ```
-    pub fn with_invariant_tier(mut self, tier: InvariantTier) -> AnalysisOptions {
-        self.invariant_tier = tier;
         self
     }
 

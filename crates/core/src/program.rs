@@ -1,6 +1,6 @@
 //! A program prepared for analysis: transition system plus invariants.
 
-use dca_invariants::{InvariantAnalysis, InvariantMap, InvariantTier};
+use dca_invariants::{InvariantAnalysis, InvariantMap};
 use dca_ir::{LocId, TransitionSystem};
 use dca_lang::LoweredProgram;
 use dca_poly::LinExpr;
@@ -11,45 +11,29 @@ use dca_poly::LinExpr;
 /// the invariants produced by an off-the-shelf generator (Aspic/Sting in the paper, the
 /// [`dca_invariants`] crate here), optionally strengthened by user annotations.
 ///
-/// The program remembers which [`InvariantTier`] produced its invariants and the user
-/// annotations it was strengthened with, so the escalation ladder can *re-analyze* it
-/// at a higher tier (see [`AnalyzedProgram::at_tier`]) without losing the annotations.
+/// The program remembers the user annotations it was strengthened with, so the
+/// phase-split copy (see [`AnalyzedProgram::split_phases`]) keeps them.
 #[derive(Debug, Clone)]
 pub struct AnalyzedProgram {
     /// The transition system.
     pub ts: TransitionSystem,
     /// Affine invariants, one conjunction per location.
     pub invariants: InvariantMap,
-    /// The precision tier the invariants were generated at.
-    pub tier: InvariantTier,
-    /// `invariant(...)` source annotations, replayed on every re-analysis.
+    /// `invariant(...)` source annotations, replayed onto the phase-split copies.
     annotations: Vec<(LocId, Vec<LinExpr>)>,
 }
 
 impl AnalyzedProgram {
-    /// Runs invariant generation on a transition system (at the baseline tier).
+    /// Runs invariant generation on a transition system.
     pub fn from_ts(ts: TransitionSystem) -> AnalyzedProgram {
-        AnalyzedProgram::from_ts_at_tier(ts, InvariantTier::Baseline)
-    }
-
-    /// Runs invariant generation on a transition system at the given precision tier.
-    pub fn from_ts_at_tier(ts: TransitionSystem, tier: InvariantTier) -> AnalyzedProgram {
-        let invariants = InvariantAnalysis::at_tier(tier).analyze(&ts);
-        AnalyzedProgram { ts, invariants, tier, annotations: Vec::new() }
+        let invariants = InvariantAnalysis.analyze(&ts);
+        AnalyzedProgram { ts, invariants, annotations: Vec::new() }
     }
 
     /// Runs invariant generation on a lowered program and conjoins its `invariant(...)`
     /// annotations (mirroring the manual strengthening of the paper's `*` benchmarks).
     pub fn from_lowered(lowered: &LoweredProgram) -> AnalyzedProgram {
-        AnalyzedProgram::from_lowered_at_tier(lowered, InvariantTier::Baseline)
-    }
-
-    /// Like [`AnalyzedProgram::from_lowered`], at the given precision tier.
-    pub fn from_lowered_at_tier(
-        lowered: &LoweredProgram,
-        tier: InvariantTier,
-    ) -> AnalyzedProgram {
-        let mut analyzed = AnalyzedProgram::from_ts_at_tier(lowered.ts.clone(), tier);
+        let mut analyzed = AnalyzedProgram::from_ts(lowered.ts.clone());
         analyzed.annotations = lowered.annotations.clone();
         analyzed.apply_annotations();
         analyzed
@@ -61,41 +45,8 @@ impl AnalyzedProgram {
     ///
     /// Returns a human-readable message if parsing or lowering fails.
     pub fn from_source(source: &str) -> Result<AnalyzedProgram, String> {
-        AnalyzedProgram::from_source_at_tier(source, InvariantTier::Baseline)
-    }
-
-    /// Like [`AnalyzedProgram::from_source`], at the given precision tier.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message if parsing or lowering fails.
-    pub fn from_source_at_tier(
-        source: &str,
-        tier: InvariantTier,
-    ) -> Result<AnalyzedProgram, String> {
         let lowered = dca_lang::compile(source)?;
-        Ok(AnalyzedProgram::from_lowered_at_tier(&lowered, tier))
-    }
-
-    /// The same program re-analyzed at another precision tier, with the source
-    /// annotations replayed. Returns a cheap clone when the tier already matches.
-    ///
-    /// Facts added through [`InvariantMap::strengthen`] by *callers* (as opposed to
-    /// source annotations) are not replayed — strengthen the re-analyzed program again
-    /// if needed.
-    pub fn at_tier(&self, tier: InvariantTier) -> AnalyzedProgram {
-        if tier == self.tier {
-            return self.clone();
-        }
-        let invariants = InvariantAnalysis::at_tier(tier).analyze(&self.ts);
-        let mut analyzed = AnalyzedProgram {
-            ts: self.ts.clone(),
-            invariants,
-            tier,
-            annotations: self.annotations.clone(),
-        };
-        analyzed.apply_annotations();
-        analyzed
+        Ok(AnalyzedProgram::from_lowered(&lowered))
     }
 
     fn apply_annotations(&mut self) {
@@ -105,8 +56,8 @@ impl AnalyzedProgram {
     }
 
     /// Applies loop-phase splitting ([`dca_ir::split_phases`]) to this program and
-    /// re-analyzes the split system at the given tier, so every phase copy gets its
-    /// own invariants (and, downstream, its own potential template).
+    /// re-analyzes the split system, so every phase copy gets its own invariants
+    /// (and, downstream, its own potential template).
     ///
     /// Source `invariant(...)` annotations are replayed onto *every* phase copy of
     /// their location: an annotation holds at a location of the original system,
@@ -114,10 +65,7 @@ impl AnalyzedProgram {
     ///
     /// Returns the split program together with the number of loop splits applied,
     /// or `None` when the program has no detectable phase structure.
-    pub fn split_phases_at_tier(
-        &self,
-        tier: InvariantTier,
-    ) -> Option<(AnalyzedProgram, usize)> {
+    pub fn split_phases(&self) -> Option<(AnalyzedProgram, usize)> {
         let split = dca_ir::split_phases(&self.ts)?;
         let splits = split.splits.len();
         let annotations: Vec<(LocId, Vec<LinExpr>)> = self
@@ -131,7 +79,7 @@ impl AnalyzedProgram {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let mut analyzed = AnalyzedProgram::from_ts_at_tier(split.ts, tier);
+        let mut analyzed = AnalyzedProgram::from_ts(split.ts);
         analyzed.annotations = annotations;
         analyzed.apply_annotations();
         Some((analyzed, splits))
@@ -144,10 +92,8 @@ impl AnalyzedProgram {
 
     /// The canonical, display-name-independent rendering this program is
     /// fingerprinted from: the transition system's [`dca_ir::canonical_form`]
-    /// followed by the source annotations. The invariant *tier* is deliberately
-    /// excluded — invariants are a deterministic function of `(canonical form,
-    /// tier)`, so cache layers key on the tier separately and the escalation
-    /// ladder can reuse warm bases across tiers of the same pair.
+    /// followed by the source annotations. Invariants are a deterministic function
+    /// of this form, so it identifies the analyzed program too.
     pub fn canonical_form(&self) -> String {
         use std::fmt::Write as _;
         let mut out = dca_ir::canonical_form(&self.ts);

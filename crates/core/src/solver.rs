@@ -385,19 +385,6 @@ impl DiffCostSolver {
         self.deadline.tightened(self.options.time_budget.map(|budget| start + budget))
     }
 
-    /// Re-analyzes a program when its invariants were generated at a different tier
-    /// than the solver is configured for (borrowing it unchanged otherwise).
-    fn at_option_tier<'a>(
-        &self,
-        program: &'a AnalyzedProgram,
-    ) -> std::borrow::Cow<'a, AnalyzedProgram> {
-        if program.tier == self.options.invariant_tier {
-            std::borrow::Cow::Borrowed(program)
-        } else {
-            std::borrow::Cow::Owned(program.at_tier(self.options.invariant_tier))
-        }
-    }
-
     /// Solves the DiffCost problem: minimizes a threshold `t` such that
     /// `CostSup_new(x) − CostInf_old(x) ≤ t` for all `x ∈ Θ0`.
     ///
@@ -416,13 +403,13 @@ impl DiffCostSolver {
     /// Like [`DiffCostSolver::solve`], seeding the LP with the final basis of a
     /// previous related solve and returning this solve's own final basis.
     ///
-    /// The escalation ladder ([`crate::escalate`]) threads the basis from rung to
-    /// rung: consecutive `(degree, tier)` attempts share most of their constraint
-    /// system (the Handelman encoding emits constraints in a stable graded order, and
-    /// unknown names are stable across attempts), so the previous basis — even the
-    /// basis of a *failed*, infeasible attempt — puts the simplex within a few pivots
-    /// of the new optimum. The returned basis is `Some` whenever an LP actually ran,
-    /// regardless of the analysis outcome.
+    /// The serve engine's near-match path ([`crate::SolveCache::nearest_basis`])
+    /// seeds a query with the basis of a cached solve of an edited ancestor pair: the
+    /// two constraint systems share every row of the unchanged locations (the
+    /// Handelman encoding emits constraints in a stable graded order, and unknown
+    /// names are stable across solves), so the old basis puts the simplex within a
+    /// few pivots of the new optimum. The returned basis is `Some` whenever an LP
+    /// actually ran, regardless of the analysis outcome.
     ///
     /// When [`AnalysisOptions::phase_split`] is on (the default) and
     /// `dca_ir::split_phases` finds a phase structure in either program, a second
@@ -430,14 +417,13 @@ impl DiffCostSolver {
     /// two answers is reported, with [`SolveStats::phases_split`] recording how many
     /// splits were analyzed. The returned warm-start basis is always the *unsplit*
     /// solve's basis: split systems rename locations, so their unknowns cannot seed
-    /// a later unsplit rung.
+    /// a later unsplit solve.
     ///
     /// The returned basis is stamped with the pair's structural fingerprint
     /// ([`crate::cache::pair_fingerprint`]), and an *incoming* stamped basis whose
     /// fingerprint names a different pair is refused (the solve runs cold and
     /// [`SolveStats::lp_warm_rejected`] records the refusal). The fingerprint
-    /// covers the programs but not the degree or tier, so the escalation ladder's
-    /// rung-to-rung reuse keeps passing the guard; a cache layer that deliberately
+    /// covers the programs but not the options; a cache layer that deliberately
     /// replays a *near*-match must opt in via [`LpBasis::rebadged`].
     pub fn solve_with_warm_start(
         &self,
@@ -469,9 +455,8 @@ impl DiffCostSolver {
         if !self.options.phase_split {
             return (base_result, base_basis);
         }
-        let tier = self.options.invariant_tier;
-        let split_new = new.split_phases_at_tier(tier);
-        let split_old = old.split_phases_at_tier(tier);
+        let split_new = new.split_phases();
+        let split_old = old.split_phases();
         let phases_split = split_new.as_ref().map_or(0, |(_, n)| *n)
             + split_old.as_ref().map_or(0, |(_, n)| *n);
         if phases_split == 0 {
@@ -512,13 +497,12 @@ impl DiffCostSolver {
     ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
         let start = Instant::now();
         let deadline = self.effective_deadline(start);
-        // Phase boundary: invariant (re-)analysis. An injected deadline fault here
-        // exercises the same cooperative-cancellation path a real exhaustion takes.
+        // Phase boundary: the invariants (already analyzed by the caller). An injected
+        // deadline fault here exercises the same cooperative-cancellation path a real
+        // exhaustion takes.
         if fault::enter(SolvePhase::Invariants) == Some(FaultKind::Deadline) {
             deadline.cancel();
         }
-        let (new, old) = (self.at_option_tier(new), self.at_option_tier(old));
-        let (new, old) = (new.as_ref(), old.as_ref());
         if deadline.expired() {
             return (Err(AnalysisError::Timeout { phase: SolvePhase::Invariants }), None);
         }
@@ -578,8 +562,6 @@ impl DiffCostSolver {
         bound: &Polynomial,
     ) -> Result<SymbolicBoundResult, AnalysisError> {
         let start = Instant::now();
-        let (new, old) = (self.at_option_tier(new), self.at_option_tier(old));
-        let (new, old) = (new.as_ref(), old.as_ref());
         let mut factory = UnknownFactory::new();
         let (templates_new, templates_old, mut set, collected) =
             self.collect_both(new, old, BOUND_ROLES, &mut factory);
@@ -625,8 +607,6 @@ impl DiffCostSolver {
         candidate_inputs: &[BTreeMap<String, i64>],
     ) -> Result<RefutationResult, AnalysisError> {
         let start = Instant::now();
-        let (new, old) = (self.at_option_tier(new), self.at_option_tier(old));
-        let (new, old) = (new.as_ref(), old.as_ref());
         let mut factory = UnknownFactory::new();
         let (templates_new, templates_old, set, collected) =
             self.collect_both(new, old, REFUTATION_ROLES, &mut factory);
@@ -938,8 +918,7 @@ const REFUTATION_ROLES: [(&str, TemplateRole); 2] =
     [("chi_new", TemplateRole::AntiPotential), ("phi_old", TemplateRole::Potential)];
 
 /// Outcome of one LP assembly-and-solve: the analysis-level result plus the final
-/// simplex basis, which warm-starts the next related solve even when this one failed
-/// (an infeasible rung's basis is exactly where the next rung wants to resume).
+/// simplex basis, which warm-starts the next related solve even when this one failed.
 struct LpAttempt {
     result: Result<(f64, BTreeMap<UnknownId, Rational>, SolveStats), AnalysisError>,
     basis: Option<LpBasis>,

@@ -114,8 +114,8 @@ pub fn products_up_to(aff: &[LinExpr], max_factors: u32) -> Vec<Polynomial> {
     // list. Two consequences the LP layer relies on: (1) the emitted multiplier
     // columns — and hence their `lambda[origin#i]` names — are deterministic for a
     // given `aff` set, and (2) raising `max_factors` only *appends* products, so the
-    // shared columns of consecutive escalation-ladder rungs keep their names and a
-    // previous rung's basis remains a valid warm start (see `dca_core::escalate`).
+    // shared columns of two related encodings keep their names and one's basis
+    // remains a valid warm start for the other.
     result.sort_by(compare_polynomials);
     result
 }

@@ -1,75 +1,11 @@
 //! Forward abstract-interpretation fixpoint over a transition system.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
 
 use dca_ir::{LocId, LoopNest, TransitionSystem, Update};
 use dca_poly::{LinExpr, VarId};
 
 use crate::polyhedron::Polyhedron;
-
-/// Precision tier of the invariant engine.
-///
-/// The tiers trade analysis time for invariant strength; the solver's escalation ladder
-/// (`dca_core::escalate`) climbs them *before* resorting to a more expensive template
-/// degree. Each tier is a strict superset of the previous one's machinery:
-///
-/// | tier | join | widening | extras |
-/// |------|------|----------|--------|
-/// | `Baseline` | entailment filter | plain | — |
-/// | `Hull` | constraint-based hull (interval + octagon directions) | with thresholds harvested from guards and Θ0 | one descending narrowing round |
-/// | `Relational` | as `Hull` | as `Hull` | two narrowing rounds |
-///
-/// At every tier, widening fires only on deliveries along back edges (computed by
-/// [`dca_ir::LoopNest`]), so straight-line and join locations — including the entry of
-/// a loop that is sequentially composed after another loop — propagate their values
-/// exactly and post-loop facts survive into downstream loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum InvariantTier {
-    /// The fast fixed-precision engine: weak entailment-filter join, plain widening.
-    #[default]
-    Baseline,
-    /// Hull-lite join plus widening-with-thresholds and a narrowing pass.
-    Hull,
-    /// Loop-nest-aware: widening restricted to loop headers, deeper narrowing.
-    Relational,
-}
-
-impl InvariantTier {
-    /// All tiers, weakest first.
-    pub const ALL: [InvariantTier; 3] =
-        [InvariantTier::Baseline, InvariantTier::Hull, InvariantTier::Relational];
-
-    /// Numeric index of the tier (0 = baseline).
-    pub fn index(self) -> u32 {
-        match self {
-            InvariantTier::Baseline => 0,
-            InvariantTier::Hull => 1,
-            InvariantTier::Relational => 2,
-        }
-    }
-
-    /// The tier with the given index, if it exists.
-    pub fn from_index(index: u32) -> Option<InvariantTier> {
-        InvariantTier::ALL.get(index as usize).copied()
-    }
-
-    /// The next-stronger tier, if any.
-    pub fn next(self) -> Option<InvariantTier> {
-        InvariantTier::from_index(self.index() + 1)
-    }
-}
-
-impl fmt::Display for InvariantTier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            InvariantTier::Baseline => "baseline",
-            InvariantTier::Hull => "hull",
-            InvariantTier::Relational => "relational",
-        };
-        write!(f, "{name}")
-    }
-}
 
 /// A map from program locations to affine invariants.
 #[derive(Debug, Clone)]
@@ -123,101 +59,74 @@ impl InvariantMap {
     }
 }
 
-/// The forward invariant-generation analysis.
-#[derive(Debug, Clone)]
-pub struct InvariantAnalysis {
-    /// Number of times a location is re-visited with a growing abstract value before
-    /// widening kicks in.
-    pub widening_delay: usize,
-    /// Hard cap on the number of worklist iterations (safety net).
-    pub max_iterations: usize,
-    /// If `true`, all knowledge about the `cost` variable is dropped. Potential-function
-    /// synthesis never needs invariants about `cost`, and tracking it only slows down
-    /// convergence (the accumulated cost rarely admits affine bounds).
-    pub ignore_cost: bool,
-    /// Precision tier (see [`InvariantTier`]).
-    pub tier: InvariantTier,
-}
+/// Number of growing deliveries along a location's back edges before widening kicks in.
+const WIDENING_DELAY: usize = 2;
 
-impl Default for InvariantAnalysis {
-    fn default() -> Self {
-        InvariantAnalysis {
-            widening_delay: 2,
-            max_iterations: 2000,
-            ignore_cost: true,
-            tier: InvariantTier::Baseline,
-        }
-    }
-}
+/// Hard cap on the number of worklist iterations (safety net).
+const MAX_ITERATIONS: usize = 2000;
+
+/// Invariants with more constraints than this lose their LP-redundant ones in the
+/// final cleanup.
+const REDUCE_ABOVE: usize = 12;
+
+/// The forward invariant-generation analysis.
+///
+/// A worklist fixpoint with the entailment-filter join ([`Polyhedron::join`]) and plain
+/// widening ([`Polyhedron::widen`]). Widening fires only on deliveries along back edges
+/// (computed by [`dca_ir::LoopNest`]), once a location has received more than two
+/// growing ones, so straight-line and join locations — including the entry of a loop
+/// that is sequentially composed after another loop — propagate their values exactly
+/// and post-loop facts survive into downstream loops.
+///
+/// All knowledge about the `cost` variable is dropped: potential-function synthesis
+/// never needs invariants about `cost`, and tracking it only slows down convergence
+/// (the accumulated cost rarely admits affine bounds).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InvariantAnalysis;
 
 impl InvariantAnalysis {
-    /// The default analysis at the given precision tier.
-    ///
-    /// ```
-    /// use dca_invariants::{InvariantAnalysis, InvariantTier};
-    /// let analysis = InvariantAnalysis::at_tier(InvariantTier::Hull);
-    /// assert_eq!(analysis.tier, InvariantTier::Hull);
-    /// ```
-    pub fn at_tier(tier: InvariantTier) -> InvariantAnalysis {
-        InvariantAnalysis { tier, ..InvariantAnalysis::default() }
-    }
-
     /// Runs the analysis and returns the invariant map.
     ///
     /// The result is a sound over-approximation of the reachable states of `ts`: for
     /// every reachable state `(ℓ, x)` the valuation `x` satisfies the invariant at `ℓ`.
     pub fn analyze(&self, ts: &TransitionSystem) -> InvariantMap {
         let fresh_base = ts.pool().len() as u32 + 16;
-        let mut invariants = self.ascend(ts, fresh_base);
-        if self.tier >= InvariantTier::Hull {
-            let rounds = if self.tier >= InvariantTier::Relational { 2 } else { 1 };
-            self.narrow(ts, &mut invariants, fresh_base, rounds);
-        }
+        let mut invariants = self.fixpoint(ts, fresh_base);
         // Final cleanup: drop LP-redundant constraints at locations whose invariant grew
         // large. This keeps the Handelman product sets (and therefore the synthesis LP)
-        // small downstream. The tiered engines always reduce — their joins and
-        // narrowing meets accumulate more constraints, and a minimal representation
-        // both shrinks the downstream LP and speeds up further entailment checks.
-        let reduce_above = if self.tier == InvariantTier::Baseline { 12 } else { 0 };
+        // small downstream.
         for polyhedron in invariants.values_mut() {
-            if polyhedron.constraints().is_some_and(|cs| cs.len() > reduce_above) {
+            if polyhedron.constraints().is_some_and(|cs| cs.len() > REDUCE_ABOVE) {
                 *polyhedron = polyhedron.reduce();
             }
         }
         InvariantMap { invariants }
     }
 
-    /// The ascending (widening) fixpoint phase.
-    fn ascend(&self, ts: &TransitionSystem, fresh_base: u32) -> BTreeMap<LocId, Polyhedron> {
-        // Widening fires only on deliveries along *back edges* (at every tier).
-        // Termination is preserved — an infinite ascending chain must propagate around a
-        // cycle, every cycle closes with a back edge, and that edge's delivery counter
-        // eventually exceeds the delay. Counting *all* deliveries (as earlier revisions
-        // did) made a loop that merely sits downstream of another loop widen while the
-        // upstream fixpoint was still churning, before its own back edge had delivered a
-        // single iterate: the sequential composition `while(..){..}; while(..){..}`
-        // then lost the second loop's `j ≤ n` bound, which is why the `SequentialSingle`
-        // and `Ex4` rows of Table 1 went loose at the lower tiers.
+    /// The ascending (widening) fixpoint.
+    fn fixpoint(&self, ts: &TransitionSystem, fresh_base: u32) -> BTreeMap<LocId, Polyhedron> {
+        // Widening fires only on deliveries along *back edges*. Termination is
+        // preserved — an infinite ascending chain must propagate around a cycle, every
+        // cycle closes with a back edge, and that edge's delivery counter eventually
+        // exceeds the delay. Counting *all* deliveries (as earlier revisions did) made a
+        // loop that merely sits downstream of another loop widen while the upstream
+        // fixpoint was still churning, before its own back edge had delivered a single
+        // iterate: the sequential composition `while(..){..}; while(..){..}` then lost
+        // the second loop's `j ≤ n` bound, which is why the `SequentialSingle` and `Ex4`
+        // rows of Table 1 went loose.
         let back_edges: BTreeSet<usize> = LoopNest::analyze(ts)
             .back_edges()
             .iter()
             .map(|edge| edge.transition)
             .collect();
-        let thresholds = if self.tier >= InvariantTier::Hull {
-            self.harvest_thresholds(ts)
-        } else {
-            Vec::new()
-        };
 
         let mut invariants: BTreeMap<LocId, Polyhedron> = BTreeMap::new();
         let mut visit_counts: BTreeMap<LocId, usize> = BTreeMap::new();
         for loc in ts.locations() {
             invariants.insert(loc, Polyhedron::bottom());
         }
-        let mut initial = Polyhedron::from_constraints(ts.theta0().iter().cloned());
-        if self.ignore_cost {
-            initial = initial.project_out(ts.cost_var());
-        }
+        let mut initial = Polyhedron::from_constraints(ts.theta0().iter().cloned())
+            .project_out(ts.cost_var());
         initial.normalize_emptiness();
         invariants.insert(ts.initial(), initial);
 
@@ -227,7 +136,7 @@ impl InvariantAnalysis {
 
         while let Some(loc) = worklist.pop_front() {
             iterations += 1;
-            if iterations > self.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 // Bailing out mid-ascent would keep *under*-approximated facts at
                 // locations whose pending updates were never applied — unsound. The
                 // only sound cheap answer is to give up on precision entirely.
@@ -262,26 +171,14 @@ impl InvariantAnalysis {
                     // delay; churn arriving through the entry edge keeps the exact join.
                     *count += 1;
                 }
-                let joined = self.join(&existing, &post);
-                let mut updated = if may_widen && *count > self.widening_delay {
-                    if self.tier >= InvariantTier::Hull {
-                        existing.widen_with_thresholds(&joined, &thresholds)
-                    } else {
-                        existing.widen(&joined)
-                    }
+                let joined = existing.join(&post);
+                let mut updated = if may_widen && *count > WIDENING_DELAY {
+                    existing.widen(&joined)
                 } else {
                     joined
                 };
                 updated.normalize_emptiness();
-                // Stability must be *semantic*: the hull join re-derives its constraint
-                // list from scratch (different order, snapped constants), so a
-                // syntactic comparison would see perpetual change, overrun the
-                // widening delay, and widen away bounds that are in fact stable.
-                let unchanged = updated == existing
-                    || (self.tier >= InvariantTier::Hull
-                        && updated.entails_all(&existing)
-                        && existing.entails_all(&updated));
-                if !unchanged {
+                if updated != existing {
                     invariants.insert(target, updated);
                     if !worklist.contains(&target) {
                         worklist.push_back(target);
@@ -290,97 +187,6 @@ impl InvariantAnalysis {
             }
         }
         invariants
-    }
-
-    /// The tier's join operator.
-    fn join(&self, a: &Polyhedron, b: &Polyhedron) -> Polyhedron {
-        if self.tier >= InvariantTier::Hull {
-            a.hull_join(b)
-        } else {
-            a.join(b)
-        }
-    }
-
-    /// Widening thresholds: every transition-guard conjunct and every Θ0 inequality
-    /// (minus anything mentioning `cost` when it is ignored). These are exactly the
-    /// bounds a loop maintains while iterating — the facts plain widening loses.
-    fn harvest_thresholds(&self, ts: &TransitionSystem) -> Vec<LinExpr> {
-        let cost = ts.cost_var();
-        let mut thresholds: Vec<LinExpr> = Vec::new();
-        let mut push = |expr: &LinExpr| {
-            let normalized = expr.normalize();
-            if normalized.is_constant() {
-                return;
-            }
-            if !thresholds.contains(&normalized) {
-                thresholds.push(normalized);
-            }
-        };
-        for expr in ts.theta0() {
-            if !self.ignore_cost || expr.coeff(cost).is_zero() {
-                push(expr);
-            }
-        }
-        for transition in ts.transitions() {
-            for guard in &transition.guard {
-                if !self.ignore_cost || guard.coeff(cost).is_zero() {
-                    push(guard);
-                    // The one-unit relaxation of the guard: a counter bounded by
-                    // `g ≥ 0` *inside* the loop typically satisfies only `g + 1 ≥ 0`
-                    // back at the loop head (after its increment), and that is the
-                    // bound the widening must land on.
-                    push(&(guard + &LinExpr::from_int(1)));
-                }
-            }
-        }
-        thresholds
-    }
-
-    /// Descending (narrowing) phase: re-evaluates every location as "initial states (at
-    /// `ℓ0`) joined with the posts of all incoming transitions" and intersects with the
-    /// ascending result. Sound because each side over-approximates the reachable states
-    /// at the location; bounded rounds keep it cheap.
-    fn narrow(
-        &self,
-        ts: &TransitionSystem,
-        invariants: &mut BTreeMap<LocId, Polyhedron>,
-        fresh_base: u32,
-        rounds: usize,
-    ) {
-        let mut initial = Polyhedron::from_constraints(ts.theta0().iter().cloned());
-        if self.ignore_cost {
-            initial = initial.project_out(ts.cost_var());
-        }
-        initial.normalize_emptiness();
-        for _ in 0..rounds {
-            let mut changed = false;
-            for loc in ts.locations() {
-                let mut incoming = if loc == ts.initial() {
-                    initial.clone()
-                } else {
-                    Polyhedron::bottom()
-                };
-                for transition in ts.transitions() {
-                    if transition.target != loc
-                        || (transition.source == ts.terminal()
-                            && transition.target == ts.terminal())
-                    {
-                        continue;
-                    }
-                    let post =
-                        self.post(ts, &invariants[&transition.source], transition, fresh_base);
-                    incoming = self.join(&incoming, &post);
-                }
-                let refined = invariants[&loc].meet(&incoming).reduce();
-                if refined != invariants[&loc] {
-                    invariants.insert(loc, refined);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
     }
 
     /// Abstract post-condition of one transition.
@@ -399,10 +205,11 @@ impl InvariantAnalysis {
         }
         // Build the simultaneous update: affine deterministic updates keep their
         // expression, everything else (non-affine or non-deterministic) is a havoc.
+        // Updates of `cost` are dropped with the rest of its knowledge.
         let updates: Vec<(VarId, Option<LinExpr>)> = transition
             .updates
             .iter()
-            .filter(|(v, _)| !(self.ignore_cost && **v == ts.cost_var()))
+            .filter(|(v, _)| **v != ts.cost_var())
             .map(|(&v, update)| match update {
                 Update::Assign(p) => (v, LinExpr::try_from_polynomial(p)),
                 Update::Nondet => (v, None),
@@ -466,7 +273,7 @@ mod tests {
     #[test]
     fn loop_head_invariants_are_sound_and_useful() {
         let ts = nested_join();
-        let invariants = InvariantAnalysis::default().analyze(&ts);
+        let invariants = InvariantAnalysis.analyze(&ts);
         let i = ts.pool().lookup("i").unwrap();
         let j = ts.pool().lookup("j").unwrap();
         let len_a = ts.pool().lookup("lenA").unwrap();
@@ -487,87 +294,50 @@ mod tests {
         ));
     }
 
-    /// Soundness at every tier: invariants (including the narrowed ones) must hold on
-    /// every state an actual execution visits.
+    /// Soundness: invariants must hold on every state an actual execution visits.
     #[test]
     fn invariants_hold_on_sampled_executions() {
         use dca_ir::{FixedOracle, Interpreter};
         let ts = nested_join();
-        for tier in InvariantTier::ALL {
-            let invariants = InvariantAnalysis::at_tier(tier).analyze(&ts);
-            // Replay a run and check every visited state against its location
-            // invariant. (The interpreter does not expose the trace directly, so
-            // re-simulate by stepping through increasing step budgets.)
-            for (len_a, len_b) in [(4i64, 3i64), (1, 1), (2, 5)] {
-                let mut initial = dca_ir::IntValuation::new();
-                for (name, value) in
-                    [("i", 0i64), ("j", 0), ("lenA", len_a), ("lenB", len_b), ("cost", 0)]
-                {
-                    initial.insert(ts.pool().lookup(name).unwrap(), value);
-                }
-                for steps in 0..60 {
-                    let result =
-                        Interpreter::new(steps).run(&ts, &initial, &mut FixedOracle(0));
-                    let state = result.final_state;
-                    let invariant = invariants.at(state.loc);
-                    for constraint in invariant.constraints_or_false() {
-                        let value = constraint.eval(
-                            &state
-                                .vals
-                                .iter()
-                                .map(|(&v, &x)| (v, dca_numeric::Rational::from_int(x)))
-                                .collect(),
-                        );
-                        assert!(
-                            !value.is_negative(),
-                            "tier {tier}: invariant violated at {} after {} steps \
-                             (lenA={len_a}, lenB={len_b})",
-                            ts.location_name(state.loc),
-                            steps
-                        );
-                    }
+        let invariants = InvariantAnalysis.analyze(&ts);
+        // Replay a run and check every visited state against its location invariant.
+        // (The interpreter does not expose the trace directly, so re-simulate by
+        // stepping through increasing step budgets.)
+        for (len_a, len_b) in [(4i64, 3i64), (1, 1), (2, 5)] {
+            let mut initial = dca_ir::IntValuation::new();
+            for (name, value) in
+                [("i", 0i64), ("j", 0), ("lenA", len_a), ("lenB", len_b), ("cost", 0)]
+            {
+                initial.insert(ts.pool().lookup(name).unwrap(), value);
+            }
+            for steps in 0..60 {
+                let result = Interpreter::new(steps).run(&ts, &initial, &mut FixedOracle(0));
+                let state = result.final_state;
+                let invariant = invariants.at(state.loc);
+                for constraint in invariant.constraints_or_false() {
+                    let value = constraint.eval(
+                        &state
+                            .vals
+                            .iter()
+                            .map(|(&v, &x)| (v, dca_numeric::Rational::from_int(x)))
+                            .collect(),
+                    );
+                    assert!(
+                        !value.is_negative(),
+                        "invariant violated at {} after {} steps (lenA={len_a}, lenB={len_b})",
+                        ts.location_name(state.loc),
+                        steps
+                    );
                 }
             }
         }
-    }
-
-    /// The tiers form a precision ladder on the nested-join system: everything the
-    /// baseline proves at the loop heads, the hull tier proves too.
-    #[test]
-    fn hull_tier_is_at_least_as_precise_at_loop_heads() {
-        let ts = nested_join();
-        let baseline = InvariantAnalysis::default().analyze(&ts);
-        let hull = InvariantAnalysis::at_tier(InvariantTier::Hull).analyze(&ts);
-        for loc in [LocId(1), LocId(2)] {
-            for constraint in baseline.at(loc).constraints_or_false() {
-                assert!(
-                    hull.entails(loc, &constraint),
-                    "hull tier lost {constraint:?} at {}",
-                    ts.location_name(loc)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tier_enum_roundtrips() {
-        for tier in InvariantTier::ALL {
-            assert_eq!(InvariantTier::from_index(tier.index()), Some(tier));
-        }
-        assert_eq!(InvariantTier::from_index(3), None);
-        assert_eq!(InvariantTier::Baseline.next(), Some(InvariantTier::Hull));
-        assert_eq!(InvariantTier::Hull.next(), Some(InvariantTier::Relational));
-        assert_eq!(InvariantTier::Relational.next(), None);
-        assert_eq!(InvariantTier::Relational.to_string(), "relational");
-        assert!(InvariantTier::Baseline < InvariantTier::Hull);
-        assert_eq!(InvariantTier::default(), InvariantTier::Baseline);
     }
 
     /// Two sequential loops: `while (i < n) i++` then `while (j < n) j++`.
     /// Regression test for the back-edge widening delay: the upstream loop's fixpoint
     /// churn must not burn the downstream loop's widening delay, or the second head
     /// loses its `j ≤ n` bound (which made the `SequentialSingle` and `Ex4` Table-1
-    /// rows loose at the lower tiers).
+    /// rows loose).
     fn sequential_loops() -> TransitionSystem {
         let mut b = TsBuilder::new();
         b.name("sequential");
@@ -603,24 +373,22 @@ mod tests {
     }
 
     #[test]
-    fn second_sequential_loop_keeps_its_bounds_at_every_tier() {
+    fn second_sequential_loop_keeps_its_bounds() {
         let ts = sequential_loops();
         let j = ts.pool().lookup("j").unwrap();
         let n = ts.pool().lookup("n").unwrap();
         let head2 = LocId(2);
-        for tier in InvariantTier::ALL {
-            let invariants = InvariantAnalysis::at_tier(tier).analyze(&ts);
-            assert!(
-                invariants.entails(head2, &LinExpr::var(j)),
-                "tier {tier}: lost j >= 0 at the second loop head:\n{}",
-                invariants.render(&ts)
-            );
-            assert!(
-                invariants.entails(head2, &(LinExpr::var(n) - LinExpr::var(j))),
-                "tier {tier}: lost j <= n at the second loop head:\n{}",
-                invariants.render(&ts)
-            );
-        }
+        let invariants = InvariantAnalysis.analyze(&ts);
+        assert!(
+            invariants.entails(head2, &LinExpr::var(j)),
+            "lost j >= 0 at the second loop head:\n{}",
+            invariants.render(&ts)
+        );
+        assert!(
+            invariants.entails(head2, &(LinExpr::var(n) - LinExpr::var(j))),
+            "lost j <= n at the second loop head:\n{}",
+            invariants.render(&ts)
+        );
     }
 
     #[test]
@@ -636,7 +404,7 @@ mod tests {
         // dead -> out exists so the system is well formed, but dead is never entered.
         b.transition(dead, out).finish();
         let ts = b.build().unwrap();
-        let invariants = InvariantAnalysis::default().analyze(&ts);
+        let invariants = InvariantAnalysis.analyze(&ts);
         assert!(invariants.at(LocId(1)).is_bottom());
         // Its constraint list is the explicit false constraint.
         assert_eq!(invariants.constraints_at(LocId(1)).len(), 1);
@@ -645,7 +413,7 @@ mod tests {
     #[test]
     fn strengthening_adds_facts() {
         let ts = nested_join();
-        let mut invariants = InvariantAnalysis::default().analyze(&ts);
+        let mut invariants = InvariantAnalysis.analyze(&ts);
         let i = ts.pool().lookup("i").unwrap();
         let extra = LinExpr::from_int(1000) - LinExpr::var(i);
         let l1 = LocId(1);
@@ -659,7 +427,7 @@ mod tests {
     #[test]
     fn terminal_location_is_reached() {
         let ts = nested_join();
-        let invariants = InvariantAnalysis::default().analyze(&ts);
+        let invariants = InvariantAnalysis.analyze(&ts);
         assert!(!invariants.at(ts.terminal()).is_bottom());
     }
 }

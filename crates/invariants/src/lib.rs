@@ -6,25 +6,18 @@
 //! tools Aspic and Sting; this crate provides the equivalent substrate:
 //!
 //! * [`Polyhedron`] — a conjunction of affine inequalities with LP-backed emptiness and
-//!   entailment checks, Fourier–Motzkin projection, a sound (weak) join, a
-//!   constraint-based convex-hull-lite join, and widening with and without thresholds;
+//!   entailment checks, Fourier–Motzkin projection, a sound (weak) join and widening;
 //! * [`InvariantAnalysis`] — a forward abstract-interpretation fixpoint over a
-//!   [`TransitionSystem`](dca_ir::TransitionSystem) producing an [`InvariantMap`];
-//! * [`InvariantTier`] — the precision ladder of the engine. `Baseline` mirrors the
-//!   original fixed-precision analysis; `Hull` upgrades the join to the hull-lite
-//!   (with interval and octagon directions), widens with thresholds harvested from
-//!   transition guards and Θ0, and runs a descending narrowing pass; `Relational`
-//!   additionally restricts widening to the loop headers reported by
-//!   [`dca_ir::LoopNest`], so relational facts between inner and outer loop counters
-//!   survive propagation. The solver's escalation ladder climbs these tiers before
-//!   escalating the (much more expensive) template degree;
+//!   [`TransitionSystem`](dca_ir::TransitionSystem) producing an [`InvariantMap`].
+//!   Widening fires only along the back edges reported by [`dca_ir::LoopNest`], so
+//!   facts established before a loop (or by an earlier loop) survive into it;
 //! * support for merging user-supplied invariants, mirroring the paper's manual
 //!   strengthening of the `*`-marked benchmarks.
 //!
 //! The produced invariants are *sound over-approximations*: every reachable state
 //! satisfies them. Soundness of the differential-cost result only depends on this
-//! property (Theorem 5.1), not on their precision — the tiers trade analysis time for
-//! the *strength* of the facts available to the Handelman certificates.
+//! property (Theorem 5.1), not on their precision; precision decides which thresholds
+//! the Handelman certificates can reach.
 //!
 //! # Example
 //!
@@ -51,7 +44,7 @@
 //! b.transition(head, out).guard(LinExpr::var(i) - LinExpr::var(n)).finish();
 //! let ts = b.build().unwrap();
 //!
-//! let invariants = InvariantAnalysis::default().analyze(&ts);
+//! let invariants = InvariantAnalysis.analyze(&ts);
 //! // The loop-head invariant entails i >= 0.
 //! assert!(invariants.entails(head, &LinExpr::var(i)));
 //! ```
@@ -61,5 +54,5 @@
 mod analysis;
 mod polyhedron;
 
-pub use analysis::{InvariantAnalysis, InvariantMap, InvariantTier};
+pub use analysis::{InvariantAnalysis, InvariantMap};
 pub use polyhedron::{interval, Polyhedron};

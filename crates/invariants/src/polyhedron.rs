@@ -1,7 +1,6 @@
 //! A convex-polyhedra-lite abstract domain: conjunctions of affine inequalities.
 
 use dca_lp::{ConstraintOp, LpProblem, LpStatus, VarKind};
-use dca_numeric::Rational;
 use dca_poly::{LinExpr, VarId};
 
 /// A conjunction of affine inequalities `expr ≥ 0`, or the empty (unreachable) element.
@@ -19,19 +18,6 @@ pub struct Polyhedron {
 /// Maximum number of constraints kept after any operation. Excess constraints are dropped
 /// (a sound over-approximation).
 const MAX_CONSTRAINTS: usize = 64;
-
-/// Cap on the candidate directions explored by [`Polyhedron::hull_join`] (each direction
-/// costs two small LP solves).
-const MAX_JOIN_DIRECTIONS: usize = 96;
-
-/// The octagon directions `±x ± y` are only enumerated when the polyhedra mention at
-/// most this many variables (the pair count grows quadratically).
-const MAX_OCTAGON_VARS: usize = 8;
-
-/// Denominator of the coarse grid the hull join snaps its LP-computed constants to.
-/// Snapping makes the join idempotent (no epsilon ratcheting across fixpoint rounds)
-/// while staying far above the f64 solver tolerance.
-const SNAP_DENOMINATOR: i64 = 256;
 
 impl Polyhedron {
     /// The universe (no constraints).
@@ -221,121 +207,6 @@ impl Polyhedron {
         }
     }
 
-    /// Precise join: the best over-approximation of the union expressible in a finite
-    /// set of candidate directions (a constraint-based convex-hull-lite).
-    ///
-    /// For every direction `d` drawn from the constraints of *both* operands, plus the
-    /// interval (`±x`) and octagon (`±x ± y`) directions over the mentioned variables,
-    /// the result keeps `d·x ≥ m` where `m` is the least value of `d·x` over either
-    /// operand (computed by LP and conservatively snapped down to a coarse rational).
-    /// Unlike [`Polyhedron::join`] — which can only *keep or drop* whole operand
-    /// constraints — this join *relaxes constants*, so facts like `x ≥ 0 ∧ x ≤ 5` vs
-    /// `x ≥ 3 ∧ x ≤ 10` combine to `0 ≤ x ≤ 10`, and relational facts like `x = y`
-    /// shared by both operands survive even when neither operand states them as an
-    /// explicit constraint (the octagon directions recover them).
-    ///
-    /// The result always contains both operands, so it is a sound upper bound; every
-    /// kept constraint is additionally double-checked by [`Polyhedron::entails`] against
-    /// both operands before it is admitted.
-    pub fn hull_join(&self, other: &Polyhedron) -> Polyhedron {
-        let (Some(a), Some(b)) = (&self.constraints, &other.constraints) else {
-            // Bottom is the identity of any join.
-            return match (&self.constraints, &other.constraints) {
-                (None, _) => other.clone(),
-                _ => self.clone(),
-            };
-        };
-        // Candidate directions: coefficient vectors of both operands' constraints...
-        let mut directions: Vec<LinExpr> = Vec::new();
-        let mut push_direction = |candidate: LinExpr| {
-            if candidate.is_constant() {
-                return;
-            }
-            let mut normalized = candidate.normalize();
-            normalized.set_constant(dca_numeric::Rational::zero());
-            if !directions.contains(&normalized) && directions.len() < MAX_JOIN_DIRECTIONS {
-                directions.push(normalized);
-            }
-        };
-        for constraint in a.iter().chain(b.iter()) {
-            push_direction(constraint.clone());
-        }
-        // ...plus interval and octagon directions over the mentioned variables.
-        let mut vars: Vec<VarId> = a.iter().chain(b.iter()).flat_map(LinExpr::vars).collect();
-        vars.sort();
-        vars.dedup();
-        if vars.len() <= MAX_OCTAGON_VARS {
-            for (index, &x) in vars.iter().enumerate() {
-                push_direction(LinExpr::var(x));
-                push_direction(-LinExpr::var(x));
-                for &y in &vars[index + 1..] {
-                    push_direction(LinExpr::var(x) - LinExpr::var(y));
-                    push_direction(LinExpr::var(y) - LinExpr::var(x));
-                    push_direction(LinExpr::var(x) + LinExpr::var(y));
-                    push_direction(-(LinExpr::var(x) + LinExpr::var(y)));
-                }
-            }
-        }
-
-        let mut kept: Vec<LinExpr> = Vec::new();
-        for direction in &directions {
-            let Some(min_a) = self.minimize(direction) else { continue };
-            let Some(min_b) = other.minimize(direction) else { continue };
-            let low = min_a.min(min_b);
-            // Snap the f64 minimum down to a coarse rational. Snapping (rather than
-            // subtracting an epsilon) keeps the operation idempotent — re-joining the
-            // result with either operand reproduces the same constant, so fixpoint
-            // iteration does not ratchet constants downward forever.
-            let mut constant =
-                Rational::new(-(low * SNAP_DENOMINATOR as f64).round() as i64, SNAP_DENOMINATOR);
-            // `d·x ≥ m` is the constraint `d + (−m) ≥ 0`; rounding may land a hair
-            // above the true minimum, in which case the entailment check fails and the
-            // constant is relaxed one grid step at a time.
-            for _ in 0..4 {
-                let mut candidate = direction.clone();
-                candidate.set_constant(constant.clone());
-                if self.entails(&candidate) && other.entails(&candidate) {
-                    kept.push(candidate.normalize());
-                    break;
-                }
-                constant = &constant + &Rational::new(1, SNAP_DENOMINATOR);
-            }
-        }
-        let mut result = Polyhedron { constraints: Some(Vec::new()) };
-        for constraint in kept {
-            result.add_constraint(constraint);
-        }
-        result
-    }
-
-    /// Least value of `direction · x` over the polyhedron (the constant term of
-    /// `direction` is ignored). `None` for bottom, unbounded, or a non-converged solve.
-    fn minimize(&self, direction: &LinExpr) -> Option<f64> {
-        let cs = self.constraints.as_ref()?;
-        let (mut lp, var_of) = Self::build_lp(cs, Some(direction));
-        let objective: Vec<_> = direction
-            .iter()
-            .map(|(v, c)| (var_of(*v), c.clone()))
-            .collect();
-        lp.set_objective(objective);
-        let solution = lp.solve_f64();
-        match solution.status {
-            LpStatus::Optimal => solution.objective,
-            _ => None,
-        }
-    }
-
-    /// Meet (conjunction): intersects the two polyhedra and normalizes emptiness.
-    pub fn meet(&self, other: &Polyhedron) -> Polyhedron {
-        let (Some(_), Some(b)) = (&self.constraints, &other.constraints) else {
-            return Polyhedron::bottom();
-        };
-        let mut result = self.clone();
-        result.add_constraints(b);
-        result.normalize_emptiness();
-        result
-    }
-
     /// Standard widening: keeps only the constraints of `self` that still hold in `next`.
     pub fn widen(&self, next: &Polyhedron) -> Polyhedron {
         match (&self.constraints, &next.constraints) {
@@ -347,32 +218,6 @@ impl Polyhedron {
                 Polyhedron { constraints: Some(kept) }
             }
         }
-    }
-
-    /// Widening with thresholds: like [`Polyhedron::widen`], but additionally keeps
-    /// every threshold constraint entailed by *both* arguments.
-    ///
-    /// Plain widening drops any bound that moved between iterates — including bounds
-    /// the loop guard itself guarantees (e.g. `i ≤ n` while iterating `i` up to `n`).
-    /// Supplying the guard and Θ0 inequalities as thresholds lets the widening land on
-    /// those stable bounds instead of discarding them. Termination is preserved: the
-    /// kept set always comes from the finite pool "constraints of `self` ∪ thresholds",
-    /// and as iterates grow, the entailed subset only shrinks.
-    pub fn widen_with_thresholds(
-        &self,
-        next: &Polyhedron,
-        thresholds: &[LinExpr],
-    ) -> Polyhedron {
-        let mut widened = self.widen(next);
-        if widened.is_bottom() {
-            return widened;
-        }
-        for threshold in thresholds {
-            if self.entails(threshold) && next.entails(threshold) {
-                widened.add_constraint(threshold.clone());
-            }
-        }
-        widened
     }
 
     /// Removes all knowledge about a variable (projection by Fourier–Motzkin elimination).
@@ -634,127 +479,6 @@ mod tests {
         // Join with bottom is identity.
         assert_eq!(a.join(&Polyhedron::bottom()), a);
         assert_eq!(Polyhedron::bottom().join(&b), b);
-    }
-
-    /// For every operand pair, the hull join must entail every constraint the weak
-    /// entailment-filter join keeps — i.e. it is at least as precise — while still
-    /// containing both operands.
-    #[test]
-    fn hull_join_at_least_as_precise_as_weak_join() {
-        let (_, x, y) = setup();
-        let cases: Vec<(Polyhedron, Polyhedron)> = vec![
-            (
-                Polyhedron::from_constraints(interval(x, 0, 5)),
-                Polyhedron::from_constraints(interval(x, 3, 10)),
-            ),
-            (
-                Polyhedron::from_constraints(
-                    interval(x, 0, 4).into_iter().chain(interval(y, 1, 2)),
-                ),
-                Polyhedron::from_constraints(
-                    interval(x, 2, 9).into_iter().chain(interval(y, 0, 7)),
-                ),
-            ),
-            (
-                Polyhedron::from_constraints(vec![
-                    LinExpr::var(x) - LinExpr::var(y),
-                    LinExpr::var(y) - LinExpr::from_int(3),
-                ]),
-                Polyhedron::from_constraints(vec![
-                    LinExpr::var(x) - LinExpr::from_int(7),
-                    LinExpr::var(y) - LinExpr::from_int(1),
-                ]),
-            ),
-        ];
-        for (a, b) in cases {
-            let weak = a.join(&b);
-            let hull = a.hull_join(&b);
-            // As precise: every weak-join constraint is entailed by the hull join.
-            for constraint in weak.constraints().unwrap() {
-                assert!(
-                    hull.entails(constraint),
-                    "hull join lost a weak-join fact: {constraint:?}"
-                );
-            }
-            // Still sound: the hull join contains both operands.
-            for constraint in hull.constraints().unwrap() {
-                assert!(a.entails(constraint) && b.entails(constraint));
-            }
-        }
-    }
-
-    /// The octagon directions recover relational facts neither operand states as an
-    /// explicit constraint — the canonical weak-join loss.
-    #[test]
-    fn hull_join_recovers_lockstep_relation() {
-        let (_, x, y) = setup();
-        // A: {x = 0, y = 0},  B: {x = 1, y = 1}.
-        let point = |v: i64| {
-            Polyhedron::from_constraints(
-                interval(x, v, v).into_iter().chain(interval(y, v, v)),
-            )
-        };
-        let (a, b) = (point(0), point(1));
-        let x_minus_y = LinExpr::var(x) - LinExpr::var(y);
-        // The weak join cannot express x = y (no operand constraint mentions x - y)...
-        let weak = a.join(&b);
-        assert!(!weak.entails(&x_minus_y) || !weak.entails(&-x_minus_y.clone()));
-        // ...the hull join derives it, along with the interval hull.
-        let hull = a.hull_join(&b);
-        assert!(hull.entails(&x_minus_y));
-        assert!(hull.entails(&(-x_minus_y)));
-        assert!(hull.entails(&LinExpr::var(x)));
-        assert!(hull.entails(&(LinExpr::from_int(1) - LinExpr::var(x))));
-    }
-
-    /// Joining the hull result with an operand again must not move the constants
-    /// (idempotence on the snap grid): fixpoint iteration relies on this to terminate.
-    #[test]
-    fn hull_join_is_stable_under_rejoin() {
-        let (_, x, y) = setup();
-        let a = Polyhedron::from_constraints(
-            interval(x, 0, 5).into_iter().chain(interval(y, 0, 0)),
-        );
-        let b = Polyhedron::from_constraints(
-            interval(x, 3, 10).into_iter().chain(interval(y, 1, 1)),
-        );
-        let once = a.hull_join(&b);
-        let twice = once.hull_join(&b);
-        assert!(once.entails_all(&twice) && twice.entails_all(&once));
-    }
-
-    #[test]
-    fn meet_intersects_and_detects_emptiness() {
-        let (_, x, _) = setup();
-        let a = Polyhedron::from_constraints(interval(x, 0, 5));
-        let b = Polyhedron::from_constraints(interval(x, 3, 10));
-        let m = a.meet(&b);
-        assert!(m.entails(&(LinExpr::var(x) - LinExpr::from_int(3))));
-        assert!(m.entails(&(LinExpr::from_int(5) - LinExpr::var(x))));
-        let disjoint = Polyhedron::from_constraints(interval(x, 8, 10));
-        assert!(a.meet(&disjoint).is_bottom());
-        assert!(a.meet(&Polyhedron::bottom()).is_bottom());
-        assert!(Polyhedron::bottom().meet(&a).is_bottom());
-    }
-
-    /// The guard-derived bound survives threshold widening but not plain widening.
-    #[test]
-    fn threshold_widening_retains_guard_bounds() {
-        let (_, x, _) = setup();
-        let previous = Polyhedron::from_constraints(interval(x, 0, 1));
-        let next = Polyhedron::from_constraints(interval(x, 0, 2));
-        let guard_bound = LinExpr::from_int(10) - LinExpr::var(x); // x <= 10, from a guard
-        let plain = previous.widen(&next);
-        assert!(!plain.entails(&guard_bound), "plain widening must lose the bound");
-        let with_thresholds =
-            previous.widen_with_thresholds(&next, std::slice::from_ref(&guard_bound));
-        assert!(with_thresholds.entails(&guard_bound));
-        assert!(with_thresholds.entails(&LinExpr::var(x))); // stable bound kept as before
-        // A threshold not implied by both sides is not smuggled in.
-        let too_strong = LinExpr::from_int(1) - LinExpr::var(x); // x <= 1 fails in `next`
-        let widened =
-            previous.widen_with_thresholds(&next, std::slice::from_ref(&too_strong));
-        assert!(!widened.entails(&too_strong));
     }
 
     #[test]

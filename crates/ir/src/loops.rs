@@ -1,10 +1,9 @@
 //! Loop-nest structure of a transition system: back edges, headers, bodies, nesting.
 //!
-//! The invariant engine's precision tiers (see the `dca_invariants` crate) need to know
-//! *where the loops are*: widening should only happen at loop headers, inner loops
-//! should stabilize before their enclosing loop re-iterates, and the relational
-//! strengthening pass reasons about the counters of an inner loop relative to the state
-//! of its enclosing loop. This module derives all of that from the raw transition graph.
+//! The invariant engine (see the `dca_invariants` crate) and loop-phase splitting
+//! (`split.rs`) need to know *where the loops are*: widening should only happen along
+//! back edges, and a phase split rewrites one loop's header and body. This module
+//! derives that structure from the raw transition graph.
 //!
 //! The control-flow graphs produced by the `dca_lang` lowering are reducible (structured
 //! `while`/`if` programs), so the classic depth-first-search characterization applies: a

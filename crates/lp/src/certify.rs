@@ -501,8 +501,8 @@ fn solve_with_row_generation(
 ) -> RawSolution<Rational> {
     let n = form.costs.len();
     // Core: everything that is not lazy, plus warm-start columns — a basis threaded
-    // in from a previous escalation rung already names the lazy columns that
-    // mattered there, so row-generation state travels across rungs for free.
+    // in from a previous related solve (the serve near-match path) already names the
+    // lazy columns that mattered there, so row-generation state travels for free.
     let mut in_core = vec![true; n];
     for &col in lazy {
         in_core[col] = false;

@@ -28,8 +28,8 @@
 //!
 //! Solves can be *warm-started* from the final basis of a previous related problem
 //! ([`LpProblem::solve_certified_warm`], [`LpBasis`]): basic columns are matched by
-//! name, so the basis survives into a structurally different LP — the escalation
-//! ladder in `dca_core` threads it through consecutive `(degree, tier)` attempts.
+//! name, so the basis survives into a structurally different LP — the serve engine's
+//! near-match path replays the basis of an edited program's cached ancestor.
 //! Because name matching alone cannot tell two *programs* apart, a basis can
 //! additionally carry a provenance fingerprint ([`LpBasis::fingerprint`]): consumers
 //! replaying cached bases refuse a stamped basis from a different origin unless it is

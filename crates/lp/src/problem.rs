@@ -91,8 +91,8 @@ impl fmt::Display for LpStatus {
 /// basis degrades gracefully to a cold start — it can speed a solve up, never make it
 /// wrong.
 ///
-/// Name matching alone is safe within one escalation ladder (same program pair,
-/// rising degree/tier) but is too weak as a *cross-program* cache key: unrelated
+/// Name matching alone is safe between solves of one program pair but is too weak
+/// as a *cross-program* cache key: unrelated
 /// programs produce identically named columns. A producer can therefore stamp the
 /// basis with a provenance [`fingerprint`](LpBasis::fingerprint); consumers that
 /// accept bases from a cache reject stamped bases whose fingerprint names a
@@ -410,8 +410,8 @@ impl LpProblem {
     /// full eager solve, with identical verdicts.
     ///
     /// The returned basis names any lazy columns it uses, so threading it into
-    /// the next related solve (as the escalation ladder does) also seeds that
-    /// solve's active set — row-generation state travels across rungs for free.
+    /// the next related solve (as the serve near-match path does) also seeds that
+    /// solve's active set — row-generation state travels for free.
     pub fn solve_certified_lazy(
         &self,
         warm: Option<&LpBasis>,

@@ -25,9 +25,9 @@
 //! columns is run through the reinversion routine first (columns that prove dependent
 //! are skipped), artificial columns cover whatever rows remain, and phase 1 begins from
 //! that basis instead of the all-artificial one. When the previous basis is close to
-//! optimal for the new problem — as it is between the escalation ladder's consecutive
-//! `(degree, tier)` rungs, whose constraint systems share most of their structure —
-//! phase 1 collapses to a handful of pivots.
+//! optimal for the new problem — as it is for a near-repeat query that edits a few
+//! locations of a cached pair, whose constraint systems share most of their
+//! structure — phase 1 collapses to a handful of pivots.
 
 use crate::deadline::Deadline;
 use crate::problem::LpStatus;

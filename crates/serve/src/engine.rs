@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use dca_core::{
     AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver,
-    InvariantTier, LpBasis, ProgramCache, SolveCache,
+    LpBasis, ProgramCache, SolveCache,
 };
 use dca_lp::fault;
 use dca_lp::Deadline;
@@ -97,30 +97,14 @@ impl Engine {
             message,
         };
 
-        let tier = match request.tier {
-            None => InvariantTier::Baseline,
-            Some(index) => match InvariantTier::from_index(index) {
-                Some(tier) => tier,
-                None => {
-                    return emit(error(
-                        "bad-request",
-                        None,
-                        format!("invalid tier {index} (expected 0, 1 or 2)"),
-                    ))
-                }
-            },
-        };
-        let options = AnalysisOptions::with_degree(request.degree.unwrap_or(2))
-            .with_invariant_tier(tier);
+        let options = AnalysisOptions::with_degree(request.degree.unwrap_or(2));
 
         // Compile both sides through the hash-consing cache. Compilation runs
         // under the same containment as the solve: an injected compile-phase
         // panic must produce an error frame, not kill the daemon.
         let compiled = catch_unwind(AssertUnwindSafe(|| {
-            self.programs.get_or_compile(&request.new_source, tier).and_then(|new| {
-                self.programs
-                    .get_or_compile(&request.old_source, tier)
-                    .map(|old| (new, old))
+            self.programs.get_or_compile(&request.new_source).and_then(|new| {
+                self.programs.get_or_compile(&request.old_source).map(|old| (new, old))
             })
         }));
         let (new, old) = match compiled {
@@ -147,7 +131,6 @@ impl Engine {
                 lp_iterations: 0,
                 invalidated: 0,
                 degree: options.degree,
-                tier: tier.index(),
                 seconds: start.elapsed().as_secs_f64(),
             }));
         }
@@ -288,7 +271,6 @@ impl Engine {
             lp_iterations: result.stats.lp_iterations,
             invalidated,
             degree: options.degree,
-            tier: options.invariant_tier.index(),
             seconds: start.elapsed().as_secs_f64(),
         }));
     }
@@ -360,18 +342,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_requests_and_compile_errors_are_frames_not_crashes() {
+    fn compile_errors_are_frames_not_crashes() {
         let engine = Engine::new();
         let frames = engine.handle_collect(&analyze("q1", "proc broken {", &source(1)));
         match frames.as_slice() {
             [Frame::Error { code, .. }] => assert_eq!(code, "compile-error"),
-            other => panic!("{other:?}"),
-        }
-        let mut request = AnalyzeRequest::new("q2", source(2), source(1));
-        request.tier = Some(99);
-        let frames = engine.handle_collect(&Request::Analyze(request));
-        match frames.as_slice() {
-            [Frame::Error { code, .. }] => assert_eq!(code, "bad-request"),
             other => panic!("{other:?}"),
         }
         // The daemon state is untouched: a good query still works.

@@ -8,14 +8,15 @@
 //!
 //! ```text
 //! {"cmd": "analyze", "id": "q1", "new": "<source>", "old": "<source>",
-//!  "degree": 2, "tier": 0, "timeout_ms": 30000, "stream": false}
+//!  "degree": 2, "timeout_ms": 30000, "stream": false}
 //! {"cmd": "ping"}
 //! {"cmd": "stats"}
 //! {"cmd": "shutdown"}
 //! ```
 //!
-//! `degree` (default 2), `tier` (invariant tier index 0/1/2, default 0),
-//! `timeout_ms` and `stream` are optional. `stream` only has an effect together
+//! `degree` (default 2), `timeout_ms` and `stream` are optional. A `"tier"`
+//! member is accepted only as `0` (the one invariant engine); any other tier is a
+//! `bad-request`, since invariant tiers were removed. `stream` only has an effect together
 //! with `timeout_ms`: the budget is sliced and each expired slice emits a
 //! `progress` frame with the anytime bracket before the final answer.
 //!
@@ -25,7 +26,7 @@
 //! {"type": "progress", "id", "upper", "lower", "gap"}
 //! {"type": "result", "id", "threshold", "threshold_int", "outcome",
 //!  "cache": "hit"|"near"|"miss", "lp_iterations", "invalidated",
-//!  "degree", "tier", "seconds"}
+//!  "degree", "seconds"}
 //! {"type": "error", "id", "code", "phase", "message"}
 //! {"type": "pong"} | {"type": "stats", ...} | {"type": "bye"}
 //! ```
@@ -48,8 +49,6 @@ pub struct AnalyzeRequest {
     pub old_source: String,
     /// Template degree `d = K` (default 2).
     pub degree: Option<u32>,
-    /// Invariant-tier index (0 baseline, 1 hull, 2 relational; default 0).
-    pub tier: Option<u32>,
     /// Wall-clock budget for the solve, in milliseconds (default unlimited).
     pub timeout_ms: Option<u64>,
     /// Emit incremental anytime `progress` frames while solving (needs
@@ -58,7 +57,7 @@ pub struct AnalyzeRequest {
 }
 
 impl AnalyzeRequest {
-    /// A request with default options (degree 2, baseline tier, no budget).
+    /// A request with default options (degree 2, no budget).
     pub fn new(
         id: impl Into<String>,
         new_source: impl Into<String>,
@@ -69,7 +68,6 @@ impl AnalyzeRequest {
             new_source: new_source.into(),
             old_source: old_source.into(),
             degree: None,
-            tier: None,
             timeout_ms: None,
             stream: false,
         }
@@ -85,9 +83,6 @@ impl AnalyzeRequest {
         );
         if let Some(degree) = self.degree {
             out.push_str(&format!(", \"degree\": {degree}"));
-        }
-        if let Some(tier) = self.tier {
-            out.push_str(&format!(", \"tier\": {tier}"));
         }
         if let Some(timeout_ms) = self.timeout_ms {
             out.push_str(&format!(", \"timeout_ms\": {timeout_ms}"));
@@ -147,12 +142,19 @@ impl Request {
                             .ok_or_else(|| format!("{key:?} must be a non-negative integer")),
                     }
                 };
+                // Invariant tiers were removed: a client still asking for tier 1
+                // or 2 gets an error, not a silently different analysis.
+                if let Some(tier) = number("tier")?.filter(|&tier| tier != 0) {
+                    return Err(format!(
+                        "\"tier\": {tier} is not supported: invariant tiers were removed \
+                         (omit \"tier\" or send 0)"
+                    ));
+                }
                 Ok(Request::Analyze(AnalyzeRequest {
                     id: field("id").unwrap_or_default(),
                     new_source: field("new")?,
                     old_source: field("old")?,
                     degree: number("degree")?.map(|d| d as u32),
-                    tier: number("tier")?.map(|t| t as u32),
                     timeout_ms: number("timeout_ms")?,
                     stream: value.get("stream").and_then(Value::as_bool).unwrap_or(false),
                 }))
@@ -183,8 +185,6 @@ pub struct ResultFrame {
     pub invalidated: usize,
     /// Template degree of the answer.
     pub degree: u32,
-    /// Invariant-tier index of the answer.
-    pub tier: u32,
     /// Wall-clock seconds the daemon spent on this request.
     pub seconds: f64,
 }
@@ -253,7 +253,7 @@ impl Frame {
                 "{{\"type\": \"result\", \"id\": \"{}\", \"threshold\": {}, \
                  \"threshold_int\": {}, \"outcome\": \"{}\", \"cache\": \"{}\", \
                  \"lp_iterations\": {}, \"invalidated\": {}, \"degree\": {}, \
-                 \"tier\": {}, \"seconds\": {:.4}}}",
+                 \"seconds\": {:.4}}}",
                 escape(&r.id),
                 r.threshold,
                 r.threshold_int,
@@ -262,7 +262,6 @@ impl Frame {
                 r.lp_iterations,
                 r.invalidated,
                 r.degree,
-                r.tier,
                 r.seconds,
             ),
             Frame::Error { id, code, phase, message } => format!(
@@ -322,6 +321,21 @@ mod tests {
     }
 
     #[test]
+    fn only_the_removed_tiers_are_rejected() {
+        let analyze = |tier: &str| {
+            Request::parse(&format!(
+                "{{\"cmd\": \"analyze\", \"new\": \"x\", \"old\": \"y\"{tier}}}"
+            ))
+        };
+        let message = analyze(", \"tier\": 2").unwrap_err();
+        assert!(message.contains("tiers were removed"), "{message}");
+        assert!(analyze(", \"tier\": 1").is_err());
+        let plain = analyze("").unwrap();
+        assert_eq!(analyze(", \"tier\": 0").unwrap(), plain);
+        assert_eq!(analyze(", \"tier\": null").unwrap(), plain);
+    }
+
+    #[test]
     fn frames_render_as_single_parseable_lines() {
         let frames = [
             Frame::Progress { id: "q".into(), upper: 12.5, lower: Some(10.0), gap: Some(2.5) },
@@ -335,7 +349,6 @@ mod tests {
                 lp_iterations: 0,
                 invalidated: 0,
                 degree: 2,
-                tier: 0,
                 seconds: 0.001,
             }),
             Frame::Error {

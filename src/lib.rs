@@ -50,7 +50,7 @@ pub use dca_poly as poly;
 pub mod prelude {
     pub use dca_core::{
         AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver,
-        InvariantTier, PotentialFunction,
+        PotentialFunction,
     };
     pub use dca_lang::{compile, parse_program};
     pub use dca_numeric::Rational;

@@ -19,7 +19,7 @@ fn benchmark(name: &str) -> diffcost::benchmarks::Benchmark {
 #[test]
 fn simple_single2_is_tight_at_the_paper_configuration() {
     let benchmark = benchmark("SimpleSingle2");
-    let result = benchmark.solve().expect("SimpleSingle2 must solve at degree 2, tier 0");
+    let result = benchmark.solve().expect("SimpleSingle2 must solve at degree 2");
     assert_eq!(result.threshold_int(), 100);
 }
 

@@ -4,9 +4,6 @@
 //! (unsplit) pair must never exhibit `cost_new − cost_old` above it. The split
 //! system is a different program; the bound it proves is only meaningful for the
 //! original semantics, so this is the test that would catch an unsound transform.
-//!
-//! The same check runs at every invariant tier: per-phase invariants are what make
-//! splitting precise, and each tier shapes them differently.
 
 use diffcost::benchmarks::table2::{table2_manifest, table2_options};
 use diffcost::benchmarks::{all_benchmarks, Benchmark};
@@ -14,29 +11,26 @@ use diffcost::core::verify::{verify_threshold, VerifyConfig};
 use diffcost::ir::{detect_phase_splits, GeneratedPair, MAX_BLOCK_STATEMENTS};
 use diffcost::prelude::*;
 
-/// Solves a pair at one tier and, when the split path produced the answer,
-/// replays sampled runs of the original programs against the threshold.
+/// Solves a pair and, when the split path produced the answer, replays sampled
+/// runs of the original programs against the threshold.
 fn check_split_soundness(
     name: &str,
     new: &AnalyzedProgram,
     old: &AnalyzedProgram,
     options: AnalysisOptions,
-    tier: InvariantTier,
 ) -> bool {
-    let result =
-        match DiffCostSolver::new(options.with_invariant_tier(tier)).solve(new, old) {
-            Ok(result) => result,
-            // A tier may legitimately be too weak to prove the pair at all;
-            // there is no split answer to check in that case.
-            Err(_) => return false,
-        };
+    let result = match DiffCostSolver::new(options).solve(new, old) {
+        Ok(result) => result,
+        // With no answer at all there is no split answer to check.
+        Err(_) => return false,
+    };
     if result.stats.phases_split == 0 {
         return false;
     }
     let report = verify_threshold(new, old, result.threshold, &VerifyConfig::default());
     assert!(
         report.ok(),
-        "{name} at {tier:?}: split threshold {} violated by {} of {} sampled runs",
+        "{name}: split threshold {} violated by {} of {} sampled runs",
         result.threshold,
         report.violations.len(),
         report.checked,
@@ -62,12 +56,11 @@ fn nested_single_split_is_tight_and_sampled_sound() {
     assert!(report.ok(), "{} sampled violations", report.violations.len());
 }
 
-/// Every split analysis is sampled-sound at every invariant tier, on the hand
-/// benchmark and on generated phase-flip pairs (depth 1 keeps the higher-tier
-/// solves fast). At least one (pair, tier) combination must actually exercise
-/// the split path, so the test cannot rot into a vacuous pass.
+/// Every split analysis is sampled-sound, on the hand benchmark and on generated
+/// phase-flip pairs (depth 1 keeps the solves fast). At least one pair must
+/// actually exercise the split path, so the test cannot rot into a vacuous pass.
 #[test]
-fn split_analyses_are_sampled_sound_at_all_tiers() {
+fn split_analyses_are_sampled_sound() {
     let manifest = table2_manifest();
     let flips: Vec<&GeneratedPair> = manifest
         .iter()
@@ -77,32 +70,28 @@ fn split_analyses_are_sampled_sound_at_all_tiers() {
         .collect();
     assert!(!flips.is_empty(), "the manifest carries phase-flip pairs");
     let mut split_checked = 0usize;
-    for tier in InvariantTier::ALL {
-        let benchmark = nested_single();
-        if check_split_soundness(
-            benchmark.name,
-            &benchmark.new_program(),
-            &benchmark.old_program(),
-            benchmark.options(),
-            tier,
-        ) {
+    let benchmark = nested_single();
+    if check_split_soundness(
+        benchmark.name,
+        &benchmark.new_program(),
+        &benchmark.old_program(),
+        benchmark.options(),
+    ) {
+        split_checked += 1;
+    }
+    for pair in &flips {
+        let new = AnalyzedProgram::from_source(&pair.source_new).unwrap();
+        let old = AnalyzedProgram::from_source(&pair.source_old).unwrap();
+        // The generator promises the flip guard lowers to a detectable
+        // phase structure (and keeps its straight-line runs capped).
+        assert!(
+            !detect_phase_splits(&new.ts).is_empty(),
+            "{}: no phase split detected in the revision",
+            pair.name
+        );
+        assert!(pair.max_block_len <= MAX_BLOCK_STATEMENTS);
+        if check_split_soundness(&pair.name, &new, &old, table2_options(pair)) {
             split_checked += 1;
-        }
-        for pair in &flips {
-            let new = AnalyzedProgram::from_source(&pair.source_new).unwrap();
-            let old = AnalyzedProgram::from_source(&pair.source_old).unwrap();
-            // The generator promises the flip guard lowers to a detectable
-            // phase structure (and keeps its straight-line runs capped).
-            assert!(
-                !detect_phase_splits(&new.ts).is_empty(),
-                "{}: no phase split detected in the revision",
-                pair.name
-            );
-            assert!(pair.max_block_len <= MAX_BLOCK_STATEMENTS);
-            if check_split_soundness(&pair.name, &new, &old, table2_options(pair), tier)
-            {
-                split_checked += 1;
-            }
         }
     }
     assert!(split_checked > 0, "no analysis exercised the split path");
