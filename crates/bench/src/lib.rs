@@ -68,6 +68,9 @@ pub struct TableRow {
     /// Loop-phase splits applied to the winning solve (0 = unsplit system won or
     /// no phase structure was detected).
     pub phases_split: usize,
+    /// `f64` LP solves the invariant analyses of this row made: both sides plus the
+    /// split systems (0 on failure; see `dca_core::SolveStats::invariant_lp_queries`).
+    pub invariant_lp_queries: usize,
     /// Degradation-ladder outcome label: `"certified"`, `"truncated"` or `"aborted"`
     /// (see `dca_core::SolveOutcome`).
     pub outcome: String,
@@ -141,6 +144,10 @@ impl TableRow {
                 .map(|s| s.transitions_pruned)
                 .unwrap_or(0),
             phases_split: outcome.stats().map(|s| s.phases_split).unwrap_or(0),
+            invariant_lp_queries: outcome
+                .stats()
+                .map(|s| s.invariant_lp_queries)
+                .unwrap_or(0),
             outcome: ladder.label().to_string(),
             aborted_phase: ladder.aborted_phase().map(|p| p.as_str().to_string()),
             gap: ladder.gap(),
@@ -194,6 +201,7 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
             lu_refactorizations: result.stats.lp_lu_refactorizations,
             transitions_pruned: result.stats.transitions_pruned,
             phases_split: result.stats.phases_split,
+            invariant_lp_queries: result.stats.invariant_lp_queries,
             outcome: ladder.label().to_string(),
             aborted_phase: ladder.aborted_phase().map(|p| p.as_str().to_string()),
             gap: ladder.gap(),
@@ -224,6 +232,7 @@ pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
             lu_refactorizations: 0,
             transitions_pruned: 0,
             phases_split: 0,
+            invariant_lp_queries: 0,
             outcome: "aborted".to_string(),
             aborted_phase: error.phase().map(|p| p.as_str().to_string()),
             gap: None,
@@ -373,6 +382,7 @@ pub fn format_json(run: &SuiteRun) -> String {
                     "\"separation_rounds\": {}, \"lu_updates\": {}, ",
                     "\"lu_refactorizations\": {}, ",
                     "\"transitions_pruned\": {}, \"phases_split\": {}, ",
+                    "\"invariant_lp_queries\": {}, ",
                     "\"outcome\": \"{}\", \"aborted_phase\": {}, \"gap\": {}}}"
                 ),
                 escape(&row.name),
@@ -403,6 +413,7 @@ pub fn format_json(run: &SuiteRun) -> String {
                 row.lu_refactorizations,
                 row.transitions_pruned,
                 row.phases_split,
+                row.invariant_lp_queries,
                 escape(&row.outcome),
                 row.aborted_phase
                     .as_ref()
@@ -647,6 +658,10 @@ pub fn table2_row(
             .map(|s| s.transitions_pruned)
             .unwrap_or(0),
         phases_split: outcome.stats().map(|s| s.phases_split).unwrap_or(0),
+        invariant_lp_queries: outcome
+            .stats()
+            .map(|s| s.invariant_lp_queries)
+            .unwrap_or(0),
         outcome: ladder.label().to_string(),
         aborted_phase: ladder.aborted_phase().map(|p| p.as_str().to_string()),
         gap: ladder.gap(),
@@ -700,6 +715,7 @@ pub fn format_table2_json(
                     "\"lp_variables\": {}, \"lp_constraints\": {}, ",
                     "\"lp_certified\": {}, \"lp_truncated\": {}, \"lp_build_s\": {:.3}, ",
                     "\"transitions_pruned\": {}, \"phases_split\": {}, ",
+                    "\"invariant_lp_queries\": {}, ",
                     "\"outcome\": \"{}\", \"aborted_phase\": {}, \"gap\": {}}}"
                 ),
                 escape(&r.table.name),
@@ -724,6 +740,7 @@ pub fn format_table2_json(
                 r.table.lp_build_seconds,
                 r.pruned,
                 r.table.phases_split,
+                r.table.invariant_lp_queries,
                 escape(&r.table.outcome),
                 r.table
                     .aborted_phase
@@ -785,6 +802,7 @@ mod tests {
             lu_refactorizations: 1,
             transitions_pruned: 3,
             phases_split: 1,
+            invariant_lp_queries: 7,
             outcome: "certified".into(),
             aborted_phase: None,
             gap: None,
@@ -919,6 +937,7 @@ mod tests {
             lu_refactorizations: 0,
             transitions_pruned: 2,
             phases_split: 1,
+            invariant_lp_queries: 7,
             outcome: "certified".into(),
             aborted_phase: None,
             gap: None,
@@ -993,6 +1012,7 @@ mod tests {
             lu_refactorizations: 1,
             transitions_pruned: 3,
             phases_split: 1,
+            invariant_lp_queries: 7,
             outcome: "certified".into(),
             aborted_phase: None,
             gap: None,
@@ -1026,6 +1046,7 @@ mod tests {
             lu_refactorizations: 0,
             transitions_pruned: 0,
             phases_split: 0,
+            invariant_lp_queries: 0,
             outcome: "aborted".into(),
             aborted_phase: None,
             gap: None,

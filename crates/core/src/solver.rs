@@ -146,6 +146,10 @@ pub struct SolveStats {
     /// [`crate::AnalysisOptions::phase_split`] — the result is bit-identical to
     /// the plain unsplit solve.
     pub phases_split: usize,
+    /// `f64` LP solves made by the invariant analyses this solve consumed: both
+    /// input programs plus every phase-split system it analyzed (see
+    /// `dca_invariants::InvariantMap::lp_queries`). Deterministic.
+    pub invariant_lp_queries: usize,
     /// Lazy row-generation candidate columns (degree-≥-2 Handelman multipliers).
     /// 0 when row generation did not run.
     pub lp_products_total: usize,
@@ -451,16 +455,29 @@ impl DiffCostSolver {
         old: &AnalyzedProgram,
         warm: Option<&LpBasis>,
     ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
+        let mut invariant_lp_queries =
+            new.invariants.lp_queries() + old.invariants.lp_queries();
         let (base_result, base_basis) = self.solve_unsplit(new, old, warm);
+        let counted = |result: Result<DiffCostResult, AnalysisError>, lp_queries: usize| {
+            result.map(|mut result| {
+                result.stats.invariant_lp_queries = lp_queries;
+                result
+            })
+        };
         if !self.options.phase_split {
-            return (base_result, base_basis);
+            return (counted(base_result, invariant_lp_queries), base_basis);
         }
         let split_new = new.split_phases();
         let split_old = old.split_phases();
+        invariant_lp_queries += [&split_new, &split_old]
+            .into_iter()
+            .flatten()
+            .map(|(program, _)| program.invariants.lp_queries())
+            .sum::<usize>();
         let phases_split = split_new.as_ref().map_or(0, |(_, n)| *n)
             + split_old.as_ref().map_or(0, |(_, n)| *n);
         if phases_split == 0 {
-            return (base_result, base_basis);
+            return (counted(base_result, invariant_lp_queries), base_basis);
         }
         let new_side = split_new.map_or_else(|| new.clone(), |(program, _)| program);
         let old_side = split_old.map_or_else(|| old.clone(), |(program, _)| program);
@@ -483,7 +500,7 @@ impl DiffCostSolver {
             (Err(_), Ok(split)) => Ok(stamped_split(split)),
             (Err(base), Err(_)) => Err(base),
         };
-        (merged, base_basis)
+        (counted(merged, invariant_lp_queries), base_basis)
     }
 
     /// The plain single-system solve behind [`DiffCostSolver::solve_with_warm_start`]:
@@ -885,6 +902,7 @@ impl DiffCostSolver {
                     // around whole solves — both before/outside the LP).
                     transitions_pruned: 0,
                     phases_split: 0,
+                    invariant_lp_queries: 0,
                     lp_products_total: info.products_total,
                     lp_products_generated: info.products_generated,
                     lp_separation_rounds: info.separation_rounds,

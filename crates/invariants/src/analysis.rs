@@ -5,15 +5,23 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use dca_ir::{LocId, LoopNest, TransitionSystem, Update};
 use dca_poly::{LinExpr, VarId};
 
-use crate::polyhedron::Polyhedron;
+use crate::polyhedron::{LpCounter, Polyhedron};
 
 /// A map from program locations to affine invariants.
 #[derive(Debug, Clone)]
 pub struct InvariantMap {
     invariants: BTreeMap<LocId, Polyhedron>,
+    lp_queries: usize,
 }
 
 impl InvariantMap {
+    /// The number of `f64` LP solves the analysis that built this map made
+    /// (emptiness and entailment checks; queries decided structurally are not
+    /// counted). Deterministic for a given transition system.
+    pub fn lp_queries(&self) -> usize {
+        self.lp_queries
+    }
+
     /// The invariant at a location (`bottom` for locations never seen).
     pub fn at(&self, loc: LocId) -> Polyhedron {
         self.invariants.get(&loc).cloned().unwrap_or_else(Polyhedron::bottom)
@@ -71,8 +79,8 @@ const REDUCE_ABOVE: usize = 12;
 
 /// The forward invariant-generation analysis.
 ///
-/// A worklist fixpoint with the entailment-filter join ([`Polyhedron::join`]) and plain
-/// widening ([`Polyhedron::widen`]). Widening fires only on deliveries along back edges
+/// A worklist fixpoint with the entailment-filter join and plain widening of
+/// [`Polyhedron`]. Widening fires only on deliveries along back edges
 /// (computed by [`dca_ir::LoopNest`]), once a location has received more than two
 /// growing ones, so straight-line and join locations — including the entry of a loop
 /// that is sequentially composed after another loop — propagate their values exactly
@@ -91,20 +99,26 @@ impl InvariantAnalysis {
     /// every reachable state `(ℓ, x)` the valuation `x` satisfies the invariant at `ℓ`.
     pub fn analyze(&self, ts: &TransitionSystem) -> InvariantMap {
         let fresh_base = ts.pool().len() as u32 + 16;
-        let mut invariants = self.fixpoint(ts, fresh_base);
+        let lps = LpCounter::default();
+        let mut invariants = self.fixpoint(ts, fresh_base, &lps);
         // Final cleanup: drop LP-redundant constraints at locations whose invariant grew
         // large. This keeps the Handelman product sets (and therefore the synthesis LP)
         // small downstream.
         for polyhedron in invariants.values_mut() {
             if polyhedron.constraints().is_some_and(|cs| cs.len() > REDUCE_ABOVE) {
-                *polyhedron = polyhedron.reduce();
+                *polyhedron = polyhedron.reduce(&lps);
             }
         }
-        InvariantMap { invariants }
+        InvariantMap { invariants, lp_queries: lps.count() }
     }
 
     /// The ascending (widening) fixpoint.
-    fn fixpoint(&self, ts: &TransitionSystem, fresh_base: u32) -> BTreeMap<LocId, Polyhedron> {
+    fn fixpoint(
+        &self,
+        ts: &TransitionSystem,
+        fresh_base: u32,
+        lps: &LpCounter,
+    ) -> BTreeMap<LocId, Polyhedron> {
         // Widening fires only on deliveries along *back edges*. Termination is
         // preserved — an infinite ascending chain must propagate around a cycle, every
         // cycle closes with a back edge, and that edge's delivery counter eventually
@@ -127,7 +141,7 @@ impl InvariantAnalysis {
         }
         let mut initial = Polyhedron::from_constraints(ts.theta0().iter().cloned())
             .project_out(ts.cost_var());
-        initial.normalize_emptiness();
+        initial.normalize_emptiness(lps);
         invariants.insert(ts.initial(), initial);
 
         let mut worklist: VecDeque<LocId> = VecDeque::new();
@@ -155,13 +169,13 @@ impl InvariantAnalysis {
                 if transition.source == ts.terminal() && transition.target == ts.terminal() {
                     continue; // terminal self-loop carries no information
                 }
-                let post = self.post(ts, &current, transition, fresh_base);
+                let post = self.post(ts, &current, transition, fresh_base, lps);
                 if post.is_bottom() {
                     continue;
                 }
                 let target = transition.target;
                 let existing = invariants[&target].clone();
-                if post.entails_all(&existing) && !existing.is_bottom() {
+                if post.entails_all(&existing, lps) && !existing.is_bottom() {
                     continue; // no new information
                 }
                 let may_widen = back_edges.contains(&index);
@@ -171,13 +185,14 @@ impl InvariantAnalysis {
                     // delay; churn arriving through the entry edge keeps the exact join.
                     *count += 1;
                 }
-                let joined = existing.join(&post);
-                let mut updated = if may_widen && *count > WIDENING_DELAY {
-                    existing.widen(&joined)
+                // `updated` contains the nonempty `post` (a join or widening keeps
+                // every point of its operand), so it needs no emptiness check.
+                let joined = existing.join(&post, lps);
+                let updated = if may_widen && *count > WIDENING_DELAY {
+                    existing.widen(&joined, lps)
                 } else {
                     joined
                 };
-                updated.normalize_emptiness();
                 if updated != existing {
                     invariants.insert(target, updated);
                     if !worklist.contains(&target) {
@@ -196,13 +211,10 @@ impl InvariantAnalysis {
         pre: &Polyhedron,
         transition: &dca_ir::Transition,
         fresh_base: u32,
+        lps: &LpCounter,
     ) -> Polyhedron {
         let mut guarded = pre.clone();
         guarded.add_constraints(&transition.guard);
-        guarded.normalize_emptiness();
-        if guarded.is_bottom() {
-            return Polyhedron::bottom();
-        }
         // Build the simultaneous update: affine deterministic updates keep their
         // expression, everything else (non-affine or non-deterministic) is a havoc.
         // Updates of `cost` are dropped with the rest of its knowledge.
@@ -215,7 +227,9 @@ impl InvariantAnalysis {
                 Update::Nondet => (v, None),
             })
             .collect();
-        guarded.assign_simultaneous(&updates, fresh_base)
+        // The image is bottom exactly when the guard conjunction is empty, which
+        // `assign_simultaneous` decides on its input (one LP).
+        guarded.assign_simultaneous(&updates, fresh_base, lps)
     }
 }
 
@@ -408,6 +422,41 @@ mod tests {
         assert!(invariants.at(LocId(1)).is_bottom());
         // Its constraint list is the explicit false constraint.
         assert_eq!(invariants.constraints_at(LocId(1)).len(), 1);
+    }
+
+    #[test]
+    fn contradictory_guard_gives_bottom() {
+        let mut b = TsBuilder::new();
+        let x = b.var("x");
+        let start = b.location("start");
+        let dead = b.location("dead");
+        let out = b.terminal();
+        b.set_initial(start);
+        b.add_theta0(LinExpr::var(x));
+        // x ≥ 0 at `start`, so the guard x ≤ -1 never holds.
+        b.transition(start, dead)
+            .guard(-LinExpr::var(x) - LinExpr::from_int(1))
+            .finish();
+        b.transition(start, out).finish();
+        b.transition(dead, out).finish();
+        let ts = b.build().unwrap();
+        let analysis = InvariantAnalysis;
+        let lps = LpCounter::default();
+        let pre = Polyhedron::from_constraints([LinExpr::var(x)]);
+        assert!(analysis.post(&ts, &pre, &ts.transitions()[0], 100, &lps).is_bottom());
+        assert_eq!(lps.count(), 1);
+        let invariants = analysis.analyze(&ts);
+        assert!(invariants.at(dead).is_bottom(), "{}", invariants.render(&ts));
+        assert!(!invariants.at(out).is_bottom());
+    }
+
+    #[test]
+    fn lp_queries_count_the_analysis_that_built_the_map() {
+        let ts = nested_join();
+        let first = InvariantAnalysis.analyze(&ts);
+        assert!(first.lp_queries() > 0);
+        // Deterministic, and not carried over from one analysis to the next.
+        assert_eq!(InvariantAnalysis.analyze(&ts).lp_queries(), first.lp_queries());
     }
 
     #[test]

@@ -5,12 +5,18 @@
 //! the reachable states at that location. The paper obtains these from the off-the-shelf
 //! tools Aspic and Sting; this crate provides the equivalent substrate:
 //!
-//! * [`Polyhedron`] — a conjunction of affine inequalities with LP-backed emptiness and
-//!   entailment checks, Fourier–Motzkin projection, a sound (weak) join and widening;
+//! * [`Polyhedron`] — a conjunction of affine inequalities with emptiness and entailment
+//!   checks, Fourier–Motzkin projection, a sound (weak) join and widening. Queries whose
+//!   answer follows from the operands' structure are decided exactly without an LP (an
+//!   entailment `expr ≥ 0` where `expr − c` is a non-negative constant for a conjunct
+//!   `c`; the non-emptiness of a join, widening or affine image of a nonempty operand).
+//!   Every other emptiness and entailment check is an `f64` LP with a tolerance; only
+//!   the pruning verdict of [`Polyhedron::definitely_empty_exact`] is an exact LP;
 //! * [`InvariantAnalysis`] — a forward abstract-interpretation fixpoint over a
 //!   [`TransitionSystem`](dca_ir::TransitionSystem) producing an [`InvariantMap`].
 //!   Widening fires only along the back edges reported by [`dca_ir::LoopNest`], so
-//!   facts established before a loop (or by an earlier loop) survive into it;
+//!   facts established before a loop (or by an earlier loop) survive into it.
+//!   [`InvariantMap::lp_queries`] counts the `f64` LPs the analysis solved;
 //! * support for merging user-supplied invariants, mirroring the paper's manual
 //!   strengthening of the `*`-marked benchmarks.
 //!

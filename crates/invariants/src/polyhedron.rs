@@ -1,14 +1,42 @@
 //! A convex-polyhedra-lite abstract domain: conjunctions of affine inequalities.
 
-use dca_lp::{ConstraintOp, LpProblem, LpStatus, VarKind};
+use std::cell::Cell;
+
+use dca_lp::{ConstraintOp, LpProblem, LpResult, LpStatus, VarKind};
 use dca_poly::{LinExpr, VarId};
+
+/// Counts the `f64` LP solves one invariant analysis makes (reported by
+/// [`InvariantMap::lp_queries`](crate::InvariantMap::lp_queries)). Every LP the
+/// analysis runs goes through [`LpCounter::solve_f64`].
+#[derive(Debug, Default)]
+pub(crate) struct LpCounter(Cell<usize>);
+
+impl LpCounter {
+    /// The number of LPs solved so far.
+    pub(crate) fn count(&self) -> usize {
+        self.0.get()
+    }
+
+    fn solve_f64(&self, lp: &LpProblem) -> LpResult<f64> {
+        self.0.set(self.0.get() + 1);
+        lp.solve_f64()
+    }
+}
 
 /// A conjunction of affine inequalities `expr ≥ 0`, or the empty (unreachable) element.
 ///
-/// The element `Top` is represented by an empty constraint list. Emptiness and entailment
-/// are decided with the exact LP backend over the rationals, so the domain operations are
-/// precise with respect to the constraint representation (the only deliberate precision
-/// losses are the weak join, widening, and the cap on Fourier–Motzkin growth).
+/// The element `Top` is represented by an empty constraint list. Three kinds of decision
+/// back the domain operations:
+///
+/// * **structural** (exact, no LP): an entailment query `expr ≥ 0` where `expr − c` is a
+///   non-negative constant for some conjunct `c`, and the non-emptiness of a join,
+///   widening or affine image of a nonempty operand;
+/// * **`f64` LP** (with a tolerance): every other emptiness and entailment check;
+/// * **exact LP** (over the rationals): only the pruning verdict of
+///   [`definitely_empty_exact`](Polyhedron::definitely_empty_exact).
+///
+/// The deliberate precision losses are the weak join, widening, and the cap on
+/// Fourier–Motzkin growth.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polyhedron {
     /// `None` encodes bottom (unreachable); `Some(cs)` encodes the conjunction of `cs`.
@@ -92,11 +120,11 @@ impl Polyhedron {
         }
     }
 
-    /// Decides emptiness with an exact LP feasibility check and collapses to bottom if
-    /// the constraints are unsatisfiable (over the rationals).
-    pub fn normalize_emptiness(&mut self) {
+    /// Collapses to bottom if an `f64` LP feasibility check finds the constraints
+    /// infeasible (see [`Polyhedron::feasible`]).
+    pub(crate) fn normalize_emptiness(&mut self, lps: &LpCounter) {
         if let Some(cs) = &self.constraints {
-            if !cs.is_empty() && !Self::feasible(cs) {
+            if !cs.is_empty() && !Self::feasible(cs, lps) {
                 self.constraints = None;
             }
         }
@@ -132,27 +160,41 @@ impl Polyhedron {
         }
     }
 
-    /// Returns `true` if the conjunction is satisfiable over the rationals.
+    /// Returns `true` unless the `f64` simplex finds the conjunction infeasible.
     ///
     /// Only a definite `Infeasible` answer may collapse a polyhedron to bottom:
     /// treating a non-converged f64 solve (iteration limit, timeout, or the
     /// post-solve feasibility downgrade) as "empty" would mark reachable states
     /// unreachable and make the synthesized thresholds unsound.
-    fn feasible(constraints: &[LinExpr]) -> bool {
+    fn feasible(constraints: &[LinExpr], lps: &LpCounter) -> bool {
         let (lp, _) = Self::build_lp(constraints, None);
-        lp.solve_f64().status != LpStatus::Infeasible
+        lps.solve_f64(&lp).status != LpStatus::Infeasible
     }
 
     /// Returns `true` if every point of the polyhedron satisfies `expr ≥ 0`.
     ///
-    /// Decided by minimizing `expr` over the polyhedron: the implication holds iff the
-    /// minimum is non-negative (or the polyhedron is empty / the LP is infeasible).
+    /// Holds structurally when `expr − c` is a non-negative constant for some conjunct
+    /// `c`; otherwise decided by minimizing `expr` over the polyhedron with the `f64`
+    /// simplex: the implication holds iff the minimum is non-negative (or the
+    /// polyhedron is empty / the LP is infeasible).
     pub fn entails(&self, expr: &LinExpr) -> bool {
+        self.entails_counted(expr, &LpCounter::default())
+    }
+
+    /// [`Polyhedron::entails`], counting its LP (if any) in `lps`.
+    pub(crate) fn entails_counted(&self, expr: &LinExpr, lps: &LpCounter) -> bool {
         let Some(cs) = &self.constraints else {
             return true;
         };
         if expr.is_constant() {
             return !expr.constant_term().is_negative();
+        }
+        // `expr = c + k` with `k ≥ 0` for a conjunct `c ≥ 0`: entailed, exactly.
+        if cs
+            .iter()
+            .any(|c| same_coefficients(c, expr) && expr.constant_term() >= c.constant_term())
+        {
+            return true;
         }
         let (mut lp, var_of) = Self::build_lp(cs, Some(expr));
         let objective: Vec<_> = expr
@@ -160,7 +202,7 @@ impl Polyhedron {
             .map(|(v, c)| (var_of(*v), c.clone()))
             .collect();
         lp.set_objective(objective);
-        let solution = lp.solve_f64();
+        let solution = lps.solve_f64(&lp);
         match solution.status {
             LpStatus::Optimal => {
                 let min = solution.objective.unwrap_or(0.0) + expr.constant_term().to_f64();
@@ -175,30 +217,30 @@ impl Polyhedron {
 
     /// Returns `true` if `self` is contained in `other` (every constraint of `other` is
     /// entailed by `self`).
-    pub fn entails_all(&self, other: &Polyhedron) -> bool {
+    pub(crate) fn entails_all(&self, other: &Polyhedron, lps: &LpCounter) -> bool {
         match &other.constraints {
             None => self.is_bottom(),
-            Some(cs) => cs.iter().all(|c| self.entails(c)),
+            Some(cs) => cs.iter().all(|c| self.entails_counted(c, lps)),
         }
     }
 
     /// Sound join: keeps the constraints of each operand that are entailed by the other.
     ///
-    /// This is weaker than the convex hull but sound (the result contains both operands)
-    /// and cheap. Bottom is the identity.
-    pub fn join(&self, other: &Polyhedron) -> Polyhedron {
+    /// This is weaker than the convex hull but sound (the result contains both operands,
+    /// so it is nonempty whenever either is) and cheap. Bottom is the identity.
+    pub(crate) fn join(&self, other: &Polyhedron, lps: &LpCounter) -> Polyhedron {
         match (&self.constraints, &other.constraints) {
             (None, _) => other.clone(),
             (_, None) => self.clone(),
             (Some(a), Some(b)) => {
                 let mut kept: Vec<LinExpr> = Vec::new();
                 for c in a {
-                    if other.entails(c) {
+                    if other.entails_counted(c, lps) {
                         kept.push(c.clone());
                     }
                 }
                 for c in b {
-                    if self.entails(c) && !kept.contains(c) {
+                    if self.entails_counted(c, lps) && !kept.contains(c) {
                         kept.push(c.clone());
                     }
                 }
@@ -207,14 +249,15 @@ impl Polyhedron {
         }
     }
 
-    /// Standard widening: keeps only the constraints of `self` that still hold in `next`.
-    pub fn widen(&self, next: &Polyhedron) -> Polyhedron {
+    /// Standard widening: keeps only the constraints of `self` that still hold in `next`
+    /// (so the result contains `next`).
+    pub(crate) fn widen(&self, next: &Polyhedron, lps: &LpCounter) -> Polyhedron {
         match (&self.constraints, &next.constraints) {
             (None, _) => next.clone(),
             (_, None) => self.clone(),
             (Some(a), Some(_)) => {
                 let kept: Vec<LinExpr> =
-                    a.iter().filter(|c| next.entails(c)).cloned().collect();
+                    a.iter().filter(|c| next.entails_counted(c, lps)).cloned().collect();
                 Polyhedron { constraints: Some(kept) }
             }
         }
@@ -267,17 +310,21 @@ impl Polyhedron {
     /// `vars' = exprs(vars)`; non-affine or non-deterministic updates are passed as
     /// `None` and result in the variable being havocked.
     ///
-    /// Variables not listed keep their value.
-    pub fn assign_simultaneous(
+    /// Variables not listed keep their value. The input need not be normalized: the
+    /// result is bottom exactly when [`Polyhedron::normalize_emptiness`] collapses
+    /// `self`.
+    pub(crate) fn assign_simultaneous(
         &self,
         updates: &[(VarId, Option<LinExpr>)],
         fresh_base: u32,
+        lps: &LpCounter,
     ) -> Polyhedron {
-        let Some(_) = &self.constraints else {
-            return Polyhedron::bottom();
-        };
-        if updates.is_empty() {
-            return self.clone();
+        // Bottom stays canonical by checking the input, not the image: the image of a
+        // nonempty set is nonempty, and the Fourier–Motzkin cap only drops constraints.
+        let mut extended = self.clone();
+        extended.normalize_emptiness(lps);
+        if extended.is_bottom() || updates.is_empty() {
+            return extended;
         }
         // Primed variable ids live beyond every id used by the system.
         let primed: Vec<(VarId, VarId)> = updates
@@ -286,7 +333,6 @@ impl Polyhedron {
             .map(|(k, &(v, _))| (v, VarId(fresh_base + k as u32)))
             .collect();
 
-        let mut extended = self.clone();
         // Add x_primed = expr(x) for deterministic affine updates.
         for (&(_var, ref update), &(_, primed_var)) in updates.iter().zip(&primed) {
             if let Some(expr) = update {
@@ -320,15 +366,12 @@ impl Polyhedron {
                 })
                 .collect(),
         };
-        let mut result = Polyhedron::from_constraints(renamed);
-        // Havoc shows up as "no constraint", which the renaming already guarantees, but
-        // an explicit emptiness check keeps bottom canonical.
-        result.normalize_emptiness();
-        result
+        // Havoc shows up as "no constraint", which the renaming already guarantees.
+        Polyhedron::from_constraints(renamed)
     }
 
     /// Removes constraints that are entailed by the remaining ones (cheap cleanup pass).
-    pub fn reduce(&self) -> Polyhedron {
+    pub(crate) fn reduce(&self, lps: &LpCounter) -> Polyhedron {
         let Some(cs) = &self.constraints else {
             return Polyhedron::bottom();
         };
@@ -339,7 +382,7 @@ impl Polyhedron {
             let mut rest: Vec<LinExpr> = kept.clone();
             rest.remove(index);
             let rest_poly = Polyhedron { constraints: Some(rest.clone()) };
-            if rest_poly.entails(&candidate) {
+            if rest_poly.entails_counted(&candidate, lps) {
                 kept = rest;
             } else {
                 index += 1;
@@ -395,10 +438,10 @@ impl Default for Polyhedron {
     }
 }
 
-/// Returns `true` if two normalized affine expressions have identical coefficient vectors
-/// (and therefore only differ in their constant term).
+/// Returns `true` if two affine expressions have identical coefficient vectors (and
+/// therefore only differ in their constant term).
 fn same_coefficients(a: &LinExpr, b: &LinExpr) -> bool {
-    a.vars() == b.vars() && a.vars().iter().all(|&v| a.coeff(v) == b.coeff(v))
+    a.iter().eq(b.iter())
 }
 
 /// Convenience: the interval `lo ≤ v ≤ hi` as two `expr ≥ 0` constraints.
@@ -459,7 +502,7 @@ mod tests {
             LinExpr::from_int(3) - LinExpr::var(x),
         ]);
         assert!(!p.is_bottom());
-        p.normalize_emptiness();
+        p.normalize_emptiness(&LpCounter::default());
         assert!(p.is_bottom());
         assert!(p.entails(&LinExpr::from_int(-1)));
         assert_eq!(p.constraints_or_false().len(), 1);
@@ -470,15 +513,15 @@ mod tests {
         let (_, x, _) = setup();
         let a = Polyhedron::from_constraints(interval(x, 0, 5));
         let b = Polyhedron::from_constraints(interval(x, 3, 10));
-        let j = a.join(&b);
+        let j = a.join(&b, &LpCounter::default());
         // The join must contain both operands: x in [0, 10].
         assert!(j.entails(&LinExpr::var(x)));
         assert!(j.entails(&(LinExpr::from_int(10) - LinExpr::var(x))));
         // And must not claim anything stronger than the union allows.
         assert!(!j.entails(&(LinExpr::var(x) - LinExpr::from_int(3))));
         // Join with bottom is identity.
-        assert_eq!(a.join(&Polyhedron::bottom()), a);
-        assert_eq!(Polyhedron::bottom().join(&b), b);
+        assert_eq!(a.join(&Polyhedron::bottom(), &LpCounter::default()), a);
+        assert_eq!(Polyhedron::bottom().join(&b, &LpCounter::default()), b);
     }
 
     #[test]
@@ -486,7 +529,7 @@ mod tests {
         let (_, x, _) = setup();
         let a = Polyhedron::from_constraints(interval(x, 0, 5));
         let b = Polyhedron::from_constraints(interval(x, 0, 9));
-        let w = a.widen(&b);
+        let w = a.widen(&b, &LpCounter::default());
         // The lower bound is stable, the upper bound is not.
         assert!(w.entails(&LinExpr::var(x)));
         assert!(!w.entails(&(LinExpr::from_int(1000) - LinExpr::var(x))));
@@ -518,6 +561,7 @@ mod tests {
         let q = p.assign_simultaneous(
             &[(x, Some(LinExpr::var(x) + LinExpr::from_int(1)))],
             100,
+            &LpCounter::default(),
         );
         assert!(q.entails(&(LinExpr::var(x) - LinExpr::from_int(1))));
         assert!(q.entails(&(LinExpr::from_int(6) - LinExpr::var(x))));
@@ -537,6 +581,7 @@ mod tests {
         let q = p.assign_simultaneous(
             &[(x, Some(LinExpr::var(y))), (y, Some(LinExpr::var(x)))],
             100,
+            &LpCounter::default(),
         );
         assert!(q.entails(&(LinExpr::var(x) - LinExpr::from_int(2))));
         assert!(q.entails(&(LinExpr::from_int(2) - LinExpr::var(x))));
@@ -548,7 +593,7 @@ mod tests {
     fn havoc_forgets_variable() {
         let (_, x, _) = setup();
         let p = Polyhedron::from_constraints(interval(x, 0, 5));
-        let q = p.assign_simultaneous(&[(x, None)], 100);
+        let q = p.assign_simultaneous(&[(x, None)], 100, &LpCounter::default());
         assert!(!q.entails(&LinExpr::var(x)));
         assert!(!q.entails(&(LinExpr::from_int(5) - LinExpr::var(x))));
     }
@@ -561,9 +606,94 @@ mod tests {
             LinExpr::var(x) + LinExpr::from_int(5), // implied by x >= 0
             LinExpr::from_int(10) - LinExpr::var(x),
         ]);
-        let r = p.reduce();
+        let r = p.reduce(&LpCounter::default());
         assert_eq!(r.constraints().unwrap().len(), 2);
         assert!(r.entails(&(LinExpr::var(x) + LinExpr::from_int(5))));
+    }
+
+    /// `{x − y ≥ 0, 10 − x ≥ 0}`, the operand of the structural-entailment tests.
+    fn ordered_pair(x: VarId, y: VarId) -> Polyhedron {
+        Polyhedron::from_constraints(vec![
+            LinExpr::var(x) - LinExpr::var(y),
+            LinExpr::from_int(10) - LinExpr::var(x),
+        ])
+    }
+
+    #[test]
+    fn conjunct_plus_nonnegative_constant_is_entailed_without_an_lp() {
+        let (_, x, y) = setup();
+        let lps = LpCounter::default();
+        let query = LinExpr::var(x) - LinExpr::var(y) + LinExpr::from_int(3);
+        assert!(ordered_pair(x, y).entails_counted(&query, &lps));
+        assert_eq!(lps.count(), 0);
+    }
+
+    #[test]
+    fn conjunct_minus_a_constant_goes_to_the_lp_and_is_refused() {
+        let (_, x, y) = setup();
+        let lps = LpCounter::default();
+        let query = LinExpr::var(x) - LinExpr::var(y) - LinExpr::from_int(1);
+        assert!(!ordered_pair(x, y).entails_counted(&query, &lps));
+        assert_eq!(lps.count(), 1);
+    }
+
+    #[test]
+    fn scaled_conjunct_goes_to_the_lp_and_is_entailed() {
+        let (_, x, y) = setup();
+        let lps = LpCounter::default();
+        let two = dca_numeric::Rational::from_int(2);
+        let query = (LinExpr::var(x) - LinExpr::var(y)).scale(&two);
+        assert!(ordered_pair(x, y).entails_counted(&query, &lps));
+        assert_eq!(lps.count(), 1);
+    }
+
+    #[test]
+    fn reduce_drops_an_exact_duplicate_without_an_lp() {
+        let (_, x, y) = setup();
+        let c = LinExpr::var(x) - LinExpr::var(y);
+        let d = LinExpr::from_int(10) - LinExpr::var(x);
+        // `from_constraints` already merges duplicates, so build the list directly.
+        let p = Polyhedron { constraints: Some(vec![c.clone(), c.clone(), d.clone()]) };
+        let lps = LpCounter::default();
+        let r = p.reduce(&lps);
+        assert_eq!(r.constraints().unwrap(), &[c, d]);
+        // The duplicate is dropped structurally; only the two survivors' checks solve.
+        assert_eq!(lps.count(), 2);
+    }
+
+    #[test]
+    fn join_widen_and_image_of_nonempty_operands_stay_nonempty() {
+        let (_, x, y) = setup();
+        let lps = LpCounter::default();
+        let a = Polyhedron::from_constraints(interval(x, 0, 5));
+        let b = Polyhedron::from_constraints(interval(x, 3, 10));
+        let joined = a.join(&b, &lps);
+        assert!(!joined.is_bottom());
+        assert!(!a.widen(&joined, &lps).is_bottom());
+        // The affine image checks its input once and never its output.
+        let before = lps.count();
+        let image = ordered_pair(x, y).assign_simultaneous(
+            &[(x, Some(LinExpr::var(y))), (y, None)],
+            100,
+            &lps,
+        );
+        assert!(!image.is_bottom());
+        assert_eq!(lps.count(), before + 1);
+    }
+
+    #[test]
+    fn image_of_an_unchecked_empty_input_is_bottom() {
+        let (_, x, _) = setup();
+        // 5 ≤ x ≤ 3: empty, but not yet normalized to bottom.
+        let empty = Polyhedron::from_constraints(vec![
+            LinExpr::var(x) - LinExpr::from_int(5),
+            LinExpr::from_int(3) - LinExpr::var(x),
+        ]);
+        assert!(!empty.is_bottom());
+        let lps = LpCounter::default();
+        let increment = [(x, Some(LinExpr::var(x) + LinExpr::from_int(1)))];
+        assert!(empty.assign_simultaneous(&increment, 100, &lps).is_bottom());
+        assert!(empty.assign_simultaneous(&[], 100, &lps).is_bottom());
     }
 
     #[test]
