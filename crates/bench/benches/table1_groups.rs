@@ -11,8 +11,8 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use dca_bench::run_benchmark;
-use dca_benchmarks::{all_benchmarks, run_suite_parallel, running_example, SuiteConfig};
+use dca_benchmarks::{all_benchmarks, run_suite_parallel, running_example};
+use dca_core::batch::{run_batch, BatchConfig};
 
 /// Runs `f` repeatedly for roughly `budget` (at least `min_samples` times, at most 50)
 /// and reports the per-iteration median.
@@ -62,10 +62,10 @@ fn main() {
         if !wants(name) {
             continue;
         }
-        let benchmark = representative(name);
+        let jobs = [representative(name).job()];
         bench(&format!("table1/{name}"), Duration::from_secs(15), 3, || {
-            let row = run_benchmark(&benchmark);
-            black_box(row);
+            let report = run_batch(&jobs, &BatchConfig::with_jobs(1));
+            black_box(report);
         });
     }
 
@@ -87,17 +87,14 @@ fn main() {
     // per-attempt budget keeps the handful of known-pathological LPs (nested, join,
     // Dis1, NestedSingle, NestedMultipleDep — see EXPERIMENTS.md) from dominating the
     // bench; their rows report Timeout and still count toward the wall clock.
-    let config = SuiteConfig {
-        time_budget: Some(Duration::from_secs(10)),
-        ..SuiteConfig::default()
-    };
     for jobs in [1, 4] {
         let name = format!("suite/batch_jobs_{jobs}");
         if !wants(&name) {
             continue;
         }
+        let config = BatchConfig::with_jobs(jobs).with_time_budget(Duration::from_secs(10));
         bench(&name, Duration::from_secs(0), 1, || {
-            let report = run_suite_parallel(&SuiteConfig { jobs, ..config });
+            let report = run_suite_parallel(&config);
             black_box(report);
         });
     }

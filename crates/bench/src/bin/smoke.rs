@@ -23,23 +23,17 @@
 use std::process::exit;
 use std::time::Duration;
 
-use dca_bench::{
-    format_table, parse_baseline_cpu_seconds, parse_baseline_seconds, run_suite_filtered,
-    time_regressions,
-};
-use dca_benchmarks::SuiteConfig;
+use dca_bench::{cpu_baseline, format_table, run_suite_filtered, time_regressions, TableRow};
+use dca_core::batch::BatchConfig;
 
 /// The subset, by exact name. Every one of these rows is expected `tight`.
 const SUBSET: [&str; 6] =
     ["SimpleSingle", "SimpleSingle2", "Dis2", "sum", "ddec", "ddec modified"];
 
 fn main() {
-    let config = SuiteConfig {
-        jobs: 1,
-        // Generous per-solve ceiling; the whole subset solves in seconds. A row
-        // that needs anywhere near this long is itself a (performance) regression.
-        time_budget: Some(Duration::from_secs(60)),
-    };
+    // Generous per-solve ceiling; the whole subset solves in seconds. A row that needs
+    // anywhere near this long is itself a (performance) regression.
+    let config = BatchConfig::with_jobs(1).with_time_budget(Duration::from_secs(60));
     let filters: Vec<String> = SUBSET.iter().map(|s| s.to_string()).collect();
     let run = run_suite_filtered(&config, &filters);
     println!("{}", format_table(&run.rows));
@@ -57,26 +51,10 @@ fn main() {
     // Per-row time baseline from the committed benchmark record. A row is a time
     // regression when it runs > 2x its baseline AND slower than an absolute floor
     // (sub-second rows drown in machine noise at a 2x threshold). The gate compares
-    // *CPU* seconds, which ignore sibling load and queue wait; baselines committed
-    // before the cpu_seconds key existed fall back to the wall-clock entries.
+    // *CPU* seconds, which ignore sibling load and queue wait.
     const TIME_REGRESSION_FACTOR: f64 = 2.0;
     const TIME_FLOOR_SECONDS: f64 = 0.5;
-    let baseline: Vec<(String, f64)> = match std::fs::read_to_string("BENCH_table1.json") {
-        Ok(json) => {
-            let cpu = parse_baseline_cpu_seconds(&json);
-            if cpu.is_empty() { parse_baseline_seconds(&json) } else { cpu }
-        }
-        Err(error) => {
-            // Say so loudly: a silently-skipped gate that still prints success is
-            // exactly the failure mode this check exists to prevent.
-            eprintln!(
-                "warning: BENCH_table1.json not readable ({error}); the >{}x time-regression \
-                 gate is DISABLED for this run (run from the repository root?)",
-                TIME_REGRESSION_FACTOR
-            );
-            Vec::new()
-        }
-    };
+    let baseline = cpu_baseline("BENCH_table1.json");
 
     let mut regressions = Vec::new();
     let mut timed_rows = Vec::new();
@@ -85,12 +63,14 @@ fn main() {
             // Every subset row was certified-tight at its baseline commit, so a row
             // that degrades down the ladder (truncated/aborted) is a regression even
             // when its anytime bound happens to equal the tight threshold.
-            Some(row) if row.is_tight() && row.outcome == "certified" => {
-                timed_rows.push((row.name.clone(), row.cpu_seconds));
+            Some(row) if row.is_tight() && row.outcome.outcome().is_certified() => {
+                timed_rows.push((row.name.clone(), row.outcome.cpu_duration.as_secs_f64()));
             }
             Some(row) => regressions.push(format!(
                 "{name}: expected certified-tight ({}), computed {:?} ({})",
-                row.tight, row.computed_int, row.outcome
+                row.tight,
+                row.computed_int(),
+                row.outcome.outcome().label()
             )),
             None => regressions.push(format!("{name}: missing from the suite")),
         }
@@ -127,47 +107,49 @@ fn main() {
 
 /// The `DCA_FAULT` expectations: one degraded row with the right ladder outcome, all
 /// siblings untouched. Exits non-zero with details on any violation.
-fn fault_mode(rows: &[dca_bench::TableRow], spec: &str) {
+fn fault_mode(rows: &[TableRow], spec: &str) {
     let mut parts = spec.split(':');
     let phase = parts.next().unwrap_or_default();
     let kind = parts.next().unwrap_or_default();
     let mut failures = Vec::new();
-    let degraded: Vec<&dca_bench::TableRow> =
-        rows.iter().filter(|row| row.outcome != "certified").collect();
+    let certified = |row: &&TableRow| row.outcome.outcome().is_certified();
+    let degraded: Vec<&TableRow> = rows.iter().filter(|row| !certified(row)).collect();
     match degraded.as_slice() {
-        [row] => match kind {
-            "panic" => {
-                if row.outcome != "aborted" {
-                    failures
-                        .push(format!("{}: expected aborted, got {}", row.name, row.outcome));
-                }
-                if row.aborted_phase.as_deref() != Some(phase) {
-                    failures.push(format!(
-                        "{}: expected abort in phase {phase}, got {:?}",
-                        row.name, row.aborted_phase
-                    ));
-                }
-            }
-            "deadline" => {
-                if row.outcome != "truncated" && row.outcome != "aborted" {
-                    failures.push(format!(
-                        "{}: expected truncated or aborted, got {}",
-                        row.name, row.outcome
-                    ));
-                }
-                // A truncated row may still carry a bound — it must stay sound
-                // (an over-approximation of the tight threshold).
-                if let Some(computed) = row.computed_int {
-                    if computed < row.tight {
+        [row] => {
+            let ladder = row.outcome.outcome();
+            match kind {
+                "panic" => {
+                    if ladder.label() != "aborted" {
                         failures.push(format!(
-                            "{}: unsound bound under fault — computed {computed} < tight {}",
-                            row.name, row.tight
+                            "{}: expected aborted, got {}",
+                            row.name,
+                            ladder.label()
+                        ));
+                    }
+                    let aborted_phase = ladder.aborted_phase().map(|p| p.as_str());
+                    if aborted_phase != Some(phase) {
+                        failures.push(format!(
+                            "{}: expected abort in phase {phase}, got {aborted_phase:?}",
+                            row.name
                         ));
                     }
                 }
+                "deadline" => {
+                    // The row is truncated or aborted (it is not certified). A
+                    // truncated row still carries a bound — it must stay sound (an
+                    // over-approximation of the tight threshold).
+                    if let Some(computed) = row.computed_int() {
+                        if computed < row.tight {
+                            failures.push(format!(
+                                "{}: unsound bound under fault — computed {computed} < tight {}",
+                                row.name, row.tight
+                            ));
+                        }
+                    }
+                }
+                _ => failures.push(format!("unsupported DCA_FAULT kind {kind:?} in fault mode")),
             }
-            _ => failures.push(format!("unsupported DCA_FAULT kind {kind:?} in fault mode")),
-        },
+        }
         [] => failures.push(format!(
             "DCA_FAULT={spec} injected nothing: every row still certified"
         )),
@@ -178,11 +160,13 @@ fn fault_mode(rows: &[dca_bench::TableRow], spec: &str) {
         )),
     }
     // Containment: every non-degraded row must be exactly as good as a fault-free run.
-    for row in rows.iter().filter(|row| row.outcome == "certified") {
+    for row in rows.iter().filter(certified) {
         if !row.is_tight() {
             failures.push(format!(
                 "{}: lost tightness under an unrelated fault — computed {:?}, tight {}",
-                row.name, row.computed_int, row.tight
+                row.name,
+                row.computed_int(),
+                row.tight
             ));
         }
     }

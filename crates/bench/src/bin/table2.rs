@@ -17,7 +17,8 @@
 //! the reported bound is never violated on concrete runs, and (b) unless
 //! `--no-differential`, re-solved under the exact backend, asserting verdict
 //! agreement (`--timeout` also bounds that re-solve, so a timeout there surfaces as a
-//! loud disagreement rather than a silent pass).
+//! loud disagreement rather than a silent pass). An unknown `--` flag is an error
+//! (exit 2): a mistyped `--smoke` must not start the full corpus.
 //!
 //! Exit code 0 requires: every pair solved, 100% sampled-sound, 100% differential
 //! agreement (when run), ≥90% of pairs proven tight *and* lp-certified, and no
@@ -25,12 +26,11 @@
 //! > baseline entry are skipped — new pairs never fail CI on first introduction).
 
 use std::process::exit;
-use std::time::Duration;
 
 use dca_bench::{
-    current_commit, format_history_line_tagged, format_table, format_table2_json,
-    parse_baseline_cpu_seconds, parse_baseline_seconds, peak_rss_mb, table2_row,
-    time_regressions, today_utc, SuiteRun, Table2Row,
+    append_history, cpu_baseline, current_commit, format_history_line_tagged, format_table,
+    format_table2_json, peak_rss_mb, time_regressions, today_utc, Args, SuiteRun, Table2Row,
+    TableRow,
 };
 use dca_benchmarks::table2::{
     check_sampled_soundness, differential_verdicts, run_table2, table2_manifest, table2_smoke,
@@ -42,60 +42,26 @@ const TIME_FLOOR_SECONDS: f64 = 1.0;
 /// criterion of the generated corpus: every bound is tight by construction).
 const TIGHT_FRACTION: f64 = 0.9;
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let position = args.iter().position(|a| a == flag)?;
-    let Some(value) = args.get(position + 1) else {
-        eprintln!("error: {flag} requires a value");
-        exit(2);
-    };
-    match value.parse() {
-        Ok(parsed) => Some(parsed),
-        Err(_) => {
-            eprintln!("error: invalid {flag} {value}");
-            exit(2);
-        }
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let jobs: usize = parse_flag(&args, "--jobs").unwrap_or(0);
-    let time_budget = parse_flag::<u64>(&args, "--timeout").map(Duration::from_secs);
-    let limit: Option<usize> = parse_flag(&args, "--limit");
-    let samples: usize = parse_flag(&args, "--samples").unwrap_or(6);
-    let differential = !args.iter().any(|a| a == "--no-differential");
-    let json_takes_value =
-        |pos: usize| args.get(pos + 1).is_some_and(|next| next.ends_with(".json"));
-    let json_path: Option<String> = args.iter().position(|a| a == "--json").map(|pos| {
-        if json_takes_value(pos) {
-            args[pos + 1].clone()
-        } else {
-            "BENCH_table2.json".to_string()
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (config, limit, samples, args) = Args::parse(
+        &argv,
+        &["--jobs", "--timeout", "--limit", "--samples"],
+        &["--smoke", "--no-differential"],
+        "BENCH_table2.json",
+    )
+    .and_then(|args| {
+        let limit: Option<usize> = args.value("--limit")?;
+        let samples: usize = args.value("--samples")?.unwrap_or(6);
+        Ok((args.batch_config()?, limit, samples, args))
+    })
+    .unwrap_or_else(|error| {
+        eprintln!("error: {error}");
+        exit(2);
     });
-    let filters: Vec<String> = {
-        let mut skip_next = false;
-        args.iter()
-            .enumerate()
-            .filter(|(pos, a)| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if ["--jobs", "--timeout", "--limit", "--samples"].contains(&a.as_str()) {
-                    skip_next = true;
-                    return false;
-                }
-                if *a == "--json" {
-                    skip_next = json_takes_value(*pos);
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .map(|(_, a)| a.clone())
-            .collect()
-    };
+    let smoke = args.has("--smoke");
+    let differential = !args.has("--no-differential");
+    let filters = &args.filters;
 
     let mut pairs = if smoke { table2_smoke() } else { table2_manifest() };
     if !filters.is_empty() {
@@ -115,14 +81,11 @@ fn main() {
         if differential { ", with differential harness" } else { "" },
     );
 
-    let report = run_table2(&pairs, jobs, time_budget);
+    let report = run_table2(&pairs, &config);
+    let (wall_clock, cpu_time, jobs) = (report.wall_clock, report.cpu_time(), report.jobs);
     let mut failures = Vec::new();
     let mut rows: Vec<Table2Row> = Vec::new();
-    for (pair, outcome) in pairs.iter().zip(&report.outcomes) {
-        assert_eq!(pair.name, outcome.name, "manifest and batch outcomes diverged");
-        let table = table2_row(pair, outcome);
-        let pruned =
-            outcome.stats().map(|s| s.transitions_pruned).unwrap_or(0);
+    for (pair, outcome) in pairs.iter().zip(report.outcomes) {
         let sound = match &outcome.result {
             Ok(result) => {
                 // The interpreter-sampled check: the observed cost difference
@@ -142,8 +105,8 @@ fn main() {
                 None
             }
         };
-        let agree = if differential && outcome.result.is_ok() {
-            let verdict = differential_verdicts(pair, time_budget);
+        let agree = if differential && outcome.is_solved() {
+            let verdict = differential_verdicts(pair, config.time_budget);
             for d in &verdict.disagreements {
                 failures.push(format!("DIFFERENTIAL — {d}"));
             }
@@ -151,15 +114,15 @@ fn main() {
         } else {
             None
         };
-        rows.push(Table2Row { table, seed: pair.seed, sound, agree, pruned });
+        let table = TableRow::from_outcome(&pair.name, pair.shape.tag(), pair.tight, None, outcome);
+        rows.push(Table2Row { table, seed: pair.seed, sound, agree });
     }
 
-    let table_rows: Vec<_> = rows.iter().map(|r| r.table.clone()).collect();
-    println!("{}", format_table(&table_rows));
+    println!("{}", format_table(rows.iter().map(|r| &r.table)));
     let tight = rows.iter().filter(|r| r.table.is_tight()).count();
     let certified_tight = rows
         .iter()
-        .filter(|r| r.table.is_tight() && r.table.lp_certified)
+        .filter(|r| r.table.is_tight() && r.table.outcome.stats().is_some_and(|s| s.lp_certified))
         .count();
     let sound = rows.iter().filter(|r| r.sound == Some(true)).count();
     let agree = rows.iter().filter(|r| r.agree == Some(true)).count();
@@ -170,82 +133,54 @@ fn main() {
         certified_tight,
         sound,
         agree,
-        report.wall_clock.as_secs_f64(),
+        wall_clock.as_secs_f64(),
     );
 
-    // The committed-baseline time gate (shared with smoke): per-row >2x with a 1 s
-    // floor; rows without a baseline entry are skipped gracefully. Compared in CPU
-    // seconds (load-immune), with a wall-clock fallback for pre-cpu_seconds
-    // baselines.
-    let baseline = match std::fs::read_to_string("BENCH_table2.json") {
-        Ok(json) => {
-            let cpu = parse_baseline_cpu_seconds(&json);
-            if cpu.is_empty() { parse_baseline_seconds(&json) } else { cpu }
-        }
-        Err(error) => {
-            eprintln!(
-                "warning: BENCH_table2.json not readable ({error}); the \
-                 >{TIME_REGRESSION_FACTOR}x time-regression gate is DISABLED for this run"
-            );
-            Vec::new()
-        }
-    };
-    let timed: Vec<(String, f64)> =
-        rows.iter().map(|r| (r.table.name.clone(), r.table.cpu_seconds)).collect();
+    // The committed-baseline time gate (shared with smoke): per-row >2x in CPU
+    // seconds (load-immune) with a 1 s floor; rows without a baseline entry are
+    // skipped gracefully.
+    let baseline = cpu_baseline("BENCH_table2.json");
+    let timed: Vec<(String, f64)> = rows
+        .iter()
+        .map(|r| (r.table.name.clone(), r.table.outcome.cpu_duration.as_secs_f64()))
+        .collect();
     let (time_regs, covered) =
         time_regressions(&timed, &baseline, TIME_REGRESSION_FACTOR, TIME_FLOOR_SECONDS);
     failures.extend(time_regs);
-    let fraction = certified_tight as f64 / rows.len() as f64;
+    let total = rows.len();
+    let fraction = certified_tight as f64 / total as f64;
     if fraction < TIGHT_FRACTION {
         failures.push(format!(
-            "only {certified_tight}/{} pairs are tight and certified \
+            "only {certified_tight}/{total} pairs are tight and certified \
              ({:.0}% < {:.0}% required)",
-            rows.len(),
             fraction * 100.0,
             TIGHT_FRACTION * 100.0
         ));
     }
 
-    if let Some(path) = &json_path {
-        std::fs::write(
-            path,
-            format_table2_json(
-                &rows,
-                report.wall_clock,
-                report.cpu_time(),
-                report.jobs,
-                peak_rss_mb(),
-            ),
-        )
-            .unwrap_or_else(|e| {
-                eprintln!("error: cannot write {path}: {e}");
-                exit(2);
-            });
+    if let Some(path) = &args.json {
+        let json = format_table2_json(&rows, wall_clock, cpu_time, jobs, peak_rss_mb());
+        std::fs::write(path, json).unwrap_or_else(|e| {
+            eprintln!("error: cannot write {path}: {e}");
+            exit(2);
+        });
         eprintln!("wrote {path}");
         // The history trajectory only records full unfiltered corpus runs, so the
         // per-row series stays comparable across commits.
         if !smoke && filters.is_empty() && limit.is_none() {
             let run = SuiteRun {
-                rows: table_rows,
-                wall_clock: report.wall_clock,
-                cpu_time: report.cpu_time(),
-                jobs: report.jobs,
+                rows: rows.into_iter().map(|r| r.table).collect(),
+                wall_clock,
+                cpu_time,
+                jobs,
                 peak_rss_mb: peak_rss_mb(),
             };
-            let line =
-                format_history_line_tagged(&run, &today_utc(), &current_commit(), "table2");
-            use std::io::Write;
-            match std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open("BENCH_history.jsonl")
-            {
-                Ok(mut file) => {
-                    let _ = writeln!(file, "{line}");
-                    eprintln!("appended BENCH_history.jsonl");
-                }
-                Err(error) => eprintln!("warning: cannot append BENCH_history.jsonl: {error}"),
-            }
+            append_history(&format_history_line_tagged(
+                &run,
+                &today_utc(),
+                &current_commit(),
+                "table2",
+            ));
         }
     }
 
@@ -257,10 +192,8 @@ fn main() {
         exit(1);
     }
     println!(
-        "table2 OK: {}/{} tight+certified, all sampled-sound{}, {} rows time-gated",
-        certified_tight,
-        rows.len(),
+        "table2 OK: {certified_tight}/{total} tight+certified, all sampled-sound{}, \
+         {covered} rows time-gated",
         if differential { ", all backends agree" } else { "" },
-        covered,
     );
 }

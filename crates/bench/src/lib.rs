@@ -1,242 +1,68 @@
-//! Benchmark harness support: runs the full pipeline on Table-1 benchmarks — serially
-//! or through the parallel batch engine — and formats the resulting rows.
+//! Benchmark harness support: runs Table-1 benchmarks through the parallel batch
+//! engine, parses the table bins' command lines, gates per-row times against the
+//! committed baselines and formats the resulting rows.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dca_benchmarks::{Benchmark, SuiteConfig};
-use dca_core::batch::{BatchReport, PairOutcome};
-use dca_core::DiffCostSolver;
+use dca_benchmarks::Benchmark;
+use dca_core::batch::{run_batch, BatchConfig, PairOutcome};
+use dca_core::DiffCostResult;
 use dca_serve::json::{escape, Value};
 
-/// One reproduced row of Table 1.
+/// One reproduced row of Table 1 (or of the Table-2 corpus): the benchmark-side facts
+/// of a pair next to the batch engine's own record of its solve.
 #[derive(Debug, Clone)]
 pub struct TableRow {
     /// Benchmark name.
     pub name: String,
-    /// Group label (source of the benchmark).
+    /// Group label (source of the benchmark; the shape tag of a generated pair).
     pub group: String,
     /// Tight threshold (documented, by construction of the reconstruction).
     pub tight: i64,
-    /// Threshold the paper's tool computed (`None` = ✗ in the paper).
+    /// Threshold the paper's tool computed (`None` = ✗ in the paper, or no paper row).
     pub paper_computed: Option<f64>,
-    /// Threshold computed by this implementation (`None` = failure, the ✗ case).
-    pub computed: Option<f64>,
-    /// Computed threshold rounded down to an integer (sound for integer costs).
-    pub computed_int: Option<i64>,
-    /// Template degree that produced the result.
-    pub degree: u32,
-    /// Wall-clock time of the full pipeline (parsing, invariants, LP) in seconds.
-    pub seconds: f64,
-    /// CPU time (user + system) the solve's thread charged to this row in seconds
-    /// (falls back to wall time where the per-thread clock is unavailable). The
-    /// time-regression gates compare this instead of `seconds`: CPU time does not
-    /// inflate when a run shares the machine with other load.
-    pub cpu_seconds: f64,
-    /// Size of the synthesized LP (variables, constraints).
-    pub lp_size: (usize, usize),
-    /// Simplex iterations of the successful solve (0 on failure).
-    pub lp_iterations: usize,
-    /// Pivots performed by the `f64` phase of the float-first driver.
-    pub lp_float_iterations: usize,
-    /// Pivots performed by the exact rational simplex (repair + fallback).
-    pub lp_exact_iterations: usize,
-    /// `true` when the solve's LP hit its deadline mid-phase-2 and the threshold is
-    /// an anytime (sound but possibly loose) bound rather than a proven optimum.
-    pub lp_truncated: bool,
-    /// `true` when the LP answer carries an exact-rational certificate.
-    pub lp_certified: bool,
-    /// Seconds the LP spent in f64 pivoting / exact certification / exact repair
-    /// (the float-first driver's phase split; all 0.0 on failure).
-    pub phase_seconds: (f64, f64, f64),
-    /// Seconds the LP spent building its sparse standard form, plus the
-    /// row-generation core's column gather (0.0 on failure).
-    pub lp_build_seconds: f64,
-    /// Handelman product multipliers eligible for lazy generation (0 when the
-    /// encoding has no degree-≥-2 products or row generation is disabled).
-    pub products_total: usize,
-    /// Lazy product multipliers in the final solve (≤ `products_total`; all of
-    /// them when the full stage ran).
-    pub products_generated: usize,
-    /// Row-generation stages: 1 = core only, 2 = core then full (0 = eager).
-    pub separation_rounds: usize,
-    /// Exact simplex pivots absorbed as incremental eta updates of the LU factors.
-    pub lu_updates: usize,
-    /// Full Markowitz refactorizations performed mid-run by the exact simplex.
-    pub lu_refactorizations: usize,
-    /// Transitions dropped by the exact infeasible-premise pruner during encoding.
-    pub transitions_pruned: usize,
-    /// Loop-phase splits applied to the winning solve (0 = unsplit system won or
-    /// no phase structure was detected).
-    pub phases_split: usize,
-    /// `f64` LP solves the invariant analyses of this row made: both sides plus the
-    /// split systems (0 on failure; see `dca_core::SolveStats::invariant_lp_queries`).
-    pub invariant_lp_queries: usize,
-    /// Degradation-ladder outcome label: `"certified"`, `"truncated"` or `"aborted"`
-    /// (see `dca_core::SolveOutcome`).
-    pub outcome: String,
-    /// The pipeline phase an aborted solve failed in, when known (`None` for
-    /// certified/truncated rows and for failures with no phase attribution).
-    pub aborted_phase: Option<String>,
-    /// Upper − lower bound gap of a truncated-anytime solve, when the dual side
-    /// produced an exact lower bound (`None` otherwise).
-    pub gap: Option<f64>,
+    /// The solve as the batch engine reported it: result, degree, wall and CPU time.
+    /// [`PairOutcome::stats`] (`SolveStats::default()`, all zeros, on failure) and
+    /// [`PairOutcome::outcome`] (the degradation-ladder verdict) are read from here.
+    pub outcome: PairOutcome,
 }
 
 impl TableRow {
+    /// Builds a row from a batch-engine outcome and the benchmark-side facts of its pair.
+    pub fn from_outcome(
+        name: &str,
+        group: String,
+        tight: i64,
+        paper_computed: Option<f64>,
+        outcome: PairOutcome,
+    ) -> TableRow {
+        TableRow { name: name.to_string(), group, tight, paper_computed, outcome }
+    }
+
+    /// The computed threshold (`None` = failure, the ✗ case).
+    pub fn computed(&self) -> Option<f64> {
+        self.outcome.result.as_ref().ok().map(|r| r.threshold)
+    }
+
+    /// The computed threshold rounded down to an integer (sound for integer costs).
+    pub fn computed_int(&self) -> Option<i64> {
+        self.outcome.result.as_ref().ok().map(DiffCostResult::threshold_int)
+    }
+
     /// `true` if the computed integer threshold equals the tight one.
     pub fn is_tight(&self) -> bool {
-        self.computed_int == Some(self.tight)
+        self.computed_int() == Some(self.tight)
     }
 
-    /// Builds a row from a batch-engine outcome and the matching benchmark definition.
-    pub fn from_outcome(benchmark: &Benchmark, outcome: &PairOutcome) -> TableRow {
-        let result = outcome.result.as_ref().ok();
-        let ladder = outcome.outcome();
-        TableRow {
-            name: outcome.name.clone(),
-            group: benchmark.group.to_string(),
-            tight: benchmark.tight,
-            paper_computed: benchmark.paper_computed,
-            computed: result.map(|r| r.threshold),
-            computed_int: result.map(|r| r.threshold_int()),
-            degree: outcome.degree,
-            seconds: outcome.duration.as_secs_f64(),
-            cpu_seconds: outcome.cpu_duration.as_secs_f64(),
-            lp_size: outcome
-                .stats()
-                .map(|s| (s.lp_variables, s.lp_constraints))
-                .unwrap_or((0, 0)),
-            lp_iterations: outcome.stats().map(|s| s.lp_iterations).unwrap_or(0),
-            lp_float_iterations: outcome.stats().map(|s| s.lp_float_iterations).unwrap_or(0),
-            lp_exact_iterations: outcome.stats().map(|s| s.lp_exact_iterations).unwrap_or(0),
-            lp_truncated: outcome.stats().map(|s| s.lp_truncated).unwrap_or(false),
-            lp_certified: outcome.stats().map(|s| s.lp_certified).unwrap_or(false),
-            phase_seconds: outcome
-                .stats()
-                .map(|s| {
-                    (
-                        s.lp_float_time.as_secs_f64(),
-                        s.lp_certify_time.as_secs_f64(),
-                        s.lp_repair_time.as_secs_f64(),
-                    )
-                })
-                .unwrap_or((0.0, 0.0, 0.0)),
-            lp_build_seconds: outcome
-                .stats()
-                .map(|s| s.lp_build_time.as_secs_f64())
-                .unwrap_or(0.0),
-            products_total: outcome.stats().map(|s| s.lp_products_total).unwrap_or(0),
-            products_generated: outcome
-                .stats()
-                .map(|s| s.lp_products_generated)
-                .unwrap_or(0),
-            separation_rounds: outcome
-                .stats()
-                .map(|s| s.lp_separation_rounds)
-                .unwrap_or(0),
-            lu_updates: outcome.stats().map(|s| s.lp_lu_updates).unwrap_or(0),
-            lu_refactorizations: outcome
-                .stats()
-                .map(|s| s.lp_lu_refactorizations)
-                .unwrap_or(0),
-            transitions_pruned: outcome
-                .stats()
-                .map(|s| s.transitions_pruned)
-                .unwrap_or(0),
-            phases_split: outcome.stats().map(|s| s.phases_split).unwrap_or(0),
-            invariant_lp_queries: outcome
-                .stats()
-                .map(|s| s.invariant_lp_queries)
-                .unwrap_or(0),
-            outcome: ladder.label().to_string(),
-            aborted_phase: ladder.aborted_phase().map(|p| p.as_str().to_string()),
-            gap: ladder.gap(),
+    /// The JSON `status`: `"tight"`, `"loose"` or `"failed"`.
+    fn status(&self) -> &'static str {
+        if self.is_tight() {
+            "tight"
+        } else if self.outcome.is_solved() {
+            "loose"
+        } else {
+            "failed"
         }
-    }
-}
-
-/// Runs the full differential cost analysis pipeline on one benchmark, serially.
-pub fn run_benchmark(benchmark: &Benchmark) -> TableRow {
-    let start = Instant::now();
-    let cpu_start = dca_core::batch::thread_cpu_time();
-    let old = benchmark.old_program();
-    let new = benchmark.new_program();
-    let options = benchmark.options();
-    let solver = DiffCostSolver::new(options);
-    let outcome = solver.solve(&new, &old);
-    let seconds = start.elapsed().as_secs_f64();
-    let cpu_seconds = match (cpu_start, dca_core::batch::thread_cpu_time()) {
-        (Some(before), Some(after)) => after.saturating_sub(before).as_secs_f64(),
-        _ => seconds,
-    };
-    match outcome {
-        Ok(result) => {
-            let ladder = result.outcome();
-            TableRow {
-            name: benchmark.name.to_string(),
-            group: benchmark.group.to_string(),
-            tight: benchmark.tight,
-            paper_computed: benchmark.paper_computed,
-            computed: Some(result.threshold),
-            computed_int: Some(result.threshold_int()),
-            degree: benchmark.degree,
-            seconds,
-            cpu_seconds,
-            lp_size: (result.stats.lp_variables, result.stats.lp_constraints),
-            lp_iterations: result.stats.lp_iterations,
-            lp_float_iterations: result.stats.lp_float_iterations,
-            lp_exact_iterations: result.stats.lp_exact_iterations,
-            lp_truncated: result.stats.lp_truncated,
-            lp_certified: result.stats.lp_certified,
-            phase_seconds: (
-                result.stats.lp_float_time.as_secs_f64(),
-                result.stats.lp_certify_time.as_secs_f64(),
-                result.stats.lp_repair_time.as_secs_f64(),
-            ),
-            lp_build_seconds: result.stats.lp_build_time.as_secs_f64(),
-            products_total: result.stats.lp_products_total,
-            products_generated: result.stats.lp_products_generated,
-            separation_rounds: result.stats.lp_separation_rounds,
-            lu_updates: result.stats.lp_lu_updates,
-            lu_refactorizations: result.stats.lp_lu_refactorizations,
-            transitions_pruned: result.stats.transitions_pruned,
-            phases_split: result.stats.phases_split,
-            invariant_lp_queries: result.stats.invariant_lp_queries,
-            outcome: ladder.label().to_string(),
-            aborted_phase: ladder.aborted_phase().map(|p| p.as_str().to_string()),
-            gap: ladder.gap(),
-            }
-        }
-        Err(error) => TableRow {
-            name: benchmark.name.to_string(),
-            group: benchmark.group.to_string(),
-            tight: benchmark.tight,
-            paper_computed: benchmark.paper_computed,
-            computed: None,
-            computed_int: None,
-            degree: benchmark.degree,
-            seconds,
-            cpu_seconds,
-            lp_size: (0, 0),
-            lp_iterations: 0,
-            lp_float_iterations: 0,
-            lp_exact_iterations: 0,
-            lp_truncated: false,
-            lp_certified: false,
-            phase_seconds: (0.0, 0.0, 0.0),
-            lp_build_seconds: 0.0,
-            products_total: 0,
-            products_generated: 0,
-            separation_rounds: 0,
-            lu_updates: 0,
-            lu_refactorizations: 0,
-            transitions_pruned: 0,
-            phases_split: 0,
-            invariant_lp_queries: 0,
-            outcome: "aborted".to_string(),
-            aborted_phase: error.phase().map(|p| p.as_str().to_string()),
-            gap: None,
-        },
     }
 }
 
@@ -270,43 +96,42 @@ fn json_rss(peak_rss_mb: Option<f64>) -> String {
     peak_rss_mb.map(|mb| format!("{mb:.1}")).unwrap_or_else(|| "null".to_string())
 }
 
-/// Runs the full 19-pair suite (+ running example) through the parallel batch engine.
-pub fn run_suite(config: &SuiteConfig) -> SuiteRun {
-    run_suite_filtered(config, &[])
+/// Renders an optional number as a JSON number with four decimals, or `null`.
+fn json_f64(v: Option<f64>) -> String {
+    v.map(|v| format!("{v:.4}")).unwrap_or_else(|| "null".to_string())
 }
 
-/// Like [`run_suite`], restricted to benchmarks whose name contains one of the given
-/// substrings (an empty list selects everything).
-pub fn run_suite_filtered(config: &SuiteConfig, filters: &[String]) -> SuiteRun {
+/// Renders an optional value through its `Display` form, or `null`.
+fn json_display<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map(|v| v.to_string()).unwrap_or_else(|| "null".to_string())
+}
+
+/// Runs the 19 Table-1 pairs plus the running example whose names contain one of the
+/// given substrings (an empty list selects everything) through the batch engine.
+pub fn run_suite_filtered(config: &BatchConfig, filters: &[String]) -> SuiteRun {
     let mut benchmarks = dca_benchmarks::all_benchmarks();
     benchmarks.push(dca_benchmarks::running_example());
     benchmarks.retain(|b| dca_benchmarks::matches_filters(b.name, filters));
-    let report: BatchReport = dca_benchmarks::run_suite_filtered(config, filters);
-    let rows = benchmarks
-        .iter()
-        .zip(&report.outcomes)
-        .map(|(benchmark, outcome)| {
-            // The benchmark list and the batch jobs are built independently; a silent
-            // zip misalignment would attribute one benchmark's threshold to another's
-            // row, so the pairing is checked by name.
-            assert_eq!(
-                benchmark.name, outcome.name,
-                "suite rows and batch outcomes diverged"
-            );
-            TableRow::from_outcome(benchmark, outcome)
-        })
-        .collect();
+    let jobs: Vec<_> = benchmarks.iter().map(Benchmark::job).collect();
+    let report = run_batch(&jobs, config);
     SuiteRun {
-        rows,
         wall_clock: report.wall_clock,
         cpu_time: report.cpu_time(),
         jobs: report.jobs,
+        rows: benchmarks
+            .iter()
+            .zip(report.outcomes)
+            .map(|(b, outcome)| {
+                let group = b.group.to_string();
+                TableRow::from_outcome(b.name, group, b.tight, b.paper_computed, outcome)
+            })
+            .collect(),
         peak_rss_mb: peak_rss_mb(),
     }
 }
 
 /// Formats a list of rows as the Table-1 style text table.
-pub fn format_table(rows: &[TableRow]) -> String {
+pub fn format_table<'a>(rows: impl IntoIterator<Item = &'a TableRow>) -> String {
     let mut out = String::new();
     out.push_str(
         "benchmark            | tight    | paper    | computed  | int     | d | tight? | time (s)\n",
@@ -315,28 +140,17 @@ pub fn format_table(rows: &[TableRow]) -> String {
         "---------------------+----------+----------+-----------+---------+---+--------+---------\n",
     );
     for row in rows {
-        let paper = row
-            .paper_computed
-            .map(|v| format!("{v:.2}"))
-            .unwrap_or_else(|| "x".to_string());
-        let computed = row
-            .computed
-            .map(|v| format!("{v:.2}"))
-            .unwrap_or_else(|| "x".to_string());
-        let computed_int = row
-            .computed_int
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "x".to_string());
+        let x = || "x".to_string();
         out.push_str(&format!(
             "{:<21}| {:<9}| {:<9}| {:<10}| {:<8}| {} | {:<7}| {:.2}\n",
             row.name,
             row.tight,
-            paper,
-            computed,
-            computed_int,
-            row.degree,
+            row.paper_computed.map(|v| format!("{v:.2}")).unwrap_or_else(x),
+            row.computed().map(|v| format!("{v:.2}")).unwrap_or_else(x),
+            row.computed_int().map(|v| v.to_string()).unwrap_or_else(x),
+            row.outcome.degree,
             if row.is_tight() { "yes" } else { "no" },
-            row.seconds
+            row.outcome.duration.as_secs_f64()
         ));
     }
     out
@@ -345,28 +159,18 @@ pub fn format_table(rows: &[TableRow]) -> String {
 /// Renders a suite run as a machine-readable JSON document (no external dependencies,
 /// so the encoder is hand-rolled; the schema is stable for cross-PR tracking).
 ///
-/// Top level: `{"wall_clock_s", "cpu_time_s", "jobs", "tight", "total", "rows": [...]}`;
-/// each row carries the benchmark name, the documented tight threshold, the computed
-/// threshold (`null` on failure), the degree that produced it, its status
-/// (`"tight" | "loose" | "failed"`) and the wall time in seconds.
+/// Top level: `{"wall_clock_s", "cpu_time_s", "jobs", "peak_rss_mb", "tight", "total",
+/// "rows": [...]}`; each row carries the benchmark name, the documented tight
+/// threshold, the computed threshold (`null` on failure), the degree that produced it,
+/// its status (`"tight" | "loose" | "failed"`), its wall and CPU seconds, and the
+/// solve's `SolveStats` and degradation-ladder outcome.
 pub fn format_json(run: &SuiteRun) -> String {
-    fn opt_f64(v: Option<f64>) -> String {
-        v.map(|v| format!("{v:.4}")).unwrap_or_else(|| "null".to_string())
-    }
-    fn opt_i64(v: Option<i64>) -> String {
-        v.map(|v| v.to_string()).unwrap_or_else(|| "null".to_string())
-    }
     let rows: Vec<String> = run
         .rows
         .iter()
         .map(|row| {
-            let status = if row.is_tight() {
-                "tight"
-            } else if row.computed.is_some() {
-                "loose"
-            } else {
-                "failed"
-            };
+            let stats = row.outcome.stats().unwrap_or_default();
+            let ladder = row.outcome.outcome();
             format!(
                 concat!(
                     "    {{\"name\": \"{}\", \"group\": \"{}\", \"tight\": {}, ",
@@ -388,38 +192,35 @@ pub fn format_json(run: &SuiteRun) -> String {
                 escape(&row.name),
                 escape(&row.group),
                 row.tight,
-                opt_f64(row.paper_computed),
-                opt_f64(row.computed),
-                opt_i64(row.computed_int),
-                row.degree,
-                status,
-                row.seconds,
-                row.cpu_seconds,
-                row.lp_size.0,
-                row.lp_size.1,
-                row.lp_iterations,
-                row.lp_float_iterations,
-                row.lp_exact_iterations,
-                row.lp_truncated,
-                row.lp_certified,
-                row.phase_seconds.0,
-                row.phase_seconds.1,
-                row.phase_seconds.2,
-                row.lp_build_seconds,
-                row.products_total,
-                row.products_generated,
-                row.separation_rounds,
-                row.lu_updates,
-                row.lu_refactorizations,
-                row.transitions_pruned,
-                row.phases_split,
-                row.invariant_lp_queries,
-                escape(&row.outcome),
-                row.aborted_phase
-                    .as_ref()
-                    .map(|p| format!("\"{}\"", escape(p)))
-                    .unwrap_or_else(|| "null".to_string()),
-                opt_f64(row.gap),
+                json_f64(row.paper_computed),
+                json_f64(row.computed()),
+                json_display(row.computed_int()),
+                row.outcome.degree,
+                row.status(),
+                row.outcome.duration.as_secs_f64(),
+                row.outcome.cpu_duration.as_secs_f64(),
+                stats.lp_variables,
+                stats.lp_constraints,
+                stats.lp_iterations,
+                stats.lp_float_iterations,
+                stats.lp_exact_iterations,
+                stats.lp_truncated,
+                stats.lp_certified,
+                stats.lp_float_time.as_secs_f64(),
+                stats.lp_certify_time.as_secs_f64(),
+                stats.lp_repair_time.as_secs_f64(),
+                stats.lp_build_time.as_secs_f64(),
+                stats.lp_products_total,
+                stats.lp_products_generated,
+                stats.lp_separation_rounds,
+                stats.lp_lu_updates,
+                stats.lp_lu_refactorizations,
+                stats.transitions_pruned,
+                stats.phases_split,
+                stats.invariant_lp_queries,
+                ladder.label(),
+                json_display(ladder.aborted_phase().map(|p| format!("\"{}\"", p.as_str()))),
+                json_f64(ladder.gap()),
             )
         })
         .collect();
@@ -452,16 +253,19 @@ pub fn format_history_line_tagged(
     commit: &str,
     suite: &str,
 ) -> String {
-    let rows: Vec<String> = run
-        .rows
-        .iter()
-        .map(|row| format!("\"{}\": {:.2}", escape(&row.name), row.seconds))
-        .collect();
-    let cpu_rows: Vec<String> = run
-        .rows
-        .iter()
-        .map(|row| format!("\"{}\": {:.2}", escape(&row.name), row.cpu_seconds))
-        .collect();
+    let per_row = |time: fn(&PairOutcome) -> Duration| {
+        run.rows
+            .iter()
+            .map(|row| {
+                format!("\"{}\": {:.2}", escape(&row.name), time(&row.outcome).as_secs_f64())
+            })
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let ladder = |label: &str| {
+        run.rows.iter().filter(|r| r.outcome.outcome().label() == label).count()
+    };
+    let stats: Vec<_> = run.rows.iter().filter_map(|r| r.outcome.stats()).collect();
     format!(
         "{{\"date\": \"{}\", \"commit\": \"{}\", \"suite\": \"{}\", \"jobs\": {}, \
          \"tight\": {}, \"total\": {}, \
@@ -475,17 +279,34 @@ pub fn format_history_line_tagged(
         run.jobs,
         run.rows.iter().filter(|r| r.is_tight()).count(),
         run.rows.len(),
-        run.rows.iter().filter(|r| r.outcome == "certified").count(),
-        run.rows.iter().filter(|r| r.outcome == "truncated").count(),
-        run.rows.iter().filter(|r| r.outcome == "aborted").count(),
-        run.rows.iter().map(|r| r.transitions_pruned).sum::<usize>(),
-        run.rows.iter().map(|r| r.phases_split).sum::<usize>(),
+        ladder("certified"),
+        ladder("truncated"),
+        ladder("aborted"),
+        stats.iter().map(|s| s.transitions_pruned).sum::<usize>(),
+        stats.iter().map(|s| s.phases_split).sum::<usize>(),
         run.wall_clock.as_secs_f64(),
         run.cpu_time.as_secs_f64(),
         json_rss(run.peak_rss_mb),
-        rows.join(", "),
-        cpu_rows.join(", "),
+        per_row(|o| o.duration),
+        per_row(|o| o.cpu_duration),
     )
+}
+
+/// The cross-PR trajectory file the table bins append one summary line to.
+const HISTORY_PATH: &str = "BENCH_history.jsonl";
+
+/// Appends one line to `BENCH_history.jsonl`, warning (not failing) when it cannot.
+pub fn append_history(line: &str) {
+    use std::io::Write;
+    let appended = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(HISTORY_PATH)
+        .and_then(|mut file| writeln!(file, "{line}"));
+    match appended {
+        Ok(()) => eprintln!("appended {HISTORY_PATH}"),
+        Err(error) => eprintln!("warning: cannot append {HISTORY_PATH}: {error}"),
+    }
 }
 
 /// The shared per-row time-regression gate of the smoke and table2 bins: a row
@@ -553,42 +374,115 @@ pub fn current_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Extracts `(name, seconds)` pairs from a `BENCH_table1.json` document (the
-/// hand-rolled schema written by [`format_json`]; no external JSON parser needed —
-/// the smoke bench uses this to gate per-row time regressions against the committed
-/// baseline).
-pub fn parse_baseline_seconds(json: &str) -> Vec<(String, f64)> {
-    parse_baseline_field(json, "seconds")
+/// The per-row `(name, cpu_seconds)` baseline of a committed BENCH json (`path` is
+/// relative to the working directory, normally the repository root). When the file
+/// cannot be read this says so loudly and returns no rows, which disables the
+/// time-regression gate for the run: a silently skipped gate that still prints
+/// success is exactly the failure mode the gate exists to prevent.
+pub fn cpu_baseline(path: &str) -> Vec<(String, f64)> {
+    match std::fs::read_to_string(path) {
+        Ok(json) => parse_cpu_seconds(&json),
+        Err(error) => {
+            eprintln!(
+                "warning: {path} not readable ({error}); the per-row time-regression gate \
+                 is DISABLED for this run (run from the repository root?)"
+            );
+            Vec::new()
+        }
+    }
 }
 
-/// Like [`parse_baseline_seconds`], for the per-row `"cpu_seconds"` key. Returns an
-/// empty list on baselines committed before the key existed — callers fall back to
-/// the wall-clock baseline in that case.
-pub fn parse_baseline_cpu_seconds(json: &str) -> Vec<(String, f64)> {
-    parse_baseline_field(json, "cpu_seconds")
-}
-
-/// Extracts per-row `(name, value)` pairs for one numeric `key` from a BENCH json
-/// document's `"rows"` array. Rows without a numeric `key` are skipped; a document
-/// that does not parse yields no pairs (the gates then run without a baseline).
-fn parse_baseline_field(json: &str, key: &str) -> Vec<(String, f64)> {
+/// Extracts the per-row `(name, cpu_seconds)` pairs of a BENCH json document's
+/// `"rows"` array. Rows without a numeric `cpu_seconds` are skipped; a document that
+/// does not parse yields no pairs (the gates then run without a baseline).
+fn parse_cpu_seconds(json: &str) -> Vec<(String, f64)> {
     let Ok(document) = Value::parse(json) else { return Vec::new() };
     let Some(Value::Arr(rows)) = document.get("rows") else { return Vec::new() };
     rows.iter()
         .filter_map(|row| {
-            Some((row.get("name")?.as_str()?.to_string(), row.get(key)?.as_f64()?))
+            Some((row.get("name")?.as_str()?.to_string(), row.get("cpu_seconds")?.as_f64()?))
         })
         .collect()
 }
 
+// ----- Command line of the table bins -----------------------------------------------
+
+/// The command line of a table bin: `--flag VALUE` options, bare switches, an
+/// optional `--json [PATH]` and benchmark-name filters.
+#[derive(Debug, Default, PartialEq)]
+pub struct Args {
+    values: Vec<(String, String)>,
+    switches: Vec<String>,
+    /// `--json [PATH]`: the path given, or the bin's default path when none follows.
+    pub json: Option<String>,
+    /// Name filters: every argument that is not a flag or a flag's value.
+    pub filters: Vec<String>,
+}
+
+impl Args {
+    /// Parses `args` against a bin's vocabulary of value flags and switches.
+    ///
+    /// An unknown `--` flag, or a value flag with nothing after it, is an error: a
+    /// mistyped flag must not silently fall back to a default run (a `--smok` would
+    /// otherwise start the full corpus). `--json` takes an optional path, consumed
+    /// only when the next argument ends in `.json` (name filters never do, so the
+    /// grammar stays unambiguous); without one it selects `default_json`.
+    pub fn parse(
+        args: &[String],
+        value_flags: &[&str],
+        switches: &[&str],
+        default_json: &str,
+    ) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            if arg == "--json" {
+                let path = args.next_if(|next| next.ends_with(".json"));
+                parsed.json = Some(path.map_or(default_json, String::as_str).to_string());
+            } else if value_flags.contains(&arg.as_str()) {
+                let value = args.next().ok_or_else(|| format!("{arg} requires a value"))?;
+                parsed.values.push((arg.clone(), value.clone()));
+            } else if switches.contains(&arg.as_str()) {
+                parsed.switches.push(arg.clone());
+            } else if arg.starts_with("--") {
+                return Err(format!("unknown option {arg}"));
+            } else {
+                parsed.filters.push(arg.clone());
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// The parsed value of a value flag (the first occurrence), `None` when absent.
+    pub fn value<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.values
+            .iter()
+            .find(|(f, _)| f == flag)
+            .map(|(_, value)| value.parse().map_err(|_| format!("invalid {flag} {value}")))
+            .transpose()
+    }
+
+    /// `true` when the switch was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+
+    /// The batch configuration of `--jobs N` (default `0`: one worker per CPU) and
+    /// `--timeout SECS` (a per-solve budget; default unlimited).
+    pub fn batch_config(&self) -> Result<BatchConfig, String> {
+        let mut config = BatchConfig::with_jobs(self.value("--jobs")?.unwrap_or(0));
+        config.time_budget = self.value("--timeout")?.map(Duration::from_secs);
+        Ok(config)
+    }
+}
+
 // ----- Table 2 (generated corpus) ---------------------------------------------------
 
-/// One row of the Table-2 generated corpus: the solver-side fields of a [`TableRow`]
-/// plus the harness verdicts of the generated pair.
+/// One row of the Table-2 generated corpus: a [`TableRow`] plus the harness verdicts
+/// of the generated pair.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
-    /// Solver-side fields (`group` carries the shape tag; `tight` the
-    /// by-construction bound).
+    /// The solve (`group` carries the shape tag; `tight` the by-construction bound).
     pub table: TableRow,
     /// The generator seed of the pair.
     pub seed: u64,
@@ -598,78 +492,10 @@ pub struct Table2Row {
     /// Cross-backend agreement: `Some(true)` = certified and exact solves produced
     /// the same verdict; `None` = not run.
     pub agree: Option<bool>,
-    /// Transitions pruned as vacuous (infeasible premise) during encoding.
-    pub pruned: usize,
 }
 
-/// Builds the solver-side [`TableRow`] for a generated pair from its batch outcome.
-pub fn table2_row(
-    pair: &dca_benchmarks::table2::Pair,
-    outcome: &PairOutcome,
-) -> TableRow {
-    let result = outcome.result.as_ref().ok();
-    let ladder = outcome.outcome();
-    TableRow {
-        name: outcome.name.clone(),
-        group: pair.shape.tag(),
-        tight: pair.tight,
-        paper_computed: None,
-        computed: result.map(|r| r.threshold),
-        computed_int: result.map(|r| r.threshold_int()),
-        degree: outcome.degree,
-        seconds: outcome.duration.as_secs_f64(),
-        cpu_seconds: outcome.cpu_duration.as_secs_f64(),
-        lp_size: outcome
-            .stats()
-            .map(|s| (s.lp_variables, s.lp_constraints))
-            .unwrap_or((0, 0)),
-        lp_iterations: outcome.stats().map(|s| s.lp_iterations).unwrap_or(0),
-        lp_float_iterations: outcome.stats().map(|s| s.lp_float_iterations).unwrap_or(0),
-        lp_exact_iterations: outcome.stats().map(|s| s.lp_exact_iterations).unwrap_or(0),
-        lp_truncated: outcome.stats().map(|s| s.lp_truncated).unwrap_or(false),
-        lp_certified: outcome.stats().map(|s| s.lp_certified).unwrap_or(false),
-        phase_seconds: outcome
-            .stats()
-            .map(|s| {
-                (
-                    s.lp_float_time.as_secs_f64(),
-                    s.lp_certify_time.as_secs_f64(),
-                    s.lp_repair_time.as_secs_f64(),
-                )
-            })
-            .unwrap_or((0.0, 0.0, 0.0)),
-        lp_build_seconds: outcome.stats().map(|s| s.lp_build_time.as_secs_f64()).unwrap_or(0.0),
-        products_total: outcome.stats().map(|s| s.lp_products_total).unwrap_or(0),
-        products_generated: outcome
-            .stats()
-            .map(|s| s.lp_products_generated)
-            .unwrap_or(0),
-        separation_rounds: outcome
-            .stats()
-            .map(|s| s.lp_separation_rounds)
-            .unwrap_or(0),
-        lu_updates: outcome.stats().map(|s| s.lp_lu_updates).unwrap_or(0),
-        lu_refactorizations: outcome
-            .stats()
-            .map(|s| s.lp_lu_refactorizations)
-            .unwrap_or(0),
-        transitions_pruned: outcome
-            .stats()
-            .map(|s| s.transitions_pruned)
-            .unwrap_or(0),
-        phases_split: outcome.stats().map(|s| s.phases_split).unwrap_or(0),
-        invariant_lp_queries: outcome
-            .stats()
-            .map(|s| s.invariant_lp_queries)
-            .unwrap_or(0),
-        outcome: ladder.label().to_string(),
-        aborted_phase: ladder.aborted_phase().map(|p| p.as_str().to_string()),
-        gap: ladder.gap(),
-    }
-}
-
-/// Renders a Table-2 run as JSON (same hand-rolled style and `"name"`/`"seconds"` row
-/// keys as [`format_json`], so [`parse_baseline_seconds`] and the shared
+/// Renders a Table-2 run as JSON (same hand-rolled style and `"name"`/`"cpu_seconds"`
+/// row keys as [`format_json`], so [`cpu_baseline`] and the shared
 /// [`time_regressions`] gate consume it unchanged). The top level carries the
 /// tight/loose/failed breakdown and the harness verdict counts the acceptance
 /// criteria are stated in.
@@ -680,31 +506,16 @@ pub fn format_table2_json(
     jobs: usize,
     peak_rss_mb: Option<f64>,
 ) -> String {
-    fn opt_f64(v: Option<f64>) -> String {
-        v.map(|v| format!("{v:.4}")).unwrap_or_else(|| "null".to_string())
-    }
-    fn opt_bool(v: Option<bool>) -> String {
-        v.map(|v| v.to_string()).unwrap_or_else(|| "null".to_string())
-    }
-    let tight = rows.iter().filter(|r| r.table.is_tight()).count();
-    let loose = rows
-        .iter()
-        .filter(|r| !r.table.is_tight() && r.table.computed.is_some())
-        .count();
-    let failed = rows.iter().filter(|r| r.table.computed.is_none()).count();
+    let count = |status: &str| rows.iter().filter(|r| r.table.status() == status).count();
     let sound = rows.iter().filter(|r| r.sound == Some(true)).count();
     let agree = rows.iter().filter(|r| r.agree == Some(true)).count();
-    let certified = rows.iter().filter(|r| r.table.lp_certified).count();
+    let certified =
+        rows.iter().filter(|r| r.table.outcome.stats().is_some_and(|s| s.lp_certified)).count();
     let body: Vec<String> = rows
         .iter()
         .map(|r| {
-            let status = if r.table.is_tight() {
-                "tight"
-            } else if r.table.computed.is_some() {
-                "loose"
-            } else {
-                "failed"
-            };
+            let stats = r.table.outcome.stats().unwrap_or_default();
+            let ladder = r.table.outcome.outcome();
             format!(
                 concat!(
                     "    {{\"name\": \"{}\", \"shape\": \"{}\", \"seed\": {}, ",
@@ -722,32 +533,25 @@ pub fn format_table2_json(
                 escape(&r.table.group),
                 r.seed,
                 r.table.tight,
-                opt_f64(r.table.computed),
-                r.table
-                    .computed_int
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "null".to_string()),
-                r.table.degree,
-                status,
-                opt_bool(r.sound),
-                opt_bool(r.agree),
-                r.table.seconds,
-                r.table.cpu_seconds,
-                r.table.lp_size.0,
-                r.table.lp_size.1,
-                r.table.lp_certified,
-                r.table.lp_truncated,
-                r.table.lp_build_seconds,
-                r.pruned,
-                r.table.phases_split,
-                r.table.invariant_lp_queries,
-                escape(&r.table.outcome),
-                r.table
-                    .aborted_phase
-                    .as_ref()
-                    .map(|p| format!("\"{}\"", escape(p)))
-                    .unwrap_or_else(|| "null".to_string()),
-                opt_f64(r.table.gap),
+                json_f64(r.table.computed()),
+                json_display(r.table.computed_int()),
+                r.table.outcome.degree,
+                r.table.status(),
+                json_display(r.sound),
+                json_display(r.agree),
+                r.table.outcome.duration.as_secs_f64(),
+                r.table.outcome.cpu_duration.as_secs_f64(),
+                stats.lp_variables,
+                stats.lp_constraints,
+                stats.lp_certified,
+                stats.lp_truncated,
+                stats.lp_build_time.as_secs_f64(),
+                stats.transitions_pruned,
+                stats.phases_split,
+                stats.invariant_lp_queries,
+                ladder.label(),
+                json_display(ladder.aborted_phase().map(|p| format!("\"{}\"", p.as_str()))),
+                json_f64(ladder.gap()),
             )
         })
         .collect();
@@ -761,9 +565,9 @@ pub fn format_table2_json(
         jobs,
         json_rss(peak_rss_mb),
         rows.len(),
-        tight,
-        loose,
-        failed,
+        count("tight"),
+        count("loose"),
+        count("failed"),
         sound,
         agree,
         certified,
@@ -774,80 +578,174 @@ pub fn format_table2_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dca_core::{AnalysisError, DiffCostResult, PotentialFunction, SolvePhase, SolveStats};
 
-    #[test]
-    fn history_line_and_baseline_roundtrip() {
-        let row = TableRow {
-            name: "Example".into(),
-            group: "g".into(),
-            tight: 100,
-            paper_computed: Some(100.0),
-            computed: Some(100.0),
-            computed_int: Some(100),
-            degree: 2,
-            seconds: 1.5,
-            cpu_seconds: 1.4,
-            lp_size: (10, 20),
+    /// A batch outcome the way `run_batch` reports one: 1.5 s wall, 1.4 s cpu at
+    /// degree 2, and — when solved — statistics with every rendered field non-zero.
+    fn outcome(name: &str, threshold: Result<f64, AnalysisError>) -> PairOutcome {
+        let stats = SolveStats {
+            lp_variables: 10,
+            lp_constraints: 20,
             lp_iterations: 42,
             lp_float_iterations: 40,
             lp_exact_iterations: 2,
-            lp_truncated: false,
             lp_certified: true,
-            phase_seconds: (1.2, 0.1, 0.2),
-            lp_build_seconds: 0.05,
-            products_total: 12,
-            products_generated: 5,
-            separation_rounds: 2,
-            lu_updates: 40,
-            lu_refactorizations: 1,
+            lp_float_time: Duration::from_secs_f64(1.2),
+            lp_certify_time: Duration::from_secs_f64(0.1),
+            lp_repair_time: Duration::from_secs_f64(0.2),
+            lp_build_time: Duration::from_secs_f64(0.05),
+            lp_products_total: 12,
+            lp_products_generated: 5,
+            lp_separation_rounds: 2,
+            lp_lu_updates: 40,
+            lp_lu_refactorizations: 1,
             transitions_pruned: 3,
             phases_split: 1,
             invariant_lp_queries: 7,
-            outcome: "certified".into(),
-            aborted_phase: None,
-            gap: None,
+            ..SolveStats::default()
         };
-        let run = SuiteRun {
-            rows: vec![row],
-            wall_clock: Duration::from_secs_f64(1.6),
-            cpu_time: Duration::from_secs_f64(1.6),
-            jobs: 1,
-            peak_rss_mb: Some(298.0),
-        };
-        let line = format_history_line(&run, "2026-07-29", "abc1234");
-        assert!(line.contains("\"date\": \"2026-07-29\""));
-        assert!(line.contains("\"commit\": \"abc1234\""));
-        assert!(line.contains("\"cpu_time_s\": 1.60"), "history line reports cpu time");
-        assert!(line.contains("\"Example\": 1.50"));
-        assert!(line.contains("\"row_cpu_seconds\": {\"Example\": 1.40}"));
-        assert!(line.contains("\"peak_rss_mb\": 298.0"), "history line reports peak memory");
-        assert!(!line.contains('\n'), "one line per run");
-        // The committed BENCH json parses back into per-row baselines, and the wall
-        // and CPU keys never cross-match.
-        let json = format_json(&run);
-        let baseline = parse_baseline_seconds(&json);
-        assert_eq!(baseline, vec![("Example".to_string(), 1.5)]);
-        let cpu_baseline = parse_baseline_cpu_seconds(&json);
-        assert_eq!(cpu_baseline, vec![("Example".to_string(), 1.4)]);
-        let document = Value::parse(&json).expect("BENCH json is valid JSON");
-        assert_eq!(document.get("peak_rss_mb").and_then(Value::as_f64), Some(298.0));
-        assert!(json.contains("\"lp_build_s\": 0.050"), "rows attribute LP construction");
-        // A pre-cpu_seconds baseline parses as empty, triggering the wall fallback.
-        let legacy = "{\"rows\": [{\"name\": \"X\", \"seconds\": 1.0}]}";
-        assert_eq!(parse_baseline_seconds(legacy), vec![("X".to_string(), 1.0)]);
-        assert!(parse_baseline_cpu_seconds(legacy).is_empty());
+        PairOutcome {
+            name: name.into(),
+            result: threshold.map(|threshold| DiffCostResult {
+                threshold,
+                potential_new: PotentialFunction::new(Default::default()),
+                anti_potential_old: PotentialFunction::new(Default::default()),
+                split_systems: None,
+                stats,
+            }),
+            degree: 2,
+            duration: Duration::from_secs_f64(1.5),
+            cpu_duration: Duration::from_secs_f64(1.4),
+        }
     }
 
-    /// The committed Table-1 baseline parses to exactly the pairs the string
-    /// scanner this parser replaced extracted (kept here as the reference).
+    /// A Table-1 row (group "Gulwani et al. [23]", tight 100) built from [`outcome`].
+    fn row(name: &str, threshold: Result<f64, AnalysisError>) -> TableRow {
+        let group = "Gulwani et al. [23]".to_string();
+        TableRow::from_outcome(name, group, 100, Some(100.0), outcome(name, threshold))
+    }
+
+    /// A certified tight row and a row aborted by a timeout in the encoder.
+    fn run() -> SuiteRun {
+        SuiteRun {
+            rows: vec![
+                row("Example", Ok(100.0)),
+                row("Failed", Err(AnalysisError::Timeout { phase: SolvePhase::Encode })),
+            ],
+            wall_clock: Duration::from_secs_f64(1.6),
+            cpu_time: Duration::from_secs_f64(2.8),
+            jobs: 1,
+            peak_rss_mb: Some(298.0),
+        }
+    }
+
+    /// The exact `format_json` document: key names, key order and number formats are
+    /// the schema the committed `BENCH_table1.json` and CI read.
     #[test]
-    fn committed_baseline_parses_like_the_legacy_scanner() {
-        fn legacy_scan(json: &str, key: &str) -> Vec<(String, f64)> {
-            let needle = format!("\"{key}\": ");
+    fn json_schema_is_pinned() {
+        let golden = concat!(
+            "{\n  \"wall_clock_s\": 1.60,\n  \"cpu_time_s\": 2.80,\n  \"jobs\": 1,\n",
+            "  \"peak_rss_mb\": 298.0,\n  \"tight\": 1,\n  \"total\": 2,\n  \"rows\": [\n",
+            "    {\"name\": \"Example\", \"group\": \"Gulwani et al. [23]\", \"tight\": 100, ",
+            "\"paper\": 100.0000, \"computed\": 100.0000, \"computed_int\": 100, ",
+            "\"degree\": 2, \"status\": \"tight\", \"seconds\": 1.50, \"cpu_seconds\": 1.40, ",
+            "\"lp_variables\": 10, \"lp_constraints\": 20, \"lp_iterations\": 42, ",
+            "\"lp_float_pivots\": 40, \"lp_exact_pivots\": 2, \"lp_truncated\": false, ",
+            "\"lp_certified\": true, \"float_s\": 1.200, \"certify_s\": 0.100, ",
+            "\"repair_s\": 0.200, \"lp_build_s\": 0.050, \"products_total\": 12, ",
+            "\"products_generated\": 5, \"separation_rounds\": 2, \"lu_updates\": 40, ",
+            "\"lu_refactorizations\": 1, \"transitions_pruned\": 3, \"phases_split\": 1, ",
+            "\"invariant_lp_queries\": 7, \"outcome\": \"certified\", ",
+            "\"aborted_phase\": null, \"gap\": null},\n",
+            "    {\"name\": \"Failed\", \"group\": \"Gulwani et al. [23]\", \"tight\": 100, ",
+            "\"paper\": 100.0000, \"computed\": null, \"computed_int\": null, ",
+            "\"degree\": 2, \"status\": \"failed\", \"seconds\": 1.50, \"cpu_seconds\": 1.40, ",
+            "\"lp_variables\": 0, \"lp_constraints\": 0, \"lp_iterations\": 0, ",
+            "\"lp_float_pivots\": 0, \"lp_exact_pivots\": 0, \"lp_truncated\": false, ",
+            "\"lp_certified\": false, \"float_s\": 0.000, \"certify_s\": 0.000, ",
+            "\"repair_s\": 0.000, \"lp_build_s\": 0.000, \"products_total\": 0, ",
+            "\"products_generated\": 0, \"separation_rounds\": 0, \"lu_updates\": 0, ",
+            "\"lu_refactorizations\": 0, \"transitions_pruned\": 0, \"phases_split\": 0, ",
+            "\"invariant_lp_queries\": 0, \"outcome\": \"aborted\", ",
+            "\"aborted_phase\": \"encode\", \"gap\": null}\n",
+            "  ]\n}\n",
+        );
+        assert_eq!(format_json(&run()), golden);
+    }
+
+    /// The exact `BENCH_history.jsonl` line.
+    #[test]
+    fn history_line_schema_is_pinned() {
+        let golden = concat!(
+            "{\"date\": \"2026-07-29\", \"commit\": \"abc1234\", \"suite\": \"table1\", ",
+            "\"jobs\": 1, \"tight\": 1, \"total\": 2, \"certified\": 1, \"truncated\": 0, ",
+            "\"aborted\": 1, \"transitions_pruned\": 3, \"phases_split\": 1, ",
+            "\"wall_clock_s\": 1.60, \"cpu_time_s\": 2.80, \"peak_rss_mb\": 298.0, ",
+            "\"row_seconds\": {\"Example\": 1.50, \"Failed\": 1.50}, ",
+            "\"row_cpu_seconds\": {\"Example\": 1.40, \"Failed\": 1.40}}",
+        );
+        assert_eq!(format_history_line(&run(), "2026-07-29", "abc1234"), golden);
+    }
+
+    /// The exact `format_table2_json` document for one generated pair.
+    #[test]
+    fn table2_json_schema_is_pinned() {
+        let pair = dca_benchmarks::table2::table2_manifest().swap_remove(0);
+        let solved = outcome(&pair.name, Ok(pair.tight as f64));
+        let table = TableRow::from_outcome(&pair.name, pair.shape.tag(), pair.tight, None, solved);
+        let rows = vec![Table2Row { table, seed: pair.seed, sound: Some(true), agree: None }];
+        let json = format_table2_json(
+            &rows,
+            Duration::from_secs_f64(0.3),
+            Duration::from_secs_f64(0.25),
+            1,
+            None,
+        );
+        let golden = concat!(
+            "{\n  \"wall_clock_s\": 0.30,\n  \"cpu_time_s\": 0.25,\n  \"jobs\": 1,\n",
+            "  \"peak_rss_mb\": null,\n  \"total\": 1,\n  \"tight\": 1,\n  \"loose\": 0,\n",
+            "  \"failed\": 0,\n  \"sound\": 1,\n  \"agree\": 0,\n  \"lp_certified\": 1,\n",
+            "  \"rows\": [\n",
+            "    {\"name\": \"t2_Dd1p1_45538\", \"shape\": \"Dd1p1\", \"seed\": 8040930, ",
+            "\"tight\": 12, \"computed\": 12.0000, \"computed_int\": 12, \"degree\": 2, ",
+            "\"status\": \"tight\", \"sound\": true, \"agree\": null, \"seconds\": 1.50, ",
+            "\"cpu_seconds\": 1.40, \"lp_variables\": 10, \"lp_constraints\": 20, ",
+            "\"lp_certified\": true, \"lp_truncated\": false, \"lp_build_s\": 0.050, ",
+            "\"transitions_pruned\": 3, \"phases_split\": 1, \"invariant_lp_queries\": 7, ",
+            "\"outcome\": \"certified\", \"aborted_phase\": null, \"gap\": null}\n",
+            "  ]\n}\n",
+        );
+        assert_eq!(json, golden);
+    }
+
+    #[test]
+    fn json_and_history_parse_back() {
+        let run = run();
+        let line = format_history_line(&run, "2026-07-29", "abc1234");
+        assert!(!line.contains('\n'), "one line per run");
+        assert!(Value::parse(&line).is_ok(), "a history line is valid JSON: {line}");
+        // The BENCH json parses back into per-row CPU baselines; the wall-clock
+        // `seconds` key (1.5) never cross-matches.
+        let json = format_json(&run);
+        let document = Value::parse(&json).expect("BENCH json is valid JSON");
+        assert_eq!(document.get("peak_rss_mb").and_then(Value::as_f64), Some(298.0));
+        assert_eq!(
+            parse_cpu_seconds(&json),
+            vec![("Example".to_string(), 1.4), ("Failed".to_string(), 1.4)]
+        );
+    }
+
+    /// Every row of both committed baselines carries `cpu_seconds` (so the gates need
+    /// no wall-clock fallback), and the parser extracts exactly the pairs the string
+    /// scanner it replaced did (kept here as the reference).
+    #[test]
+    fn committed_baselines_parse_like_the_legacy_scanner() {
+        fn legacy_scan(json: &str) -> Vec<(String, f64)> {
+            let needle = "\"cpu_seconds\": ";
             let mut out = Vec::new();
             for chunk in json.split("{\"name\": \"").skip(1) {
                 let Some(name_end) = chunk.find('"') else { continue };
-                let Some(position) = chunk.find(&needle) else { continue };
+                let Some(position) = chunk.find(needle) else { continue };
                 let number: String = chunk[position + needle.len()..]
                     .chars()
                     .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
@@ -858,11 +756,14 @@ mod tests {
             }
             out
         }
-        let json = include_str!("../../../BENCH_table1.json");
-        let seconds = parse_baseline_seconds(json);
-        assert_eq!(seconds.len(), 20, "Table 1 is 19 rows plus the running example");
-        assert_eq!(seconds, legacy_scan(json, "seconds"));
-        assert_eq!(parse_baseline_cpu_seconds(json), legacy_scan(json, "cpu_seconds"));
+        for (json, rows) in [
+            (include_str!("../../../BENCH_table1.json"), 20),
+            (include_str!("../../../BENCH_table2.json"), 240),
+        ] {
+            let baseline = parse_cpu_seconds(json);
+            assert_eq!(baseline.len(), rows, "every committed row has cpu_seconds");
+            assert_eq!(baseline, legacy_scan(json));
+        }
     }
 
     #[test]
@@ -910,75 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn table2_json_roundtrips_through_the_baseline_parser() {
-        let pair = dca_benchmarks::table2::table2_manifest().into_iter().next().unwrap();
-        let table = TableRow {
-            name: pair.name.clone(),
-            group: pair.shape.tag(),
-            tight: pair.tight,
-            paper_computed: None,
-            computed: Some(pair.tight as f64),
-            computed_int: Some(pair.tight),
-            degree: pair.degree,
-            seconds: 0.25,
-            cpu_seconds: 0.2,
-            lp_size: (5, 9),
-            lp_iterations: 3,
-            lp_float_iterations: 3,
-            lp_exact_iterations: 0,
-            lp_truncated: false,
-            lp_certified: true,
-            phase_seconds: (0.1, 0.1, 0.0),
-            lp_build_seconds: 0.0,
-            products_total: 0,
-            products_generated: 0,
-            separation_rounds: 0,
-            lu_updates: 0,
-            lu_refactorizations: 0,
-            transitions_pruned: 2,
-            phases_split: 1,
-            invariant_lp_queries: 7,
-            outcome: "certified".into(),
-            aborted_phase: None,
-            gap: None,
-        };
-        let rows = vec![Table2Row {
-            table,
-            seed: pair.seed,
-            sound: Some(true),
-            agree: Some(true),
-            pruned: 2,
-        }];
-        let json = format_table2_json(
-            &rows,
-            Duration::from_secs_f64(0.3),
-            Duration::from_secs_f64(0.25),
-            1,
-            None,
-        );
-        assert!(json.contains("\"cpu_time_s\": 0.25"), "table2 json reports cpu time");
-        assert!(json.contains("\"tight\": 1,"), "breakdown counts present");
-        assert!(json.contains("\"sound\": 1,"));
-        assert!(json.contains("\"agree\": 1,"));
-        assert!(json.contains("\"transitions_pruned\": 2"));
-        assert!(json.contains("\"peak_rss_mb\": null"));
-        assert!(json.contains("\"lp_build_s\": 0.000"));
-        let baseline = parse_baseline_seconds(&json);
-        assert_eq!(baseline, vec![(pair.name.clone(), 0.25)]);
-        // The tagged history line distinguishes the suites.
-        let run = SuiteRun {
-            rows: vec![rows[0].table.clone()],
-            wall_clock: Duration::from_secs_f64(0.3),
-            cpu_time: Duration::from_secs_f64(0.3),
-            jobs: 1,
-            peak_rss_mb: None,
-        };
-        let line = format_history_line_tagged(&run, "2026-08-08", "abc", "table2");
-        assert!(line.contains("\"suite\": \"table2\""));
-        assert!(!line.contains('\n'));
-    }
-
-    #[test]
     fn civil_date_is_sane() {
         let date = today_utc();
         assert_eq!(date.len(), 10);
@@ -987,119 +819,70 @@ mod tests {
 
     #[test]
     fn formats_rows() {
-        let row = TableRow {
-            name: "Example".into(),
-            group: "g".into(),
-            tight: 100,
-            paper_computed: Some(100.0),
-            computed: Some(100.0),
-            computed_int: Some(100),
-            degree: 2,
-            seconds: 1.5,
-            cpu_seconds: 1.4,
-            lp_size: (10, 20),
-            lp_iterations: 42,
-            lp_float_iterations: 40,
-            lp_exact_iterations: 2,
-            lp_truncated: false,
-            lp_certified: true,
-            phase_seconds: (1.2, 0.1, 0.2),
-            lp_build_seconds: 0.05,
-            products_total: 12,
-            products_generated: 5,
-            separation_rounds: 2,
-            lu_updates: 40,
-            lu_refactorizations: 1,
-            transitions_pruned: 3,
-            phases_split: 1,
-            invariant_lp_queries: 7,
-            outcome: "certified".into(),
-            aborted_phase: None,
-            gap: None,
-        };
-        assert!(row.is_tight());
-        let table = format_table(std::slice::from_ref(&row));
+        let run = run();
+        assert!(run.rows[0].is_tight());
+        assert!(!run.rows[1].is_tight());
+        let table = format_table(&run.rows);
         assert!(table.contains("Example"));
         assert!(table.contains("yes"));
-        let failed = TableRow {
-            name: "Failed".into(),
-            group: "g".into(),
-            tight: 1,
-            paper_computed: None,
-            computed: None,
-            computed_int: None,
-            degree: 3,
-            seconds: 0.1,
-            cpu_seconds: 0.1,
-            lp_size: (0, 0),
-            lp_iterations: 0,
-            lp_float_iterations: 0,
-            lp_exact_iterations: 0,
-            lp_truncated: false,
-            lp_certified: false,
-            phase_seconds: (0.0, 0.0, 0.0),
-            lp_build_seconds: 0.0,
-            products_total: 0,
-            products_generated: 0,
-            separation_rounds: 0,
-            lu_updates: 0,
-            lu_refactorizations: 0,
-            transitions_pruned: 0,
-            phases_split: 0,
-            invariant_lp_queries: 0,
-            outcome: "aborted".into(),
-            aborted_phase: None,
-            gap: None,
-        };
-        assert!(!failed.is_tight());
-        assert!(format_table(std::slice::from_ref(&failed)).contains('x'));
+        assert!(table.contains("| x "), "a failed row renders as x: {table}");
+    }
 
-        // The JSON rendering carries the same information, machine-readably.
-        let run = SuiteRun {
-            rows: vec![row, failed],
-            wall_clock: Duration::from_secs_f64(1.6),
-            cpu_time: Duration::from_secs_f64(1.6),
-            jobs: 1,
-            peak_rss_mb: None,
-        };
-        let json = format_json(&run);
-        assert!(json.contains("\"name\": \"Example\""));
-        assert!(json.contains("\"status\": \"tight\""));
-        assert!(json.contains("\"status\": \"failed\""));
-        assert!(json.contains("\"tight\": 1,"));
-        assert!(json.contains("\"products_total\": 12"));
-        assert!(json.contains("\"products_generated\": 5"));
-        assert!(json.contains("\"separation_rounds\": 2"));
-        assert!(json.contains("\"lu_updates\": 40"));
-        assert!(json.contains("\"lu_refactorizations\": 1"));
-        assert!(json.contains("\"outcome\": \"certified\""));
-        assert!(json.contains("\"outcome\": \"aborted\""));
-        assert!(json.contains("\"aborted_phase\": null"));
-        assert!(json.contains("\"gap\": null"));
-        let line = format_history_line(&run, "2026-08-09", "abc1234");
-        assert!(line.contains("\"certified\": 1"));
-        assert!(line.contains("\"truncated\": 0"));
-        assert!(line.contains("\"aborted\": 1"));
+    /// Suite rows pair each benchmark with its own outcome: the jobs are built from
+    /// the same filtered list the rows zip with.
+    #[test]
+    fn suite_rows_come_from_the_batch_engine() {
+        let run = run_suite_filtered(&BatchConfig::with_jobs(1), &["SimpleSingle".into()]);
+        let names: Vec<_> = run.rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["SimpleSingle", "SimpleSingle2"]);
+        for row in &run.rows {
+            assert_eq!(row.name, row.outcome.name);
+            assert!(row.is_tight(), "{} computed {:?}", row.name, row.computed_int());
+            assert!(row.outcome.stats().is_some_and(|s| s.lp_variables > 0));
+        }
+        assert_eq!(run.rows[0].computed_int(), Some(100));
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse(&argv(line), &["--jobs", "--limit"], &["--smoke"], "BENCH_default.json")
     }
 
     #[test]
-    fn row_from_batch_outcome() {
-        use dca_core::batch::{run_batch, BatchConfig, BatchJob};
-        let benchmark = dca_benchmarks::all_benchmarks()
-            .into_iter()
-            .find(|b| b.name == "SimpleSingle")
-            .unwrap();
-        let jobs = vec![BatchJob::from_sources(
-            benchmark.name,
-            benchmark.source_new,
-            benchmark.source_old,
-        )
-        .with_options(benchmark.options())];
-        let report = run_batch(&jobs, &BatchConfig::with_jobs(1));
-        let row = TableRow::from_outcome(&benchmark, &report.outcomes[0]);
-        assert_eq!(row.name, "SimpleSingle");
-        assert_eq!(row.computed_int, Some(100));
-        assert!(row.is_tight());
-        assert!(row.lp_size.0 > 0);
+    fn args_reject_unknown_flags() {
+        assert_eq!(parse("--smok --limit 1").unwrap_err(), "unknown option --smok");
+        let typo = parse("--smoke --no-diferential").unwrap_err();
+        assert_eq!(typo, "unknown option --no-diferential");
+        assert_eq!(parse("--limit").unwrap_err(), "--limit requires a value");
+        let args = parse("--jobs two").unwrap();
+        assert_eq!(args.value::<usize>("--jobs").unwrap_err(), "invalid --jobs two");
+    }
+
+    #[test]
+    fn args_take_an_optional_json_path() {
+        assert_eq!(parse("").unwrap().json, None);
+        assert_eq!(parse("--json").unwrap().json.as_deref(), Some("BENCH_default.json"));
+        let args = parse("--json out.json sum").unwrap();
+        assert_eq!(args.json.as_deref(), Some("out.json"));
+        assert_eq!(args.filters, ["sum"]);
+        // A name after `--json` is a filter, not a path.
+        let args = parse("--json sum").unwrap();
+        assert_eq!(args.json.as_deref(), Some("BENCH_default.json"));
+        assert_eq!(args.filters, ["sum"]);
+    }
+
+    #[test]
+    fn args_split_values_switches_and_filters() {
+        let args = parse("Dis --jobs 2 --smoke --limit 3 ddec").unwrap();
+        assert_eq!(args.filters, ["Dis", "ddec"]);
+        assert!(args.has("--smoke"));
+        assert_eq!(args.value::<usize>("--limit"), Ok(Some(3)));
+        assert_eq!(args.value::<u64>("--timeout"), Ok(None));
+        let config = args.batch_config().unwrap();
+        assert_eq!((config.jobs, config.time_budget), (2, None));
+        assert!(!parse("").unwrap().has("--smoke"));
     }
 }

@@ -25,36 +25,12 @@ pub use suite::{all_benchmarks, running_example, Benchmark, BenchmarkGroup};
 use dca_core::batch::{run_batch, BatchConfig, BatchJob, BatchReport};
 use dca_core::{AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver};
 
-/// Configuration for [`run_suite_parallel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SuiteConfig {
-    /// Number of worker threads (`0` = one per available CPU).
-    pub jobs: usize,
-    /// Per-pair wall-clock budget (`None` = unlimited); pairs whose LP exceeds it
-    /// report [`dca_core::AnalysisError::Timeout`] instead of stalling the suite.
-    pub time_budget: Option<std::time::Duration>,
-}
-
 /// The whole evaluation as batch jobs: all 19 Table-1 pairs plus the running example,
 /// each at the degree the paper used for it (`d = K = 2`, `nested` at 3).
 pub fn suite_jobs() -> Vec<BatchJob> {
     let mut benchmarks = all_benchmarks();
     benchmarks.push(running_example());
-    benchmarks
-        .into_iter()
-        .map(|b| {
-            BatchJob::from_sources(b.name, b.source_new, b.source_old).with_options(b.options())
-        })
-        .collect()
-}
-
-/// Translates a [`SuiteConfig`] into the batch engine's configuration.
-fn batch_config(config: &SuiteConfig) -> BatchConfig {
-    let mut batch_config = BatchConfig::with_jobs(config.jobs);
-    if let Some(budget) = config.time_budget {
-        batch_config = batch_config.with_time_budget(budget);
-    }
-    batch_config
+    benchmarks.iter().map(Benchmark::job).collect()
 }
 
 /// `true` if a benchmark name passes the (possibly empty) substring filter list.
@@ -68,18 +44,8 @@ pub fn matches_filters(name: &str, filters: &[String]) -> bool {
 /// Sources are compiled inside the workers, so parsing, invariant generation and LP
 /// synthesis all parallelize; with `jobs = N` the suite wall-clock drops roughly by the
 /// worker count (see `EXPERIMENTS.md` for measured numbers).
-pub fn run_suite_parallel(config: &SuiteConfig) -> BatchReport {
-    run_suite_filtered(config, &[])
-}
-
-/// Like [`run_suite_parallel`], restricted to benchmarks whose name contains one of the
-/// given substrings (an empty list selects everything).
-pub fn run_suite_filtered(config: &SuiteConfig, filters: &[String]) -> BatchReport {
-    let jobs: Vec<BatchJob> = suite_jobs()
-        .into_iter()
-        .filter(|job| matches_filters(&job.name, filters))
-        .collect();
-    run_batch(&jobs, &batch_config(config))
+pub fn run_suite_parallel(config: &BatchConfig) -> BatchReport {
+    run_batch(&suite_jobs(), config)
 }
 
 impl Benchmark {
@@ -99,6 +65,13 @@ impl Benchmark {
     /// `nested` which needs `d = K = 3`).
     pub fn options(&self) -> AnalysisOptions {
         AnalysisOptions::with_degree(self.degree)
+    }
+
+    /// This benchmark as a batch job: both sources, compiled in the worker, at the
+    /// paper's [options](Benchmark::options).
+    pub fn job(&self) -> BatchJob {
+        BatchJob::from_sources(self.name, self.source_new, self.source_old)
+            .with_options(self.options())
     }
 
     /// Runs the differential cost analysis on this benchmark.

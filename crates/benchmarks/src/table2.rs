@@ -173,12 +173,8 @@ pub fn table2_jobs(pairs: &[GeneratedPair]) -> Vec<BatchJob> {
 }
 
 /// Runs a set of generated pairs through the batch engine.
-pub fn run_table2(pairs: &[GeneratedPair], jobs: usize, budget: Option<Duration>) -> BatchReport {
-    let mut config = BatchConfig::with_jobs(jobs);
-    if let Some(budget) = budget {
-        config = config.with_time_budget(budget);
-    }
-    run_batch(&table2_jobs(pairs), &config)
+pub fn run_table2(pairs: &[GeneratedPair], config: &BatchConfig) -> BatchReport {
+    run_batch(&table2_jobs(pairs), config)
 }
 
 /// Interpreter-sampled soundness check of a reported threshold for one pair.

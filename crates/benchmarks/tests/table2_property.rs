@@ -7,6 +7,7 @@
 //! real soundness bug — in the generator's oracle, the encoder, or the LP.
 
 use dca_benchmarks::table2::{check_sampled_soundness, run_table2, table2_manifest};
+use dca_core::batch::BatchConfig;
 
 /// How many pairs the property must cover (the satellite's floor).
 const MIN_PAIRS: usize = 50;
@@ -27,7 +28,7 @@ fn sampled_costs_never_exceed_the_certified_bound() {
         pairs.len()
     );
 
-    let report = run_table2(&pairs, 0, None);
+    let report = run_table2(&pairs, &BatchConfig::default());
     let mut violations = Vec::new();
     for (pair, outcome) in pairs.iter().zip(&report.outcomes) {
         assert_eq!(pair.name, outcome.name);

@@ -20,8 +20,9 @@
 
 use std::process::ExitCode;
 
-use dca_benchmarks::SuiteConfig;
-use dca_core::{AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver, LpBackend};
+use dca_core::{
+    AnalysisOptions, AnalyzedProgram, BatchConfig, DiffCostResult, DiffCostSolver, LpBackend,
+};
 
 /// Every flag any subcommand reads; anything else starting with `--` is an error.
 const FLAGS: [&str; 10] = [
@@ -251,7 +252,8 @@ fn run_suite_command(args: &[String]) -> Result<(), String> {
         )),
         None => None,
     };
-    let report = dca_benchmarks::run_suite_parallel(&SuiteConfig { jobs, time_budget });
+    let config = BatchConfig { jobs, time_budget, ..BatchConfig::default() };
+    let report = dca_benchmarks::run_suite_parallel(&config);
     println!(
         "{:<21} | {:>10} | d | {:<9} | {:>8}",
         "benchmark", "threshold", "outcome", "time (s)"

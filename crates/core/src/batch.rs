@@ -335,7 +335,7 @@ pub fn thread_cpu_time() -> Option<Duration> {
 
 /// Renders a caught panic payload for the error report (panics almost always carry
 /// `&str` or `String`; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {

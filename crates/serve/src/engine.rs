@@ -3,6 +3,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use dca_core::batch::panic_message;
 use dca_core::{
     AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver,
     LpBasis, ProgramCache, SolveCache,
@@ -273,17 +274,6 @@ impl Engine {
             degree: options.degree,
             seconds: start.elapsed().as_secs_f64(),
         }));
-    }
-}
-
-/// Renders a caught panic payload (same contract as the batch engine).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_string()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
