@@ -867,7 +867,7 @@ impl DiffCostSolver {
                 } else {
                     Vec::new()
                 };
-                lp.solve_certified_lazy(warm, &lazy_names)
+                lp.solve_certified(warm, &lazy_names)
             }
             LpBackend::Exact => lp.solve_exact(),
         };

@@ -7,7 +7,7 @@
 //! potential / anti-potential functions satisfy their defining inequalities along those
 //! executions.
 
-use dca_ir::{CostExplorer, IntValuation, LocId, State, TransitionSystem, Update};
+use dca_ir::{CostExplorer, IntValuation, State, TransitionSystem, Update};
 use dca_lp::{ConstraintOp, LpProblem, LpStatus, VarKind};
 use dca_numeric::Rational;
 use dca_poly::{LinExpr, VarId};
@@ -297,12 +297,6 @@ fn successors(state: &State, transition: &dca_ir::Transition, candidates: &[i64]
         out.push(State::new(transition.target, next));
     }
     out
-}
-
-/// The location a potential function should be inspected at for reporting: the initial
-/// location of the program.
-pub fn initial_location(program: &AnalyzedProgram) -> LocId {
-    program.ts.initial()
 }
 
 #[cfg(test)]

@@ -1,26 +1,28 @@
 //! Float-first, exact-repair LP driver: `f64` does the pivoting, rationals certify.
 //!
-//! The QSopt_ex-style precision-boosting scheme this module implements splits every
-//! solve into three unequal parts:
+//! The QSopt_ex-style precision-boosting scheme this module implements runs every
+//! solve as straight-line code, in at most three steps:
 //!
 //! 1. **Float phase** — the sparse revised simplex runs phases 1–2 entirely in
 //!    hardware floats (Devex pricing, equilibration, anti-degeneracy perturbation) and
 //!    proposes a candidate optimal *basis*. Floats decide nothing; they only guess.
-//! 2. **Certification** — the candidate basis is factorized in exact rationals with
-//!    the Markowitz-ordered sparse LU ([`crate::lu`]); `x_B = B⁻¹b` and the reduced
-//!    costs `c_j − c_B B⁻¹ A_j` are recomputed exactly, and the basis is accepted iff
-//!    it is exactly feasible (`x_B ≥ 0`, artificial rows exactly zero) and exactly
-//!    optimal (every nonbasic reduced cost `≥ 0`). An accepted answer is therefore a
-//!    full exact-rational certificate, no different from one the exact simplex
-//!    produces — it was merely *found* at f64 speed.
-//! 3. **Exact repair** — on rejection (or when the float phase fails outright), the
-//!    exact simplex is warm-started from the candidate basis, so it performs only the
-//!    few pivots separating the float vertex from the true optimum. Repair rounds are
-//!    pivot-capped and re-certified ([`REPAIR_CAPS`] rounds), after which the driver
-//!    falls back to the pure exact path (uncapped), which is self-certifying.
+//! 2. **Certification** — run once, if the float phase ended `Optimal`: the
+//!    candidate basis is factorized in exact rationals with the Markowitz-ordered
+//!    sparse LU ([`crate::lu`]); `x_B = B⁻¹b` and the reduced costs
+//!    `c_j − c_B B⁻¹ A_j` are recomputed exactly, and the basis is accepted iff it is
+//!    exactly feasible (`x_B ≥ 0`, artificial rows exactly zero) and exactly optimal
+//!    (every nonbasic reduced cost `≥ 0`). An accepted answer is therefore a full
+//!    exact-rational certificate, no different from one the exact simplex produces —
+//!    it was merely *found* at f64 speed.
+//! 3. **Exact run** — on rejection, or when the float phase ended any other way
+//!    (infeasible, unbounded, iteration limit, timeout), the exact simplex runs once,
+//!    uncapped, warm-started from the float basis (or, when the float phase proposed
+//!    none, from the caller's warm basis). From a rejected candidate it performs only
+//!    the few pivots separating the float vertex from the true optimum. It is
+//!    self-certifying.
 //!
 //! With lazy product columns ([`solve_float_first`] with a non-empty lazy set) the
-//! driver runs in two stages. The *core stage* runs the three parts above on the
+//! driver runs in two stages. The *core stage* runs the steps above on the
 //! non-lazy columns and prices every excluded column exactly against the core's
 //! dual (or Farkas certificate). If none prices in, the core answer is final.
 //! Otherwise the *full stage* runs the exact simplex once over every column,
@@ -70,10 +72,6 @@ enum Certified {
     },
 }
 
-/// Repair-round pivot caps: round `k` may spend `REPAIR_CAPS[k]` exact pivots before
-/// its basis is re-certified; after the last round the uncapped exact path runs.
-const REPAIR_CAPS: [usize; 2] = [256, 2048];
-
 /// Fraction of the remaining budget the float phase may consume (the exact phases
 /// must keep the lion's share: they are the sound fallback with anytime semantics).
 const FLOAT_BUDGET_FRACTION: f64 = 0.25;
@@ -93,7 +91,7 @@ fn certify_basis(
     let n = columns.cols.len();
     // Certification is exact work too and must honor the per-attempt budget like
     // every other exact loop; an aborted certification is just a rejection — the
-    // caller's repair/fallback path times out promptly on the same deadline.
+    // caller's exact run times out promptly on the same deadline.
     if deadline.expired() {
         return Certified::Rejected { dual_bound: None };
     }
@@ -209,7 +207,7 @@ fn phase1_farkas(
     Some(y)
 }
 
-/// Solves a standard-form problem with the float-first / exact-repair loop.
+/// Solves a standard-form problem with the float-first / certify / exact-run driver.
 ///
 /// The returned solution is always exact ([`Rational`]); see the module docs for the
 /// soundness argument. `warm` carries preferred structural columns, exactly like
@@ -225,8 +223,8 @@ pub(crate) fn solve_float_first(
     warm: Option<&[usize]>,
     lazy_cols: &[usize],
 ) -> RawSolution<Rational> {
-    // Every terminal verdict below comes out of exact arithmetic: the certifier, the
-    // exact repair, or the exact fallback. (A truncated anytime answer is exactly
+    // Every terminal verdict below comes out of exact arithmetic: the certifier or
+    // the exact simplex. (A truncated anytime answer is exactly
     // feasible — its bound is sound — but not a proven optimum.)
     let mut info = LpSolveInfo { certified: true, ..LpSolveInfo::default() };
     let mut solution = if lazy_cols.is_empty() {
@@ -268,14 +266,14 @@ pub(crate) fn float_image(form: &StandardForm<Rational>) -> StandardForm<f64> {
     }
 }
 
-/// The float-first / certify / exact-repair pipeline on one (possibly
+/// The float-first / certify / exact-run pipeline on one (possibly
 /// column-restricted) problem.
 ///
 /// `form` is solved as-is and `warm` carries preferred columns in `form`'s own
 /// index space. Effort is *accumulated* into `info` so the row-generation driver
 /// can call this once per stage and keep a single whole-solve account. With
 /// `use_float = false` the float phase is skipped and the exact simplex runs
-/// uncapped from `warm`.
+/// from `warm`.
 ///
 /// With `want_dual`, an exact optimal dual vector accompanies an `Optimal`
 /// non-truncated solution: taken from the accepted certificate when the
@@ -290,18 +288,11 @@ fn certified_core(
     want_dual: bool,
     mut use_float: bool,
 ) -> (RawSolution<Rational>, Option<Vec<Rational>>) {
-    let mut candidate: Vec<usize> = Vec::new();
-    let mut result: Option<RawSolution<Rational>> = None;
-    let mut dual: Option<Vec<Rational>> = None;
-    let mut float_optimal = false;
-    // Best exact lower bound salvaged from rejected-but-dual-feasible certification
-    // passes; attached to a truncated answer so the caller can report a gap.
-    let mut best_lower: Option<Rational> = None;
     if use_float {
         match fault::enter(SolvePhase::LpFloat) {
             Some(FaultKind::Deadline) => deadline.cancel(),
             // Forced numeric rejection: discard the float phase outright; the exact
-            // fallback below must still reproduce the fault-free answer.
+            // run below must still reproduce the fault-free answer.
             Some(FaultKind::Numeric) => use_float = false,
             _ => {}
         }
@@ -312,6 +303,8 @@ fn certified_core(
     // basis stays primal feasible when columns are only *added*, and on the full
     // column set the float phase mostly ends `Unbounded` or at its iteration limit
     // (EXPERIMENTS.md, "Core, then full").
+    let mut candidate: Vec<usize> = Vec::new();
+    let mut float_optimal = false;
     if use_float {
         let float_start = Instant::now();
         let float_form = float_image(form);
@@ -325,122 +318,74 @@ fn certified_core(
         }));
         let perturbation =
             if float_form.num_rows() >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
-        let float =
-            solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm, None);
+        let float = solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm);
         info.float_time += float_start.elapsed();
         info.float_iterations += float.info.iterations;
         candidate = float.basis;
         float_optimal = float.status == LpStatus::Optimal && !float.info.truncated;
     }
 
-    // ---- Certify / repair loop. ----------------------------------------------------
-    // Round r: certify the current candidate; on rejection run a pivot-capped exact
-    // repair warm-started from it and try again. After the capped rounds the exact
-    // simplex runs uncapped (self-certifying).
+    // ---- Certification: one exact accept/reject of the float optimum. ---------------
+    // A rejected basis that is exactly dual feasible still yields an exact lower
+    // bound, attached below to a truncated answer so the caller can report a gap.
+    let mut accepted: Option<Certificate> = None;
+    let mut rejected_bound: Option<Rational> = None;
     if float_optimal {
-        for cap in REPAIR_CAPS {
-            let force_reject = match fault::enter(SolvePhase::LpCertify) {
-                Some(FaultKind::Deadline) => {
-                    deadline.cancel();
-                    false
-                }
-                // Injected numeric failure: pretend certification rejected the
-                // candidate; the repair/fallback chain must still land on the
-                // fault-free answer (soundness never rests on a single pass).
-                Some(FaultKind::Numeric) => true,
-                _ => false,
-            };
-            let certify_start = Instant::now();
-            let certified = if force_reject {
-                Certified::Rejected { dual_bound: None }
-            } else {
-                certify_basis(form, &candidate, deadline)
-            };
-            info.certify_time += certify_start.elapsed();
-            info.certify_rounds += 1;
-            let certificate = match certified {
-                Certified::Accepted(certificate) => Some(certificate),
-                Certified::Rejected { dual_bound } => {
-                    if let Some(bound) = dual_bound {
-                        best_lower = Some(match best_lower.take() {
-                            Some(best) if Scalar::lt(&bound, &best) => best,
-                            _ => bound,
-                        });
-                    }
-                    None
-                }
-            };
-            if let Some(certificate) = certificate {
-                let mut solution = RawSolution::bare(LpStatus::Optimal);
-                solution.values = certificate.values;
-                solution.basis = certificate.basis;
-                dual = Some(certificate.dual);
-                result = Some(solution);
-                break;
-            }
-            // Deadline faults at the repair boundary exercise the real
-            // cancellation path; a numeric fault has nothing to reject here.
-            if fault::enter(SolvePhase::LpRepair) == Some(FaultKind::Deadline) {
+        let force_reject = match fault::enter(SolvePhase::LpCertify) {
+            Some(FaultKind::Deadline) => {
                 deadline.cancel();
+                false
             }
-            let repair_start = Instant::now();
-            let repaired = solve_standard_form_inner::<Rational>(
-                form,
-                deadline,
-                0.0,
-                Some(&candidate),
-                Some(cap),
-            );
-            info.repair_time += repair_start.elapsed();
-            info.exact_iterations += repaired.info.iterations;
-            info.lu_updates += repaired.info.lu_updates;
-            info.lu_refactorizations += repaired.info.lu_refactorizations;
-            match repaired.status {
-                // The capped exact run converged: its answer is exact and final.
-                LpStatus::Optimal | LpStatus::Infeasible | LpStatus::Unbounded => {
-                    result = Some(repaired);
-                    break;
-                }
-                // Deadline hit: no time left to keep repairing.
-                LpStatus::TimedOut => {
-                    result = Some(repaired);
-                    break;
-                }
-                // Cap hit: continue from wherever the repair stopped.
-                _ => {
-                    if !repaired.basis.is_empty() {
-                        candidate = repaired.basis;
-                    }
-                }
-            }
+            // Injected numeric failure: pretend certification rejected the
+            // candidate; the exact run must still land on the fault-free answer
+            // (soundness never rests on the certifier alone).
+            Some(FaultKind::Numeric) => true,
+            _ => false,
+        };
+        let certify_start = Instant::now();
+        let certified = if force_reject {
+            Certified::Rejected { dual_bound: None }
+        } else {
+            certify_basis(form, &candidate, deadline)
+        };
+        info.certify_time += certify_start.elapsed();
+        info.certify_rounds += 1;
+        match certified {
+            Certified::Accepted(certificate) => accepted = Some(certificate),
+            Certified::Rejected { dual_bound } => rejected_bound = dual_bound,
         }
     }
 
-    // ---- Pure exact fallback (uncapped, warm-started from the best basis seen). ----
-    let mut solution = match result {
-        Some(solution) => solution,
+    // ---- Exact run (uncapped, warm-started from the float basis). ------------------
+    let (mut solution, mut dual) = match accepted {
+        Some(certificate) => {
+            let mut solution = RawSolution::bare(LpStatus::Optimal);
+            solution.values = certificate.values;
+            solution.basis = certificate.basis;
+            (solution, Some(certificate.dual))
+        }
         None => {
+            // Deadline faults here exercise the real cancellation path; a numeric
+            // fault has nothing to reject.
             if fault::enter(SolvePhase::LpRepair) == Some(FaultKind::Deadline) {
                 deadline.cancel();
             }
             let warm_exact: Option<&[usize]> =
                 if !candidate.is_empty() { Some(&candidate) } else { warm };
             let repair_start = Instant::now();
-            let exact = solve_standard_form_inner::<Rational>(form, deadline, 0.0, warm_exact, None);
+            let exact = solve_standard_form_inner::<Rational>(form, deadline, 0.0, warm_exact);
             info.repair_time += repair_start.elapsed();
             info.exact_iterations += exact.info.iterations;
             info.lu_updates += exact.info.lu_updates;
             info.lu_refactorizations += exact.info.lu_refactorizations;
-            exact
+            // An exact optimum carries its own terminal dual out of the revised
+            // simplex; prefer it — re-deriving the dual via Markowitz can pad a
+            // degenerate basis differently and fail to re-certify.
+            let dual = exact.dual.clone();
+            (exact, dual)
         }
     };
 
-    // An optimum produced by the exact simplex (repair or fallback) carries its own
-    // terminal dual out of the revised simplex; prefer it — re-deriving the dual via
-    // Markowitz can pad a degenerate basis differently and fail to re-certify.
-    if dual.is_none() {
-        dual = solution.dual.clone();
-    }
     // Last resort: certify the basis once more when the caller needs a dual. The
     // pass can only confirm — the exact simplex terminated on this basis — or run
     // out of time.
@@ -454,10 +399,11 @@ fn certified_core(
             Certified::Rejected { .. } => None,
         };
     }
-    // A truncated anytime answer carries the best exact lower bound seen, so the
-    // caller can bracket the unproven optimum: `dual_bound ≤ optimum ≤ objective`.
+    // A truncated anytime answer carries the exact lower bound salvaged from the
+    // rejected candidate, so the caller can bracket the unproven optimum:
+    // `dual_bound ≤ optimum ≤ objective`.
     if solution.info.truncated && solution.dual_bound.is_none() {
-        solution.dual_bound = best_lower;
+        solution.dual_bound = rejected_bound;
     }
     // Defensive: a solution whose basis failed dual recovery must not silently claim
     // proven optimality to the row-generation core stage, which downgrades it to an

@@ -15,21 +15,25 @@
 //! generic over its scalar, and three entry points share it:
 //!
 //! * [`LpProblem::solve_certified`] is the analysis's LP path: the `f64` simplex
-//!   proposes a candidate optimal basis, an exact-rational certifier accepts it or
-//!   repairs it with a warm-started exact simplex, and every verdict is produced by
-//!   exact arithmetic. [`LpProblem::solve_certified_lazy`] adds delayed generation
-//!   of Handelman product columns: a certified solve of the core without them, an
-//!   exact pricing pass over them, and, only if one prices in, one exact solve
-//!   over every column;
+//!   only proposes a candidate optimal basis, an exact-rational certifier accepts
+//!   or rejects it once, a rejected (or absent) candidate goes to one warm-started
+//!   exact simplex run, and every verdict is produced by exact arithmetic. A
+//!   non-empty lazy set adds delayed generation of Handelman product columns: a
+//!   certified solve of the core without them, an exact pricing pass over them,
+//!   and, only if one prices in, one exact solve over every column;
 //! * [`LpProblem::solve_exact`] runs the exact [`Rational`](dca_numeric::Rational)
 //!   simplex from scratch (the cross-checking reference);
-//! * [`LpProblem::solve_f64`] is the plain floating-point solve the invariant engine
-//!   uses as a prescreen for its small box LPs.
+//! * [`LpProblem::solve_f64`] is the plain floating-point solve behind the
+//!   invariant engine's entailment and emptiness queries and
+//!   `dca_core::verify::bound_var`. Its callers read every status other than
+//!   `Optimal` and `Infeasible` — [`LpStatus::IterationLimit`] in particular, the
+//!   float simplex's honest "don't know" — conservatively.
 //!
 //! Solves can be *warm-started* from the final basis of a previous related problem
-//! ([`LpProblem::solve_certified_warm`], [`LpBasis`]): basic columns are matched by
-//! name, so the basis survives into a structurally different LP — the serve engine's
-//! near-match path replays the basis of an edited program's cached ancestor.
+//! (the `warm` argument of [`LpProblem::solve_certified`], an [`LpBasis`]): basic
+//! columns are matched by name, so the basis survives into a structurally different
+//! LP — the serve engine's near-match path replays the basis of an edited program's
+//! cached ancestor.
 //! Because name matching alone cannot tell two *programs* apart, a basis can
 //! additionally carry a provenance fingerprint ([`LpBasis::fingerprint`]): consumers
 //! replaying cached bases refuse a stamped basis from a different origin unless it is

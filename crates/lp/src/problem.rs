@@ -62,7 +62,9 @@ pub enum LpStatus {
     Infeasible,
     /// The objective is unbounded below.
     Unbounded,
-    /// The iteration limit was hit before convergence (floating-point backend only).
+    /// No verdict: the iteration limit was hit before convergence, or the
+    /// floating-point backend met a step it cannot judge numerically. Never a
+    /// final answer of the certified driver, which hands it to the exact simplex.
     IterationLimit,
     /// The solve deadline (see [`LpProblem::set_deadline`]) passed before convergence.
     TimedOut,
@@ -117,7 +119,8 @@ impl LpBasis {
     }
 
     /// The provenance fingerprint stamped by the producer, if any. `None` means the
-    /// basis never left the solve that produced it (pre-stamp or intra-ladder use).
+    /// basis is fresh from [`LpProblem::solve_certified`] or
+    /// [`LpProblem::solve_exact`] and has not been stamped yet.
     pub fn fingerprint(&self) -> Option<u64> {
         self.fingerprint
     }
@@ -133,32 +136,6 @@ impl LpBasis {
         self.fingerprint = Some(fingerprint);
         self
     }
-
-    /// Serializes to the wire form `fp|name|name|…` where `fp` is the fingerprint in
-    /// hex or `-` when unstamped. Column names never contain `|` (they are model
-    /// variable names, `…~neg` halves, or `slack#N`).
-    pub fn to_wire(&self) -> String {
-        let mut wire = match self.fingerprint {
-            Some(fp) => format!("{fp:016x}"),
-            None => "-".to_string(),
-        };
-        for name in &self.names {
-            wire.push('|');
-            wire.push_str(name);
-        }
-        wire
-    }
-
-    /// Parses the [`to_wire`](LpBasis::to_wire) form. `None` on a malformed
-    /// fingerprint field.
-    pub fn from_wire(wire: &str) -> Option<LpBasis> {
-        let mut parts = wire.split('|');
-        let fingerprint = match parts.next()? {
-            "-" => None,
-            hex => Some(u64::from_str_radix(hex, 16).ok()?),
-        };
-        Some(LpBasis { names: parts.map(str::to_string).collect(), fingerprint })
-    }
 }
 
 /// Size and effort statistics of one solve.
@@ -170,7 +147,8 @@ pub struct LpSolveInfo {
     /// Pivots performed by the `f64` simplex (float-first driver only).
     pub float_iterations: usize,
     /// Pivots performed by the exact rational simplex (float-first driver only:
-    /// repair rounds plus the uncapped fallback).
+    /// the exact run after a rejected or absent float optimum, plus the
+    /// row-generation full stage).
     pub exact_iterations: usize,
     /// `true` when the solve hit its deadline during phase 2 and the reported
     /// optimum is the last feasible iterate — a sound but possibly loose bound
@@ -181,14 +159,15 @@ pub struct LpSolveInfo {
     /// Always `true` for [`LpProblem::solve_certified`] and
     /// [`LpProblem::solve_exact`]; `false` for the plain `f64` backend.
     pub certified: bool,
-    /// Certification rounds the float-first driver performed (0 when the float phase
-    /// produced no candidate and the exact fallback ran directly).
+    /// Certification passes the float-first driver ran on a float optimum: at most
+    /// one per solve (0 when the float phase ended any other way and the exact
+    /// simplex ran directly).
     pub certify_rounds: usize,
     /// Wall-clock spent in the `f64` pivot phase (float-first driver only).
     pub float_time: Duration,
     /// Wall-clock spent in exact basis certification (float-first driver only).
     pub certify_time: Duration,
-    /// Wall-clock spent in exact repair pivoting (float-first driver only).
+    /// Wall-clock spent in exact simplex pivoting (float-first driver only).
     pub repair_time: Duration,
     /// Wall-clock spent building the LP's sparse standard form from its
     /// constraints, plus (row generation only) gathering the core's columns.
@@ -240,11 +219,6 @@ impl<S: Scalar> LpResult<S> {
     /// Panics if the solve was not optimal.
     pub fn value(&self, var: LpVar) -> S {
         self.values[var.index()].clone()
-    }
-
-    /// Returns `true` if an optimal solution was found.
-    pub fn is_optimal(&self) -> bool {
-        self.status == LpStatus::Optimal
     }
 }
 
@@ -372,47 +346,38 @@ impl LpProblem {
 
     /// Solves with the float-first, exact-repair driver: the `f64` revised simplex
     /// proposes a candidate optimal basis, an exact-rational certifier accepts or
-    /// rejects it, and rejected candidates are repaired by a warm-started exact
-    /// simplex (see the `certify` module docs for the scheme and its soundness
-    /// argument).
+    /// rejects it once, and a rejected (or absent) candidate is handed to one
+    /// warm-started exact simplex run (see the `certify` module docs for the scheme
+    /// and its soundness argument).
     ///
     /// The result is exact: every status and optimal value is produced by rational
     /// arithmetic — the floats only choose where the exact machinery looks first.
     /// Expect exact-backend answers at a fraction of exact-backend cost whenever the
     /// `f64` phase lands on (or near) the true optimal basis, which is the common
     /// case for the Handelman synthesis LPs.
-    pub fn solve_certified(&self) -> LpResult<Rational> {
-        self.solve_certified_warm(None)
-    }
-
-    /// Like [`LpProblem::solve_certified`], seeding the float phase (and any exact
-    /// repair) with a warm-start basis from a previous related solve.
-    pub fn solve_certified_warm(&self, warm: Option<&LpBasis>) -> LpResult<Rational> {
-        self.solve_certified_lazy(warm, &[])
-    }
-
-    /// Like [`LpProblem::solve_certified_warm`], additionally marking a set of
-    /// *lazy* columns the driver may leave out of the initial solve and generate
-    /// on demand (delayed column generation).
     ///
-    /// `lazy_names` are display names of `NonNegative` model variables (in
-    /// practice: Handelman product multipliers of degree ≥ 2). The driver starts
-    /// from the non-lazy core plus any lazy column present in `warm`, solves,
-    /// then *exactly* prices every excluded column against the exact dual. If
-    /// any column could improve the solution, one exact solve over every column
-    /// follows, warm-started from the core's basis. The accepted verdict
-    /// therefore carries the same exact certificate as a full eager solve —
-    /// excluded columns are proven non-improving (or, for infeasibility, proven
-    /// unable to break the exact Farkas certificate) before a core answer is
-    /// reported. Names that are unknown
-    /// or not `NonNegative` are ignored (a `Free` variable's split column pair
-    /// must never be separated independently). An empty `lazy_names` is the
+    /// `warm` seeds the float phase (and the exact run) with the basis of a
+    /// previous related solve; `None` starts cold.
+    ///
+    /// `lazy_names` marks *lazy* columns the driver may leave out of the initial
+    /// solve and generate on demand (delayed column generation). They are display
+    /// names of `NonNegative` model variables (in practice: Handelman product
+    /// multipliers of degree ≥ 2). The driver starts from the non-lazy core plus
+    /// any lazy column present in `warm`, solves, then *exactly* prices every
+    /// excluded column against the exact dual. If any column could improve the
+    /// solution, one exact solve over every column follows, warm-started from the
+    /// core's basis. The accepted verdict therefore carries the same exact
+    /// certificate as a full eager solve — excluded columns are proven
+    /// non-improving (or, for infeasibility, proven unable to break the exact
+    /// Farkas certificate) before a core answer is reported. Names that are
+    /// unknown or not `NonNegative` are ignored (a `Free` variable's split column
+    /// pair must never be separated independently). An empty `lazy_names` is the
     /// full eager solve, with identical verdicts.
     ///
     /// The returned basis names any lazy columns it uses, so threading it into
     /// the next related solve (as the serve near-match path does) also seeds that
     /// solve's active set — row-generation state travels for free.
-    pub fn solve_certified_lazy(
+    pub fn solve_certified(
         &self,
         warm: Option<&LpBasis>,
         lazy_names: &[String],
@@ -455,7 +420,7 @@ impl LpProblem {
 
     /// Checks whether a candidate assignment satisfies every constraint up to `tol`.
     ///
-    /// Used by tests and by the verifier to validate solutions independent of the solver.
+    /// Used by tests to validate solutions independent of the solver.
     pub fn check_feasible_f64(&self, values: &[f64], tol: f64) -> bool {
         self.constraints.iter().all(|c| {
             let lhs: f64 = c
@@ -907,7 +872,10 @@ mod tests {
                 lp.add_constraint(terms(row), op, r(rhs));
             }
             lp.set_objective(terms(objective));
-            let exact_solves = [("exact", lp.solve_exact()), ("certified", lp.solve_certified())];
+            let exact_solves = [
+                ("exact", lp.solve_exact()),
+                ("certified", lp.solve_certified(None, &[])),
+            ];
             for (solve, solution) in exact_solves {
                 assert_eq!(solution.status, status, "{name} ({solve})");
                 assert_eq!(solution.objective, optimum.map(r), "{name} ({solve})");
@@ -1070,7 +1038,7 @@ mod tests {
         let optimum = q(51_881_578_059, 476).to_f64();
         let relative = (float.objective.unwrap() / optimum - 1.0).abs();
         assert!(relative < 1e-9, "f64 optimum off by {relative}");
-        assert_eq!(lp.solve_certified().objective, exact.objective);
+        assert_eq!(lp.solve_certified(None, &[]).objective, exact.objective);
     }
 
     #[test]
@@ -1110,18 +1078,14 @@ mod tests {
     }
 
     #[test]
-    fn basis_wire_round_trips_with_and_without_fingerprint() {
+    fn fresh_bases_are_unstamped_until_rebadged() {
         let (lp, _, _) = small_lp();
         let basis = lp.solve_exact().basis;
         assert!(!basis.is_empty());
         assert_eq!(basis.fingerprint(), None, "a fresh solve leaves the basis unstamped");
-        assert_eq!(LpBasis::from_wire(&basis.to_wire()), Some(basis.clone()));
-        let stamped = basis.rebadged(0xdead_beef_0123_4567);
+        let stamped = basis.clone().rebadged(0xdead_beef_0123_4567);
         assert_eq!(stamped.fingerprint(), Some(0xdead_beef_0123_4567));
-        assert_eq!(LpBasis::from_wire(&stamped.to_wire()), Some(stamped));
-        // Malformed fingerprint fields are refused, empty bases survive.
-        assert_eq!(LpBasis::from_wire("zz|x"), None);
-        assert_eq!(LpBasis::from_wire("-"), Some(LpBasis::default()));
+        assert_eq!(stamped.len(), basis.len(), "stamping keeps the basic columns");
     }
 
     #[test]

@@ -21,6 +21,14 @@
 //!   column's reduced-cost verdict until a dual row in its support actually changes —
 //!   both updates are exact rational arithmetic, so the optimality proof is untouched.
 //!
+//! The `f64` backend only *proposes*: its verdicts steer the certified driver
+//! ([`crate::certify`]), which decides every answer in exact arithmetic, and the
+//! invariant engine's `solve_f64` callers read any status other than `Optimal` or
+//! `Infeasible` conservatively. So when a float run cannot tell what it is looking at
+//! — a direction with no usable blocking row that is not a clear ray, or basic values
+//! visibly negative at the end — it reports [`LpStatus::IterationLimit`], the honest
+//! "don't know", instead of trying to rescue the run.
+//!
 //! The same machinery provides **warm starts**: a caller-supplied set of preferred
 //! columns is run through the reinversion routine first (columns that prove dependent
 //! are skipped), artificial columns cover whatever rows remain, and phase 1 begins from
@@ -202,42 +210,27 @@ impl<S: Scalar> Factorization<S> {
     ///
     /// Columns are processed in the given order; each is transformed through the etas
     /// accumulated so far and pivots on the still-unassigned row where it is largest
-    /// — columns whose best available pivot is below `min_pivot` (they are dependent,
-    /// or near-dependent, on the ones already processed) are skipped. Rows left
-    /// unassigned afterwards are covered by artificial columns, so the routine always
-    /// produces a complete basis. Returns the rows that fell back to artificials and
-    /// the element-growth factor of the rebuild (max transformed magnitude observed);
-    /// callers treat excessive growth as a sign the preferred basis is too
-    /// ill-conditioned to factorize at this tolerance and retry stricter.
-    fn reinvert(
-        columns: &Columns<S>,
-        preferred: &[usize],
-        min_pivot: f64,
-    ) -> (Factorization<S>, Vec<usize>, f64) {
+    /// — columns whose best available pivot is below [`PIVOT_EPS`] (they are
+    /// dependent, or near-dependent, on the ones already processed) are skipped. Rows
+    /// left unassigned afterwards are covered by artificial columns, so the routine
+    /// always produces a complete basis.
+    fn reinvert(columns: &Columns<S>, preferred: &[usize]) -> Factorization<S> {
         let m = columns.rows;
         let n = columns.cols.len();
         let mut factor = Factorization { etas: Vec::new(), basis: vec![usize::MAX; m] };
         let mut assigned = vec![false; m];
         let mut work = vec![S::zero(); m];
         let mut placed = vec![false; n + m];
-        let mut growth = 0.0f64;
         let accept = |factor: &mut Factorization<S>,
-                          assigned: &mut Vec<bool>,
-                          growth: &mut f64,
-                          work: &[S],
-                          col: usize,
-                          floor: f64|
+                      assigned: &mut Vec<bool>,
+                      work: &[S],
+                      col: usize,
+                      floor: f64|
          -> bool {
             let mut best: Option<usize> = None;
             for (row, value) in work.iter().enumerate() {
                 if assigned[row] || value.is_exactly_zero() {
                     continue;
-                }
-                if !S::IS_EXACT {
-                    let magnitude = value.to_f64().abs();
-                    if magnitude > *growth {
-                        *growth = magnitude;
-                    }
                 }
                 let better = match best {
                     None => true,
@@ -262,7 +255,7 @@ impl<S: Scalar> Factorization<S> {
             }
             columns.scatter(col, &mut work);
             factor.ftran(&mut work);
-            if accept(&mut factor, &mut assigned, &mut growth, &work, col, min_pivot) {
+            if accept(&mut factor, &mut assigned, &work, col, PIVOT_EPS) {
                 placed[col] = true;
             }
         }
@@ -271,9 +264,8 @@ impl<S: Scalar> Factorization<S> {
         // best pivot row is not necessarily its own row once etas are in play). The
         // first sweep respects the pivot floor; the second drops it, because a
         // complete factorization — even a poorly conditioned one — beats an
-        // incomplete basis, and the growth report tells the caller to distrust it.
-        let mut fallback = Vec::new();
-        for floor in [min_pivot, 0.0] {
+        // incomplete basis.
+        for floor in [PIVOT_EPS, 0.0] {
             if !assigned.iter().any(|&a| !a) {
                 break;
             }
@@ -287,13 +279,12 @@ impl<S: Scalar> Factorization<S> {
                 }
                 columns.scatter(col, &mut work);
                 factor.ftran(&mut work);
-                if accept(&mut factor, &mut assigned, &mut growth, &work, col, floor) {
+                if accept(&mut factor, &mut assigned, &work, col, floor) {
                     placed[col] = true;
-                    fallback.push(row);
                 }
             }
         }
-        (factor, fallback, growth)
+        factor
     }
 }
 
@@ -302,16 +293,11 @@ impl<S: Scalar> Factorization<S> {
 /// entire cost of rational arithmetic — a fill-oblivious rebuild is what used to make
 /// warm-started exact solves *slower* than cold ones), while `f64` keeps the
 /// magnitude-pivoted reinversion (numerical stability is what matters there).
-fn build_factorization<S: Scalar>(
-    columns: &Columns<S>,
-    preferred: &[usize],
-    min_pivot: f64,
-) -> (Factorization<S>, Vec<usize>, f64) {
+fn build_factorization<S: Scalar>(columns: &Columns<S>, preferred: &[usize]) -> Factorization<S> {
     if S::IS_EXACT {
-        let lu = crate::lu::factorize_markowitz(columns, preferred);
-        (lu.factor, lu.artificial_rows, 0.0)
+        crate::lu::factorize_markowitz(columns, preferred).factor
     } else {
-        Factorization::reinvert(columns, preferred, min_pivot)
+        Factorization::reinvert(columns, preferred)
     }
 }
 
@@ -351,34 +337,17 @@ pub(crate) struct RevisedOutcome<S> {
 /// [`Factorization::reinvert`]); `phase1_noise_floor` is the `f64` backend's tolerance
 /// for accepting a slightly-positive phase-1 optimum as feasible (the caller accounts
 /// for deliberate right-hand-side perturbations there).
-#[cfg(test)]
 pub(crate) fn solve_revised<S: Scalar>(
     form: &StandardForm<S>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
     phase1_noise_floor: f64,
 ) -> RevisedOutcome<S> {
-    solve_revised_capped(form, deadline, warm, phase1_noise_floor, None)
-}
-
-/// Like [`solve_revised`], with an optional externally-imposed pivot cap per phase.
-///
-/// The float-first driver's exact *repair* rounds use the cap to bound how long a
-/// single round may pivot before its basis is re-certified; a capped run that stops
-/// early reports [`LpStatus::IterationLimit`] with its final basis intact, which the
-/// next round resumes from.
-pub(crate) fn solve_revised_capped<S: Scalar>(
-    form: &StandardForm<S>,
-    deadline: &Deadline,
-    warm: Option<&[usize]>,
-    phase1_noise_floor: f64,
-    iter_cap: Option<usize>,
-) -> RevisedOutcome<S> {
     let m = form.num_rows();
     let n = form.costs.len();
 
     let mut state = State::new(form, warm);
-    let max_iters = iter_cap.unwrap_or(200 * (m + n) + 2000);
+    let max_iters = 200 * (m + n) + 2000;
 
     // Phase 1: minimize the sum of the artificial values.
     let needs_phase1 = state
@@ -504,10 +473,6 @@ struct State<'a, S> {
     lu_updates: usize,
     /// Mid-run full refactorizations (see [`RevisedOutcome::lu_refactorizations`]).
     lu_refactorizations: usize,
-    /// `true` when the last reinversion had to replace a (near-)dependent basis
-    /// column with an artificial — the factorization then describes a *different*
-    /// basis than the pivot sequence built, so verdicts are suspect.
-    degraded: bool,
 }
 
 impl<'a, S: Scalar> State<'a, S> {
@@ -516,7 +481,7 @@ impl<'a, S: Scalar> State<'a, S> {
         let m = columns.rows;
         let n = columns.cols.len();
         let build = |preferred: &[usize]| -> (Factorization<S>, Vec<S>) {
-            let (factor, _, _) = build_factorization(columns, preferred, PIVOT_EPS);
+            let factor = build_factorization(columns, preferred);
             let mut x = form.rhs.clone();
             factor.ftran(&mut x);
             (factor, x)
@@ -558,7 +523,6 @@ impl<'a, S: Scalar> State<'a, S> {
             base_fill,
             lu_updates: 0,
             lu_refactorizations: 0,
-            degraded: false,
         }
     }
 
@@ -583,30 +547,13 @@ impl<'a, S: Scalar> State<'a, S> {
     }
 
     /// Rebuilds the factorization for the current basis and refreshes `x_basic`.
-    ///
-    /// When the rebuild shows excessive element growth — the tell-tale of a
-    /// near-singular basis, whose factorization would poison every subsequent
-    /// FTRAN/BTRAN with astronomically scaled entries — it is retried with a much
-    /// stricter pivot-acceptance threshold: the near-dependent columns drop out,
-    /// artificials take their rows, and the simplex re-drives them out along a
-    /// better-conditioned path.
     fn reinvert(&mut self) {
-        const GROWTH_LIMIT: f64 = 1e8;
-        let preferred = self.factor.basis.clone();
-        let (mut factor, mut fallback, growth) =
-            build_factorization(self.columns, &preferred, PIVOT_EPS);
-        if !S::IS_EXACT && growth > GROWTH_LIMIT {
-            let strict = Factorization::reinvert(self.columns, &preferred, 1e-4);
-            factor = strict.0;
-            fallback = strict.1;
-        }
         let n = self.columns.cols.len();
-        self.factor = factor;
+        self.factor = build_factorization(self.columns, &self.factor.basis);
         self.in_basis = vec![false; n + self.columns.rows];
         for &col in &self.factor.basis {
             self.in_basis[col] = true;
         }
-        self.degraded = !fallback.is_empty();
         self.x_basic = self.form.rhs.clone();
         self.factor.ftran(&mut self.x_basic);
         self.etas_since_reinvert = 0;
@@ -624,7 +571,6 @@ impl<'a, S: Scalar> State<'a, S> {
         const MAX_CONFIRMS: usize = 3;
         let m = self.columns.rows;
         let n = self.columns.cols.len();
-        let bland_after = max_iters / 2;
         let mut confirms = 0usize;
         // Degeneracy throttle: after a long run of zero-step pivots, Dantzig pricing
         // is just orbiting a degenerate vertex; switching to Bland's rule (first
@@ -642,15 +588,6 @@ impl<'a, S: Scalar> State<'a, S> {
         // `nested` LP); Devex cuts that by an order of magnitude at the price of one
         // extra BTRAN and one column sweep per pivot.
         let mut weights = vec![1.0f64; n];
-        // Columns whose transformed direction had no numerically usable pivot; they
-        // sit out until the next reinversion gives them a cleaner transform. A
-        // verdict reached while bans are active is only accepted after a bounded
-        // number of clear-and-retry rounds, so bans never silently hide columns from
-        // the final optimality proof.
-        let mut banned = vec![false; n];
-        let mut ban_active = false;
-        let mut ban_resets = 0usize;
-        const MAX_BAN_RESETS: usize = 8;
         // Exact-backend candidate queue: one full Bland sweep is `O(n · nnz)` in
         // rational arithmetic and dominates the per-pivot cost on the big Handelman
         // systems, so a sweep banks the next [`EXACT_QUEUE`] improving columns (in
@@ -728,8 +665,6 @@ impl<'a, S: Scalar> State<'a, S> {
             };
             if wants_reinvert {
                 self.reinvert();
-                banned.iter_mut().for_each(|b| *b = false);
-                ban_active = false;
                 // The dual `y = c_B B⁻¹` depends only on the basis, which a rebuild
                 // preserves — but a rebuild may *degrade* (swap a dependent column
                 // for an artificial), and a fresh short factorization re-derives the
@@ -762,9 +697,7 @@ impl<'a, S: Scalar> State<'a, S> {
             // bias completes the proof. The sweep cost is amortized through the
             // candidate queue above. The f64 backend prices with Devex from a full
             // sweep and falls back to Bland on degeneracy.
-            let use_bland = S::IS_EXACT
-                || iteration >= bland_after
-                || consecutive_degenerate >= BLAND_AFTER_DEGENERATE;
+            let use_bland = S::IS_EXACT || consecutive_degenerate >= BLAND_AFTER_DEGENERATE;
             let mut entering: Option<(usize, f64)> = None;
             // Exact backend: the entering column's *exact* reduced cost, recorded at
             // pricing time — the incremental dual update at the pivot step needs it
@@ -797,7 +730,7 @@ impl<'a, S: Scalar> State<'a, S> {
                     // and entering on it follows the ray `−e_r` to a false
                     // `Unbounded`.
                     let twin_basic = self.twin[j] != usize::MAX && self.in_basis[self.twin[j]];
-                    if self.in_basis[j] || banned[j] || twin_basic {
+                    if self.in_basis[j] || twin_basic {
                         continue;
                     }
                     let reduced;
@@ -881,22 +814,7 @@ impl<'a, S: Scalar> State<'a, S> {
                 if !S::IS_EXACT && self.etas_since_reinvert > 0 && confirms < MAX_CONFIRMS {
                     confirms += 1;
                     self.reinvert();
-                    banned.iter_mut().for_each(|b| *b = false);
-                    ban_active = false;
                     continue;
-                }
-                if !S::IS_EXACT && ban_active {
-                    // "No improving column" while columns are banned is not a proof.
-                    // Clear the bans (the factorization is fresh here, so their
-                    // transforms are clean again) and re-price; give up honestly if
-                    // the ban cycle will not die down.
-                    if ban_resets < MAX_BAN_RESETS {
-                        ban_resets += 1;
-                        banned.iter_mut().for_each(|b| *b = false);
-                        ban_active = false;
-                        continue;
-                    }
-                    return LpStatus::IterationLimit;
                 }
                 if !S::IS_EXACT && !fine_pricing && matches!(phase, Phase::Two) {
                     // Coarse tolerance exhausted on fresh data: run the fine endgame
@@ -949,13 +867,9 @@ impl<'a, S: Scalar> State<'a, S> {
             // (the Handelman norm). Such rows block at θ = 0, which drives the
             // artificial out of the basis on demand.
             //
-            // For `f64` the choice among (near-)tied rows is Harris-flavoured: a
-            // first pass finds the minimum ratio, a second pass picks, among rows
-            // whose ratio is within a whisker of it, the row with the numerically
-            // largest pivot (preferring artificial evictions). Degenerate systems tie
-            // thousands of rows at θ = 0; always pivoting on the largest entry is
-            // what keeps the eta file from amplifying round-off until the basic
-            // values drift visibly negative.
+            // For `f64`, entries below `PIVOT_EPS` do not block: pivoting on them
+            // would amplify round-off through every later FTRAN/BTRAN. A direction
+            // left without a blocking row is judged after the ratio test.
             // In phase 1 an artificial with a still-positive value may trade off
             // against others (only zero-valued ones are pinned); in phase 2 *no*
             // artificial may grow — its phase-2 cost is zero, so nothing would ever
@@ -1016,75 +930,32 @@ impl<'a, S: Scalar> State<'a, S> {
                     leaving = Some(row);
                 }
             }
-            if leaving.is_none() && !S::IS_EXACT {
-                // No acceptable blocking row. Before concluding "unbounded", re-run
-                // the ratio test over positive entries below the pivot-size screen —
-                // a direction blocked only by small pivots is not unbounded. Entries
-                // under the hard floor stay rejected (dividing by a ~1e-300 pivot
-                // NaN-poisons the eta file); if nothing ≥ the floor blocks either,
-                // the column is numerically unusable: ban it until the next
-                // reinversion and re-price instead of pivoting on garbage.
-                const PIVOT_FLOOR: f64 = 1e-12;
-                let mut best: Option<usize> = None;
-                for (row, value) in d.iter().enumerate() {
-                    // `partial_cmp` keeps the NaN behaviour explicit: a NaN pivot
-                    // compares as None and is rejected like a sub-floor one.
-                    let usable = value
-                        .to_f64()
-                        .partial_cmp(&PIVOT_FLOOR)
-                        .is_some_and(|o| o != std::cmp::Ordering::Less);
-                    if !usable {
-                        continue;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            let ratio = self.x_basic[row].to_f64() / value.to_f64();
-                            let best_ratio = self.x_basic[b].to_f64() / d[b].to_f64();
-                            ratio < best_ratio
-                                || (ratio == best_ratio && d[b].to_f64() < value.to_f64())
-                        }
-                    };
-                    if better {
-                        best = Some(row);
-                    }
-                }
-                leaving = best;
-                if leaving.is_none() && d.iter().any(|v| v.to_f64() > 0.0) {
-                    banned[entering] = true;
-                    ban_active = true;
-                    continue;
-                }
-            }
             let Some(leaving) = leaving else {
-                // No positive entry: unbounded — or drift. Confirm before giving up.
+                // No blocking row: unbounded — or drift. Confirm before giving up.
                 if !S::IS_EXACT && self.etas_since_reinvert > 0 && confirms < MAX_CONFIRMS {
                     confirms += 1;
                     self.reinvert();
-                    banned.iter_mut().for_each(|b| *b = false);
-                    ban_active = false;
                     continue;
                 }
                 if !S::IS_EXACT {
-                    // A phase-1 unbounded claim is always numerics (the objective is
-                    // bounded below by zero), and so is a *transformed* direction
-                    // that is numerically null. One exception: a structurally empty
-                    // column (no constraint mentions it) with negative cost is a
-                    // genuine ray once phase 1 has established feasibility — that is
-                    // exactly how an unconstrained negative-cost variable surfaces
-                    // (whether it is a ray depends on the other rows being
-                    // feasible, which only phase 1 can tell). Ban everything else
-                    // and re-price instead of surfacing a false verdict.
+                    // A structurally empty column (no constraint mentions it) with
+                    // negative cost is a genuine ray once phase 1 has established
+                    // feasibility — that is how an unconstrained negative-cost
+                    // variable surfaces (whether it is a ray depends on the other
+                    // rows being feasible, which only phase 1 can tell). Otherwise
+                    // the direction is a ray only in phase 2 (phase 1 is bounded
+                    // below by zero) and only if it clearly moves some basic value
+                    // and no positive entry below the pivot screen could block it.
+                    // Anything else is numerics this backend cannot judge.
                     let structurally_empty = entering < self.columns.cols.len()
                         && self.columns.cols[entering].is_empty();
                     if matches!(phase, Phase::Two) && structurally_empty {
                         return LpStatus::Unbounded;
                     }
                     let has_negative = d.iter().any(|v| v.to_f64() < -1e-9);
-                    if matches!(phase, Phase::One) || !has_negative {
-                        banned[entering] = true;
-                        ban_active = true;
-                        continue;
+                    let has_positive = d.iter().any(|v| v.to_f64() > 0.0);
+                    if matches!(phase, Phase::One) || !has_negative || has_positive {
+                        return LpStatus::IterationLimit;
                     }
                 }
                 return LpStatus::Unbounded;
@@ -1171,7 +1042,6 @@ impl<'a, S: Scalar> State<'a, S> {
             self.in_basis[self.factor.basis[leaving]] = false;
             self.in_basis[entering] = true;
             self.factor.basis[leaving] = entering;
-            let pivot_magnitude = d[leaving].to_f64().abs();
             self.factor.push_eta(&d, leaving);
             self.etas_since_reinvert += 1;
             if let Some(eta) = self.factor.etas.last() {
@@ -1181,12 +1051,6 @@ impl<'a, S: Scalar> State<'a, S> {
                 self.lu_updates += 1;
             }
             self.iterations += 1;
-            if !S::IS_EXACT && pivot_magnitude < 1e-6 {
-                // A small accepted pivot is exactly what compounds into an
-                // ill-conditioned eta file; refactorize immediately instead of
-                // letting it fester for another reinversion period.
-                self.etas_since_reinvert = REINVERT_EVERY;
-            }
         }
         LpStatus::IterationLimit
     }
@@ -1262,6 +1126,38 @@ mod tests {
         assert_eq!(out.status, LpStatus::Unbounded);
     }
 
+    /// minimize -x  s.t.  1e-9·x + s0 = 1,  x - s1 = 0: optimum -1e9 at x = 1e9.
+    /// Once `s0` and `x` are basic, the only improving column `s1` has direction
+    /// (1e-9, -1): its one blocking entry is below `PIVOT_EPS`, so the `f64` backend
+    /// may not call the problem unbounded — it does not know, and says so. The
+    /// certified driver then hands the form to the exact simplex, which finds the
+    /// optimum. (Equilibration leaves this form as it is: every column and row
+    /// already has a unit maximum.)
+    #[test]
+    fn a_sub_screen_blocking_entry_is_not_a_ray() {
+        let form = StandardForm::from_dense(
+            vec![vec![1e-9, 1.0, 0.0], vec![1.0, 0.0, -1.0]],
+            vec![1.0, 0.0],
+            vec![-1.0, 0.0, 0.0],
+        );
+        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+        assert_eq!(out.status, LpStatus::IterationLimit);
+
+        let billion = 1_000_000_000;
+        let exact = StandardForm::from_dense(
+            vec![vec![r(1, billion), r(1, 1), r(0, 1)], vec![r(1, 1), r(0, 1), r(-1, 1)]],
+            vec![r(1, 1), r(0, 1)],
+            vec![r(-1, 1), r(0, 1), r(0, 1)],
+        );
+        let solution =
+            crate::certify::solve_float_first(&exact, &Deadline::unlimited(), None, &[]);
+        assert_eq!(solution.status, LpStatus::Optimal);
+        assert!(solution.info.certified);
+        assert_eq!(solution.info.certify_rounds, 0, "the float phase proposed nothing");
+        assert!(solution.info.exact_iterations > 0);
+        assert_eq!(solution.values, vec![r(billion, 1), r(0, 1), r(billion, 1)]);
+    }
+
     #[test]
     fn warm_start_reuses_the_final_basis() {
         // minimize x + y s.t. x + 2y - s1 = 4, 3x + y - s2 = 6.
@@ -1314,7 +1210,7 @@ mod tests {
             }
             // Preferred list with duplicates and likely-dependent columns.
             let preferred: Vec<usize> = (0..n + 2).map(|_| (next() % n as u64) as usize).collect();
-            let (factor, _, _) = Factorization::reinvert(&columns, &preferred, PIVOT_EPS);
+            let factor = Factorization::reinvert(&columns, &preferred);
             // Check every structural column: multiply B by ftran(A_j) and compare.
             for j in 0..n {
                 let mut original = vec![0.0f64; m];

@@ -14,13 +14,14 @@
 //! All-zero columns need no special case: such a column's reduced cost is its own
 //! cost, so phase 2 prices it in only when that cost is negative — and then it is a
 //! genuine unbounded ray. [`crate::revised`] solves the form sparsely with
-//! warm-start support. An `f64` run that fails to converge reports
-//! [`LpStatus::IterationLimit`] and proposes no basis; the float-first driver then
-//! hands the problem to the exact simplex (see [`crate::certify`]).
+//! warm-start support. An `f64` run that fails to converge, or meets a direction it
+//! cannot judge, reports [`LpStatus::IterationLimit`] and proposes no basis; the
+//! float-first driver then hands the problem to the exact simplex (see
+//! [`crate::certify`]).
 
 use crate::deadline::Deadline;
 use crate::problem::{LpSolveInfo, LpStatus};
-use crate::revised::{solve_revised_capped, Columns};
+use crate::revised::{solve_revised, Columns};
 use crate::scalar::{abs as abs_scalar, Scalar};
 
 /// A problem in standard form: minimize `costs · y` subject to `A · y = rhs`,
@@ -135,10 +136,10 @@ pub(crate) fn solve_standard_form<S: Scalar>(
     // perturbation is applied from the start instead of after a failed plain solve.
     let perturb_immediately = !S::IS_EXACT && form.num_rows() >= PERTURB_ROWS_THRESHOLD;
     let first_perturbation = if perturb_immediately { PERTURBATION } else { 0.0 };
-    let solution = solve_standard_form_inner(form, deadline, first_perturbation, warm, None);
+    let solution = solve_standard_form_inner(form, deadline, first_perturbation, warm);
     if !S::IS_EXACT && !perturb_immediately && solution.status == LpStatus::Infeasible {
         let retry_warm = if solution.basis.is_empty() { warm } else { Some(&solution.basis[..]) };
-        return solve_standard_form_inner(form, deadline, PERTURBATION, retry_warm, None);
+        return solve_standard_form_inner(form, deadline, PERTURBATION, retry_warm);
     }
     solution
 }
@@ -152,8 +153,7 @@ pub(crate) const PERTURBATION: f64 = 1e-7;
 pub(crate) const PERTURB_ROWS_THRESHOLD: usize = 384;
 
 /// The equilibrate → perturb → revised-simplex core shared by the plain driver and
-/// the float-first certification driver; `iter_cap` bounds the revised simplex's
-/// pivots (used for the capped exact repair rounds).
+/// the float-first certification driver.
 ///
 /// Exact solves run on `form` itself. `f64` solves run on an equilibrated (and, for
 /// a positive `perturbation`, perturbed) sparse copy; see [`scaled_copy`].
@@ -162,7 +162,6 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     deadline: &Deadline,
     perturbation: f64,
     warm: Option<&[usize]>,
-    iter_cap: Option<usize>,
 ) -> RawSolution<S> {
     let num_rows = form.num_rows();
     let num_structural = form.costs.len();
@@ -197,11 +196,11 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     // constraints by `LpProblem::solve_f64` either way.
     let noise_floor = 1e-6 * (num_rows as f64).max(1.0) + 2.0 * total_perturbation;
 
-    let mut outcome = solve_revised_capped(form, deadline, warm, noise_floor, iter_cap);
-    // An uncapped `f64` run that did not converge proposes no candidate basis: the
-    // exact fallback then warm-starts from the caller's basis instead of from
-    // wherever the float pivots stalled.
-    if !S::IS_EXACT && iter_cap.is_none() && outcome.status == LpStatus::IterationLimit {
+    let mut outcome = solve_revised(form, deadline, warm, noise_floor);
+    // An `f64` run that did not converge proposes no candidate basis: the exact
+    // simplex then warm-starts from the caller's basis instead of from wherever the
+    // float pivots stalled.
+    if !S::IS_EXACT && outcome.status == LpStatus::IterationLimit {
         outcome.basis.clear();
     }
 

@@ -121,7 +121,7 @@ fn certified_driver_matches_exact_simplex_on_random_lps() {
                 .collect(),
         );
 
-        let certified = lp.solve_certified();
+        let certified = lp.solve_certified(None, &[]);
         let exact = lp.solve_exact();
         assert_eq!(
             certified.status, exact.status,
@@ -147,7 +147,7 @@ fn certified_driver_matches_exact_simplex_on_random_lps() {
     assert!(optimal > 400, "only {optimal} optimal instances — fuzz lost its teeth");
     assert!(
         certified_repairs > 0,
-        "no case ever took the exact-repair path — the loop is untested"
+        "no case ever took the exact-repair path — the exact run is untested"
     );
 }
 
@@ -189,8 +189,10 @@ fn smoke_rows_reproduce_the_committed_pivot_counts() {
             .unwrap_or_else(|| panic!("{name} has a committed row"));
         let stats = benchmark(name).solve().expect("smoke row solves").stats;
         // Row generation is one core stage plus at most one full stage, and the
-        // full stage carries every lazy column.
+        // full stage carries every lazy column. A float optimum is certified once;
+        // a rejection goes straight to one exact run.
         assert!(stats.lp_separation_rounds <= 2, "{name}: more than two rowgen stages");
+        assert!(stats.lp_certify_rounds <= 1, "{name}: more than one certification");
         if stats.lp_separation_rounds == 2 {
             assert_eq!(stats.lp_products_generated, stats.lp_products_total, "{name}");
         }
