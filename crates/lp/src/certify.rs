@@ -95,7 +95,7 @@ fn certify_basis(
     if deadline.expired() {
         return Certified::Rejected { dual_bound: None };
     }
-    let lu = factorize_markowitz(columns, basis);
+    let factor = factorize_markowitz(columns, basis);
     if deadline.expired() {
         return Certified::Rejected { dual_bound: None };
     }
@@ -104,23 +104,23 @@ fn certify_basis(
     // A violation no longer aborts the pass: the dual pricing below may still
     // salvage an exact lower bound from the rejected basis.
     let mut x_basic = form.rhs.clone();
-    lu.factor.ftran(&mut x_basic);
+    factor.ftran(&mut x_basic);
     let primal_ok = x_basic.iter().enumerate().all(|(pos, value)| {
-        !value.is_negative() && (lu.factor.basis[pos] < n || value.is_zero())
+        !value.is_negative() && (factor.basis[pos] < n || value.is_zero())
     });
 
     // Exact dual feasibility: y = c_B B⁻¹, r_j = c_j − y·A_j ≥ 0 for every nonbasic
     // structural column (artificials carry cost 0; basic columns price to 0 exactly).
     let mut y = vec![Rational::zero(); m];
     for (pos, value) in y.iter_mut().enumerate() {
-        let col = lu.factor.basis[pos];
+        let col = factor.basis[pos];
         if col < n {
             *value = form.costs[col].clone();
         }
     }
-    lu.factor.btran(&mut y);
+    factor.btran(&mut y);
     let mut in_basis = vec![false; n];
-    for &col in &lu.factor.basis {
+    for &col in &factor.basis {
         if col < n {
             in_basis[col] = true;
         }
@@ -150,12 +150,12 @@ fn certify_basis(
     }
 
     let mut values = vec![Rational::zero(); n];
-    for (pos, &col) in lu.factor.basis.iter().enumerate() {
+    for (pos, &col) in factor.basis.iter().enumerate() {
         if col < n {
             values[col] = x_basic[pos].clone();
         }
     }
-    let basis = lu.factor.basis.iter().copied().filter(|&col| col < n).collect();
+    let basis = factor.basis.iter().copied().filter(|&col| col < n).collect();
     Certified::Accepted(Certificate { values, basis, dual: y })
 }
 
@@ -181,14 +181,14 @@ fn phase1_farkas(
     }
     let columns = &form.columns;
     let n = columns.cols.len();
-    let lu = factorize_markowitz(columns, basis);
+    let factor = factorize_markowitz(columns, basis);
     let mut y = vec![Rational::zero(); columns.rows];
     for (pos, value) in y.iter_mut().enumerate() {
-        if lu.factor.basis[pos] >= n {
+        if factor.basis[pos] >= n {
             *value = Rational::one();
         }
     }
-    lu.factor.btran(&mut y);
+    factor.btran(&mut y);
     let mut y_dot_b = Rational::zero();
     for (value, b) in y.iter().zip(&form.rhs) {
         y_dot_b = y_dot_b.add(&value.mul(b));

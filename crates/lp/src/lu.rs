@@ -19,30 +19,11 @@
 //!
 //! Rank deficiency is handled the way the simplex does: structural columns whose
 //! active entries are exhausted are dropped, and rows left unassigned at the end are
-//! covered by artificial identity columns (reported to the caller — a certified
-//! solution must carry *zero* in those rows).
+//! covered by artificial identity columns (`basis[row] ≥ n` — a certified solution
+//! must carry *zero* in those rows).
 
 use crate::revised::{Columns, Eta, Factorization};
 use crate::scalar::Scalar;
-
-/// The result of a Markowitz factorization.
-// The diagnostic fields (`artificial_rows`, `dropped_cols`, `fill`) are consumed by
-// the unit tests and kept for debug tooling; the certifier reads the padded basis
-// directly off `factor.basis`.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) struct LuFactors<S> {
-    /// The product-form factorization; `basis[row]` is the column assigned to `row`
-    /// (structural index, or `n + row'` for an artificial filler).
-    pub factor: Factorization<S>,
-    /// Rows that had to fall back to artificial columns (the preferred basis was
-    /// rank-deficient there).
-    pub artificial_rows: Vec<usize>,
-    /// Preferred columns that proved linearly dependent and were dropped.
-    pub dropped_cols: Vec<usize>,
-    /// Non-zeros of the eta file (the fill the Markowitz ordering was minimizing;
-    /// surfaced for diagnostics).
-    pub fill: usize,
-}
 
 /// How many equally-sparse candidate columns the pivot search examines per step
 /// (Suhl-style bounded Markowitz search; beyond a handful the ordering quality gain
@@ -86,11 +67,13 @@ pub(crate) fn should_refactorize(
 type SparseCol<S> = Vec<(usize, S)>;
 
 /// Factorizes the basis `{columns[j] : j ∈ basis_cols}` (deduplicated, in Markowitz
-/// order) and pads uncovered rows with artificials.
+/// order) and pads uncovered rows with artificials. In the result, `basis[row]` is
+/// the column assigned to `row`: a structural index, or `n + row'` for an
+/// artificial filler; preferred columns that proved linearly dependent are absent.
 pub(crate) fn factorize_markowitz<S: Scalar>(
     columns: &Columns<S>,
     basis_cols: &[usize],
-) -> LuFactors<S> {
+) -> Factorization<S> {
     let m = columns.rows;
     let n = columns.cols.len();
 
@@ -115,8 +98,6 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
     let mut factor = Factorization { etas: Vec::new(), basis: vec![usize::MAX; m] };
     let mut assigned = vec![false; m];
     let mut processed = vec![false; work.len()];
-    let mut dropped_cols = Vec::new();
-    let mut fill = 0usize;
 
     // Active counts: `col_count[k]` = non-zeros of working column `k` in unassigned
     // rows; `row_count[i]` = non-zeros of row `i` across unprocessed working columns.
@@ -139,7 +120,6 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
                         row_count[*row] -= 1;
                     }
                 }
-                dropped_cols.push(work_col_id[k]);
             }
         }
         // Bounded Markowitz search: examine the `CANDIDATE_COLS` sparsest active
@@ -191,7 +171,6 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
             .map(|(row, v)| (*row, v.clone()))
             .collect();
         let eta = Eta { pivot: pivot_row, pivot_value, others };
-        fill += 1 + eta.others.len();
 
         // Retire the pivot column and row from the active counts.
         processed[k] = true;
@@ -267,15 +246,8 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
         factor.etas.push(eta);
     }
 
-    for (k, done) in processed.iter().enumerate() {
-        if !done {
-            dropped_cols.push(work_col_id[k]);
-        }
-    }
-
     // Artificial padding for uncovered rows, transformed through the accumulated etas
     // exactly like the simplex's reinversion does.
-    let mut artificial_rows = Vec::new();
     let mut scratch = vec![S::zero(); m];
     for row in 0..m {
         if assigned[row] {
@@ -296,7 +268,6 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
             .filter(|(i, v)| *i != pivot_row && !v.is_exactly_zero())
             .map(|(i, v)| (i, v.clone()))
             .collect();
-        fill += 1 + others.len();
         factor.etas.push(Eta {
             pivot: pivot_row,
             pivot_value: scratch[pivot_row].clone(),
@@ -304,10 +275,9 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
         });
         factor.basis[pivot_row] = col;
         assigned[pivot_row] = true;
-        artificial_rows.push(pivot_row);
     }
 
-    LuFactors { factor, artificial_rows, dropped_cols, fill }
+    factor
 }
 
 #[cfg(test)]
@@ -326,16 +296,16 @@ mod tests {
 
     /// `B · ftran(e_i) = e_i` for every basis column: the factorization really is an
     /// inverse of the chosen basis.
-    fn check_inverse(cols: &Columns<Rational>, lu: &LuFactors<Rational>) {
+    fn check_inverse(cols: &Columns<Rational>, lu: &Factorization<Rational>) {
         let m = cols.rows;
         let n = cols.cols.len();
         for j in 0..n {
             let mut d = vec![Rational::zero(); m];
             cols.scatter(j, &mut d);
-            lu.factor.ftran(&mut d);
+            lu.ftran(&mut d);
             // Reconstruct B · d and compare with the original column.
             let mut reconstructed = vec![Rational::zero(); m];
-            for (pos, &col) in lu.factor.basis.iter().enumerate() {
+            for (pos, &col) in lu.basis.iter().enumerate() {
                 if d[pos].is_exactly_zero() {
                     continue;
                 }
@@ -353,6 +323,17 @@ mod tests {
         }
     }
 
+    /// Rows the factorization had to cover with artificial padding: every basis
+    /// entry outside the preferred set is one.
+    fn artificial_rows(lu: &Factorization<Rational>, preferred: &[usize]) -> usize {
+        lu.basis.iter().filter(|col| !preferred.contains(col)).count()
+    }
+
+    /// Preferred columns that proved linearly dependent and were dropped.
+    fn dropped_cols(lu: &Factorization<Rational>, preferred: &[usize]) -> usize {
+        preferred.iter().filter(|col| !lu.basis.contains(col)).count()
+    }
+
     #[test]
     fn factorizes_a_full_rank_basis_exactly() {
         let cols = columns(&[
@@ -361,14 +342,14 @@ mod tests {
             vec![r(1, 1), r(0, 1), r(1, 1)],
         ]);
         let lu = factorize_markowitz(&cols, &[0, 1, 2]);
-        assert!(lu.artificial_rows.is_empty());
-        assert!(lu.dropped_cols.is_empty());
+        assert_eq!(artificial_rows(&lu, &[0, 1, 2]), 0);
+        assert_eq!(dropped_cols(&lu, &[0, 1, 2]), 0);
         check_inverse(&cols, &lu);
         // ftran solves B x = b exactly: b = (3, 4, 2) → column sums check.
         let mut x = vec![r(3, 1), r(4, 1), r(2, 1)];
-        lu.factor.ftran(&mut x);
+        lu.ftran(&mut x);
         let mut back = vec![Rational::zero(); 3];
-        for (pos, &col) in lu.factor.basis.iter().enumerate() {
+        for (pos, &col) in lu.basis.iter().enumerate() {
             for (row, value) in &cols.cols[col] {
                 back[*row] = back[*row].add(&value.mul(&x[pos]));
             }
@@ -385,8 +366,8 @@ mod tests {
             vec![r(2, 1), r(4, 1)],
         ]);
         let lu = factorize_markowitz(&cols, &[0, 1]);
-        assert_eq!(lu.dropped_cols.len(), 1);
-        assert_eq!(lu.artificial_rows.len(), 1);
+        assert_eq!(dropped_cols(&lu, &[0, 1]), 1);
+        assert_eq!(artificial_rows(&lu, &[0, 1]), 1);
         check_inverse(&cols, &lu);
     }
 
@@ -407,14 +388,12 @@ mod tests {
         let cols = columns(&matrix);
         let basis: Vec<usize> = (0..size).collect();
         let lu = factorize_markowitz(&cols, &basis);
-        assert!(lu.artificial_rows.is_empty());
+        assert_eq!(artificial_rows(&lu, &basis), 0);
         check_inverse(&cols, &lu);
         // Singleton pivots produce 1-entry etas; only the dense column's eta is big.
-        assert!(
-            lu.fill <= 2 * size + size,
-            "fill {} should stay linear in the dimension",
-            lu.fill
-        );
+        // Every entry is inline, so the weighted eta size is the plain non-zero count.
+        let fill = lu.eta_nnz();
+        assert!(fill <= 2 * size + size, "fill {fill} should stay linear in the dimension");
     }
 
     /// The simplex's incremental eta updates and a fresh Markowitz factorization are
@@ -483,7 +462,8 @@ mod tests {
                 // Fresh factorization of the same basis set.
                 let fresh = factorize_markowitz(&cols, &factor.basis);
                 assert!(
-                    fresh.artificial_rows.is_empty() && fresh.dropped_cols.is_empty(),
+                    artificial_rows(&fresh, &factor.basis) == 0
+                        && dropped_cols(&fresh, &factor.basis) == 0,
                     "seed {seed}: pivoted basis must stay nonsingular"
                 );
                 // Primal: B x = b, compared per basis column (the two factorizations
@@ -491,10 +471,9 @@ mod tests {
                 let mut via_eta = b.clone();
                 factor.ftran(&mut via_eta);
                 let mut via_fresh = b.clone();
-                fresh.factor.ftran(&mut via_fresh);
+                fresh.ftran(&mut via_fresh);
                 for (pos, &col) in factor.basis.iter().enumerate() {
                     let fresh_pos = fresh
-                        .factor
                         .basis
                         .iter()
                         .position(|&c| c == col)
@@ -514,8 +493,8 @@ mod tests {
                     factor.basis.iter().map(|&c| cost_of(c)).collect();
                 factor.btran(&mut y_eta);
                 let mut y_fresh: Vec<Rational> =
-                    fresh.factor.basis.iter().map(|&c| cost_of(c)).collect();
-                fresh.factor.btran(&mut y_fresh);
+                    fresh.basis.iter().map(|&c| cost_of(c)).collect();
+                fresh.btran(&mut y_fresh);
                 assert_eq!(
                     y_eta, y_fresh,
                     "seed {seed} pivot {pivots}: dual vectors diverge"
@@ -538,7 +517,7 @@ mod tests {
         // y·A_j computed via btran equals c_B·(B⁻¹A_j) computed via ftran.
         let costs = vec![r(1, 1), r(-2, 1), r(0, 1), r(5, 1)];
         let mut y = costs.clone();
-        lu.factor.btran(&mut y);
+        lu.btran(&mut y);
         for j in 0..4 {
             let mut d = vec![Rational::zero(); 4];
             cols.scatter(j, &mut d);
@@ -547,7 +526,7 @@ mod tests {
                 .enumerate()
                 .fold(Rational::zero(), |acc, (row, v)| acc.add(&y[row].mul(v)));
             cols.scatter(j, &mut d);
-            lu.factor.ftran(&mut d);
+            lu.ftran(&mut d);
             let via_ftran = d
                 .iter()
                 .enumerate()

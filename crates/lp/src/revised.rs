@@ -295,7 +295,7 @@ impl<S: Scalar> Factorization<S> {
 /// magnitude-pivoted reinversion (numerical stability is what matters there).
 fn build_factorization<S: Scalar>(columns: &Columns<S>, preferred: &[usize]) -> Factorization<S> {
     if S::IS_EXACT {
-        crate::lu::factorize_markowitz(columns, preferred).factor
+        crate::lu::factorize_markowitz(columns, preferred)
     } else {
         Factorization::reinvert(columns, preferred)
     }

@@ -9,7 +9,10 @@
 //!
 //! * [`Repr::Small`] holds `num/den` as two `i128`s (denominator positive, fraction
 //!   reduced) and performs all arithmetic with overflow-*checked* machine operations —
-//!   no allocation, no limb loops;
+//!   no allocation, no limb loops. The operands exact pivoting meets most are integers
+//!   and word-sized fractions, so integer operands skip the gcds, a unit operand ends a
+//!   gcd at once, and gcds and exact divisions run in 64-bit words when the values
+//!   fit (`i128` division is a library call);
 //! * [`Repr::Big`] holds the [`BigInt`] pair and is used **only** when the value does
 //!   not fit the small form. Every constructor demotes eagerly, so the representation
 //!   is canonical and derived equality/hashing are exact.
@@ -66,11 +69,55 @@ fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
     }
 }
 
+/// [`gcd_u128`] in 64-bit words.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
 /// GCD of two `i128`s as a non-negative `i128` (`None` if the result is `2^127`,
-/// which only happens for `gcd(i128::MIN, 0|i128::MIN)`).
+/// which only happens for `gcd(i128::MIN, 0|i128::MIN)`), in the cheapest word that
+/// holds the magnitudes: exact pivoting mostly meets a unit operand (integers, `±1`
+/// entries) or word-sized values.
 fn gcd_i128(a: i128, b: i128) -> Option<i128> {
-    let g = gcd_u128(a.unsigned_abs(), b.unsigned_abs());
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
+    if a == 1 || b == 1 {
+        return Some(1);
+    }
+    let g = match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => u128::from(gcd_u64(a, b)),
+        _ => gcd_u128(a, b),
+    };
     i128::try_from(g).ok()
+}
+
+/// `v / g` for a positive `g` that divides `v`: free for `g = 1`, one 64-bit division
+/// when both fit `i64` (`i128` division is a library call), else `i128` division.
+fn div_exact(v: i128, g: i128) -> i128 {
+    debug_assert!(g > 0 && v % g == 0, "div_exact needs a positive exact divisor");
+    if g == 1 {
+        return v;
+    }
+    match (i64::try_from(v), i64::try_from(g)) {
+        (Ok(v), Ok(g)) => i128::from(v / g),
+        _ => v / g,
+    }
 }
 
 /// The canonical storage: `Small` whenever the reduced fraction fits two `i128`s.
@@ -119,13 +166,15 @@ impl Rational {
         if num == 0 {
             return Rational { repr: Repr::Small(0, 1) };
         }
-        let g = gcd_u128(num.unsigned_abs(), den.unsigned_abs());
-        let Ok(g) = i128::try_from(g) else {
+        if den == 1 {
+            return Rational { repr: Repr::Small(num, 1) };
+        }
+        let Some(g) = gcd_i128(num, den) else {
             // gcd = 2^127 means both operands are i128::MIN: the value is exactly 1.
             return Rational { repr: Repr::Small(1, 1) };
         };
         // Division by the positive gcd never overflows (i128::MIN / 1 is itself).
-        let (mut num, mut den) = (num / g, den / g);
+        let (mut num, mut den) = (div_exact(num, g), div_exact(den, g));
         if den < 0 {
             match (num.checked_neg(), den.checked_neg()) {
                 (Some(n), Some(d)) => {
@@ -147,7 +196,8 @@ impl Rational {
     }
 
     /// Builds `Small` from a pair the caller has proven coprime (the cross-reduced
-    /// products of `Mul`/`Div`), skipping the gcd: only sign normalization remains.
+    /// products of `Mul`/`Div`, Knuth's reduced sum in `Add`/`Sub`), skipping the gcd:
+    /// only sign normalization remains.
     /// This is the hottest constructor in exact pivoting — the second gcd would be
     /// pure waste, since it mathematically always returns 1 here.
     fn small_coprime(num: i128, den: i128) -> Rational {
@@ -632,6 +682,30 @@ fn big_div(a: &Rational, b: &Rational) -> Rational {
     Rational::from_bigints(&an * &bd, &ad * &bn)
 }
 
+/// `an/ad ∘ bn/bd` on reduced inline operands, where `op` is `i128::checked_add` or
+/// `i128::checked_sub`; `None` when an intermediate overflows `i128`.
+///
+/// Knuth's reduced cross-multiplication (TAOCP vol. 2, §4.5.1): with
+/// `g = gcd(ad, bd)`, `t = an·(bd/g) ∘ bn·(ad/g)` is coprime to `ad/g` and `bd/g`, so
+/// with `g2 = gcd(t, g)` the reduced result is `(t/g2) / ((ad/g)·(bd/g2))`. When
+/// `g = 1`, the common case, `g2` is 1 at once. Two integers skip the gcds altogether.
+fn small_add_sub(
+    (an, ad): (i128, i128),
+    (bn, bd): (i128, i128),
+    op: fn(i128, i128) -> Option<i128>,
+) -> Option<Rational> {
+    if ad == 1 && bd == 1 {
+        return op(an, bn).map(|n| Rational { repr: Repr::Small(n, 1) });
+    }
+    // Both denominators are positive, so neither gcd can be 2^127.
+    let g = gcd_i128(ad, bd)?;
+    let (adg, bdg) = (div_exact(ad, g), div_exact(bd, g));
+    let t = op(an.checked_mul(bdg)?, bn.checked_mul(adg)?)?;
+    let g2 = gcd_i128(t, g)?;
+    let den = adg.checked_mul(div_exact(bd, g2))?;
+    Some(Rational::small_coprime(div_exact(t, g2), den))
+}
+
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
@@ -643,17 +717,8 @@ impl Add for &Rational {
             if *bn == 0 {
                 return self.clone();
             }
-            // Knuth's reduced cross-multiplication: dividing both denominators by
-            // their gcd first keeps the intermediates (and overflow frequency) down.
-            if let Some(g) = gcd_i128(*ad, *bd) {
-                let (adg, bdg) = (ad / g, bd / g);
-                let num = an
-                    .checked_mul(bdg)
-                    .and_then(|l| bn.checked_mul(adg).and_then(|r| l.checked_add(r)));
-                let den = adg.checked_mul(*bd);
-                if let (Some(num), Some(den)) = (num, den) {
-                    return Rational::small(num, den);
-                }
+            if let Some(sum) = small_add_sub((*an, *ad), (*bn, *bd), i128::checked_add) {
+                return sum;
             }
         }
         big_add(self, rhs)
@@ -667,15 +732,11 @@ impl Sub for &Rational {
             if *bn == 0 {
                 return self.clone();
             }
-            if let Some(g) = gcd_i128(*ad, *bd) {
-                let (adg, bdg) = (ad / g, bd / g);
-                let num = an
-                    .checked_mul(bdg)
-                    .and_then(|l| bn.checked_mul(adg).and_then(|r| l.checked_sub(r)));
-                let den = adg.checked_mul(*bd);
-                if let (Some(num), Some(den)) = (num, den) {
-                    return Rational::small(num, den);
-                }
+            if *an == 0 {
+                return -rhs.clone();
+            }
+            if let Some(diff) = small_add_sub((*an, *ad), (*bn, *bd), i128::checked_sub) {
+                return diff;
             }
         }
         self + &(-rhs.clone())
@@ -689,13 +750,17 @@ impl Mul for &Rational {
             if *an == 0 || *bn == 0 {
                 return Rational::zero();
             }
-            // Cross-reduce before multiplying: gcd(|a_n|, b_d) and gcd(|b_n|, a_d)
-            // divide out, so the products are already fully reduced (each numerator
-            // factor is coprime to each denominator factor) and much less likely to
-            // overflow.
-            if let (Some(g1), Some(g2)) = (gcd_i128(*an, *bd), gcd_i128(*bn, *ad)) {
-                let num = (an / g1).checked_mul(bn / g2);
-                let den = (ad / g2).checked_mul(bd / g1);
+            // Two integers need no gcd. Otherwise cross-reduce before multiplying:
+            // gcd(|a_n|, b_d) and gcd(|b_n|, a_d) divide out, so the products are
+            // already fully reduced (each numerator factor is coprime to each
+            // denominator factor) and much less likely to overflow.
+            if *ad == 1 && *bd == 1 {
+                if let Some(num) = an.checked_mul(*bn) {
+                    return Rational { repr: Repr::Small(num, 1) };
+                }
+            } else if let (Some(g1), Some(g2)) = (gcd_i128(*an, *bd), gcd_i128(*bn, *ad)) {
+                let num = div_exact(*an, g1).checked_mul(div_exact(*bn, g2));
+                let den = div_exact(*ad, g2).checked_mul(div_exact(*bd, g1));
                 if let (Some(num), Some(den)) = (num, den) {
                     return Rational::small_coprime(num, den);
                 }
@@ -714,8 +779,8 @@ impl Div for &Rational {
                 return Rational::zero();
             }
             if let (Some(g1), Some(g2)) = (gcd_i128(*an, *bn), gcd_i128(*ad, *bd)) {
-                let num = (an / g1).checked_mul(bd / g2);
-                let den = (ad / g2).checked_mul(bn / g1);
+                let num = div_exact(*an, g1).checked_mul(div_exact(*bd, g2));
+                let den = div_exact(*ad, g2).checked_mul(div_exact(*bn, g1));
                 if let (Some(num), Some(den)) = (num, den) {
                     // Already coprime by the same cross-reduction argument; the
                     // denominator carries `bn`'s sign, which small_coprime fixes.
@@ -1062,6 +1127,54 @@ mod tests {
         assert_eq!(gcd_i128(-48, 36), Some(12));
         assert_eq!(gcd_i128(i128::MIN, 0), None);
         assert_eq!(gcd_i128(i128::MIN, 3), Some(1));
+    }
+
+    /// Every word-sized fast path (integer operands, unit gcds, 64-bit gcds and
+    /// divisions, Knuth's reduced sum, the zero operands) must return exactly what the
+    /// `BigInt` reference returns, compared under the derived `Eq`, so an unreduced
+    /// or otherwise non-canonical `(num, den)` fails even when its value is right.
+    /// The grid crosses the word and `i128` bounds, so results land in both forms.
+    #[test]
+    fn fast_paths_equal_the_big_reference_on_an_edge_grid() {
+        let pow2 = |e: u32| BigInt::from(2i64).pow(e);
+        let mut numerators = vec![BigInt::zero()];
+        for magnitude in [BigInt::one(), pow2(31), pow2(62), pow2(64), pow2(100)] {
+            numerators.push(-magnitude.clone());
+            numerators.push(magnitude);
+        }
+        numerators.extend([
+            BigInt::from(i64::MAX),
+            BigInt::from(i64::MIN),
+            BigInt::from(i128::MAX),
+            BigInt::from(i128::MIN + 1),
+            BigInt::from(i128::MIN),
+        ]);
+        let denominators = [
+            BigInt::one(),
+            BigInt::from(2i64),
+            BigInt::from(3i64),
+            pow2(31),
+            BigInt::from(i64::MAX),
+            pow2(64),
+            BigInt::from(i128::MAX),
+        ];
+        let mut grid = Vec::new();
+        for num in &numerators {
+            for den in &denominators {
+                grid.push(Rational::from_bigints(num.clone(), den.clone()));
+            }
+        }
+        assert!(grid.iter().all(Rational::is_small), "the grid itself is inline");
+        for a in &grid {
+            for b in &grid {
+                assert_eq!(a + b, big_add(a, b), "{a} + {b}");
+                assert_eq!(a - b, big_add(a, &-b), "{a} - {b}");
+                assert_eq!(a * b, big_mul(a, b), "{a} * {b}");
+                if !b.is_zero() {
+                    assert_eq!(a / b, big_div(a, b), "{a} / {b}");
+                }
+            }
+        }
     }
 
     /// The exact LP stores every eta entry, column non-zero, dual and reduced-cost
