@@ -15,10 +15,12 @@
 //! harness). The full corpus (≥200 pairs) is the default and is what the committed
 //! `BENCH_table2.json` records. Every solved pair is (a) interpreter-sampled to check
 //! the reported bound is never violated on concrete runs, and (b) unless
-//! `--no-differential`, re-solved under the exact backend, asserting verdict
-//! agreement (`--timeout` also bounds that re-solve, so a timeout there surfaces as a
-//! loud disagreement rather than a silent pass). An unknown `--` flag is an error
-//! (exit 2): a mistyped `--smoke` must not start the full corpus.
+//! `--no-differential`, solved once more under the exact backend, asserting the same
+//! integer threshold. The exact solves are a second batch run at `--jobs`, with the
+//! batch's containment and `--timeout` as their per-solve budget, so a timeout or a
+//! panic there surfaces as a loud disagreement rather than a silent pass. An unknown
+//! `--` flag is an error (exit 2): a mistyped `--smoke` must not start the full
+//! corpus.
 //!
 //! Exit code 0 requires: every pair solved, 100% sampled-sound, 100% differential
 //! agreement (when run), ≥90% of pairs proven tight *and* lp-certified, and no
@@ -33,8 +35,9 @@ use dca_bench::{
     TableRow,
 };
 use dca_benchmarks::table2::{
-    check_sampled_soundness, differential_verdicts, run_table2, table2_manifest, table2_smoke,
+    check_sampled_soundness, run_table2, table2_jobs, table2_manifest, table2_smoke,
 };
+use dca_core::batch::{run_batch, BatchJob};
 
 const TIME_REGRESSION_FACTOR: f64 = 2.0;
 const TIME_FLOOR_SECONDS: f64 = 1.0;
@@ -83,6 +86,18 @@ fn main() {
 
     let report = run_table2(&pairs, &config);
     let (wall_clock, cpu_time, jobs) = (report.wall_clock, report.cpu_time(), report.jobs);
+    // The differential: every pair the certified batch solved, once more under the
+    // exact backend, as a second batch with the same worker count and budget.
+    let exact_jobs: Vec<BatchJob> = table2_jobs(&pairs)
+        .into_iter()
+        .zip(&report.outcomes)
+        .filter(|(_, outcome)| differential && outcome.is_solved())
+        .map(|(job, _)| {
+            let options = job.options.exact();
+            job.with_options(options)
+        })
+        .collect();
+    let mut exact = run_batch(&exact_jobs, &config).outcomes.into_iter();
     let mut failures = Vec::new();
     let mut rows: Vec<Table2Row> = Vec::new();
     for (pair, outcome) in pairs.iter().zip(report.outcomes) {
@@ -105,14 +120,22 @@ fn main() {
                 None
             }
         };
-        let agree = if differential && outcome.is_solved() {
-            let verdict = differential_verdicts(pair, config.time_budget);
-            for d in &verdict.disagreements {
-                failures.push(format!("DIFFERENTIAL — {d}"));
+        // Both backends prove exact rational optima, so their integer thresholds
+        // must match exactly: any disagreement is a bug in one of them.
+        let agree = match (&outcome.result, differential) {
+            (Ok(result), true) => {
+                let certified = Some(result.threshold_int());
+                let exact = exact.next().and_then(|o| o.result.ok()).map(|r| r.threshold_int());
+                if certified != exact {
+                    failures.push(format!(
+                        "DIFFERENTIAL — {}: certified backend computed {certified:?} but \
+                         exact backend computed {exact:?}",
+                        pair.name
+                    ));
+                }
+                Some(certified == exact)
             }
-            Some(verdict.agree())
-        } else {
-            None
+            _ => None,
         };
         let table = TableRow::from_outcome(&pair.name, pair.shape.tag(), pair.tight, None, outcome);
         rows.push(Table2Row { table, seed: pair.seed, sound, agree });

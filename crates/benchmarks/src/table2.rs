@@ -14,14 +14,14 @@
 //!   reference interpreter/explorer and checks the reported threshold is never
 //!   violated (the observed `CostSup_new − CostInf_old` under-approximates the true
 //!   supremum, so any violation it finds is real);
-//! * [`differential_verdicts`]: re-solves under the exact backend, asserting the
-//!   certified and exact backends agree on the verdict and the threshold.
-
-use std::time::Duration;
+//! * the differential: the `table2` bin runs the pairs the certified batch solved
+//!   through [`run_batch`] a second time, under [`AnalysisOptions::exact`] and the
+//!   same [`BatchConfig`] (worker count and per-solve budget, with the batch's
+//!   containment), and requires both batches to agree on every integer threshold.
 
 use dca_core::batch::{run_batch, BatchConfig, BatchJob, BatchReport};
 use dca_core::verify::{verify_threshold, VerifyConfig};
-use dca_core::{AnalysisOptions, AnalyzedProgram, DiffCostSolver, LpBackend};
+use dca_core::{AnalysisOptions, AnalyzedProgram};
 use dca_ir::{generate_pair, GeneratedPair, PairKind, ShapeParams};
 
 // Re-exported so harness crates can consume the corpus without a direct `dca_ir`
@@ -198,58 +198,6 @@ pub fn check_sampled_soundness(
         Ok(())
     } else {
         Err(report.violations)
-    }
-}
-
-/// Cross-backend verdicts for one pair.
-#[derive(Debug, Clone)]
-pub struct DifferentialVerdict {
-    /// Threshold from the certified (default) backend, `None` on failure.
-    pub certified: Option<f64>,
-    /// Threshold from the exact rational backend, `None` on failure.
-    pub exact: Option<f64>,
-    /// Human-readable disagreements (empty = both backends agree).
-    pub disagreements: Vec<String>,
-}
-
-impl DifferentialVerdict {
-    /// `true` when both backends produced the same verdict and threshold.
-    pub fn agree(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-}
-
-/// Solves one pair under the `certified` and the `exact` backend and cross-checks the
-/// verdicts.
-///
-/// Both backends prove exact rational optima, so their integer thresholds must match
-/// *exactly*. Any disagreement is a soundness or completeness bug in one of them.
-pub fn differential_verdicts(pair: &GeneratedPair, budget: Option<Duration>) -> DifferentialVerdict {
-    let base = table2_options(pair);
-    let with_budget = |mut options: AnalysisOptions| {
-        options.time_budget = budget;
-        options
-    };
-    let new = AnalyzedProgram::from_source(&pair.source_new).expect("generated source");
-    let old = AnalyzedProgram::from_source(&pair.source_old).expect("generated source");
-    let solve = |options: AnalysisOptions| {
-        DiffCostSolver::new(options).solve(&new, &old).ok().map(|r| r.threshold_int())
-    };
-
-    let certified = solve(with_budget(base));
-    let exact = solve(with_budget(AnalysisOptions { backend: LpBackend::Exact, ..base }));
-
-    let mut disagreements = Vec::new();
-    if certified != exact {
-        disagreements.push(format!(
-            "{}: certified backend computed {certified:?} but exact backend computed {exact:?}",
-            pair.name
-        ));
-    }
-    DifferentialVerdict {
-        certified: certified.map(|t| t as f64),
-        exact: exact.map(|t| t as f64),
-        disagreements,
     }
 }
 

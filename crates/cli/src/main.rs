@@ -252,7 +252,7 @@ fn run_suite_command(args: &[String]) -> Result<(), String> {
         )),
         None => None,
     };
-    let config = BatchConfig { jobs, time_budget, ..BatchConfig::default() };
+    let config = BatchConfig { jobs, time_budget };
     let report = dca_benchmarks::run_suite_parallel(&config);
     println!(
         "{:<21} | {:>10} | d | {:<9} | {:>8}",

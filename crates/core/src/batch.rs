@@ -9,75 +9,42 @@
 //! and the [`BatchReport`] lists outcomes in input order, so `jobs = 1` and `jobs = N`
 //! produce identical analyses (only the wall clock differs). One failing pair does not
 //! poison the batch — its error is recorded in its [`PairOutcome`] and every other pair
-//! still completes. That isolation extends to *panics*: each solve runs under
-//! [`std::panic::catch_unwind`], a panicking pair is reported as
+//! still completes. That isolation extends to *panics*: each compile and each solve
+//! runs through [`contained`], a panicking pair is reported as
 //! [`AnalysisError::Panicked`] with its crash-site phase, and the surviving workers
-//! keep draining the queue. A batch-wide [`Deadline`] is scoped per job
-//! ([`Deadline::scoped`]) so cancelling one solve never takes down its siblings.
+//! keep draining the queue. Every job's solver owns its own
+//! [`Deadline`](dca_lp::Deadline), so cancelling one solve never takes down its
+//! siblings. The serve engine
+//! (`dca_serve::Engine`) runs its requests through the same [`contained`] and
+//! [`compile_contained`]: this module holds the workspace's one panic boundary.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dca_lp::fault::{self, FaultKind};
-use dca_lp::{Deadline, SolvePhase};
+use dca_lp::SolvePhase;
 
 use crate::options::AnalysisOptions;
 use crate::program::AnalyzedProgram;
 use crate::solver::{AnalysisError, DiffCostResult, DiffCostSolver, SolveOutcome, SolveStats};
 
-/// The two program versions of a batch job, either pre-analyzed or as source text.
-///
-/// Source-text jobs are parsed, lowered and invariant-analyzed *inside* the worker, so
-/// the whole front half of the pipeline parallelizes too; pre-analyzed jobs let callers
-/// share an [`AnalyzedProgram`] they already have.
-// `Analyzed` dwarfs `Source`, but jobs are built once per pair and never stored in
-// bulk, so boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum PairInput {
-    /// Both versions already analyzed.
-    Analyzed {
-        /// The new (revised) program version.
-        new: AnalyzedProgram,
-        /// The old (baseline) program version.
-        old: AnalyzedProgram,
-    },
-    /// Both versions as source text in the mini-language.
-    Source {
-        /// Source of the new (revised) program version.
-        new: String,
-        /// Source of the old (baseline) program version.
-        old: String,
-    },
-}
-
-/// One unit of work for the batch engine: a named program pair plus analysis options.
+/// One unit of work for the batch engine: a named program pair, as source text, plus
+/// analysis options. The sources are parsed, lowered and invariant-analyzed *inside*
+/// the worker, so the whole front half of the pipeline parallelizes too.
 #[derive(Debug, Clone)]
 pub struct BatchJob {
     /// Display name of the pair (e.g. the Table-1 benchmark name).
     pub name: String,
-    /// The two program versions.
-    pub input: PairInput,
+    /// Source of the new (revised) program version.
+    pub new: String,
+    /// Source of the old (baseline) program version.
+    pub old: String,
     /// Options for the solve.
     pub options: AnalysisOptions,
 }
 
 impl BatchJob {
-    /// A job over two pre-analyzed programs, with default options.
-    pub fn from_programs(
-        name: impl Into<String>,
-        new: AnalyzedProgram,
-        old: AnalyzedProgram,
-    ) -> BatchJob {
-        BatchJob {
-            name: name.into(),
-            input: PairInput::Analyzed { new, old },
-            options: AnalysisOptions::default(),
-        }
-    }
-
     /// A job over two source texts, with default options. The sources are compiled in
     /// the worker; compile errors surface as [`AnalysisError::InvalidProgram`].
     pub fn from_sources(
@@ -87,7 +54,8 @@ impl BatchJob {
     ) -> BatchJob {
         BatchJob {
             name: name.into(),
-            input: PairInput::Source { new: new.into(), old: old.into() },
+            new: new.into(),
+            old: old.into(),
             options: AnalysisOptions::default(),
         }
     }
@@ -100,8 +68,7 @@ impl BatchJob {
 }
 
 /// Configuration of one batch run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Number of worker threads. `0` means "one per available CPU"; the effective
     /// count is always clamped to the number of jobs.
@@ -109,14 +76,7 @@ pub struct BatchConfig {
     /// Wall-clock budget applied to each solve (`None` = unlimited). A job whose own
     /// options already carry a budget keeps it.
     pub time_budget: Option<Duration>,
-    /// A batch-wide hard deadline (`None` = unlimited). Every job runs under a
-    /// [scoped](Deadline::scoped) child of it, tightened by the per-solve
-    /// `time_budget`: when the batch deadline expires or is cancelled, every worker
-    /// stops cooperatively at its next poll and the unfinished pairs report
-    /// [`AnalysisError::Timeout`].
-    pub deadline: Option<Deadline>,
 }
-
 
 impl BatchConfig {
     /// A configuration with the given worker count.
@@ -127,12 +87,6 @@ impl BatchConfig {
     /// Sets the per-solve wall-clock budget.
     pub fn with_time_budget(mut self, budget: Duration) -> BatchConfig {
         self.time_budget = Some(budget);
-        self
-    }
-
-    /// Sets the batch-wide hard deadline.
-    pub fn with_deadline(mut self, deadline: Deadline) -> BatchConfig {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -246,70 +200,28 @@ pub fn run_batch(jobs: &[BatchJob], config: &BatchConfig) -> BatchReport {
     let start = Instant::now();
     let workers = effective_jobs(config.jobs, jobs.len());
     let next = AtomicUsize::new(0);
-    let batch_deadline = config.deadline.clone().unwrap_or_default();
-    let slots: Vec<Mutex<Option<PairOutcome>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(index) else { break };
-                let job_start = Instant::now();
-                // Panic containment: a panicking solve must not take the worker (and
-                // with it the rest of the queue) down. The closure only touches the
-                // job and config by shared reference, and a broken invariant inside
-                // a failed solve cannot outlive it — nothing of the solve escapes
-                // except the outcome we construct — so `AssertUnwindSafe` is sound.
-                let cpu_start = thread_cpu_time();
-                let solved =
-                    catch_unwind(AssertUnwindSafe(|| run_one(job, config, &batch_deadline)));
-                let mut outcome = solved.unwrap_or_else(|payload| PairOutcome {
-                    name: job.name.clone(),
-                    result: Err(AnalysisError::Panicked {
-                        phase: fault::current_phase(),
-                        message: panic_message(payload.as_ref()),
-                    }),
-                    degree: job.options.degree,
-                    duration: job_start.elapsed(),
-                    cpu_duration: Duration::ZERO,
-                });
-                // The solve ran entirely on this thread, so the thread CPU clock
-                // delta is exactly the pair's charge; fall back to wall time where
-                // the clock is unavailable.
-                outcome.cpu_duration = match (cpu_start, thread_cpu_time()) {
-                    (Some(before), Some(after)) => after.saturating_sub(before),
-                    _ => outcome.duration,
-                };
-                // A sibling worker can only have poisoned *its own* slot (one writer
-                // per index), and a poisoned `Option` write is atomic-or-absent:
-                // recover the guard and overwrite.
-                *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-            });
-        }
-    });
-
-    let outcomes = slots
-        .into_iter()
-        .zip(jobs)
-        .map(|(slot, job)| {
-            slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| {
-                // Unreachable in practice (the catch_unwind above fills every claimed
-                // slot), but a lost worker must surface as a per-pair error, not a
-                // batch-wide panic.
-                PairOutcome {
-                    name: job.name.clone(),
-                    result: Err(AnalysisError::Panicked {
-                        phase: SolvePhase::Compile,
-                        message: "worker terminated before recording an outcome".into(),
-                    }),
-                    degree: job.options.degree,
-                    duration: Duration::ZERO,
-                    cpu_duration: Duration::ZERO,
-                }
+    let mut finished: Vec<(usize, PairOutcome)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut finished = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(index) else { break finished };
+                        finished.push((index, run_one(job, config)));
+                    }
+                })
             })
-        })
-        .collect();
+            .collect();
+        // `run_one` contains every panic of a job, so a worker only ends by draining
+        // the queue; anything else is a bug of the engine itself and propagates.
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    finished.sort_by_key(|(index, _)| *index);
+    let outcomes = finished.into_iter().map(|(_, outcome)| outcome).collect();
     BatchReport { outcomes, wall_clock: start.elapsed(), jobs: workers }
 }
 
@@ -335,7 +247,7 @@ pub fn thread_cpu_time() -> Option<Duration> {
 
 /// Renders a caught panic payload for the error report (panics almost always carry
 /// `&str` or `String`; anything else gets a placeholder).
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
         (*message).to_string()
     } else if let Some(message) = payload.downcast_ref::<String>() {
@@ -345,41 +257,67 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Solves a single job (compile if needed, then solve) under a per-job scope of the
-/// batch-wide deadline.
-fn run_one(job: &BatchJob, config: &BatchConfig, batch_deadline: &Deadline) -> PairOutcome {
+/// Runs one step of a job or request — a compile or a solve — under panic
+/// containment. A panic becomes [`AnalysisError::Panicked`], attributed to the phase
+/// this thread entered last ([`fault::current_phase`], the crash site); an `Ok` or
+/// `Err` result passes through unchanged. The batch workers and the serve engine
+/// run every compile and every solve through here, so one panicking pair or
+/// request never takes down its thread, its siblings or the daemon.
+pub fn contained<T>(
+    step: impl FnOnce() -> Result<T, AnalysisError>,
+) -> Result<T, AnalysisError> {
+    // Nothing of a failed step escapes the closure except the error built here, so
+    // a broken invariant inside it cannot outlive it: `AssertUnwindSafe` is sound.
+    catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
+        Err(AnalysisError::Panicked {
+            phase: fault::current_phase(),
+            message: panic_message(payload.as_ref()),
+        })
+    })
+}
+
+/// The compile phase of a job or request, [`contained`]: enters
+/// [`SolvePhase::Compile`] (the `DCA_FAULT` injection point of the phase), then runs
+/// `compile`. A compile error becomes [`AnalysisError::InvalidProgram`] carrying the
+/// compiler's message. A compile-phase deadline (an injected `compile:deadline`)
+/// cancels this job or request alone: it reports [`AnalysisError::Timeout`] in
+/// [`SolvePhase::Compile`] once compilation returns, and never reaches a solve.
+pub fn compile_contained<T>(
+    compile: impl FnOnce() -> Result<T, String>,
+) -> Result<T, AnalysisError> {
+    contained(|| {
+        let cancelled = fault::enter(SolvePhase::Compile) == Some(FaultKind::Deadline);
+        let compiled = compile().map_err(AnalysisError::InvalidProgram)?;
+        if cancelled {
+            return Err(AnalysisError::Timeout { phase: SolvePhase::Compile });
+        }
+        Ok(compiled)
+    })
+}
+
+/// Runs one job on the calling worker: compile, then solve, each [`contained`]. The
+/// job's solver owns a fresh [`Deadline`](dca_lp::Deadline), so a deadline fault or
+/// cancellation inside this solve stops this pair only.
+fn run_one(job: &BatchJob, config: &BatchConfig) -> PairOutcome {
     let start = Instant::now();
-    // A fresh cancel flag per job: a deadline-fault injection (or any other per-job
-    // cancellation) stops this pair only, while a batch-wide cancel still reaches it
-    // through the parent link.
-    let deadline = batch_deadline.scoped();
-    if fault::enter(SolvePhase::Compile) == Some(FaultKind::Deadline) {
-        deadline.cancel();
-    }
+    let cpu_start = thread_cpu_time();
     let mut options = job.options;
     if options.time_budget.is_none() {
         options.time_budget = config.time_budget;
     }
-    let outcome = |result| PairOutcome {
-        name: job.name.clone(),
-        result,
-        degree: options.degree,
-        duration: start.elapsed(),
-        cpu_duration: Duration::ZERO,
+    let result = compile_contained(|| {
+        let new = AnalyzedProgram::from_source(&job.new)?;
+        Ok((new, AnalyzedProgram::from_source(&job.old)?))
+    })
+    .and_then(|(new, old)| contained(|| DiffCostSolver::new(options).solve(&new, &old)));
+    let duration = start.elapsed();
+    // The job ran entirely on this thread, so the thread CPU clock delta is exactly
+    // the pair's charge; fall back to wall time where the clock is unavailable.
+    let cpu_duration = match (cpu_start, thread_cpu_time()) {
+        (Some(before), Some(after)) => after.saturating_sub(before),
+        _ => duration,
     };
-    let compiled = match &job.input {
-        PairInput::Analyzed { new, old } => Ok((new.clone(), old.clone())),
-        PairInput::Source { new, old } => AnalyzedProgram::from_source(new)
-            .and_then(|n| AnalyzedProgram::from_source(old).map(|o| (n, o))),
-    };
-    let (new, old) = match compiled {
-        Ok(pair) => pair,
-        Err(message) => return outcome(Err(AnalysisError::InvalidProgram(message))),
-    };
-    if deadline.expired() {
-        return outcome(Err(AnalysisError::Timeout { phase: SolvePhase::Compile }));
-    }
-    outcome(DiffCostSolver::new(options).with_deadline(deadline).solve(&new, &old))
+    PairOutcome { name: job.name.clone(), result, degree: options.degree, duration, cpu_duration }
 }
 
 #[cfg(test)]
@@ -399,6 +337,37 @@ mod tests {
             .iter()
             .map(|o| o.result.as_ref().ok().map(|r| r.threshold_int()))
             .collect()
+    }
+
+    #[test]
+    fn contained_names_the_crash_site_and_passes_results_through() {
+        let panicked = |phase: SolvePhase, message: &str| {
+            Err::<(), _>(AnalysisError::Panicked { phase, message: message.to_string() })
+        };
+        // The payload shapes: a `&str` literal, a formatted `String`, anything else.
+        fault::enter(SolvePhase::Encode);
+        let literal = contained(|| panic!("static payload"));
+        assert_eq!(literal, panicked(SolvePhase::Encode, "static payload"));
+        fault::enter(SolvePhase::LpCertify);
+        let formatted = contained(|| panic!("formatted payload {}", 7));
+        assert_eq!(formatted, panicked(SolvePhase::LpCertify, "formatted payload 7"));
+        // The crash site is the phase entered last, inside the step too.
+        let opaque = contained(|| {
+            fault::enter(SolvePhase::LpRowGen);
+            std::panic::panic_any(42_u32)
+        });
+        assert_eq!(opaque, panicked(SolvePhase::LpRowGen, "non-string panic payload"));
+        // A step that does not panic passes through unchanged, `Ok` and `Err` alike.
+        assert_eq!(contained(|| Ok(7)), Ok(7));
+        assert_eq!(
+            contained(|| Err::<u32, _>(AnalysisError::NoThresholdFound)),
+            Err(AnalysisError::NoThresholdFound)
+        );
+        // The compile phase is entered before compiling, and its errors keep the
+        // compiler's message.
+        let compiled = compile_contained(|| Err::<(), _>("expected `(`".to_string()));
+        assert_eq!(compiled, Err(AnalysisError::InvalidProgram("expected `(`".to_string())));
+        assert_eq!(fault::current_phase(), SolvePhase::Compile);
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod program;
 mod solver;
 pub mod verify;
 
-pub use batch::{run_batch, BatchConfig, BatchJob, BatchReport, PairInput, PairOutcome};
+pub use batch::{run_batch, BatchConfig, BatchJob, BatchReport, PairOutcome};
 pub use cache::{pair_fingerprint, CachedSolve, NearMatch, ProgramCache, SolveCache};
 pub use compat::InvariantTier;
 pub use constraints::{

@@ -53,9 +53,13 @@ pub struct AnalysisOptions {
     pub include_cost_in_template: bool,
     /// LP backend for Step 4.
     pub backend: LpBackend,
-    /// Wall-clock budget for one solve (`None` = unlimited). When set, the LP solver
-    /// polls a deadline and the solve fails with [`crate::AnalysisError::Timeout`]
-    /// instead of stalling a batch run on a pathological instance.
+    /// Wall-clock budget for one solve (`None` = unlimited). It covers the whole
+    /// [`crate::DiffCostSolver::solve`] — constraint collection, encoding, the LP
+    /// and, when a phase split fires, the second solve on the split systems too —
+    /// anchored once when the solve starts. When set, every phase polls the
+    /// deadline and the solve fails with [`crate::AnalysisError::Timeout`] (or
+    /// reports a truncated anytime bound) instead of stalling a batch run on a
+    /// pathological instance.
     pub time_budget: Option<Duration>,
     /// The invariant engine's precision level. It has a single value and selects
     /// nothing; it stays for the benchmark harness (see [`InvariantTier`]).

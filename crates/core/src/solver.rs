@@ -32,17 +32,23 @@ pub enum AnalysisError {
     IterationLimit,
     /// The candidate threshold could not be refuted with the given inputs.
     RefutationFailed,
-    /// A program handed to the batch engine as source text failed to compile.
+    /// A program handed to the batch engine or the serve daemon as source text failed
+    /// to compile; carries the compiler's message.
     InvalidProgram(String),
-    /// The wall-clock budget ([`AnalysisOptions::time_budget`] or a batch-wide
-    /// [`Deadline`]) ran out — or the deadline was cancelled — before any sound
-    /// answer existed.
+    /// The wall-clock budget ran out — or the deadline was cancelled — before any
+    /// sound answer existed. The budget is [`AnalysisOptions::time_budget`], one
+    /// budget for the whole [`DiffCostSolver::solve`] including its phase-split
+    /// second solve, tightened by any [`Deadline`] attached with
+    /// [`DiffCostSolver::with_deadline`] (the serve daemon's request budget and
+    /// shutdown). A cancellation is a daemon shutdown or an injected `deadline`
+    /// fault; a compile-phase one reports [`SolvePhase::Compile`].
     Timeout {
         /// The pipeline phase that was running when the budget ran out.
         phase: SolvePhase,
     },
-    /// The solve panicked and the batch engine contained the panic at the job
-    /// boundary (no other pair in the batch is affected).
+    /// A compile or a solve panicked and [`crate::batch::contained`] caught it at
+    /// the job or request boundary — in a batch worker or in the serve daemon alike
+    /// — so no other pair or request is affected.
     Panicked {
         /// The phase the panicking thread had most recently entered (the crash site).
         phase: SolvePhase,
@@ -370,8 +376,9 @@ impl DiffCostSolver {
     /// Attaches a shared [`Deadline`]: every solve polls it cooperatively (in the
     /// invariant, encoding and LP phases) and stops within one polling stride of its
     /// cutoff or cancellation. A per-solve [`AnalysisOptions::time_budget`]
-    /// *tightens* this deadline per attempt; the earlier cutoff wins. The batch
-    /// engine threads its batch-wide deadline into every worker this way.
+    /// *tightens* this deadline per solve; the earlier cutoff wins. The serve
+    /// engine threads each request's deadline (its budget, under the daemon's
+    /// shutdown deadline) into the solve this way.
     pub fn with_deadline(mut self, deadline: Deadline) -> DiffCostSolver {
         self.deadline = deadline;
         self
@@ -439,7 +446,10 @@ impl DiffCostSolver {
         let warm_rejected =
             warm.is_some_and(|basis| basis.fingerprint().is_some_and(|fp| fp != pair));
         let warm = if warm_rejected { None } else { warm };
-        let (result, basis) = self.solve_any_split(new, old, warm);
+        // One deadline for the whole solve: the phase-split second solve spends what
+        // is left of the budget, not a fresh one.
+        let deadline = self.effective_deadline(Instant::now());
+        let (result, basis) = self.solve_any_split(new, old, warm, &deadline);
         let result = result.map(|mut result| {
             result.stats.lp_warm_rejected = warm_rejected;
             result
@@ -448,16 +458,18 @@ impl DiffCostSolver {
     }
 
     /// [`DiffCostSolver::solve_with_warm_start`] after the provenance guard: the
-    /// unsplit solve plus the optional phase-split second solve, merged.
+    /// unsplit solve plus the optional phase-split second solve, merged. Both solves
+    /// run under the one `deadline` of the whole solve.
     fn solve_any_split(
         &self,
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
         warm: Option<&LpBasis>,
+        deadline: &Deadline,
     ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
         let mut invariant_lp_queries =
             new.invariants.lp_queries() + old.invariants.lp_queries();
-        let (base_result, base_basis) = self.solve_unsplit(new, old, warm);
+        let (base_result, base_basis) = self.solve_unsplit(new, old, warm, deadline);
         let counted = |result: Result<DiffCostResult, AnalysisError>, lp_queries: usize| {
             result.map(|mut result| {
                 result.stats.invariant_lp_queries = lp_queries;
@@ -482,7 +494,7 @@ impl DiffCostSolver {
         let new_side = split_new.map_or_else(|| new.clone(), |(program, _)| program);
         let old_side = split_old.map_or_else(|| old.clone(), |(program, _)| program);
         // No warm basis: the split system's locations (hence unknown names) differ.
-        let (split_result, _) = self.solve_unsplit(&new_side, &old_side, None);
+        let (split_result, _) = self.solve_unsplit(&new_side, &old_side, None, deadline);
         let stamped = |mut result: DiffCostResult| {
             result.stats.phases_split = phases_split;
             result
@@ -505,15 +517,16 @@ impl DiffCostSolver {
 
     /// The plain single-system solve behind [`DiffCostSolver::solve_with_warm_start`]:
     /// encodes and solves exactly the two programs it is given, with no phase-split
-    /// attempt.
+    /// attempt, under the caller's `deadline` (its `start` only times this solve's
+    /// [`SolveStats::duration`]).
     fn solve_unsplit(
         &self,
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
         warm: Option<&LpBasis>,
+        deadline: &Deadline,
     ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
         let start = Instant::now();
-        let deadline = self.effective_deadline(start);
         // Phase boundary: the invariants (already analyzed by the caller). An injected
         // deadline fault here exercises the same cooperative-cancellation path a real
         // exhaustion takes.
@@ -549,7 +562,7 @@ impl DiffCostSolver {
             return (Err(AnalysisError::Timeout { phase: SolvePhase::Encode }), None);
         }
 
-        let attempt = self.solve_lp(&factory, &set, Some(threshold), start, &deadline, warm, &lazy);
+        let attempt = self.solve_lp(&factory, &set, Some(threshold), start, deadline, warm, &lazy);
         let result = attempt.result.map(|(objective_value, assignment, mut stats)| {
             stats.transitions_pruned = collected.pruned;
             DiffCostResult {

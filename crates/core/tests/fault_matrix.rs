@@ -145,7 +145,7 @@ fn every_matrix_cell_degrades_predictably_and_is_contained() {
 
 /// The containment guarantee on a *parallel* batch: an injected panic poisons
 /// nothing — the surviving workers drain the queue, the panicking pair is reported as
-/// [`AnalysisError::Panicked`], and the result slots (a Mutex per pair) all fill.
+/// [`AnalysisError::Panicked`], and every pair gets its outcome.
 #[test]
 fn a_panicking_job_is_contained_and_does_not_poison_a_parallel_batch() {
     let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);

@@ -1,7 +1,7 @@
 //! Shared solve deadlines with cooperative cancellation.
 //!
 //! A [`Deadline`] pairs an optional wall-clock cutoff with an atomic cancel flag that
-//! is *shared across clones*: the batch engine hands the same flag to every phase of a
+//! is *shared across clones*: a solver hands the same flag to every phase of a
 //! solve (invariant analysis, encoding, and each LP loop), so a single [`cancel`]
 //! call — or the clock running out — stops all of them within one polling stride.
 //! Polling is a relaxed atomic load plus (at most) one `Instant::now()` call, cheap
@@ -18,9 +18,9 @@ use std::time::{Duration, Instant};
 /// Clones share the flag but carry the cutoff by value, so a clone can be
 /// [tightened](Deadline::tightened) for a sub-task while external cancellation still
 /// reaches it. A [scoped](Deadline::scoped) child owns a *fresh* flag but keeps
-/// observing its parent's: the batch engine hands each job a scoped child, so
-/// cancelling one job's solve leaves its siblings running while a batch-wide cancel
-/// still stops everything.
+/// observing its parent's: the serve daemon hands each request a scoped child of its
+/// shutdown deadline, so cancelling one request's solve leaves its siblings running
+/// while a shutdown still stops everything.
 #[derive(Debug, Clone)]
 pub struct Deadline {
     at: Option<Instant>,
@@ -50,8 +50,8 @@ impl Deadline {
     }
 
     /// A copy sharing this deadline's cancel flag whose cutoff is the *earlier* of
-    /// the two (`None` keeps the existing cutoff). The per-attempt time budget of a
-    /// batch job tightens the batch-wide deadline this way.
+    /// the two (`None` keeps the existing cutoff). A solve's time budget, or a serve
+    /// request's budget, tightens a shared deadline this way.
     pub fn tightened(&self, at: Option<Instant>) -> Deadline {
         let at = match (self.at, at) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -62,9 +62,9 @@ impl Deadline {
 
     /// A child with the same cutoff but its *own* cancel flag, still observing this
     /// deadline's cancellation (transitively). Cancelling the child stops only the
-    /// work polling it; cancelling `self` stops the child too. The batch engine
-    /// scopes its batch-wide deadline per job this way, so one job's cancellation —
-    /// fault-injected or otherwise — cannot take down its siblings.
+    /// work polling it; cancelling `self` stops the child too. The serve daemon
+    /// scopes its shutdown deadline per request this way, so one request's
+    /// cancellation — fault-injected or otherwise — cannot take down its siblings.
     pub fn scoped(&self) -> Deadline {
         Deadline {
             at: self.at,
@@ -89,7 +89,7 @@ impl Deadline {
     }
 
     /// This deadline's flag, or any ancestor's (the chain is at most two deep in
-    /// practice: batch deadline → per-job scope).
+    /// practice: daemon deadline → per-request scope).
     fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
             || self.parent.as_ref().is_some_and(|parent| parent.is_cancelled())

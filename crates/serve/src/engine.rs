@@ -1,14 +1,12 @@
 //! The request engine: caches, per-request isolation, anytime streaming.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use dca_core::batch::panic_message;
+use dca_core::batch::{compile_contained, contained};
 use dca_core::{
     AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver,
     LpBasis, ProgramCache, SolveCache,
 };
-use dca_lp::fault;
 use dca_lp::Deadline;
 
 use crate::protocol::{AnalyzeRequest, Frame, Request, ResultFrame};
@@ -27,13 +25,6 @@ pub struct Engine {
     programs: ProgramCache,
     solves: SolveCache,
     deadline: Deadline,
-}
-
-/// What one solve attempt produced, with panics already contained.
-enum Attempt {
-    Solved(Box<DiffCostResult>, Option<LpBasis>),
-    Failed(AnalysisError),
-    Panicked { phase: String, message: String },
 }
 
 impl Engine {
@@ -91,33 +82,18 @@ impl Engine {
 
     fn handle_analyze(&self, request: &AnalyzeRequest, emit: &mut dyn FnMut(Frame)) {
         let start = Instant::now();
-        let error = |code: &str, phase: Option<String>, message: String| Frame::Error {
-            id: request.id.clone(),
-            code: code.to_string(),
-            phase,
-            message,
-        };
-
         let options = AnalysisOptions::with_degree(request.degree.unwrap_or(2));
 
-        // Compile both sides through the hash-consing cache. Compilation runs
-        // under the same containment as the solve: an injected compile-phase
-        // panic must produce an error frame, not kill the daemon.
-        let compiled = catch_unwind(AssertUnwindSafe(|| {
-            self.programs.get_or_compile(&request.new_source).and_then(|new| {
-                self.programs.get_or_compile(&request.old_source).map(|old| (new, old))
-            })
-        }));
+        // Compile both sides through the hash-consing cache, under the batch
+        // engine's compile-phase protocol and containment: a compile panic or a
+        // compile-phase deadline produces an error frame, not a dead daemon.
+        let compiled = compile_contained(|| {
+            let new = self.programs.get_or_compile(&request.new_source)?;
+            Ok((new, self.programs.get_or_compile(&request.old_source)?))
+        });
         let (new, old) = match compiled {
-            Ok(Ok(pair)) => pair,
-            Ok(Err(message)) => return emit(error("compile-error", None, message)),
-            Err(payload) => {
-                return emit(error(
-                    "panic",
-                    Some(fault::current_phase().as_str().to_string()),
-                    panic_message(payload.as_ref()),
-                ))
-            }
+            Ok(pair) => pair,
+            Err(failure) => return emit(error_frame(request, failure)),
         };
 
         // Repeat query: the exact pair at these options was certified before —
@@ -150,6 +126,15 @@ impl Engine {
         let deadline = self.deadline.scoped();
         let budget = request.timeout_ms.map(Duration::from_millis);
         let deadline = deadline.tightened(budget.map(|b| start + b));
+        // One contained solve under `deadline`, keeping the final basis of a solve
+        // that produced a result.
+        let solve = |warm: Option<&LpBasis>, deadline: &Deadline| {
+            contained(|| {
+                let solver = DiffCostSolver::new(options).with_deadline(deadline.clone());
+                let (result, basis) = solver.solve_with_warm_start(&new, &old, warm);
+                result.map(|result| (result, basis))
+            })
+        };
 
         // Anytime streaming: run the solve under growing slices of the budget,
         // emitting a progress frame per truncated slice and threading the basis.
@@ -157,12 +142,12 @@ impl Engine {
             if let Some(budget) = budget {
                 for fraction in STREAM_SLICES {
                     let slice = deadline.tightened(Some(start + budget.mul_f64(fraction)));
-                    match self.attempt(&new, &old, &options, warm.as_ref(), &slice) {
-                        Attempt::Solved(result, basis) => {
+                    match solve(warm.as_ref(), &slice) {
+                        Ok((result, basis)) => {
                             let outcome = result.outcome();
                             if outcome.is_certified() {
                                 self.finish(
-                                    request, &options, &new, &old, *result, basis,
+                                    request, &options, &new, &old, result, basis,
                                     cache_label, invalidated, start, emit,
                                 );
                                 return;
@@ -184,62 +169,23 @@ impl Engine {
                                 warm = basis;
                             }
                         }
+                        Err(failure @ AnalysisError::Panicked { .. }) => {
+                            return emit(error_frame(request, failure))
+                        }
                         // A slice too short to produce anything: keep going —
                         // the full-budget attempt below gives the final verdict.
-                        Attempt::Failed(_) => {}
-                        Attempt::Panicked { phase, message } => {
-                            return emit(error("panic", Some(phase), message))
-                        }
+                        Err(_) => {}
                     }
                 }
             }
         }
 
-        match self.attempt(&new, &old, &options, warm.as_ref(), &deadline) {
-            Attempt::Solved(result, basis) => self.finish(
-                request, &options, &new, &old, *result, basis, cache_label, invalidated,
+        match solve(warm.as_ref(), &deadline) {
+            Ok((result, basis)) => self.finish(
+                request, &options, &new, &old, result, basis, cache_label, invalidated,
                 start, emit,
             ),
-            Attempt::Failed(failure) => {
-                let code = match &failure {
-                    AnalysisError::Timeout { .. } => "timeout",
-                    AnalysisError::Panicked { .. } => "panic",
-                    _ => "unsolved",
-                };
-                emit(error(
-                    code,
-                    failure.phase().map(|p| p.as_str().to_string()),
-                    failure.to_string(),
-                ));
-            }
-            Attempt::Panicked { phase, message } => {
-                emit(error("panic", Some(phase), message))
-            }
-        }
-    }
-
-    /// One contained solve attempt under `deadline`.
-    fn attempt(
-        &self,
-        new: &AnalyzedProgram,
-        old: &AnalyzedProgram,
-        options: &AnalysisOptions,
-        warm: Option<&LpBasis>,
-        deadline: &Deadline,
-    ) -> Attempt {
-        let solver = DiffCostSolver::new(*options).with_deadline(deadline.clone());
-        // Nothing of a failed solve escapes the closure except the outcome we
-        // construct, so `AssertUnwindSafe` is sound (same argument as the batch
-        // engine's worker loop).
-        let solved =
-            catch_unwind(AssertUnwindSafe(|| solver.solve_with_warm_start(new, old, warm)));
-        match solved {
-            Ok((Ok(result), basis)) => Attempt::Solved(Box::new(result), basis),
-            Ok((Err(failure), _)) => Attempt::Failed(failure),
-            Err(payload) => Attempt::Panicked {
-                phase: fault::current_phase().as_str().to_string(),
-                message: panic_message(payload.as_ref()),
-            },
+            Err(failure) => emit(error_frame(request, failure)),
         }
     }
 
@@ -275,6 +221,20 @@ impl Engine {
             seconds: start.elapsed().as_secs_f64(),
         }));
     }
+}
+
+/// The `error` frame of a failed request. Compile errors carry the compiler's own
+/// message and contained panics their payload; every other failure is reported in
+/// its display form under `timeout` or `unsolved`.
+fn error_frame(request: &AnalyzeRequest, failure: AnalysisError) -> Frame {
+    let phase = failure.phase().map(|phase| phase.as_str().to_string());
+    let (code, message) = match failure {
+        AnalysisError::InvalidProgram(message) => ("compile-error", message),
+        AnalysisError::Panicked { message, .. } => ("panic", message),
+        AnalysisError::Timeout { .. } => ("timeout", failure.to_string()),
+        _ => ("unsolved", failure.to_string()),
+    };
+    Frame::Error { id: request.id.clone(), code: code.to_string(), phase, message }
 }
 
 #[cfg(test)]

@@ -12,10 +12,13 @@
 //! stream incremental anytime frames (`{upper, lower, gap}` from the solver's
 //! degradation ladder) before the final result.
 //!
-//! Fault isolation mirrors the batch engine: every request runs under a
-//! [scoped](dca_lp::Deadline::scoped) child of the daemon deadline and inside
-//! `catch_unwind`, so one poisoned request reports an error frame while the
-//! daemon — and every concurrent sibling request — keeps running.
+//! Fault isolation is the batch engine's own: a request compiles through
+//! [`dca_core::batch::compile_contained`] (entering the compile phase, so
+//! `DCA_FAULT=compile:*` and crash-site attribution work as in a batch) and runs
+//! every solve, stream slices included, through [`dca_core::batch::contained`],
+//! under a [scoped](dca_lp::Deadline::scoped) child of the daemon deadline. One
+//! poisoned request reports an error frame while the daemon — and every
+//! concurrent sibling request — keeps running.
 
 #![deny(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
