@@ -197,6 +197,8 @@ fn effective_jobs(requested: usize, job_count: usize) -> usize {
 /// threads is dynamic (long-running pairs do not stall the queue), while the analyses
 /// themselves stay deterministic.
 pub fn run_batch(jobs: &[BatchJob], config: &BatchConfig) -> BatchReport {
+    // A malformed `DCA_FAULT` is rejected here, before any pair runs.
+    fault::arm_from_env();
     let start = Instant::now();
     let workers = effective_jobs(config.jobs, jobs.len());
     let next = AtomicUsize::new(0);

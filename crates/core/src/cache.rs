@@ -13,9 +13,15 @@
 //!   path, never the verdict — the replay is sound by construction);
 //! * **cold** — nothing matches: a full solve runs and populates the cache.
 //!
-//! Fingerprints are 64-bit, so every entry stores the pair's canonical strings and
-//! [`SolveCache::lookup`] compares them on a shard hit: a fingerprint collision
-//! degrades to a cache miss, never to a wrong answer.
+//! Every key is computed once, when a program is compiled: a [`CompiledProgram`]
+//! carries its canonical form, its 64-bit fingerprint and its per-location
+//! fingerprints next to the program, and the solve cache reads only those. Hits
+//! copy nothing: [`ProgramCache::get_or_compile`] hands out the one compiled entry
+//! behind an [`Arc`], and [`SolveCache::lookup`] the one [`CachedSolve`].
+//!
+//! Fingerprints are 64-bit, so every solve entry keeps the pair's compiled entries
+//! and [`SolveCache::lookup`] compares their canonical strings on a shard hit: a
+//! fingerprint collision degrades to a cache miss, never to a wrong answer.
 //!
 //! Both caches shard their maps over [`Mutex`]es keyed by fingerprint, so concurrent
 //! daemon requests contend only when they touch the same shard; a poisoned shard
@@ -24,7 +30,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dca_ir::fingerprint::{fnv1a, fnv1a_extend};
 use dca_lp::LpBasis;
@@ -41,8 +47,14 @@ const SHARDS: usize = 16;
 /// [`crate::DiffCostSolver::solve_with_warm_start`] puts on the bases it returns.
 /// The analysis options are excluded; cache layers key on them separately.
 pub fn pair_fingerprint(new: &AnalyzedProgram, old: &AnalyzedProgram) -> u64 {
-    let hash = fnv1a_extend(fnv1a(b"pair:"), &new.fingerprint().to_le_bytes());
-    fnv1a_extend(hash, &old.fingerprint().to_le_bytes())
+    fold_pair(new.fingerprint(), old.fingerprint())
+}
+
+/// [`pair_fingerprint`] from the two program fingerprints (the caches pass the
+/// ones their [`CompiledProgram`]s stored).
+fn fold_pair(new: u64, old: u64) -> u64 {
+    let hash = fnv1a_extend(fnv1a(b"pair:"), &new.to_le_bytes());
+    fnv1a_extend(hash, &old.to_le_bytes())
 }
 
 /// A fingerprint of every [`AnalysisOptions`] field that changes the synthesized LP
@@ -70,25 +82,57 @@ pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     fnv1a_extend(fnv1a(b"options:"), &encoded)
 }
 
+/// A compiled program together with its cache keys, each computed once when the
+/// program is compiled.
+#[derive(Debug)]
+pub struct CompiledProgram {
+    /// The compiled, invariant-analyzed program.
+    pub program: AnalyzedProgram,
+    /// [`AnalyzedProgram::canonical_form`] (collision guard of the solve cache).
+    canonical: String,
+    /// [`AnalyzedProgram::fingerprint`]: the hash of `canonical`.
+    fingerprint: u64,
+    /// [`AnalyzedProgram::location_fingerprints`] (near-repeat matching).
+    locations: Vec<u64>,
+}
+
+impl CompiledProgram {
+    /// Wraps `program`, rendering its canonical form and fingerprints once.
+    fn new(program: AnalyzedProgram) -> CompiledProgram {
+        let canonical = program.canonical_form();
+        let fingerprint = fnv1a(canonical.as_bytes());
+        let locations = program.location_fingerprints();
+        CompiledProgram { program, canonical, fingerprint, locations }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SolveKey {
     pair: u64,
     options: u64,
 }
 
+impl SolveKey {
+    fn new(new: &CompiledProgram, old: &CompiledProgram, options: &AnalysisOptions) -> SolveKey {
+        SolveKey {
+            pair: fold_pair(new.fingerprint, old.fingerprint),
+            options: options_fingerprint(options),
+        }
+    }
+}
+
 /// One cached certified solve, with everything a replay needs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CachedSolve {
-    /// Canonical forms of the pair (collision guard: compared on every hit).
-    new_canonical: String,
-    old_canonical: String,
+    /// The pair's compiled entries: their canonical strings are the collision
+    /// guard (compared on every hit), their location fingerprints the near-repeat
+    /// key.
+    new: Arc<CompiledProgram>,
+    old: Arc<CompiledProgram>,
     /// The certified result, returned verbatim on a repeat query.
     pub result: DiffCostResult,
     /// The final basis, stamped with this pair's fingerprint.
     pub basis: Option<LpBasis>,
-    /// Per-location sub-fingerprints of both sides (near-repeat matching).
-    new_locations: Vec<u64>,
-    old_locations: Vec<u64>,
 }
 
 /// A cached basis selected for a near-repeat replay.
@@ -103,7 +147,7 @@ pub struct NearMatch {
 }
 
 /// One shard's bucket list: entries whose `(pair, options)` fingerprint collides.
-type SolveShard = Mutex<HashMap<u64, Vec<(SolveKey, CachedSolve)>>>;
+type SolveShard = Mutex<HashMap<u64, Vec<(SolveKey, Arc<CachedSolve>)>>>;
 
 /// Sharded map from `(pair, options)` fingerprints to certified solves.
 #[derive(Debug)]
@@ -129,7 +173,7 @@ impl SolveCache {
         }
     }
 
-    fn shard(&self, key: SolveKey) -> &Mutex<HashMap<u64, Vec<(SolveKey, CachedSolve)>>> {
+    fn shard(&self, key: SolveKey) -> &SolveShard {
         &self.shards[(key.pair as usize) % SHARDS]
     }
 
@@ -138,26 +182,23 @@ impl SolveCache {
     /// reported as a miss.
     pub fn lookup(
         &self,
-        new: &AnalyzedProgram,
-        old: &AnalyzedProgram,
+        new: &CompiledProgram,
+        old: &CompiledProgram,
         options: &AnalysisOptions,
-    ) -> Option<CachedSolve> {
-        let key = SolveKey {
-            pair: pair_fingerprint(new, old),
-            options: options_fingerprint(options),
-        };
+    ) -> Option<Arc<CachedSolve>> {
+        let key = SolveKey::new(new, old, options);
         let shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
         let found = shard.get(&key.pair).and_then(|entries| {
             entries.iter().find(|(entry_key, entry)| {
                 *entry_key == key
-                    && entry.new_canonical == new.canonical_form()
-                    && entry.old_canonical == old.canonical_form()
+                    && entry.new.canonical == new.canonical
+                    && entry.old.canonical == old.canonical
             })
         });
         match found {
             Some((_, entry)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.clone())
+                Some(Arc::clone(entry))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -171,24 +212,19 @@ impl SolveCache {
     /// [`crate::SolveOutcome::is_certified`].
     pub fn insert(
         &self,
-        new: &AnalyzedProgram,
-        old: &AnalyzedProgram,
+        new: &Arc<CompiledProgram>,
+        old: &Arc<CompiledProgram>,
         options: &AnalysisOptions,
         result: &DiffCostResult,
         basis: Option<LpBasis>,
     ) {
-        let key = SolveKey {
-            pair: pair_fingerprint(new, old),
-            options: options_fingerprint(options),
-        };
-        let entry = CachedSolve {
-            new_canonical: new.canonical_form(),
-            old_canonical: old.canonical_form(),
+        let key = SolveKey::new(new, old, options);
+        let entry = Arc::new(CachedSolve {
+            new: Arc::clone(new),
+            old: Arc::clone(old),
             result: result.clone(),
             basis,
-            new_locations: new.location_fingerprints(),
-            old_locations: old.location_fingerprints(),
-        };
+        });
         let mut shard = self.shard(key).lock().unwrap_or_else(PoisonError::into_inner);
         let entries = shard.entry(key.pair).or_default();
         match entries.iter_mut().find(|(entry_key, _)| *entry_key == key) {
@@ -204,39 +240,38 @@ impl SolveCache {
     /// close enough for a warm start to plausibly help.
     pub fn nearest_basis(
         &self,
-        new: &AnalyzedProgram,
-        old: &AnalyzedProgram,
+        new: &CompiledProgram,
+        old: &CompiledProgram,
         options: &AnalysisOptions,
     ) -> Option<NearMatch> {
         let options_fp = options_fingerprint(options);
-        let new_locations = new.location_fingerprints();
-        let old_locations = old.location_fingerprints();
-        let total = new_locations.len() + old_locations.len();
-        let mut best: Option<(usize, LpBasis)> = None;
+        let total = new.locations.len() + old.locations.len();
+        // The best candidate so far is shared, not copied: only the winner's basis
+        // is cloned, once the scan is over and no shard is locked.
+        let mut best: Option<(usize, Arc<CachedSolve>)> = None;
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for (key, entry) in shard.values().flatten() {
                 if key.options != options_fp
-                    || entry.new_locations.len() != new_locations.len()
-                    || entry.old_locations.len() != old_locations.len()
+                    || entry.basis.is_none()
+                    || entry.new.locations.len() != new.locations.len()
+                    || entry.old.locations.len() != old.locations.len()
                 {
                     continue;
                 }
-                let Some(basis) = &entry.basis else { continue };
-                let changed = count_mismatches(&entry.new_locations, &new_locations)
-                    + count_mismatches(&entry.old_locations, &old_locations);
+                let changed = count_mismatches(&entry.new.locations, &new.locations)
+                    + count_mismatches(&entry.old.locations, &old.locations);
                 if changed * 2 >= total {
                     continue;
                 }
                 if best.as_ref().is_none_or(|(best_changed, _)| changed < *best_changed) {
-                    best = Some((changed, basis.clone()));
+                    best = Some((changed, Arc::clone(entry)));
                 }
             }
         }
-        best.map(|(changed_locations, basis)| NearMatch {
-            basis: basis.rebadged(pair_fingerprint(new, old)),
-            changed_locations,
-        })
+        let (changed_locations, entry) = best?;
+        let basis = entry.basis.clone()?.rebadged(fold_pair(new.fingerprint, old.fingerprint));
+        Some(NearMatch { basis, changed_locations })
     }
 
     /// Number of cached solves.
@@ -271,11 +306,12 @@ fn count_mismatches(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// One shard's bucket list: `(source, compiled)` per source hash.
-type ProgramShard = Mutex<HashMap<u64, Vec<(String, AnalyzedProgram)>>>;
+type ProgramShard = Mutex<HashMap<u64, Vec<(String, Arc<CompiledProgram>)>>>;
 
-/// Sharded source-text → [`AnalyzedProgram`] cache (hash-consing of compilation and
-/// invariant analysis). Keyed by the source hash; the source string is stored
-/// and compared on hit, so a hash collision degrades to a recompile.
+/// Sharded source-text → [`CompiledProgram`] cache (hash-consing of compilation,
+/// invariant analysis and fingerprinting). Keyed by the source hash; the source
+/// string is stored and compared on hit, so a hash collision degrades to a
+/// recompile.
 #[derive(Debug)]
 pub struct ProgramCache {
     shards: Vec<ProgramShard>,
@@ -297,36 +333,36 @@ impl ProgramCache {
         }
     }
 
-    /// Compiles (and invariant-analyzes) `source`, or returns the cached
-    /// program for an identical earlier submission.
+    /// Compiles (and invariant-analyzes and fingerprints) `source`, or shares the
+    /// cached entry of an identical earlier submission.
     ///
     /// # Errors
     ///
     /// Returns the compiler's human-readable message when `source` does not parse
     /// or lower (compile errors are not cached — they are cheap to reproduce).
-    pub fn get_or_compile(&self, source: &str) -> Result<AnalyzedProgram, String> {
+    pub fn get_or_compile(&self, source: &str) -> Result<Arc<CompiledProgram>, String> {
         let hash = fnv1a(source.as_bytes());
         let shard = &self.shards[(hash as usize) % SHARDS];
         {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(entries) = shard.get(&hash) {
-                for (cached_source, program) in entries {
+                for (cached_source, compiled) in entries {
                     if cached_source == source {
-                        return Ok(program.clone());
+                        return Ok(Arc::clone(compiled));
                     }
                 }
             }
         }
         // Compile outside the shard lock: compilation is the expensive part, and a
-        // racing duplicate insert is harmless (last writer wins on identical data).
-        let program = AnalyzedProgram::from_source(source)?;
+        // racing duplicate insert is harmless (both entries hold identical data).
+        let compiled = Arc::new(CompiledProgram::new(AnalyzedProgram::from_source(source)?));
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
         shard
             .entry(hash)
             .or_default()
-            .push((source.to_string(), program.clone()));
-        Ok(program)
+            .push((source.to_string(), Arc::clone(&compiled)));
+        Ok(compiled)
     }
 
     /// How many genuine compilations ran (cache misses).
@@ -358,12 +394,12 @@ mod tests {
         assert!(cache.is_empty());
 
         let solver = DiffCostSolver::new(options);
-        let (result, basis) = solver.solve_with_warm_start(&new, &old, None);
+        let (result, basis) = solver.solve_with_warm_start(&new.program, &old.program, None);
         let result = result.unwrap();
         cache.insert(&new, &old, &options, &result, basis);
         assert_eq!(cache.len(), 1);
 
-        // Repeat query: recompile the same sources, hit the cache bit-identically.
+        // Repeat query: resubmit the same sources, hit the cache bit-identically.
         let new_again = programs.get_or_compile(&source(2)).unwrap();
         let hit = cache.lookup(&new_again, &old, &options).expect("repeat must hit");
         assert_eq!(hit.result.threshold.to_bits(), result.threshold.to_bits());
@@ -380,20 +416,21 @@ mod tests {
         assert!(near.changed_locations >= 1);
         assert!(
             near.changed_locations * 2
-                < edited.ts.num_locations() + old.ts.num_locations(),
+                < edited.program.ts.num_locations() + old.program.ts.num_locations(),
             "most locations must be unchanged"
         );
         assert_eq!(
             near.basis.fingerprint(),
-            Some(pair_fingerprint(&edited, &old)),
-            "the replayed basis must be rebadged to the querying pair"
+            Some(pair_fingerprint(&edited.program, &old.program)),
+            "the replayed basis must be rebadged to the querying pair (the solver's stamp)"
         );
         // The rebadged basis passes the provenance guard and solves to the same
         // threshold a cold solve finds.
-        let (warm_result, _) = solver.solve_with_warm_start(&edited, &old, Some(&near.basis));
+        let (warm_result, _) =
+            solver.solve_with_warm_start(&edited.program, &old.program, Some(&near.basis));
         let warm_result = warm_result.unwrap();
         assert!(!warm_result.stats.lp_warm_rejected);
-        let (cold_result, _) = solver.solve_with_warm_start(&edited, &old, None);
+        let (cold_result, _) = solver.solve_with_warm_start(&edited.program, &old.program, None);
         assert_eq!(
             warm_result.threshold.to_bits(),
             cold_result.unwrap().threshold.to_bits()
@@ -406,8 +443,38 @@ mod tests {
         let a = cache.get_or_compile(&source(1)).unwrap();
         let b = cache.get_or_compile(&source(1)).unwrap();
         assert_eq!(cache.compiles(), 1, "second submission must be a hit");
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(Arc::ptr_eq(&a, &b), "a hit must share the compiled entry, not copy it");
+        assert_eq!(a.program.fingerprint(), b.program.fingerprint());
+        assert_eq!(a.fingerprint, a.program.fingerprint(), "the stored key is the program's");
         assert!(cache.get_or_compile("proc broken {").is_err());
+    }
+
+    #[test]
+    fn a_fingerprint_collision_is_a_miss() {
+        let programs = ProgramCache::new();
+        let old = programs.get_or_compile(&source(1)).unwrap();
+        let new = programs.get_or_compile(&source(2)).unwrap();
+        let options = AnalysisOptions::default();
+        let (result, basis) =
+            DiffCostSolver::new(options).solve_with_warm_start(&new.program, &old.program, None);
+        let result = result.unwrap();
+
+        // A different program forged to carry `new`'s fingerprint: its solve entry
+        // lands under the querying pair's key, but its canonical string differs.
+        let other = programs.get_or_compile(&source(3)).unwrap();
+        let forged = Arc::new(CompiledProgram {
+            program: other.program.clone(),
+            canonical: other.canonical.clone(),
+            fingerprint: new.fingerprint,
+            locations: other.locations.clone(),
+        });
+        let cache = SolveCache::new();
+        cache.insert(&forged, &old, &options, &result, basis);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup(&new, &old, &options).is_none(), "a collision must miss");
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        // The forged entry itself still answers its own (forged) pair.
+        assert!(cache.lookup(&forged, &old, &options).is_some());
     }
 
     #[test]

@@ -162,14 +162,23 @@ struct Armed {
 static ARMED: RwLock<Option<Armed>> = RwLock::new(None);
 static ENV_INIT: OnceLock<()> = OnceLock::new();
 
-fn ensure_env_loaded() {
+/// Arms the fault named by `DCA_FAULT`, once per process; later calls do nothing.
+/// [`enter`] calls it on first use, and the batch engine and the serve loops call it
+/// before their first pair or request, so a bad spec is caught before anything runs.
+///
+/// A malformed (or empty) spec prints one message naming it and exits the process
+/// with code 2. A mistyped injection must not be a silent no-op — the harness would
+/// read a green matrix that never injected anything — nor a panic, which every
+/// later phase entry would repeat and the containment would report per pair.
+pub fn arm_from_env() {
     ENV_INIT.get_or_init(|| {
         if let Ok(value) = std::env::var("DCA_FAULT") {
             match FaultSpec::parse(&value) {
                 Ok(spec) => install(Some(spec)),
-                // A mistyped injection must not be a silent no-op: the harness
-                // would read a green matrix that never injected anything.
-                Err(message) => panic!("{message}"),
+                Err(message) => {
+                    eprintln!("error: {message}");
+                    std::process::exit(2);
+                }
             }
         }
     });
@@ -209,7 +218,7 @@ pub fn current_phase() -> SolvePhase {
 /// caller to simulate (cancel the deadline / reject the float result).
 pub fn enter(phase: SolvePhase) -> Option<FaultKind> {
     CURRENT_PHASE.with(|current| current.set(phase));
-    ensure_env_loaded();
+    arm_from_env();
     let armed = ARMED.read().unwrap_or_else(std::sync::PoisonError::into_inner);
     let armed = armed.as_ref()?;
     if armed.spec.phase != phase {

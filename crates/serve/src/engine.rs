@@ -1,11 +1,12 @@
 //! The request engine: caches, per-request isolation, anytime streaming.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dca_core::batch::{compile_contained, contained};
 use dca_core::{
-    AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver,
-    LpBasis, ProgramCache, SolveCache,
+    AnalysisError, AnalysisOptions, CompiledProgram, DiffCostResult, DiffCostSolver, LpBasis,
+    ProgramCache, SolveCache,
 };
 use dca_lp::Deadline;
 
@@ -97,7 +98,7 @@ impl Engine {
         };
 
         // Repeat query: the exact pair at these options was certified before —
-        // answer verbatim from the cache, pivot-free.
+        // answer verbatim from the shared cache entry, pivot-free.
         if let Some(hit) = self.solves.lookup(&new, &old, &options) {
             return emit(Frame::Result(ResultFrame {
                 id: request.id.clone(),
@@ -131,7 +132,8 @@ impl Engine {
         let solve = |warm: Option<&LpBasis>, deadline: &Deadline| {
             contained(|| {
                 let solver = DiffCostSolver::new(options).with_deadline(deadline.clone());
-                let (result, basis) = solver.solve_with_warm_start(&new, &old, warm);
+                let (result, basis) =
+                    solver.solve_with_warm_start(&new.program, &old.program, warm);
                 result.map(|result| (result, basis))
             })
         };
@@ -196,8 +198,8 @@ impl Engine {
         &self,
         request: &AnalyzeRequest,
         options: &AnalysisOptions,
-        new: &AnalyzedProgram,
-        old: &AnalyzedProgram,
+        new: &Arc<CompiledProgram>,
+        old: &Arc<CompiledProgram>,
         result: DiffCostResult,
         basis: Option<LpBasis>,
         cache_label: &str,

@@ -5,6 +5,10 @@
 //! (certified results keyed by structural pair fingerprint) alive across requests,
 //! so repeated program-pair queries are answered pivot-free from the cache and
 //! *edited* pairs re-solve from the nearest cached basis instead of from scratch.
+//! A repeat copies nothing: both caches hand out their entries behind an
+//! [`Arc`](std::sync::Arc), and every cache key (canonical form, fingerprints) was
+//! computed once, when its program was compiled, so a hit costs about a
+//! microsecond on a small pair (its `"seconds"` prints as `0.0000`).
 //!
 //! The protocol is line-delimited JSON over TCP or stdin/stdout — one request per
 //! line in, one or more frames per line out (see [`protocol`]); there are no

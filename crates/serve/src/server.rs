@@ -14,12 +14,15 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// Serves one connection: reads requests line by line, writes every response
 /// frame as its own line, flushing after each request so streamed `progress`
 /// frames reach the client before the solve finishes. Returns when the peer
-/// closes the stream, the engine shuts down, or a write fails.
+/// closes the stream, the engine shuts down, or a write fails. A malformed
+/// `DCA_FAULT` exits the process before the first request is read
+/// ([`dca_lp::fault::arm_from_env`]), as it does in [`serve_tcp`].
 pub fn serve_connection<R: BufRead, W: Write>(
     engine: &Engine,
     input: R,
     mut output: W,
 ) -> io::Result<()> {
+    dca_lp::fault::arm_from_env();
     for line in input.lines() {
         let line = line?;
         if engine.shutting_down() {
@@ -82,6 +85,7 @@ pub fn serve_tcp<A: ToSocketAddrs>(
     addr: A,
     on_bound: impl FnOnce(std::net::SocketAddr),
 ) -> io::Result<()> {
+    dca_lp::fault::arm_from_env();
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     on_bound(listener.local_addr()?);
