@@ -144,8 +144,8 @@ fn run_diff(old_path: &str, new_path: &str, args: &[String]) -> Result<(), Strin
     println!("LP: {} variables, {} constraints ({} before dedup), {:?}",
         result.stats.lp_variables, result.stats.lp_constraints,
         result.stats.lp_constraints_raw, result.stats.duration);
-    // A winning phase-split analysis keys its witnesses over the split systems'
-    // locations, carried in the result; render against those, not the inputs.
+    // A phase-split solve keys its witnesses over the split systems' locations,
+    // carried in the result; render against those, not the inputs.
     let (ts_new, ts_old) = match result.split_systems.as_deref() {
         Some((split_new, split_old)) => {
             println!("loop-phase splitting: {} split(s) analyzed; witnesses are over the split system(s)",

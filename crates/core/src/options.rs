@@ -54,9 +54,9 @@ pub struct AnalysisOptions {
     /// LP backend for Step 4.
     pub backend: LpBackend,
     /// Wall-clock budget for one solve (`None` = unlimited). It covers the whole
-    /// [`crate::DiffCostSolver::solve`] — constraint collection, encoding, the LP
-    /// and, when a phase split fires, the second solve on the split systems too —
-    /// anchored once when the solve starts. When set, every phase polls the
+    /// [`crate::DiffCostSolver::solve`] — the phase split and its invariant
+    /// analysis, constraint collection, encoding and the LP — anchored once when
+    /// the solve starts. When set, every phase polls the
     /// deadline and the solve fails with [`crate::AnalysisError::Timeout`] (or
     /// reports a truncated anytime bound) instead of stalling a batch run on a
     /// pathological instance.
@@ -64,8 +64,9 @@ pub struct AnalysisOptions {
     /// The invariant engine's precision level. It has a single value and selects
     /// nothing; it stays for the benchmark harness (see [`InvariantTier`]).
     pub invariant_tier: InvariantTier,
-    /// Whether the solver may apply loop-phase splitting (`dca_ir::split_phases`)
-    /// and keep the better of the split and unsplit answers. On by default.
+    /// Whether the solver may apply loop-phase splitting (`dca_ir::split_phases`):
+    /// when a program has a phase structure, its split system replaces it in the
+    /// one LP of the solve. On by default; off is the unsplit A/B reference.
     pub phase_split: bool,
     /// Whether the certified backend generates degree-≥-2 Handelman product
     /// columns lazily (delayed column generation with exact pricing). On by

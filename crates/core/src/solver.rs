@@ -37,10 +37,10 @@ pub enum AnalysisError {
     InvalidProgram(String),
     /// The wall-clock budget ran out — or the deadline was cancelled — before any
     /// sound answer existed. The budget is [`AnalysisOptions::time_budget`], one
-    /// budget for the whole [`DiffCostSolver::solve`] including its phase-split
-    /// second solve, tightened by any [`Deadline`] attached with
-    /// [`DiffCostSolver::with_deadline`] (the serve daemon's request budget and
-    /// shutdown). A cancellation is a daemon shutdown or an injected `deadline`
+    /// budget for the whole [`DiffCostSolver::solve`] (the phase split and its
+    /// invariants, the encoding and the one LP), tightened by any [`Deadline`]
+    /// attached with [`DiffCostSolver::with_deadline`] (the serve daemon's request
+    /// budget and shutdown). A cancellation is a daemon shutdown or an injected `deadline`
     /// fault; a compile-phase one reports [`SolvePhase::Compile`].
     Timeout {
         /// The pipeline phase that was running when the budget ran out.
@@ -145,12 +145,12 @@ pub struct SolveStats {
     /// infeasible (vacuous implications; pruning is sound and keeps
     /// contradictory-premise Handelman products away from the simplex).
     pub transitions_pruned: usize,
-    /// Loop-phase splits the solver detected and analyzed across both program
-    /// sides (see `dca_ir::split_phases`). When non-zero, a second solve ran on
-    /// the split system(s) and the reported result is the better of the two;
-    /// when zero — no split detected, or splitting disabled via
-    /// [`crate::AnalysisOptions::phase_split`] — the result is bit-identical to
-    /// the plain unsplit solve.
+    /// Loop-phase splits the solver applied across both program sides (see
+    /// `dca_ir::split_phases`). When non-zero, the one LP was over the split
+    /// system(s) instead of the inputs, and
+    /// [`DiffCostResult::split_systems`] carries them; when zero — no split
+    /// detected, or splitting disabled via [`crate::AnalysisOptions::phase_split`]
+    /// — the LP was over the input programs.
     pub phases_split: usize,
     /// `f64` LP solves made by the invariant analyses this solve consumed: both
     /// input programs plus every phase-split system it analyzed (see
@@ -192,13 +192,14 @@ pub struct DiffCostResult {
     /// The anti-potential function for the old program.
     pub anti_potential_old: PotentialFunction,
     /// The `(new, old)` transition systems the witnesses are keyed over, when they
-    /// differ from the input programs — i.e. when the phase-split analysis produced
-    /// the reported result. The split pass renames and adds locations, so
+    /// differ from the input programs — `Some` exactly when a phase split fired
+    /// ([`SolveStats::phases_split`] `> 0`; a side without a split is its input
+    /// system). The split pass renames and adds locations, so
     /// [`potential_new`](DiffCostResult::potential_new) and
     /// [`anti_potential_old`](DiffCostResult::anti_potential_old) must be rendered
-    /// and evaluated against these systems, not the inputs. `None` when the unsplit
-    /// analysis won (the common case): the witnesses are keyed over the input
-    /// systems themselves.
+    /// and evaluated against these systems, not the inputs. `None` when no split
+    /// fired (the common case): the witnesses are keyed over the input systems
+    /// themselves.
     pub split_systems: Option<Box<(TransitionSystem, TransitionSystem)>>,
     /// Solve statistics.
     pub stats: SolveStats,
@@ -408,7 +409,7 @@ impl DiffCostSolver {
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
     ) -> Result<DiffCostResult, AnalysisError> {
-        self.solve_with_warm_start(new, old, None).0
+        self.solve_pair(new, old, None).0
     }
 
     /// Like [`DiffCostSolver::solve`], seeding the LP with the final basis of a
@@ -422,15 +423,14 @@ impl DiffCostSolver {
     /// few pivots of the new optimum. The returned basis is `Some` whenever an LP
     /// actually ran, regardless of the analysis outcome.
     ///
-    /// When [`AnalysisOptions::phase_split`] is on (the default) and
-    /// `dca_ir::split_phases` finds a phase structure in either program, a second
-    /// solve runs on the split system(s) and the better (smaller-threshold) of the
-    /// two answers is reported, with [`SolveStats::phases_split`] recording how many
-    /// splits were analyzed. The returned warm-start basis is always the *unsplit*
-    /// solve's basis: split systems rename locations, so their unknowns cannot seed
-    /// a later unsplit solve.
+    /// A solve runs one LP. When [`AnalysisOptions::phase_split`] is on (the
+    /// default) and `dca_ir::split_phases` finds a phase structure in either
+    /// program, that LP is over the split system(s) instead of the inputs; the
+    /// warm basis seeds it and the returned basis is its own. Split systems rename
+    /// the split locations, so only the columns whose names they share with the
+    /// warm basis carry over.
     ///
-    /// The returned basis is stamped with the pair's structural fingerprint
+    /// The returned basis is stamped with the *input* pair's structural fingerprint
     /// ([`crate::cache::pair_fingerprint`]), and an *incoming* stamped basis whose
     /// fingerprint names a different pair is refused (the solve runs cold and
     /// [`SolveStats::lp_warm_rejected`] records the refusal). The fingerprint
@@ -446,10 +446,7 @@ impl DiffCostSolver {
         let warm_rejected =
             warm.is_some_and(|basis| basis.fingerprint().is_some_and(|fp| fp != pair));
         let warm = if warm_rejected { None } else { warm };
-        // One deadline for the whole solve: the phase-split second solve spends what
-        // is left of the budget, not a fresh one.
-        let deadline = self.effective_deadline(Instant::now());
-        let (result, basis) = self.solve_any_split(new, old, warm, &deadline);
+        let (result, basis) = self.solve_pair(new, old, warm);
         let result = result.map(|mut result| {
             result.stats.lp_warm_rejected = warm_rejected;
             result
@@ -457,72 +454,58 @@ impl DiffCostSolver {
         (result, basis.map(|basis| basis.rebadged(pair)))
     }
 
-    /// [`DiffCostSolver::solve_with_warm_start`] after the provenance guard: the
-    /// unsplit solve plus the optional phase-split second solve, merged. Both solves
-    /// run under the one `deadline` of the whole solve.
-    fn solve_any_split(
+    /// The threshold solve behind [`DiffCostSolver::solve`] and
+    /// [`DiffCostSolver::solve_with_warm_start`]: replaces each program that has a
+    /// phase structure by its split system, then runs one encode-and-LP on the
+    /// resulting pair. The solve's one deadline is anchored here, so the split
+    /// spends the same budget as the LP.
+    fn solve_pair(
         &self,
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
         warm: Option<&LpBasis>,
-        deadline: &Deadline,
     ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
-        let mut invariant_lp_queries =
-            new.invariants.lp_queries() + old.invariants.lp_queries();
-        let (base_result, base_basis) = self.solve_unsplit(new, old, warm, deadline);
-        let counted = |result: Result<DiffCostResult, AnalysisError>, lp_queries: usize| {
-            result.map(|mut result| {
-                result.stats.invariant_lp_queries = lp_queries;
-                result
-            })
+        let deadline = self.effective_deadline(Instant::now());
+        let (split_new, split_old) = if self.options.phase_split {
+            (new.split_phases(), old.split_phases())
+        } else {
+            (None, None)
         };
-        if !self.options.phase_split {
-            return (counted(base_result, invariant_lp_queries), base_basis);
-        }
-        let split_new = new.split_phases();
-        let split_old = old.split_phases();
-        invariant_lp_queries += [&split_new, &split_old]
-            .into_iter()
-            .flatten()
-            .map(|(program, _)| program.invariants.lp_queries())
-            .sum::<usize>();
-        let phases_split = split_new.as_ref().map_or(0, |(_, n)| *n)
-            + split_old.as_ref().map_or(0, |(_, n)| *n);
-        if phases_split == 0 {
-            return (counted(base_result, invariant_lp_queries), base_basis);
-        }
-        let new_side = split_new.map_or_else(|| new.clone(), |(program, _)| program);
-        let old_side = split_old.map_or_else(|| old.clone(), |(program, _)| program);
-        // No warm basis: the split system's locations (hence unknown names) differ.
-        let (split_result, _) = self.solve_unsplit(&new_side, &old_side, None, deadline);
-        let stamped = |mut result: DiffCostResult| {
+        let splits = [&split_new, &split_old].into_iter().flatten();
+        let phases_split: usize = splits.clone().map(|(_, n)| n).sum();
+        let invariant_lp_queries = new.invariants.lp_queries()
+            + old.invariants.lp_queries()
+            + splits.map(|(program, _)| program.invariants.lp_queries()).sum::<usize>();
+        let new_side = split_new.as_ref().map_or(new, |(program, _)| program);
+        let old_side = split_old.as_ref().map_or(old, |(program, _)| program);
+        let (result, basis) = self.prove_bound(new_side, old_side, None, warm, &deadline);
+        let result = result.map(|mut result| {
             result.stats.phases_split = phases_split;
+            result.stats.invariant_lp_queries = invariant_lp_queries;
+            // A split result carries the split systems along: its witnesses are keyed
+            // by their locations, and rendering or evaluating them against the input
+            // systems would be out of bounds (or silently wrong).
+            if phases_split > 0 {
+                result.split_systems =
+                    Some(Box::new((new_side.ts.clone(), old_side.ts.clone())));
+            }
             result
-        };
-        // A winning split result carries the split systems along: its witnesses are
-        // keyed by the split systems' locations, and rendering or evaluating them
-        // against the input systems would be out of bounds (or silently wrong).
-        let stamped_split = |mut result: DiffCostResult| {
-            result.split_systems = Some(Box::new((new_side.ts.clone(), old_side.ts.clone())));
-            stamped(result)
-        };
-        let merged = match (base_result, split_result) {
-            (Ok(base), Ok(split)) if split.threshold < base.threshold => Ok(stamped_split(split)),
-            (Ok(base), _) => Ok(stamped(base)),
-            (Err(_), Ok(split)) => Ok(stamped_split(split)),
-            (Err(base), Err(_)) => Err(base),
-        };
-        (counted(merged, invariant_lp_queries), base_basis)
+        });
+        (result, basis)
     }
 
-    /// The plain single-system solve behind [`DiffCostSolver::solve_with_warm_start`]:
-    /// encodes and solves exactly the two programs it is given, with no phase-split
-    /// attempt, under the caller's `deadline` (its `start` only times this solve's
-    /// [`SolveStats::duration`]).
-    fn solve_unsplit(
+    /// The one encode-and-solve of a bound proof, shared by the threshold and the
+    /// symbolic-bound analyses: potential for `new`, anti-potential for `old`, and
+    /// the differential constraint `Θ0 ⟹ bound − (φ_new(ℓ0,x) − χ_old(ℓ0,x)) ≥ 0`.
+    /// `bound` is a fixed polynomial over the new program's variables, or `None`
+    /// for a fresh threshold unknown `t` that the LP minimizes (the result's
+    /// `threshold`; it is 0 under a fixed polynomial). Runs under the caller's
+    /// `deadline`; the returned [`SolveStats::duration`] times this call only.
+    fn prove_bound(
         &self,
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
+        bound: Option<&Polynomial>,
         warm: Option<&LpBasis>,
         deadline: &Deadline,
     ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
@@ -541,28 +524,27 @@ impl DiffCostSolver {
             deadline.cancel();
         }
         let mut factory = UnknownFactory::new();
-        let threshold = factory.fresh("t", UnknownKind::Free);
+        let (threshold, bound, label) = match bound {
+            Some(bound) => (None, TemplatePolynomial::from_polynomial(bound), "symbolic-bound"),
+            None => {
+                let threshold = factory.fresh("t", UnknownKind::Free);
+                (Some(threshold), TemplatePolynomial::from_unknown(threshold), "differential")
+            }
+        };
         let (templates_new, templates_old, mut set, collected) =
             self.collect_both(new, old, BOUND_ROLES, &mut factory);
         let mut lazy = collected.lazy_multipliers;
-
-        // Differential constraint: Θ0 ⟹ t − (φ_new(ℓ0,x) − χ_old(ℓ0,x)) ≥ 0.
         let (phi0, chi0, theta0) = self.initial_difference(new, old, &templates_new, &templates_old);
-        let poly = &(&TemplatePolynomial::from_unknown(threshold) - &phi0) + &chi0;
-        let encoding = encode_nonnegativity(
-            &theta0,
-            &poly,
-            self.options.max_products,
-            &mut factory,
-            "differential",
-        );
+        let poly = &(&bound - &phi0) + &chi0;
+        let encoding =
+            encode_nonnegativity(&theta0, &poly, self.options.max_products, &mut factory, label);
         lazy.extend(encoding.lazy_multipliers());
         set.extend(encoding.constraints);
         if deadline.expired() {
             return (Err(AnalysisError::Timeout { phase: SolvePhase::Encode }), None);
         }
 
-        let attempt = self.solve_lp(&factory, &set, Some(threshold), start, deadline, warm, &lazy);
+        let attempt = self.solve_lp(&factory, &set, threshold, start, deadline, warm, &lazy);
         let result = attempt.result.map(|(objective_value, assignment, mut stats)| {
             stats.transitions_pruned = collected.pruned;
             DiffCostResult {
@@ -591,30 +573,12 @@ impl DiffCostSolver {
         old: &AnalyzedProgram,
         bound: &Polynomial,
     ) -> Result<SymbolicBoundResult, AnalysisError> {
-        let start = Instant::now();
-        let mut factory = UnknownFactory::new();
-        let (templates_new, templates_old, mut set, collected) =
-            self.collect_both(new, old, BOUND_ROLES, &mut factory);
-        let mut lazy = collected.lazy_multipliers;
-        let (phi0, chi0, theta0) = self.initial_difference(new, old, &templates_new, &templates_old);
-        let poly = &(&TemplatePolynomial::from_polynomial(bound) - &phi0) + &chi0;
-        let encoding = encode_nonnegativity(
-            &theta0,
-            &poly,
-            self.options.max_products,
-            &mut factory,
-            "symbolic-bound",
-        );
-        lazy.extend(encoding.lazy_multipliers());
-        set.extend(encoding.constraints);
-        let deadline = self.effective_deadline(start);
-        let (_, assignment, mut stats) =
-            self.solve_lp(&factory, &set, None, start, &deadline, None, &lazy).result?;
-        stats.transitions_pruned = collected.pruned;
+        let deadline = self.effective_deadline(Instant::now());
+        let result = self.prove_bound(new, old, Some(bound), None, &deadline).0?;
         Ok(SymbolicBoundResult {
-            potential_new: templates_new.instantiate(&assignment),
-            anti_potential_old: templates_old.instantiate(&assignment),
-            stats,
+            potential_new: result.potential_new,
+            anti_potential_old: result.anti_potential_old,
+            stats: result.stats,
         })
     }
 
@@ -726,39 +690,21 @@ impl DiffCostSolver {
         factory: &mut UnknownFactory,
     ) -> (ProgramTemplates, ProgramTemplates, ConstraintSet, CollectOutcome) {
         let [(new_prefix, new_role), (old_prefix, old_role)] = roles;
-        let templates_new = ProgramTemplates::allocate(
-            &new.ts,
-            self.options.degree,
-            self.options.include_cost_in_template,
-            factory,
-            new_prefix,
-        );
-        let templates_old = ProgramTemplates::allocate(
-            &old.ts,
-            self.options.degree,
-            self.options.include_cost_in_template,
-            factory,
-            old_prefix,
-        );
+        let (degree, with_cost) = (self.options.degree, self.options.include_cost_in_template);
+        let allocate = |program: &AnalyzedProgram, factory: &mut _, prefix| {
+            ProgramTemplates::allocate(&program.ts, degree, with_cost, factory, prefix)
+        };
+        let templates_new = allocate(new, factory, new_prefix);
+        let templates_old = allocate(old, factory, old_prefix);
         let mut set = ConstraintSet::new();
-        let mut outcome = collect_program_constraints(
-            &new.ts,
-            &new.invariants,
-            &templates_new,
-            new_role,
-            self.options.max_products,
-            factory,
-            &mut set,
-        );
-        let old_outcome = collect_program_constraints(
-            &old.ts,
-            &old.invariants,
-            &templates_old,
-            old_role,
-            self.options.max_products,
-            factory,
-            &mut set,
-        );
+        let mut collect = |program: &AnalyzedProgram, templates, role, factory: &mut _| {
+            let products = self.options.max_products;
+            collect_program_constraints(
+                &program.ts, &program.invariants, templates, role, products, factory, &mut set,
+            )
+        };
+        let mut outcome = collect(new, &templates_new, new_role, factory);
+        let old_outcome = collect(old, &templates_old, old_role, factory);
         outcome.pruned += old_outcome.pruned;
         outcome.lazy_multipliers.extend(old_outcome.lazy_multipliers);
         (templates_new, templates_old, set, outcome)
@@ -884,7 +830,7 @@ impl DiffCostSolver {
             }
             LpBackend::Exact => lp.solve_exact(),
         };
-        let basis = Some(solution.basis.clone());
+        let basis = Some(solution.basis);
         let result = match solution.status {
             LpStatus::Optimal => {
                 let assignment: BTreeMap<UnknownId, Rational> = factory
@@ -905,24 +851,20 @@ impl DiffCostSolver {
                     lp_dual_bound: solution.dual_bound.as_ref().map(Rational::to_f64),
                     lp_certified: info.certified,
                     lp_certify_rounds: info.certify_rounds,
-                    lp_presolve_time: Duration::ZERO,
                     lp_float_time: info.float_time,
                     lp_certify_time: info.certify_time,
                     lp_repair_time: info.repair_time,
                     lp_build_time: info.build_time,
-                    // Filled in by the callers that know their program pair (pruning
-                    // happens during constraint collection, and phase splitting
-                    // around whole solves — both before/outside the LP).
-                    transitions_pruned: 0,
-                    phases_split: 0,
-                    invariant_lp_queries: 0,
                     lp_products_total: info.products_total,
                     lp_products_generated: info.products_generated,
                     lp_separation_rounds: info.separation_rounds,
                     lp_lu_updates: info.lu_updates,
                     lp_lu_refactorizations: info.lu_refactorizations,
-                    lp_warm_rejected: false,
                     duration: start.elapsed(),
+                    // The pair-level counts (pruning, phase splits, invariant
+                    // queries, warm-basis refusal) are filled in by the callers
+                    // that know the pair; the presolve time stays zero.
+                    ..SolveStats::default()
                 };
                 Ok((objective_value, assignment, stats))
             }

@@ -189,3 +189,32 @@ fn a_panicking_job_is_contained_and_does_not_poison_a_parallel_batch() {
         }
     }
 }
+
+/// A fired phase split replaces the unsplit solve instead of running beside it: a
+/// solve enters the encoding exactly once, so a deadline armed for the *second*
+/// encode entry never fires, and the one (split) solve certifies the tight threshold.
+#[test]
+fn a_split_pair_encodes_once() {
+    const OLD: &str = "proc f(n, m) { assume(n >= 1 && n <= 100 && m >= 1 && m <= 100); \
+        i = 0; while (i < n) { tick(1); i = i + 1; } }";
+    const NEW: &str = "proc f(n, m) { assume(n >= 1 && n <= 100 && m >= 1 && m <= 100); \
+        tick(1); i = 0; while (i < n) { tick(1); \
+        if (i == 0) { j = 0; while (j < m) { tick(1); j = j + 1; } } i = i + 1; } }";
+    let _guard = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    fault::install(Some(FaultSpec {
+        phase: SolvePhase::Encode,
+        kind: FaultKind::Deadline,
+        nth: 2,
+    }));
+    let job = BatchJob::from_sources("NestedSingle", NEW, OLD);
+    let report = run_batch(&[job], &BatchConfig::with_jobs(1));
+    let triggered = fault::triggered();
+    fault::install(None);
+
+    assert!(!triggered, "a second encode entry ran: the pair was solved twice");
+    let outcome = &report.outcomes[0];
+    assert!(outcome.outcome().is_certified(), "{:?}", outcome.outcome());
+    let result = outcome.result.as_ref().unwrap();
+    assert!(result.stats.phases_split > 0, "the split must fire on NestedSingle");
+    assert_eq!(result.threshold_int(), 101);
+}

@@ -253,7 +253,7 @@ impl Frame {
                 "{{\"type\": \"result\", \"id\": \"{}\", \"threshold\": {}, \
                  \"threshold_int\": {}, \"outcome\": \"{}\", \"cache\": \"{}\", \
                  \"lp_iterations\": {}, \"invalidated\": {}, \"degree\": {}, \
-                 \"seconds\": {:.4}}}",
+                 \"seconds\": {}}}",
                 escape(&r.id),
                 r.threshold,
                 r.threshold_int,
@@ -349,7 +349,8 @@ mod tests {
                 lp_iterations: 0,
                 invalidated: 0,
                 degree: 2,
-                seconds: 0.001,
+                // About what a cache hit takes.
+                seconds: 1.5e-6,
             }),
             Frame::Error {
                 id: "q".into(),
@@ -361,11 +362,16 @@ mod tests {
             Frame::Stats { entries: 1, hits: 2, misses: 3, compiles: 4 },
             Frame::Bye,
         ];
-        for frame in frames {
+        for frame in &frames {
             let line = frame.to_json();
             assert!(!line.contains('\n'), "{line}");
             let value = crate::json::Value::parse(&line).unwrap();
             assert!(value.get("type").is_some(), "{line}");
+            if let Frame::Result(result) = frame {
+                // The time survives rendering exactly instead of rounding to zero.
+                let seconds = value.get("seconds").and_then(crate::json::Value::as_f64);
+                assert_eq!(seconds, Some(result.seconds), "{line}");
+            }
         }
     }
 }

@@ -26,8 +26,8 @@ fn main() {
             println!("integer threshold        = {}", result.threshold_int());
             println!("LP size: {} variables, {} constraints, solved in {:?}",
                 result.stats.lp_variables, result.stats.lp_constraints, result.stats.duration);
-            // If the phase-split analysis won, the witnesses are keyed over the
-            // split systems carried in the result rather than the inputs.
+            // When a phase split fired, the witnesses are keyed over the split
+            // systems carried in the result rather than the inputs.
             let (ts_new, ts_old) = match result.split_systems.as_deref() {
                 Some((split_new, split_old)) => (split_new, split_old),
                 None => (&new.ts, &old.ts),

@@ -2,9 +2,11 @@
 //! structure*, solving with splitting enabled (the default) and disabled
 //! ([`AnalysisOptions::without_phase_split`]) must produce bit-identical outcomes —
 //! the solver promises the split machinery is a strict no-op unless the detector
-//! fires. On pairs where it does fire, the split answer may only ever *improve* (the
-//! solver keeps the better of the two), and disabling the pass must verifiably keep
-//! it off (`SolveStats::phases_split == 0`).
+//! fires. On pairs where it does fire, the split systems replace the inputs in the
+//! one LP of the solve, so the split answer is computed alone and must be no worse
+//! than the unsplit one; the result must carry the split systems exactly when a
+//! split fired; and disabling the pass must verifiably keep it off
+//! (`SolveStats::phases_split == 0`).
 
 use diffcost::benchmarks::table2::{table2_manifest, table2_options};
 use diffcost::benchmarks::{all_benchmarks, running_example, Benchmark};
@@ -42,6 +44,10 @@ fn assert_split_invariant(
     if let Ok(r) = &without_split {
         assert_eq!(r.stats.phases_split, 0, "{name}: without_phase_split must disable the pass");
     }
+    if let Ok(r) = &with_split {
+        let fired = r.stats.phases_split > 0;
+        assert_eq!(r.split_systems.is_some(), fired, "{name}: split systems iff a split fired");
+    }
     let splittable =
         !detect_phase_splits(&new.ts).is_empty() || !detect_phase_splits(&old.ts).is_empty();
     if !splittable {
@@ -52,9 +58,12 @@ fn assert_split_invariant(
         );
         return false;
     }
-    // Split fired (or at least was attempted): keeping the better of two sound
-    // answers can only lower the threshold.
-    if let (Ok(ab), Ok(plain)) = (&with_split, &without_split) {
+    // Split fired (or at least was attempted): the split systems were solved
+    // instead of the inputs, and that answer must be no worse than the unsplit one.
+    if let Ok(plain) = &without_split {
+        let ab = with_split.as_ref().unwrap_or_else(|error| {
+            panic!("{name}: the split solve failed ({error}) where the unsplit one solved")
+        });
         assert!(
             ab.threshold <= plain.threshold,
             "{name}: split answer {} worse than unsplit {}",

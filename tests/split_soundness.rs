@@ -1,5 +1,5 @@
-//! Interpreter-sampled soundness of loop-phase splitting: whenever the solver's
-//! split path wins (`SolveStats::phases_split > 0`), the reported threshold must
+//! Interpreter-sampled soundness of loop-phase splitting: whenever the solver
+//! solves the split systems (`SolveStats::phases_split > 0`), the reported threshold must
 //! survive `verify_threshold` — sampled concrete executions of the *original*
 //! (unsplit) pair must never exhibit `cost_new − cost_old` above it. The split
 //! system is a different program; the bound it proves is only meaningful for the
@@ -11,7 +11,7 @@ use diffcost::core::verify::{verify_threshold, VerifyConfig};
 use diffcost::ir::{detect_phase_splits, GeneratedPair, MAX_BLOCK_STATEMENTS};
 use diffcost::prelude::*;
 
-/// Solves a pair and, when the split path produced the answer, replays sampled
+/// Solves a pair and, when the split systems produced the answer, replays sampled
 /// runs of the original programs against the threshold.
 fn check_split_soundness(
     name: &str,
