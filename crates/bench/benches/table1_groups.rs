@@ -11,7 +11,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use dca_benchmarks::{all_benchmarks, run_suite_parallel, running_example};
+use dca_benchmarks::{all_benchmarks, evaluation, running_example, Benchmark};
 use dca_core::batch::{run_batch, BatchConfig};
 
 /// Runs `f` repeatedly for roughly `budget` (at least `min_samples` times, at most 50)
@@ -44,7 +44,7 @@ fn bench<F: FnMut()>(name: &str, budget: Duration, min_samples: usize, mut f: F)
     );
 }
 
-fn representative(name: &str) -> dca_benchmarks::Benchmark {
+fn representative(name: &str) -> Benchmark {
     all_benchmarks()
         .into_iter()
         .find(|b| b.name == name)
@@ -93,8 +93,9 @@ fn main() {
             continue;
         }
         let config = BatchConfig::with_jobs(jobs).with_time_budget(Duration::from_secs(10));
+        let suite: Vec<_> = evaluation(&[]).iter().map(Benchmark::job).collect();
         bench(&name, Duration::from_secs(0), 1, || {
-            let report = run_suite_parallel(&config);
+            let report = run_batch(&suite, &config);
             black_box(report);
         });
     }

@@ -42,8 +42,7 @@ fn query(engine: &Engine, id: &str, bench: &dca_benchmarks::Benchmark) -> (Resul
 
 fn main() {
     let json = std::env::args().skip(1).any(|a| a == "--json");
-    let mut benchmarks = dca_benchmarks::all_benchmarks();
-    benchmarks.push(dca_benchmarks::running_example());
+    let benchmarks = dca_benchmarks::evaluation(&[]);
     let subset: Vec<_> = SUBSET
         .iter()
         .map(|name| {

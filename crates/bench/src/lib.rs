@@ -109,9 +109,7 @@ fn json_display<T: std::fmt::Display>(v: Option<T>) -> String {
 /// Runs the 19 Table-1 pairs plus the running example whose names contain one of the
 /// given substrings (an empty list selects everything) through the batch engine.
 pub fn run_suite_filtered(config: &BatchConfig, filters: &[String]) -> SuiteRun {
-    let mut benchmarks = dca_benchmarks::all_benchmarks();
-    benchmarks.push(dca_benchmarks::running_example());
-    benchmarks.retain(|b| dca_benchmarks::matches_filters(b.name, filters));
+    let benchmarks = dca_benchmarks::evaluation(filters);
     let jobs: Vec<_> = benchmarks.iter().map(Benchmark::job).collect();
     let report = run_batch(&jobs, config);
     SuiteRun {

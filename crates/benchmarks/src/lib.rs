@@ -22,30 +22,19 @@ pub mod table2;
 
 pub use suite::{all_benchmarks, running_example, Benchmark, BenchmarkGroup};
 
-use dca_core::batch::{run_batch, BatchConfig, BatchJob, BatchReport};
+use dca_core::batch::BatchJob;
 use dca_core::{AnalysisError, AnalysisOptions, AnalyzedProgram, DiffCostResult, DiffCostSolver};
 
-/// The whole evaluation as batch jobs: all 19 Table-1 pairs plus the running example,
-/// each at the degree the paper used for it (`d = K = 2`, `nested` at 3).
-pub fn suite_jobs() -> Vec<BatchJob> {
+/// The whole evaluation in table order — all 19 Table-1 pairs, then the running
+/// example — keeping the pairs whose names contain one of `filters` (an empty list
+/// keeps everything). [`Benchmark::job`] turns each into a batch job at the degree
+/// the paper used for it (`d = K = 2`, `nested` at 3).
+pub fn evaluation(filters: &[String]) -> Vec<Benchmark> {
     let mut benchmarks = all_benchmarks();
     benchmarks.push(running_example());
-    benchmarks.iter().map(Benchmark::job).collect()
-}
-
-/// `true` if a benchmark name passes the (possibly empty) substring filter list.
-pub fn matches_filters(name: &str, filters: &[String]) -> bool {
-    filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()))
-}
-
-/// Runs the full evaluation (19 Table-1 pairs + running example) through the parallel
-/// batch engine and returns the per-pair outcomes in table order.
-///
-/// Sources are compiled inside the workers, so parsing, invariant generation and LP
-/// synthesis all parallelize; with `jobs = N` the suite wall-clock drops roughly by the
-/// worker count (see `EXPERIMENTS.md` for measured numbers).
-pub fn run_suite_parallel(config: &BatchConfig) -> BatchReport {
-    run_batch(&suite_jobs(), config)
+    benchmarks
+        .retain(|b| filters.is_empty() || filters.iter().any(|f| b.name.contains(f.as_str())));
+    benchmarks
 }
 
 impl Benchmark {
@@ -180,9 +169,13 @@ mod tests {
         assert_eq!(result.threshold_int(), 10_000);
     }
 
+    fn evaluation_jobs() -> Vec<BatchJob> {
+        evaluation(&[]).iter().map(Benchmark::job).collect()
+    }
+
     #[test]
-    fn suite_jobs_cover_the_whole_evaluation() {
-        let jobs = suite_jobs();
+    fn evaluation_jobs_cover_the_whole_evaluation() {
+        let jobs = evaluation_jobs();
         assert_eq!(jobs.len(), 20, "19 Table-1 pairs plus the running example");
         assert_eq!(jobs.last().unwrap().name, "join");
         let nested = jobs.iter().find(|j| j.name == "nested").unwrap();
@@ -195,7 +188,7 @@ mod tests {
         use dca_core::batch::{run_batch, BatchConfig};
         // Three fast rows keep this a unit test; the full parallel suite is covered by
         // the ignored test below and by the `table1` harness.
-        let jobs: Vec<_> = suite_jobs()
+        let jobs: Vec<_> = evaluation_jobs()
             .into_iter()
             .filter(|j| ["SimpleSingle", "sum", "ddec modified"].contains(&j.name.as_str()))
             .collect();

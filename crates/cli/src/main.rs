@@ -20,8 +20,10 @@
 
 use std::process::ExitCode;
 
+use dca_benchmarks::Benchmark;
 use dca_core::{
-    AnalysisOptions, AnalyzedProgram, BatchConfig, DiffCostResult, DiffCostSolver, LpBackend,
+    run_batch, AnalysisOptions, AnalyzedProgram, BatchConfig, DiffCostResult, DiffCostSolver,
+    LpBackend,
 };
 
 /// Every flag any subcommand reads; anything else starting with `--` is an error.
@@ -253,7 +255,8 @@ fn run_suite_command(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let config = BatchConfig { jobs, time_budget };
-    let report = dca_benchmarks::run_suite_parallel(&config);
+    let jobs: Vec<_> = dca_benchmarks::evaluation(&[]).iter().map(Benchmark::job).collect();
+    let report = run_batch(&jobs, &config);
     println!(
         "{:<21} | {:>10} | d | {:<9} | {:>8}",
         "benchmark", "threshold", "outcome", "time (s)"

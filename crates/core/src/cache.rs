@@ -3,14 +3,14 @@
 //!
 //! The serve daemon answers three kinds of query from these caches:
 //!
-//! * **repeat** — the exact pair (by [`AnalyzedProgram::fingerprint`]) was solved at
-//!   the same options before: the certified [`DiffCostResult`] is returned verbatim,
-//!   pivot-free;
+//! * **repeat** — the exact pair (by the hash of each side's
+//!   [`AnalyzedProgram::canonical_form`]) was solved at the same options before: the
+//!   certified [`DiffCostResult`] is returned verbatim, pivot-free;
 //! * **near-repeat** — an *edited* pair shares most per-location sub-fingerprints
-//!   with a cached entry: the cached basis is [rebadged](dca_lp::LpBasis::rebadged)
-//!   to the new pair and replayed as a warm start, so the re-solve only has to
-//!   re-derive the edited locations' constraint rows (warm starts change the pivot
-//!   path, never the verdict — the replay is sound by construction);
+//!   with a cached entry: the cached basis is replayed unchanged as a warm start, so
+//!   the re-solve only has to re-derive the edited locations' constraint rows (a
+//!   warm basis is a hint matched by column name, never an input to a verdict, so
+//!   the replay is sound by construction);
 //! * **cold** — nothing matches: a full solve runs and populates the cache.
 //!
 //! Every key is computed once, when a program is compiled: a [`CompiledProgram`]
@@ -42,16 +42,9 @@ use crate::solver::DiffCostResult;
 const SHARDS: usize = 16;
 
 /// The structural fingerprint of a `(new, old)` program pair: the two program
-/// fingerprints folded in order ("new then old" — direction matters, the analysis
-/// is asymmetric). This is also the provenance stamp
-/// [`crate::DiffCostSolver::solve_with_warm_start`] puts on the bases it returns.
-/// The analysis options are excluded; cache layers key on them separately.
-pub fn pair_fingerprint(new: &AnalyzedProgram, old: &AnalyzedProgram) -> u64 {
-    fold_pair(new.fingerprint(), old.fingerprint())
-}
-
-/// [`pair_fingerprint`] from the two program fingerprints (the caches pass the
-/// ones their [`CompiledProgram`]s stored).
+/// fingerprints their [`CompiledProgram`]s stored, folded in order ("new then old" —
+/// direction matters, the analysis is asymmetric). The analysis options are
+/// excluded; the solve key folds them in separately.
 fn fold_pair(new: u64, old: u64) -> u64 {
     let hash = fnv1a_extend(fnv1a(b"pair:"), &new.to_le_bytes());
     fnv1a_extend(hash, &old.to_le_bytes())
@@ -90,7 +83,7 @@ pub struct CompiledProgram {
     pub program: AnalyzedProgram,
     /// [`AnalyzedProgram::canonical_form`] (collision guard of the solve cache).
     canonical: String,
-    /// [`AnalyzedProgram::fingerprint`]: the hash of `canonical`.
+    /// The hash of `canonical`: the program's cache key.
     fingerprint: u64,
     /// [`AnalyzedProgram::location_fingerprints`] (near-repeat matching).
     locations: Vec<u64>,
@@ -131,15 +124,15 @@ pub struct CachedSolve {
     old: Arc<CompiledProgram>,
     /// The certified result, returned verbatim on a repeat query.
     pub result: DiffCostResult,
-    /// The final basis, stamped with this pair's fingerprint.
+    /// The final basis, replayed as a warm start by near-repeat queries.
     pub basis: Option<LpBasis>,
 }
 
 /// A cached basis selected for a near-repeat replay.
 #[derive(Debug, Clone)]
 pub struct NearMatch {
-    /// The ancestor's basis, already rebadged to the *querying* pair's fingerprint
-    /// (the explicit cross-pair opt-in — see [`LpBasis::rebadged`]).
+    /// The ancestor's basis as stored: a warm start for the querying pair, which
+    /// can change its pivot path but never its verdict.
     pub basis: LpBasis,
     /// How many locations (across both sides) differ from the ancestor — the rows
     /// the warm-started re-solve actually has to re-derive.
@@ -235,9 +228,9 @@ impl SolveCache {
 
     /// Scans for the closest cached ancestor of an edited pair: same options, same
     /// location counts on both sides, and more than half of the per-location
-    /// sub-fingerprints unchanged. Returns its basis rebadged to the querying
-    /// pair's fingerprint, plus the changed-location count. `None` when nothing is
-    /// close enough for a warm start to plausibly help.
+    /// sub-fingerprints unchanged. Returns its basis as stored, plus the
+    /// changed-location count. `None` when nothing is close enough for a warm
+    /// start to plausibly help.
     pub fn nearest_basis(
         &self,
         new: &CompiledProgram,
@@ -270,7 +263,7 @@ impl SolveCache {
             }
         }
         let (changed_locations, entry) = best?;
-        let basis = entry.basis.clone()?.rebadged(fold_pair(new.fingerprint, old.fingerprint));
+        let basis = entry.basis.clone()?;
         Some(NearMatch { basis, changed_locations })
     }
 
@@ -419,17 +412,11 @@ mod tests {
                 < edited.program.ts.num_locations() + old.program.ts.num_locations(),
             "most locations must be unchanged"
         );
-        assert_eq!(
-            near.basis.fingerprint(),
-            Some(pair_fingerprint(&edited.program, &old.program)),
-            "the replayed basis must be rebadged to the querying pair (the solver's stamp)"
-        );
-        // The rebadged basis passes the provenance guard and solves to the same
-        // threshold a cold solve finds.
+        // The ancestor's basis, replayed as is, solves to the same threshold a cold
+        // solve finds.
         let (warm_result, _) =
             solver.solve_with_warm_start(&edited.program, &old.program, Some(&near.basis));
         let warm_result = warm_result.unwrap();
-        assert!(!warm_result.stats.lp_warm_rejected);
         let (cold_result, _) = solver.solve_with_warm_start(&edited.program, &old.program, None);
         assert_eq!(
             warm_result.threshold.to_bits(),
@@ -444,8 +431,12 @@ mod tests {
         let b = cache.get_or_compile(&source(1)).unwrap();
         assert_eq!(cache.compiles(), 1, "second submission must be a hit");
         assert!(Arc::ptr_eq(&a, &b), "a hit must share the compiled entry, not copy it");
-        assert_eq!(a.program.fingerprint(), b.program.fingerprint());
-        assert_eq!(a.fingerprint, a.program.fingerprint(), "the stored key is the program's");
+        assert_eq!(a.program.canonical_form(), b.program.canonical_form());
+        assert_eq!(
+            a.fingerprint,
+            fnv1a(a.program.canonical_form().as_bytes()),
+            "the stored key is the hash of the program's canonical form"
+        );
         assert!(cache.get_or_compile("proc broken {").is_err());
     }
 

@@ -61,9 +61,7 @@ mod solver;
 pub mod verify;
 
 pub use batch::{run_batch, BatchConfig, BatchJob, BatchReport, PairOutcome};
-pub use cache::{
-    pair_fingerprint, CachedSolve, CompiledProgram, NearMatch, ProgramCache, SolveCache,
-};
+pub use cache::{CachedSolve, CompiledProgram, NearMatch, ProgramCache, SolveCache};
 pub use compat::InvariantTier;
 pub use constraints::{
     collect_program_constraints, CollectOutcome, ConstraintSet, ProgramTemplates, TemplateRole,

@@ -105,14 +105,6 @@ impl AnalyzedProgram {
         out
     }
 
-    /// A stable 64-bit structural fingerprint (FNV-1a of
-    /// [`canonical_form`](AnalyzedProgram::canonical_form)). Equal programs always
-    /// collide; unequal programs collide with negligible but nonzero probability,
-    /// so cache layers verify the canonical strings on every hit.
-    pub fn fingerprint(&self) -> u64 {
-        dca_ir::fingerprint::fnv1a(self.canonical_form().as_bytes())
-    }
-
     /// Per-location structural sub-fingerprints (indexed by [`LocId`] index): the
     /// transition system's location fingerprints, each folded with the source
     /// annotations attached to that location. A location with an unchanged
@@ -120,7 +112,7 @@ impl AnalyzedProgram {
     /// the encoding, which is what lets a near-repeat query re-solve from its
     /// ancestor's basis and re-derive only the edited locations' rows.
     pub fn location_fingerprints(&self) -> Vec<u64> {
-        let mut fps = dca_ir::fingerprint_system(&self.ts).locations;
+        let mut fps = dca_ir::location_fingerprints(&self.ts);
         for (loc, constraints) in &self.annotations {
             if let Some(fp) = fps.get_mut(loc.index()) {
                 for c in constraints {

@@ -172,12 +172,6 @@ pub struct SolveStats {
     /// Full Markowitz refactorizations the exact simplex performed mid-run
     /// (growth-triggered rebuilds; warm-start builds are not counted).
     pub lp_lu_refactorizations: usize,
-    /// `true` when a warm-start basis handed to
-    /// [`DiffCostSolver::solve_with_warm_start`] was refused because its provenance
-    /// fingerprint named a different program pair (the solve then ran cold). Name
-    /// matching alone cannot tell two programs apart, so a stamped basis from the
-    /// wrong pair is rejected rather than silently applied.
-    pub lp_warm_rejected: bool,
     /// Wall-clock time spent constructing and solving the LP.
     pub duration: Duration,
 }
@@ -409,7 +403,7 @@ impl DiffCostSolver {
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
     ) -> Result<DiffCostResult, AnalysisError> {
-        self.solve_pair(new, old, None).0
+        self.solve_with_warm_start(new, old, None).0
     }
 
     /// Like [`DiffCostSolver::solve`], seeding the LP with the final basis of a
@@ -430,36 +424,11 @@ impl DiffCostSolver {
     /// the split locations, so only the columns whose names they share with the
     /// warm basis carry over.
     ///
-    /// The returned basis is stamped with the *input* pair's structural fingerprint
-    /// ([`crate::cache::pair_fingerprint`]), and an *incoming* stamped basis whose
-    /// fingerprint names a different pair is refused (the solve runs cold and
-    /// [`SolveStats::lp_warm_rejected`] records the refusal). The fingerprint
-    /// covers the programs but not the options; a cache layer that deliberately
-    /// replays a *near*-match must opt in via [`LpBasis::rebadged`].
+    /// A warm basis from any origin is accepted: every verdict is decided in exact
+    /// arithmetic, so a basis changes only the pivot path, never the answer. The
+    /// solve's one deadline is anchored here, so the split spends the same budget
+    /// as the LP.
     pub fn solve_with_warm_start(
-        &self,
-        new: &AnalyzedProgram,
-        old: &AnalyzedProgram,
-        warm: Option<&LpBasis>,
-    ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
-        let pair = crate::cache::pair_fingerprint(new, old);
-        let warm_rejected =
-            warm.is_some_and(|basis| basis.fingerprint().is_some_and(|fp| fp != pair));
-        let warm = if warm_rejected { None } else { warm };
-        let (result, basis) = self.solve_pair(new, old, warm);
-        let result = result.map(|mut result| {
-            result.stats.lp_warm_rejected = warm_rejected;
-            result
-        });
-        (result, basis.map(|basis| basis.rebadged(pair)))
-    }
-
-    /// The threshold solve behind [`DiffCostSolver::solve`] and
-    /// [`DiffCostSolver::solve_with_warm_start`]: replaces each program that has a
-    /// phase structure by its split system, then runs one encode-and-LP on the
-    /// resulting pair. The solve's one deadline is anchored here, so the split
-    /// spends the same budget as the LP.
-    fn solve_pair(
         &self,
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
@@ -862,8 +831,8 @@ impl DiffCostSolver {
                     lp_lu_refactorizations: info.lu_refactorizations,
                     duration: start.elapsed(),
                     // The pair-level counts (pruning, phase splits, invariant
-                    // queries, warm-basis refusal) are filled in by the callers
-                    // that know the pair; the presolve time stays zero.
+                    // queries) are filled in by the callers that know the pair;
+                    // the presolve time stays zero.
                     ..SolveStats::default()
                 };
                 Ok((objective_value, assignment, stats))
@@ -1101,38 +1070,24 @@ mod tests {
         assert_eq!(result.outcome().gap(), Some(2.0));
     }
 
-    /// A warm basis stamped for one program pair must be refused when replayed into
-    /// a different pair — column names alone collide across unrelated programs —
-    /// and the refusing solve must still produce the cold answer.
+    /// A warm basis is only a starting point: one from a different program pair
+    /// (whose columns share names with this pair's) changes no answer. Pair B solved
+    /// cold, warm from its own basis and warm from pair A's basis agree bit for bit.
     #[test]
-    fn forged_warm_basis_is_refused_not_applied() {
+    fn a_foreign_warm_basis_changes_no_answer() {
         let tick1 = analyzed(COUNT_TICK1);
         let tick2 = analyzed(COUNT_TICK2);
         let solver = DiffCostSolver::default();
-        // Pair A: (tick2, tick1). Its returned basis is stamped with A's fingerprint.
+        // Pair A: (tick2, tick1).
         let (result_a, basis_a) = solver.solve_with_warm_start(&tick2, &tick1, None);
-        assert!(!result_a.unwrap().stats.lp_warm_rejected);
+        result_a.unwrap();
         let basis_a = basis_a.expect("an LP ran, a basis must come back");
-        assert_eq!(
-            basis_a.fingerprint(),
-            Some(crate::cache::pair_fingerprint(&tick2, &tick1))
-        );
-        // Pair B: (tick1, tick2) — same column names, different programs. The forged
-        // replay is refused; the result is bit-identical to the cold solve.
+        // Pair B: (tick1, tick2) — same column names, different programs.
         let (cold_b, basis_b) = solver.solve_with_warm_start(&tick1, &tick2, None);
         let cold_b = cold_b.unwrap();
-        let (warm_b, _) = solver.solve_with_warm_start(&tick1, &tick2, Some(&basis_a));
-        let warm_b = warm_b.unwrap();
-        assert!(warm_b.stats.lp_warm_rejected, "a cross-pair basis must be rejected");
-        assert_eq!(warm_b.threshold.to_bits(), cold_b.threshold.to_bits());
-        // B's own basis (and an explicitly rebadged foreign one) pass the guard.
-        let (own_b, _) =
-            solver.solve_with_warm_start(&tick1, &tick2, basis_b.as_ref());
-        assert!(!own_b.unwrap().stats.lp_warm_rejected);
-        let rebadged = basis_a.rebadged(crate::cache::pair_fingerprint(&tick1, &tick2));
-        let (rebadged_b, _) = solver.solve_with_warm_start(&tick1, &tick2, Some(&rebadged));
-        let rebadged_b = rebadged_b.unwrap();
-        assert!(!rebadged_b.stats.lp_warm_rejected);
-        assert_eq!(rebadged_b.threshold.to_bits(), cold_b.threshold.to_bits());
+        let (own_b, _) = solver.solve_with_warm_start(&tick1, &tick2, basis_b.as_ref());
+        assert_eq!(own_b.unwrap().threshold.to_bits(), cold_b.threshold.to_bits());
+        let (foreign_b, _) = solver.solve_with_warm_start(&tick1, &tick2, Some(&basis_a));
+        assert_eq!(foreign_b.unwrap().threshold.to_bits(), cold_b.threshold.to_bits());
     }
 }

@@ -1,10 +1,11 @@
 //! Stable structural fingerprints of transition systems.
 //!
-//! The serve-mode solve cache and the warm-basis provenance guard both need a key
-//! that identifies a program by *what it is*, not what it is called: two submissions
-//! of the same loop under different display names must collide, and a one-line edit
-//! must change exactly the fingerprints of the locations it touches. [`fingerprint_system`]
-//! therefore hashes a [canonical rendering](canonical_form) that
+//! The serve-mode solve cache needs a key that identifies a program by *what it
+//! is*, not what it is called: two submissions of the same loop under different
+//! display names must collide, and a one-line edit must change exactly the
+//! fingerprints of the locations it touches. The cache therefore hashes a
+//! [canonical rendering](canonical_form), and [`location_fingerprints`] hashes each
+//! location's share of it. The rendering
 //!
 //! * excludes the system's human-readable name and its location display names
 //!   (locations appear as `l{index}`),
@@ -41,30 +42,16 @@ pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The structural fingerprint of a [`TransitionSystem`]: one hash for the whole
-/// system plus one per location, so an edited program can be diffed against its
-/// ancestor location-by-location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemFingerprint {
-    /// Fingerprint of the whole system (hash of [`canonical_form`]).
-    pub program: u64,
-    /// Per-location sub-fingerprints, indexed by [`LocId`](crate::LocId) index: each
-    /// covers the location's initial/terminal role, Θ0 (initial location only), and
-    /// its outgoing transitions. A location whose sub-fingerprint is unchanged
-    /// between two systems contributes identical constraints to the encoding.
-    pub locations: Vec<u64>,
-}
-
-/// Computes the whole-system and per-location fingerprints in one pass.
-pub fn fingerprint_system(ts: &TransitionSystem) -> SystemFingerprint {
-    SystemFingerprint {
-        program: fnv1a(canonical_form(ts).as_bytes()),
-        locations: ts
-            .locations()
-            .into_iter()
-            .map(|loc| fnv1a(location_form(ts, loc).as_bytes()))
-            .collect(),
-    }
+/// Per-location sub-fingerprints, indexed by [`LocId`](crate::LocId) index: each
+/// covers the location's initial/terminal role, Θ0 (initial location only), and its
+/// outgoing transitions. A location whose sub-fingerprint is unchanged between two
+/// systems contributes identical constraints to the encoding, so an edited program
+/// can be diffed against its ancestor location-by-location.
+pub fn location_fingerprints(ts: &TransitionSystem) -> Vec<u64> {
+    ts.locations()
+        .into_iter()
+        .map(|loc| fnv1a(location_form(ts, loc).as_bytes()))
+        .collect()
 }
 
 /// The canonical, name-independent rendering the fingerprint hashes. Stable across
@@ -141,25 +128,29 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_the_display_name() {
-        let a = fingerprint_system(&simple_loop("alpha", 1));
-        let b = fingerprint_system(&simple_loop("beta", 1));
-        assert_eq!(a, b, "structurally identical systems must collide");
+        let (a, b) = (simple_loop("alpha", 1), simple_loop("beta", 1));
         assert_eq!(
-            canonical_form(&simple_loop("alpha", 1)),
-            canonical_form(&simple_loop("beta", 1))
+            location_fingerprints(&a),
+            location_fingerprints(&b),
+            "structurally identical systems must collide"
         );
+        assert_eq!(canonical_form(&a), canonical_form(&b));
     }
 
     #[test]
     fn an_edit_changes_only_the_touched_location() {
-        let a = fingerprint_system(&simple_loop("p", 1));
-        let b = fingerprint_system(&simple_loop("p", 2));
-        assert_ne!(a.program, b.program, "a tick edit must change the program fingerprint");
-        assert_eq!(a.locations.len(), b.locations.len());
+        let (a, b) = (simple_loop("p", 1), simple_loop("p", 2));
+        assert_ne!(
+            canonical_form(&a),
+            canonical_form(&b),
+            "a tick edit must change the canonical form"
+        );
+        let (a, b) = (location_fingerprints(&a), location_fingerprints(&b));
+        assert_eq!(a.len(), b.len());
         // The edit touches the loop head's outgoing transitions only; the terminal
         // location is untouched and must keep its sub-fingerprint.
-        assert_ne!(a.locations[0], b.locations[0]);
-        assert_eq!(a.locations[1], b.locations[1]);
+        assert_ne!(a[0], b[0]);
+        assert_eq!(a[1], b[1]);
     }
 
     #[test]
@@ -184,9 +175,11 @@ mod tests {
                 .finish();
             b.build().unwrap()
         };
-        let a = fingerprint_system(&simple_loop("p", 1));
-        let b = fingerprint_system(&renamed);
-        assert_ne!(a.program, b.program, "variable pairing is by name: renames must differ");
+        assert_ne!(
+            canonical_form(&simple_loop("p", 1)),
+            canonical_form(&renamed),
+            "variable pairing is by name: renames must differ"
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ mod state;
 mod system;
 
 pub use explore::{enumerate_box, sample_initial_states, CostBounds, CostExplorer};
-pub use fingerprint::{canonical_form, fingerprint_system, SystemFingerprint};
+pub use fingerprint::{canonical_form, location_fingerprints};
 pub use generate::{
     generate_pair, GeneratedPair, PairKind, ShapeParams, MAX_BLOCK_STATEMENTS,
 };

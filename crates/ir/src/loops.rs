@@ -62,8 +62,6 @@ pub struct LoopNest {
     back_edges: Vec<BackEdge>,
     /// Header -> all locations of its natural loop (header included).
     bodies: BTreeMap<LocId, BTreeSet<LocId>>,
-    /// Header -> innermost enclosing header (if any).
-    parents: BTreeMap<LocId, LocId>,
     /// Location -> nesting depth (0 = outside every loop).
     depths: BTreeMap<LocId, usize>,
 }
@@ -136,30 +134,14 @@ impl LoopNest {
             }
         }
 
-        // Nesting: the parent of header h is the innermost *other* header whose body
-        // contains h; depth of a location is the number of bodies containing it.
-        let mut parents: BTreeMap<LocId, LocId> = BTreeMap::new();
-        for &header in bodies.keys() {
-            let mut best: Option<(LocId, usize)> = None;
-            for (&other, other_body) in &bodies {
-                if other != header && other_body.contains(&header) {
-                    let size = other_body.len();
-                    if best.is_none_or(|(_, s)| size < s) {
-                        best = Some((other, size));
-                    }
-                }
-            }
-            if let Some((parent, _)) = best {
-                parents.insert(header, parent);
-            }
-        }
+        // Nesting depth of a location: the number of loop bodies containing it.
         let mut depths: BTreeMap<LocId, usize> = BTreeMap::new();
         for loc in ts.locations() {
             let depth = bodies.values().filter(|body| body.contains(&loc)).count();
             depths.insert(loc, depth);
         }
 
-        LoopNest { back_edges, bodies, parents, depths }
+        LoopNest { back_edges, bodies, depths }
     }
 
     /// All back edges, in DFS discovery order.
@@ -185,23 +167,9 @@ impl LoopNest {
         self.bodies.get(&header)
     }
 
-    /// The innermost loop header strictly enclosing `header`, if any.
-    pub fn parent(&self, header: LocId) -> Option<LocId> {
-        self.parents.get(&header).copied()
-    }
-
     /// The loop-nesting depth of a location (0 = not inside any loop).
     pub fn depth(&self, loc: LocId) -> usize {
         self.depths.get(&loc).copied().unwrap_or(0)
-    }
-
-    /// The innermost header whose body contains `loc` (the header itself for headers).
-    pub fn innermost_enclosing(&self, loc: LocId) -> Option<LocId> {
-        self.bodies
-            .iter()
-            .filter(|(_, body)| body.contains(&loc))
-            .min_by_key(|(_, body)| body.len())
-            .map(|(&header, _)| header)
     }
 }
 
@@ -250,15 +218,12 @@ mod tests {
         assert!(nest.is_header(outer));
         assert!(nest.is_header(inner));
         assert_eq!(nest.headers(), vec![outer, inner]);
-        assert_eq!(nest.parent(inner), Some(outer));
-        assert_eq!(nest.parent(outer), None);
         assert_eq!(nest.depth(outer), 1);
         assert_eq!(nest.depth(inner), 2);
         assert_eq!(nest.depth(ts.terminal()), 0);
         // The outer body contains the inner loop entirely.
         let outer_body = nest.body(outer).unwrap();
         assert!(outer_body.contains(&inner));
-        assert_eq!(nest.innermost_enclosing(inner), Some(inner));
     }
 
     #[test]
@@ -277,7 +242,6 @@ mod tests {
         assert!(!nest.is_header(start));
         // The terminal self-loop is not reported as a loop.
         assert_eq!(nest.depth(out), 0);
-        assert_eq!(nest.innermost_enclosing(start), None);
     }
 
     /// The shape the `dca_lang` lowering produces: headers separated from the back-edge
@@ -314,6 +278,5 @@ mod tests {
         assert!(loop_body.contains(&body) && loop_body.contains(&step));
         assert!(!loop_body.contains(&entry) && !loop_body.contains(&exit));
         assert_eq!(nest.depth(body), 1);
-        assert_eq!(nest.innermost_enclosing(step), Some(head));
     }
 }

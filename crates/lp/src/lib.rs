@@ -34,11 +34,9 @@
 //! columns are matched by name, so the basis survives into a structurally different
 //! LP — the serve engine's near-match path replays the basis of an edited program's
 //! cached ancestor.
-//! Because name matching alone cannot tell two *programs* apart, a basis can
-//! additionally carry a provenance fingerprint ([`LpBasis::fingerprint`]): consumers
-//! replaying cached bases refuse a stamped basis from a different origin unless it is
-//! explicitly [`rebadged`](LpBasis::rebadged) (warm starts affect only the pivot
-//! path, never the verdict, so the opt-in is sound — but it must be an opt-in).
+//! A warm basis is a hint matched by name and never an input to a verdict — every
+//! verdict of the certified solve is decided in exact arithmetic, so a basis from
+//! any origin changes only the pivot path — and it therefore records no origin.
 //!
 //! # Example
 //!

@@ -93,18 +93,14 @@ impl fmt::Display for LpStatus {
 /// basis degrades gracefully to a cold start — it can speed a solve up, never make it
 /// wrong.
 ///
-/// Name matching alone is safe between solves of one program pair but is too weak
-/// as a *cross-program* cache key: unrelated
-/// programs produce identically named columns. A producer can therefore stamp the
-/// basis with a provenance [`fingerprint`](LpBasis::fingerprint); consumers that
-/// accept bases from a cache reject stamped bases whose fingerprint names a
-/// different origin, and a deliberate near-match reuse (an edited program replayed
-/// from its ancestor's basis) must say so explicitly via
-/// [`rebadged`](LpBasis::rebadged).
+/// A basis is a hint, never an input to a verdict: every verdict of the certified
+/// and exact solves is decided in exact arithmetic, so a basis from any origin (even
+/// an unrelated problem whose columns happen to share names) changes only the pivot
+/// path — and, among several optimal vertices, which one is reported — never the
+/// status or the optimal value. It therefore records no origin.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LpBasis {
     names: Vec<String>,
-    fingerprint: Option<u64>,
 }
 
 impl LpBasis {
@@ -116,25 +112,6 @@ impl LpBasis {
     /// `true` if no basis was recorded.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// The provenance fingerprint stamped by the producer, if any. `None` means the
-    /// basis is fresh from [`LpProblem::solve_certified`] or
-    /// [`LpProblem::solve_exact`] and has not been stamped yet.
-    pub fn fingerprint(&self) -> Option<u64> {
-        self.fingerprint
-    }
-
-    /// This basis re-stamped with the given provenance fingerprint.
-    ///
-    /// Stamping is how a producer claims "this basis came from *that* origin", and
-    /// `rebadged` is the explicit opt-in for reusing it elsewhere (the serve cache's
-    /// near-repeat replay). The opt-in is sound because a warm start can only change
-    /// the pivot path, never the verdict — but it must stay explicit so an
-    /// *accidental* cross-program replay is refused instead of silently applied.
-    pub fn rebadged(mut self, fingerprint: u64) -> LpBasis {
-        self.fingerprint = Some(fingerprint);
-        self
     }
 }
 
@@ -418,29 +395,6 @@ impl LpProblem {
         self.assemble_result(raw, &col_names)
     }
 
-    /// Checks whether a candidate assignment satisfies every constraint up to `tol`.
-    ///
-    /// Used by tests to validate solutions independent of the solver.
-    pub fn check_feasible_f64(&self, values: &[f64], tol: f64) -> bool {
-        self.constraints.iter().all(|c| {
-            let lhs: f64 = c
-                .terms
-                .iter()
-                .map(|(v, coef)| coef.to_f64() * values[v.index()])
-                .sum();
-            let rhs = c.rhs.to_f64();
-            match c.op {
-                ConstraintOp::Le => lhs <= rhs + tol,
-                ConstraintOp::Ge => lhs >= rhs - tol,
-                ConstraintOp::Eq => (lhs - rhs).abs() <= tol,
-            }
-        }) && self
-            .var_kinds
-            .iter()
-            .zip(values)
-            .all(|(kind, &v)| *kind == VarKind::Free || v >= -tol)
-    }
-
     /// Stable display names of the standard-form columns, used to translate a basis
     /// into a name-matched warm start (and back).
     fn standard_col_names(&self) -> Vec<String> {
@@ -487,7 +441,6 @@ impl LpProblem {
                 .iter()
                 .filter_map(|&col| col_names.get(col).cloned())
                 .collect(),
-            fingerprint: None,
         };
         match raw.status {
             LpStatus::Optimal => {
@@ -655,6 +608,28 @@ mod tests {
         Rational::from_int(n)
     }
 
+    /// Whether a candidate assignment satisfies every constraint up to `tol`,
+    /// checked independently of the solver.
+    fn check_feasible_f64(lp: &LpProblem, values: &[f64], tol: f64) -> bool {
+        lp.constraints.iter().all(|c| {
+            let lhs: f64 = c
+                .terms
+                .iter()
+                .map(|(v, coef)| coef.to_f64() * values[v.index()])
+                .sum();
+            let rhs = c.rhs.to_f64();
+            match c.op {
+                ConstraintOp::Le => lhs <= rhs + tol,
+                ConstraintOp::Ge => lhs >= rhs - tol,
+                ConstraintOp::Eq => (lhs - rhs).abs() <= tol,
+            }
+        }) && lp
+            .var_kinds
+            .iter()
+            .zip(values)
+            .all(|(kind, &v)| *kind == VarKind::Free || v >= -tol)
+    }
+
     /// minimize x + y s.t. x + 2y >= 4, 3x + y >= 6
     fn small_lp() -> (LpProblem, LpVar, LpVar) {
         let mut lp = LpProblem::new();
@@ -683,7 +658,7 @@ mod tests {
         let sol = lp.solve_f64();
         assert_eq!(sol.status, LpStatus::Optimal);
         assert!((sol.objective.unwrap() - 2.8).abs() < 1e-6);
-        assert!(lp.check_feasible_f64(&sol.values, 1e-6));
+        assert!(check_feasible_f64(&lp, &sol.values, 1e-6));
     }
 
     #[test]
@@ -881,7 +856,8 @@ mod tests {
                 assert_eq!(solution.objective, optimum.map(r), "{name} ({solve})");
                 if status == LpStatus::Optimal {
                     assert!(
-                        lp.check_feasible_f64(
+                        check_feasible_f64(
+                            &lp,
                             &solution.values.iter().map(Rational::to_f64).collect::<Vec<_>>(),
                             0.0
                         ),
@@ -1075,17 +1051,6 @@ mod tests {
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.value(x), r(3));
         assert_eq!(sol.objective.unwrap(), Rational::zero());
-    }
-
-    #[test]
-    fn fresh_bases_are_unstamped_until_rebadged() {
-        let (lp, _, _) = small_lp();
-        let basis = lp.solve_exact().basis;
-        assert!(!basis.is_empty());
-        assert_eq!(basis.fingerprint(), None, "a fresh solve leaves the basis unstamped");
-        let stamped = basis.clone().rebadged(0xdead_beef_0123_4567);
-        assert_eq!(stamped.fingerprint(), Some(0xdead_beef_0123_4567));
-        assert_eq!(stamped.len(), basis.len(), "stamping keeps the basic columns");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use dca_core::batch::{compile_contained, contained};
 use dca_core::{
     AnalysisError, AnalysisOptions, CompiledProgram, DiffCostResult, DiffCostSolver, LpBasis,
-    ProgramCache, SolveCache,
+    ProgramCache, SolveCache, SolveOutcome,
 };
 use dca_lp::Deadline;
 
@@ -15,8 +15,9 @@ use crate::protocol::{AnalyzeRequest, Frame, Request, ResultFrame};
 /// The anytime-streaming budget slices: a streamed solve first runs under 1/8 of
 /// the request budget, then 1/4, then 1/2 (emitting a `progress` frame after each
 /// truncated slice, threading the slice's basis into the next as a warm start),
-/// and finally under the full budget.
-const STREAM_SLICES: [f64; 3] = [0.125, 0.25, 0.5];
+/// and finally under the full budget. Any other request runs under the full
+/// budget only.
+const STREAM_SLICES: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 
 /// The daemon's long-lived state: both caches plus the daemon-wide deadline every
 /// request scopes itself under (so [`Engine::shutdown`] also cancels in-flight
@@ -113,8 +114,7 @@ impl Engine {
             }));
         }
 
-        // Near-repeat: warm-start from the closest cached ancestor's basis (the
-        // cache rebadges it to this pair — the explicit cross-pair opt-in).
+        // Near-repeat: warm-start from the closest cached ancestor's basis.
         let near = self.solves.nearest_basis(&new, &old, &options);
         let (mut warm, invalidated, cache_label) = match near {
             Some(m) => (Some(m.basis), m.changed_locations, "near"),
@@ -127,67 +127,42 @@ impl Engine {
         let deadline = self.deadline.scoped();
         let budget = request.timeout_ms.map(Duration::from_millis);
         let deadline = deadline.tightened(budget.map(|b| start + b));
-        // One contained solve under `deadline`, keeping the final basis of a solve
-        // that produced a result.
-        let solve = |warm: Option<&LpBasis>, deadline: &Deadline| {
-            contained(|| {
-                let solver = DiffCostSolver::new(options).with_deadline(deadline.clone());
-                let (result, basis) =
-                    solver.solve_with_warm_start(&new.program, &old.program, warm);
-                result.map(|result| (result, basis))
-            })
-        };
-
         // Anytime streaming: run the solve under growing slices of the budget,
         // emitting a progress frame per truncated slice and threading the basis.
-        if request.stream {
-            if let Some(budget) = budget {
-                for fraction in STREAM_SLICES {
-                    let slice = deadline.tightened(Some(start + budget.mul_f64(fraction)));
-                    match solve(warm.as_ref(), &slice) {
-                        Ok((result, basis)) => {
-                            let outcome = result.outcome();
-                            if outcome.is_certified() {
-                                self.finish(
-                                    request, &options, &new, &old, result, basis,
-                                    cache_label, invalidated, start, emit,
-                                );
-                                return;
-                            }
-                            if let dca_core::SolveOutcome::TruncatedAnytime {
-                                upper,
-                                lower,
-                                gap,
-                            } = outcome
-                            {
-                                emit(Frame::Progress {
-                                    id: request.id.clone(),
-                                    upper,
-                                    lower,
-                                    gap,
-                                });
-                            }
-                            if basis.is_some() {
-                                warm = basis;
-                            }
-                        }
-                        Err(failure @ AnalysisError::Panicked { .. }) => {
-                            return emit(error_frame(request, failure))
-                        }
-                        // A slice too short to produce anything: keep going —
-                        // the full-budget attempt below gives the final verdict.
-                        Err(_) => {}
+        // The last slice, or any slice that certifies, gives the final verdict.
+        let slices: &[f64] =
+            if request.stream && budget.is_some() { &STREAM_SLICES } else { &[1.0] };
+        for (index, &fraction) in slices.iter().enumerate() {
+            let last = index + 1 == slices.len();
+            let slice = deadline.tightened(budget.map(|b| start + b.mul_f64(fraction)));
+            let solved = contained(|| {
+                let solver = DiffCostSolver::new(options).with_deadline(slice);
+                let (result, basis) =
+                    solver.solve_with_warm_start(&new.program, &old.program, warm.as_ref());
+                result.map(|result| (result, basis))
+            });
+            match solved {
+                Ok((result, basis)) if last || result.outcome().is_certified() => {
+                    return self.finish(
+                        request, &options, &new, &old, result, basis, cache_label, invalidated,
+                        start, emit,
+                    );
+                }
+                Ok((result, basis)) => {
+                    if let SolveOutcome::TruncatedAnytime { upper, lower, gap } = result.outcome() {
+                        emit(Frame::Progress { id: request.id.clone(), upper, lower, gap });
+                    }
+                    if basis.is_some() {
+                        warm = basis;
                     }
                 }
+                Err(failure) if last || matches!(failure, AnalysisError::Panicked { .. }) => {
+                    return emit(error_frame(request, failure));
+                }
+                // A slice too short to produce anything: keep going — a later
+                // slice gives the final verdict.
+                Err(_) => {}
             }
-        }
-
-        match solve(warm.as_ref(), &deadline) {
-            Ok((result, basis)) => self.finish(
-                request, &options, &new, &old, result, basis, cache_label, invalidated,
-                start, emit,
-            ),
-            Err(failure) => emit(error_frame(request, failure)),
         }
     }
 
@@ -291,6 +266,35 @@ mod tests {
         assert!(near.invalidated >= 1, "the edit must invalidate a location");
         assert_eq!(near.outcome, "certified");
         assert_eq!(near.threshold_int, 100);
+    }
+
+    fn streamed(id: &str, timeout_ms: u64) -> Request {
+        let mut request = AnalyzeRequest::new(id, source(2), source(1));
+        request.stream = true;
+        request.timeout_ms = Some(timeout_ms);
+        Request::Analyze(request)
+    }
+
+    #[test]
+    fn a_streamed_solve_that_certifies_in_its_first_slice_sends_one_result() {
+        let frames = Engine::new().handle_collect(&streamed("q1", 60_000));
+        let streamed = result_frame(&frames);
+        assert_eq!(streamed.outcome, "certified");
+        assert_eq!(streamed.cache, "miss");
+        let plain = Engine::new().handle_collect(&analyze("q2", &source(2), &source(1)));
+        assert_eq!(streamed.threshold.to_bits(), result_frame(&plain).threshold.to_bits());
+    }
+
+    #[test]
+    fn a_streamed_solve_with_no_budget_sends_one_timeout_error() {
+        let frames = Engine::new().handle_collect(&streamed("q1", 0));
+        match frames.as_slice() {
+            [Frame::Error { id, code, .. }] => {
+                assert_eq!(id, "q1");
+                assert_eq!(code, "timeout");
+            }
+            other => panic!("expected a single timeout error frame, got {other:?}"),
+        }
     }
 
     #[test]
