@@ -221,6 +221,8 @@ impl<S: Scalar> Factorization<S> {
         let mut assigned = vec![false; m];
         let mut work = vec![S::zero(); m];
         let mut placed = vec![false; n + m];
+        // Rows no accepted column pivots on yet; each acceptance assigns one.
+        let mut unassigned = m;
         let accept = |factor: &mut Factorization<S>,
                       assigned: &mut Vec<bool>,
                       work: &[S],
@@ -257,6 +259,7 @@ impl<S: Scalar> Factorization<S> {
             factor.ftran(&mut work);
             if accept(&mut factor, &mut assigned, &work, col, PIVOT_EPS) {
                 placed[col] = true;
+                unassigned -= 1;
             }
         }
         // Cover the remaining rows with artificial columns. Each artificial goes
@@ -266,11 +269,8 @@ impl<S: Scalar> Factorization<S> {
         // complete factorization — even a poorly conditioned one — beats an
         // incomplete basis.
         for floor in [PIVOT_EPS, 0.0] {
-            if !assigned.iter().any(|&a| !a) {
-                break;
-            }
             for row in 0..m {
-                if assigned.iter().all(|&a| a) {
+                if unassigned == 0 {
                     break;
                 }
                 let col = n + row;
@@ -281,6 +281,7 @@ impl<S: Scalar> Factorization<S> {
                 factor.ftran(&mut work);
                 if accept(&mut factor, &mut assigned, &work, col, floor) {
                     placed[col] = true;
+                    unassigned -= 1;
                 }
             }
         }
