@@ -125,7 +125,7 @@ pub struct CachedSolve {
     /// The certified result, returned verbatim on a repeat query.
     pub result: DiffCostResult,
     /// The final basis, replayed as a warm start by near-repeat queries.
-    pub basis: Option<LpBasis>,
+    pub basis: LpBasis,
 }
 
 /// A cached basis selected for a near-repeat replay.
@@ -209,7 +209,7 @@ impl SolveCache {
         old: &Arc<CompiledProgram>,
         options: &AnalysisOptions,
         result: &DiffCostResult,
-        basis: Option<LpBasis>,
+        basis: LpBasis,
     ) {
         let key = SolveKey::new(new, old, options);
         let entry = Arc::new(CachedSolve {
@@ -246,7 +246,6 @@ impl SolveCache {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for (key, entry) in shard.values().flatten() {
                 if key.options != options_fp
-                    || entry.basis.is_none()
                     || entry.new.locations.len() != new.locations.len()
                     || entry.old.locations.len() != old.locations.len()
                 {
@@ -263,8 +262,7 @@ impl SolveCache {
             }
         }
         let (changed_locations, entry) = best?;
-        let basis = entry.basis.clone()?;
-        Some(NearMatch { basis, changed_locations })
+        Some(NearMatch { basis: entry.basis.clone(), changed_locations })
     }
 
     /// Number of cached solves.
@@ -387,8 +385,8 @@ mod tests {
         assert!(cache.is_empty());
 
         let solver = DiffCostSolver::new(options);
-        let (result, basis) = solver.solve_with_warm_start(&new.program, &old.program, None);
-        let result = result.unwrap();
+        let (result, basis) =
+            solver.solve_with_warm_start(&new.program, &old.program, None, None).unwrap();
         cache.insert(&new, &old, &options, &result, basis);
         assert_eq!(cache.len(), 1);
 
@@ -414,14 +412,11 @@ mod tests {
         );
         // The ancestor's basis, replayed as is, solves to the same threshold a cold
         // solve finds.
-        let (warm_result, _) =
-            solver.solve_with_warm_start(&edited.program, &old.program, Some(&near.basis));
-        let warm_result = warm_result.unwrap();
-        let (cold_result, _) = solver.solve_with_warm_start(&edited.program, &old.program, None);
-        assert_eq!(
-            warm_result.threshold.to_bits(),
-            cold_result.unwrap().threshold.to_bits()
-        );
+        let (warm_result, _) = solver
+            .solve_with_warm_start(&edited.program, &old.program, Some(&near.basis), None)
+            .unwrap();
+        let cold_result = solver.solve(&edited.program, &old.program).unwrap();
+        assert_eq!(warm_result.threshold.to_bits(), cold_result.threshold.to_bits());
     }
 
     #[test]
@@ -446,9 +441,9 @@ mod tests {
         let old = programs.get_or_compile(&source(1)).unwrap();
         let new = programs.get_or_compile(&source(2)).unwrap();
         let options = AnalysisOptions::default();
+        let solver = DiffCostSolver::new(options);
         let (result, basis) =
-            DiffCostSolver::new(options).solve_with_warm_start(&new.program, &old.program, None);
-        let result = result.unwrap();
+            solver.solve_with_warm_start(&new.program, &old.program, None, None).unwrap();
 
         // A different program forged to carry `new`'s fingerprint: its solve entry
         // lands under the querying pair's key, but its canonical string differs.

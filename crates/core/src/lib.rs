@@ -72,5 +72,5 @@ pub use potential::PotentialFunction;
 pub use program::AnalyzedProgram;
 pub use solver::{
     AnalysisError, DiffCostResult, DiffCostSolver, PrecisionResult, RefutationResult,
-    SolveOutcome, SolveStats, SymbolicBoundResult,
+    SolveOutcome, SolveProgress, SolveStats, SymbolicBoundResult,
 };

@@ -322,6 +322,12 @@ pub struct SymbolicBoundResult {
     pub stats: SolveStats,
 }
 
+/// An observer of a running threshold solve, called with `(upper, lower)` whenever
+/// the certified LP reports (see [`dca_lp::LpProgress`]): `upper` is the threshold a
+/// truncated answer would report at that point, `lower` a sound lower bound (at
+/// most `upper`) when the LP holds one.
+pub type SolveProgress<'a> = dyn FnMut(f64, Option<f64>) + 'a;
+
 /// The result of refuting a candidate threshold (Theorem 4.3).
 #[derive(Debug, Clone)]
 pub struct RefutationResult {
@@ -403,19 +409,18 @@ impl DiffCostSolver {
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
     ) -> Result<DiffCostResult, AnalysisError> {
-        self.solve_with_warm_start(new, old, None).0
+        self.solve_with_warm_start(new, old, None, None).map(|(result, _)| result)
     }
 
     /// Like [`DiffCostSolver::solve`], seeding the LP with the final basis of a
-    /// previous related solve and returning this solve's own final basis.
+    /// previous related solve and returning the result with its own final basis.
     ///
     /// The serve engine's near-match path ([`crate::SolveCache::nearest_basis`])
     /// seeds a query with the basis of a cached solve of an edited ancestor pair: the
     /// two constraint systems share every row of the unchanged locations (the
     /// Handelman encoding emits constraints in a stable graded order, and unknown
     /// names are stable across solves), so the old basis puts the simplex within a
-    /// few pivots of the new optimum. The returned basis is `Some` whenever an LP
-    /// actually ran, regardless of the analysis outcome.
+    /// few pivots of the new optimum.
     ///
     /// A solve runs one LP. When [`AnalysisOptions::phase_split`] is on (the
     /// default) and `dca_ir::split_phases` finds a phase structure in either
@@ -428,12 +433,15 @@ impl DiffCostSolver {
     /// arithmetic, so a basis changes only the pivot path, never the answer. The
     /// solve's one deadline is anchored here, so the split spends the same budget
     /// as the LP.
+    ///
+    /// `progress` observes the solve (see [`SolveProgress`]) and changes nothing.
     pub fn solve_with_warm_start(
         &self,
         new: &AnalyzedProgram,
         old: &AnalyzedProgram,
         warm: Option<&LpBasis>,
-    ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
+        progress: Option<&mut SolveProgress<'_>>,
+    ) -> Result<(DiffCostResult, LpBasis), AnalysisError> {
         let deadline = self.effective_deadline(Instant::now());
         let (split_new, split_old) = if self.options.phase_split {
             (new.split_phases(), old.split_phases())
@@ -447,8 +455,8 @@ impl DiffCostSolver {
             + splits.map(|(program, _)| program.invariants.lp_queries()).sum::<usize>();
         let new_side = split_new.as_ref().map_or(new, |(program, _)| program);
         let old_side = split_old.as_ref().map_or(old, |(program, _)| program);
-        let (result, basis) = self.prove_bound(new_side, old_side, None, warm, &deadline);
-        let result = result.map(|mut result| {
+        let proved = self.prove_bound(new_side, old_side, None, warm, &deadline, progress);
+        proved.map(|(mut result, basis)| {
             result.stats.phases_split = phases_split;
             result.stats.invariant_lp_queries = invariant_lp_queries;
             // A split result carries the split systems along: its witnesses are keyed
@@ -458,9 +466,8 @@ impl DiffCostSolver {
                 result.split_systems =
                     Some(Box::new((new_side.ts.clone(), old_side.ts.clone())));
             }
-            result
-        });
-        (result, basis)
+            (result, basis)
+        })
     }
 
     /// The one encode-and-solve of a bound proof, shared by the threshold and the
@@ -477,7 +484,8 @@ impl DiffCostSolver {
         bound: Option<&Polynomial>,
         warm: Option<&LpBasis>,
         deadline: &Deadline,
-    ) -> (Result<DiffCostResult, AnalysisError>, Option<LpBasis>) {
+        progress: Option<&mut SolveProgress<'_>>,
+    ) -> Result<(DiffCostResult, LpBasis), AnalysisError> {
         let start = Instant::now();
         // Phase boundary: the invariants (already analyzed by the caller). An injected
         // deadline fault here exercises the same cooperative-cancellation path a real
@@ -486,7 +494,7 @@ impl DiffCostSolver {
             deadline.cancel();
         }
         if deadline.expired() {
-            return (Err(AnalysisError::Timeout { phase: SolvePhase::Invariants }), None);
+            return Err(AnalysisError::Timeout { phase: SolvePhase::Invariants });
         }
         // Phase boundary: Handelman encoding of the constraint system.
         if fault::enter(SolvePhase::Encode) == Some(FaultKind::Deadline) {
@@ -510,21 +518,22 @@ impl DiffCostSolver {
         lazy.extend(encoding.lazy_multipliers());
         set.extend(encoding.constraints);
         if deadline.expired() {
-            return (Err(AnalysisError::Timeout { phase: SolvePhase::Encode }), None);
+            return Err(AnalysisError::Timeout { phase: SolvePhase::Encode });
         }
 
-        let attempt = self.solve_lp(&factory, &set, threshold, start, deadline, warm, &lazy);
-        let result = attempt.result.map(|(objective_value, assignment, mut stats)| {
+        let solved =
+            self.solve_lp(&factory, &set, threshold, start, deadline, warm, &lazy, progress);
+        solved.map(|(objective_value, assignment, mut stats, basis)| {
             stats.transitions_pruned = collected.pruned;
-            DiffCostResult {
+            let result = DiffCostResult {
                 threshold: objective_value,
                 potential_new: templates_new.instantiate(&assignment),
                 anti_potential_old: templates_old.instantiate(&assignment),
                 split_systems: None,
                 stats,
-            }
-        });
-        (result, attempt.basis)
+            };
+            (result, basis)
+        })
     }
 
     /// Proves a symbolic polynomial bound `p(x)` on the cost difference:
@@ -543,7 +552,7 @@ impl DiffCostSolver {
         bound: &Polynomial,
     ) -> Result<SymbolicBoundResult, AnalysisError> {
         let deadline = self.effective_deadline(Instant::now());
-        let result = self.prove_bound(new, old, Some(bound), None, &deadline).0?;
+        let (result, _) = self.prove_bound(new, old, Some(bound), None, &deadline, None)?;
         Ok(SymbolicBoundResult {
             potential_new: result.potential_new,
             anti_potential_old: result.anti_potential_old,
@@ -610,10 +619,9 @@ impl DiffCostSolver {
             candidate_set.push(UnknownConstraint::ge(exceeded, "refutation"));
             let deadline = self.effective_deadline(start);
             match self
-                .solve_lp(&factory, &candidate_set, None, start, &deadline, None, &lazy)
-                .result
+                .solve_lp(&factory, &candidate_set, None, start, &deadline, None, &lazy, None)
             {
-                Ok((_, assignment, stats)) => {
+                Ok((_, assignment, stats, _)) => {
                     return Ok(RefutationResult {
                         witness_input: candidate,
                         anti_potential_new: templates_new.instantiate(&assignment),
@@ -714,7 +722,7 @@ impl DiffCostSolver {
         (phi0, chi0, theta0)
     }
 
-    // One parameter over the limit, but every argument is load-bearing pipeline
+    // Two parameters over the limit, but every argument is load-bearing pipeline
     // state; bundling them into a one-shot struct would only rename the problem.
     #[allow(clippy::too_many_arguments)]
     fn solve_lp(
@@ -726,7 +734,8 @@ impl DiffCostSolver {
         deadline: &Deadline,
         warm: Option<&LpBasis>,
         lazy: &[UnknownId],
-    ) -> LpAttempt {
+        progress: Option<&mut SolveProgress<'_>>,
+    ) -> Result<(f64, BTreeMap<UnknownId, Rational>, SolveStats, LpBasis), AnalysisError> {
         let mut lp = LpProblem::new();
         // The deadline covers the whole solve (constraint collection already consumed
         // part of the budget — it is anchored at the caller's start time) and carries
@@ -795,12 +804,18 @@ impl DiffCostSolver {
                 } else {
                     Vec::new()
                 };
-                lp.solve_certified(warm, &lazy_names)
+                // The LP objective is the threshold, converted as `threshold` is.
+                let mut report = progress.map(|progress| {
+                    move |upper: &Rational, lower: Option<&Rational>| {
+                        let upper = upper.to_f64();
+                        progress(upper, lower.map(|lower| lower.to_f64().min(upper)))
+                    }
+                });
+                lp.solve_certified(warm, &lazy_names, report.as_mut().map(|report| report as _))
             }
             LpBackend::Exact => lp.solve_exact(),
         };
-        let basis = Some(solution.basis);
-        let result = match solution.status {
+        match solution.status {
             LpStatus::Optimal => {
                 let assignment: BTreeMap<UnknownId, Rational> = factory
                     .iter()
@@ -835,7 +850,7 @@ impl DiffCostSolver {
                     // the presolve time stays zero.
                     ..SolveStats::default()
                 };
-                Ok((objective_value, assignment, stats))
+                Ok((objective_value, assignment, stats, solution.basis))
             }
             LpStatus::Infeasible => Err(AnalysisError::NoThresholdFound),
             LpStatus::Unbounded => Err(AnalysisError::Unbounded),
@@ -843,8 +858,7 @@ impl DiffCostSolver {
             // The thread-local phase marker names the LP stage that was running when
             // the deadline fired (the certified driver enters each stage).
             LpStatus::TimedOut => Err(AnalysisError::Timeout { phase: fault::current_phase() }),
-        };
-        LpAttempt { result, basis }
+        }
     }
 }
 
@@ -858,13 +872,6 @@ const BOUND_ROLES: [(&str, TemplateRole); 2] =
 /// [`BOUND_ROLES`]: a lower bound on the new program, an upper bound on the old one.
 const REFUTATION_ROLES: [(&str, TemplateRole); 2] =
     [("chi_new", TemplateRole::AntiPotential), ("phi_old", TemplateRole::Potential)];
-
-/// Outcome of one LP assembly-and-solve: the analysis-level result plus the final
-/// simplex basis, which warm-starts the next related solve even when this one failed.
-struct LpAttempt {
-    result: Result<(f64, BTreeMap<UnknownId, Rational>, SolveStats), AnalysisError>,
-    basis: Option<LpBasis>,
-}
 
 /// Evaluates a template polynomial at a concrete valuation, producing an affine form over
 /// the LP unknowns.
@@ -1079,15 +1086,14 @@ mod tests {
         let tick2 = analyzed(COUNT_TICK2);
         let solver = DiffCostSolver::default();
         // Pair A: (tick2, tick1).
-        let (result_a, basis_a) = solver.solve_with_warm_start(&tick2, &tick1, None);
-        result_a.unwrap();
-        let basis_a = basis_a.expect("an LP ran, a basis must come back");
+        let (_, basis_a) = solver.solve_with_warm_start(&tick2, &tick1, None, None).unwrap();
         // Pair B: (tick1, tick2) — same column names, different programs.
-        let (cold_b, basis_b) = solver.solve_with_warm_start(&tick1, &tick2, None);
-        let cold_b = cold_b.unwrap();
-        let (own_b, _) = solver.solve_with_warm_start(&tick1, &tick2, basis_b.as_ref());
-        assert_eq!(own_b.unwrap().threshold.to_bits(), cold_b.threshold.to_bits());
-        let (foreign_b, _) = solver.solve_with_warm_start(&tick1, &tick2, Some(&basis_a));
-        assert_eq!(foreign_b.unwrap().threshold.to_bits(), cold_b.threshold.to_bits());
+        let (cold_b, basis_b) = solver.solve_with_warm_start(&tick1, &tick2, None, None).unwrap();
+        let (own_b, _) =
+            solver.solve_with_warm_start(&tick1, &tick2, Some(&basis_b), None).unwrap();
+        assert_eq!(own_b.threshold.to_bits(), cold_b.threshold.to_bits());
+        let (foreign_b, _) =
+            solver.solve_with_warm_start(&tick1, &tick2, Some(&basis_a), None).unwrap();
+        assert_eq!(foreign_b.threshold.to_bits(), cold_b.threshold.to_bits());
     }
 }

@@ -40,7 +40,7 @@ use dca_numeric::Rational;
 use crate::deadline::Deadline;
 use crate::fault::{self, FaultKind, SolvePhase};
 use crate::lu::factorize_markowitz;
-use crate::problem::{LpSolveInfo, LpStatus};
+use crate::problem::{LpProgress, LpSolveInfo, LpStatus};
 use crate::revised::Columns;
 use crate::scalar::Scalar;
 use crate::simplex::{
@@ -217,21 +217,24 @@ fn phase1_farkas(
 /// without them and brings them all in only when exact pricing demands it
 /// ([`solve_with_row_generation`]). An empty slice solves every column eagerly;
 /// either way the verdict is identical.
+///
+/// `progress` observes every exact simplex run of the solve (see [`LpProgress`]).
 pub(crate) fn solve_float_first(
     form: &StandardForm<Rational>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
     lazy_cols: &[usize],
+    progress: Option<&mut LpProgress<'_>>,
 ) -> RawSolution<Rational> {
     // Every terminal verdict below comes out of exact arithmetic: the certifier or
     // the exact simplex. (A truncated anytime answer is exactly
     // feasible — its bound is sound — but not a proven optimum.)
     let mut info = LpSolveInfo { certified: true, ..LpSolveInfo::default() };
     let mut solution = if lazy_cols.is_empty() {
-        let (solution, _) = certified_core(form, deadline, warm, &mut info, false, true);
+        let (solution, _) = certified_core(form, deadline, warm, &mut info, false, true, progress);
         solution
     } else {
-        solve_with_row_generation(form, deadline, warm, lazy_cols, &mut info)
+        solve_with_row_generation(form, deadline, warm, lazy_cols, &mut info, progress)
     };
     solution.info = LpSolveInfo {
         iterations: info.float_iterations + info.exact_iterations,
@@ -280,6 +283,9 @@ pub(crate) fn float_image(form: &StandardForm<Rational>) -> StandardForm<f64> {
 /// certifier concluded the solve, or recovered by one extra certification pass
 /// when the answer came out of the exact simplex. `None` alongside `Optimal`
 /// then means the deadline expired before the dual could be certified.
+///
+/// `progress` observes the exact run, with the dual bound of a rejected float
+/// candidate as the lower end when the certifier salvaged one.
 fn certified_core(
     form: &StandardForm<Rational>,
     deadline: &Deadline,
@@ -287,6 +293,7 @@ fn certified_core(
     info: &mut LpSolveInfo,
     want_dual: bool,
     mut use_float: bool,
+    progress: Option<&mut LpProgress<'_>>,
 ) -> (RawSolution<Rational>, Option<Vec<Rational>>) {
     if use_float {
         match fault::enter(SolvePhase::LpFloat) {
@@ -318,7 +325,8 @@ fn certified_core(
         }));
         let perturbation =
             if float_form.num_rows() >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
-        let float = solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm);
+        let float =
+            solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm, None);
         info.float_time += float_start.elapsed();
         info.float_iterations += float.info.iterations;
         candidate = float.basis;
@@ -372,8 +380,11 @@ fn certified_core(
             }
             let warm_exact: Option<&[usize]> =
                 if !candidate.is_empty() { Some(&candidate) } else { warm };
+            let lower = rejected_bound.as_ref();
+            let mut report = progress.map(|progress| move |upper: &_| progress(upper, lower));
+            let report = report.as_mut().map(|report| report as &mut dyn FnMut(&Rational));
             let repair_start = Instant::now();
-            let exact = solve_standard_form_inner::<Rational>(form, deadline, 0.0, warm_exact);
+            let exact = solve_standard_form_inner(form, deadline, 0.0, warm_exact, report);
             info.repair_time += repair_start.elapsed();
             info.exact_iterations += exact.info.iterations;
             info.lu_updates += exact.info.lu_updates;
@@ -444,6 +455,7 @@ fn solve_with_row_generation(
     warm: Option<&[usize]>,
     lazy: &[usize],
     info: &mut LpSolveInfo,
+    mut progress: Option<&mut LpProgress<'_>>,
 ) -> RawSolution<Rational> {
     let n = form.costs.len();
     // Core: everything that is not lazy, plus warm-start columns — a basis threaded
@@ -467,8 +479,14 @@ fn solve_with_row_generation(
     // `core_cols` is ascending, so a full index maps to its core index by search.
     let warm_core: Option<Vec<usize>> =
         warm.map(|warm| warm.iter().filter_map(|j| core_cols.binary_search(j).ok()).collect());
+    // A core vertex padded with zeros is feasible for the full problem, but a core
+    // dual bound bounds only the core optimum (which is ≥ the full optimum).
+    let mut core_progress = progress
+        .as_deref_mut()
+        .map(|progress| move |upper: &_, _: Option<&_>| progress(upper, None));
+    let core_progress = core_progress.as_mut().map(|progress| progress as &mut LpProgress);
     let (mut core, dual) =
-        certified_core(&core_form, deadline, warm_core.as_deref(), info, true, true);
+        certified_core(&core_form, deadline, warm_core.as_deref(), info, true, true, core_progress);
 
     let mut excluded = (0..n).filter(|&j| !in_core[j]);
     let decided = match core.status {
@@ -531,7 +549,8 @@ fn solve_with_row_generation(
     info.separation_rounds = 2;
     info.products_generated = lazy.len();
     enter_rowgen_stage(deadline);
-    let (full, _) = certified_core(form, deadline, Some(&core_basis), info, false, false);
+    let (full, _) =
+        certified_core(form, deadline, Some(&core_basis), info, false, false, progress);
     full
 }
 
@@ -566,7 +585,7 @@ mod tests {
             vec![r(4, 1)],
             vec![r(-1, 1), r(-1, 1), r(0, 1)],
         );
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[], None);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert!(solution.info.certified);
         assert!(solution.info.certify_rounds >= 1, "the certifier must have run");
@@ -582,7 +601,7 @@ mod tests {
             vec![r(2, 1), r(3, 1)],
             vec![r(0, 1)],
         );
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[], None);
         assert_eq!(solution.status, LpStatus::Infeasible);
     }
 
@@ -665,7 +684,7 @@ mod tests {
     fn a_core_that_prices_out_takes_one_round() {
         let _guard = rowgen_lock();
         let form = one_row_form(4);
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3]);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3], None);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert!(!solution.info.truncated);
         assert_eq!(solution.info.separation_rounds, 1);
@@ -680,14 +699,42 @@ mod tests {
     fn a_lazy_column_that_prices_in_runs_the_full_stage() {
         let _guard = rowgen_lock();
         let form = one_row_form(1);
-        let lazy = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3]);
-        let eager = solve_float_first(&form, &Deadline::unlimited(), None, &[]);
+        let lazy = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3], None);
+        let eager = solve_float_first(&form, &Deadline::unlimited(), None, &[], None);
         assert_eq!(lazy.status, LpStatus::Optimal);
         assert!(!lazy.info.truncated);
         assert_eq!(lazy.info.separation_rounds, 2);
         assert_eq!(lazy.info.products_generated, lazy.info.products_total);
         assert_eq!(objective(&form, &lazy.values), objective(&form, &eager.values));
         assert_eq!(lazy.values, vec![r(0, 1), r(1, 1), r(0, 1), r(0, 1)]);
+    }
+
+    /// A progress observer only watches: the full stage pivots exactly as it does
+    /// unobserved, and every vertex it reports bounds the optimum from above.
+    #[test]
+    fn progress_reports_sound_upper_bounds_without_changing_the_solve() {
+        let _guard = rowgen_lock();
+        let form = one_row_form(1);
+        let plain = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3], None);
+        let mut reports: Vec<(Rational, Option<Rational>)> = Vec::new();
+        let mut record = |upper: &Rational, lower: Option<&Rational>| {
+            reports.push((upper.clone(), lower.cloned()));
+        };
+        let observed =
+            solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3], Some(&mut record));
+        assert_eq!(observed.info.separation_rounds, 2, "the full stage must run");
+        assert_eq!(observed.status, plain.status);
+        assert_eq!(objective(&form, &observed.values), objective(&form, &plain.values));
+        assert_eq!(observed.values, plain.values);
+        assert_eq!(observed.basis, plain.basis);
+        assert_eq!(observed.info.exact_iterations, plain.info.exact_iterations);
+        assert_eq!(observed.info.lu_refactorizations, plain.info.lu_refactorizations);
+        let optimum = objective(&form, &plain.values);
+        assert!(!reports.is_empty(), "the exact full stage must report its start vertex");
+        for (upper, lower) in &reports {
+            assert!(*upper >= optimum, "{upper} undercuts the optimum {optimum}");
+            assert!(lower.as_ref().is_none_or(|lower| *lower <= optimum));
+        }
     }
 
     /// `x0 − x1 = 1`, `x0 = 2`: the core `{x0}` is infeasible, and every Farkas
@@ -701,14 +748,14 @@ mod tests {
             vec![r(1, 1), r(2, 1)],
             vec![r(1, 1), r(1, 1)],
         );
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1]);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1], None);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert_eq!(solution.info.separation_rounds, 2);
         assert_eq!(solution.info.products_generated, 1);
         assert_eq!(solution.values, vec![r(2, 1), r(1, 1)]);
         // Without the lazy column the system stays infeasible.
         let core_only =
-            solve_float_first(&form.restricted(&[0]), &Deadline::unlimited(), None, &[]);
+            solve_float_first(&form.restricted(&[0]), &Deadline::unlimited(), None, &[], None);
         assert_eq!(core_only.status, LpStatus::Infeasible);
     }
 
@@ -725,7 +772,7 @@ mod tests {
             kind: FaultKind::Deadline,
             nth: 2,
         }));
-        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3]);
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1, 2, 3], None);
         let fired = fault::triggered();
         fault::install(None);
         assert!(fired, "the full stage must have been entered");

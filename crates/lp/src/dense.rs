@@ -519,7 +519,7 @@ mod tests {
                     .zip(&costs)
                     .fold(Rational::zero(), |acc, (v, c)| &acc + &(v * c))
             };
-            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             assert_eq!(
                 revised.status, dense.status,
@@ -561,7 +561,7 @@ mod tests {
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
-            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             // `IterationLimit` is an honest "don't know" on either side; only compare
             // definitive answers.
@@ -619,7 +619,7 @@ mod tests {
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
-            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             if revised.status == LpStatus::IterationLimit
                 || dense.status == LpStatus::IterationLimit

@@ -78,7 +78,7 @@ mod simplex;
 pub use deadline::Deadline;
 pub use fault::{FaultKind, FaultSpec, SolvePhase};
 pub use problem::{
-    ConstraintOp, LpBasis, LpConstraint, LpProblem, LpResult, LpSolveInfo, LpStatus, LpVar,
-    VarKind,
+    ConstraintOp, LpBasis, LpConstraint, LpProblem, LpProgress, LpResult, LpSolveInfo, LpStatus,
+    LpVar, VarKind,
 };
 pub use scalar::Scalar;

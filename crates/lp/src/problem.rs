@@ -167,6 +167,12 @@ pub struct LpSolveInfo {
     pub lu_refactorizations: usize,
 }
 
+/// An observer of a running [`LpProblem::solve_certified`]: the exact simplex calls
+/// it with its vertex's objective, an upper bound on the optimum, when phase 2
+/// starts and after each phase-2 refactorization, plus an exact lower bound when the
+/// driver holds one for the whole problem. Nothing else calls it.
+pub type LpProgress<'a> = dyn FnMut(&Rational, Option<&Rational>) + 'a;
+
 /// Result of an LP solve in the chosen scalar type.
 #[derive(Debug, Clone)]
 pub struct LpResult<S> {
@@ -354,10 +360,13 @@ impl LpProblem {
     /// The returned basis names any lazy columns it uses, so threading it into
     /// the next related solve (as the serve near-match path does) also seeds that
     /// solve's active set — row-generation state travels for free.
+    ///
+    /// `progress` observes the solve without changing a pivot; see [`LpProgress`].
     pub fn solve_certified(
         &self,
         warm: Option<&LpBasis>,
         lazy_names: &[String],
+        progress: Option<&mut LpProgress<'_>>,
     ) -> LpResult<Rational> {
         let build_start = Instant::now();
         let standard = self.to_standard_form::<Rational>();
@@ -390,6 +399,7 @@ impl LpProblem {
             &self.deadline,
             warm_cols.as_deref(),
             &lazy_cols,
+            progress,
         );
         raw.info.build_time += build_time;
         self.assemble_result(raw, &col_names)
@@ -849,7 +859,7 @@ mod tests {
             lp.set_objective(terms(objective));
             let exact_solves = [
                 ("exact", lp.solve_exact()),
-                ("certified", lp.solve_certified(None, &[])),
+                ("certified", lp.solve_certified(None, &[], None)),
             ];
             for (solve, solution) in exact_solves {
                 assert_eq!(solution.status, status, "{name} ({solve})");
@@ -1014,7 +1024,7 @@ mod tests {
         let optimum = q(51_881_578_059, 476).to_f64();
         let relative = (float.objective.unwrap() / optimum - 1.0).abs();
         assert!(relative < 1e-9, "f64 optimum off by {relative}");
-        assert_eq!(lp.solve_certified(None, &[]).objective, exact.objective);
+        assert_eq!(lp.solve_certified(None, &[], None).objective, exact.objective);
     }
 
     #[test]

@@ -338,11 +338,14 @@ pub(crate) struct RevisedOutcome<S> {
 /// [`Factorization::reinvert`]); `phase1_noise_floor` is the `f64` backend's tolerance
 /// for accepting a slightly-positive phase-1 optimum as feasible (the caller accounts
 /// for deliberate right-hand-side perturbations there).
+/// `progress` is handed the vertex when phase 2 starts and after each phase-2
+/// refactorization ([`State::report_progress`]).
 pub(crate) fn solve_revised<S: Scalar>(
     form: &StandardForm<S>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
     phase1_noise_floor: f64,
+    progress: Option<&mut dyn FnMut(&S)>,
 ) -> RevisedOutcome<S> {
     let m = form.num_rows();
     let n = form.costs.len();
@@ -389,6 +392,8 @@ pub(crate) fn solve_revised<S: Scalar>(
     }
 
     // Phase 2: original costs; artificials stay out of the entering pool.
+    state.progress = progress.map(|progress| progress as _);
+    state.report_progress();
     let mut status = state.optimize(Phase::Two, max_iters, deadline);
     // Anytime semantics: a deadline hit during phase 2 leaves a primal-feasible
     // vertex in hand — phase 2 never leaves the feasible region — whose objective is
@@ -474,6 +479,8 @@ struct State<'a, S> {
     lu_updates: usize,
     /// Mid-run full refactorizations (see [`RevisedOutcome::lu_refactorizations`]).
     lu_refactorizations: usize,
+    /// The phase-2 observer of [`solve_revised`] (unset during phase 1).
+    progress: Option<&'a mut dyn FnMut(&S)>,
 }
 
 impl<'a, S: Scalar> State<'a, S> {
@@ -524,6 +531,7 @@ impl<'a, S: Scalar> State<'a, S> {
             base_fill,
             lu_updates: 0,
             lu_refactorizations: 0,
+            progress: None,
         }
     }
 
@@ -545,6 +553,24 @@ impl<'a, S: Scalar> State<'a, S> {
                 }
             }
         }
+    }
+
+    /// Hands `progress` the objective `c·x` of the current vertex if it is exactly
+    /// feasible (no basic value negative, no basic artificial non-zero), and so an
+    /// upper bound on the optimum. Without an observer nothing is computed.
+    fn report_progress(&mut self) {
+        let Some(progress) = self.progress.as_mut() else { return };
+        let n = self.columns.cols.len();
+        let mut objective = S::zero();
+        for (&col, value) in self.factor.basis.iter().zip(&self.x_basic) {
+            if value.is_negative() || (col >= n && !value.is_exactly_zero()) {
+                return;
+            }
+            if col < n {
+                objective = objective.add(&self.form.costs[col].mul(value));
+            }
+        }
+        progress(&objective);
     }
 
     /// Rebuilds the factorization for the current basis and refreshes `x_basic`.
@@ -666,6 +692,7 @@ impl<'a, S: Scalar> State<'a, S> {
             };
             if wants_reinvert {
                 self.reinvert();
+                self.report_progress();
                 // The dual `y = c_B B⁻¹` depends only on the basis, which a rebuild
                 // preserves — but a rebuild may *degrade* (swap a dependent column
                 // for an artificial), and a fresh short factorization re-derives the
@@ -1100,7 +1127,7 @@ mod tests {
             vec![r(4, 1)],
             vec![r(-1, 1), r(-1, 1), r(0, 1)],
         );
-        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
         assert_eq!(out.status, LpStatus::Optimal);
         let total = out.values[0].clone() + out.values[1].clone();
         assert_eq!(total, r(4, 1));
@@ -1115,7 +1142,7 @@ mod tests {
             vec![r(2, 1), r(3, 1)],
             vec![r(0, 1)],
         );
-        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
         assert_eq!(out.status, LpStatus::Infeasible);
     }
 
@@ -1123,7 +1150,7 @@ mod tests {
     fn unbounded_f64_lp() {
         // minimize -x s.t. x - s = 1 (x unbounded above).
         let form = StandardForm::from_dense(vec![vec![1.0f64, -1.0]], vec![1.0], vec![-1.0, 0.0]);
-        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
         assert_eq!(out.status, LpStatus::Unbounded);
     }
 
@@ -1141,7 +1168,7 @@ mod tests {
             vec![1.0, 0.0],
             vec![-1.0, 0.0, 0.0],
         );
-        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
         assert_eq!(out.status, LpStatus::IterationLimit);
 
         let billion = 1_000_000_000;
@@ -1151,7 +1178,7 @@ mod tests {
             vec![r(-1, 1), r(0, 1), r(0, 1)],
         );
         let solution =
-            crate::certify::solve_float_first(&exact, &Deadline::unlimited(), None, &[]);
+            crate::certify::solve_float_first(&exact, &Deadline::unlimited(), None, &[], None);
         assert_eq!(solution.status, LpStatus::Optimal);
         assert!(solution.info.certified);
         assert_eq!(solution.info.certify_rounds, 0, "the float phase proposed nothing");
@@ -1170,11 +1197,11 @@ mod tests {
             vec![4.0, 6.0],
             vec![1.0, 1.0, 0.0, 0.0],
         );
-        let cold = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+        let cold = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
         assert_eq!(cold.status, LpStatus::Optimal);
         assert!((cold.values[0] - 1.6).abs() < 1e-6);
         assert!((cold.values[1] - 1.2).abs() < 1e-6);
-        let warm = solve_revised(&form, &Deadline::unlimited(), Some(&cold.basis), 0.0);
+        let warm = solve_revised(&form, &Deadline::unlimited(), Some(&cold.basis), 0.0, None);
         assert_eq!(warm.status, LpStatus::Optimal);
         assert!((warm.values[0] - 1.6).abs() < 1e-6);
         // The warm start lands on the optimal basis: phase 1 is skipped entirely and
@@ -1275,7 +1302,7 @@ mod tests {
             vec![0.0, 0.0, 0.0],
             vec![1.0, 1.0, 1.0, 0.0, 0.0],
         );
-        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0);
+        let out = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
         assert_eq!(out.status, LpStatus::Optimal);
         assert!(out.values.iter().all(|v| v.abs() < 1e-9));
     }

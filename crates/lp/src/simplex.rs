@@ -136,10 +136,10 @@ pub(crate) fn solve_standard_form<S: Scalar>(
     // perturbation is applied from the start instead of after a failed plain solve.
     let perturb_immediately = !S::IS_EXACT && form.num_rows() >= PERTURB_ROWS_THRESHOLD;
     let first_perturbation = if perturb_immediately { PERTURBATION } else { 0.0 };
-    let solution = solve_standard_form_inner(form, deadline, first_perturbation, warm);
+    let solution = solve_standard_form_inner(form, deadline, first_perturbation, warm, None);
     if !S::IS_EXACT && !perturb_immediately && solution.status == LpStatus::Infeasible {
         let retry_warm = if solution.basis.is_empty() { warm } else { Some(&solution.basis[..]) };
-        return solve_standard_form_inner(form, deadline, PERTURBATION, retry_warm);
+        return solve_standard_form_inner(form, deadline, PERTURBATION, retry_warm, None);
     }
     solution
 }
@@ -157,11 +157,13 @@ pub(crate) const PERTURB_ROWS_THRESHOLD: usize = 384;
 ///
 /// Exact solves run on `form` itself. `f64` solves run on an equilibrated (and, for
 /// a positive `perturbation`, perturbed) sparse copy; see [`scaled_copy`].
+/// `progress` observes the exact phase 2 (see [`solve_revised`]).
 pub(crate) fn solve_standard_form_inner<S: Scalar>(
     form: &StandardForm<S>,
     deadline: &Deadline,
     perturbation: f64,
     warm: Option<&[usize]>,
+    progress: Option<&mut dyn FnMut(&S)>,
 ) -> RawSolution<S> {
     let num_rows = form.num_rows();
     let num_structural = form.costs.len();
@@ -170,6 +172,7 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     // max-abs scale factors would only manufacture fraction-heavy rationals — pushing
     // the i128 fast path into gcd-heavy or BigInt territory on every pivot.
     debug_assert!(!S::IS_EXACT || perturbation == 0.0, "exact solves are never perturbed");
+    debug_assert!(S::IS_EXACT || progress.is_none(), "only the exact simplex reports progress");
     let scaled;
     let (form, column_scales, total_perturbation) = if S::IS_EXACT {
         (form, None, 0.0)
@@ -196,7 +199,7 @@ pub(crate) fn solve_standard_form_inner<S: Scalar>(
     // constraints by `LpProblem::solve_f64` either way.
     let noise_floor = 1e-6 * (num_rows as f64).max(1.0) + 2.0 * total_perturbation;
 
-    let mut outcome = solve_revised(form, deadline, warm, noise_floor);
+    let mut outcome = solve_revised(form, deadline, warm, noise_floor, progress);
     // An `f64` run that did not converge proposes no candidate basis: the exact
     // simplex then warm-starts from the caller's basis instead of from wherever the
     // float pivots stalled.

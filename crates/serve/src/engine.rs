@@ -1,23 +1,14 @@
 //! The request engine: caches, per-request isolation, anytime streaming.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dca_core::batch::{compile_contained, contained};
 use dca_core::{
-    AnalysisError, AnalysisOptions, CompiledProgram, DiffCostResult, DiffCostSolver, LpBasis,
-    ProgramCache, SolveCache, SolveOutcome,
+    AnalysisError, AnalysisOptions, DiffCostSolver, ProgramCache, SolveCache, SolveProgress,
 };
 use dca_lp::Deadline;
 
 use crate::protocol::{AnalyzeRequest, Frame, Request, ResultFrame};
-
-/// The anytime-streaming budget slices: a streamed solve first runs under 1/8 of
-/// the request budget, then 1/4, then 1/2 (emitting a `progress` frame after each
-/// truncated slice, threading the slice's basis into the next as a warm start),
-/// and finally under the full budget. Any other request runs under the full
-/// budget only.
-const STREAM_SLICES: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
 
 /// The daemon's long-lived state: both caches plus the daemon-wide deadline every
 /// request scopes itself under (so [`Engine::shutdown`] also cancels in-flight
@@ -116,7 +107,7 @@ impl Engine {
 
         // Near-repeat: warm-start from the closest cached ancestor's basis.
         let near = self.solves.nearest_basis(&new, &old, &options);
-        let (mut warm, invalidated, cache_label) = match near {
+        let (warm, invalidated, cache_label) = match near {
             Some(m) => (Some(m.basis), m.changed_locations, "near"),
             None => (None, 0, "miss"),
         };
@@ -124,67 +115,36 @@ impl Engine {
         // Per-request isolation: a scoped child of the daemon deadline (so one
         // request's cancellation never reaches its siblings, while shutdown
         // still reaches everyone), tightened by the request budget.
-        let deadline = self.deadline.scoped();
-        let budget = request.timeout_ms.map(Duration::from_millis);
-        let deadline = deadline.tightened(budget.map(|b| start + b));
-        // Anytime streaming: run the solve under growing slices of the budget,
-        // emitting a progress frame per truncated slice and threading the basis.
-        // The last slice, or any slice that certifies, gives the final verdict.
-        let slices: &[f64] =
-            if request.stream && budget.is_some() { &STREAM_SLICES } else { &[1.0] };
-        for (index, &fraction) in slices.iter().enumerate() {
-            let last = index + 1 == slices.len();
-            let slice = deadline.tightened(budget.map(|b| start + b.mul_f64(fraction)));
-            let solved = contained(|| {
-                let solver = DiffCostSolver::new(options).with_deadline(slice);
-                let (result, basis) =
-                    solver.solve_with_warm_start(&new.program, &old.program, warm.as_ref());
-                result.map(|result| (result, basis))
-            });
-            match solved {
-                Ok((result, basis)) if last || result.outcome().is_certified() => {
-                    return self.finish(
-                        request, &options, &new, &old, result, basis, cache_label, invalidated,
-                        start, emit,
-                    );
-                }
-                Ok((result, basis)) => {
-                    if let SolveOutcome::TruncatedAnytime { upper, lower, gap } = result.outcome() {
-                        emit(Frame::Progress { id: request.id.clone(), upper, lower, gap });
-                    }
-                    if basis.is_some() {
-                        warm = basis;
-                    }
-                }
-                Err(failure) if last || matches!(failure, AnalysisError::Panicked { .. }) => {
-                    return emit(error_frame(request, failure));
-                }
-                // A slice too short to produce anything: keep going — a later
-                // slice gives the final verdict.
-                Err(_) => {}
+        let deadline = self
+            .deadline
+            .scoped()
+            .tightened(request.timeout_ms.map(|ms| start + Duration::from_millis(ms)));
+        // Anytime streaming: the one solve reports exactly feasible vertices of
+        // its exact simplex as it runs, and each strictly better threshold
+        // becomes a `progress` frame.
+        let mut best = f64::INFINITY;
+        let mut progress = |upper: f64, lower: Option<f64>| {
+            if upper < best {
+                best = upper;
+                let gap = lower.map(|lower| upper - lower);
+                emit(Frame::Progress { id: request.id.clone(), upper, lower, gap });
             }
-        }
-    }
+        };
+        let solved = contained(|| {
+            let solver = DiffCostSolver::new(options).with_deadline(deadline);
+            let progress = request.stream.then_some(&mut progress as &mut SolveProgress);
+            solver.solve_with_warm_start(&new.program, &old.program, warm.as_ref(), progress)
+        });
+        let (result, basis) = match solved {
+            Ok(solved) => solved,
+            Err(failure) => return emit(error_frame(request, failure)),
+        };
 
-    /// Emits the final result frame and populates the cache (certified only:
-    /// replaying a truncated bound forever would pin a loose answer).
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        request: &AnalyzeRequest,
-        options: &AnalysisOptions,
-        new: &Arc<CompiledProgram>,
-        old: &Arc<CompiledProgram>,
-        result: DiffCostResult,
-        basis: Option<LpBasis>,
-        cache_label: &str,
-        invalidated: usize,
-        start: Instant,
-        emit: &mut dyn FnMut(Frame),
-    ) {
+        // Only certified results are cached: replaying a truncated bound forever
+        // would pin a loose answer.
         let outcome = result.outcome();
         if outcome.is_certified() {
-            self.solves.insert(new, old, options, &result, basis);
+            self.solves.insert(&new, &old, &options, &result, basis);
         }
         emit(Frame::Result(ResultFrame {
             id: request.id.clone(),
@@ -268,26 +228,52 @@ mod tests {
         assert_eq!(near.threshold_int, 100);
     }
 
-    fn streamed(id: &str, timeout_ms: u64) -> Request {
-        let mut request = AnalyzeRequest::new(id, source(2), source(1));
+    fn streamed(id: &str, new: &str, old: &str, timeout_ms: u64) -> Request {
+        let mut request = AnalyzeRequest::new(id, new, old);
         request.stream = true;
         request.timeout_ms = Some(timeout_ms);
         Request::Analyze(request)
     }
 
+    /// A streamed request runs the same one solve as an unstreamed one: its
+    /// `progress` uppers strictly decrease and never undercut the final
+    /// threshold, and its result matches the unstreamed result bit for bit,
+    /// pivot count included. The running example `join` reaches the exact
+    /// simplex, so it must report at least one bracket on the way.
     #[test]
-    fn a_streamed_solve_that_certifies_in_its_first_slice_sends_one_result() {
-        let frames = Engine::new().handle_collect(&streamed("q1", 60_000));
-        let streamed = result_frame(&frames);
-        assert_eq!(streamed.outcome, "certified");
-        assert_eq!(streamed.cache, "miss");
-        let plain = Engine::new().handle_collect(&analyze("q2", &source(2), &source(1)));
-        assert_eq!(streamed.threshold.to_bits(), result_frame(&plain).threshold.to_bits());
+    fn a_streamed_solve_brackets_then_matches_the_unstreamed_result() {
+        let join = dca_benchmarks::running_example();
+        let pairs = [
+            (source(2), source(1), false),
+            (join.source_new.to_string(), join.source_old.to_string(), true),
+        ];
+        for (new, old, must_progress) in pairs {
+            let frames = Engine::new().handle_collect(&streamed("q1", &new, &old, 60_000));
+            let Some((Frame::Result(streamed), progress)) = frames.split_last() else {
+                panic!("a streamed request must end in a result frame: {frames:?}");
+            };
+            let uppers: Vec<f64> = progress
+                .iter()
+                .map(|frame| match frame {
+                    Frame::Progress { upper, .. } => *upper,
+                    other => panic!("expected progress frames before the result, got {other:?}"),
+                })
+                .collect();
+            assert!(!must_progress || !uppers.is_empty(), "no progress frame: {frames:?}");
+            assert!(uppers.windows(2).all(|pair| pair[1] < pair[0]), "{uppers:?}");
+            assert!(uppers.iter().all(|&upper| upper >= streamed.threshold), "{uppers:?}");
+            assert_eq!(streamed.outcome, "certified");
+            assert_eq!(streamed.cache, "miss");
+            let plain = Engine::new().handle_collect(&analyze("q2", &new, &old));
+            let plain = result_frame(&plain);
+            assert_eq!(streamed.threshold.to_bits(), plain.threshold.to_bits());
+            assert_eq!(streamed.lp_iterations, plain.lp_iterations);
+        }
     }
 
     #[test]
     fn a_streamed_solve_with_no_budget_sends_one_timeout_error() {
-        let frames = Engine::new().handle_collect(&streamed("q1", 0));
+        let frames = Engine::new().handle_collect(&streamed("q1", &source(2), &source(1), 0));
         match frames.as_slice() {
             [Frame::Error { id, code, .. }] => {
                 assert_eq!(id, "q1");

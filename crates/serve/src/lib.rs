@@ -13,13 +13,13 @@
 //! The protocol is line-delimited JSON over TCP or stdin/stdout — one request per
 //! line in, one or more frames per line out (see [`protocol`]); there are no
 //! external crates, the [`json`] module hand-rolls the parsing. Long solves can
-//! stream incremental anytime frames (`{upper, lower, gap}` from the solver's
-//! degradation ladder) before the final result.
+//! stream incremental anytime frames (`{upper, lower, gap}`, reported by the
+//! running exact simplex of the request's one solve) before the final result.
 //!
 //! Fault isolation is the batch engine's own: a request compiles through
 //! [`dca_core::batch::compile_contained`] (entering the compile phase, so
 //! `DCA_FAULT=compile:*` and crash-site attribution work as in a batch) and runs
-//! every solve, stream slices included, through [`dca_core::batch::contained`],
+//! its one solve, streamed or not, through [`dca_core::batch::contained`],
 //! under a [scoped](dca_lp::Deadline::scoped) child of the daemon deadline. One
 //! poisoned request reports an error frame while the daemon — and every
 //! concurrent sibling request — keeps running.

@@ -16,9 +16,13 @@
 //!
 //! `degree` (default 2), `timeout_ms` and `stream` are optional. A `"tier"`
 //! member is accepted only as `0` (the one invariant engine); any other tier is a
-//! `bad-request`, since invariant tiers were removed. `stream` only has an effect together
-//! with `timeout_ms`: the budget is sliced and each expired slice emits a
-//! `progress` frame with the anytime bracket before the final answer.
+//! `bad-request`, since invariant tiers were removed. With `stream`, the one solve
+//! reports its anytime bracket while it runs: the exact simplex reports its
+//! exactly feasible threshold when its phase 2 starts and after each
+//! refactorization, and each one below the last one sent becomes a `progress`
+//! frame before the final answer (`lower` and `gap` are `null` unless the solver
+//! holds a lower bound valid for the whole LP). `stream` needs no `timeout_ms`,
+//! and it changes neither the answer nor its `lp_iterations`.
 //!
 //! # Frames
 //!
@@ -51,8 +55,7 @@ pub struct AnalyzeRequest {
     pub degree: Option<u32>,
     /// Wall-clock budget for the solve, in milliseconds (default unlimited).
     pub timeout_ms: Option<u64>,
-    /// Emit incremental anytime `progress` frames while solving (needs
-    /// `timeout_ms` to slice).
+    /// Emit incremental anytime `progress` frames while solving.
     pub stream: bool,
 }
 

@@ -50,12 +50,11 @@ fn warm_started_resolve_matches_cold_solve() {
     let new = benchmark.new_program();
     let old = benchmark.old_program();
     let solver = DiffCostSolver::new(benchmark.options());
-    let (cold, basis) = solver.solve_with_warm_start(&new, &old, None);
-    let cold = cold.expect("cold solve succeeds");
-    let basis = basis.expect("an LP ran, so a basis is recorded");
+    let (cold, basis) =
+        solver.solve_with_warm_start(&new, &old, None, None).expect("cold solve succeeds");
     assert!(!basis.is_empty());
-    let (warm, _) = solver.solve_with_warm_start(&new, &old, Some(&basis));
-    let warm = warm.expect("warm solve succeeds");
+    let (warm, _) =
+        solver.solve_with_warm_start(&new, &old, Some(&basis), None).expect("warm solve succeeds");
     assert_eq!(warm.threshold_int(), cold.threshold_int());
     assert!(
         warm.stats.lp_iterations <= cold.stats.lp_iterations,
@@ -121,7 +120,7 @@ fn certified_driver_matches_exact_simplex_on_random_lps() {
                 .collect(),
         );
 
-        let certified = lp.solve_certified(None, &[]);
+        let certified = lp.solve_certified(None, &[], None);
         let exact = lp.solve_exact();
         assert_eq!(
             certified.status, exact.status,
