@@ -6,7 +6,7 @@
 //! analyzes at, so this module keeps exactly what it uses: the one-value
 //! [`InvariantTier`] (the type of [`AnalysisOptions::invariant_tier`]) and two
 //! `*_at_tier` forwards on [`AnalyzedProgram`]. None of it selects anything.
-//! It goes with the benchmark change of ROADMAP item 5, which moves the harness
+//! It goes with the benchmark change of ROADMAP item 1, which moves the harness
 //! to [`AnalyzedProgram::from_lowered`] and [`AnalyzedProgram::split_phases`].
 //!
 //! [`AnalysisOptions::invariant_tier`]: crate::AnalysisOptions::invariant_tier

@@ -348,7 +348,7 @@ mod tests {
         let head = ts.initial();
         let mut assignment: BTreeMap<UnknownId, Rational> = BTreeMap::new();
         for (mono, form) in templates.at(head).iter() {
-            let unknowns = form.unknowns();
+            let unknowns = form.vars();
             assert_eq!(unknowns.len(), 1);
             let value = if *mono == Monomial::var(n) {
                 Rational::one()
@@ -408,7 +408,7 @@ mod tests {
         // At least one constraint mentions a template unknown.
         assert!(set.constraints().iter().any(|c| c
             .form
-            .unknowns()
+            .vars()
             .iter()
             .any(|u| u.index() < template_unknowns)));
     }
@@ -509,8 +509,8 @@ mod tests {
         let mut factory = UnknownFactory::new();
         let u = factory.fresh("u", UnknownKind::Free);
         let mut template = TemplatePolynomial::zero();
-        template.add_term(Monomial::var(a), dca_poly::LinForm::unknown(u));
+        template.add_term(Monomial::var(a), dca_poly::LinForm::var(u));
         let remapped = remap_template_vars(&template, &mapping);
-        assert_eq!(remapped.coeff(&Monomial::var(b)), dca_poly::LinForm::unknown(u));
+        assert_eq!(remapped.coeff(&Monomial::var(b)), dca_poly::LinForm::var(u));
     }
 }

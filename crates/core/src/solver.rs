@@ -612,8 +612,7 @@ impl DiffCostSolver {
                 .iter()
                 .map(|(&v, &x)| (v, Rational::from_int(x)))
                 .collect();
-            let difference = &eval_template(&chi0_new, &valuation)
-                - &eval_template(&phi0_old, &valuation);
+            let difference = &chi0_new.eval(&valuation) - &phi0_old.eval(&valuation);
             let exceeded = &difference - &LinForm::constant(Rational::from_int(threshold + 1));
             let mut candidate_set = set.clone();
             candidate_set.push(UnknownConstraint::ge(exceeded, "refutation"));
@@ -795,12 +794,12 @@ impl DiffCostSolver {
 
         let solution = match self.options.backend {
             LpBackend::Certified => {
-                // The lazy set names Handelman multiplier columns the driver may
+                // The lazy set holds Handelman multiplier columns the driver may
                 // defer and separate on demand — the verdict is proven identical to
                 // the eager one before it is accepted (see `dca_lp::certify`). With
                 // row generation off the set is empty: an eager solve.
-                let lazy_names: Vec<String> = if self.options.row_generation {
-                    lazy.iter().map(|&u| factory.name(u).to_string()).collect()
+                let lazy_vars: Vec<LpVar> = if self.options.row_generation {
+                    lazy.iter().map(|u| lp_vars[u.index()]).collect()
                 } else {
                     Vec::new()
                 };
@@ -811,7 +810,7 @@ impl DiffCostSolver {
                         progress(upper, lower.map(|lower| lower.to_f64().min(upper)))
                     }
                 });
-                lp.solve_certified(warm, &lazy_names, report.as_mut().map(|report| report as _))
+                lp.solve_certified(warm, &lazy_vars, report.as_mut().map(|report| report as _))
             }
             LpBackend::Exact => lp.solve_exact(),
         };
@@ -872,16 +871,6 @@ const BOUND_ROLES: [(&str, TemplateRole); 2] =
 /// [`BOUND_ROLES`]: a lower bound on the new program, an upper bound on the old one.
 const REFUTATION_ROLES: [(&str, TemplateRole); 2] =
     [("chi_new", TemplateRole::AntiPotential), ("phi_old", TemplateRole::Potential)];
-
-/// Evaluates a template polynomial at a concrete valuation, producing an affine form over
-/// the LP unknowns.
-fn eval_template(template: &TemplatePolynomial, valuation: &dca_poly::Valuation) -> LinForm {
-    let mut result = LinForm::zero();
-    for (mono, form) in template.iter() {
-        result = &result + &form.scale(&mono.eval(valuation));
-    }
-    result
-}
 
 /// Maps the old program's variables onto the new program's variables by name; names that
 /// only exist in the old program keep their (disjoint) identity shifted beyond the new

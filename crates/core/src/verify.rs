@@ -7,7 +7,7 @@
 //! potential / anti-potential functions satisfy their defining inequalities along those
 //! executions.
 
-use dca_ir::{CostExplorer, IntValuation, State, TransitionSystem, Update};
+use dca_ir::{CostExplorer, IntValuation, State, TransitionSystem};
 use dca_lp::{ConstraintOp, LpProblem, LpStatus, VarKind};
 use dca_numeric::Rational;
 use dca_poly::{LinExpr, VarId};
@@ -126,7 +126,8 @@ pub fn sample_inputs(program: &AnalyzedProgram, config: &VerifyConfig) -> Vec<In
 /// `true` when `point` satisfies, in exact arithmetic, every constraint of `theta0`
 /// whose variables it assigns.
 pub(crate) fn satisfies_theta0(theta0: &[LinExpr], point: &IntValuation) -> bool {
-    let valuation = point.iter().map(|(&v, &x)| (v, Rational::from_int(x))).collect();
+    let valuation: dca_poly::Valuation =
+        point.iter().map(|(&v, &x)| (v, Rational::from_int(x))).collect();
     theta0.iter().all(|c| {
         // A constraint over a variable the point leaves out (e.g. `cost` on a sampled
         // corner) is not decided here.
@@ -238,7 +239,8 @@ pub fn verify_potential_on_runs(
                 if !dca_ir::satisfies_all(&transition.guard, &state.vals) {
                     continue;
                 }
-                for successor in successors(&state, transition, &config.nondet_candidates) {
+                for next_vals in transition.successors(&state.vals, &config.nondet_candidates) {
+                    let successor = State::new(transition.target, next_vals);
                     let next_valuation: dca_poly::Valuation = successor
                         .vals
                         .iter()
@@ -270,33 +272,6 @@ pub fn verify_potential_on_runs(
         }
     }
     VerifyReport { checked, violations }
-}
-
-fn successors(state: &State, transition: &dca_ir::Transition, candidates: &[i64]) -> Vec<State> {
-    let nondet_vars: Vec<VarId> = transition
-        .updates
-        .iter()
-        .filter(|(_, u)| u.is_nondet())
-        .map(|(&v, _)| v)
-        .collect();
-    let choices = candidates.len().max(1);
-    let combos = choices.pow(nondet_vars.len() as u32);
-    let mut out = Vec::with_capacity(combos);
-    for combo in 0..combos {
-        let mut next = state.vals.clone();
-        for (&var, update) in &transition.updates {
-            if let Update::Assign(p) = update {
-                next.insert(var, dca_ir::eval_polynomial_int(p, &state.vals));
-            }
-        }
-        let mut rest = combo;
-        for &var in &nondet_vars {
-            next.insert(var, candidates[rest % choices]);
-            rest /= choices;
-        }
-        out.push(State::new(transition.target, next));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -169,8 +169,7 @@ pub fn encode_nonnegativity(
     let mut rhs = TemplatePolynomial::zero();
     for (product, &multiplier) in products.iter().zip(&multipliers) {
         for (mono, coeff) in product.iter() {
-            let mut form = LinForm::zero();
-            form.add_unknown(multiplier, coeff.clone());
+            let form = LinForm::from_parts(Rational::zero(), [(multiplier, coeff.clone())]);
             rhs.add_term(mono.clone(), form);
         }
     }
@@ -312,7 +311,7 @@ mod tests {
         let all_unknowns: Vec<UnknownId> = encoding
             .constraints
             .iter()
-            .flat_map(|c| c.form.unknowns())
+            .flat_map(|c| c.form.vars())
             .collect();
         assert!(all_unknowns.contains(&u0));
         assert!(all_unknowns.contains(&u1));

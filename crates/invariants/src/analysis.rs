@@ -334,7 +334,7 @@ mod tests {
                             .vals
                             .iter()
                             .map(|(&v, &x)| (v, dca_numeric::Rational::from_int(x)))
-                            .collect(),
+                            .collect::<dca_poly::Valuation>(),
                     );
                     assert!(
                         !value.is_negative(),

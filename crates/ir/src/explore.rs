@@ -9,8 +9,8 @@
 use dca_poly::VarId;
 
 use crate::rng::SmallRng;
-use crate::state::{eval_polynomial_int, satisfies_all, IntValuation, State};
-use crate::system::{TransitionSystem, Update};
+use crate::state::{satisfies_all, IntValuation, State};
+use crate::system::TransitionSystem;
 
 /// Exact minimal and maximal run cost from one initial valuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,28 +81,7 @@ impl CostExplorer {
                 if !satisfies_all(&transition.guard, &state.vals) {
                     continue;
                 }
-                // Collect non-deterministically updated variables of this transition.
-                let nondet_vars: Vec<VarId> = transition
-                    .updates
-                    .iter()
-                    .filter(|(_, u)| u.is_nondet())
-                    .map(|(&v, _)| v)
-                    .collect();
-                let choices = self.nondet_candidates.len().max(1);
-                let combos = choices.pow(nondet_vars.len() as u32);
-                for combo in 0..combos {
-                    let mut next_vals = state.vals.clone();
-                    for (&var, update) in &transition.updates {
-                        if let Update::Assign(p) = update {
-                            next_vals.insert(var, eval_polynomial_int(p, &state.vals));
-                        }
-                    }
-                    let mut rest = combo;
-                    for &var in &nondet_vars {
-                        let value = self.nondet_candidates[rest % choices];
-                        rest /= choices;
-                        next_vals.insert(var, value);
-                    }
+                for next_vals in transition.successors(&state.vals, &self.nondet_candidates) {
                     stack.push((State::new(transition.target, next_vals), depth + 1));
                 }
             }
@@ -157,19 +136,10 @@ impl CostExplorer {
                     break;
                 }
                 let transition = enabled[rng.gen_index(enabled.len())];
-                let mut next_vals = state.vals.clone();
-                for (&var, update) in &transition.updates {
-                    match update {
-                        Update::Assign(p) => {
-                            next_vals.insert(var, eval_polynomial_int(p, &state.vals));
-                        }
-                        Update::Nondet => {
-                            let idx = rng.gen_index(self.nondet_candidates.len().max(1));
-                            next_vals
-                                .insert(var, self.nondet_candidates.get(idx).copied().unwrap_or(0));
-                        }
-                    }
-                }
+                let next_vals = transition.step(&state.vals, |_| {
+                    let idx = rng.gen_index(self.nondet_candidates.len().max(1));
+                    self.nondet_candidates.get(idx).copied().unwrap_or(0)
+                });
                 state = State::new(transition.target, next_vals);
             }
         }
@@ -234,7 +204,7 @@ pub fn sample_initial_states(
 mod tests {
     use super::*;
     use dca_poly::{LinExpr, Polynomial};
-    use crate::system::TsBuilder;
+    use crate::system::{TsBuilder, Update};
 
     /// while (i < n) { if (*) cost += 2 else cost += 1; i++ }
     /// Maximum cost 2n, minimum cost n, driven by branching non-determinism expressed via

@@ -7,8 +7,8 @@
 use dca_poly::VarId;
 
 use crate::rng::SmallRng;
-use crate::state::{eval_polynomial_int, satisfies_all, IntValuation, State};
-use crate::system::{TransitionSystem, Update};
+use crate::state::{satisfies_all, IntValuation, State};
+use crate::system::TransitionSystem;
 
 /// Supplies values for non-deterministic updates during interpretation.
 pub trait NondetOracle {
@@ -127,14 +127,7 @@ impl Interpreter {
                     final_state: state,
                 };
             };
-            let mut next_vals = state.vals.clone();
-            for (&var, update) in &transition.updates {
-                let value = match update {
-                    Update::Assign(p) => eval_polynomial_int(p, &state.vals),
-                    Update::Nondet => oracle.choose(var, &state),
-                };
-                next_vals.insert(var, value);
-            }
+            let next_vals = transition.step(&state.vals, |var| oracle.choose(var, &state));
             state = State::new(transition.target, next_vals);
             steps += 1;
         }
@@ -151,7 +144,7 @@ impl Interpreter {
 mod tests {
     use super::*;
     use dca_poly::{LinExpr, Polynomial};
-    use crate::system::TsBuilder;
+    use crate::system::{TsBuilder, Update};
 
     /// while (i < n) { i++; cost++ }
     fn counting_loop() -> TransitionSystem {

@@ -6,6 +6,8 @@ use std::fmt;
 use dca_numeric::Rational;
 use dca_poly::{LinExpr, Polynomial, VarId, VarPool};
 
+use crate::state::{eval_polynomial_int, IntValuation};
+
 /// Identifier of a program location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LocId(pub u32);
@@ -70,6 +72,41 @@ impl Transition {
     /// Returns `true` if the transition has a non-deterministic update for some variable.
     pub fn has_nondet(&self) -> bool {
         self.updates.values().any(Update::is_nondet)
+    }
+
+    /// The valuation after taking the transition from `vals`: every assignment is
+    /// evaluated on the pre-state, and every havoc takes `havoc(var)`, called in
+    /// `updates` order (the order a seeded sampler draws in).
+    pub fn step(&self, vals: &IntValuation, mut havoc: impl FnMut(VarId) -> i64) -> IntValuation {
+        let mut next = vals.clone();
+        for (&var, update) in &self.updates {
+            let value = match update {
+                Update::Assign(p) => eval_polynomial_int(p, vals),
+                Update::Nondet => havoc(var),
+            };
+            next.insert(var, value);
+        }
+        next
+    }
+
+    /// Every successor valuation of `vals`, one per combination of havoc values from
+    /// `candidates`; the first havoc in `updates` order varies fastest. With no
+    /// candidates every havoc reads 0, as in the random-walk sampler.
+    pub fn successors<'a>(
+        &'a self,
+        vals: &'a IntValuation,
+        candidates: &'a [i64],
+    ) -> impl Iterator<Item = IntValuation> + 'a {
+        let choices = candidates.len().max(1);
+        let havocs = self.updates.values().filter(|u| u.is_nondet()).count() as u32;
+        (0..choices.pow(havocs)).map(move |combo| {
+            let mut rest = combo;
+            self.step(vals, |_| {
+                let value = candidates.get(rest % choices).copied().unwrap_or(0);
+                rest /= choices;
+                value
+            })
+        })
     }
 }
 
@@ -487,6 +524,37 @@ mod tests {
             .guard(LinExpr::var(i) - LinExpr::var(n))
             .finish();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn successors_read_the_pre_state_and_vary_the_first_havoc_fastest() {
+        let (x, y, z) = (VarId(0), VarId(1), VarId(2));
+        let t = Transition {
+            source: LocId(0),
+            target: LocId(0),
+            guard: Vec::new(),
+            updates: [
+                (x, Update::Nondet),
+                (y, Update::assign(Polynomial::var(x) + Polynomial::from_int(1))),
+                (z, Update::Nondet),
+            ]
+            .into_iter()
+            .collect(),
+        };
+        let vals: IntValuation = [(x, 10), (y, 0), (z, 0)].into_iter().collect();
+        let rows: Vec<Vec<i64>> = t
+            .successors(&vals, &[5, 6])
+            .map(|next| next.values().copied().collect())
+            .collect();
+        assert_eq!(rows, [[5, 11, 5], [6, 11, 5], [5, 11, 6], [6, 11, 6]]);
+        let none: Vec<IntValuation> = t.successors(&vals, &[]).collect();
+        assert_eq!(none, [[(x, 0), (y, 11), (z, 0)].into_iter().collect()]);
+        let mut drawn = Vec::new();
+        t.step(&vals, |var| {
+            drawn.push(var);
+            0
+        });
+        assert_eq!(drawn, [x, z]);
     }
 
     #[test]

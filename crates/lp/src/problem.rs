@@ -342,9 +342,9 @@ impl LpProblem {
     /// `warm` seeds the float phase (and the exact run) with the basis of a
     /// previous related solve; `None` starts cold.
     ///
-    /// `lazy_names` marks *lazy* columns the driver may leave out of the initial
-    /// solve and generate on demand (delayed column generation). They are display
-    /// names of `NonNegative` model variables (in practice: Handelman product
+    /// `lazy` marks *lazy* columns the driver may leave out of the initial
+    /// solve and generate on demand (delayed column generation). They are
+    /// `NonNegative` model variables (in practice: Handelman product
     /// multipliers of degree ≥ 2). The driver starts from the non-lazy core plus
     /// any lazy column present in `warm`, solves, then *exactly* prices every
     /// excluded column against the exact dual. If any column could improve the
@@ -352,10 +352,10 @@ impl LpProblem {
     /// core's basis. The accepted verdict therefore carries the same exact
     /// certificate as a full eager solve — excluded columns are proven
     /// non-improving (or, for infeasibility, proven unable to break the exact
-    /// Farkas certificate) before a core answer is reported. Names that are
-    /// unknown or not `NonNegative` are ignored (a `Free` variable's split column
-    /// pair must never be separated independently). An empty `lazy_names` is the
-    /// full eager solve, with identical verdicts.
+    /// Farkas certificate) before a core answer is reported. `Free` variables are
+    /// ignored (a `Free` variable's split column pair must never be separated
+    /// independently). An empty `lazy` is the full eager solve, with identical
+    /// verdicts.
     ///
     /// The returned basis names any lazy columns it uses, so threading it into
     /// the next related solve (as the serve near-match path does) also seeds that
@@ -365,7 +365,7 @@ impl LpProblem {
     pub fn solve_certified(
         &self,
         warm: Option<&LpBasis>,
-        lazy_names: &[String],
+        lazy: &[LpVar],
         progress: Option<&mut LpProgress<'_>>,
     ) -> LpResult<Rational> {
         let build_start = Instant::now();
@@ -373,25 +373,15 @@ impl LpProblem {
         let build_time = build_start.elapsed();
         let col_names = self.standard_col_names();
         let warm_cols = self.warm_to_cols(warm, &col_names);
-        let lazy_cols: Vec<usize> = if lazy_names.is_empty() {
+        let lazy_cols: Vec<usize> = if lazy.is_empty() {
             Vec::new()
         } else {
-            let index_of: std::collections::HashMap<&str, usize> = col_names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.as_str(), i))
-                .collect();
-            let free_split: std::collections::HashSet<usize> = self
-                .var_names
-                .iter()
-                .zip(&self.var_kinds)
-                .filter(|(_, kind)| **kind == VarKind::Free)
-                .filter_map(|(name, _)| index_of.get(name.as_str()).copied())
-                .collect();
-            lazy_names
-                .iter()
-                .filter_map(|name| index_of.get(name.as_str()).copied())
-                .filter(|col| !free_split.contains(col))
+            let (layout, _) = self.model_columns();
+            lazy.iter()
+                .filter_map(|var| match layout[var.index()] {
+                    (col, None) => Some(col),
+                    (_, Some(_)) => None,
+                })
                 .collect()
         };
         let mut raw = crate::certify::solve_float_first(

@@ -1,15 +1,17 @@
 //! Polynomial arithmetic for the diffcost analyzer.
 //!
-//! The synthesis algorithm of the paper manipulates three flavours of symbolic
-//! expressions over program variables:
+//! The synthesis algorithm of the paper needs one affine form and one polynomial, each
+//! generic in what it ranges over:
 //!
-//! * [`LinExpr`] — affine expressions (degree ≤ 1), used for transition guards, initial
-//!   conditions `Θ0`, and the affine invariants assumed in Section 5;
-//! * [`Polynomial`] — concrete multivariate polynomials with rational coefficients, used
-//!   for transition updates and for the products `Prod_K(Aff)` of Handelman's theorem;
-//! * [`TemplatePolynomial`] — polynomials whose coefficients are themselves affine forms
-//!   over *LP unknowns* ([`LinForm`]), used for the potential / anti-potential templates
-//!   `Σ u_{ℓ,m}·m` of Step 1 and all constraint expressions of Step 2.
+//! * [`Affine<K>`] — affine forms (degree ≤ 1) over keys `K`. [`LinExpr`] ranges over
+//!   program variables: transition guards, initial conditions `Θ0`, and the affine
+//!   invariants assumed in Section 5. [`LinForm`] ranges over *LP unknowns*
+//!   ([`UnknownId`]): the coefficients of templates and the rows of the synthesis LP.
+//! * [`Poly<C>`] — multivariate polynomials over program variables with coefficients `C`
+//!   (see [`Coeff`]). [`Polynomial`] has rational coefficients: transition updates and
+//!   the products `Prod_K(Aff)` of Handelman's theorem. [`TemplatePolynomial`] has
+//!   [`LinForm`] coefficients: the potential / anti-potential templates `Σ u_{ℓ,m}·m`
+//!   of Step 1 and all constraint expressions of Step 2.
 //!
 //! Variables are interned in a [`VarPool`] and referenced by the compact [`VarId`].
 //!
@@ -27,16 +29,41 @@
 //! assert_eq!(p.to_string(&pool), "x^2 + 2*x*y + y^2");
 //! ```
 
+/// Implements the owned and mixed-ownership forms of a binary operator from its
+/// `&lhs op &rhs` body.
+macro_rules! forward_owned_binop {
+    (impl[$($generics:tt)*] $trait:ident::$method:ident for $lhs:ty, $rhs:ty) => {
+        impl<$($generics)*> $trait<$rhs> for $lhs {
+            type Output = $lhs;
+            fn $method(self, rhs: $rhs) -> $lhs {
+                (&self).$method(&rhs)
+            }
+        }
+        impl<$($generics)*> $trait<&$rhs> for $lhs {
+            type Output = $lhs;
+            fn $method(self, rhs: &$rhs) -> $lhs {
+                (&self).$method(rhs)
+            }
+        }
+        impl<$($generics)*> $trait<$rhs> for &$lhs {
+            type Output = $lhs;
+            fn $method(self, rhs: $rhs) -> $lhs {
+                self.$method(&rhs)
+            }
+        }
+    };
+}
+
 mod linexpr;
 mod monomial;
 mod polynomial;
 mod template;
 mod vars;
 
-pub use linexpr::LinExpr;
+pub use linexpr::{Affine, Assignment, LinExpr, LinForm};
 pub use monomial::{monomials_up_to_degree, Monomial};
-pub use polynomial::Polynomial;
-pub use template::{LinForm, TemplatePolynomial, UnknownId};
+pub use polynomial::{Coeff, Poly, Polynomial};
+pub use template::{TemplatePolynomial, UnknownId};
 pub use vars::{VarId, VarPool};
 
 /// A variable assignment mapping [`VarId`]s to exact rational values.

@@ -1,25 +1,29 @@
-//! Affine (degree ≤ 1) expressions over program variables.
+//! Affine (degree ≤ 1) forms, over program variables or over LP unknowns.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::ops::{Add, Mul, Neg, Sub};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::ops::{Add, Neg, Sub};
 
 use dca_numeric::Rational;
 
-use crate::polynomial::Polynomial;
+use crate::monomial::Monomial;
+use crate::polynomial::{push_term, Coeff, Polynomial};
+use crate::template::UnknownId;
 use crate::vars::{VarId, VarPool};
-use crate::Valuation;
 
-/// An affine expression `c0 + c1*x1 + ... + cn*xn`.
+/// An affine form `c0 + c1*k1 + ... + cn*kn` over keys `K`.
 ///
-/// Affine expressions appear throughout the analysis as transition guards, initial
-/// conditions and invariants; the convention used by the whole pipeline is that a
-/// constraint is the assertion `LinExpr ≥ 0`.
+/// The analysis uses two instances. [`LinExpr`] ranges over program variables:
+/// transition guards, initial conditions and invariants, where the convention of the
+/// whole pipeline is that a constraint is the assertion `LinExpr ≥ 0`. [`LinForm`]
+/// ranges over LP unknowns: the coefficients of a
+/// [`TemplatePolynomial`](crate::TemplatePolynomial) and the rows of the synthesis LP.
 ///
 /// # Examples
 ///
 /// ```
-/// use dca_poly::{LinExpr, VarPool};
+/// use dca_poly::{LinExpr, LinForm, UnknownId, VarPool};
 /// use dca_numeric::Rational;
 ///
 /// let mut pool = VarPool::new();
@@ -27,44 +31,73 @@ use crate::Valuation;
 /// // x - 3 ≥ 0, i.e. x ≥ 3
 /// let e = LinExpr::var(x) - LinExpr::constant(Rational::from_int(3));
 /// assert_eq!(e.to_string(&pool), "x - 3");
+///
+/// let u = UnknownId(0);
+/// let f = LinForm::var(u).scale(&Rational::from_int(2)) + LinForm::from_int(1);
+/// assert_eq!(f.coeff(u), Rational::from_int(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LinExpr {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Affine<K> {
     constant: Rational,
-    coeffs: BTreeMap<VarId, Rational>,
+    coeffs: BTreeMap<K, Rational>,
 }
 
-impl LinExpr {
-    /// The zero expression.
-    pub fn zero() -> LinExpr {
-        LinExpr::default()
+/// An affine expression over program variables.
+pub type LinExpr = Affine<VarId>;
+
+/// An affine form over LP unknowns.
+pub type LinForm = Affine<UnknownId>;
+
+/// Values of the keys of an [`Affine`] form, for [`Affine::eval`].
+pub trait Assignment<K> {
+    /// The value of `key`, or `None` when it is unassigned (it then reads as 0).
+    fn value(&self, key: &K) -> Option<&Rational>;
+}
+
+impl<K: Hash + Eq> Assignment<K> for HashMap<K, Rational> {
+    fn value(&self, key: &K) -> Option<&Rational> {
+        self.get(key)
+    }
+}
+
+impl<K: Ord> Assignment<K> for BTreeMap<K, Rational> {
+    fn value(&self, key: &K) -> Option<&Rational> {
+        self.get(key)
+    }
+}
+
+impl<K> Default for Affine<K> {
+    fn default() -> Self {
+        Affine { constant: Rational::zero(), coeffs: BTreeMap::new() }
+    }
+}
+
+impl<K: Copy + Ord> Affine<K> {
+    /// The zero form.
+    pub fn zero() -> Self {
+        Self::default()
     }
 
-    /// A constant expression.
-    pub fn constant(c: Rational) -> LinExpr {
-        LinExpr { constant: c, coeffs: BTreeMap::new() }
+    /// A constant form.
+    pub fn constant(c: Rational) -> Self {
+        Affine { constant: c, coeffs: BTreeMap::new() }
     }
 
-    /// A constant expression from a machine integer.
-    pub fn from_int(c: i64) -> LinExpr {
-        LinExpr::constant(Rational::from_int(c))
+    /// A constant form from a machine integer.
+    pub fn from_int(c: i64) -> Self {
+        Self::constant(Rational::from_int(c))
     }
 
-    /// The expression consisting of a single variable.
-    pub fn var(v: VarId) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v, Rational::one());
-        LinExpr { constant: Rational::zero(), coeffs }
+    /// The form consisting of a single key with coefficient one.
+    pub fn var(k: K) -> Self {
+        Self::from_parts(Rational::zero(), [(k, Rational::one())])
     }
 
-    /// Builds an expression from a constant and `(variable, coefficient)` pairs.
-    pub fn from_parts(
-        constant: Rational,
-        coeffs: impl IntoIterator<Item = (VarId, Rational)>,
-    ) -> LinExpr {
-        let mut e = LinExpr::constant(constant);
-        for (v, c) in coeffs {
-            e.set_coeff(v, c);
+    /// Builds a form from a constant and `(key, coefficient)` pairs.
+    pub fn from_parts(constant: Rational, coeffs: impl IntoIterator<Item = (K, Rational)>) -> Self {
+        let mut e = Self::constant(constant);
+        for (k, c) in coeffs {
+            e.set_coeff(k, c);
         }
         e
     }
@@ -74,17 +107,17 @@ impl LinExpr {
         &self.constant
     }
 
-    /// Coefficient of a variable (zero if absent).
-    pub fn coeff(&self, v: VarId) -> Rational {
-        self.coeffs.get(&v).cloned().unwrap_or_default()
+    /// Coefficient of a key (zero if absent).
+    pub fn coeff(&self, k: K) -> Rational {
+        self.coeffs.get(&k).cloned().unwrap_or_default()
     }
 
-    /// Sets the coefficient of a variable (removing it when zero).
-    pub fn set_coeff(&mut self, v: VarId, c: Rational) {
+    /// Sets the coefficient of a key (removing it when zero).
+    pub fn set_coeff(&mut self, k: K, c: Rational) {
         if c.is_zero() {
-            self.coeffs.remove(&v);
+            self.coeffs.remove(&k);
         } else {
-            self.coeffs.insert(v, c);
+            self.coeffs.insert(k, c);
         }
     }
 
@@ -93,84 +126,75 @@ impl LinExpr {
         self.constant = c;
     }
 
-    /// Iterates over `(variable, coefficient)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&VarId, &Rational)> {
+    /// Adds `c * k` to the form in place.
+    pub fn add_term(&mut self, k: K, c: Rational) {
+        if c.is_zero() {
+            return;
+        }
+        match self.coeffs.entry(k) {
+            Entry::Vacant(entry) => {
+                entry.insert(c);
+            }
+            Entry::Occupied(mut entry) => {
+                let sum = entry.get() + &c;
+                if sum.is_zero() {
+                    entry.remove();
+                } else {
+                    *entry.get_mut() = sum;
+                }
+            }
+        }
+    }
+
+    /// Iterates over `(key, coefficient)` pairs in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &Rational)> {
         self.coeffs.iter()
     }
 
-    /// Variables with non-zero coefficients.
-    pub fn vars(&self) -> Vec<VarId> {
+    /// Keys with non-zero coefficients.
+    pub fn vars(&self) -> Vec<K> {
         self.coeffs.keys().copied().collect()
     }
 
-    /// Returns `true` if the expression is a constant.
+    /// Returns `true` if the form mentions no keys.
     pub fn is_constant(&self) -> bool {
         self.coeffs.is_empty()
     }
 
-    /// Returns `true` if the expression is identically zero.
+    /// Returns `true` if the form is identically zero.
     pub fn is_zero(&self) -> bool {
         self.constant.is_zero() && self.coeffs.is_empty()
     }
 
-    /// Multiplies the expression by a scalar.
-    pub fn scale(&self, factor: &Rational) -> LinExpr {
+    /// Multiplies the form by a scalar.
+    pub fn scale(&self, factor: &Rational) -> Self {
         if factor.is_zero() {
-            return LinExpr::zero();
+            return Self::zero();
         }
-        LinExpr {
+        Affine {
             constant: &self.constant * factor,
-            coeffs: self.coeffs.iter().map(|(v, c)| (*v, c * factor)).collect(),
+            coeffs: self.coeffs.iter().map(|(k, c)| (*k, c * factor)).collect(),
         }
     }
 
-    /// Evaluates the expression at a valuation (missing variables default to 0).
-    pub fn eval(&self, valuation: &Valuation) -> Rational {
+    /// Evaluates the form under an assignment (unassigned keys read as 0).
+    pub fn eval(&self, values: &impl Assignment<K>) -> Rational {
         let mut acc = self.constant.clone();
-        for (v, c) in &self.coeffs {
-            if let Some(x) = valuation.get(v) {
+        for (k, c) in &self.coeffs {
+            if let Some(x) = values.value(k) {
                 acc = &acc + &(c * x);
             }
         }
         acc
     }
 
-    /// Converts the affine expression to a [`Polynomial`].
-    pub fn to_polynomial(&self) -> Polynomial {
-        let mut p = Polynomial::constant(self.constant.clone());
-        for (v, c) in &self.coeffs {
-            p += &Polynomial::var(*v).scale(c);
-        }
-        p
-    }
-
-    /// Attempts to convert a polynomial into an affine expression.
+    /// Normalizes the form so that all coefficients are coprime integers.
     ///
-    /// Returns `None` if the polynomial has degree greater than 1.
-    pub fn try_from_polynomial(p: &Polynomial) -> Option<LinExpr> {
-        if p.degree() > 1 {
-            return None;
-        }
-        let mut e = LinExpr::zero();
-        for (m, c) in p.iter() {
-            if m.is_unit() {
-                e.constant = c.clone();
-            } else {
-                let (v, exp) = m.powers()[0];
-                debug_assert_eq!(exp, 1);
-                e.set_coeff(v, c.clone());
-            }
-        }
-        Some(e)
-    }
-
-    /// Normalizes the expression so that all coefficients are coprime integers.
-    ///
-    /// This preserves the sign of the expression at every point (the scaling factor is
+    /// This preserves the sign of the form at every point (the scaling factor is
     /// strictly positive), so `e ≥ 0` and `e.normalize() ≥ 0` are equivalent constraints.
-    pub fn normalize(&self) -> LinExpr {
+    pub fn normalize(&self) -> Self {
         if self.is_zero() {
-            return LinExpr::zero();
+            return Self::zero();
         }
         // Multiply by the lcm of denominators, then divide by the gcd of numerators.
         let mut scale = Rational::one();
@@ -196,112 +220,105 @@ impl LinExpr {
         let factor = &scale / &divisor;
         self.scale(&factor)
     }
+}
 
-    /// Renders the expression using variable names from the pool.
+impl LinExpr {
+    /// Converts the affine expression to a [`Polynomial`].
+    pub fn to_polynomial(&self) -> Polynomial {
+        let mut p = Polynomial::constant(self.constant.clone());
+        for (v, c) in &self.coeffs {
+            p.add_term(Monomial::var(*v), c.clone());
+        }
+        p
+    }
+
+    /// Attempts to convert a polynomial into an affine expression.
+    ///
+    /// Returns `None` if the polynomial has degree greater than 1.
+    pub fn try_from_polynomial(p: &Polynomial) -> Option<LinExpr> {
+        if p.degree() > 1 {
+            return None;
+        }
+        let mut e = LinExpr::zero();
+        for (m, c) in p.iter() {
+            if m.is_unit() {
+                e.constant = c.clone();
+            } else {
+                let (v, exp) = m.powers()[0];
+                debug_assert_eq!(exp, 1);
+                e.set_coeff(v, c.clone());
+            }
+        }
+        Some(e)
+    }
+
+    /// Renders the expression using variable names from the pool, constant last.
     pub fn to_string(&self, pool: &VarPool) -> String {
         let mut out = String::new();
-        let mut first = true;
         for (v, c) in &self.coeffs {
-            let mag = c.abs();
-            if first {
-                if c.is_negative() {
-                    out.push('-');
-                }
-                first = false;
-            } else if c.is_negative() {
-                out.push_str(" - ");
-            } else {
-                out.push_str(" + ");
-            }
-            if mag == Rational::one() {
-                let _ = write!(out, "{}", pool.name(*v));
-            } else {
-                let _ = write!(out, "{}*{}", mag, pool.name(*v));
-            }
+            push_term(&mut out, c, pool.name(*v));
         }
-        if first {
-            let _ = write!(out, "{}", self.constant);
-        } else if !self.constant.is_zero() {
-            if self.constant.is_negative() {
-                let _ = write!(out, " - {}", self.constant.abs());
-            } else {
-                let _ = write!(out, " + {}", self.constant);
-            }
+        if out.is_empty() || !self.constant.is_zero() {
+            push_term(&mut out, &self.constant, "");
         }
         out
     }
 }
 
-impl Add for &LinExpr {
-    type Output = LinExpr;
-    fn add(self, rhs: &LinExpr) -> LinExpr {
+impl<K: Copy + Ord> Coeff for Affine<K> {
+    fn is_zero(&self) -> bool {
+        Affine::is_zero(self)
+    }
+
+    fn plus(&self, other: &Self) -> Self {
+        self + other
+    }
+
+    fn scale(&self, factor: &Rational) -> Self {
+        Affine::scale(self, factor)
+    }
+}
+
+impl<K: Copy + Ord> Add for &Affine<K> {
+    type Output = Affine<K>;
+    fn add(self, rhs: &Affine<K>) -> Affine<K> {
         let mut out = self.clone();
         out.constant = &out.constant + &rhs.constant;
-        for (v, c) in &rhs.coeffs {
-            let new = &out.coeff(*v) + c;
-            out.set_coeff(*v, new);
+        for (k, c) in &rhs.coeffs {
+            out.add_term(*k, c.clone());
         }
         out
     }
 }
 
-impl Sub for &LinExpr {
-    type Output = LinExpr;
-    fn sub(self, rhs: &LinExpr) -> LinExpr {
-        self + &(-rhs.clone())
+impl<K: Copy + Ord> Sub for &Affine<K> {
+    type Output = Affine<K>;
+    fn sub(self, rhs: &Affine<K>) -> Affine<K> {
+        self + &-rhs
     }
 }
 
-impl Neg for LinExpr {
-    type Output = LinExpr;
-    fn neg(self) -> LinExpr {
+impl<K: Copy + Ord> Neg for &Affine<K> {
+    type Output = Affine<K>;
+    fn neg(self) -> Affine<K> {
         self.scale(&-Rational::one())
     }
 }
 
-impl Neg for &LinExpr {
-    type Output = LinExpr;
-    fn neg(self) -> LinExpr {
-        self.scale(&-Rational::one())
+impl<K: Copy + Ord> Neg for Affine<K> {
+    type Output = Affine<K>;
+    fn neg(self) -> Affine<K> {
+        -&self
     }
 }
 
-impl Mul<&Rational> for &LinExpr {
-    type Output = LinExpr;
-    fn mul(self, rhs: &Rational) -> LinExpr {
-        self.scale(rhs)
-    }
-}
-
-macro_rules! forward_owned_binop {
-    ($trait:ident, $method:ident) => {
-        impl $trait for LinExpr {
-            type Output = LinExpr;
-            fn $method(self, rhs: LinExpr) -> LinExpr {
-                (&self).$method(&rhs)
-            }
-        }
-        impl $trait<&LinExpr> for LinExpr {
-            type Output = LinExpr;
-            fn $method(self, rhs: &LinExpr) -> LinExpr {
-                (&self).$method(rhs)
-            }
-        }
-        impl $trait<LinExpr> for &LinExpr {
-            type Output = LinExpr;
-            fn $method(self, rhs: LinExpr) -> LinExpr {
-                self.$method(&rhs)
-            }
-        }
-    };
-}
-
-forward_owned_binop!(Add, add);
-forward_owned_binop!(Sub, sub);
+forward_owned_binop!(impl[K: Copy + Ord] Add::add for Affine<K>, Affine<K>);
+forward_owned_binop!(impl[K: Copy + Ord] Sub::sub for Affine<K>, Affine<K>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Valuation;
 
     fn setup() -> (VarPool, VarId, VarId) {
         let mut pool = VarPool::new();

@@ -1,5 +1,6 @@
-//! Multivariate polynomials with exact rational coefficients.
+//! Multivariate polynomials over program variables, generic in their coefficients.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
@@ -10,7 +11,33 @@ use crate::monomial::Monomial;
 use crate::vars::{VarId, VarPool};
 use crate::Valuation;
 
-/// A multivariate polynomial with [`Rational`] coefficients.
+/// The coefficients a [`Poly`] may carry: [`Rational`] for a [`Polynomial`], and a
+/// [`LinForm`](crate::LinForm) for a [`TemplatePolynomial`](crate::TemplatePolynomial).
+/// `Default` is the zero coefficient.
+pub trait Coeff: Clone + Default + PartialEq {
+    /// Returns `true` for the zero coefficient (its term is then dropped).
+    fn is_zero(&self) -> bool;
+    /// The sum `self + other`.
+    fn plus(&self, other: &Self) -> Self;
+    /// The product `self * factor`.
+    fn scale(&self, factor: &Rational) -> Self;
+}
+
+impl Coeff for Rational {
+    fn is_zero(&self) -> bool {
+        Rational::is_zero(self)
+    }
+
+    fn plus(&self, other: &Self) -> Self {
+        self + other
+    }
+
+    fn scale(&self, factor: &Rational) -> Self {
+        self * factor
+    }
+}
+
+/// A multivariate polynomial `Σ c·m` over program variables with coefficients `C`.
 ///
 /// Stored as a map from [`Monomial`] to non-zero coefficient; the zero polynomial has an
 /// empty map.
@@ -30,52 +57,33 @@ use crate::Valuation;
 /// assert_eq!(p.eval(&val), Rational::from_int(8));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Polynomial {
-    terms: BTreeMap<Monomial, Rational>,
+pub struct Poly<C> {
+    terms: BTreeMap<Monomial, C>,
 }
 
-impl Polynomial {
-    /// The zero polynomial.
-    pub fn zero() -> Polynomial {
-        Polynomial { terms: BTreeMap::new() }
-    }
+/// A polynomial with [`Rational`] coefficients: transition updates, the products
+/// `Prod_K(Aff)` of Handelman's theorem, and synthesized potentials.
+pub type Polynomial = Poly<Rational>;
 
-    /// The constant polynomial `1`.
-    pub fn one() -> Polynomial {
-        Polynomial::constant(Rational::one())
+impl<C: Coeff> Poly<C> {
+    /// The zero polynomial.
+    pub fn zero() -> Self {
+        Poly { terms: BTreeMap::new() }
     }
 
     /// A constant polynomial.
-    pub fn constant(c: Rational) -> Polynomial {
-        let mut terms = BTreeMap::new();
-        if !c.is_zero() {
-            terms.insert(Monomial::unit(), c);
-        }
-        Polynomial { terms }
-    }
-
-    /// A constant polynomial from a machine integer.
-    pub fn from_int(c: i64) -> Polynomial {
-        Polynomial::constant(Rational::from_int(c))
-    }
-
-    /// The polynomial consisting of a single variable.
-    pub fn var(v: VarId) -> Polynomial {
-        Polynomial::from_monomial(Monomial::var(v), Rational::one())
+    pub fn constant(c: C) -> Self {
+        Self::from_monomial(Monomial::unit(), c)
     }
 
     /// A polynomial with a single term `coeff * mono`.
-    pub fn from_monomial(mono: Monomial, coeff: Rational) -> Polynomial {
-        let mut terms = BTreeMap::new();
-        if !coeff.is_zero() {
-            terms.insert(mono, coeff);
-        }
-        Polynomial { terms }
+    pub fn from_monomial(mono: Monomial, coeff: C) -> Self {
+        Self::from_terms([(mono, coeff)])
     }
 
     /// Builds a polynomial from `(monomial, coefficient)` pairs, summing duplicates.
-    pub fn from_terms(pairs: impl IntoIterator<Item = (Monomial, Rational)>) -> Polynomial {
-        let mut p = Polynomial::zero();
+    pub fn from_terms(pairs: impl IntoIterator<Item = (Monomial, C)>) -> Self {
+        let mut p = Self::zero();
         for (m, c) in pairs {
             p.add_term(m, c);
         }
@@ -93,8 +101,8 @@ impl Polynomial {
     }
 
     /// The constant term.
-    pub fn constant_term(&self) -> Rational {
-        self.terms.get(&Monomial::unit()).cloned().unwrap_or_default()
+    pub fn constant_term(&self) -> C {
+        self.coeff(&Monomial::unit())
     }
 
     /// Total degree of the polynomial (0 for constants and for the zero polynomial).
@@ -103,12 +111,12 @@ impl Polynomial {
     }
 
     /// Coefficient of a monomial (zero if absent).
-    pub fn coeff(&self, mono: &Monomial) -> Rational {
+    pub fn coeff(&self, mono: &Monomial) -> C {
         self.terms.get(mono).cloned().unwrap_or_default()
     }
 
     /// Iterates over `(monomial, coefficient)` pairs in monomial order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Monomial, &Rational)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Monomial, &C)> {
         self.terms.iter()
     }
 
@@ -117,42 +125,92 @@ impl Polynomial {
         self.terms.len()
     }
 
+    /// All monomials with non-zero coefficients, in monomial order.
+    pub fn monomials(&self) -> Vec<Monomial> {
+        self.terms.keys().cloned().collect()
+    }
+
     /// The set of variables mentioned by the polynomial.
     pub fn vars(&self) -> Vec<VarId> {
-        let mut vars: Vec<VarId> = self
-            .terms
-            .keys()
-            .flat_map(|m| m.vars().collect::<Vec<_>>())
-            .collect();
+        let mut vars: Vec<VarId> = self.terms.keys().flat_map(Monomial::vars).collect();
         vars.sort();
         vars.dedup();
         vars
     }
 
     /// Adds `coeff * mono` to the polynomial in place.
-    pub fn add_term(&mut self, mono: Monomial, coeff: Rational) {
+    pub fn add_term(&mut self, mono: Monomial, coeff: C) {
         if coeff.is_zero() {
             return;
         }
-        let entry = self.terms.entry(mono.clone()).or_default();
-        *entry = &*entry + &coeff;
-        if entry.is_zero() {
-            self.terms.remove(&mono);
+        match self.terms.entry(mono) {
+            Entry::Vacant(entry) => {
+                entry.insert(coeff);
+            }
+            Entry::Occupied(mut entry) => {
+                let sum = entry.get().plus(&coeff);
+                if sum.is_zero() {
+                    entry.remove();
+                } else {
+                    *entry.get_mut() = sum;
+                }
+            }
         }
     }
 
     /// Multiplies the polynomial by a scalar.
-    pub fn scale(&self, factor: &Rational) -> Polynomial {
+    pub fn scale(&self, factor: &Rational) -> Self {
         if factor.is_zero() {
-            return Polynomial::zero();
+            return Self::zero();
         }
-        Polynomial {
-            terms: self
-                .terms
-                .iter()
-                .map(|(m, c)| (m.clone(), c * factor))
-                .collect(),
+        Poly { terms: self.terms.iter().map(|(m, c)| (m.clone(), c.scale(factor))).collect() }
+    }
+
+    /// Evaluates the program variables at a valuation (missing variables default to 0):
+    /// a number for a [`Polynomial`], an affine form over the LP unknowns for a
+    /// [`TemplatePolynomial`](crate::TemplatePolynomial).
+    pub fn eval(&self, valuation: &Valuation) -> C {
+        let mut acc = C::default();
+        for (m, c) in &self.terms {
+            acc = acc.plus(&c.scale(&m.eval(valuation)));
         }
+        acc
+    }
+
+    /// Substitutes polynomials for variables.
+    ///
+    /// Variables not present in `subst` are left unchanged; so are the coefficients.
+    pub fn substitute(&self, subst: &BTreeMap<VarId, Polynomial>) -> Self {
+        let mut out = Self::zero();
+        for (m, c) in &self.terms {
+            // Expand the monomial under the substitution into a concrete polynomial.
+            let mut expanded = Polynomial::one();
+            for &(v, e) in m.powers() {
+                let base = subst.get(&v).cloned().unwrap_or_else(|| Polynomial::var(v));
+                expanded = &expanded * &base.pow(e);
+            }
+            for (m2, c2) in &expanded.terms {
+                out.add_term(m2.clone(), c.scale(c2));
+            }
+        }
+        out
+    }
+}
+
+impl Polynomial {
+    /// The constant polynomial `1`.
+    pub fn one() -> Polynomial {
+        Polynomial::from_int(1)
+    }
+
+    /// A constant polynomial from a machine integer.
+    pub fn from_int(c: i64) -> Polynomial {
+        Polynomial::constant(Rational::from_int(c))
+    }
+
+    /// The polynomial consisting of a single variable.
+    pub fn var(v: VarId) -> Polynomial {
+        Polynomial::from_monomial(Monomial::var(v), Rational::one())
     }
 
     /// Raises the polynomial to a non-negative power.
@@ -164,146 +222,96 @@ impl Polynomial {
         acc
     }
 
-    /// Evaluates the polynomial at a valuation (missing variables default to 0).
-    pub fn eval(&self, valuation: &Valuation) -> Rational {
-        let mut acc = Rational::zero();
-        for (m, c) in &self.terms {
-            acc = &acc + &(c * &m.eval(valuation));
-        }
-        acc
-    }
-
-    /// Substitutes polynomials for variables.
-    ///
-    /// Variables not present in `subst` are left unchanged.
-    pub fn substitute(&self, subst: &BTreeMap<VarId, Polynomial>) -> Polynomial {
-        let mut result = Polynomial::zero();
-        for (m, c) in &self.terms {
-            let mut term = Polynomial::constant(c.clone());
-            for &(v, e) in m.powers() {
-                let base = subst
-                    .get(&v)
-                    .cloned()
-                    .unwrap_or_else(|| Polynomial::var(v));
-                term = &term * &base.pow(e);
-            }
-            result = &result + &term;
-        }
-        result
-    }
-
     /// Renders the polynomial using variable names from the pool.
     pub fn to_string(&self, pool: &VarPool) -> String {
         if self.is_zero() {
             return "0".to_string();
         }
         let mut out = String::new();
-        for (i, (m, c)) in self.terms.iter().enumerate() {
-            let coeff_abs = c.abs();
-            if i == 0 {
-                if c.is_negative() {
-                    out.push('-');
-                }
-            } else if c.is_negative() {
-                out.push_str(" - ");
-            } else {
-                out.push_str(" + ");
-            }
-            if m.is_unit() {
-                let _ = write!(out, "{}", coeff_abs);
-            } else if coeff_abs == Rational::one() {
-                let _ = write!(out, "{}", m.to_string(pool));
-            } else {
-                let _ = write!(out, "{}*{}", coeff_abs, m.to_string(pool));
-            }
+        for (m, c) in &self.terms {
+            let name = if m.is_unit() { String::new() } else { m.to_string(pool) };
+            push_term(&mut out, c, &name);
         }
         out
     }
 }
 
-impl Add for &Polynomial {
-    type Output = Polynomial;
-    fn add(self, rhs: &Polynomial) -> Polynomial {
-        let mut out = self.clone();
-        for (m, c) in &rhs.terms {
-            out.add_term(m.clone(), c.clone());
-        }
-        out
-    }
-}
-
-impl Sub for &Polynomial {
-    type Output = Polynomial;
-    fn sub(self, rhs: &Polynomial) -> Polynomial {
-        let mut out = self.clone();
-        for (m, c) in &rhs.terms {
-            out.add_term(m.clone(), -c.clone());
-        }
-        out
-    }
-}
-
-impl Mul for &Polynomial {
-    type Output = Polynomial;
-    fn mul(self, rhs: &Polynomial) -> Polynomial {
-        let mut out = Polynomial::zero();
-        for (m1, c1) in &self.terms {
-            for (m2, c2) in &rhs.terms {
-                out.add_term(m1.mul(m2), c1 * c2);
-            }
-        }
-        out
-    }
-}
-
-impl Neg for &Polynomial {
-    type Output = Polynomial;
-    fn neg(self) -> Polynomial {
-        self.scale(&-Rational::one())
-    }
-}
-
-impl Neg for Polynomial {
-    type Output = Polynomial;
-    fn neg(self) -> Polynomial {
-        -&self
-    }
-}
-
-macro_rules! forward_owned_binop {
-    ($trait:ident, $method:ident) => {
-        impl $trait for Polynomial {
-            type Output = Polynomial;
-            fn $method(self, rhs: Polynomial) -> Polynomial {
-                (&self).$method(&rhs)
-            }
-        }
-        impl $trait<&Polynomial> for Polynomial {
-            type Output = Polynomial;
-            fn $method(self, rhs: &Polynomial) -> Polynomial {
-                (&self).$method(rhs)
-            }
-        }
-        impl $trait<Polynomial> for &Polynomial {
-            type Output = Polynomial;
-            fn $method(self, rhs: Polynomial) -> Polynomial {
-                self.$method(&rhs)
-            }
-        }
+/// Appends the term `c*name` (the bare number `c` when `name` is empty) to a rendering,
+/// joined by its sign: a unit coefficient is left out, and so is the sign of a
+/// non-negative first term.
+pub(crate) fn push_term(out: &mut String, c: &Rational, name: &str) {
+    let sign = match (out.is_empty(), c.is_negative()) {
+        (true, false) => "",
+        (true, true) => "-",
+        (false, false) => " + ",
+        (false, true) => " - ",
+    };
+    let mag = c.abs();
+    let _ = if name.is_empty() {
+        write!(out, "{sign}{mag}")
+    } else if mag == Rational::one() {
+        write!(out, "{sign}{name}")
+    } else {
+        write!(out, "{sign}{mag}*{name}")
     };
 }
 
-forward_owned_binop!(Add, add);
-forward_owned_binop!(Sub, sub);
-forward_owned_binop!(Mul, mul);
-
-impl AddAssign<&Polynomial> for Polynomial {
-    fn add_assign(&mut self, rhs: &Polynomial) {
+impl<C: Coeff> AddAssign<&Poly<C>> for Poly<C> {
+    fn add_assign(&mut self, rhs: &Poly<C>) {
         for (m, c) in &rhs.terms {
             self.add_term(m.clone(), c.clone());
         }
     }
 }
+
+impl<C: Coeff> Add for &Poly<C> {
+    type Output = Poly<C>;
+    fn add(self, rhs: &Poly<C>) -> Poly<C> {
+        let mut out = self.clone();
+        out += rhs;
+        out
+    }
+}
+
+impl<C: Coeff> Sub for &Poly<C> {
+    type Output = Poly<C>;
+    fn sub(self, rhs: &Poly<C>) -> Poly<C> {
+        self + &-rhs
+    }
+}
+
+/// The product with a concrete polynomial: the ring product of two [`Polynomial`]s,
+/// and for a template the product that stays linear in its unknowns.
+impl<C: Coeff> Mul<&Polynomial> for &Poly<C> {
+    type Output = Poly<C>;
+    fn mul(self, rhs: &Polynomial) -> Poly<C> {
+        let mut out = Poly::zero();
+        for (m1, c1) in &self.terms {
+            for (m2, c2) in &rhs.terms {
+                out.add_term(m1.mul(m2), c1.scale(c2));
+            }
+        }
+        out
+    }
+}
+
+impl<C: Coeff> Neg for &Poly<C> {
+    type Output = Poly<C>;
+    fn neg(self) -> Poly<C> {
+        self.scale(&-Rational::one())
+    }
+}
+
+impl<C: Coeff> Neg for Poly<C> {
+    type Output = Poly<C>;
+    fn neg(self) -> Poly<C> {
+        -&self
+    }
+}
+
+forward_owned_binop!(impl[C: Coeff] Add::add for Poly<C>, Poly<C>);
+forward_owned_binop!(impl[C: Coeff] Sub::sub for Poly<C>, Poly<C>);
+forward_owned_binop!(impl[C: Coeff] Mul::mul for Poly<C>, Polynomial);
 
 #[cfg(test)]
 mod tests {

@@ -102,7 +102,7 @@ fn main() {
                 other => panic!("unexpected location {other}"),
             }
             for (mono, form) in templates.at(loc).iter() {
-                let unknowns = form.unknowns();
+                let unknowns = form.vars();
                 assert_eq!(unknowns.len(), 1);
                 let value = coeffs.get(mono).copied().unwrap_or(0);
                 assignment.insert(unknowns[0], Rational::from_int(value));
