@@ -6,7 +6,6 @@
 
 use dca_poly::VarId;
 
-use crate::rng::SmallRng;
 use crate::state::{satisfies_all, IntValuation, State};
 use crate::system::TransitionSystem;
 
@@ -24,28 +23,6 @@ pub struct FixedOracle(pub i64);
 impl NondetOracle for FixedOracle {
     fn choose(&mut self, _var: VarId, _state: &State) -> i64 {
         self.0
-    }
-}
-
-/// An oracle that draws uniformly from a closed range using a seeded RNG.
-#[derive(Debug)]
-pub struct RandomOracle {
-    rng: SmallRng,
-    lo: i64,
-    hi: i64,
-}
-
-impl RandomOracle {
-    /// Creates an oracle drawing from `[lo, hi]` with the given seed.
-    pub fn new(seed: u64, lo: i64, hi: i64) -> RandomOracle {
-        assert!(lo <= hi, "empty range for RandomOracle");
-        RandomOracle { rng: SmallRng::seed_from_u64(seed), lo, hi }
-    }
-}
-
-impl NondetOracle for RandomOracle {
-    fn choose(&mut self, _var: VarId, _state: &State) -> i64 {
-        self.rng.gen_range_inclusive(self.lo, self.hi)
     }
 }
 
@@ -226,10 +203,6 @@ mod tests {
         let result = interp.run(&ts, &vals, &mut FixedOracle(7));
         assert_eq!(result.outcome, RunOutcome::Terminated);
         assert_eq!(result.cost, 7);
-
-        let mut random = RandomOracle::new(42, 0, 10);
-        let result = interp.run(&ts, &vals, &mut random);
-        assert!(result.cost >= 0 && result.cost <= 10);
     }
 
     #[test]

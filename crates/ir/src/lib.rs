@@ -66,7 +66,7 @@ pub use generate::{
 pub use loops::{BackEdge, LoopNest};
 pub use rng::SmallRng;
 pub use split::{detect_phase_splits, split_phases, PhaseSplit, SplitSystem};
-pub use interp::{FixedOracle, Interpreter, NondetOracle, RandomOracle, RunOutcome, RunResult};
+pub use interp::{FixedOracle, Interpreter, NondetOracle, RunOutcome, RunResult};
 pub use state::{
     eval_polynomial, eval_polynomial_int, satisfies, satisfies_all, to_rational_valuation,
     IntValuation, State,

@@ -3,9 +3,9 @@
 //! The QSopt_ex-style precision-boosting scheme this module implements runs every
 //! solve as straight-line code, in at most three steps:
 //!
-//! 1. **Float phase** — the sparse revised simplex runs phases 1–2 entirely in
-//!    hardware floats (Devex pricing, equilibration, anti-degeneracy perturbation) and
-//!    proposes a candidate optimal *basis*. Floats decide nothing; they only guess.
+//! 1. **Float phase** — the `f64` revised simplex ([`crate::float`]) runs phases 1–2
+//!    in hardware floats (Devex pricing, equilibration, anti-degeneracy perturbation)
+//!    and proposes a candidate optimal *basis*. Floats decide nothing; they only guess.
 //! 2. **Certification** — run once, if the float phase ended `Optimal`: the
 //!    candidate basis is factorized in exact rationals with the Markowitz-ordered
 //!    sparse LU ([`crate::lu`]); `x_B = B⁻¹b` and the reduced costs
@@ -15,11 +15,11 @@
 //!    exact-rational certificate, no different from one the exact simplex produces —
 //!    it was merely *found* at f64 speed.
 //! 3. **Exact run** — on rejection, or when the float phase ended any other way
-//!    (infeasible, unbounded, iteration limit, timeout), the exact simplex runs once,
-//!    uncapped, warm-started from the float basis (or, when the float phase proposed
-//!    none, from the caller's warm basis). From a rejected candidate it performs only
-//!    the few pivots separating the float vertex from the true optimum. It is
-//!    self-certifying.
+//!    (infeasible, unbounded, iteration limit, timeout), the exact simplex
+//!    ([`crate::exact`]) runs once, uncapped, warm-started from the float basis (or,
+//!    when the float phase proposed none, from the caller's warm basis). From a
+//!    rejected candidate it performs only the few pivots separating the float vertex
+//!    from the true optimum. It is self-certifying.
 //!
 //! With lazy product columns ([`solve_float_first`] with a non-empty lazy set) the
 //! driver runs in two stages. The *core stage* runs the steps above on the
@@ -43,9 +43,8 @@ use crate::lu::factorize_markowitz;
 use crate::problem::{LpProgress, LpSolveInfo, LpStatus};
 use crate::revised::Columns;
 use crate::scalar::Scalar;
-use crate::simplex::{
-    solve_standard_form_inner, RawSolution, StandardForm, PERTURBATION, PERTURB_ROWS_THRESHOLD,
-};
+use crate::simplex::{RawSolution, StandardForm};
+use crate::{exact, float};
 
 /// Exact certificate for an accepted basis.
 struct Certificate {
@@ -101,7 +100,7 @@ fn certify_basis(
     }
 
     // Exact primal feasibility: x_B = B⁻¹ b ≥ 0, with artificial rows exactly 0.
-    // A violation no longer aborts the pass: the dual pricing below may still
+    // A violation does not abort the pass: the dual pricing below may still
     // salvage an exact lower bound from the rejected basis.
     let mut x_basic = form.rhs.clone();
     factor.ftran(&mut x_basic);
@@ -211,7 +210,7 @@ fn phase1_farkas(
 ///
 /// The returned solution is always exact ([`Rational`]); see the module docs for the
 /// soundness argument. `warm` carries preferred structural columns, exactly like
-/// [`crate::simplex::solve_standard_form`].
+/// [`crate::exact::solve`].
 ///
 /// `lazy_cols` marks columns eligible for delayed generation: the solve starts
 /// without them and brings them all in only when exact pricing demands it
@@ -323,10 +322,7 @@ fn certified_core(
             let remaining = d.saturating_duration_since(Instant::now());
             Instant::now() + remaining.mul_f64(FLOAT_BUDGET_FRACTION)
         }));
-        let perturbation =
-            if float_form.num_rows() >= PERTURB_ROWS_THRESHOLD { PERTURBATION } else { 0.0 };
-        let float =
-            solve_standard_form_inner(&float_form, &float_deadline, perturbation, warm, None);
+        let float = float::propose(&float_form, &float_deadline, warm);
         info.float_time += float_start.elapsed();
         info.float_iterations += float.info.iterations;
         candidate = float.basis;
@@ -384,12 +380,12 @@ fn certified_core(
             let mut report = progress.map(|progress| move |upper: &_| progress(upper, lower));
             let report = report.as_mut().map(|report| report as &mut dyn FnMut(&Rational));
             let repair_start = Instant::now();
-            let exact = solve_standard_form_inner(form, deadline, 0.0, warm_exact, report);
+            let exact = exact::solve(form, deadline, warm_exact, report);
             info.repair_time += repair_start.elapsed();
             info.exact_iterations += exact.info.iterations;
             info.lu_updates += exact.info.lu_updates;
             info.lu_refactorizations += exact.info.lu_refactorizations;
-            // An exact optimum carries its own terminal dual out of the revised
+            // An exact optimum carries its own terminal dual out of the exact
             // simplex; prefer it — re-deriving the dual via Markowitz can pad a
             // degenerate basis differently and fail to re-certify.
             let dual = exact.dual.clone();

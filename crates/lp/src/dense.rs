@@ -10,10 +10,10 @@
 //! small and medium systems, in exact and floating-point arithmetic.
 
 use crate::deadline::Deadline;
-use crate::problem::LpStatus;
-use crate::revised::{Columns, RevisedOutcome};
+use crate::problem::{LpSolveInfo, LpStatus};
+use crate::revised::Columns;
 use crate::scalar::{abs as abs_scalar, Scalar};
-use crate::simplex::StandardForm;
+use crate::simplex::{RawSolution, StandardForm};
 
 /// The column-major layout of a dense row-major `rows × num_cols` matrix, as
 /// [`crate::problem::LpProblem`] builds it: ascending rows, no exactly-zero entry.
@@ -364,19 +364,10 @@ pub(crate) fn solve_dense<S: Scalar>(
     form: &StandardForm<S>,
     deadline: &Deadline,
     noise_floor: f64,
-) -> crate::revised::RevisedOutcome<S> {
+) -> RawSolution<S> {
     let num_rows = form.num_rows();
     let num_structural = form.costs.len();
-    let fail = |status| RevisedOutcome {
-        status,
-        values: Vec::new(),
-        basis: Vec::new(),
-        iterations: 0,
-        truncated: false,
-        lu_updates: 0,
-        lu_refactorizations: 0,
-        dual: None,
-    };
+    let fail = RawSolution::bare;
 
     // Phase 1: add one artificial variable per row and minimize their sum.
     let num_cols = num_structural + num_rows;
@@ -469,23 +460,19 @@ pub(crate) fn solve_dense<S: Scalar>(
             values[basic] = tableau.rhs[row].clone();
         }
     }
-    RevisedOutcome {
-        status: LpStatus::Optimal,
+    RawSolution {
         values,
         basis: tableau.basis.iter().copied().filter(|&b| b < num_structural).collect(),
-        iterations,
-        truncated,
         // The dense tableau maintains no LU at all; its pivots are neither eta
         // updates nor refactorizations.
-        lu_updates: 0,
-        lu_refactorizations: 0,
-        dual: None,
+        info: LpSolveInfo { iterations, truncated, ..LpSolveInfo::default() },
+        ..RawSolution::bare(LpStatus::Optimal)
     }
 }
 
 mod tests {
     use super::*;
-    use crate::revised::solve_revised;
+    use crate::{exact, float};
     use dca_numeric::Rational;
 
     fn r(n: i64, d: i64) -> Rational {
@@ -519,7 +506,7 @@ mod tests {
                     .zip(&costs)
                     .fold(Rational::zero(), |acc, (v, c)| &acc + &(v * c))
             };
-            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
+            let revised = exact::solve(&form, &Deadline::unlimited(), None, None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             assert_eq!(
                 revised.status, dense.status,
@@ -561,7 +548,7 @@ mod tests {
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
-            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
+            let revised = float::solve(&form, &Deadline::unlimited(), None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             // `IterationLimit` is an honest "don't know" on either side; only compare
             // definitive answers.
@@ -619,7 +606,7 @@ mod tests {
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
-            let revised = solve_revised(&form, &Deadline::unlimited(), None, 0.0, None);
+            let revised = float::solve(&form, &Deadline::unlimited(), None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             if revised.status == LpStatus::IterationLimit
                 || dense.status == LpStatus::IterationLimit

@@ -3,16 +3,21 @@
 //! Step 4 of the paper's algorithm solves a single linear program — "minimize the
 //! threshold `t` subject to all collected linear constraints" — with an off-the-shelf
 //! solver (the paper uses Gurobi). This crate provides that substrate: a *sparse
-//! revised* two-phase simplex that maintains an eta-file basis factorization with
-//! periodic reinversion. [`LpProblem`] writes its standard form (`min c·y`,
+//! revised* two-phase simplex over an eta-file basis factorization, in two loops,
+//! one per arithmetic. The `f64` loop only proposes (equilibration, perturbation,
+//! Devex pricing, periodic magnitude-pivoted reinversion); the exact
+//! [`Rational`](dca_numeric::Rational) loop decides (Bland's rule, an incremental
+//! dual, Markowitz LU refactorization when the eta file outgrows the basis). They
+//! share only the sparse columns, the eta file, the ratio test and the pivot
+//! update. [`LpProblem`] writes its standard form (`min c·y`,
 //! `Ay = b`, `y ≥ 0`, `b ≥ 0`) once, straight from the constraint terms, as sparse
 //! columns: one list of `(row, value)` non-zeros per column, in ascending row order.
 //! That column-major form is the only representation of the matrix on any solve
 //! path; no dense copy is ever made. Exact solves borrow it as built, the `f64`
 //! backend equilibrates a sparse copy, and row generation gathers its core
 //! columns once, in time linear in their non-zeros. Every solve runs on the
-//! standard form exactly as built, with no reduction pass in front. The simplex is
-//! generic over its scalar, and three entry points share it:
+//! standard form exactly as built, with no reduction pass in front. Three entry
+//! points run the two loops:
 //!
 //! * [`LpProblem::solve_certified`] is the analysis's LP path: the `f64` simplex
 //!   only proposes a candidate optimal basis, an exact-rational certifier accepts
@@ -21,9 +26,9 @@
 //!   non-empty lazy set adds delayed generation of Handelman product columns: a
 //!   certified solve of the core without them, an exact pricing pass over them,
 //!   and, only if one prices in, one exact solve over every column;
-//! * [`LpProblem::solve_exact`] runs the exact [`Rational`](dca_numeric::Rational)
-//!   simplex from scratch (the cross-checking reference);
-//! * [`LpProblem::solve_f64`] is the plain floating-point solve behind the
+//! * [`LpProblem::solve_exact`] runs the exact loop from scratch (the
+//!   cross-checking reference);
+//! * [`LpProblem::solve_f64`] runs the float loop alone, behind the
 //!   invariant engine's entailment and emptiness queries and
 //!   `dca_core::verify::bound_var`. Its callers read every status other than
 //!   `Optimal` and `Infeasible` — [`LpStatus::IterationLimit`] in particular, the
@@ -68,7 +73,9 @@ mod certify;
 mod deadline;
 #[cfg(test)]
 mod dense;
+mod exact;
 pub mod fault;
+mod float;
 mod lu;
 mod problem;
 mod revised;

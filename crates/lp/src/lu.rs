@@ -1,12 +1,13 @@
 //! Markowitz-ordered sparse LU factorization over exact rationals.
 //!
 //! The basis certifier (see [`crate::certify`]) has to factorize one candidate basis
-//! `B` in exact arithmetic per certification round. The revised simplex's own
-//! [`Factorization::reinvert`](crate::revised::Factorization) processes columns in a
-//! caller-given order and pivots on the largest transformed magnitude — the right call
-//! for `f64` stability, but irrelevant (magnitude) and fill-oblivious (order) for
-//! rationals, where *fill-in is the entire cost*: every extra non-zero is a gcd-heavy
-//! rational multiply in all later eliminations.
+//! `B` in exact arithmetic per certification round, and the exact simplex
+//! ([`crate::exact`]) every basis it starts from or refactorizes. The float
+//! simplex's reinversion ([`crate::float`]) processes columns in a caller-given order
+//! and pivots on the largest transformed magnitude — the right call for `f64`
+//! stability, but irrelevant (magnitude) and fill-oblivious (order) for rationals,
+//! where *fill-in is the entire cost*: every extra non-zero is a gcd-heavy rational
+//! multiply in all later eliminations.
 //!
 //! This module runs a right-looking Gauss–Jordan elimination on a sparse working copy
 //! of the basis with the classical **Markowitz pivot rule**: at each step it picks a
@@ -45,7 +46,7 @@ use crate::scalar::Scalar;
 /// not a sort of every unprocessed column.
 const CANDIDATE_COLS: usize = 8;
 
-/// Growth threshold for the exact backend's incremental eta updates: a full
+/// Growth threshold for the exact simplex's incremental eta updates: a full
 /// refactorization is worthwhile once the *weighted* eta size appended since the
 /// last rebuild (non-zeros scaled by rational bit length, see
 /// `crate::revised::Eta::weight`) exceeds this multiple of the basis fill itself,
@@ -61,7 +62,7 @@ const ETA_FILL_FACTOR: usize = 2;
 /// bounds update-chain length even when the weighted-growth trigger stays quiet.
 const ETA_COUNT_CAP: usize = 256;
 
-/// Decides whether the exact backend should replace its incrementally-updated
+/// Decides whether the exact simplex should replace its incrementally-updated
 /// factorization (rank-1 eta appends per pivot) with a fresh Markowitz rebuild.
 ///
 /// Exact arithmetic makes this purely a *cost* policy — the updated factorization is

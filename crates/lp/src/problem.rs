@@ -8,7 +8,7 @@ use dca_numeric::Rational;
 use crate::deadline::Deadline;
 use crate::revised::Columns;
 use crate::scalar::Scalar;
-use crate::simplex::{solve_standard_form, RawSolution, StandardForm};
+use crate::simplex::{RawSolution, StandardForm};
 
 /// Identifier of an LP variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -284,7 +284,8 @@ impl LpProblem {
     /// feasible, and silently accepting it would be unsound. Such solves are downgraded
     /// to [`LpStatus::IterationLimit`] so callers can fall back to the exact backend.
     pub fn solve_f64(&self) -> LpResult<f64> {
-        let mut result = self.solve_generic::<f64>();
+        let mut result =
+            self.solve_standard(|form, deadline| crate::float::solve(form, deadline, None));
         if result.status == LpStatus::Optimal && !self.roughly_feasible_f64(&result.values) {
             result.status = LpStatus::IterationLimit;
             result.objective = None;
@@ -321,7 +322,8 @@ impl LpProblem {
 
     /// Solves with the exact rational backend (slower; used for cross-checking).
     pub fn solve_exact(&self) -> LpResult<Rational> {
-        let mut result = self.solve_generic::<Rational>();
+        let mut result =
+            self.solve_standard(|form, deadline| crate::exact::solve(form, deadline, None, None));
         result.info.certified = true;
         result.info.exact_iterations = result.info.iterations;
         result
@@ -471,11 +473,15 @@ impl LpProblem {
         }
     }
 
-    fn solve_generic<S: Scalar>(&self) -> LpResult<S> {
+    /// Builds the standard form and solves it cold with `solve`.
+    fn solve_standard<S: Scalar>(
+        &self,
+        solve: impl FnOnce(&StandardForm<S>, &Deadline) -> RawSolution<S>,
+    ) -> LpResult<S> {
         let build_start = Instant::now();
         let standard = self.to_standard_form::<S>();
         let build_time = build_start.elapsed();
-        let mut raw = solve_standard_form(&standard, &self.deadline, None);
+        let mut raw = solve(&standard, &self.deadline);
         raw.info.build_time = build_time;
         self.assemble_result(raw, &self.standard_col_names())
     }

@@ -6,9 +6,10 @@ use dca_numeric::Rational;
 ///
 /// The trait is sealed in spirit: the two implementations provided here (`f64` with an
 /// absolute tolerance, and [`Rational`] exactly) are the only ones the crate is tested
-/// with; the solver chooses pivoting rules based on [`Scalar::IS_EXACT`].
+/// with. Each has its own simplex loop (`float` and `exact`); the shared machinery
+/// (sparse columns, eta file, ratio test, pivot update) is generic over this trait.
 pub trait Scalar: Clone + std::fmt::Debug + PartialEq {
-    /// `true` for exact arithmetic (enables Bland's anti-cycling rule unconditionally).
+    /// `true` for exact arithmetic. Only the dense tableau test oracle reads it.
     const IS_EXACT: bool;
 
     /// The additive identity.
@@ -45,6 +46,11 @@ pub trait Scalar: Clone + std::fmt::Debug + PartialEq {
     fn is_negative(&self) -> bool;
     /// Strict comparison used by the ratio test.
     fn lt(&self, other: &Self) -> bool;
+    /// `true` for an entry a stored eta may drop: an exact zero, and for `f64` also
+    /// numerical dust below `DROP_EPS` (keeping it would only grow the eta file).
+    fn is_eta_dust(&self) -> bool {
+        self.is_exactly_zero()
+    }
     /// Approximate arithmetic cost of carrying this value through a solve, in
     /// machine-word units (1 for fixed-width scalars). The exact backend's
     /// eta-file growth monitor sums this over stored entries so that rational
@@ -56,6 +62,9 @@ pub trait Scalar: Clone + std::fmt::Debug + PartialEq {
 
 /// Absolute tolerance used by the floating-point backend.
 pub(crate) const F64_EPS: f64 = 1e-8;
+
+/// Eta entries with magnitude below this are dropped when an `f64` eta is stored.
+const DROP_EPS: f64 = 1e-12;
 
 /// Magnitude of a scalar (shared by the simplex pivot choices and equilibration).
 pub(crate) fn abs<S: Scalar>(value: &S) -> S {
@@ -101,6 +110,9 @@ impl Scalar for f64 {
     }
     fn is_exactly_zero(&self) -> bool {
         *self == 0.0
+    }
+    fn is_eta_dust(&self) -> bool {
+        self.abs() < DROP_EPS
     }
     fn is_positive(&self) -> bool {
         *self > F64_EPS

@@ -121,11 +121,6 @@ impl<K: Copy + Ord> Affine<K> {
         }
     }
 
-    /// Sets the constant term.
-    pub fn set_constant(&mut self, c: Rational) {
-        self.constant = c;
-    }
-
     /// Adds `c * k` to the form in place.
     pub fn add_term(&mut self, k: K, c: Rational) {
         if c.is_zero() {

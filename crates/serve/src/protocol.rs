@@ -14,7 +14,8 @@
 //! {"cmd": "shutdown"}
 //! ```
 //!
-//! `degree` (default 2), `timeout_ms` and `stream` are optional. A `"tier"`
+//! `degree` (default 2, at most `u32::MAX`; a larger one is a `bad-request`),
+//! `timeout_ms` and `stream` are optional. A `"tier"`
 //! member is accepted only as `0` (the one invariant engine); any other tier is a
 //! `bad-request`, since invariant tiers were removed. With `stream`, the one solve
 //! reports its anytime bracket while it runs: the exact simplex reports its
@@ -153,11 +154,15 @@ impl Request {
                          (omit \"tier\" or send 0)"
                     ));
                 }
+                let degree = number("degree")?
+                    .map(u32::try_from)
+                    .transpose()
+                    .map_err(|_| "\"degree\" does not fit in 32 bits".to_string())?;
                 Ok(Request::Analyze(AnalyzeRequest {
                     id: field("id").unwrap_or_default(),
                     new_source: field("new")?,
                     old_source: field("old")?,
-                    degree: number("degree")?.map(|d| d as u32),
+                    degree,
                     timeout_ms: number("timeout_ms")?,
                     stream: value.get("stream").and_then(Value::as_bool).unwrap_or(false),
                 }))
@@ -321,6 +326,12 @@ mod tests {
             .is_err(),
             "negative degree"
         );
+        // 2^32 + 2 would wrap to a degree-2 solve under an `as u32` cast.
+        let message = Request::parse(
+            "{\"cmd\": \"analyze\", \"new\": \"x\", \"old\": \"y\", \"degree\": 4294967298}",
+        )
+        .unwrap_err();
+        assert!(message.contains("degree"), "{message}");
     }
 
     #[test]
