@@ -53,25 +53,16 @@ fn fold_pair(new: u64, old: u64) -> u64 {
 /// A fingerprint of every [`AnalysisOptions`] field that changes the synthesized LP
 /// (and hence the result): two solves agree whenever their pair and options
 /// fingerprints agree. The time budget is excluded — it bounds the solve, it does
-/// not select the answer (and only certified results are cached). The
-/// `row_generation` switch is folded in although it never changes a verdict: it
-/// changes the solve statistics a cache hit replays.
+/// not select the answer (and only certified results are cached).
 pub fn options_fingerprint(options: &AnalysisOptions) -> u64 {
     let backend = match options.backend {
         LpBackend::Certified => 0u8,
         LpBackend::Exact => 1,
     };
-    let encoded = [
-        options.degree.to_le_bytes(),
-        options.max_products.to_le_bytes(),
-        [
-            u8::from(options.include_cost_in_template),
-            u8::from(options.phase_split),
-            backend,
-            u8::from(options.row_generation),
-        ],
-    ]
-    .concat();
+    let flags =
+        [u8::from(options.include_cost_in_template), u8::from(options.phase_split), backend];
+    let encoded =
+        [&options.degree.to_le_bytes()[..], &options.max_products.to_le_bytes(), &flags].concat();
     fnv1a_extend(fnv1a(b"options:"), &encoded)
 }
 
@@ -471,7 +462,6 @@ mod tests {
         assert_ne!(fp, options_fingerprint(&AnalysisOptions::with_degree(3)));
         assert_ne!(fp, options_fingerprint(&base.exact()));
         assert_ne!(fp, options_fingerprint(&base.without_phase_split()));
-        assert_ne!(fp, options_fingerprint(&base.without_row_generation()));
         // The time budget does not change what is computed, only how long it may take.
         assert_eq!(
             fp,

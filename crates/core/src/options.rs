@@ -68,11 +68,6 @@ pub struct AnalysisOptions {
     /// when a program has a phase structure, its split system replaces it in the
     /// one LP of the solve. On by default; off is the unsplit A/B reference.
     pub phase_split: bool,
-    /// Whether the certified backend generates degree-≥-2 Handelman product
-    /// columns lazily (delayed column generation with exact pricing). On by
-    /// default; off solves every column eagerly, with a bit-identical verdict. The
-    /// `Exact` backend always solves eagerly.
-    pub row_generation: bool,
 }
 
 impl Default for AnalysisOptions {
@@ -85,7 +80,6 @@ impl Default for AnalysisOptions {
             time_budget: None,
             invariant_tier: InvariantTier::Baseline,
             phase_split: true,
-            row_generation: true,
         }
     }
 }
@@ -145,13 +139,6 @@ impl AnalysisOptions {
         self.phase_split = false;
         self
     }
-
-    /// Disables lazy row generation: every Handelman product column is solved
-    /// eagerly.
-    pub fn without_row_generation(mut self) -> AnalysisOptions {
-        self.row_generation = false;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +153,6 @@ mod tests {
         assert!(!options.include_cost_in_template);
         assert_eq!(options.backend, LpBackend::Certified);
         assert!(options.phase_split);
-        assert!(options.row_generation);
     }
 
     #[test]

@@ -164,7 +164,7 @@ pub struct SolveStats {
     /// full stage ran. 0 when row generation did not run.
     pub lp_products_generated: usize,
     /// Row-generation stages: 1 = the core priced out, 2 = one exact pass over
-    /// the full column set followed; 0 = eager.
+    /// the full column set followed; 0 = no lazy columns.
     pub lp_separation_rounds: usize,
     /// Exact simplex pivots absorbed as incremental rank-1 eta updates of the
     /// rational LU factorization.
@@ -796,13 +796,8 @@ impl DiffCostSolver {
             LpBackend::Certified => {
                 // The lazy set holds Handelman multiplier columns the driver may
                 // defer and separate on demand — the verdict is proven identical to
-                // the eager one before it is accepted (see `dca_lp::certify`). With
-                // row generation off the set is empty: an eager solve.
-                let lazy_vars: Vec<LpVar> = if self.options.row_generation {
-                    lazy.iter().map(|u| lp_vars[u.index()]).collect()
-                } else {
-                    Vec::new()
-                };
+                // the eager one before it is accepted (see `dca_lp::certify`).
+                let lazy_vars: Vec<LpVar> = lazy.iter().map(|u| lp_vars[u.index()]).collect();
                 // The LP objective is the threshold, converted as `threshold` is.
                 let mut report = progress.map(|progress| {
                     move |upper: &Rational, lower: Option<&Rational>| {

@@ -21,12 +21,15 @@
 //!    rejected candidate it performs only the few pivots separating the float vertex
 //!    from the true optimum. It is self-certifying.
 //!
-//! With lazy product columns ([`solve_float_first`] with a non-empty lazy set) the
-//! driver runs in two stages. The *core stage* runs the steps above on the
-//! non-lazy columns and prices every excluded column exactly against the core's
-//! dual (or Farkas certificate). If none prices in, the core answer is final.
-//! Otherwise the *full stage* runs the exact simplex once over every column,
-//! warm-started from the core's basis.
+//! Every solve takes one path ([`solve_float_first`]), in at most two stages. The
+//! *core stage* runs the steps above on the columns that are not lazy (all of
+//! them when the lazy set is empty: the full eager solve) and prices every
+//! excluded column exactly against the terminal dual of the step that decided the
+//! core: the optimal dual, or the phase-1 Farkas certificate of an infeasible
+//! core. If none prices in, the core answer is final. Otherwise the *full stage*
+//! runs the exact simplex once over every column, warm-started from the core's
+//! basis. One exact certificate backs each verdict, taken from the run that
+//! decided it; none is re-derived.
 //!
 //! Soundness: every verdict this driver issues — optimal value, infeasible,
 //! unbounded — is produced by exact-rational arithmetic (the certifier or the exact
@@ -158,64 +161,42 @@ fn certify_basis(
     Certified::Accepted(Certificate { values, basis, dual: y })
 }
 
-/// Exact Farkas certificate extracted from a terminal *infeasible* exact solve.
-///
-/// The exact simplex concludes `Infeasible` only at a phase-1 optimum with a
-/// positive artificial sum, so refactorizing its final basis and pricing with the
-/// phase-1 costs (`1` on artificial rows, `0` on structural columns) yields
-/// `y₁ = c_B B⁻¹` with `y₁·b > 0` and `y₁·A_j ≤ 0` for every solved column. Both
-/// properties are *re-verified exactly* here — the Markowitz rebuild may pivot
-/// the given columns onto different rows than the simplex did, and a certificate
-/// is only returned when it genuinely proves `{Ax = b, x ≥ 0}` empty for the
-/// solved column set. A lazily excluded column can break the certificate only by
-/// pricing `y₁·A_j > 0`; if none does, the same `y₁` certifies the full system
-/// infeasible.
-fn phase1_farkas(
-    form: &StandardForm<Rational>,
-    basis: &[usize],
-    deadline: &Deadline,
-) -> Option<Vec<Rational>> {
-    if deadline.expired() {
-        return None;
-    }
-    let columns = &form.columns;
-    let n = columns.cols.len();
-    let factor = factorize_markowitz(columns, basis);
-    let mut y = vec![Rational::zero(); columns.rows];
-    for (pos, value) in y.iter_mut().enumerate() {
-        if factor.basis[pos] >= n {
-            *value = Rational::one();
-        }
-    }
-    factor.btran(&mut y);
-    let mut y_dot_b = Rational::zero();
-    for (value, b) in y.iter().zip(&form.rhs) {
-        y_dot_b = y_dot_b.add(&value.mul(b));
-    }
-    if !y_dot_b.is_positive() {
-        return None;
-    }
-    for j in 0..n {
-        if j % 256 == 0 && deadline.expired() {
-            return None;
-        }
-        if columns.dot(&y, j).is_positive() {
-            return None;
-        }
-    }
-    Some(y)
-}
-
 /// Solves a standard-form problem with the float-first / certify / exact-run driver.
 ///
 /// The returned solution is always exact ([`Rational`]); see the module docs for the
 /// soundness argument. `warm` carries preferred structural columns, exactly like
 /// [`crate::exact::solve`].
 ///
-/// `lazy_cols` marks columns eligible for delayed generation: the solve starts
-/// without them and brings them all in only when exact pricing demands it
-/// ([`solve_with_row_generation`]). An empty slice solves every column eagerly;
-/// either way the verdict is identical.
+/// `lazy_cols` marks columns eligible for delayed generation. The solve runs in at
+/// most two stages:
+///
+/// **Core stage.** The core is every non-lazy column plus any lazy column the
+/// warm basis names: a basis threaded in from a previous related solve (the serve
+/// near-match path) already names the lazy columns that mattered there, so
+/// row-generation state travels for free. An empty lazy set is a core that
+/// excludes nothing, borrowed rather than copied. The core is solved with
+/// [`certified_core`], and every excluded column is then priced *exactly*, once,
+/// against the core's terminal dual `y`, the certificate of the run that decided
+/// it:
+///
+/// * `Optimal`: `y` is the phase-2 dual, and a column prices in when
+///   `c_j − y·A_j < 0`. When none does, exact dual feasibility holds over the
+///   *full* column set, so the core optimum extended with zeros is a certified
+///   optimum of the full problem.
+/// * `Infeasible`: `y` is the phase-1 Farkas certificate (`y·b > 0`, `y·A_j ≤ 0`
+///   on the core), priced with cost 0: a column prices in when `y·A_j > 0`. When
+///   none does, the same `y` proves the full system infeasible.
+/// * Anything else (unbounded, timeout, anytime-truncated optimum) carries no dual
+///   and is returned as-is: a core feasible point is a feasible point of the full
+///   problem, so truncated answers keep their sound-upper-bound meaning, and an
+///   unbounded core makes the full problem unbounded a fortiori.
+///
+/// **Full stage.** Otherwise some column priced in, and the exact simplex runs once
+/// on the full form, warm-started from the core's final basis. Its verdict needs no
+/// separation argument, and a truncated answer is an anytime answer of the full
+/// problem. Activating only the violated columns and re-solving instead costs more:
+/// each extra round restarts from a warm basis and re-proves dual feasibility,
+/// almost entirely through degenerate pivots (EXPERIMENTS.md, "Core, then full").
 ///
 /// `progress` observes every exact simplex run of the solve (see [`LpProgress`]).
 pub(crate) fn solve_float_first(
@@ -223,17 +204,83 @@ pub(crate) fn solve_float_first(
     deadline: &Deadline,
     warm: Option<&[usize]>,
     lazy_cols: &[usize],
-    progress: Option<&mut LpProgress<'_>>,
+    mut progress: Option<&mut LpProgress<'_>>,
 ) -> RawSolution<Rational> {
     // Every terminal verdict below comes out of exact arithmetic: the certifier or
     // the exact simplex. (A truncated anytime answer is exactly
     // feasible — its bound is sound — but not a proven optimum.)
     let mut info = LpSolveInfo { certified: true, ..LpSolveInfo::default() };
-    let mut solution = if lazy_cols.is_empty() {
-        let (solution, _) = certified_core(form, deadline, warm, &mut info, false, true, progress);
-        solution
+    let n = form.costs.len();
+    let mut in_core = vec![true; n];
+    for &col in lazy_cols {
+        in_core[col] = false;
+    }
+    for &col in warm.unwrap_or_default() {
+        in_core[col] = true;
+    }
+    info.products_total = lazy_cols.len();
+    if !lazy_cols.is_empty() {
+        info.separation_rounds = 1;
+        enter_rowgen_stage(deadline);
+    }
+
+    let restrict_start = Instant::now();
+    let core_cols: Vec<usize> = (0..n).filter(|&j| in_core[j]).collect();
+    let core_form = form.restricted(&core_cols);
+    info.build_time += restrict_start.elapsed();
+    let full_core = core_cols.len() == n;
+    // `core_cols` is ascending, so a full index maps to its core index by search.
+    let warm_core: Option<Vec<usize>> =
+        warm.map(|warm| warm.iter().filter_map(|j| core_cols.binary_search(j).ok()).collect());
+    // A core vertex padded with zeros is feasible for the full problem, but a dual
+    // bound certified against a core that excludes columns bounds only the core
+    // optimum (which is ≥ the full optimum).
+    let mut core_progress = progress.as_deref_mut().map(|progress| {
+        move |upper: &_, lower: Option<&_>| progress(upper, lower.filter(|_| full_core))
+    });
+    let core_progress = core_progress.as_mut().map(|progress| progress as &mut LpProgress);
+    let mut core =
+        certified_core(&core_form, deadline, warm_core.as_deref(), &mut info, true, core_progress);
+
+    let decided = match &core.dual {
+        Some(y) => {
+            let phase_one = core.status == LpStatus::Infeasible;
+            (0..n).filter(|&j| !in_core[j]).all(|j| {
+                let cost = if phase_one { Rational::zero() } else { form.costs[j].clone() };
+                !cost.sub(&form.columns.dot(y, j)).is_negative()
+            })
+        }
+        None => {
+            debug_assert!(
+                core.status != LpStatus::Infeasible
+                    && (core.status != LpStatus::Optimal || core.info.truncated),
+                "a core verdict came without the dual that proves it"
+            );
+            true
+        }
+    };
+    core.basis = core.basis.iter().map(|&j| core_cols[j]).collect();
+
+    let mut solution = if decided {
+        info.products_generated = lazy_cols.iter().filter(|&&j| in_core[j]).count();
+        if !full_core {
+            core.dual_bound = None;
+            // Expand the core answer to the full column space: excluded columns sit
+            // at zero (they are nonbasic by construction).
+            if core.status == LpStatus::Optimal {
+                let mut values = vec![Rational::zero(); n];
+                for (value, &j) in core.values.into_iter().zip(&core_cols) {
+                    values[j] = value;
+                }
+                core.values = values;
+            }
+        }
+        core
     } else {
-        solve_with_row_generation(form, deadline, warm, lazy_cols, &mut info, progress)
+        info.separation_rounds = 2;
+        info.products_generated = lazy_cols.len();
+        enter_rowgen_stage(deadline);
+        certified_core(form, deadline, Some(&core.basis), &mut info, false, progress)
     };
     solution.info = LpSolveInfo {
         iterations: info.float_iterations + info.exact_iterations,
@@ -272,16 +319,15 @@ pub(crate) fn float_image(form: &StandardForm<Rational>) -> StandardForm<f64> {
 /// column-restricted) problem.
 ///
 /// `form` is solved as-is and `warm` carries preferred columns in `form`'s own
-/// index space. Effort is *accumulated* into `info` so the row-generation driver
-/// can call this once per stage and keep a single whole-solve account. With
+/// index space. Effort is *accumulated* into `info` so [`solve_float_first`] can
+/// call this once per stage and keep a single whole-solve account. With
 /// `use_float = false` the float phase is skipped and the exact simplex runs
 /// from `warm`.
 ///
-/// With `want_dual`, an exact optimal dual vector accompanies an `Optimal`
-/// non-truncated solution: taken from the accepted certificate when the
-/// certifier concluded the solve, or recovered by one extra certification pass
-/// when the answer came out of the exact simplex. `None` alongside `Optimal`
-/// then means the deadline expired before the dual could be certified.
+/// The solution's `dual` is the terminal dual of whichever exact step decided it:
+/// the accepted certificate's, or the one [`exact::solve`] returns with a proven
+/// optimum (phase 2) or an `Infeasible` verdict (phase 1). An `Infeasible` verdict
+/// always comes from the exact run, since the certifier accepts only optima.
 ///
 /// `progress` observes the exact run, with the dual bound of a rejected float
 /// candidate as the lower end when the certifier salvaged one.
@@ -290,10 +336,9 @@ fn certified_core(
     deadline: &Deadline,
     warm: Option<&[usize]>,
     info: &mut LpSolveInfo,
-    want_dual: bool,
     mut use_float: bool,
     progress: Option<&mut LpProgress<'_>>,
-) -> (RawSolution<Rational>, Option<Vec<Rational>>) {
+) -> RawSolution<Rational> {
     if use_float {
         match fault::enter(SolvePhase::LpFloat) {
             Some(FaultKind::Deadline) => deadline.cancel(),
@@ -313,7 +358,6 @@ fn certified_core(
     let mut float_optimal = false;
     if use_float {
         let float_start = Instant::now();
-        let float_form = float_image(form);
         // The float phase only proposes a basis; cap its budget so the exact phases
         // keep most of the wall-clock (they are the sound anytime fallback). The
         // tightened clone shares the cancel flag, so external cancellation still
@@ -322,7 +366,7 @@ fn certified_core(
             let remaining = d.saturating_duration_since(Instant::now());
             Instant::now() + remaining.mul_f64(FLOAT_BUDGET_FRACTION)
         }));
-        let float = float::propose(&float_form, &float_deadline, warm);
+        let float = float::propose(float_image(form), &float_deadline, warm);
         info.float_time += float_start.elapsed();
         info.float_iterations += float.info.iterations;
         candidate = float.basis;
@@ -361,12 +405,13 @@ fn certified_core(
     }
 
     // ---- Exact run (uncapped, warm-started from the float basis). ------------------
-    let (mut solution, mut dual) = match accepted {
+    let mut solution = match accepted {
         Some(certificate) => {
             let mut solution = RawSolution::bare(LpStatus::Optimal);
             solution.values = certificate.values;
             solution.basis = certificate.basis;
-            (solution, Some(certificate.dual))
+            solution.dual = Some(certificate.dual);
+            solution
         }
         None => {
             // Deadline faults here exercise the real cancellation path; a numeric
@@ -385,169 +430,17 @@ fn certified_core(
             info.exact_iterations += exact.info.iterations;
             info.lu_updates += exact.info.lu_updates;
             info.lu_refactorizations += exact.info.lu_refactorizations;
-            // An exact optimum carries its own terminal dual out of the exact
-            // simplex; prefer it — re-deriving the dual via Markowitz can pad a
-            // degenerate basis differently and fail to re-certify.
-            let dual = exact.dual.clone();
-            (exact, dual)
+            exact
         }
     };
 
-    // Last resort: certify the basis once more when the caller needs a dual. The
-    // pass can only confirm — the exact simplex terminated on this basis — or run
-    // out of time.
-    let proven_optimum = solution.status == LpStatus::Optimal && !solution.info.truncated;
-    if want_dual && dual.is_none() && proven_optimum {
-        let certify_start = Instant::now();
-        let certified = certify_basis(form, &solution.basis, deadline);
-        info.certify_time += certify_start.elapsed();
-        dual = match certified {
-            Certified::Accepted(certificate) => Some(certificate.dual),
-            Certified::Rejected { .. } => None,
-        };
-    }
     // A truncated anytime answer carries the exact lower bound salvaged from the
     // rejected candidate, so the caller can bracket the unproven optimum:
     // `dual_bound ≤ optimum ≤ objective`.
     if solution.info.truncated && solution.dual_bound.is_none() {
         solution.dual_bound = rejected_bound;
     }
-    // Defensive: a solution whose basis failed dual recovery must not silently claim
-    // proven optimality to the row-generation core stage, which downgrades it to an
-    // anytime answer (see the `None` dual arm there).
-    (solution, dual)
-}
-
-/// Delayed column generation over the lazy Handelman-multiplier columns, in two
-/// stages.
-///
-/// **Core stage.** The core is every non-lazy column plus any lazy column the
-/// warm-start basis names. It is solved with the full float-first pipeline, and
-/// every excluded lazy column is then priced *exactly*:
-///
-/// * `Optimal`: against the core's exact dual. When no column prices negative
-///   (`c_j − y·A_j ≥ 0` for all of them), exact dual feasibility holds over the
-///   *full* column set, so the core optimum extended with zeros is a certified
-///   optimum of the full problem — the verdict (status and optimal value) is
-///   identical to the eager solve's.
-/// * `Infeasible`: against the core's exact phase-1 Farkas certificate
-///   ([`phase1_farkas`]). When no excluded column prices `y₁·A_j > 0`, the same
-///   certificate proves the full system infeasible.
-/// * Anything else (unbounded, timeout, anytime-truncated optimum) is returned
-///   as-is: a core feasible point is a feasible point of the full problem, so
-///   truncated answers keep their sound-upper-bound meaning, and an unbounded
-///   core makes the full problem unbounded a fortiori.
-///
-/// **Full stage.** Otherwise — some column prices in, or the Farkas certificate
-/// cannot be re-derived — the exact simplex runs once on the full form,
-/// warm-started from the core's final basis. Its verdict needs no separation
-/// argument, and a truncated answer is an anytime answer of the full problem.
-/// Activating only the violated columns and re-solving instead costs more: each
-/// extra round restarts from a warm basis and re-proves dual feasibility, almost
-/// entirely through degenerate pivots (EXPERIMENTS.md, "Core, then full").
-fn solve_with_row_generation(
-    form: &StandardForm<Rational>,
-    deadline: &Deadline,
-    warm: Option<&[usize]>,
-    lazy: &[usize],
-    info: &mut LpSolveInfo,
-    mut progress: Option<&mut LpProgress<'_>>,
-) -> RawSolution<Rational> {
-    let n = form.costs.len();
-    // Core: everything that is not lazy, plus warm-start columns — a basis threaded
-    // in from a previous related solve (the serve near-match path) already names the
-    // lazy columns that mattered there, so row-generation state travels for free.
-    let mut in_core = vec![true; n];
-    for &col in lazy {
-        in_core[col] = false;
-    }
-    for &col in warm.unwrap_or_default() {
-        in_core[col] = true;
-    }
-    info.products_total = lazy.len();
-    info.separation_rounds = 1;
-    enter_rowgen_stage(deadline);
-
-    let restrict_start = Instant::now();
-    let core_cols: Vec<usize> = (0..n).filter(|&j| in_core[j]).collect();
-    let core_form = form.restricted(&core_cols);
-    info.build_time += restrict_start.elapsed();
-    // `core_cols` is ascending, so a full index maps to its core index by search.
-    let warm_core: Option<Vec<usize>> =
-        warm.map(|warm| warm.iter().filter_map(|j| core_cols.binary_search(j).ok()).collect());
-    // A core vertex padded with zeros is feasible for the full problem, but a core
-    // dual bound bounds only the core optimum (which is ≥ the full optimum).
-    let mut core_progress = progress
-        .as_deref_mut()
-        .map(|progress| move |upper: &_, _: Option<&_>| progress(upper, None));
-    let core_progress = core_progress.as_mut().map(|progress| progress as &mut LpProgress);
-    let (mut core, dual) =
-        certified_core(&core_form, deadline, warm_core.as_deref(), info, true, true, core_progress);
-
-    let mut excluded = (0..n).filter(|&j| !in_core[j]);
-    let decided = match core.status {
-        LpStatus::Optimal if !core.info.truncated => match dual {
-            Some(dual) => {
-                excluded.all(|j| !form.costs[j].sub(&form.columns.dot(&dual, j)).is_negative())
-            }
-            None => {
-                // Deadline before the dual could be certified: the core optimum is
-                // still exactly feasible for the full problem, so report it with
-                // anytime semantics rather than claiming a proven optimum the
-                // separation check never confirmed.
-                core.info.truncated = true;
-                true
-            }
-        },
-        LpStatus::Infeasible => {
-            let certify_start = Instant::now();
-            let farkas = phase1_farkas(&core_form, &core.basis, deadline);
-            info.certify_time += certify_start.elapsed();
-            match farkas {
-                // Phase-1 structural costs are 0, so an excluded column prices
-                // `−y₁·A_j`: only `y₁·A_j > 0` could pull the artificial sum below
-                // its positive optimum.
-                Some(farkas) => excluded.all(|j| !form.columns.dot(&farkas, j).is_positive()),
-                None if deadline.expired() => {
-                    core.status = LpStatus::TimedOut;
-                    core.info.truncated = true;
-                    true
-                }
-                // The certificate could not be re-derived from the final basis
-                // (Markowitz re-pivoting landed elsewhere): the full stage decides.
-                None => false,
-            }
-        }
-        _ => true,
-    };
-    let core_basis: Vec<usize> = core.basis.iter().map(|&j| core_cols[j]).collect();
-
-    if decided {
-        info.products_generated = lazy.iter().filter(|&&j| in_core[j]).count();
-        // A dual bound certified against the core only bounds the core optimum
-        // (which is ≥ the full optimum).
-        if core_cols.len() < n {
-            core.dual_bound = None;
-        }
-        // Expand the core answer to the full column space: excluded columns sit at
-        // zero (they are nonbasic by construction).
-        if core.status == LpStatus::Optimal {
-            let mut values = vec![Rational::zero(); n];
-            for (value, &j) in core.values.into_iter().zip(&core_cols) {
-                values[j] = value;
-            }
-            core.values = values;
-        }
-        core.basis = core_basis;
-        return core;
-    }
-
-    info.separation_rounds = 2;
-    info.products_generated = lazy.len();
-    enter_rowgen_stage(deadline);
-    let (full, _) =
-        certified_core(form, deadline, Some(&core_basis), info, false, false, progress);
-    full
+    solution
 }
 
 /// Marks the start of a row-generation stage. Deadline faults here exercise the
@@ -753,6 +646,26 @@ mod tests {
         let core_only =
             solve_float_first(&form.restricted(&[0]), &Deadline::unlimited(), None, &[], None);
         assert_eq!(core_only.status, LpStatus::Infeasible);
+    }
+
+    /// `x0 = 2`, `x0 + x1 = 1` with `x1` lazy: the core `{x0}` is infeasible, and
+    /// every Farkas certificate of it (`y0 > 0`, `y1 ≤ −y0`) prices `x1` at
+    /// `y1 < 0`, so it also proves the full system infeasible: one stage decides.
+    #[test]
+    fn an_infeasible_core_whose_certificate_holds_is_decided_in_one_stage() {
+        let _guard = rowgen_lock();
+        let form = StandardForm::from_dense(
+            vec![vec![r(1, 1), r(0, 1)], vec![r(1, 1), r(1, 1)]],
+            vec![r(2, 1), r(1, 1)],
+            vec![r(1, 1), r(1, 1)],
+        );
+        let solution = solve_float_first(&form, &Deadline::unlimited(), None, &[1], None);
+        assert_eq!(solution.status, LpStatus::Infeasible);
+        assert_eq!(solution.info.separation_rounds, 1);
+        assert_eq!(solution.info.products_generated, 0);
+        let eager = solve_float_first(&form, &Deadline::unlimited(), None, &[], None);
+        assert_eq!(eager.status, LpStatus::Infeasible);
+        assert_eq!(eager.info.separation_rounds, 0);
     }
 
     /// A deadline fault at the full stage's boundary truncates it. The anytime

@@ -31,11 +31,13 @@ use crate::simplex::{RawSolution, StandardForm};
 /// `progress` is handed the objective of the vertex when phase 2 starts and after
 /// each phase-2 refactorization; it only watches.
 ///
-/// A proven (non-truncated) optimum carries its terminal dual `y = c_B B⁻¹`
-/// (artificial basis positions priced at cost zero) in `dual`: row generation
-/// prices excluded columns against it directly, skipping a Markowitz
-/// re-derivation that could land on a different (uncertifiable) padding of a
-/// degenerate basis.
+/// Every verdict carries the terminal dual `y = c_B B⁻¹` of the basis that decided
+/// it, in `dual`. A proven (non-truncated) optimum carries the phase-2 dual
+/// (artificial basis positions priced at cost zero): `c_j − y·A_j ≥ 0` for every
+/// column. An `Infeasible` verdict carries the phase-1 dual (cost 1 on artificial
+/// basis positions, 0 on structural columns), a Farkas certificate: `y·b` is the
+/// positive artificial sum and `y·A_j ≤ 0` for every column. Row generation prices
+/// excluded columns against either directly.
 pub(crate) fn solve(
     form: &StandardForm<Rational>,
     deadline: &Deadline,
@@ -43,7 +45,11 @@ pub(crate) fn solve(
     progress: Option<&mut dyn FnMut(&Rational)>,
 ) -> RawSolution<Rational> {
     if form.num_rows() == 0 {
-        return RawSolution::unconstrained(&form.costs);
+        let mut solution = RawSolution::unconstrained(&form.costs);
+        if solution.status == LpStatus::Optimal {
+            solution.dual = Some(Vec::new());
+        }
+        return solution;
     }
     let simplex = Simplex::new(form, warm, factorize_markowitz);
     let base_fill = simplex.factor.eta_nnz();
@@ -65,7 +71,7 @@ pub(crate) fn solve(
             other => return run.finish(other),
         }
         if run.simplex.basic_artificials().any(Scalar::is_positive) {
-            return run.finish(LpStatus::Infeasible);
+            return run.finish_with_dual(LpStatus::Infeasible, Phase::One);
         }
     }
 
@@ -79,13 +85,11 @@ pub(crate) fn solve(
     if truncated {
         status = LpStatus::Optimal;
     }
+    if status == LpStatus::Optimal && !truncated {
+        return run.finish_with_dual(status, Phase::Two);
+    }
     let mut solution = run.finish(status);
     solution.info.truncated = truncated;
-    if status == LpStatus::Optimal && !truncated {
-        let mut y = vec![Rational::zero(); form.num_rows()];
-        run.simplex.dual(Phase::Two, &mut y);
-        solution.dual = Some(y);
-    }
     solution
 }
 
@@ -113,6 +117,16 @@ impl ExactRun<'_> {
         let mut solution = self.simplex.finish(status);
         solution.info.lu_updates = self.lu_updates;
         solution.info.lu_refactorizations = self.lu_refactorizations;
+        solution
+    }
+
+    /// [`Self::finish`] for a verdict the terminal basis proves: attaches the
+    /// `phase` dual `y = c_B B⁻¹` of that basis.
+    fn finish_with_dual(&self, status: LpStatus, phase: Phase) -> RawSolution<Rational> {
+        let mut y = vec![Rational::zero(); self.simplex.form.num_rows()];
+        self.simplex.dual(phase, &mut y);
+        let mut solution = self.finish(status);
+        solution.dual = Some(y);
         solution
     }
 
@@ -369,6 +383,21 @@ mod tests {
         solve(form, &Deadline::unlimited(), None, None)
     }
 
+    /// An `Infeasible` verdict whose dual is a Farkas certificate of
+    /// `{Ax = b, x ≥ 0}`, checked exactly: `y·b > 0` and `y·A_j ≤ 0` for every
+    /// column.
+    fn assert_farkas(form: &StandardForm<Rational>, solution: &RawSolution<Rational>) {
+        assert_eq!(solution.status, LpStatus::Infeasible);
+        let y = solution.dual.as_ref().expect("an Infeasible verdict carries its phase-1 dual");
+        let y_dot_b =
+            y.iter().zip(&form.rhs).fold(Rational::zero(), |acc, (y, b)| acc.add(&y.mul(b)));
+        assert!(y_dot_b.is_positive(), "y·b = {y_dot_b}");
+        for j in 0..form.costs.len() {
+            let y_dot_a = form.columns.dot(y, j);
+            assert!(!y_dot_a.is_positive(), "y·A_{j} = {y_dot_a}");
+        }
+    }
+
     /// minimize -x - y  s.t.  x + y + s = 4: optimum -4 at x + y = 4.
     #[test]
     fn small_exact_lp() {
@@ -392,7 +421,7 @@ mod tests {
             vec![r(2, 1), r(3, 1)],
             vec![r(0, 1)],
         );
-        assert_eq!(solve_cold(&form).status, LpStatus::Infeasible);
+        assert_farkas(&form, &solve_cold(&form));
     }
 
     /// minimize -x - y  s.t.  x + y + s = 4  (i.e. x + y <= 4), expects objective -4.
@@ -415,6 +444,7 @@ mod tests {
         let sol = solve_cold(&form);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_eq!(sol.values, vec![Rational::zero()]);
+        assert_eq!(sol.dual, Some(Vec::new()));
     }
 
     #[test]
@@ -438,6 +468,26 @@ mod tests {
             vec![r(2, 1), r(3, 1)],
             vec![r(1, 1)],
         );
-        assert_eq!(solve_cold(&form).status, LpStatus::Infeasible);
+        assert_farkas(&form, &solve_cold(&form));
+    }
+
+    /// `x0 + x1 = 1`, twice over (row 1 is row 0 doubled), and `x0 + x1 + x2 = 0`:
+    /// the rows have rank 2, and the last forces `x0 + x1 = 0`. The warm column
+    /// `x2` pivots on row 2 at zero, so phase 1 starts from it with the redundant
+    /// row's artificial basic, and the certificate must survive that padding.
+    #[test]
+    fn a_warm_started_rank_deficient_infeasible_form_carries_a_farkas_certificate() {
+        let form = StandardForm::from_dense(
+            vec![
+                vec![r(1, 1), r(1, 1), r(0, 1)],
+                vec![r(2, 1), r(2, 1), r(0, 1)],
+                vec![r(1, 1), r(1, 1), r(1, 1)],
+            ],
+            vec![r(1, 1), r(2, 1), r(0, 1)],
+            vec![r(0, 1), r(0, 1), r(0, 1)],
+        );
+        let solution = solve(&form, &Deadline::unlimited(), Some(&[2]), None);
+        assert_farkas(&form, &solution);
+        assert_farkas(&form, &solve_cold(&form));
     }
 }

@@ -8,8 +8,8 @@
 //! [`LpStatus::IterationLimit`], the honest "don't know", instead of trying to rescue
 //! the run.
 //!
-//! A solve runs on an equilibrated (and, for large forms, perturbed) sparse copy of
-//! the form ([`scaled_copy`]). Pricing recomputes the reduced costs from a fresh
+//! A solve owns its form and equilibrates (and, for large forms, perturbs) it in
+//! place ([`equilibrate`]). Pricing recomputes the reduced costs from a fresh
 //! `BTRAN` every iteration, so there is no incrementally maintained (and drifting)
 //! reduced-cost row at all; the eta file is rebuilt every [`REINVERT_EVERY`] pivots
 //! and before every verdict ([`Factorization::reinvert`]), clearing accumulated
@@ -73,16 +73,20 @@ const PERTURB_ROWS_THRESHOLD: usize = 384;
 /// ratio zero and the tolerance-guided pricing goes in circles. A tiny deterministic
 /// positive offset on each right-hand side (the classical lexicographic-perturbation
 /// cure) makes every pivot make real progress. The retry resumes from the failed
-/// solve's final basis.
+/// solve's final basis, on the one copy of the form kept for it.
 pub(crate) fn solve(
-    form: &StandardForm<f64>,
+    form: StandardForm<f64>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
 ) -> RawSolution<f64> {
-    let solution = propose(form, deadline, warm);
-    if form.num_rows() < PERTURB_ROWS_THRESHOLD && solution.status == LpStatus::Infeasible {
+    if form.num_rows() >= PERTURB_ROWS_THRESHOLD {
+        return propose(form, deadline, warm);
+    }
+    let retry = form.clone();
+    let solution = solve_scaled(form, deadline, 0.0, warm);
+    if solution.status == LpStatus::Infeasible {
         let retry_warm = if solution.basis.is_empty() { warm } else { Some(&solution.basis[..]) };
-        return solve_scaled(form, deadline, PERTURBATION, retry_warm);
+        return solve_scaled(retry, deadline, PERTURBATION, retry_warm);
     }
     solution
 }
@@ -92,7 +96,7 @@ pub(crate) fn solve(
 /// is the *expected* failure mode, and the stall itself is what burns the time, so
 /// from [`PERTURB_ROWS_THRESHOLD`] rows on the perturbation is applied from the start.
 pub(crate) fn propose(
-    form: &StandardForm<f64>,
+    form: StandardForm<f64>,
     deadline: &Deadline,
     warm: Option<&[usize]>,
 ) -> RawSolution<f64> {
@@ -103,7 +107,7 @@ pub(crate) fn propose(
 
 /// Equilibrate → perturb → two-phase simplex → unscale.
 fn solve_scaled(
-    form: &StandardForm<f64>,
+    mut form: StandardForm<f64>,
     deadline: &Deadline,
     perturbation: f64,
     warm: Option<&[usize]>,
@@ -112,14 +116,14 @@ fn solve_scaled(
     if num_rows == 0 {
         return RawSolution::unconstrained(&form.costs);
     }
-    let (scaled, column_scales, total_perturbation) = scaled_copy(form, perturbation);
+    let (column_scales, total_perturbation) = equilibrate(&mut form, perturbation);
     // `Infeasible` is a *definitive* answer to callers, and a phase-1 residual of
     // accumulated round-off looks like a slightly infeasible system; so it is only
     // reported above this noise floor (which accounts for the perturbation).
     // Sub-threshold residuals proceed to phase 2; `LpProblem::solve_f64` re-checks
     // the final answer against the original constraints either way.
     let noise_floor = 1e-6 * (num_rows as f64).max(1.0) + 2.0 * total_perturbation;
-    let mut solution = two_phase(&scaled, deadline, warm, noise_floor);
+    let mut solution = two_phase(&form, deadline, warm, noise_floor);
     match solution.status {
         // A run that did not converge proposes no candidate basis: the exact simplex
         // then warm-starts from the caller's basis instead.
@@ -447,7 +451,7 @@ impl Factorization<f64> {
     }
 }
 
-/// The working copy of a form: equilibrated, then perturbed.
+/// Equilibrates, then perturbs, a form in place.
 ///
 /// Equilibration scales columns and rows so that basis entries stay near unit
 /// magnitude. This matters on problems whose raw coefficients span several orders
@@ -459,16 +463,15 @@ impl Factorization<f64> {
 /// again, and on the big degenerate systems the residual imbalance is what drove the
 /// basis factorizations ill-conditioned. Each pass divides a column by its largest
 /// magnitude, then each row by the largest magnitude among its entries and its
-/// right-hand side. Entries a division underflows to exactly zero leave the copy.
+/// right-hand side. Entries a division underflows to exactly zero leave the form.
 /// (`abs` and `is_zero` are the scalar ones: within `F64_EPS` of zero counts as
 /// zero.)
 ///
 /// The anti-degeneracy perturbation (see [`solve`]) then adds a small deterministic
-/// positive offset per row, varied across rows so no two ratios tie; the third
+/// positive offset per row, varied across rows so no two ratios tie; the second
 /// return value is the sum of the offsets.
-fn scaled_copy(form: &StandardForm<f64>, perturbation: f64) -> (StandardForm<f64>, Vec<f64>, f64) {
+fn equilibrate(form: &mut StandardForm<f64>, perturbation: f64) -> (Vec<f64>, f64) {
     const EQUILIBRATION_PASSES: usize = 3;
-    let mut form = form.clone();
     let mut column_scales = vec![1.0f64; form.costs.len()];
     let mut row_max = vec![0.0f64; form.num_rows()];
     for _ in 0..EQUILIBRATION_PASSES {
@@ -526,7 +529,7 @@ fn scaled_copy(form: &StandardForm<f64>, perturbation: f64) -> (StandardForm<f64
             *rhs += Rational::from_f64(offset).to_f64();
         }
     }
-    (form, column_scales, total_perturbation)
+    (column_scales, total_perturbation)
 }
 
 #[cfg(test)]
@@ -534,7 +537,7 @@ mod tests {
     use super::*;
 
     fn solve_cold(form: &StandardForm<f64>) -> RawSolution<f64> {
-        solve(form, &Deadline::unlimited(), None)
+        solve(form.clone(), &Deadline::unlimited(), None)
     }
 
     #[test]
@@ -591,7 +594,7 @@ mod tests {
         assert_eq!(cold.status, LpStatus::Optimal);
         assert!((cold.values[0] - 1.6).abs() < 1e-6);
         assert!((cold.values[1] - 1.2).abs() < 1e-6);
-        let warm = solve(&form, &Deadline::unlimited(), Some(&cold.basis));
+        let warm = solve(form, &Deadline::unlimited(), Some(&cold.basis));
         assert_eq!(warm.status, LpStatus::Optimal);
         assert!((warm.values[0] - 1.6).abs() < 1e-6);
         // The warm start lands on the optimal basis: phase 1 is skipped entirely and

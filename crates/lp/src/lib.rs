@@ -14,18 +14,20 @@
 //! columns: one list of `(row, value)` non-zeros per column, in ascending row order.
 //! That column-major form is the only representation of the matrix on any solve
 //! path; no dense copy is ever made. Exact solves borrow it as built, the `f64`
-//! backend equilibrates a sparse copy, and row generation gathers its core
-//! columns once, in time linear in their non-zeros. Every solve runs on the
+//! loop equilibrates its own `f64` form in place, and row generation gathers its
+//! core columns once, in time linear in their non-zeros (a core that excludes no
+//! column is the form itself). Every solve runs on the
 //! standard form exactly as built, with no reduction pass in front. Three entry
 //! points run the two loops:
 //!
 //! * [`LpProblem::solve_certified`] is the analysis's LP path: the `f64` simplex
 //!   only proposes a candidate optimal basis, an exact-rational certifier accepts
 //!   or rejects it once, a rejected (or absent) candidate goes to one warm-started
-//!   exact simplex run, and every verdict is produced by exact arithmetic. A
-//!   non-empty lazy set adds delayed generation of Handelman product columns: a
-//!   certified solve of the core without them, an exact pricing pass over them,
-//!   and, only if one prices in, one exact solve over every column;
+//!   exact simplex run, and every verdict is produced by exact arithmetic. It is
+//!   one path with delayed generation of Handelman product columns: a certified
+//!   solve of the core without the lazy ones (every column, when there are
+//!   none), one exact pricing pass over them against the dual the deciding run
+//!   stopped on, and, only if one prices in, one exact solve over every column;
 //! * [`LpProblem::solve_exact`] runs the exact loop from scratch (the
 //!   cross-checking reference);
 //! * [`LpProblem::solve_f64`] runs the float loop alone, behind the

@@ -147,17 +147,18 @@ pub struct LpSolveInfo {
     /// Wall-clock spent in exact simplex pivoting (float-first driver only).
     pub repair_time: Duration,
     /// Wall-clock spent building the LP's sparse standard form from its
-    /// constraints, plus (row generation only) gathering the core's columns.
+    /// constraints, plus gathering the core's columns (none when the core
+    /// excludes no column).
     pub build_time: Duration,
-    /// Lazy row-generation candidate columns (certified driver with a non-empty
-    /// lazy set only; 0 on the eager path).
+    /// Lazy row-generation candidate columns (certified driver only; 0 when the
+    /// lazy set is empty).
     pub products_total: usize,
     /// Lazy candidate columns present in the final certified solve: those the
     /// warm start named when the core priced out, all of them when the full
-    /// stage ran (0 on the eager path).
+    /// stage ran (0 when the lazy set is empty).
     pub products_generated: usize,
     /// Row-generation stages run: 1 = the core already priced out, 2 = the full
-    /// stage ran; 0 = eager solve without row generation.
+    /// stage ran; 0 = no lazy columns.
     pub separation_rounds: usize,
     /// Exact simplex pivots absorbed as incremental rank-1 eta updates of the
     /// rational LU factorization (cheap, O(nnz) each).
@@ -323,7 +324,7 @@ impl LpProblem {
     /// Solves with the exact rational backend (slower; used for cross-checking).
     pub fn solve_exact(&self) -> LpResult<Rational> {
         let mut result =
-            self.solve_standard(|form, deadline| crate::exact::solve(form, deadline, None, None));
+            self.solve_standard(|form, deadline| crate::exact::solve(&form, deadline, None, None));
         result.info.certified = true;
         result.info.exact_iterations = result.info.iterations;
         result
@@ -353,11 +354,12 @@ impl LpProblem {
     /// solution, one exact solve over every column follows, warm-started from the
     /// core's basis. The accepted verdict therefore carries the same exact
     /// certificate as a full eager solve — excluded columns are proven
-    /// non-improving (or, for infeasibility, proven unable to break the exact
-    /// Farkas certificate) before a core answer is reported. `Free` variables are
-    /// ignored (a `Free` variable's split column pair must never be separated
-    /// independently). An empty `lazy` is the full eager solve, with identical
-    /// verdicts.
+    /// non-improving against the core's exact optimal dual (or, for
+    /// infeasibility, proven unable to break the phase-1 Farkas certificate the
+    /// exact simplex stopped on) before a core answer is reported. `Free`
+    /// variables are ignored (a `Free` variable's split column pair must never be
+    /// separated independently). An empty `lazy` is the full eager solve: a core
+    /// that excludes nothing, on the same path.
     ///
     /// The returned basis names any lazy columns it uses, so threading it into
     /// the next related solve (as the serve near-match path does) also seeds that
@@ -476,12 +478,12 @@ impl LpProblem {
     /// Builds the standard form and solves it cold with `solve`.
     fn solve_standard<S: Scalar>(
         &self,
-        solve: impl FnOnce(&StandardForm<S>, &Deadline) -> RawSolution<S>,
+        solve: impl FnOnce(StandardForm<S>, &Deadline) -> RawSolution<S>,
     ) -> LpResult<S> {
         let build_start = Instant::now();
         let standard = self.to_standard_form::<S>();
         let build_time = build_start.elapsed();
-        let mut raw = solve(&standard, &self.deadline);
+        let mut raw = solve(standard, &self.deadline);
         raw.info.build_time = build_time;
         self.assemble_result(raw, &self.standard_col_names())
     }

@@ -5,9 +5,11 @@
 //! constraint terms by [`crate::problem::LpProblem`]. No dense copy of the matrix
 //! exists on any solve path. Exact solves ([`crate::exact`]) borrow the form as
 //! built; only the `f64` loop ([`crate::float`]), for which conditioning matters,
-//! scales a sparse copy of it. All-zero columns need no special case: such a
+//! scales its own `f64` form in place. All-zero columns need no special case: such a
 //! column's reduced cost is its own cost, so phase 2 prices it in only when that
 //! cost is negative — and then it is a genuine unbounded ray.
+
+use std::borrow::Cow;
 
 use crate::problem::{LpSolveInfo, LpStatus};
 use crate::revised::Columns;
@@ -38,10 +40,14 @@ impl<S: Scalar> StandardForm<S> {
 
     /// The sub-problem over the ascending column subset `cols`, gathered in
     /// O(nnz). Every row is kept, so the sub-problem's duals price the full
-    /// form's columns directly.
-    pub(crate) fn restricted(&self, cols: &[usize]) -> StandardForm<S> {
+    /// form's columns directly. A subset naming every column is the form itself,
+    /// borrowed.
+    pub(crate) fn restricted(&self, cols: &[usize]) -> Cow<'_, StandardForm<S>> {
+        if cols.len() == self.costs.len() {
+            return Cow::Borrowed(self);
+        }
         let position = |col: usize| cols.binary_search(&col).ok();
-        StandardForm {
+        Cow::Owned(StandardForm {
             columns: Columns {
                 cols: cols.iter().map(|&j| self.columns.cols[j].clone()).collect(),
                 rows: self.num_rows(),
@@ -53,7 +59,7 @@ impl<S: Scalar> StandardForm<S> {
                 .iter()
                 .filter_map(|&(pos, neg)| Some((position(pos)?, position(neg)?)))
                 .collect(),
-        }
+        })
     }
 }
 
@@ -65,11 +71,11 @@ pub(crate) struct RawSolution<S> {
     /// Basic structural columns at termination, in standard-form indices; the
     /// caller turns these into a reusable warm start.
     pub basis: Vec<usize>,
-    /// The terminal dual `y = c_B B⁻¹` of a *proven* exact optimum, over the rows
-    /// of the form the simplex pivoted on. Only the exact simplex fills this in
-    /// (the `f64` dual certifies nothing), and only for non-truncated `Optimal`;
-    /// row generation prices excluded columns against it without a
-    /// separate Markowitz re-derivation.
+    /// The terminal dual `y = c_B B⁻¹` of an exact verdict, over the rows of the
+    /// form the simplex pivoted on: the phase-2 dual of a proven (non-truncated)
+    /// `Optimal`, the phase-1 Farkas certificate of an `Infeasible`. Only the
+    /// exact side fills this in (the `f64` dual certifies nothing); row
+    /// generation prices excluded columns against it.
     pub dual: Option<Vec<S>>,
     /// An exact lower bound `y·b` on the true optimum, recovered from a
     /// dual-feasible basis the certifier rejected on primal grounds (weak duality).

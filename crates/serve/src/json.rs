@@ -70,7 +70,8 @@ impl Value {
     /// The numeric payload as a non-negative integer (rejects fractions).
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+        // `u64::MAX as f64` rounds up to 2^64, one past the range: the bound is strict.
+        (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -362,5 +363,8 @@ mod tests {
         assert_eq!(Value::Num(3.5).as_u64(), None);
         assert_eq!(Value::Num(-1.0).as_u64(), None);
         assert_eq!(Value::Str("3".into()).as_u64(), None);
+        // 2^64 is out of range; the largest `f64` below it (2^64 − 2048) is not.
+        assert_eq!(Value::Num(18446744073709551616.0).as_u64(), None);
+        assert_eq!(Value::Num(18446744073709549568.0).as_u64(), Some(18446744073709549568));
     }
 }

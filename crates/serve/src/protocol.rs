@@ -332,6 +332,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(message.contains("degree"), "{message}");
+        // 2^64 would saturate to `u64::MAX` under an `as u64` cast.
+        let message = Request::parse(concat!(
+            "{\"cmd\": \"analyze\", \"new\": \"x\", \"old\": \"y\", ",
+            "\"timeout_ms\": 18446744073709551616}",
+        ))
+        .unwrap_err();
+        assert!(message.contains("timeout_ms"), "{message}");
     }
 
     #[test]
