@@ -120,15 +120,14 @@ fn main() {
 
     if wants("eta_chain") {
         // The exact backend's eta-update/refactorization trade-off (see
-        // `dca_lp`'s `should_refactorize`): every pivot appends one product-form
-        // eta, and every subsequent FTRAN/BTRAN pays for the whole chain — so the
-        // policy question is when rebuilding a short fresh factorization beats
-        // dragging the update debris along. This pins both sides: one FTRAN
-        // through a base factorization plus a 64-eta update chain vs through the
-        // rebuilt base alone. The solver's real
-        // structures are crate-private; this is the same product-form arithmetic
-        // (x[p] /= v, then x[r] -= a·x[p] per off-diagonal) over the same
-        // operand distribution.
+        // `dca_lp`'s `should_refactorize`): every pivot appends one update eta
+        // to the LU's L and U etas, and every subsequent FTRAN/BTRAN pays for
+        // the whole chain — so the policy question is when rebuilding a short
+        // fresh factorization beats dragging the update debris along. This pins
+        // both sides: one FTRAN through a base factorization plus a 64-eta update
+        // chain vs through the rebuilt base alone. The solver's real structures
+        // are crate-private; this is the same eta arithmetic (x[p] /= v, then
+        // x[r] -= a·x[p] per off-diagonal) over the same operand distribution.
         let m = 96usize;
         let mut state = 0xD1B54A32D192ED03u64;
         let mut next = move || {

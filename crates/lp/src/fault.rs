@@ -34,7 +34,7 @@ pub enum SolvePhase {
     LpFloat,
     /// Exact-rational certification of a proposed basis.
     LpCertify,
-    /// The pivot-capped exact repair loop.
+    /// The uncapped exact simplex run after a rejected or undecided float phase.
     LpRepair,
     /// A stage of lazy-column row generation (core, then full).
     LpRowGen,

@@ -7,22 +7,28 @@
 //! and pivots on the largest transformed magnitude — the right call for `f64`
 //! stability, but irrelevant (magnitude) and fill-oblivious (order) for rationals,
 //! where *fill-in is the entire cost*: every extra non-zero is a gcd-heavy rational
-//! multiply in all later eliminations.
+//! multiply in all later eliminations and in every FTRAN/BTRAN through the result.
 //!
-//! This module runs a right-looking Gauss–Jordan elimination on a sparse working copy
-//! of the basis with the classical **Markowitz pivot rule**: at each step it picks a
+//! This module runs a right-looking Gaussian elimination on a sparse working copy of
+//! the basis with the classical **Markowitz pivot rule**: at each step it picks a
 //! non-zero entry minimizing `(r_i − 1)(c_j − 1)` (the worst-case fill of that pivot),
-//! searching the sparsest active columns first. The pivot column — as transformed by
-//! the eliminations so far — is exactly the product-form eta of the existing
-//! factorization machinery, so the result is a plain
-//! [`Factorization`](crate::revised::Factorization) whose `ftran`/`btran` the
-//! certifier reuses unchanged.
+//! searching the sparsest active columns first. The result is the *elimination form*
+//! `B = L·U` (Markowitz, 1957) in the eta format of a plain
+//! [`Factorization`](crate::revised::Factorization), whose `ftran`/`btran` the
+//! certifier and the simplex use unchanged. Each pivot gives one **L eta** (the pivot
+//! value and the column's entries in still-unassigned rows, the only rows an
+//! elimination step updates) and one **U eta** (pivot value 1 and the entries frozen
+//! in rows assigned earlier; the identity, not stored, when there are none). The U
+//! etas follow the last L eta in reverse pivot order: back substitution. A
+//! Gauss–Jordan product form also transforms the assigned rows at every step, fill
+//! that every FTRAN/BTRAN then carries; the unassigned rows, and so the pivots, are
+//! the same in both.
 //!
 //! No step scans the whole working matrix (Suhl & Suhl, "Computing sparse LU
 //! factorizations for large-scale linear programming bases", 1990): an ordered set
 //! of `(active count, column)` over the unprocessed columns yields the dependent
 //! columns to drop and the [`CANDIDATE_COLS`] candidates from its front, and a
-//! row-to-column index lists the columns the Jordan update must transform. A step
+//! row-to-column index lists the columns each elimination step must update. A step
 //! costs the candidates' entries, the pivot column, and the merge into each column
 //! holding the pivot row, plus `O(log w)` per column whose count moves (`w` working
 //! columns); columns are row-sorted, so pivot lookups are binary searches. The
@@ -114,10 +120,34 @@ fn find_row<S>(col: &[(usize, S)], row: usize) -> Option<usize> {
     col.binary_search_by_key(&row, |(r, _)| *r).ok()
 }
 
+/// Splits the pivot column into its L eta and its U eta (`None`: the identity).
+/// `None` when the column has no entry at `pivot_row`.
+fn pivot_etas<S: Scalar>(
+    col: SparseCol<S>,
+    pivot_row: usize,
+    assigned: &[bool],
+) -> Option<(Eta<S>, Option<Eta<S>>)> {
+    let mut pivot_value = None;
+    let (mut active, mut frozen) = (Vec::new(), Vec::new());
+    for (row, value) in col {
+        if row == pivot_row {
+            pivot_value = Some(value);
+        } else if assigned[row] {
+            frozen.push((row, value));
+        } else {
+            active.push((row, value));
+        }
+    }
+    let lower = Eta { pivot: pivot_row, pivot_value: pivot_value?, others: active };
+    let upper = (!frozen.is_empty())
+        .then(|| Eta { pivot: pivot_row, pivot_value: S::one(), others: frozen });
+    Some((lower, upper))
+}
+
 /// Factorizes the basis `{columns[j] : j ∈ basis_cols}` (deduplicated, in Markowitz
-/// order) and pads uncovered rows with artificials. In the result, `basis[row]` is
-/// the column assigned to `row`: a structural index, or `n + row'` for an
-/// artificial filler; preferred columns that proved linearly dependent are absent.
+/// order) into L and U etas and pads uncovered rows with artificials. In the result,
+/// `basis[row]` is the column assigned to `row`: a structural index, or `n + row` for
+/// an artificial filler; preferred columns that proved linearly dependent are absent.
 pub(crate) fn factorize_markowitz<S: Scalar>(
     columns: &Columns<S>,
     basis_cols: &[usize],
@@ -126,6 +156,7 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
     let (mut work, work_col_id) = working_columns(columns, basis_cols);
 
     let mut factor = Factorization { etas: Vec::new(), basis: vec![usize::MAX; m] };
+    let mut upper: Vec<Eta<S>> = Vec::new();
     let mut assigned = vec![false; m];
     let mut processed = vec![false; work.len()];
 
@@ -147,21 +178,17 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
     // the Markowitz candidates right after them.
     let mut active: BTreeSet<(usize, usize)> =
         col_count.iter().enumerate().map(|(k, &count)| (count, k)).collect();
-    // `eliminated_at[j]` = the last step whose Jordan update transformed column `j`.
+    // `eliminated_at[j]` = the last step whose elimination updated column `j`.
     let mut eliminated_at = vec![usize::MAX; work.len()];
     let mut merged: SparseCol<S> = Vec::new();
 
     for step in 0..work.len() {
         // Columns with no active entry are dependent on the ones already processed:
-        // drop them now so the candidate scan never stalls on them.
+        // drop them now so the candidate scan never stalls on them. (They hold no
+        // entry in an unassigned row, so no row count moves.)
         while let Some(&(0, k)) = active.first() {
             active.pop_first();
             processed[k] = true;
-            for (row, _) in &work[k] {
-                if !assigned[*row] {
-                    row_count[*row] -= 1;
-                }
-            }
         }
         // Bounded Markowitz search: examine the `CANDIDATE_COLS` sparsest active
         // columns; within each, the unassigned row minimizing `row_count − 1`.
@@ -191,20 +218,8 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
         }
         let Some((_, k, pivot_row)) = best else { break };
 
-        // Build the eta from the pivot column's current (transformed) state. The
-        // pivot was just selected from `work[k]`'s own entries, so the lookup is
-        // infallible; a miss is treated like "no usable pivot" (rank deficiency)
-        // rather than a panic.
-        let Some(at) = find_row(&work[k], pivot_row) else { break };
-        let pivot_value = work[k][at].1.clone();
-        let others: Vec<(usize, S)> = work[k]
-            .iter()
-            .filter(|(row, _)| *row != pivot_row)
-            .map(|(row, v)| (*row, v.clone()))
-            .collect();
-        let eta = Eta { pivot: pivot_row, pivot_value, others };
-
-        // Retire the pivot column and row from the active counts.
+        // Retire the pivot column and row from the active counts. The column is
+        // never read again, so its entries move into the etas.
         active.remove(&(col_count[k], k));
         processed[k] = true;
         for (row, _) in &work[k] {
@@ -212,12 +227,21 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
                 row_count[*row] -= 1;
             }
         }
+        // The pivot was just selected from `work[k]`'s own entries, so the split is
+        // infallible; a miss is treated like "no usable pivot" (rank deficiency)
+        // rather than a panic.
+        let Some((lower, unit_upper)) =
+            pivot_etas(std::mem::take(&mut work[k]), pivot_row, &assigned)
+        else {
+            break;
+        };
         assigned[pivot_row] = true;
         factor.basis[pivot_row] = work_col_id[k];
 
-        // Apply the eta to every other unprocessed column holding the pivot row
-        // (Jordan elimination): x[pivot] := x[pivot]/p, then x[i] -= others[i] · x[pivot].
-        // The row is assigned now, so its index list is never read again.
+        // Apply the L eta to every other unprocessed column holding the pivot row:
+        // x[pivot] := x[pivot]/p, then x[i] -= others[i] · x[pivot]. Every `others`
+        // row is unassigned, so every cancellation and fill moves the active counts.
+        // The pivot row is assigned now, so its index list is never read again.
         for j in std::mem::take(&mut row_cols[pivot_row]) {
             if processed[j] || eliminated_at[j] == step {
                 continue;
@@ -227,26 +251,24 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
             let Some(position) = find_row(col, pivot_row) else { continue };
             eliminated_at[j] = step;
             active.remove(&(col_count[j], j));
-            let t = col[position].1.div(&eta.pivot_value);
+            let t = col[position].1.div(&lower.pivot_value);
             col[position].1 = t.clone();
-            // The pivot row is now assigned, so this entry leaves the active counts.
+            // The pivot row is now assigned: this entry freezes into U.
             col_count[j] -= 1;
-            if !eta.others.is_empty() {
+            if !lower.others.is_empty() {
                 // Merge `col -= t · others` (both sorted by row).
                 merged.clear();
                 let (mut a, mut b) = (0usize, 0usize);
-                while a < col.len() || b < eta.others.len() {
+                while a < col.len() || b < lower.others.len() {
                     let next_a = col.get(a).map(|(row, _)| *row);
-                    let next_b = eta.others.get(b).map(|(row, _)| *row);
+                    let next_b = lower.others.get(b).map(|(row, _)| *row);
                     match (next_a, next_b) {
                         (Some(ra), Some(rb)) if ra == rb => {
-                            let value = col[a].1.sub(&eta.others[b].1.mul(&t));
+                            let value = col[a].1.sub(&lower.others[b].1.mul(&t));
                             if value.is_exactly_zero() {
                                 // Exact cancellation: the entry leaves the matrix.
-                                if !assigned[ra] {
-                                    col_count[j] -= 1;
-                                    row_count[ra] -= 1;
-                                }
+                                col_count[j] -= 1;
+                                row_count[ra] -= 1;
                             } else {
                                 merged.push((ra, value));
                             }
@@ -263,13 +285,10 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
                         }
                         (_, Some(rb)) => {
                             // Fill-in: a brand-new non-zero at row `rb`.
-                            let value = eta.others[b].1.mul(&t).neg();
-                            if !assigned[rb] {
-                                col_count[j] += 1;
-                                row_count[rb] += 1;
-                                row_cols[rb].push(j);
-                            }
-                            merged.push((rb, value));
+                            col_count[j] += 1;
+                            row_count[rb] += 1;
+                            row_cols[rb].push(j);
+                            merged.push((rb, lower.others[b].1.mul(&t).neg()));
                             b += 1;
                         }
                         (None, None) => unreachable!(),
@@ -280,50 +299,23 @@ pub(crate) fn factorize_markowitz<S: Scalar>(
             active.insert((col_count[j], j));
         }
 
-        factor.etas.push(eta);
+        factor.etas.push(lower);
+        upper.extend(unit_upper);
     }
 
-    pad_with_artificials(columns, &mut factor, &mut assigned);
+    factor.etas.extend(upper.into_iter().rev());
+    pad_with_artificials(&mut factor, columns.cols.len());
     factor
 }
 
-/// Covers every row the elimination left unassigned with an artificial identity
-/// column, transformed through the accumulated etas exactly like the simplex's
-/// reinversion does.
-fn pad_with_artificials<S: Scalar>(
-    columns: &Columns<S>,
-    factor: &mut Factorization<S>,
-    assigned: &mut [bool],
-) {
-    let m = columns.rows;
-    let n = columns.cols.len();
-    let mut scratch = vec![S::zero(); m];
-    for row in 0..m {
-        if assigned[row] {
-            continue;
+/// Covers every row the elimination left unassigned with its artificial identity
+/// column `n + row`. No eta pivots on such a row, so FTRAN maps the artificial to
+/// its own unit vector: it needs no eta.
+fn pad_with_artificials<S>(factor: &mut Factorization<S>, n: usize) {
+    for (row, col) in factor.basis.iter_mut().enumerate() {
+        if *col == usize::MAX {
+            *col = n + row;
         }
-        let col = n + row;
-        columns.scatter(col, &mut scratch);
-        factor.ftran(&mut scratch);
-        let pivot = (0..m).find(|&i| !assigned[i] && !scratch[i].is_exactly_zero());
-        let Some(pivot_row) = pivot else {
-            // Cannot happen for a genuine identity column, but stay defensive: leave
-            // the row to a later artificial.
-            continue;
-        };
-        let others: Vec<(usize, S)> = scratch
-            .iter()
-            .enumerate()
-            .filter(|(i, v)| *i != pivot_row && !v.is_exactly_zero())
-            .map(|(i, v)| (i, v.clone()))
-            .collect();
-        factor.etas.push(Eta {
-            pivot: pivot_row,
-            pivot_value: scratch[pivot_row].clone(),
-            others,
-        });
-        factor.basis[pivot_row] = col;
-        assigned[pivot_row] = true;
     }
 }
 
@@ -344,7 +336,8 @@ mod tests {
     /// The elimination loop `factorize_markowitz` replaced, kept as the oracle its
     /// indexed search must reproduce bit for bit: every step rescans all working
     /// columns for drops, sorts every unprocessed column to pick the candidates, and
-    /// searches every unprocessed column for the pivot row.
+    /// searches every unprocessed column for the pivot row. It emits the same L and
+    /// U etas.
     fn factorize_markowitz_reference<S: Scalar>(
         columns: &Columns<S>,
         basis_cols: &[usize],
@@ -353,6 +346,7 @@ mod tests {
         let (mut work, work_col_id) = working_columns(columns, basis_cols);
 
         let mut factor = Factorization { etas: Vec::new(), basis: vec![usize::MAX; m] };
+        let mut upper: Vec<Eta<S>> = Vec::new();
         let mut assigned = vec![false; m];
         let mut processed = vec![false; work.len()];
 
@@ -413,21 +407,11 @@ mod tests {
             }
             let Some((_, k, pivot_row)) = best else { break };
 
-            // Build the eta from the pivot column's current (transformed) state. The
-            // pivot was just selected from `work[k]`'s own entries, so the lookup is
-            // infallible; a miss is treated like "no usable pivot" (rank deficiency)
-            // rather than a panic.
-            let pivot_entry = work[k]
-                .iter()
-                .find(|(row, _)| *row == pivot_row)
-                .map(|(_, v)| v.clone());
-            let Some(pivot_value) = pivot_entry else { break };
-            let others: Vec<(usize, S)> = work[k]
-                .iter()
-                .filter(|(row, _)| *row != pivot_row)
-                .map(|(row, v)| (*row, v.clone()))
-                .collect();
-            let eta = Eta { pivot: pivot_row, pivot_value, others };
+            // Split the pivot column's current (transformed) state into its etas.
+            let Some((lower, unit_upper)) = pivot_etas(work[k].clone(), pivot_row, &assigned)
+            else {
+                break;
+            };
 
             // Retire the pivot column and row from the active counts.
             processed[k] = true;
@@ -439,8 +423,8 @@ mod tests {
             assigned[pivot_row] = true;
             factor.basis[pivot_row] = work_col_id[k];
 
-            // Apply the eta to every other unprocessed column (Jordan elimination):
-            // x[pivot] := x[pivot]/p, then x[i] -= others[i] · x[pivot].
+            // Apply the L eta to every other unprocessed column: x[pivot] :=
+            // x[pivot]/p, then x[i] -= others[i] · x[pivot] in the unassigned rows.
             for (j, col) in work.iter_mut().enumerate() {
                 if processed[j] {
                     continue;
@@ -448,22 +432,22 @@ mod tests {
                 let Some(position) = col.iter().position(|(row, _)| *row == pivot_row) else {
                     continue;
                 };
-                let t = col[position].1.div(&eta.pivot_value);
+                let t = col[position].1.div(&lower.pivot_value);
                 col[position].1 = t.clone();
                 // The pivot row is now assigned, so this entry leaves the active counts.
                 col_count[j] -= 1;
-                if eta.others.is_empty() {
+                if lower.others.is_empty() {
                     continue;
                 }
                 // Merge `col -= t · others` (both sorted by row).
-                let mut merged: SparseCol<S> = Vec::with_capacity(col.len() + eta.others.len());
+                let mut merged: SparseCol<S> = Vec::with_capacity(col.len() + lower.others.len());
                 let (mut a, mut b) = (0usize, 0usize);
-                while a < col.len() || b < eta.others.len() {
+                while a < col.len() || b < lower.others.len() {
                     let next_a = col.get(a).map(|(row, _)| *row);
-                    let next_b = eta.others.get(b).map(|(row, _)| *row);
+                    let next_b = lower.others.get(b).map(|(row, _)| *row);
                     match (next_a, next_b) {
                         (Some(ra), Some(rb)) if ra == rb => {
-                            let value = col[a].1.sub(&eta.others[b].1.mul(&t));
+                            let value = col[a].1.sub(&lower.others[b].1.mul(&t));
                             if value.is_exactly_zero() {
                                 // Exact cancellation: the entry leaves the matrix.
                                 if !assigned[ra] {
@@ -486,7 +470,7 @@ mod tests {
                         }
                         (_, Some(rb)) => {
                             // Fill-in: a brand-new non-zero at row `rb`.
-                            let value = eta.others[b].1.mul(&t).neg();
+                            let value = lower.others[b].1.mul(&t).neg();
                             if !assigned[rb] {
                                 col_count[j] += 1;
                                 row_count[rb] += 1;
@@ -500,10 +484,12 @@ mod tests {
                 *col = merged;
             }
 
-            factor.etas.push(eta);
+            factor.etas.push(lower);
+            upper.extend(unit_upper);
         }
 
-        pad_with_artificials(columns, &mut factor, &mut assigned);
+        factor.etas.extend(upper.into_iter().rev());
+        pad_with_artificials(&mut factor, columns.cols.len());
         factor
     }
 
@@ -718,6 +704,33 @@ mod tests {
         // Every entry is inline, so the weighted eta size is the plain non-zero count.
         let fill = lu.eta_nnz();
         assert!(fill <= 2 * size + size, "fill {fill} should stay linear in the dimension");
+    }
+
+    #[test]
+    fn an_upper_bidiagonal_basis_factorizes_without_fill() {
+        // Column j holds rows j−1 and j. Markowitz pivots the columns in order, and
+        // each leaves one frozen entry for U: one L eta of weight 1 per pivot, one U
+        // eta of weight 2 per pivot after the first. A Gauss–Jordan product form
+        // carries every earlier column's entries forward instead (quadratic fill).
+        let size = 12usize;
+        let matrix: Vec<Vec<Rational>> = (0..size)
+            .map(|i| {
+                (0..size)
+                    .map(|j| match j {
+                        _ if j == i => r(2, 1),
+                        _ if j == i + 1 => r(-3, 1),
+                        _ => Rational::zero(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let cols = columns(&matrix);
+        let basis: Vec<usize> = (0..size).collect();
+        let lu = factorize_markowitz(&cols, &basis);
+        assert_eq!(artificial_rows(&lu, &basis), 0);
+        check_inverse(&cols, &lu);
+        let fill = lu.eta_nnz();
+        assert!(fill <= 3 * size, "fill {fill} should stay linear in the dimension");
     }
 
     /// The simplex's incremental eta updates and a fresh Markowitz factorization are

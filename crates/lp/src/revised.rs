@@ -1,12 +1,14 @@
-//! The machinery both revised-simplex loops share: the sparse columns, the
-//! product-form (eta-file) basis factorization, the ratio test and the pivot update.
+//! The machinery both revised-simplex loops share: the sparse columns, the eta-file
+//! basis factorization, the ratio test and the pivot update.
 //!
 //! The revised method keeps the constraint matrix `A` untouched in sparse
 //! column-major form ([`Columns`]) and maintains only a factorization of the current
-//! basis `B`: `B⁻¹` is a product of *eta matrices*, one appended per pivot ([`Eta`]),
-//! so applying it to a vector (`FTRAN`) or a row vector (`BTRAN`) costs the number of
-//! stored non-zeros, not `m²` — the Handelman coefficient-matching systems are 99%
-//! zeros. Two loops pivot on it, one per arithmetic: [`crate::float`] only proposes
+//! basis `B`: `B⁻¹` is a product of *eta matrices* ([`Eta`]), so applying it to a
+//! vector (`FTRAN`) or a row vector (`BTRAN`) costs the number of stored non-zeros,
+//! not `m²` — the Handelman coefficient-matching systems are 99% zeros. A rebuild
+//! writes the whole basis into the file: the exact loop as the L and U etas of a
+//! Markowitz LU ([`crate::lu`]), the float loop as a Gauss–Jordan product form. Each
+//! pivot then appends one update eta. Two loops pivot on it, one per arithmetic: [`crate::float`] only proposes
 //! a basis, [`crate::exact`] decides.
 //!
 //! Both accept a **warm start**: preferred columns are factorized first (columns
