@@ -20,12 +20,15 @@ use std::process::exit;
 
 use dca_bench::{
     append_history, current_commit, format_history_line, format_json, format_table,
-    run_suite_filtered, today_utc, Args,
+    records_history, run_suite_filtered, today_utc, Args,
 };
+
+/// The committed run record `--json` writes when no path follows it.
+const DEFAULT_JSON: &str = "BENCH_table1.json";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (config, args) = Args::parse(&argv, &["--jobs", "--timeout"], &[], "BENCH_table1.json")
+    let (config, args) = Args::parse(&argv, &["--jobs", "--timeout"], &[], DEFAULT_JSON)
         .and_then(|args| Ok((args.batch_config()?, args)))
         .unwrap_or_else(|error| {
             eprintln!("error: {error}");
@@ -66,10 +69,11 @@ fn main() {
                 exit(1);
             }
         }
-        // Bench trajectory: append one summary line per `--json` run so performance
-        // is tracked *across* PRs, not just overwritten by them. Only full-suite
-        // runs are recorded — filtered runs would make the per-row series ragged.
-        if filters.is_empty() {
+        // Bench trajectory: append one summary line per committed `--json` run so
+        // performance is tracked *across* PRs, not just overwritten by them. Only
+        // full-suite runs are recorded — filtered runs would make the per-row series
+        // ragged — and only into the default record.
+        if records_history(path, DEFAULT_JSON, filters.is_empty()) {
             append_history(&format_history_line(&run, &today_utc(), &current_commit()));
         }
     }

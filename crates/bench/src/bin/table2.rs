@@ -31,8 +31,8 @@ use std::process::exit;
 
 use dca_bench::{
     append_history, cpu_baseline, current_commit, format_history_line_tagged, format_table,
-    format_table2_json, peak_rss_mb, time_regressions, today_utc, Args, SuiteRun, Table2Row,
-    TableRow,
+    format_table2_json, peak_rss_mb, records_history, time_regressions, today_utc, Args, SuiteRun,
+    Table2Row, TableRow,
 };
 use dca_benchmarks::table2::{
     check_sampled_soundness, run_table2, table2_jobs, table2_manifest, table2_smoke,
@@ -44,6 +44,9 @@ const TIME_FLOOR_SECONDS: f64 = 1.0;
 /// Minimum fraction of pairs that must be proven tight and certified (acceptance
 /// criterion of the generated corpus: every bound is tight by construction).
 const TIGHT_FRACTION: f64 = 0.9;
+/// The committed run record: `--json` writes it when no path follows, and it is the
+/// per-row CPU baseline of the time gate.
+const DEFAULT_JSON: &str = "BENCH_table2.json";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -51,7 +54,7 @@ fn main() {
         &argv,
         &["--jobs", "--timeout", "--limit", "--samples"],
         &["--smoke", "--no-differential"],
-        "BENCH_table2.json",
+        DEFAULT_JSON,
     )
     .and_then(|args| {
         let limit: Option<usize> = args.value("--limit")?;
@@ -162,7 +165,7 @@ fn main() {
     // The committed-baseline time gate (shared with smoke): per-row >2x in CPU
     // seconds (load-immune) with a 1 s floor; rows without a baseline entry are
     // skipped gracefully.
-    let baseline = cpu_baseline("BENCH_table2.json");
+    let baseline = cpu_baseline(DEFAULT_JSON);
     let timed: Vec<(String, f64)> = rows
         .iter()
         .map(|r| (r.table.name.clone(), r.table.outcome.cpu_duration.as_secs_f64()))
@@ -188,9 +191,10 @@ fn main() {
             exit(2);
         });
         eprintln!("wrote {path}");
-        // The history trajectory only records full unfiltered corpus runs, so the
-        // per-row series stays comparable across commits.
-        if !smoke && filters.is_empty() && limit.is_none() {
+        // The history trajectory only records full unfiltered corpus runs into the
+        // default record, so the per-row series stays comparable across commits.
+        let full_run = !smoke && filters.is_empty() && limit.is_none();
+        if records_history(path, DEFAULT_JSON, full_run) {
             let run = SuiteRun {
                 rows: rows.into_iter().map(|r| r.table).collect(),
                 wall_clock,

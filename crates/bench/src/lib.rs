@@ -293,6 +293,14 @@ pub fn format_history_line_tagged(
 /// The cross-PR trajectory file the table bins append one summary line to.
 const HISTORY_PATH: &str = "BENCH_history.jsonl";
 
+/// Whether a table bin's `--json` run appends its summary line to
+/// `BENCH_history.jsonl`: only a full run (no filter, no subset) whose record is
+/// written to the bin's committed default file (`default_json`). A record written
+/// anywhere else is exploratory, and must leave the committed history as it is.
+pub fn records_history(json_path: &str, default_json: &str, full_run: bool) -> bool {
+    full_run && json_path == default_json
+}
+
 /// Appends one line to `BENCH_history.jsonl`, warning (not failing) when it cannot.
 pub fn append_history(line: &str) {
     use std::io::Write;
@@ -857,6 +865,16 @@ mod tests {
         assert_eq!(parse("--limit").unwrap_err(), "--limit requires a value");
         let args = parse("--jobs two").unwrap();
         assert_eq!(args.value::<usize>("--jobs").unwrap_err(), "invalid --jobs two");
+    }
+
+    #[test]
+    fn only_a_full_run_into_the_default_record_appends_history() {
+        let default = "BENCH_table1.json";
+        assert!(records_history("BENCH_table1.json", default, true));
+        assert!(!records_history("BENCH_table1.json", default, false));
+        assert!(!records_history("/tmp/x.json", default, true));
+        assert!(!records_history("out/BENCH_table1.json", default, true));
+        assert!(!records_history("BENCH_table2.json", default, true));
     }
 
     #[test]

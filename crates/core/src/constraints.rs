@@ -172,11 +172,11 @@ pub fn collect_program_constraints(
 
         // Vacuous implication: an infeasible premise proves nothing and its Handelman
         // products only destabilize the LP — skip the transition entirely. The check is
-        // exact (rational simplex), so an f64 infeasibility artifact can never prune a
-        // premise that is actually satisfiable; this matters for phase-split systems,
-        // whose stale phase-copies of branch edges are exactly what gets dropped here.
+        // exact (rational simplex), so only a premise proven unsatisfiable is pruned;
+        // this matters for phase-split systems, whose stale phase-copies of branch
+        // edges are exactly what gets dropped here.
         let premise = dca_invariants::Polyhedron::from_constraints(aff.iter().cloned());
-        if premise.definitely_empty_exact() {
+        if premise.is_empty() {
             pruned += 1;
             continue;
         }

@@ -152,7 +152,7 @@ pub struct SolveStats {
     /// detected, or splitting disabled via [`crate::AnalysisOptions::phase_split`]
     /// — the LP was over the input programs.
     pub phases_split: usize,
-    /// `f64` LP solves made by the invariant analyses this solve consumed: both
+    /// Exact LP solves made by the invariant analyses this solve consumed: both
     /// input programs plus every phase-split system it analyzed (see
     /// `dca_invariants::InvariantMap::lp_queries`). Deterministic.
     pub invariant_lp_queries: usize,

@@ -70,8 +70,10 @@ pub fn input_box(program: &AnalyzedProgram) -> Vec<(VarId, i64, i64)> {
         .collect()
 }
 
-/// Minimizes (or maximizes) a single variable over the Θ0 polytope, rounded to the
-/// nearest integer; `None` when the LP has no optimum (unbounded or infeasible).
+/// Minimizes (or maximizes) a single variable over the Θ0 polytope in exact
+/// arithmetic, rounded to the nearest integer (half away from zero); `None` when the
+/// LP has no optimum (unbounded or infeasible) or the rounded optimum is outside
+/// `i64`.
 pub(crate) fn bound_var(theta0: &[LinExpr], var: VarId, minimize: bool) -> Option<i64> {
     let mut vars: Vec<VarId> = theta0.iter().flat_map(LinExpr::vars).collect();
     vars.push(var);
@@ -91,9 +93,11 @@ pub(crate) fn bound_var(theta0: &[LinExpr], var: VarId, minimize: bool) -> Optio
     }
     let sign = if minimize { Rational::one() } else { Rational::from_int(-1) };
     lp.set_objective(vec![(lp_vars[&var], sign)]);
-    let solution = lp.solve_f64();
-    (solution.status == LpStatus::Optimal)
-        .then(|| solution.values[lp_vars[&var].index()].round() as i64)
+    let solution = lp.solve_exact();
+    if solution.status != LpStatus::Optimal {
+        return None;
+    }
+    solution.value(lp_vars[&var]).round().to_i64()
 }
 
 /// Samples initial valuations of a program satisfying Θ0 (cost fixed to 0).
@@ -330,6 +334,24 @@ mod tests {
         let bounds = input_box(&program);
         let (_, lo, hi) = bounds.iter().find(|(v, _, _)| *v == n).unwrap();
         assert_eq!((*lo, *hi), (1, 20));
+    }
+
+    #[test]
+    fn bound_var_rounds_the_exact_optimum_half_away_from_zero() {
+        let mut pool = dca_poly::VarPool::new();
+        let x = pool.intern("x");
+        let three_x = LinExpr::var(x).scale(&Rational::from_int(3));
+        // Θ0 = 3x ≥ 1 ∧ 3x ≤ 5: x ranges over [1/3, 5/3].
+        let theta0 = [&three_x - &LinExpr::from_int(1), &LinExpr::from_int(5) - &three_x];
+        assert_eq!(bound_var(&theta0, x, true), Some(0));
+        assert_eq!(bound_var(&theta0, x, false), Some(2));
+        // Θ0 = 2x ≥ −5 ∧ 2x ≤ 5: the halves ±5/2 round away from zero.
+        let two_x = LinExpr::var(x).scale(&Rational::from_int(2));
+        let theta0 = [&two_x + &LinExpr::from_int(5), &LinExpr::from_int(5) - &two_x];
+        assert_eq!(bound_var(&theta0, x, true), Some(-3));
+        assert_eq!(bound_var(&theta0, x, false), Some(3));
+        // x ≥ 0 has no maximum.
+        assert_eq!(bound_var(&[LinExpr::var(x)], x, false), None);
     }
 
     #[test]

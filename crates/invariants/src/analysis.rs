@@ -15,7 +15,7 @@ pub struct InvariantMap {
 }
 
 impl InvariantMap {
-    /// The number of `f64` LP solves the analysis that built this map made
+    /// The number of exact LP solves the analysis that built this map made
     /// (emptiness and entailment checks; queries decided structurally are not
     /// counted). Deterministic for a given transition system.
     pub fn lp_queries(&self) -> usize {

@@ -10,13 +10,13 @@
 //!   answer follows from the operands' structure are decided exactly without an LP (an
 //!   entailment `expr ≥ 0` where `expr − c` is a non-negative constant for a conjunct
 //!   `c`; the non-emptiness of a join, widening or affine image of a nonempty operand).
-//!   Every other emptiness and entailment check is an `f64` LP with a tolerance; only
-//!   the pruning verdict of [`Polyhedron::definitely_empty_exact`] is an exact LP;
+//!   Every other emptiness and entailment check is an exact rational LP with no
+//!   tolerance, including [`Polyhedron::is_empty`], the encoder's pruning verdict;
 //! * [`InvariantAnalysis`] — a forward abstract-interpretation fixpoint over a
 //!   [`TransitionSystem`](dca_ir::TransitionSystem) producing an [`InvariantMap`].
 //!   Widening fires only along the back edges reported by [`dca_ir::LoopNest`], so
 //!   facts established before a loop (or by an earlier loop) survive into it.
-//!   [`InvariantMap::lp_queries`] counts the `f64` LPs the analysis solved;
+//!   [`InvariantMap::lp_queries`] counts the exact LPs the analysis solved;
 //! * support for merging user-supplied invariants, mirroring the paper's manual
 //!   strengthening of the `*`-marked benchmarks.
 //!

@@ -5,9 +5,9 @@ use std::cell::Cell;
 use dca_lp::{ConstraintOp, LpProblem, LpResult, LpStatus, VarKind};
 use dca_poly::{LinExpr, VarId};
 
-/// Counts the `f64` LP solves one invariant analysis makes (reported by
+/// Counts the exact LP solves one invariant analysis makes (reported by
 /// [`InvariantMap::lp_queries`](crate::InvariantMap::lp_queries)). Every LP the
-/// analysis runs goes through [`LpCounter::solve_f64`].
+/// analysis runs goes through [`LpCounter::solve`].
 #[derive(Debug, Default)]
 pub(crate) struct LpCounter(Cell<usize>);
 
@@ -17,23 +17,22 @@ impl LpCounter {
         self.0.get()
     }
 
-    fn solve_f64(&self, lp: &LpProblem) -> LpResult<f64> {
+    fn solve(&self, lp: &LpProblem) -> LpResult {
         self.0.set(self.0.get() + 1);
-        lp.solve_f64()
+        lp.solve_exact()
     }
 }
 
 /// A conjunction of affine inequalities `expr ≥ 0`, or the empty (unreachable) element.
 ///
-/// The element `Top` is represented by an empty constraint list. Three kinds of decision
-/// back the domain operations:
+/// The element `Top` is represented by an empty constraint list. Every decision is
+/// exact, and of one of two kinds:
 ///
-/// * **structural** (exact, no LP): an entailment query `expr ≥ 0` where `expr − c` is a
+/// * **structural** (no LP): an entailment query `expr ≥ 0` where `expr − c` is a
 ///   non-negative constant for some conjunct `c`, and the non-emptiness of a join,
 ///   widening or affine image of a nonempty operand;
-/// * **`f64` LP** (with a tolerance): every other emptiness and entailment check;
-/// * **exact LP** (over the rationals): only the pruning verdict of
-///   [`definitely_empty_exact`](Polyhedron::definitely_empty_exact).
+/// * **exact LP** (over the rationals, no tolerance): every other emptiness and
+///   entailment check.
 ///
 /// The deliberate precision losses are the weak join, widening, and the cap on
 /// Fourier–Motzkin growth.
@@ -120,63 +119,44 @@ impl Polyhedron {
         }
     }
 
-    /// Collapses to bottom if an `f64` LP feasibility check finds the constraints
-    /// infeasible (see [`Polyhedron::feasible`]).
+    /// Collapses to bottom if [`Polyhedron::is_empty`] proves the constraints
+    /// infeasible, counting the LP in `lps`.
     pub(crate) fn normalize_emptiness(&mut self, lps: &LpCounter) {
-        if let Some(cs) = &self.constraints {
-            if !cs.is_empty() && !Self::feasible(cs, lps) {
-                self.constraints = None;
-            }
+        if self.is_empty_counted(lps) {
+            self.constraints = None;
         }
     }
 
-    /// Decides emptiness **in exact rational arithmetic**: returns `true` only
-    /// when the exact simplex proves the conjunction infeasible over ℚ.
+    /// Returns `true` only when the conjunction is proven empty: bottom, or an exact
+    /// simplex verdict `Infeasible` over ℚ.
     ///
-    /// This is the entry point for the infeasible-transition pruning pass: a
-    /// premise `I(source) ∧ guard` that is contradictory can be dropped before
-    /// the Handelman encoding ever sees it (contradictory premise products
-    /// poison the f64 simplex with degraded reinversions). Pruning is only
-    /// sound in one direction, so anything short of a definite exact
-    /// `Infeasible` — including an f64 infeasibility verdict, which can be a
-    /// numerical artifact — answers `false` and keeps the transition.
-    pub fn definitely_empty_exact(&self) -> bool {
+    /// Emptiness is only sound in one direction: an empty polyhedron marks its
+    /// states unreachable, and the infeasible-transition pruning pass drops a
+    /// premise `I(source) ∧ guard` it proves empty before the Handelman encoding
+    /// sees it. So anything short of a definite `Infeasible` (a solve that did not
+    /// converge) answers `false`.
+    pub fn is_empty(&self) -> bool {
+        self.is_empty_counted(&LpCounter::default())
+    }
+
+    /// [`Polyhedron::is_empty`], counting its LP (if any) in `lps`.
+    fn is_empty_counted(&self, lps: &LpCounter) -> bool {
         match &self.constraints {
             None => true,
             Some(cs) if cs.is_empty() => false,
             Some(cs) => {
                 let (lp, _) = Self::build_lp(cs, None);
-                // Float prescreen: if f64 finds the premise feasible, keep the
-                // transition without paying an exact solve — keeping is always
-                // sound, and feasible premises are the overwhelmingly common
-                // case. Only an f64 infeasibility *suspicion* (which may be a
-                // numerical artifact) escalates to the exact simplex, whose
-                // verdict alone may prune.
-                if lp.solve_f64().status != LpStatus::Infeasible {
-                    return false;
-                }
-                lp.solve_exact().status == LpStatus::Infeasible
+                lps.solve(&lp).status == LpStatus::Infeasible
             }
         }
-    }
-
-    /// Returns `true` unless the `f64` simplex finds the conjunction infeasible.
-    ///
-    /// Only a definite `Infeasible` answer may collapse a polyhedron to bottom:
-    /// treating a non-converged f64 solve (iteration limit, timeout, or the
-    /// post-solve feasibility downgrade) as "empty" would mark reachable states
-    /// unreachable and make the synthesized thresholds unsound.
-    fn feasible(constraints: &[LinExpr], lps: &LpCounter) -> bool {
-        let (lp, _) = Self::build_lp(constraints, None);
-        lps.solve_f64(&lp).status != LpStatus::Infeasible
     }
 
     /// Returns `true` if every point of the polyhedron satisfies `expr ≥ 0`.
     ///
     /// Holds structurally when `expr − c` is a non-negative constant for some conjunct
-    /// `c`; otherwise decided by minimizing `expr` over the polyhedron with the `f64`
-    /// simplex: the implication holds iff the minimum is non-negative (or the
-    /// polyhedron is empty / the LP is infeasible).
+    /// `c`; otherwise decided by minimizing `expr` over the polyhedron with the exact
+    /// simplex: the implication holds iff the exact minimum plus the constant term is
+    /// not negative (or the polyhedron is empty / the LP is infeasible).
     pub fn entails(&self, expr: &LinExpr) -> bool {
         self.entails_counted(expr, &LpCounter::default())
     }
@@ -202,12 +182,11 @@ impl Polyhedron {
             .map(|(v, c)| (var_of(*v), c.clone()))
             .collect();
         lp.set_objective(objective);
-        let solution = lps.solve_f64(&lp);
+        let solution = lps.solve(&lp);
         match solution.status {
-            LpStatus::Optimal => {
-                let min = solution.objective.unwrap_or(0.0) + expr.constant_term().to_f64();
-                min >= -1e-6
-            }
+            LpStatus::Optimal => solution
+                .objective
+                .is_some_and(|min| !(&min + expr.constant_term()).is_negative()),
             LpStatus::Infeasible => true,
             // Unbounded below means some point violates expr >= 0; a non-converged
             // solve must conservatively answer "not entailed".
@@ -492,6 +471,41 @@ mod tests {
         assert!(p.entails(&(LinExpr::var(x) - LinExpr::from_int(3))));
         assert!(p.entails(&LinExpr::var(x)));
         assert!(!p.entails(&(LinExpr::var(y) - LinExpr::var(x))));
+    }
+
+    /// Counterexamples to a tolerance: `x = 0` (and `x = y = 0`) violates each
+    /// query by less than `1e-6`, so a float minimum read with that slack would call
+    /// them entailed.
+    #[test]
+    fn entailment_has_no_tolerance() {
+        let (_, x, y) = setup();
+        let tiny = |exponent: u32| dca_numeric::Rational::new(1, 10i64.pow(exponent));
+        let p = Polyhedron::from_constraints([LinExpr::var(x)]);
+        assert!(!p.entails(&(LinExpr::var(x) - LinExpr::constant(tiny(9)))));
+        let p = Polyhedron::from_constraints([LinExpr::var(x), LinExpr::var(y)]);
+        let query = LinExpr::var(x) + LinExpr::var(y) - LinExpr::constant(tiny(7));
+        assert!(!p.entails(&query));
+        // The exact minimum 0 is itself entailed.
+        assert!(p.entails(&(LinExpr::var(x) + LinExpr::var(y))));
+    }
+
+    #[test]
+    fn emptiness_is_exact_and_counts_only_when_normalizing() {
+        let (_, x, _) = setup();
+        // x ≥ 1/10⁹ ∧ x ≤ 0 is empty by a margin no float tolerance would see.
+        let tiny = dca_numeric::Rational::new(1, 1_000_000_000);
+        let mut p = Polyhedron::from_constraints([
+            LinExpr::var(x) - LinExpr::constant(tiny),
+            -LinExpr::var(x),
+        ]);
+        assert!(p.is_empty());
+        assert!(!p.is_bottom());
+        let lps = LpCounter::default();
+        p.normalize_emptiness(&lps);
+        assert!(p.is_bottom());
+        assert_eq!(lps.count(), 1);
+        assert!(!Polyhedron::top().is_empty());
+        assert!(!Polyhedron::from_constraints([LinExpr::var(x)]).is_empty());
     }
 
     #[test]

@@ -548,7 +548,7 @@ mod tests {
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
-            let revised = float::solve(form.clone(), &Deadline::unlimited(), None);
+            let revised = float::propose(form.clone(), &Deadline::unlimited(), None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             // `IterationLimit` is an honest "don't know" on either side; only compare
             // definitive answers.
@@ -606,7 +606,7 @@ mod tests {
             let objective = |values: &[f64]| -> f64 {
                 values.iter().zip(&costs).map(|(v, c)| v * c).sum()
             };
-            let revised = float::solve(form.clone(), &Deadline::unlimited(), None);
+            let revised = float::propose(form.clone(), &Deadline::unlimited(), None);
             let dense = solve_dense(&form, &Deadline::unlimited(), 0.0);
             if revised.status == LpStatus::IterationLimit
                 || dense.status == LpStatus::IterationLimit

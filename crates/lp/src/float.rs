@@ -1,15 +1,15 @@
 //! The `f64` revised simplex: it only *proposes*.
 //!
-//! Its verdicts steer the certified solve ([`crate::certify`]), which decides every
-//! answer in exact arithmetic, and the invariant engine's `solve_f64` callers read
-//! any status other than `Optimal` or `Infeasible` conservatively. So when a float
-//! run cannot tell what it is looking at — a direction with no usable blocking row
-//! that is not a clear ray, or basic values visibly negative at the end — it reports
-//! [`LpStatus::IterationLimit`], the honest "don't know", instead of trying to rescue
-//! the run.
+//! Its one caller is the certified solve ([`crate::certify`]), which reads every
+//! float status as a hint and decides every answer in exact arithmetic. So when a
+//! float run cannot tell what it is looking at — a direction with no usable blocking
+//! row that is not a clear ray, or basic values visibly negative at the end — it
+//! reports [`LpStatus::IterationLimit`], the honest "don't know", instead of trying
+//! to rescue the run.
 //!
-//! A solve owns its form and equilibrates (and, for large forms, perturbs) it in
-//! place ([`equilibrate`]). Pricing recomputes the reduced costs from a fresh
+//! A run owns its form, the `f64` image of the exact one
+//! ([`crate::certify::float_image`]), and equilibrates (and, for large forms,
+//! perturbs) it in place ([`equilibrate`]). Pricing recomputes the reduced costs from a fresh
 //! `BTRAN` every iteration, so there is no incrementally maintained (and drifting)
 //! reduced-cost row at all; the eta file is rebuilt every [`REINVERT_EVERY`] pivots
 //! and before every verdict ([`Factorization::reinvert`]), clearing accumulated
@@ -56,45 +56,24 @@ const REINVERT_EVERY: usize = 64;
 /// equilibrated system, whose entries are at most 1 in magnitude).
 const PERTURBATION: f64 = 1e-7;
 
-/// Row count from which the perturbation is applied on the first attempt rather than
-/// only on the infeasibility retry.
+/// Row count from which the anti-degeneracy perturbation is applied.
 const PERTURB_ROWS_THRESHOLD: usize = 384;
 
-/// Solves a standard-form problem in `f64`.
+/// Proposes a solution of a standard-form problem in `f64`: the certified solve's
+/// float phase.
 ///
 /// `warm` seeds the initial basis with preferred structural columns; columns that
 /// are dependent in the new system are silently dropped, so a stale warm start
 /// degrades gracefully to a cold one. The deadline is polled every few pivots.
 ///
-/// An `Infeasible` verdict is re-examined once on a *perturbed* copy of the problem:
-/// on heavily degenerate systems (the Handelman encodings are almost entirely
-/// coefficient-matching equalities with zero right-hand sides) phase 1 can stall at a
-/// positive objective even though the system is feasible — every improving pivot has
-/// ratio zero and the tolerance-guided pricing goes in circles. A tiny deterministic
-/// positive offset on each right-hand side (the classical lexicographic-perturbation
-/// cure) makes every pivot make real progress. The retry resumes from the failed
-/// solve's final basis, on the one copy of the form kept for it.
-pub(crate) fn solve(
-    form: StandardForm<f64>,
-    deadline: &Deadline,
-    warm: Option<&[usize]>,
-) -> RawSolution<f64> {
-    if form.num_rows() >= PERTURB_ROWS_THRESHOLD {
-        return propose(form, deadline, warm);
-    }
-    let retry = form.clone();
-    let solution = solve_scaled(form, deadline, 0.0, warm);
-    if solution.status == LpStatus::Infeasible {
-        let retry_warm = if solution.basis.is_empty() { warm } else { Some(&solution.basis[..]) };
-        return solve_scaled(retry, deadline, PERTURBATION, retry_warm);
-    }
-    solution
-}
-
-/// One attempt of [`solve`], without the infeasibility retry: the certified
-/// solve's float phase. Large Handelman systems stall often enough that the stall
-/// is the *expected* failure mode, and the stall itself is what burns the time, so
-/// from [`PERTURB_ROWS_THRESHOLD`] rows on the perturbation is applied from the start.
+/// On heavily degenerate systems (the Handelman encodings are almost entirely
+/// coefficient-matching equalities with zero right-hand sides) the tolerance-guided
+/// pricing can go in circles: every improving pivot has ratio zero. A tiny
+/// deterministic positive offset on each right-hand side (the classical
+/// lexicographic-perturbation cure) makes every pivot make real progress. Large
+/// systems stall often enough that the stall is the *expected* failure mode, and the
+/// stall itself is what burns the time, so from [`PERTURB_ROWS_THRESHOLD`] rows on
+/// the perturbation is applied from the start; smaller ones run unperturbed.
 pub(crate) fn propose(
     form: StandardForm<f64>,
     deadline: &Deadline,
@@ -117,11 +96,11 @@ fn solve_scaled(
         return RawSolution::unconstrained(&form.costs);
     }
     let (column_scales, total_perturbation) = equilibrate(&mut form, perturbation);
-    // `Infeasible` is a *definitive* answer to callers, and a phase-1 residual of
-    // accumulated round-off looks like a slightly infeasible system; so it is only
-    // reported above this noise floor (which accounts for the perturbation).
-    // Sub-threshold residuals proceed to phase 2; `LpProblem::solve_f64` re-checks
-    // the final answer against the original constraints either way.
+    // A phase-1 residual of accumulated round-off looks like a slightly infeasible
+    // system, so `Infeasible` is only reported above this noise floor (which accounts
+    // for the perturbation); sub-threshold residuals proceed to phase 2. The
+    // certified solve reads every float status as a hint, so the floor decides no
+    // answer; it stays as it is because it fixes where the float pivot paths go.
     let noise_floor = 1e-6 * (num_rows as f64).max(1.0) + 2.0 * total_perturbation;
     let mut solution = two_phase(&form, deadline, warm, noise_floor);
     match solution.status {
@@ -286,7 +265,7 @@ fn optimize(
             // of pivots; on a freshly reinverted factorization a residual at the 1e-6
             // scale (equilibrated data) is numerical dust — clamp it and accept.
             // Anything larger means the basis cannot be trusted: "don't know".
-            // `solve_f64` re-checks the answer against the original constraints, so
+            // The certifier re-checks every proposed basis in exact arithmetic, so
             // an over-eager clamp cannot smuggle in an unsound optimum.
             const FEAS_EPS: f64 = 1e-6;
             if simplex.x_basic.iter().any(|v| *v < -FEAS_EPS) {
@@ -467,7 +446,7 @@ impl Factorization<f64> {
 /// (`abs` and `is_zero` are the scalar ones: within `F64_EPS` of zero counts as
 /// zero.)
 ///
-/// The anti-degeneracy perturbation (see [`solve`]) then adds a small deterministic
+/// The anti-degeneracy perturbation (see [`propose`]) then adds a small deterministic
 /// positive offset per row, varied across rows so no two ratios tie; the second
 /// return value is the sum of the offsets.
 fn equilibrate(form: &mut StandardForm<f64>, perturbation: f64) -> (Vec<f64>, f64) {
@@ -537,7 +516,7 @@ mod tests {
     use super::*;
 
     fn solve_cold(form: &StandardForm<f64>) -> RawSolution<f64> {
-        solve(form.clone(), &Deadline::unlimited(), None)
+        propose(form.clone(), &Deadline::unlimited(), None)
     }
 
     #[test]
@@ -594,7 +573,7 @@ mod tests {
         assert_eq!(cold.status, LpStatus::Optimal);
         assert!((cold.values[0] - 1.6).abs() < 1e-6);
         assert!((cold.values[1] - 1.2).abs() < 1e-6);
-        let warm = solve(form, &Deadline::unlimited(), Some(&cold.basis));
+        let warm = propose(form, &Deadline::unlimited(), Some(&cold.basis));
         assert_eq!(warm.status, LpStatus::Optimal);
         assert!((warm.values[0] - 1.6).abs() < 1e-6);
         // The warm start lands on the optimal basis: phase 1 is skipped entirely and

@@ -17,8 +17,8 @@
 //! loop equilibrates its own `f64` form in place, and row generation gathers its
 //! core columns once, in time linear in their non-zeros (a core that excludes no
 //! column is the form itself). Every solve runs on the
-//! standard form exactly as built, with no reduction pass in front. Three entry
-//! points run the two loops:
+//! standard form exactly as built, with no reduction pass in front. Two entry
+//! points run the two loops, and in both every verdict is exact:
 //!
 //! * [`LpProblem::solve_certified`] is the analysis's LP path: the `f64` simplex
 //!   only proposes a candidate optimal basis, an exact-rational certifier accepts
@@ -28,13 +28,14 @@
 //!   solve of the core without the lazy ones (every column, when there are
 //!   none), one exact pricing pass over them against the dual the deciding run
 //!   stopped on, and, only if one prices in, one exact solve over every column;
-//! * [`LpProblem::solve_exact`] runs the exact loop from scratch (the
-//!   cross-checking reference);
-//! * [`LpProblem::solve_f64`] runs the float loop alone, behind the
-//!   invariant engine's entailment and emptiness queries and
-//!   `dca_core::verify::bound_var`. Its callers read every status other than
-//!   `Optimal` and `Infeasible` — [`LpStatus::IterationLimit`] in particular, the
-//!   float simplex's honest "don't know" — conservatively.
+//! * [`LpProblem::solve_exact`] runs the exact loop alone, from scratch: the
+//!   cross-checking reference, and the solve behind the invariant engine's
+//!   entailment and emptiness queries and `dca_core::verify::bound_var`, whose
+//!   LPs are a few rows each.
+//!
+//! The float loop has no entry point of its own: its only input is the `f64` image
+//! of an exact standard form, and the certified solve reads every status it
+//! reports as a hint.
 //!
 //! Solves can be *warm-started* from the final basis of a previous related problem
 //! (the `warm` argument of [`LpProblem::solve_certified`], an [`LpBasis`]): basic

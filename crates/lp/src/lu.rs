@@ -713,18 +713,11 @@ mod tests {
         // eta of weight 2 per pivot after the first. A Gauss–Jordan product form
         // carries every earlier column's entries forward instead (quadratic fill).
         let size = 12usize;
-        let matrix: Vec<Vec<Rational>> = (0..size)
-            .map(|i| {
-                (0..size)
-                    .map(|j| match j {
-                        _ if j == i => r(2, 1),
-                        _ if j == i + 1 => r(-3, 1),
-                        _ => Rational::zero(),
-                    })
-                    .collect()
-            })
-            .collect();
-        let cols = columns(&matrix);
+        let bidiagonal = (0..size).map(|j| {
+            let above = j.checked_sub(1).map(|i| (i, r(-3, 1)));
+            above.into_iter().chain([(j, r(2, 1))]).collect()
+        });
+        let cols = Columns { cols: bidiagonal.collect(), rows: size };
         let basis: Vec<usize> = (0..size).collect();
         let lu = factorize_markowitz(&cols, &basis);
         assert_eq!(artificial_rows(&lu, &basis), 0);

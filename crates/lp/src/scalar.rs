@@ -16,8 +16,6 @@ pub trait Scalar: Clone + std::fmt::Debug + PartialEq {
     fn zero() -> Self;
     /// The multiplicative identity.
     fn one() -> Self;
-    /// Conversion from an exact rational coefficient.
-    fn from_rational(r: &Rational) -> Self;
     /// Approximate conversion used for reporting.
     fn to_f64(&self) -> f64;
 
@@ -84,9 +82,6 @@ impl Scalar for f64 {
     fn one() -> Self {
         1.0
     }
-    fn from_rational(r: &Rational) -> Self {
-        r.to_f64()
-    }
     fn to_f64(&self) -> f64 {
         *self
     }
@@ -133,9 +128,6 @@ impl Scalar for Rational {
     }
     fn one() -> Self {
         Rational::one()
-    }
-    fn from_rational(r: &Rational) -> Self {
-        r.clone()
     }
     fn to_f64(&self) -> f64 {
         Rational::to_f64(self)
@@ -197,8 +189,7 @@ mod tests {
     #[test]
     fn conversions() {
         let half = Rational::new(1, 2);
-        assert_eq!(<f64 as Scalar>::from_rational(&half), 0.5);
-        assert_eq!(<Rational as Scalar>::from_rational(&half), half);
         assert_eq!(Scalar::to_f64(&half), 0.5);
+        assert_eq!(Scalar::to_f64(&0.5f64), 0.5);
     }
 }
