@@ -8,7 +8,7 @@
 //! executions.
 
 use dca_ir::{CostExplorer, IntValuation, State, TransitionSystem};
-use dca_lp::{ConstraintOp, LpProblem, LpStatus, VarKind};
+use dca_invariants::Polyhedron;
 use dca_numeric::Rational;
 use dca_poly::{LinExpr, VarId};
 
@@ -75,29 +75,10 @@ pub fn input_box(program: &AnalyzedProgram) -> Vec<(VarId, i64, i64)> {
 /// LP has no optimum (unbounded or infeasible) or the rounded optimum is outside
 /// `i64`.
 pub(crate) fn bound_var(theta0: &[LinExpr], var: VarId, minimize: bool) -> Option<i64> {
-    let mut vars: Vec<VarId> = theta0.iter().flat_map(LinExpr::vars).collect();
-    vars.push(var);
-    vars.sort();
-    vars.dedup();
-    let mut lp = LpProblem::new();
-    let lp_vars: std::collections::BTreeMap<VarId, dca_lp::LpVar> = vars
-        .iter()
-        .map(|&v| (v, lp.add_var(format!("x{}", v.0), VarKind::Free)))
-        .collect();
-    for constraint in theta0 {
-        let terms: Vec<_> = constraint
-            .iter()
-            .map(|(v, c)| (lp_vars[v], c.clone()))
-            .collect();
-        lp.add_constraint(terms, ConstraintOp::Ge, -constraint.constant_term().clone());
-    }
     let sign = if minimize { Rational::one() } else { Rational::from_int(-1) };
-    lp.set_objective(vec![(lp_vars[&var], sign)]);
-    let solution = lp.solve_exact();
-    if solution.status != LpStatus::Optimal {
-        return None;
-    }
-    solution.value(lp_vars[&var]).round().to_i64()
+    let theta0 = Polyhedron::from_constraints(theta0.iter().cloned());
+    let optimum = theta0.minimum(&LinExpr::var(var).scale(&sign))?;
+    (&optimum * &sign).round().to_i64()
 }
 
 /// Samples initial valuations of a program satisfying Θ0 (cost fixed to 0).

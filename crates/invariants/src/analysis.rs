@@ -5,7 +5,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use dca_ir::{LocId, LoopNest, TransitionSystem, Update};
 use dca_poly::{LinExpr, VarId};
 
-use crate::polyhedron::{LpCounter, Polyhedron};
+use crate::polyhedron::Polyhedron;
+use crate::queries::Queries;
 
 /// A map from program locations to affine invariants.
 #[derive(Debug, Clone)]
@@ -16,8 +17,10 @@ pub struct InvariantMap {
 
 impl InvariantMap {
     /// The number of exact LP solves the analysis that built this map made
-    /// (emptiness and entailment checks; queries decided structurally are not
-    /// counted). Deterministic for a given transition system.
+    /// (emptiness and entailment checks). Queries decided without an LP are not
+    /// counted: structurally, by an answer the analysis already has for the same
+    /// constraint list, or by a known exact point of the polyhedron.
+    /// Deterministic for a given transition system.
     pub fn lp_queries(&self) -> usize {
         self.lp_queries
     }
@@ -99,17 +102,17 @@ impl InvariantAnalysis {
     /// every reachable state `(ℓ, x)` the valuation `x` satisfies the invariant at `ℓ`.
     pub fn analyze(&self, ts: &TransitionSystem) -> InvariantMap {
         let fresh_base = ts.pool().len() as u32 + 16;
-        let lps = LpCounter::default();
-        let mut invariants = self.fixpoint(ts, fresh_base, &lps);
+        let queries = Queries::default();
+        let mut invariants = self.fixpoint(ts, fresh_base, &queries);
         // Final cleanup: drop LP-redundant constraints at locations whose invariant grew
         // large. This keeps the Handelman product sets (and therefore the synthesis LP)
         // small downstream.
         for polyhedron in invariants.values_mut() {
             if polyhedron.constraints().is_some_and(|cs| cs.len() > REDUCE_ABOVE) {
-                *polyhedron = polyhedron.reduce(&lps);
+                *polyhedron = polyhedron.reduce(&queries);
             }
         }
-        InvariantMap { invariants, lp_queries: lps.count() }
+        InvariantMap { invariants, lp_queries: queries.lp_queries() }
     }
 
     /// The ascending (widening) fixpoint.
@@ -117,7 +120,7 @@ impl InvariantAnalysis {
         &self,
         ts: &TransitionSystem,
         fresh_base: u32,
-        lps: &LpCounter,
+        queries: &Queries,
     ) -> BTreeMap<LocId, Polyhedron> {
         // Widening fires only on deliveries along *back edges*. Termination is
         // preserved — an infinite ascending chain must propagate around a cycle, every
@@ -141,7 +144,7 @@ impl InvariantAnalysis {
         }
         let mut initial = Polyhedron::from_constraints(ts.theta0().iter().cloned())
             .project_out(ts.cost_var());
-        initial.normalize_emptiness(lps);
+        initial.normalize_emptiness(queries);
         invariants.insert(ts.initial(), initial);
 
         let mut worklist: VecDeque<LocId> = VecDeque::new();
@@ -169,13 +172,13 @@ impl InvariantAnalysis {
                 if transition.source == ts.terminal() && transition.target == ts.terminal() {
                     continue; // terminal self-loop carries no information
                 }
-                let post = self.post(ts, &current, transition, fresh_base, lps);
+                let post = self.post(ts, &current, transition, fresh_base, queries);
                 if post.is_bottom() {
                     continue;
                 }
                 let target = transition.target;
                 let existing = invariants[&target].clone();
-                if post.entails_all(&existing, lps) && !existing.is_bottom() {
+                if post.entails_all(&existing, queries) && !existing.is_bottom() {
                     continue; // no new information
                 }
                 let may_widen = back_edges.contains(&index);
@@ -187,9 +190,9 @@ impl InvariantAnalysis {
                 }
                 // `updated` contains the nonempty `post` (a join or widening keeps
                 // every point of its operand), so it needs no emptiness check.
-                let joined = existing.join(&post, lps);
+                let joined = existing.join(&post, queries);
                 let updated = if may_widen && *count > WIDENING_DELAY {
-                    existing.widen(&joined, lps)
+                    existing.widen(&joined, queries)
                 } else {
                     joined
                 };
@@ -211,7 +214,7 @@ impl InvariantAnalysis {
         pre: &Polyhedron,
         transition: &dca_ir::Transition,
         fresh_base: u32,
-        lps: &LpCounter,
+        queries: &Queries,
     ) -> Polyhedron {
         let mut guarded = pre.clone();
         guarded.add_constraints(&transition.guard);
@@ -228,8 +231,8 @@ impl InvariantAnalysis {
             })
             .collect();
         // The image is bottom exactly when the guard conjunction is empty, which
-        // `assign_simultaneous` decides on its input (one LP).
-        guarded.assign_simultaneous(&updates, fresh_base, lps)
+        // `assign_simultaneous` decides on its input (at most one LP).
+        guarded.assign_simultaneous(&updates, fresh_base, queries)
     }
 }
 
@@ -441,10 +444,10 @@ mod tests {
         b.transition(dead, out).finish();
         let ts = b.build().unwrap();
         let analysis = InvariantAnalysis;
-        let lps = LpCounter::default();
+        let queries = Queries::default();
         let pre = Polyhedron::from_constraints([LinExpr::var(x)]);
-        assert!(analysis.post(&ts, &pre, &ts.transitions()[0], 100, &lps).is_bottom());
-        assert_eq!(lps.count(), 1);
+        assert!(analysis.post(&ts, &pre, &ts.transitions()[0], 100, &queries).is_bottom());
+        assert_eq!(queries.lp_queries(), 1);
         let invariants = analysis.analyze(&ts);
         assert!(invariants.at(dead).is_bottom(), "{}", invariants.render(&ts));
         assert!(!invariants.at(out).is_bottom());

@@ -10,13 +10,18 @@
 //!   answer follows from the operands' structure are decided exactly without an LP (an
 //!   entailment `expr ≥ 0` where `expr − c` is a non-negative constant for a conjunct
 //!   `c`; the non-emptiness of a join, widening or affine image of a nonempty operand).
-//!   Every other emptiness and entailment check is an exact rational LP with no
-//!   tolerance, including [`Polyhedron::is_empty`], the encoder's pruning verdict;
+//!   Every other emptiness and entailment check is exact with no tolerance,
+//!   including [`Polyhedron::is_empty`], the encoder's pruning verdict. One analysis
+//!   keeps one exact LP session per constraint list: a query it already decided is
+//!   recalled, a known exact point of the polyhedron refutes an entailment or
+//!   proves non-emptiness, and only the rest run an exact LP, warm-started from
+//!   the session's last basis;
 //! * [`InvariantAnalysis`] — a forward abstract-interpretation fixpoint over a
 //!   [`TransitionSystem`](dca_ir::TransitionSystem) producing an [`InvariantMap`].
 //!   Widening fires only along the back edges reported by [`dca_ir::LoopNest`], so
 //!   facts established before a loop (or by an earlier loop) survive into it.
-//!   [`InvariantMap::lp_queries`] counts the exact LPs the analysis solved;
+//!   [`InvariantMap::lp_queries`] counts the exact LPs the analysis solved
+//!   (recalled and point-decided queries are not LPs);
 //! * support for merging user-supplied invariants, mirroring the paper's manual
 //!   strengthening of the `*`-marked benchmarks.
 //!
@@ -59,6 +64,7 @@
 
 mod analysis;
 mod polyhedron;
+mod queries;
 
 pub use analysis::{InvariantAnalysis, InvariantMap};
 pub use polyhedron::{interval, Polyhedron};

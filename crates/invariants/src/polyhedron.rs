@@ -1,38 +1,26 @@
 //! A convex-polyhedra-lite abstract domain: conjunctions of affine inequalities.
 
-use std::cell::Cell;
-
-use dca_lp::{ConstraintOp, LpProblem, LpResult, LpStatus, VarKind};
+use dca_numeric::Rational;
 use dca_poly::{LinExpr, VarId};
 
-/// Counts the exact LP solves one invariant analysis makes (reported by
-/// [`InvariantMap::lp_queries`](crate::InvariantMap::lp_queries)). Every LP the
-/// analysis runs goes through [`LpCounter::solve`].
-#[derive(Debug, Default)]
-pub(crate) struct LpCounter(Cell<usize>);
-
-impl LpCounter {
-    /// The number of LPs solved so far.
-    pub(crate) fn count(&self) -> usize {
-        self.0.get()
-    }
-
-    fn solve(&self, lp: &LpProblem) -> LpResult {
-        self.0.set(self.0.get() + 1);
-        lp.solve_exact()
-    }
-}
+use crate::queries::Queries;
 
 /// A conjunction of affine inequalities `expr ≥ 0`, or the empty (unreachable) element.
 ///
 /// The element `Top` is represented by an empty constraint list. Every decision is
-/// exact, and of one of two kinds:
+/// exact, and of one of three kinds:
 ///
 /// * **structural** (no LP): an entailment query `expr ≥ 0` where `expr − c` is a
 ///   non-negative constant for some conjunct `c`, and the non-emptiness of a join,
 ///   widening or affine image of a nonempty operand;
+/// * **recalled** (no LP): within one analysis, a query on a constraint list that an
+///   earlier exact LP already decided — the same emptiness question, or a form whose
+///   exact minimum is known — and a query decided by a known exact point of the
+///   polyhedron, which refutes an entailment it violates and proves non-emptiness
+///   (an earlier LP's optimal vertex, checked exactly against these constraints);
 /// * **exact LP** (over the rationals, no tolerance): every other emptiness and
-///   entailment check.
+///   entailment check, warm-started from the basis of the last LP over the same
+///   constraint list.
 ///
 /// The deliberate precision losses are the weak join, widening, and the cap on
 /// Fourier–Motzkin growth.
@@ -120,9 +108,9 @@ impl Polyhedron {
     }
 
     /// Collapses to bottom if [`Polyhedron::is_empty`] proves the constraints
-    /// infeasible, counting the LP in `lps`.
-    pub(crate) fn normalize_emptiness(&mut self, lps: &LpCounter) {
-        if self.is_empty_counted(lps) {
+    /// infeasible, deciding it in `queries`.
+    pub(crate) fn normalize_emptiness(&mut self, queries: &Queries) {
+        if self.is_empty_in(queries) {
             self.constraints = None;
         }
     }
@@ -136,18 +124,15 @@ impl Polyhedron {
     /// sees it. So anything short of a definite `Infeasible` (a solve that did not
     /// converge) answers `false`.
     pub fn is_empty(&self) -> bool {
-        self.is_empty_counted(&LpCounter::default())
+        self.is_empty_in(&Queries::default())
     }
 
-    /// [`Polyhedron::is_empty`], counting its LP (if any) in `lps`.
-    fn is_empty_counted(&self, lps: &LpCounter) -> bool {
+    /// [`Polyhedron::is_empty`], decided in (and counted by) `queries`.
+    pub(crate) fn is_empty_in(&self, queries: &Queries) -> bool {
         match &self.constraints {
             None => true,
             Some(cs) if cs.is_empty() => false,
-            Some(cs) => {
-                let (lp, _) = Self::build_lp(cs, None);
-                lps.solve(&lp).status == LpStatus::Infeasible
-            }
+            Some(cs) => queries.is_empty(cs),
         }
     }
 
@@ -156,13 +141,15 @@ impl Polyhedron {
     /// Holds structurally when `expr − c` is a non-negative constant for some conjunct
     /// `c`; otherwise decided by minimizing `expr` over the polyhedron with the exact
     /// simplex: the implication holds iff the exact minimum plus the constant term is
-    /// not negative (or the polyhedron is empty / the LP is infeasible).
+    /// not negative (or the polyhedron is empty / the LP is infeasible). A variable
+    /// no conjunct mentions is unbounded, so `expr` is then entailed exactly when the
+    /// polyhedron is empty.
     pub fn entails(&self, expr: &LinExpr) -> bool {
-        self.entails_counted(expr, &LpCounter::default())
+        self.entails_in(expr, &Queries::default())
     }
 
-    /// [`Polyhedron::entails`], counting its LP (if any) in `lps`.
-    pub(crate) fn entails_counted(&self, expr: &LinExpr, lps: &LpCounter) -> bool {
+    /// [`Polyhedron::entails`], decided in (and counted by) `queries`.
+    pub(crate) fn entails_in(&self, expr: &LinExpr, queries: &Queries) -> bool {
         let Some(cs) = &self.constraints else {
             return true;
         };
@@ -176,30 +163,31 @@ impl Polyhedron {
         {
             return true;
         }
-        let (mut lp, var_of) = Self::build_lp(cs, Some(expr));
-        let objective: Vec<_> = expr
-            .iter()
-            .map(|(v, c)| (var_of(*v), c.clone()))
-            .collect();
-        lp.set_objective(objective);
-        let solution = lps.solve(&lp);
-        match solution.status {
-            LpStatus::Optimal => solution
-                .objective
-                .is_some_and(|min| !(&min + expr.constant_term()).is_negative()),
-            LpStatus::Infeasible => true,
-            // Unbounded below means some point violates expr >= 0; a non-converged
-            // solve must conservatively answer "not entailed".
-            LpStatus::Unbounded | LpStatus::IterationLimit | LpStatus::TimedOut => false,
-        }
+        queries.entails(cs, expr)
+    }
+
+    /// The exact minimum of `expr` over the polyhedron: `None` when it is empty or
+    /// `expr` is unbounded below on it (or the exact simplex did not converge).
+    ///
+    /// ```
+    /// use dca_invariants::{interval, Polyhedron};
+    /// use dca_numeric::Rational;
+    /// use dca_poly::{LinExpr, VarId};
+    /// let p = Polyhedron::from_constraints(interval(VarId(0), 3, 7));
+    /// assert_eq!(p.minimum(&-LinExpr::var(VarId(0))), Some(Rational::from_int(-7)));
+    /// assert_eq!(p.minimum(&LinExpr::var(VarId(1))), None);
+    /// ```
+    pub fn minimum(&self, expr: &LinExpr) -> Option<Rational> {
+        let cs = self.constraints.as_deref()?;
+        Queries::default().minimum(cs, expr)
     }
 
     /// Returns `true` if `self` is contained in `other` (every constraint of `other` is
     /// entailed by `self`).
-    pub(crate) fn entails_all(&self, other: &Polyhedron, lps: &LpCounter) -> bool {
+    pub(crate) fn entails_all(&self, other: &Polyhedron, queries: &Queries) -> bool {
         match &other.constraints {
             None => self.is_bottom(),
-            Some(cs) => cs.iter().all(|c| self.entails_counted(c, lps)),
+            Some(cs) => cs.iter().all(|c| self.entails_in(c, queries)),
         }
     }
 
@@ -207,19 +195,19 @@ impl Polyhedron {
     ///
     /// This is weaker than the convex hull but sound (the result contains both operands,
     /// so it is nonempty whenever either is) and cheap. Bottom is the identity.
-    pub(crate) fn join(&self, other: &Polyhedron, lps: &LpCounter) -> Polyhedron {
+    pub(crate) fn join(&self, other: &Polyhedron, queries: &Queries) -> Polyhedron {
         match (&self.constraints, &other.constraints) {
             (None, _) => other.clone(),
             (_, None) => self.clone(),
             (Some(a), Some(b)) => {
                 let mut kept: Vec<LinExpr> = Vec::new();
                 for c in a {
-                    if other.entails_counted(c, lps) {
+                    if other.entails_in(c, queries) {
                         kept.push(c.clone());
                     }
                 }
                 for c in b {
-                    if self.entails_counted(c, lps) && !kept.contains(c) {
+                    if self.entails_in(c, queries) && !kept.contains(c) {
                         kept.push(c.clone());
                     }
                 }
@@ -230,13 +218,13 @@ impl Polyhedron {
 
     /// Standard widening: keeps only the constraints of `self` that still hold in `next`
     /// (so the result contains `next`).
-    pub(crate) fn widen(&self, next: &Polyhedron, lps: &LpCounter) -> Polyhedron {
+    pub(crate) fn widen(&self, next: &Polyhedron, queries: &Queries) -> Polyhedron {
         match (&self.constraints, &next.constraints) {
             (None, _) => next.clone(),
             (_, None) => self.clone(),
             (Some(a), Some(_)) => {
                 let kept: Vec<LinExpr> =
-                    a.iter().filter(|c| next.entails_counted(c, lps)).cloned().collect();
+                    a.iter().filter(|c| next.entails_in(c, queries)).cloned().collect();
                 Polyhedron { constraints: Some(kept) }
             }
         }
@@ -296,12 +284,12 @@ impl Polyhedron {
         &self,
         updates: &[(VarId, Option<LinExpr>)],
         fresh_base: u32,
-        lps: &LpCounter,
+        queries: &Queries,
     ) -> Polyhedron {
         // Bottom stays canonical by checking the input, not the image: the image of a
         // nonempty set is nonempty, and the Fourier–Motzkin cap only drops constraints.
         let mut extended = self.clone();
-        extended.normalize_emptiness(lps);
+        extended.normalize_emptiness(queries);
         if extended.is_bottom() || updates.is_empty() {
             return extended;
         }
@@ -350,7 +338,7 @@ impl Polyhedron {
     }
 
     /// Removes constraints that are entailed by the remaining ones (cheap cleanup pass).
-    pub(crate) fn reduce(&self, lps: &LpCounter) -> Polyhedron {
+    pub(crate) fn reduce(&self, queries: &Queries) -> Polyhedron {
         let Some(cs) = &self.constraints else {
             return Polyhedron::bottom();
         };
@@ -361,40 +349,13 @@ impl Polyhedron {
             let mut rest: Vec<LinExpr> = kept.clone();
             rest.remove(index);
             let rest_poly = Polyhedron { constraints: Some(rest.clone()) };
-            if rest_poly.entails_counted(&candidate, lps) {
+            if rest_poly.entails_in(&candidate, queries) {
                 kept = rest;
             } else {
                 index += 1;
             }
         }
         Polyhedron { constraints: Some(kept) }
-    }
-
-    /// Builds the LP "all constraints hold" over the variables mentioned, mapping each
-    /// program variable to a free LP variable. Returns the problem and the mapping.
-    fn build_lp(
-        constraints: &[LinExpr],
-        extra: Option<&LinExpr>,
-    ) -> (LpProblem, impl Fn(VarId) -> dca_lp::LpVar) {
-        let mut vars: Vec<VarId> = constraints.iter().flat_map(LinExpr::vars).collect();
-        if let Some(e) = extra {
-            vars.extend(e.vars());
-        }
-        vars.sort();
-        vars.dedup();
-        let mut lp = LpProblem::new();
-        let lp_vars: Vec<dca_lp::LpVar> = vars
-            .iter()
-            .map(|v| lp.add_var(format!("x{}", v.0), VarKind::Free))
-            .collect();
-        let mapping: std::collections::HashMap<VarId, dca_lp::LpVar> =
-            vars.iter().copied().zip(lp_vars.iter().copied()).collect();
-        for c in constraints {
-            let terms: Vec<_> = c.iter().map(|(v, coef)| (mapping[v], coef.clone())).collect();
-            lp.add_constraint(terms, ConstraintOp::Ge, -c.constant_term().clone());
-        }
-        let map_clone = mapping.clone();
-        (lp, move |v: VarId| map_clone[&v])
     }
 
     /// Renders the polyhedron with variable names from a pool.
@@ -500,10 +461,10 @@ mod tests {
         ]);
         assert!(p.is_empty());
         assert!(!p.is_bottom());
-        let lps = LpCounter::default();
-        p.normalize_emptiness(&lps);
+        let queries = Queries::default();
+        p.normalize_emptiness(&queries);
         assert!(p.is_bottom());
-        assert_eq!(lps.count(), 1);
+        assert_eq!(queries.lp_queries(), 1);
         assert!(!Polyhedron::top().is_empty());
         assert!(!Polyhedron::from_constraints([LinExpr::var(x)]).is_empty());
     }
@@ -516,7 +477,7 @@ mod tests {
             LinExpr::from_int(3) - LinExpr::var(x),
         ]);
         assert!(!p.is_bottom());
-        p.normalize_emptiness(&LpCounter::default());
+        p.normalize_emptiness(&Queries::default());
         assert!(p.is_bottom());
         assert!(p.entails(&LinExpr::from_int(-1)));
         assert_eq!(p.constraints_or_false().len(), 1);
@@ -527,15 +488,15 @@ mod tests {
         let (_, x, _) = setup();
         let a = Polyhedron::from_constraints(interval(x, 0, 5));
         let b = Polyhedron::from_constraints(interval(x, 3, 10));
-        let j = a.join(&b, &LpCounter::default());
+        let j = a.join(&b, &Queries::default());
         // The join must contain both operands: x in [0, 10].
         assert!(j.entails(&LinExpr::var(x)));
         assert!(j.entails(&(LinExpr::from_int(10) - LinExpr::var(x))));
         // And must not claim anything stronger than the union allows.
         assert!(!j.entails(&(LinExpr::var(x) - LinExpr::from_int(3))));
         // Join with bottom is identity.
-        assert_eq!(a.join(&Polyhedron::bottom(), &LpCounter::default()), a);
-        assert_eq!(Polyhedron::bottom().join(&b, &LpCounter::default()), b);
+        assert_eq!(a.join(&Polyhedron::bottom(), &Queries::default()), a);
+        assert_eq!(Polyhedron::bottom().join(&b, &Queries::default()), b);
     }
 
     #[test]
@@ -543,7 +504,7 @@ mod tests {
         let (_, x, _) = setup();
         let a = Polyhedron::from_constraints(interval(x, 0, 5));
         let b = Polyhedron::from_constraints(interval(x, 0, 9));
-        let w = a.widen(&b, &LpCounter::default());
+        let w = a.widen(&b, &Queries::default());
         // The lower bound is stable, the upper bound is not.
         assert!(w.entails(&LinExpr::var(x)));
         assert!(!w.entails(&(LinExpr::from_int(1000) - LinExpr::var(x))));
@@ -575,7 +536,7 @@ mod tests {
         let q = p.assign_simultaneous(
             &[(x, Some(LinExpr::var(x) + LinExpr::from_int(1)))],
             100,
-            &LpCounter::default(),
+            &Queries::default(),
         );
         assert!(q.entails(&(LinExpr::var(x) - LinExpr::from_int(1))));
         assert!(q.entails(&(LinExpr::from_int(6) - LinExpr::var(x))));
@@ -595,7 +556,7 @@ mod tests {
         let q = p.assign_simultaneous(
             &[(x, Some(LinExpr::var(y))), (y, Some(LinExpr::var(x)))],
             100,
-            &LpCounter::default(),
+            &Queries::default(),
         );
         assert!(q.entails(&(LinExpr::var(x) - LinExpr::from_int(2))));
         assert!(q.entails(&(LinExpr::from_int(2) - LinExpr::var(x))));
@@ -607,7 +568,7 @@ mod tests {
     fn havoc_forgets_variable() {
         let (_, x, _) = setup();
         let p = Polyhedron::from_constraints(interval(x, 0, 5));
-        let q = p.assign_simultaneous(&[(x, None)], 100, &LpCounter::default());
+        let q = p.assign_simultaneous(&[(x, None)], 100, &Queries::default());
         assert!(!q.entails(&LinExpr::var(x)));
         assert!(!q.entails(&(LinExpr::from_int(5) - LinExpr::var(x))));
     }
@@ -620,7 +581,7 @@ mod tests {
             LinExpr::var(x) + LinExpr::from_int(5), // implied by x >= 0
             LinExpr::from_int(10) - LinExpr::var(x),
         ]);
-        let r = p.reduce(&LpCounter::default());
+        let r = p.reduce(&Queries::default());
         assert_eq!(r.constraints().unwrap().len(), 2);
         assert!(r.entails(&(LinExpr::var(x) + LinExpr::from_int(5))));
     }
@@ -636,29 +597,29 @@ mod tests {
     #[test]
     fn conjunct_plus_nonnegative_constant_is_entailed_without_an_lp() {
         let (_, x, y) = setup();
-        let lps = LpCounter::default();
+        let queries = Queries::default();
         let query = LinExpr::var(x) - LinExpr::var(y) + LinExpr::from_int(3);
-        assert!(ordered_pair(x, y).entails_counted(&query, &lps));
-        assert_eq!(lps.count(), 0);
+        assert!(ordered_pair(x, y).entails_in(&query, &queries));
+        assert_eq!(queries.lp_queries(), 0);
     }
 
     #[test]
     fn conjunct_minus_a_constant_goes_to_the_lp_and_is_refused() {
         let (_, x, y) = setup();
-        let lps = LpCounter::default();
+        let queries = Queries::default();
         let query = LinExpr::var(x) - LinExpr::var(y) - LinExpr::from_int(1);
-        assert!(!ordered_pair(x, y).entails_counted(&query, &lps));
-        assert_eq!(lps.count(), 1);
+        assert!(!ordered_pair(x, y).entails_in(&query, &queries));
+        assert_eq!(queries.lp_queries(), 1);
     }
 
     #[test]
     fn scaled_conjunct_goes_to_the_lp_and_is_entailed() {
         let (_, x, y) = setup();
-        let lps = LpCounter::default();
+        let queries = Queries::default();
         let two = dca_numeric::Rational::from_int(2);
         let query = (LinExpr::var(x) - LinExpr::var(y)).scale(&two);
-        assert!(ordered_pair(x, y).entails_counted(&query, &lps));
-        assert_eq!(lps.count(), 1);
+        assert!(ordered_pair(x, y).entails_in(&query, &queries));
+        assert_eq!(queries.lp_queries(), 1);
     }
 
     #[test]
@@ -668,31 +629,32 @@ mod tests {
         let d = LinExpr::from_int(10) - LinExpr::var(x);
         // `from_constraints` already merges duplicates, so build the list directly.
         let p = Polyhedron { constraints: Some(vec![c.clone(), c.clone(), d.clone()]) };
-        let lps = LpCounter::default();
-        let r = p.reduce(&lps);
+        let queries = Queries::default();
+        let r = p.reduce(&queries);
         assert_eq!(r.constraints().unwrap(), &[c, d]);
         // The duplicate is dropped structurally; only the two survivors' checks solve.
-        assert_eq!(lps.count(), 2);
+        assert_eq!(queries.lp_queries(), 2);
     }
 
     #[test]
     fn join_widen_and_image_of_nonempty_operands_stay_nonempty() {
         let (_, x, y) = setup();
-        let lps = LpCounter::default();
+        let queries = Queries::default();
         let a = Polyhedron::from_constraints(interval(x, 0, 5));
         let b = Polyhedron::from_constraints(interval(x, 3, 10));
-        let joined = a.join(&b, &lps);
+        let joined = a.join(&b, &queries);
         assert!(!joined.is_bottom());
-        assert!(!a.widen(&joined, &lps).is_bottom());
-        // The affine image checks its input once and never its output.
-        let before = lps.count();
+        assert!(!a.widen(&joined, &queries).is_bottom());
+        // The affine image checks its input once and never its output (in a fresh
+        // cache, so no earlier vertex can prove the input nonempty).
+        let queries = Queries::default();
         let image = ordered_pair(x, y).assign_simultaneous(
             &[(x, Some(LinExpr::var(y))), (y, None)],
             100,
-            &lps,
+            &queries,
         );
         assert!(!image.is_bottom());
-        assert_eq!(lps.count(), before + 1);
+        assert_eq!(queries.lp_queries(), 1);
     }
 
     #[test]
@@ -704,10 +666,10 @@ mod tests {
             LinExpr::from_int(3) - LinExpr::var(x),
         ]);
         assert!(!empty.is_bottom());
-        let lps = LpCounter::default();
+        let queries = Queries::default();
         let increment = [(x, Some(LinExpr::var(x) + LinExpr::from_int(1)))];
-        assert!(empty.assign_simultaneous(&increment, 100, &lps).is_bottom());
-        assert!(empty.assign_simultaneous(&[], 100, &lps).is_bottom());
+        assert!(empty.assign_simultaneous(&increment, 100, &queries).is_bottom());
+        assert!(empty.assign_simultaneous(&[], 100, &queries).is_bottom());
     }
 
     #[test]

@@ -29,9 +29,13 @@
 //!   none), one exact pricing pass over them against the dual the deciding run
 //!   stopped on, and, only if one prices in, one exact solve over every column;
 //! * [`LpProblem::solve_exact`] runs the exact loop alone, from scratch: the
-//!   cross-checking reference, and the solve behind the invariant engine's
-//!   entailment and emptiness queries and `dca_core::verify::bound_var`, whose
-//!   LPs are a few rows each.
+//!   cross-checking reference.
+//!
+//! [`LpProblem::exact_minimizer`] runs the same exact loop as a session over fixed
+//! constraints: the standard form is built once, phase 1 runs at most once, and
+//! each [`ExactMinimizer::minimize`] re-runs only phase 2 from the previous basis.
+//! It decides the invariant engine's entailment and emptiness queries and
+//! `dca_core::verify::bound_var`, whose LPs are a few rows each.
 //!
 //! The float loop has no entry point of its own: its only input is the `f64` image
 //! of an exact standard form, and the certified solve reads every status it
@@ -80,6 +84,7 @@ mod exact;
 pub mod fault;
 mod float;
 mod lu;
+mod minimizer;
 mod problem;
 mod revised;
 mod scalar;
@@ -87,6 +92,7 @@ mod simplex;
 
 pub use deadline::Deadline;
 pub use fault::{FaultKind, FaultSpec, SolvePhase};
+pub use minimizer::{ExactMinimizer, MinimizerState, Minimum};
 pub use problem::{
     ConstraintOp, LpBasis, LpConstraint, LpProblem, LpProgress, LpResult, LpSolveInfo, LpStatus,
     LpVar, VarKind,

@@ -6,6 +6,7 @@ use std::time::{Duration, Instant};
 use dca_numeric::Rational;
 
 use crate::deadline::Deadline;
+use crate::minimizer::{ExactMinimizer, MinimizerState};
 use crate::revised::Columns;
 use crate::simplex::{RawSolution, StandardForm};
 
@@ -288,6 +289,25 @@ impl LpProblem {
         raw.info.certified = true;
         raw.info.exact_iterations = raw.info.iterations;
         self.assemble_result(raw, &self.standard_col_names())
+    }
+
+    /// An exact session over these constraints: the standard form is built once,
+    /// and each [`ExactMinimizer::minimize`] minimizes its own objective over it
+    /// (this problem's objective is ignored), running phase 1 at most once and
+    /// warm-starting phase 2 from the previous answer's basis. It builds no column
+    /// names and no [`LpResult`]: the invariant engine's many small queries over one
+    /// polyhedron each pay only their phase-2 pivots.
+    pub fn exact_minimizer(&self) -> ExactMinimizer {
+        self.exact_minimizer_from(MinimizerState::default())
+    }
+
+    /// [`LpProblem::exact_minimizer`], resuming a session over these same
+    /// constraints from the state it ended in ([`ExactMinimizer::into_state`]):
+    /// its next `minimize` starts phase 2 from the basis that session last
+    /// stopped on, and an infeasible verdict stands.
+    pub fn exact_minimizer_from(&self, state: MinimizerState) -> ExactMinimizer {
+        let layout = self.model_columns().0;
+        ExactMinimizer::new(self.to_standard_form(), layout, self.deadline.clone(), state)
     }
 
     /// Solves with the float-first, exact-repair driver: the `f64` revised simplex
